@@ -8,6 +8,8 @@ package rex
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -339,5 +341,61 @@ func TestPooledEnumerationDeterminismUnderBatch(t *testing.T) {
 				t.Fatalf("round %d pair %v: pooled result diverged from serial reference", round, samplePairs[i])
 			}
 		}
+	}
+}
+
+// TestExplainWhileNodesGrow runs the distributional measures — whose
+// kernel counts per end entity in a pooled array indexed by node ID —
+// while Store.Apply keeps adding entities next to the queried pair. Node
+// IDs are append-only, so a counter sized for generation n would be
+// indexed out of range by generation n+1's new ends; run with -race.
+// Every answer must equal a cold recomputation on its own snapshot.
+func TestExplainWhileNodesGrow(t *testing.T) {
+	for _, m := range []string{"size+local-dist", "global-dist"} {
+		t.Run(m, func(t *testing.T) {
+			opt := Options{Measure: m, TopK: 10, CacheSize: 0, GlobalSamples: 8}
+			st := mustStore(t, clusteredKB(t, 4), opt)
+			const deltas = 40
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						snap := st.Current()
+						got, err := snap.Explainer.Explain("s1", "t1")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						cold, err := NewExplainer(snap.KB, opt)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if want, err := cold.Explain("s1", "t1"); err != nil || !resultsEqual(got, want) {
+							t.Errorf("generation %d: answer differs from a cold recomputation (%v)", snap.Generation, err)
+							return
+						}
+					}
+				}()
+			}
+			for i := 0; i < deltas; i++ {
+				// A new entity two hops from s1 is a new end of the local
+				// distribution; one next to s1 is a new first step.
+				d := fmt.Sprintf("node\tgrow_a%d\tperson\nnode\tgrow_b%d\tperson\nedge\tm11\tgrow_a%d\trel\nedge\ts1\tgrow_b%d\trel\n", i, i, i, i)
+				if _, err := st.Apply(strings.NewReader(d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(done)
+			wg.Wait()
+		})
 	}
 }

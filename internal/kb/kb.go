@@ -530,8 +530,15 @@ func (g *Graph) deriveLabelView() {
 				touched = append(touched, labelCount{label: he.Label, count: 1})
 			}
 		}
-		// Ascending label order for the binary search in NeighborsLabeled.
-		sort.Slice(touched, func(x, y int) bool { return touched[x].label < touched[y].label })
+		// Ascending label order for the binary search in NeighborsLabeled:
+		// an insertion sort, because a node carries a handful of labels
+		// and sort.Slice allocates twice per call — once per node of
+		// every Freeze and every Compact.
+		for x := 1; x < len(touched); x++ {
+			for y := x; y > 0 && touched[y].label < touched[y-1].label; y-- {
+				touched[y], touched[y-1] = touched[y-1], touched[y]
+			}
+		}
 		off := base
 		for t := range touched {
 			touched[t].off = off

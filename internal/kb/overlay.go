@@ -186,6 +186,10 @@ func (g *Graph) Compact() *Graph {
 		c.csr = append(c.csr, g.Neighbors(NodeID(i))...)
 		c.csrOff[i+1] = int32(len(c.csr))
 	}
+	// The label view is about as long as the base's: size it up front
+	// instead of growing it by doubling through deriveLabelView's appends.
+	c.spanOff = make([]int32, 0, n+1)
+	c.spans = make([]labelSpan, 0, len(g.spans)+len(g.spans)/16)
 	c.deriveLabelView()
 	c.buildTypeIndex()
 	return c

@@ -119,6 +119,23 @@ func CountByEndInto(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start 
 	return err
 }
 
+// CountByEndDense is CountByEndInto over a dense EndCounter instead of a
+// map: every instance's end is fed to c.Add, and the search stops the
+// moment Add reports the position pruned (LIMIT p). The counter is
+// partial when an error is returned.
+func CountByEndDense(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, c *EndCounter) error {
+	tr := obs.FromContext(ctx)
+	t0 := tr.Begin()
+	m := acquireMatcher(g, p, start, kb.InvalidNode)
+	m.ctx = ctx
+	m.dense = c
+	m.run(m.denseFn)
+	err := m.err
+	releaseMatcher(m)
+	tr.End(obs.StageMatch, t0, int64(len(c.touched)))
+	return err
+}
+
 // Find collects the instances of p with the given target bindings. Pass
 // end = kb.InvalidNode to leave the end variable free. The zero Options
 // value enumerates everything.
@@ -169,23 +186,25 @@ type matcher struct {
 	assigned [pattern.MaxVars]bool
 
 	// plan output: order[:orderLen] is the assignment order excluding
-	// pre-bound variables; anchorAt[d] generates candidates for order[d];
-	// checks[checkSpan[d][0]:checkSpan[d][1]] are the edges to verify
-	// once order[d] is assigned.
-	order     [pattern.MaxVars]pattern.VarID
-	orderLen  int
-	anchorAt  [pattern.MaxVars]anchor
-	checkSpan [pattern.MaxVars][2]int32
-	checks    []pattern.Edge
+	// pre-bound variables; anchors[anchorSpan[d][0]:anchorSpan[d][1]] are
+	// the pattern edges joining order[d] to variables bound before it.
+	// One of them generates the candidates, the others are verified.
+	order      [pattern.MaxVars]pattern.VarID
+	orderLen   int
+	anchorSpan [pattern.MaxVars][2]int32
+	anchors    []anchor
 
 	// countFn is the pooled counting callback for Count/CountContext,
 	// allocated once per pooled matcher so the steady-state count path
-	// closes over nothing. byEndFn is its per-end sibling: it increments
-	// endCounts, the caller-owned table wired up by CountByEndInto.
+	// closes over nothing. byEndFn and denseFn are its per-end siblings:
+	// they feed endCounts, the caller-owned table wired up by
+	// CountByEndInto, and dense, the counter wired up by CountByEndDense.
 	countFn   func(pattern.Instance) bool
 	count     int
 	byEndFn   func(pattern.Instance) bool
 	endCounts map[kb.NodeID]int
+	denseFn   func(pattern.Instance) bool
+	dense     *EndCounter
 
 	// Cancellation: ctx is checked every ctxCheckInterval candidate
 	// tries; when done, err records ctx.Err() and the search unwinds.
@@ -204,6 +223,9 @@ var matcherPool = sync.Pool{
 		m.byEndFn = func(in pattern.Instance) bool {
 			m.endCounts[in[pattern.End]]++
 			return true
+		}
+		m.denseFn = func(in pattern.Instance) bool {
+			return m.dense.Add(in[pattern.End])
 		}
 		return m
 	},
@@ -226,7 +248,7 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 		m.assigned[pattern.End] = true
 	}
 	m.orderLen = 0
-	m.checks = m.checks[:0]
+	m.anchors = m.anchors[:0]
 	m.count = 0
 	m.tries = 0
 	m.ctx = nil
@@ -245,6 +267,7 @@ func releaseMatcher(m *matcher) {
 	m.ctx = nil
 	m.err = nil
 	m.endCounts = nil
+	m.dense = nil
 	matcherPool.Put(m)
 }
 
@@ -268,11 +291,12 @@ func (m *matcher) cancelled() bool {
 	return false
 }
 
-// anchor tells the matcher how to generate candidates for a variable:
-// follow one incident pattern edge from an already-assigned neighbor.
+// anchor is one pattern edge joining a variable to an already-assigned
+// neighbor. Followed from the neighbor's value it generates candidates
+// for the variable; otherwise it is verified with HasEdge.
 type anchor struct {
-	from  pattern.VarID // assigned neighbor variable
-	label kb.LabelID
+	e    pattern.Edge
+	from pattern.VarID // assigned neighbor variable
 	// wantDir is the orientation candidates must satisfy as half-edges of
 	// the anchor's value: Out when the pattern edge leaves from, In when
 	// it enters from, Undirected for undirected labels.
@@ -329,7 +353,7 @@ func (m *matcher) plan() {
 				if !done[v] {
 					done[v] = true
 					remaining--
-					m.pushPlan(pattern.VarID(v), anchor{from: -1}, 0)
+					m.pushPlan(pattern.VarID(v), len(m.anchors))
 					break
 				}
 			}
@@ -338,11 +362,9 @@ func (m *matcher) plan() {
 		done[best] = true
 		remaining--
 
-		// Candidate anchor: the incident edge whose other endpoint is
-		// assigned; remaining incident-to-assigned edges become checks.
-		var anc anchor
-		anc.from = -1
-		checkStart := len(m.checks)
+		// Every incident edge whose other endpoint is assigned is an
+		// anchor; search picks the generating one per binding.
+		first := len(m.anchors)
 		for _, e := range m.p.Edges() {
 			var other pattern.VarID
 			var outward bool // edge leaves the anchor toward best
@@ -366,23 +388,18 @@ func (m *matcher) plan() {
 					dir = kb.Out
 				}
 			}
-			if anc.from < 0 {
-				anc = anchor{from: other, label: e.Label, wantDir: dir}
-			} else {
-				m.checks = append(m.checks, e)
-			}
+			m.anchors = append(m.anchors, anchor{e: e, from: other, wantDir: dir})
 		}
-		m.pushPlan(best, anc, checkStart)
+		m.pushPlan(best, first)
 	}
 }
 
-// pushPlan appends one step to the assignment plan; the step's checks are
-// m.checks[checkStart:len(m.checks)].
-func (m *matcher) pushPlan(v pattern.VarID, anc anchor, checkStart int) {
+// pushPlan appends one step to the assignment plan; the step's anchors
+// are m.anchors[first:len(m.anchors)].
+func (m *matcher) pushPlan(v pattern.VarID, first int) {
 	d := m.orderLen
 	m.order[d] = v
-	m.anchorAt[d] = anc
-	m.checkSpan[d] = [2]int32{int32(checkStart), int32(len(m.checks))}
+	m.anchorSpan[d] = [2]int32{int32(first), int32(len(m.anchors))}
 	m.orderLen++
 }
 
@@ -407,7 +424,19 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 		return f(m.inst)
 	}
 	v := m.order[depth]
-	anc := m.anchorAt[depth]
+	ancs := m.anchors[m.anchorSpan[depth][0]:m.anchorSpan[depth][1]]
+	// Generate candidates from the shortest incident label span: with
+	// several edges into the bound set (a cycle closing, a hub on one
+	// side) the first edge in pattern order can fan out over a hub whose
+	// neighbours the other edge rejects one HasEdge at a time.
+	gen := 0
+	var span []kb.HalfEdge
+	for i := range ancs {
+		s := m.g.NeighborsLabeled(m.inst[ancs[i].from], ancs[i].e.Label)
+		if i == 0 || len(s) < len(span) {
+			gen, span = i, s
+		}
+	}
 	try := func(cand kb.NodeID) bool {
 		if m.cancelled() {
 			return false
@@ -418,13 +447,13 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 		m.inst[v] = cand
 		m.assigned[v] = true
 		ok := true
-		if m.checkEdges(depth) {
+		if m.checkEdges(ancs, gen) {
 			ok = m.search(depth+1, f)
 		}
 		m.assigned[v] = false
 		return ok
 	}
-	if anc.from < 0 {
+	if len(ancs) == 0 {
 		// Variable in a component disconnected from anything assigned
 		// (e.g. a free, isolated end): bind by full scan.
 		for id := kb.NodeID(0); int(id) < m.g.NumNodes(); id++ {
@@ -434,15 +463,12 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 		}
 		return true
 	}
-	from := m.inst[anc.from]
 	// The label index narrows candidates to the anchor's label up front;
 	// on a frozen graph the order equals Neighbors filtered to the label,
 	// so enumeration stays deterministic.
-	for _, he := range m.g.NeighborsLabeled(from, anc.label) {
-		if anc.wantDir != kb.Undirected && he.Dir != anc.wantDir {
-			continue
-		}
-		if anc.wantDir == kb.Undirected && he.Dir != kb.Undirected {
+	wantDir := ancs[gen].wantDir
+	for _, he := range span {
+		if he.Dir != wantDir {
 			continue
 		}
 		if !try(he.To) {
@@ -465,12 +491,12 @@ func (m *matcher) admissible(v pattern.VarID, cand kb.NodeID) bool {
 	return true
 }
 
-// checkEdges verifies the non-anchor edges that became fully bound at
-// this depth.
-func (m *matcher) checkEdges(depth int) bool {
-	span := m.checkSpan[depth]
-	for _, e := range m.checks[span[0]:span[1]] {
-		if !m.g.HasEdge(m.inst[e.U], m.inst[e.V], e.Label) {
+// checkEdges verifies the anchors other than the generating one: the
+// edges that became fully bound at this depth.
+func (m *matcher) checkEdges(ancs []anchor, gen int) bool {
+	for i := range ancs {
+		e := ancs[i].e
+		if i != gen && !m.g.HasEdge(m.inst[e.U], m.inst[e.V], e.Label) {
 			return false
 		}
 	}

@@ -6,25 +6,21 @@
 // touched-label set, and on a memo miss it consults the predecessor
 // before computing. A predecessor hit is promoted into the new
 // evaluator's own shards only when it provably cannot observe the
-// delta:
-//
-//   - Match counting (Count, CountByEnd) inspects exactly the edges
-//     whose labels appear in the pattern, plus node identity for
-//     injectivity. Node IDs are append-only across generations and
-//     entity types never enter matching, so if none of the pattern's
-//     labels had an edge added or removed, every instance set — and
-//     therefore every count and per-end table — is unchanged.
-//   - A prefix walk traverses only edges with the step sequence's
-//     labels, so the same label test covers cached walk levels.
+// delta. Match counting (Count, LocalPosition, CountByEnd) inspects
+// exactly the edges whose labels appear in the pattern, plus node
+// identity for injectivity. Node IDs are append-only across generations
+// and entity types never enter matching, so if none of the pattern's
+// labels had an edge added or removed, every instance set — and
+// therefore every count, position and per-end table — is unchanged.
 //
 // When in doubt, the link answers nothing and the memo is recomputed;
 // carry-over can change cost, never values. The caller that builds
 // generation n+1 severs generation n's link (DropCarry), so retired
 // evaluators form no chain and at most two generations of memos are
-// live at once. Promoted tables and walk sets are shared by reference —
-// both are immutable once stored — and reads of the predecessor go
-// through its own shard locks, so carry is safe while old-snapshot
-// readers still query the predecessor.
+// live at once. Promoted tables are shared by reference — they are
+// immutable once stored — and reads of the predecessor go through its
+// own shard locks, so carry is safe while old-snapshot readers still
+// query the predecessor.
 
 package measure
 
@@ -78,16 +74,6 @@ func patternUntouched(p *pattern.Pattern, touched map[kb.LabelID]struct{}) bool 
 	return true
 }
 
-// stepsUntouched is patternUntouched over a path step sequence.
-func stepsUntouched(steps []pattern.PathStep, touched map[kb.LabelID]struct{}) bool {
-	for _, st := range steps {
-		if _, hit := touched[st.Label]; hit {
-			return false
-		}
-	}
-	return true
-}
-
 // carriedCount consults the predecessor for a pair-count memo.
 func (ev *Evaluator) carriedCount(p *pattern.Pattern, key pairCountKey) (int, bool) {
 	link := ev.carry.Load()
@@ -116,25 +102,15 @@ func (ev *Evaluator) carriedTable(p *pattern.Pattern, key tableKey) (map[kb.Node
 	return t, ok
 }
 
-// carriedWalks consults the predecessor for a cached walk level.
-func (ev *Evaluator) carriedWalks(steps []pattern.PathStep, start kb.NodeID, key stepSeqKey) (walkSet, bool) {
+// carriedPosition consults the predecessor for a local-position memo.
+func (ev *Evaluator) carriedPosition(p *pattern.Pattern, key positionKey) (position, bool) {
 	link := ev.carry.Load()
-	if link == nil || !stepsUntouched(steps, link.touched) {
-		return walkSet{}, false
+	if link == nil || !patternUntouched(p, link.touched) {
+		return position{}, false
 	}
-	return link.prev.prefixes.peek(start, key)
-}
-
-// peek is a side-effect-free lookup: no bucket creation, no LRU
-// reordering. Used only by carry, against the predecessor.
-func (pc *prefixCache) peek(start kb.NodeID, key stepSeqKey) (walkSet, bool) {
-	ps := pc.shardFor(start)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	sp, ok := ps.starts[start]
-	if !ok {
-		return walkSet{}, false
-	}
-	w, ok := sp.levels[key]
-	return w, ok
+	sh := link.prev.shardFor(key.p)
+	sh.mu.Lock()
+	m, ok := sh.positions[key]
+	sh.mu.Unlock()
+	return m, ok
 }

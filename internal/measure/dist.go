@@ -60,11 +60,10 @@ func (LocalPosition) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, thres
 	return Score{-float64(pos)}, true
 }
 
-// localPosition routes one local-position evaluation: through the
-// shared-computation evaluator when the context carries one (memoised
-// tables, prefix-shared path walks), through the streaming matcher
-// otherwise. Both routes return identical positions and identical
-// pruning decisions.
+// localPosition answers one local-position question: from the
+// evaluator's answer memo when the context carries one, straight from
+// the counting kernel otherwise. Both return identical positions and
+// identical pruning decisions.
 func localPosition(ctx *Context, p *pattern.Pattern, start kb.NodeID, a, limit int) (pos int, ok bool) {
 	if ev := ctx.Eval; ev != nil {
 		pos, ok, err := ev.LocalPosition(ctx.Context(), p, start, a, limit)
@@ -82,25 +81,84 @@ func localPosition(ctx *Context, p *pattern.Pattern, start kb.NodeID, a, limit i
 // returned. Cancellation of cctx also aborts with ok=false; the caller
 // is expected to notice the done context and discard the result.
 func streamLocalPosition(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, a, limit int) (pos int, ok bool) {
-	counts := make(map[kb.NodeID]int)
-	exceeded := 0
-	aborted := false
-	err := match.ForEachContext(cctx, g, p, start, kb.InvalidNode, func(in pattern.Instance) bool {
-		endv := in[pattern.End]
-		counts[endv]++
-		if counts[endv] == a+1 { // just crossed the bar
-			exceeded++
-			if limit >= 0 && exceeded > limit {
-				aborted = true
+	c := match.AcquireEndCounter(g, a, limit)
+	defer c.Release()
+	if err := countEnds(cctx, g, p, start, c); err != nil || c.Pruned() {
+		return 0, false
+	}
+	return c.Exceeded(), true
+}
+
+// countEnds is the one local-distribution kernel: it streams the end of
+// every instance of p from start into c and stops as soon as c reports
+// the position pruned. No instance set and no table is ever built — the
+// only state is the dense counter and a walk of at most MaxVars nodes.
+//
+// Path patterns (the bulk of every explanation set) are a depth-first
+// injective walk over the label spans: for a simple-path pattern the
+// injective walks from the start are precisely the pattern's instances
+// (injectivity of the walk is the instance-level injectivity, and
+// Definition 2's target-avoidance is subsumed by it). Everything else
+// goes through the pooled backtracking matcher.
+func countEnds(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, c *match.EndCounter) error {
+	steps, isPath := p.PathSteps()
+	if !isPath {
+		return match.CountByEndDense(cctx, g, p, start, c)
+	}
+	w := pathWalk{ctx: cctx, g: g, steps: steps, c: c}
+	w.nodes[0] = start
+	w.from(0)
+	return w.err
+}
+
+// walkCheckInterval bounds extension steps between context checks.
+const walkCheckInterval = 1024
+
+// pathWalk is the state of one path-pattern walk: nodes[:depth+1] is the
+// current injective prefix.
+type pathWalk struct {
+	ctx     context.Context
+	g       *kb.Graph
+	steps   []pattern.PathStep
+	c       *match.EndCounter
+	nodes   [pattern.MaxVars]kb.NodeID
+	checked int
+	err     error
+}
+
+// from extends the prefix ending at nodes[depth] by steps[depth:],
+// reporting false when the walk must stop (pruned or cancelled).
+func (w *pathWalk) from(depth int) bool {
+	st := w.steps[depth]
+	last := depth == len(w.steps)-1
+nextEdge:
+	for _, he := range w.g.NeighborsLabeled(w.nodes[depth], st.Label) {
+		if he.Dir != st.Dir {
+			continue
+		}
+		w.checked++
+		if w.checked%walkCheckInterval == 0 {
+			if w.err = w.ctx.Err(); w.err != nil {
 				return false
 			}
 		}
-		return true
-	})
-	if aborted || err != nil {
-		return 0, false
+		for _, n := range w.nodes[:depth+1] {
+			if n == he.To {
+				continue nextEdge
+			}
+		}
+		if last {
+			if !w.c.Add(he.To) {
+				return false
+			}
+			continue
+		}
+		w.nodes[depth+1] = he.To
+		if !w.from(depth + 1) {
+			return false
+		}
 	}
-	return exceeded, true
+	return true
 }
 
 // GlobalPosition is M_position over the (estimated) global distribution

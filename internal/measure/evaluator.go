@@ -1,35 +1,31 @@
 // Shared-computation measure evaluation. The interestingness measures of
 // Section 4 are dominated by subgraph-match counting: the distributional
 // measures evaluate every explanation's pattern with a free end (and,
-// globally, over ~100 sampled starts), and nothing in the naive
-// formulation is shared between the many explanations of one query even
-// though PathUnion builds them all from a small set of overlapping
-// simple paths. The Evaluator recovers that sharing at two levels:
+// globally, over ~100 sampled starts). The Evaluator memoises what those
+// evaluations return, so re-evaluating a pattern — across measures of a
+// combination, repeated queries on one snapshot, or the study harness —
+// never counts twice:
 //
-//   - Result memoisation: match counts are cached by (pattern key, pair)
-//     and per-end count tables by (pattern key, start), so re-evaluating
-//     a pattern — across measures of a combination, repeated queries on
-//     one snapshot, or the study harness — never matches twice.
-//   - Prefix sharing: path patterns (the bulk of every explanation set)
-//     are evaluated by a label-indexed walk instead of the general
-//     backtracking matcher, and the partial walks of every prefix are
-//     cached, so explanations that extend the same path reuse its
-//     partial-instance frontier instead of re-walking it from the start
-//     entity.
+//   - match counts by (pattern key, pair);
+//   - positions in the local distribution by (pattern key, start, a):
+//     the answer the position measures need, a few words per entry;
+//   - whole per-end count tables by (pattern key, start), only for the
+//     deviation measures, which need every value of the distribution.
+//
+// All three are filled by the counting kernel of dist.go; the evaluator
+// itself never walks the graph.
 //
 // An Evaluator is pinned to one frozen graph. The facade builds one per
 // snapshot (rex.Explainer owns it, rex.Store rebuilds the Explainer on
 // every hot swap), so memo lifetime equals snapshot lifetime and stale
 // counts can never leak across generations. Because a snapshot can live
 // indefinitely (a static KB never swaps) while memo keys are driven by
-// user queries, every cache in the evaluator is bounded: the result
-// memos flush wholesale on overflow and the prefix cache evicts by
-// start — memory stays fixed no matter the query diversity.
+// user queries, every memo is bounded and flushes wholesale on overflow
+// — memory stays fixed no matter the query diversity.
 //
 // Concurrency: the memos are split into power-of-two lock shards keyed
 // by the low bits of pattern.Key (an FNV-1a hash, so the bits are well
-// mixed), and the prefix cache into shards keyed by start node, so
-// concurrent BatchExplain workers hitting different patterns or starts
+// mixed), so concurrent BatchExplain workers hitting different patterns
 // never serialise on one mutex. Sharding only partitions the maps;
 // every result is computed exactly as before, so scores are
 // byte-identical to the single-lock implementation.
@@ -51,18 +47,15 @@ import (
 // effectiveness, sampled by the serving tier's /metrics gauges.
 // Counters reset with the evaluator on hot swap; occupancy is current.
 type MemoStats struct {
-	// PairMemos and TableCells are the result-memo occupancy summed
-	// across lock shards (bounded by maxPairMemos / maxTableCells).
+	// PairMemos, Positions and TableCells are the result-memo occupancy
+	// summed across lock shards (bounded by maxPairMemos, maxPairMemos
+	// and maxTableCells).
 	PairMemos  int
+	Positions  int
 	TableCells int
-	// PrefixStarts and PrefixNodes are the walk-cache occupancy: live
-	// start buckets and total node IDs cached across them.
-	PrefixStarts int
-	PrefixNodes  int
-	// Hits and Misses count result-memo lookups (Count + CountByEnd);
-	// WalkHits and WalkMisses count prefix walk-cache lookups.
-	Hits, Misses         uint64
-	WalkHits, WalkMisses uint64
+	// Hits and Misses count result-memo lookups (Count, LocalPosition
+	// and CountByEnd).
+	Hits, Misses uint64
 	// Promotions counts memos promoted from the previous generation
 	// after a hot swap instead of recomputed.
 	Promotions uint64
@@ -73,25 +66,15 @@ func (ev *Evaluator) MemoStats() MemoStats {
 	st := MemoStats{
 		Hits:       ev.hits.Load(),
 		Misses:     ev.misses.Load(),
-		WalkHits:   ev.walkHits.Load(),
-		WalkMisses: ev.walkMisses.Load(),
 		Promotions: ev.promotions.Load(),
 	}
 	for i := range ev.shards {
 		sh := &ev.shards[i]
 		sh.mu.Lock()
 		st.PairMemos += len(sh.pairs)
+		st.Positions += len(sh.positions)
 		st.TableCells += sh.tableCells
 		sh.mu.Unlock()
-	}
-	for i := range ev.prefixes.shards {
-		ps := &ev.prefixes.shards[i]
-		ps.mu.Lock()
-		for _, sp := range ps.starts {
-			st.PrefixStarts++
-			st.PrefixNodes += sp.size
-		}
-		ps.mu.Unlock()
 	}
 	return st
 }
@@ -102,8 +85,7 @@ func (ev *Evaluator) MemoStats() MemoStats {
 type Evaluator struct {
 	g *kb.Graph
 
-	shards   [evalShardCount]evalShard
-	prefixes prefixCache
+	shards [evalShardCount]evalShard
 
 	// carry, when set, links to the previous generation's evaluator for
 	// cross-snapshot memo promotion (see carry.go). promotions counts
@@ -111,11 +93,9 @@ type Evaluator struct {
 	carry      atomic.Pointer[carryLink]
 	promotions atomic.Uint64
 
-	// Memo effectiveness counters for MemoStats: result-memo lookups
-	// (Count and CountByEnd) and prefix walk-cache lookups. Reset with
-	// the evaluator on hot swap, like the memos themselves.
-	hits, misses         atomic.Uint64
-	walkHits, walkMisses atomic.Uint64
+	// Memo effectiveness counters for MemoStats. Reset with the
+	// evaluator on hot swap, like the memos themselves.
+	hits, misses atomic.Uint64
 }
 
 // evalShard holds one lock shard of the result memos. Shards are
@@ -125,6 +105,7 @@ type Evaluator struct {
 type evalShard struct {
 	mu         sync.Mutex
 	pairs      map[pairCountKey]int
+	positions  map[positionKey]position
 	tables     map[tableKey]map[kb.NodeID]int
 	tableCells int // total entries across this shard's tables
 }
@@ -151,33 +132,45 @@ type tableKey struct {
 	start kb.NodeID
 }
 
-// Memory bounds for the prefix-walk cache. Overflowing either cap only
-// disables caching for the offending entries — results are computed
-// either way, so the bounds trade speed for memory, never correctness.
+// positionKey identifies one local-position question: how many ends of
+// D_l(p, start) have strictly more than a instances.
+type positionKey struct {
+	p     pattern.Key
+	start kb.NodeID
+	a     int
+}
+
+// position is what an evaluation learnt about a positionKey: the exact
+// position n, or — when LIMIT p cut the evaluation at limit n — only
+// that the position exceeds n.
+type position struct {
+	n     int
+	exact bool
+}
+
+// under answers the question for one limit from what is known; known is
+// false when the entry is a bound too weak to decide this limit.
+func (m position) under(limit int) (pos int, ok, known bool) {
+	switch {
+	case limit >= 0 && (m.n > limit || (!m.exact && m.n == limit)):
+		return 0, false, true
+	case m.exact:
+		return m.n, true, true
+	}
+	return 0, false, false
+}
+
 const (
-	// maxPrefixStarts bounds the number of start entities with live
-	// prefix caches; the least recently used bucket is evicted. Sized to
-	// cover the global measure's default 100 sampled starts plus the
-	// query pair, so a full global-distribution ranking reuses every
-	// sample's prefixes across explanations.
-	maxPrefixStarts = 128
-	// maxPrefixNodesPerStart bounds the node IDs stored across all
-	// cached walk levels of one start (256 KiB per start at the cap,
-	// ≈32 MiB per snapshot worst case).
-	maxPrefixNodesPerStart = 1 << 16
-	// maxWalkNodes aborts a materialised walk level that outgrows any
-	// reasonable cache entry; the computation falls back to the
-	// streaming matcher, which never materialises the instance set.
-	maxWalkNodes = 1 << 20
-	// maxPairMemos and maxTableCells bound the result memos, whose keys
-	// are driven by user queries and would otherwise grow for the whole
-	// snapshot lifetime (a static KB never swaps its evaluator away).
-	// On overflow the memos are flushed wholesale — rare, cheap, and it
-	// re-warms with the current working set instead of freezing on the
-	// oldest one. The totals are split evenly across the lock shards
-	// (each shard flushes independently at total/shards), so the
-	// worst-case footprint is unchanged from the single-lock era:
-	// ≈ maxTableCells table entries ≈ 64 MiB.
+	// maxPairMemos (pair counts, and separately positions) and
+	// maxTableCells bound the result memos, whose keys are driven by user
+	// queries and would otherwise grow for the whole snapshot lifetime (a
+	// static KB never swaps its evaluator away). On overflow a memo is
+	// flushed wholesale — rare, cheap, and it re-warms with the current
+	// working set instead of freezing on the oldest one. The totals are
+	// split evenly across the lock shards (each shard flushes
+	// independently at total/shards). Worst case ≈ 40 MiB of pair counts,
+	// as much of positions, and maxTableCells table entries ≈ 64 MiB —
+	// the last only under the deviation measures.
 	maxPairMemos  = 1 << 20
 	maxTableCells = 1 << 22
 
@@ -190,6 +183,7 @@ func NewEvaluator(g *kb.Graph) *Evaluator {
 	ev := &Evaluator{g: g}
 	for i := range ev.shards {
 		ev.shards[i].pairs = make(map[pairCountKey]int)
+		ev.shards[i].positions = make(map[positionKey]position)
 		ev.shards[i].tables = make(map[tableKey]map[kb.NodeID]int)
 	}
 	return ev
@@ -237,8 +231,8 @@ func (ev *Evaluator) Count(ctx context.Context, p *pattern.Pattern, start, end k
 // CountByEnd returns the per-end instance counts of p with the start
 // bound and the end free — the local distribution D_l — memoised by
 // (pattern key, start). The returned map is shared: callers must not
-// modify it. Path patterns are evaluated by the prefix-sharing walk;
-// everything else falls back to the general matcher.
+// modify it. Only the deviation measures need the whole table; the
+// position measures go through LocalPosition.
 func (ev *Evaluator) CountByEnd(ctx context.Context, p *pattern.Pattern, start kb.NodeID) (map[kb.NodeID]int, error) {
 	key := tableKey{p.Key(), start}
 	sh := ev.shardFor(key.p)
@@ -254,15 +248,12 @@ func (ev *Evaluator) CountByEnd(ctx context.Context, p *pattern.Pattern, start k
 	obs.FromContext(ctx).MemoMiss()
 	counts, promoted := ev.carriedTable(p, key)
 	if !promoted {
-		var err error
-		if steps, isPath := p.PathSteps(); isPath {
-			counts, err = ev.pathCountByEnd(ctx, start, steps)
-		} else {
-			// The memo map doubles as the matcher's accumulation table, so
-			// the general path allocates exactly the map it retains.
-			counts = make(map[kb.NodeID]int)
-			err = match.CountByEndInto(ctx, ev.g, p, start, counts)
+		c := match.AcquireEndCounter(ev.g, 0, -1)
+		err := countEnds(ctx, ev.g, p, start, c)
+		if err == nil {
+			counts = c.Table()
 		}
+		c.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -281,287 +272,57 @@ func (ev *Evaluator) CountByEnd(ctx context.Context, p *pattern.Pattern, start k
 	return counts, nil
 }
 
-// hasTable reports whether the (pattern, start) count table is already
-// memoised; the position measure uses it to decide between a table scan
-// and the streaming limit-pruned enumeration.
-func (ev *Evaluator) hasTable(p *pattern.Pattern, start kb.NodeID) bool {
-	key := tableKey{p.Key(), start}
-	sh := ev.shardFor(key.p)
-	sh.mu.Lock()
-	_, ok := sh.tables[key]
-	sh.mu.Unlock()
-	return ok
-}
-
 // LocalPosition counts the end entities whose instance count with start
 // strictly exceeds a (the position of the explanation in D_l). When
 // limit ≥ 0 and the position provably exceeds limit, ok=false is
-// returned — the "LIMIT p" pruning. Results are identical to the
-// streaming implementation in dist.go; the evaluator merely picks the
-// cheaper route: a scan of a (memoised or cheaply built) count table for
-// path patterns, the limit-pruned streaming matcher otherwise.
+// returned — the "LIMIT p" pruning. It is streamLocalPosition memoised
+// by (pattern key, start, a): an exact position answers every limit, a
+// pruned evaluation answers every limit up to the one that pruned it.
 func (ev *Evaluator) LocalPosition(ctx context.Context, p *pattern.Pattern, start kb.NodeID, a, limit int) (pos int, ok bool, err error) {
-	if _, isPath := p.PathSteps(); isPath || ev.hasTable(p, start) {
-		counts, err := ev.CountByEnd(ctx, p, start)
-		if err != nil {
-			return 0, false, err
+	key := positionKey{p.Key(), start, a}
+	sh := ev.shardFor(key.p)
+	sh.mu.Lock()
+	m, have := sh.positions[key]
+	sh.mu.Unlock()
+	if have {
+		if pos, ok, known := m.under(limit); known {
+			ev.hits.Add(1)
+			obs.FromContext(ctx).MemoHit()
+			return pos, ok, nil
 		}
-		exceeded := 0
-		for _, c := range counts {
-			if c > a {
-				exceeded++
-				if limit >= 0 && exceeded > limit {
-					return 0, false, nil
-				}
+	}
+	ev.misses.Add(1)
+	obs.FromContext(ctx).MemoMiss()
+	if !have {
+		if m, have = ev.carriedPosition(p, key); have {
+			ev.storePosition(sh, key, m)
+			ev.promotions.Add(1)
+			if pos, ok, known := m.under(limit); known {
+				return pos, ok, nil
 			}
 		}
-		return exceeded, true, nil
 	}
 	pos, ok = streamLocalPosition(ctx, ev.g, p, start, a, limit)
-	return pos, ok, ctx.Err()
-}
-
-// --- Prefix-sharing walk evaluation for path patterns. ---
-
-// stepSeqKey identifies a walk level: the start-anchored step sequence
-// prefix of a path pattern.
-type stepSeqKey struct {
-	n     int8
-	steps [pattern.MaxVars - 1]pattern.PathStep
-}
-
-func seqKey(steps []pattern.PathStep) stepSeqKey {
-	var k stepSeqKey
-	k.n = int8(len(steps))
-	copy(k.steps[:], steps)
-	return k
-}
-
-// walkSet is the materialised set of injective walks matching one step
-// prefix from one start: walk i occupies nodes[i*stride : (i+1)*stride],
-// nodes[i*stride] being the start entity. A walkSet is immutable once
-// cached.
-type walkSet struct {
-	stride int
-	nodes  []kb.NodeID
-}
-
-func (w walkSet) count() int { return len(w.nodes) / w.stride }
-
-// startPrefixes is the per-start bucket of cached walk levels.
-type startPrefixes struct {
-	levels map[stepSeqKey]walkSet
-	size   int // total node IDs stored
-}
-
-// prefixShardCount is the number of prefix-cache lock shards. Power of
-// two so selection is a mask over the (densely allocated) node ID.
-const prefixShardCount = 8
-
-// maxPrefixStartsPerShard keeps the global LRU bound: each shard holds
-// its share of the maxPrefixStarts budget and evicts independently.
-const maxPrefixStartsPerShard = maxPrefixStarts / prefixShardCount
-
-// prefixCache is an LRU over start entities, sharded by start node so
-// concurrent queries walking different starts (BatchExplain workers,
-// global-distribution sampling) never serialise on one mutex, and long
-// walk computations never block unrelated memo lookups.
-type prefixCache struct {
-	shards [prefixShardCount]prefixShard
-}
-
-// prefixShard is one lock shard: an independent LRU over its share of
-// the start entities.
-type prefixShard struct {
-	mu     sync.Mutex
-	starts map[kb.NodeID]*startPrefixes
-	order  []kb.NodeID // LRU order, most recent last
-}
-
-// shardFor selects the shard owning a start node. Node IDs are dense
-// sequential integers, so the low bits spread starts evenly.
-func (pc *prefixCache) shardFor(start kb.NodeID) *prefixShard {
-	return &pc.shards[uint32(start)&(prefixShardCount-1)]
-}
-
-func (ps *prefixShard) bucket(start kb.NodeID) *startPrefixes {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.starts == nil {
-		ps.starts = make(map[kb.NodeID]*startPrefixes)
+	if err := ctx.Err(); err != nil {
+		return 0, false, err // ok=false may be the cancellation, not a pruning
 	}
-	sp, ok := ps.starts[start]
+	m = position{n: pos, exact: true}
 	if !ok {
-		sp = &startPrefixes{levels: make(map[stepSeqKey]walkSet)}
-		ps.starts[start] = sp
-		ps.order = append(ps.order, start)
-		if len(ps.order) > maxPrefixStartsPerShard {
-			evict := ps.order[0]
-			ps.order = ps.order[1:]
-			delete(ps.starts, evict)
-		}
-		return sp
+		m = position{n: limit}
 	}
-	for i, s := range ps.order {
-		if s == start {
-			ps.order = append(append(ps.order[:i:i], ps.order[i+1:]...), start)
-			break
-		}
-	}
-	return sp
+	ev.storePosition(sh, key, m)
+	return pos, ok, nil
 }
 
-func (ps *prefixShard) get(sp *startPrefixes, key stepSeqKey) (walkSet, bool) {
-	ps.mu.Lock()
-	w, ok := sp.levels[key]
-	ps.mu.Unlock()
-	return w, ok
-}
-
-func (ps *prefixShard) put(sp *startPrefixes, key stepSeqKey, w walkSet) {
-	ps.mu.Lock()
-	if sp.size+len(w.nodes) <= maxPrefixNodesPerStart {
-		if _, dup := sp.levels[key]; !dup {
-			sp.levels[key] = w
-			sp.size += len(w.nodes)
-		}
+// storePosition records what an evaluation learnt, never replacing an
+// exact position with a bound.
+func (ev *Evaluator) storePosition(sh *evalShard, key positionKey, m position) {
+	sh.mu.Lock()
+	if len(sh.positions) >= maxPairMemosPerShard {
+		sh.positions = make(map[positionKey]position)
 	}
-	ps.mu.Unlock()
-}
-
-// errWalkTooLarge aborts materialisation when a walk level outgrows
-// maxWalkNodes; the caller falls back to the streaming matcher.
-type walkTooLargeError struct{}
-
-func (walkTooLargeError) Error() string { return "measure: materialised walk level too large" }
-
-var errWalkTooLarge error = walkTooLargeError{}
-
-// pathCountByEnd evaluates a path pattern's local distribution via the
-// shared prefix walk. Counting from the full-length walk set is exact:
-// for a simple-path pattern the injective walks from the start are
-// precisely the pattern's instances (injectivity of the walk is the
-// instance-level injectivity, and Definition 2's target-avoidance is
-// subsumed by it), so counts per terminal equal the matcher's per-end
-// counts.
-func (ev *Evaluator) pathCountByEnd(ctx context.Context, start kb.NodeID, steps []pattern.PathStep) (map[kb.NodeID]int, error) {
-	ps := ev.prefixes.shardFor(start)
-	sp := ps.bucket(start)
-	w, err := ev.walksAt(ctx, ps, sp, start, steps)
-	if err == errWalkTooLarge {
-		// Too big to materialise: stream it instead (no cache, bounded
-		// memory, identical result).
-		counts := make(map[kb.NodeID]int)
-		serr := ev.streamPathCounts(ctx, start, steps, counts)
-		if serr != nil {
-			return nil, serr
-		}
-		return counts, nil
+	if old := sh.positions[key]; !old.exact {
+		sh.positions[key] = m
 	}
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[kb.NodeID]int)
-	for i := 0; i < w.count(); i++ {
-		counts[w.nodes[i*w.stride+w.stride-1]]++
-	}
-	return counts, nil
-}
-
-// walksAt returns the injective walks matching steps from start,
-// recursively extending the cached next-shortest prefix.
-func (ev *Evaluator) walksAt(ctx context.Context, ps *prefixShard, sp *startPrefixes, start kb.NodeID, steps []pattern.PathStep) (walkSet, error) {
-	if len(steps) == 0 {
-		return walkSet{stride: 1, nodes: []kb.NodeID{start}}, nil
-	}
-	key := seqKey(steps)
-	if w, ok := ps.get(sp, key); ok {
-		ev.walkHits.Add(1)
-		obs.FromContext(ctx).WalkHit()
-		return w, nil
-	}
-	ev.walkMisses.Add(1)
-	obs.FromContext(ctx).WalkMiss()
-	if w, ok := ev.carriedWalks(steps, start, key); ok {
-		ps.put(sp, key, w)
-		ev.promotions.Add(1)
-		return w, nil
-	}
-	prev, err := ev.walksAt(ctx, ps, sp, start, steps[:len(steps)-1])
-	if err != nil {
-		return walkSet{}, err
-	}
-	last := steps[len(steps)-1]
-	out := walkSet{stride: prev.stride + 1}
-	checked := 0
-	for i := 0; i < prev.count(); i++ {
-		walk := prev.nodes[i*prev.stride : (i+1)*prev.stride]
-		tail := walk[len(walk)-1]
-	nextEdge:
-		for _, he := range ev.g.NeighborsLabeled(tail, last.Label) {
-			if he.Dir != last.Dir {
-				continue
-			}
-			checked++
-			if checked%walkCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return walkSet{}, err
-				}
-			}
-			for _, n := range walk {
-				if n == he.To {
-					continue nextEdge
-				}
-			}
-			out.nodes = append(out.nodes, walk...)
-			out.nodes = append(out.nodes, he.To)
-			if len(out.nodes) > maxWalkNodes {
-				return walkSet{}, errWalkTooLarge
-			}
-		}
-	}
-	ps.put(sp, key, out)
-	return out, nil
-}
-
-// walkCheckInterval bounds extension steps between context checks.
-const walkCheckInterval = 1024
-
-// streamPathCounts is the unmaterialised fallback: a depth-first walk
-// accumulating per-terminal counts directly.
-func (ev *Evaluator) streamPathCounts(ctx context.Context, start kb.NodeID, steps []pattern.PathStep, counts map[kb.NodeID]int) error {
-	var walk [pattern.MaxVars]kb.NodeID
-	walk[0] = start
-	checked := 0
-	var dfs func(depth int) error
-	dfs = func(depth int) error {
-		if depth == len(steps) {
-			counts[walk[depth]]++
-			return nil
-		}
-		st := steps[depth]
-	nextEdge:
-		for _, he := range ev.g.NeighborsLabeled(walk[depth], st.Label) {
-			if he.Dir != st.Dir {
-				continue
-			}
-			checked++
-			if checked%walkCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			for i := 0; i <= depth; i++ {
-				if walk[i] == he.To {
-					continue nextEdge
-				}
-			}
-			walk[depth+1] = he.To
-			if err := dfs(depth + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return dfs(0)
+	sh.mu.Unlock()
 }

@@ -29,38 +29,6 @@ func evalFixture(t *testing.T) (*kb.Graph, *Evaluator, []*pattern.Explanation, k
 	return g, NewEvaluator(g), es, s, e
 }
 
-// TestEvaluatorCountByEndMatchesMatcher checks the shared-computation
-// route — prefix walks for paths, memoised matcher tables otherwise —
-// against the independent matcher for every enumerated pattern.
-func TestEvaluatorCountByEndMatchesMatcher(t *testing.T) {
-	g, ev, es, s, _ := evalFixture(t)
-	ctx := context.Background()
-	paths, others := 0, 0
-	for _, ex := range es {
-		if _, isPath := ex.P.PathSteps(); isPath {
-			paths++
-		} else {
-			others++
-		}
-		got, err := ev.CountByEnd(ctx, ex.P, s)
-		if err != nil {
-			t.Fatalf("CountByEnd(%v): %v", ex.P, err)
-		}
-		want := match.CountByEnd(g, ex.P, s)
-		if len(got) != len(want) {
-			t.Fatalf("pattern %v: %d ends, matcher finds %d", ex.P, len(got), len(want))
-		}
-		for end, c := range want {
-			if got[end] != c {
-				t.Fatalf("pattern %v end %s: count %d, matcher %d", ex.P, g.NodeName(end), got[end], c)
-			}
-		}
-	}
-	if paths == 0 || others == 0 {
-		t.Fatalf("fixture must exercise both routes: %d path, %d non-path patterns", paths, others)
-	}
-}
-
 // TestEvaluatorCountMatchesMatcher checks the memoised pair counts.
 func TestEvaluatorCountMatchesMatcher(t *testing.T) {
 	g, ev, es, s, e := evalFixture(t)
@@ -77,28 +45,6 @@ func TestEvaluatorCountMatchesMatcher(t *testing.T) {
 		again, err := ev.Count(ctx, ex.P, s, e)
 		if err != nil || again != got {
 			t.Fatalf("memoised count diverged: %d vs %d (%v)", again, got, err)
-		}
-	}
-}
-
-// TestEvaluatorLocalPositionParity checks the evaluator's position
-// computation — including its pruning decisions — against the streaming
-// implementation for a sweep of limits.
-func TestEvaluatorLocalPositionParity(t *testing.T) {
-	g, ev, es, s, _ := evalFixture(t)
-	ctx := context.Background()
-	for _, ex := range es {
-		a := ex.Count()
-		for _, limit := range []int{-1, 0, 1, 2, 10} {
-			gotPos, gotOK, err := ev.LocalPosition(ctx, ex.P, s, a, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantPos, wantOK := streamLocalPosition(ctx, g, ex.P, s, a, limit)
-			if gotOK != wantOK || (gotOK && gotPos != wantPos) {
-				t.Fatalf("pattern %v limit %d: evaluator (%d,%v), streaming (%d,%v)",
-					ex.P, limit, gotPos, gotOK, wantPos, wantOK)
-			}
 		}
 	}
 }

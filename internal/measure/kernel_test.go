@@ -1,0 +1,291 @@
+package measure
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"rex/internal/enumerate"
+	"rex/internal/kb"
+	"rex/internal/kbgen"
+	"rex/internal/match"
+	"rex/internal/pattern"
+)
+
+// kernelCase is one (graph, start, patterns) cell of the differential
+// test; as[i] are the aggregate values to position for ps[i].
+type kernelCase struct {
+	name  string
+	g     *kb.Graph
+	start kb.NodeID
+	ps    []*pattern.Pattern
+	as    [][]int
+}
+
+// enumeratedCases turns sampled pairs of g into kernel cases: every
+// enumerated pattern of the pair, positioned at 0, its own count and one
+// above.
+func enumeratedCases(t *testing.T, name string, g *kb.Graph, pairs int) []kernelCase {
+	t.Helper()
+	var out []kernelCase
+	if testing.Short() {
+		pairs = 1
+	}
+	sampled := kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: pairs, Seed: 5})
+	for _, pr := range sampled {
+		es := enumerate.Explanations(g, pr.Start, pr.End, enumerate.Config{
+			PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
+		})
+		if testing.Short() && len(es) > 60 {
+			es = es[:60]
+		}
+		c := kernelCase{name: fmt.Sprintf("%s/%s-%s", name, g.NodeName(pr.Start), g.NodeName(pr.End)), g: g, start: pr.Start}
+		for _, ex := range es {
+			c.ps = append(c.ps, ex.P)
+			c.as = append(c.as, []int{0, ex.Count(), ex.Count() + 1})
+		}
+		out = append(out, c)
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no pairs sampled", name)
+	}
+	return out
+}
+
+// overlayOf stacks two overlay generations on a frozen graph: new
+// entities hung off existing ones, then edges deleted next to them.
+func overlayOf(t *testing.T, g *kb.Graph) *kb.Graph {
+	t.Helper()
+	edges := g.Edges()
+	for depth := 0; depth < 2; depth++ {
+		b, err := kb.NewOverlayBuilder(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			e := edges[(i*97+depth*31)%len(edges)]
+			if depth == 0 {
+				n := b.AddNode(fmt.Sprintf("ov_%d", i), g.Node(e.From).Type)
+				if _, err := b.AddEdge(n, e.To, e.Label); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := b.RemoveEdge(e.From, e.To, e.Label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g = b.Graph()
+	}
+	if g.Overlay().Depth < 2 {
+		t.Fatalf("overlay depth %d, want ≥ 2", g.Overlay().Depth)
+	}
+	return g
+}
+
+// hubCase is a hand-built graph whose two-step walk level from s holds
+// 360 000 walks — more node IDs than the retired walk cache would
+// materialise — with a triangle pattern whose end has a 600-wide and a
+// 5-wide edge into the bound set. Under -short (the race run) the fan
+// shrinks: the shape stays, the 10⁷ instrumented walk steps go.
+func hubCase() kernelCase {
+	fan := 600
+	if testing.Short() {
+		fan = 100
+	}
+	g := kb.New()
+	r, q := g.MustLabel("r", false), g.MustLabel("q", false)
+	s := g.AddNode("s", "hub")
+	var mids, leaves []kb.NodeID
+	for i := 0; i < fan; i++ {
+		mids = append(mids, g.AddNode(fmt.Sprintf("m%d", i), "mid"))
+		leaves = append(leaves, g.AddNode(fmt.Sprintf("l%d", i), "leaf"))
+	}
+	for _, m := range mids {
+		g.MustAddEdge(s, m, r)
+		for _, l := range leaves {
+			g.MustAddEdge(m, l, r)
+		}
+	}
+	for _, l := range leaves[:5] {
+		g.MustAddEdge(s, l, q)
+	}
+	g.Freeze()
+	path2 := pattern.MustNew(g, 3, []pattern.Edge{{U: pattern.Start, V: 2, Label: r}, {U: 2, V: pattern.End, Label: r}})
+	triangle := pattern.MustNew(g, 3, []pattern.Edge{
+		{U: pattern.Start, V: 2, Label: r}, {U: 2, V: pattern.End, Label: r}, {U: pattern.Start, V: pattern.End, Label: q},
+	})
+	direct := pattern.MustNew(g, 2, []pattern.Edge{{U: pattern.Start, V: pattern.End, Label: q}})
+	return kernelCase{name: "hub", g: g, start: s,
+		ps: []*pattern.Pattern{path2, triangle, direct},
+		as: [][]int{{0, fan, fan + 1}, {0, fan, fan + 1}, {0, 1, 2}}}
+}
+
+// oraclePosition is the naive reading of Section 4.3: the whole local
+// distribution as a map, then the ends strictly above a.
+func oraclePosition(table map[kb.NodeID]int, a int) int {
+	pos := 0
+	for _, c := range table {
+		if c > a {
+			pos++
+		}
+	}
+	return pos
+}
+
+// TestLocalDistributionDifferential checks the one counting kernel —
+// bare and behind the evaluator's answer memo, path and non-path
+// patterns, frozen and overlay graphs — against the naive oracle:
+// position and pruning decision for every limit, and whole tables for
+// the deviation measures.
+func TestLocalDistributionDifferential(t *testing.T) {
+	small := kbgen.Generate(kbgen.Options{Scale: 1, Seed: 11})
+	small.Freeze()
+	cases := enumeratedCases(t, "small", small, 3)
+	cases = append(cases, enumeratedCases(t, "overlay", overlayOf(t, small), 3)...)
+	cases = append(cases, hubCase())
+
+	ctx := context.Background()
+	limits := []int{-1, 0, 1, 2, 10, math.MaxInt}
+	paths, others := 0, 0
+	for _, c := range cases {
+		// Two evaluators see the limits in opposite orders, so the memo
+		// answers from an exact position in one and from bounds of
+		// growing strength in the other.
+		fwd, rev := NewEvaluator(c.g), NewEvaluator(c.g)
+		for i, p := range c.ps {
+			if p.IsPath() {
+				paths++
+			} else {
+				others++
+			}
+			oracle := match.CountByEnd(c.g, p, c.start)
+			for _, a := range c.as[i] {
+				want := oraclePosition(oracle, a)
+				check := func(route string, limit, pos int, ok bool) {
+					t.Helper()
+					if wantOK := limit < 0 || want <= limit; ok != wantOK || (ok && pos != want) {
+						t.Fatalf("%s %v a=%d limit=%d via %s: (%d,%v), oracle position %d", c.name, p, a, limit, route, pos, ok, want)
+					}
+				}
+				for k, limit := range limits {
+					pos, ok := streamLocalPosition(ctx, c.g, p, c.start, a, limit)
+					check("kernel", limit, pos, ok)
+					pos, ok, err := fwd.LocalPosition(ctx, p, c.start, a, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("evaluator", limit, pos, ok)
+					back := limits[len(limits)-1-k]
+					pos, ok, err = rev.LocalPosition(ctx, p, c.start, a, back)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("evaluator, limits reversed", back, pos, ok)
+				}
+			}
+			table, err := fwd.CountByEnd(ctx, p, c.start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(table, oracle) {
+				t.Fatalf("%s %v: evaluator table has %d ends, oracle %d", c.name, p, len(table), len(oracle))
+			}
+		}
+	}
+	t.Logf("%d cases, %d path and %d non-path patterns", len(cases), paths, others)
+	if paths == 0 || others == 0 {
+		t.Fatalf("cases must cover both routes: %d path, %d non-path patterns", paths, others)
+	}
+}
+
+// TestGlobalPositionResidualLimits checks that the per-sample residual
+// limit GlobalPosition hands the kernel prunes exactly when the summed
+// position exceeds the limit, and otherwise returns the unlimited sum.
+func TestGlobalPositionResidualLimits(t *testing.T) {
+	g, ev, es, s, e := evalFixture(t)
+	starts := SampleStarts(g, 8, 7)
+	global := GlobalPosition{}
+	for _, mctx := range []*Context{
+		{G: g, Start: s, End: e, SampleStarts: starts},
+		{G: g, Start: s, End: e, SampleStarts: starts, Eval: ev},
+	} {
+		for _, ex := range es {
+			sum := 0
+			for _, st := range starts {
+				sum += oraclePosition(match.CountByEnd(g, ex.P, st), ex.Count())
+			}
+			for _, limit := range []int{0, 1, sum - 1, sum, sum + 1, math.MaxInt32} {
+				if limit < 0 {
+					continue
+				}
+				got, ok := global.ScoreWithLimit(mctx, ex, Score{-float64(limit)})
+				if ok != (sum <= limit) || (ok && got[0] != -float64(sum)) {
+					t.Fatalf("%v limit %d (evaluator %v): (%v,%v), unlimited sum %d", ex.P, limit, mctx.Eval != nil, got, ok, sum)
+				}
+			}
+		}
+	}
+}
+
+// TestLocalPositionSteadyStateAllocFree pins the kernel's allocation
+// contract: on a warm pool, positioning a path pattern and a non-path
+// pattern allocates nothing — no walk set, no table, no closure.
+func TestLocalPositionSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
+	}
+	g, _, es, s, _ := evalFixture(t)
+	ctx := context.Background()
+	var path, other *pattern.Explanation
+	for _, ex := range es {
+		if ex.P.IsPath() && path == nil {
+			path = ex
+		} else if !ex.P.IsPath() && other == nil {
+			other = ex
+		}
+	}
+	if path == nil || other == nil {
+		t.Fatal("fixture must hold a path and a non-path pattern")
+	}
+	for _, ex := range []*pattern.Explanation{path, other} {
+		streamLocalPosition(ctx, g, ex.P, s, ex.Count(), -1) // warm the pools and the pattern's lazy caches
+		allocs := testing.AllocsPerRun(200, func() {
+			streamLocalPosition(ctx, g, ex.P, s, ex.Count(), -1)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state streamLocalPosition(%v) allocates %.1f times per op; want 0", ex.P, allocs)
+		}
+	}
+}
+
+// BenchmarkLocalPosition positions every explanation of the heaviest
+// pair of the benchmark's population (preset medium, seed 42) through
+// the bare kernel: unlimited, and under the limit a top-10 ranking of
+// mostly tied explanations settles at.
+func BenchmarkLocalPosition(b *testing.B) {
+	opt, err := kbgen.PresetOptions("medium", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := kbgen.Generate(opt)
+	g.Freeze()
+	s, e := g.NodeByName("film_6255"), g.NodeByName("film_6521")
+	if s == kb.InvalidNode || e == kb.InvalidNode {
+		b.Fatal("benchmark pair missing from the medium preset")
+	}
+	es := enumerate.Explanations(g, s, e, enumerate.Config{
+		PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
+	})
+	ctx := context.Background()
+	for _, limit := range []int{-1, 0} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, ex := range es {
+					streamLocalPosition(ctx, g, ex.P, s, ex.Count(), limit)
+				}
+			}
+		})
+	}
+}

@@ -189,7 +189,10 @@ func (t *Trace) MemoMiss() {
 	t.memoMisses.Add(1)
 }
 
-// WalkHit records a prefix walk-cache hit.
+// WalkHit records a prefix walk-cache hit. The evaluator no longer has a
+// walk cache and nothing in the engine calls WalkHit or WalkMiss, so
+// Report.WalkCacheHits and WalkCacheMisses read 0; both stay for
+// consumers compiled against them.
 func (t *Trace) WalkHit() {
 	if t == nil {
 		return

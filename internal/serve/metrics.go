@@ -97,11 +97,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	memo.With("table_cells").SetFunc(func() float64 {
 		return float64(s.store.Current().Explainer.MemoStats().TableCells)
 	})
-	memo.With("prefix_starts").SetFunc(func() float64 {
-		return float64(s.store.Current().Explainer.MemoStats().PrefixStarts)
-	})
-	memo.With("prefix_nodes").SetFunc(func() float64 {
-		return float64(s.store.Current().Explainer.MemoStats().PrefixNodes)
+	memo.With("positions").SetFunc(func() float64 {
+		return float64(s.store.Current().Explainer.MemoStats().Positions)
 	})
 	// Evaluator memo counters are per-snapshot and reset on hot swap;
 	// exposed as counters anyway because Prometheus rate() handles

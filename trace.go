@@ -11,9 +11,11 @@ import (
 // the query ran under a context from WithTrace: per-stage wall time and
 // item counts (enumerate → match → measure → rank → merge, where match
 // time nests inside measure), cache/dedup/pool-reuse flags, evaluator
-// memo and walk-cache hit counters, and budget attribution naming the
-// stage that exhausted MaxExpansions or Timeout ("enumerate:expansions",
-// "rank:deadline", ...).
+// memo hit counters, and budget attribution naming the stage that
+// exhausted MaxExpansions or Timeout ("enumerate:expansions",
+// "rank:deadline", ...). WalkCacheHits and WalkCacheMisses always read
+// 0: the evaluator's walk cache is gone, the fields stay for consumers
+// compiled against them.
 type QueryTrace = obs.Report
 
 // BuildInfo identifies the running binary (Go version, VCS revision).
