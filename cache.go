@@ -190,9 +190,9 @@ func (e *Explainer) CacheStats() CacheStats {
 }
 
 // EvaluatorStats reports the measure evaluator's memo occupancy and
-// effectiveness: pair-memo entries and table cells across shards,
-// prefix walk-cache occupancy, and hit/miss counters for both layers.
-// Counters are per-snapshot (they reset when a hot swap rebuilds the
+// effectiveness: pair-memo, position-memo and table-cell entries across
+// shards, lookup hit/miss counters, and memos promoted across a hot
+// swap. Counters are per-snapshot (they reset when a hot swap rebuilds the
 // evaluator); occupancy is current. Used by the /metrics gauges.
 type EvaluatorStats = measure.MemoStats
 

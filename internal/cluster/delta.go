@@ -152,7 +152,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 			} else {
 				row.Error = fmt.Sprintf("diverged: acked generation %d, fleet applied at %d; quarantined for repair", o.gen, fleetGen)
 			}
-			o.rp.adoptGen(o.gen)
+			o.rp.ackDiverged(o.gen)
 			rt.m.divergedAcks.Inc()
 			rt.noteLagging(o.rp)
 		case o.status >= 400 && o.status < 500 && o.status != http.StatusTooManyRequests:
@@ -254,7 +254,7 @@ func (rt *Router) applyDeltaTo(ctx context.Context, rp *replica, body []byte, au
 	if err != nil {
 		rp.breaker.failure()
 		if ctx.Err() == nil {
-			rp.healthy.Store(false)
+			rp.markDown()
 		}
 		o.err = err
 		return o

@@ -42,12 +42,16 @@ func TestDeltaBroadcastQuarantinesDivergentAck(t *testing.T) {
 			{Name: "rex-real", URL: real.hs.URL},
 			{Name: "rex-fake", URL: fake.URL},
 		},
-		HealthInterval: time.Hour, // no probes: the broadcast alone is under test
+		HealthInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Start()
+	// The checker stays parked (Start would leave one background probe
+	// in flight, free to answer 100 after the divergent ack): Start's
+	// synchronous sweep alone marks both replicas healthy, then only the
+	// broadcast moves knownGen.
+	rt.sweep()
 	t.Cleanup(rt.Close)
 
 	rec := routerDo(rt.Handler(), http.MethodPost, "/admin/delta", uniqueDelta(1))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -126,6 +127,62 @@ func TestLaggingReplicaExcludedThenReadmitted(t *testing.T) {
 	}
 	if row := rp.status(); row.Lagging {
 		t.Fatal("healthz row still shows lagging after re-admission")
+	}
+}
+
+// The probe/ack race: a replica answers a probe at generation 1, then
+// applies a delta whose ack reaches the router before the probe's answer
+// does. The overtaken probe must not pull knownGen back under the ack —
+// that dropped a current replica out of the next broadcast — while the
+// next probe, sent after the ack, still adopts downward. Likewise a
+// probe answered before the replica died must not undo the request
+// path's down mark.
+func TestOvertakenProbeOnlyRaises(t *testing.T) {
+	answered := make(chan struct{}) // the replica has read its generation
+	release := make(chan struct{})  // the answer may travel
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		answered <- struct{}{}
+		<-release
+		w.Write([]byte(`{"status":"ok","generation":1}`)) //nolint:errcheck
+	}))
+	defer hs.Close()
+	rp := &replica{name: "r", baseURL: hs.URL}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rp.checkHealth(context.Background(), hs.Client())
+	}()
+	<-answered
+	rp.liftGen(2) // the delta ack overtakes the answer
+	release <- struct{}{}
+	<-done
+	if g := rp.knownGen.Load(); g != 2 {
+		t.Fatalf("knownGen = %d after an overtaken probe, want the ack's 2", g)
+	}
+
+	go func() { <-answered; release <- struct{}{} }()
+	rp.checkHealth(context.Background(), hs.Client())
+	if g := rp.knownGen.Load(); g != 1 {
+		t.Fatalf("knownGen = %d after a probe nothing overtook, want the replica's 1", g)
+	}
+	if !rp.healthy.Load() {
+		t.Fatal("a clean 200 probe left the replica unhealthy")
+	}
+
+	// Same ordering for liveness: the replica answers, dies, and the
+	// request path's connect failure lands before the probe's 200 does.
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		rp.checkHealth(context.Background(), hs.Client())
+	}()
+	<-answered
+	rp.markDown()
+	release <- struct{}{}
+	<-done
+	if rp.healthy.Load() {
+		t.Fatal("an overtaken probe marked a replica healthy after the request path saw it die")
 	}
 }
 

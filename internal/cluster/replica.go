@@ -32,7 +32,15 @@ type replica struct {
 	healthy  atomic.Bool
 	draining atomic.Bool
 	knownGen atomic.Uint64
-	checks   atomic.Uint64 // completed health probes, for tests/metrics
+	// ackSeq counts the times an ack or a query response moved knownGen.
+	// A probe reads it before it is sent: if it has moved when the answer
+	// arrives, the answer is older than what moved it (see adoptGen).
+	ackSeq atomic.Uint64
+	// downSeq counts the connect failures on the request path that
+	// marked the replica down; a probe overtaken by one must not mark it
+	// healthy again (see markDown).
+	downSeq atomic.Uint64
+	checks  atomic.Uint64 // completed health probes, for tests/metrics
 
 	// lagging marks a replica the router has caught below the
 	// generation floor: excluded from chains and delta fan-out until a
@@ -56,27 +64,61 @@ type probeInfo struct {
 }
 
 // liftGen raises knownGen to at least g (CAS max) — for delta acks and
-// query responses, which prove the replica holds at least g.
+// query responses, which prove the replica holds at least g. ackSeq
+// moves before knownGen does, so a probe that finds ackSeq unchanged
+// has not missed a raise.
 func (rp *replica) liftGen(g uint64) {
 	for {
 		cur := rp.knownGen.Load()
-		if g <= cur || rp.knownGen.CompareAndSwap(cur, g) {
+		if g <= cur {
+			return
+		}
+		rp.ackSeq.Add(1)
+		if rp.knownGen.CompareAndSwap(cur, g) {
 			return
 		}
 	}
 }
 
-// adoptGen overwrites knownGen with a health probe's observation —
-// downward included. A replica restarted over an empty data dir comes
-// back at generation 1; treating knownGen as a pure maximum would keep
-// routing deltas to it and fork its history at already-published
-// generation numbers. Probes run on one goroutine per replica, so the
-// only race is against a concurrent ack's liftGen; losing that race
-// under-estimates the generation, which is the safe direction (the
-// replica is briefly treated as lagging and the next probe corrects
-// it).
-func (rp *replica) adoptGen(g uint64) {
+// ackDiverged records a broadcast ack at a generation the fleet did not
+// apply at: the replica's truthful generation, adopted downward
+// included, and newer than any probe still in flight.
+func (rp *replica) ackDiverged(g uint64) {
+	rp.ackSeq.Add(1)
 	rp.knownGen.Store(g)
+}
+
+// adoptGen folds in a health probe's observation; seq is ackSeq as read
+// before the probe was sent. Normally the probe overwrites knownGen,
+// downward included: a replica restarted over an empty data dir comes
+// back at generation 1, and treating knownGen as a pure maximum would
+// keep routing deltas to it and fork its history at already-published
+// generation numbers. But a probe that an ack overtook — the replica
+// answered it, then applied a delta whose ack reached the router first —
+// carries the older generation, and storing it would drop a current
+// replica below the floor and out of the next broadcast; such a probe
+// may only raise. The CAS makes the check and the store one step: an ack
+// landing between them fails it, and the retry sees ackSeq moved.
+func (rp *replica) adoptGen(g, seq uint64) {
+	for {
+		cur := rp.knownGen.Load()
+		if rp.ackSeq.Load() != seq {
+			rp.liftGen(g)
+			return
+		}
+		if rp.knownGen.CompareAndSwap(cur, g) {
+			return
+		}
+	}
+}
+
+// markDown records a connect-class failure on the request path: the
+// replica stops receiving attempts now, not at the next health tick. A
+// probe the replica answered just before it died may still be on its
+// way back; downSeq tells checkHealth that answer is the older news.
+func (rp *replica) markDown() {
+	rp.downSeq.Add(1)
+	rp.healthy.Store(false)
 }
 
 // routable reports whether queries may be sent here: the checker saw it
@@ -103,6 +145,7 @@ type healthBody struct {
 // replica's version info is still truthful.
 func (rp *replica) checkHealth(ctx context.Context, client *http.Client) {
 	defer rp.checks.Add(1)
+	seq, down := rp.ackSeq.Load(), rp.downSeq.Load()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rp.baseURL+"/healthz", nil)
 	if err != nil {
 		rp.healthy.Store(false)
@@ -117,17 +160,20 @@ func (rp *replica) checkHealth(ctx context.Context, client *http.Client) {
 	var hb healthBody
 	bodyErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb)
 	if bodyErr == nil && hb.Generation > 0 {
-		rp.adoptGen(hb.Generation)
+		rp.adoptGen(hb.Generation, seq)
 		rp.probed.Store(&probeInfo{gen: hb.Generation, fp: hb.Fingerprint})
 	}
+	// Reachable as of this answer — unless the request path has failed to
+	// connect since the probe left, which is newer; the next probe decides.
+	reachable := rp.downSeq.Load() == down
 	switch {
 	case resp.StatusCode == http.StatusOK && bodyErr == nil:
-		rp.healthy.Store(true)
+		rp.healthy.Store(reachable)
 		rp.draining.Store(false)
 	case resp.StatusCode == http.StatusServiceUnavailable && bodyErr == nil && hb.Draining:
 		// Honoring the drain: the replica is alive and finishing its
 		// in-flight work, but asked the tier to stop routing here.
-		rp.healthy.Store(true)
+		rp.healthy.Store(reachable)
 		rp.draining.Store(true)
 	default:
 		rp.healthy.Store(false)

@@ -154,17 +154,7 @@ func New(cfg Config) (*Router, error) {
 // already sees real health, not optimistic defaults — then begins the
 // periodic checks.
 func (rt *Router) Start() {
-	var wg sync.WaitGroup
-	for _, rp := range rt.replicas {
-		wg.Add(1)
-		go func(rp *replica) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), rt.checker.interval)
-			defer cancel()
-			rp.checkHealth(ctx, rt.client)
-		}(rp)
-	}
-	wg.Wait()
+	rt.sweep()
 	rt.checker.start(rt.replicas)
 	go func() {
 		t := time.NewTicker(rt.checker.interval)
@@ -178,6 +168,22 @@ func (rt *Router) Start() {
 			}
 		}
 	}()
+}
+
+// sweep probes every replica once, concurrently, and waits for all of
+// them.
+func (rt *Router) sweep() {
+	var wg sync.WaitGroup
+	for _, rp := range rt.replicas {
+		wg.Add(1)
+		go func(rp *replica) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), rt.checker.interval)
+			defer cancel()
+			rp.checkHealth(ctx, rt.client)
+		}(rp)
+	}
+	wg.Wait()
 }
 
 // Close stops the health checker.
@@ -271,7 +277,7 @@ func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQue
 		// attempts now, not at the next health tick.
 		rp.breaker.failure()
 		if ctx.Err() == nil {
-			rp.healthy.Store(false)
+			rp.markDown()
 		}
 		return nil, false, fmt.Errorf("%s: %w", rp.name, err)
 	}

@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"math/rand"
 	"testing"
 
 	"rex/internal/kb"
@@ -221,5 +222,41 @@ func TestPathsAreSimple(t *testing.T) {
 				seen[id] = true
 			}
 		}
+	}
+}
+
+// TestActQueuePopOrder pins the typed heap to the order the prioritized
+// search depends on: highest activation first, ties by (node, side),
+// under interleaved pushes and pops with many equal activations.
+func TestActQueuePopOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q actQueue
+	var model []actEntry
+	popBoth := func() {
+		best := 0
+		for i := range model {
+			if actQueue(model).less(i, best) {
+				best = i
+			}
+		}
+		want := model[best]
+		model = append(model[:best], model[best+1:]...)
+		if got := q.pop(); got != want {
+			t.Fatalf("pop = %+v, want %+v", got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		e := actEntry{node: kb.NodeID(rng.Intn(50)), s: side(rng.Intn(2)), act: float64(rng.Intn(8))}
+		q.push(e)
+		model = append(model, e)
+		if rng.Intn(3) == 0 {
+			popBoth()
+		}
+	}
+	for q.Len() > 0 {
+		popBoth()
+	}
+	if len(model) != 0 {
+		t.Fatalf("%d entries never popped", len(model))
 	}
 }

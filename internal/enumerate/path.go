@@ -1,7 +1,6 @@
 package enumerate
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -389,7 +388,7 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 				st.jobs = jobs
 				return nil, false, err
 			}
-			e := heap.Pop(&st.pq).(actEntry)
+			e := st.pq.pop()
 			si := st.stateFor(e.node)
 			ns := &st.states[si]
 			if ns.act[e.s] == 0 {
@@ -478,7 +477,7 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 					inc = j.spread / float64(d)
 				}
 				ns.act[j.s] += inc
-				heap.Push(&st.pq, actEntry{node: he.To, s: j.s, act: ns.act[j.s]})
+				st.pq.push(actEntry{node: he.To, s: j.s, act: ns.act[j.s]})
 			}
 			// Partial paths terminating at the opposite target still need
 			// to be joinable (they were, at add time) but never expand;
@@ -558,7 +557,7 @@ func (st *enumState) addPartial(s side, p partial, activation float64) {
 	}
 	if activation > 0 {
 		ns.act[s] += activation
-		heap.Push(&st.pq, actEntry{node: x, s: s, act: ns.act[s]})
+		st.pq.push(actEntry{node: x, s: s, act: ns.act[s]})
 	}
 }
 
@@ -570,11 +569,12 @@ type actEntry struct {
 }
 
 // actQueue is a max-heap over activation scores with deterministic
-// tie-breaking by (node, side).
+// tie-breaking by (node, side). The sift loops are container/heap's,
+// typed: through heap.Interface every Push and Pop boxed its actEntry.
 type actQueue []actEntry
 
 func (q actQueue) Len() int { return len(q) }
-func (q actQueue) Less(i, j int) bool {
+func (q actQueue) less(i, j int) bool {
 	if q[i].act != q[j].act {
 		return q[i].act > q[j].act
 	}
@@ -583,12 +583,38 @@ func (q actQueue) Less(i, j int) bool {
 	}
 	return q[i].s < q[j].s
 }
-func (q actQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *actQueue) Push(x any)   { *q = append(*q, x.(actEntry)) }
-func (q *actQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *actQueue) push(e actEntry) {
+	*q = append(*q, e)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *actQueue) pop() actEntry {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }

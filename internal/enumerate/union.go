@@ -22,6 +22,28 @@ import (
 // already-committed pattern costs no instance join and no allocation,
 // and only explanations that enter the result are ever materialised.
 
+// mergeStage is one union run's entry in the query trace: the stage
+// timer, the merge attempts, and the merger's join counters from
+// before the run so end can report this run's share.
+type mergeStage struct {
+	tr     *obs.Trace
+	t0     time.Time
+	merger *pattern.Merger
+	joins0 pattern.JoinStats
+	merges int64
+}
+
+func beginMergeStage(tr *obs.Trace, merger *pattern.Merger) mergeStage {
+	return mergeStage{tr: tr, t0: tr.Begin(), merger: merger, joins0: merger.JoinStats()}
+}
+
+func (m *mergeStage) end(explanations int) {
+	j := m.merger.JoinStats().Sub(m.joins0)
+	m.tr.AddMerges(m.merges)
+	m.tr.AddJoins(j.Run, j.Skipped)
+	m.tr.End(obs.StageMerge, m.t0, int64(explanations))
+}
+
 // PathUnionBasic is Algorithm 3: every explanation of the previous ring
 // merges with every path explanation.
 func PathUnionBasic(qpath []*pattern.Explanation, maxVars int) []*pattern.Explanation {
@@ -37,8 +59,7 @@ func PathUnionBasic(qpath []*pattern.Explanation, maxVars int) []*pattern.Explan
 // returned with truncated = true.
 func (st *enumState) pathUnionBasic(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
 	tr := obs.FromContext(ctx)
-	t0 := tr.Begin()
-	var merges int64
+	rec := beginMergeStage(tr, st.merger)
 	q := append([]*pattern.Explanation{}, qpath...)
 	seen := st.unionSeen
 	clear(seen)
@@ -68,19 +89,17 @@ func (st *enumState) pathUnionBasic(ctx context.Context, qpath []*pattern.Explan
 				if clock.hit() {
 					q = append(q, qnew...)
 					tr.Truncated(obs.StageMerge, obs.TruncDeadline)
-					tr.AddMerges(merges)
-					tr.End(obs.StageMerge, t0, int64(len(q)))
+					rec.end(len(q))
 					return q, true, nil
 				}
-				merges++
+				rec.merges++
 				st.merger.Merge(re1, re2, maxVars, decide, take)
 			}
 		}
 		q = append(q, qnew...)
 		expand = qnew
 	}
-	tr.AddMerges(merges)
-	tr.End(obs.StageMerge, t0, int64(len(q)))
+	rec.end(len(q))
 	return q, false, nil
 }
 
@@ -107,8 +126,7 @@ func PathUnionPrune(qpath []*pattern.Explanation, maxVars int) []*pattern.Explan
 // complete) with truncated = true.
 func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
 	tr := obs.FromContext(ctx)
-	t0 := tr.Begin()
-	var merges int64
+	rec := beginMergeStage(tr, st.merger)
 	q := append([]*pattern.Explanation{}, qpath...)
 	seen := st.unionSeen
 	clear(seen)
@@ -196,11 +214,10 @@ func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explan
 				if clock.hit() {
 					q = append(q, qnew...)
 					tr.Truncated(obs.StageMerge, obs.TruncDeadline)
-					tr.AddMerges(merges)
-					tr.End(obs.StageMerge, t0, int64(len(q)))
+					rec.end(len(q))
 					return q, true, nil
 				}
-				merges++
+				rec.merges++
 				curParent, curPath = i1, i2
 				st.merger.Merge(re1, qpath[i2], maxVars, decide, take)
 			}
@@ -211,8 +228,7 @@ func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explan
 		q = append(q, qnew...)
 		expand, hExpand = qnew, hNew
 	}
-	tr.AddMerges(merges)
-	tr.End(obs.StageMerge, t0, int64(len(q)))
+	rec.end(len(q))
 	return q, false, nil
 }
 

@@ -189,10 +189,15 @@ type matcher struct {
 	// pre-bound variables; anchors[anchorSpan[d][0]:anchorSpan[d][1]] are
 	// the pattern edges joining order[d] to variables bound before it.
 	// One of them generates the candidates, the others are verified.
+	// spans[i] is the label span of anchors[i] at its neighbor's current
+	// binding, fetched once per binding of the variables before order[d]
+	// and valid for every candidate tried at depth d.
 	order      [pattern.MaxVars]pattern.VarID
 	orderLen   int
 	anchorSpan [pattern.MaxVars][2]int32
 	anchors    []anchor
+	spans      [][]kb.HalfEdge
+	sorted     bool // g is frozen: label spans are ordered by (To, Dir)
 
 	// countFn is the pooled counting callback for Count/CountContext,
 	// allocated once per pooled matcher so the steady-state count path
@@ -254,6 +259,11 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 	m.ctx = nil
 	m.err = nil
 	m.plan()
+	if cap(m.spans) < len(m.anchors) {
+		m.spans = make([][]kb.HalfEdge, len(m.anchors))
+	}
+	m.spans = m.spans[:len(m.anchors)]
+	m.sorted = g.Frozen()
 	return m
 }
 
@@ -263,6 +273,7 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 // that reuse is the point of the pool.
 func releaseMatcher(m *matcher) {
 	m.g, m.p = nil, nil
+	clear(m.spans)
 	m.inst = nil
 	m.ctx = nil
 	m.err = nil
@@ -293,7 +304,8 @@ func (m *matcher) cancelled() bool {
 
 // anchor is one pattern edge joining a variable to an already-assigned
 // neighbor. Followed from the neighbor's value it generates candidates
-// for the variable; otherwise it is verified with HasEdge.
+// for the variable; otherwise a candidate is verified by looking it up
+// in the same label span.
 type anchor struct {
 	e    pattern.Edge
 	from pattern.VarID // assigned neighbor variable
@@ -424,17 +436,17 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 		return f(m.inst)
 	}
 	v := m.order[depth]
-	ancs := m.anchors[m.anchorSpan[depth][0]:m.anchorSpan[depth][1]]
+	first, end := m.anchorSpan[depth][0], m.anchorSpan[depth][1]
+	ancs, spans := m.anchors[first:end], m.spans[first:end]
 	// Generate candidates from the shortest incident label span: with
 	// several edges into the bound set (a cycle closing, a hub on one
 	// side) the first edge in pattern order can fan out over a hub whose
-	// neighbours the other edge rejects one HasEdge at a time.
+	// neighbours the other edge rejects one lookup at a time.
 	gen := 0
-	var span []kb.HalfEdge
 	for i := range ancs {
-		s := m.g.NeighborsLabeled(m.inst[ancs[i].from], ancs[i].e.Label)
-		if i == 0 || len(s) < len(span) {
-			gen, span = i, s
+		spans[i] = m.g.NeighborsLabeled(m.inst[ancs[i].from], ancs[i].e.Label)
+		if len(spans[i]) < len(spans[gen]) {
+			gen = i
 		}
 	}
 	try := func(cand kb.NodeID) bool {
@@ -444,12 +456,12 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 		if !m.admissible(v, cand) {
 			return true
 		}
+		if !m.checkEdges(ancs, spans, gen, cand) {
+			return true
+		}
 		m.inst[v] = cand
 		m.assigned[v] = true
-		ok := true
-		if m.checkEdges(ancs, gen) {
-			ok = m.search(depth+1, f)
-		}
+		ok := m.search(depth+1, f)
 		m.assigned[v] = false
 		return ok
 	}
@@ -467,7 +479,7 @@ func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
 	// on a frozen graph the order equals Neighbors filtered to the label,
 	// so enumeration stays deterministic.
 	wantDir := ancs[gen].wantDir
-	for _, he := range span {
+	for _, he := range spans[gen] {
 		if he.Dir != wantDir {
 			continue
 		}
@@ -491,14 +503,43 @@ func (m *matcher) admissible(v pattern.VarID, cand kb.NodeID) bool {
 	return true
 }
 
-// checkEdges verifies the anchors other than the generating one: the
-// edges that became fully bound at this depth.
-func (m *matcher) checkEdges(ancs []anchor, gen int) bool {
+// checkEdges verifies a candidate against the anchors other than the
+// generating one — the edges that become fully bound at this depth — in
+// the label spans search already fetched to choose the generator.
+func (m *matcher) checkEdges(ancs []anchor, spans [][]kb.HalfEdge, gen int, cand kb.NodeID) bool {
 	for i := range ancs {
-		e := ancs[i].e
-		if i != gen && !m.g.HasEdge(m.inst[e.U], m.inst[e.V], e.Label) {
+		if i != gen && !hasHalfEdge(spans[i], cand, ancs[i].wantDir, m.sorted) {
 			return false
 		}
 	}
 	return true
+}
+
+// hasHalfEdge reports whether one label's span holds a half-edge to the
+// given node with the given orientation: a binary search on a frozen
+// graph, whose spans are ordered by (To, Dir) with at most two entries
+// per To, and a scan otherwise.
+func hasHalfEdge(span []kb.HalfEdge, to kb.NodeID, dir kb.Dir, sorted bool) bool {
+	lo := 0
+	if sorted {
+		hi := len(span)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if span[mid].To < to {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+	}
+	for ; lo < len(span); lo++ {
+		if span[lo].To == to {
+			if span[lo].Dir == dir {
+				return true
+			}
+		} else if sorted {
+			return false
+		}
+	}
+	return false
 }

@@ -172,8 +172,10 @@ func TestDirectedOrientationRespected(t *testing.T) {
 }
 
 // TestQuickMatcherMatchesBruteForce property-checks the matcher against
-// the brute-force oracle on random small graphs and random path-or-wedge
-// patterns.
+// the brute-force oracle on random small graphs and random connected
+// patterns — a spanning tree plus up to two closing edges, so variables
+// with several anchors exercise the in-span verification — before the
+// graph is frozen (unsorted spans) and after (binary search).
 func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,7 +193,6 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 				g.AddEdge(a, b, labels[rng.Intn(2)])
 			}
 		}
-		g.Freeze()
 		start, end := kb.NodeID(0), kb.NodeID(1)
 
 		// Random small connected pattern.
@@ -205,23 +206,72 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 			}
 			edges = append(edges, pattern.Edge{U: u, V: v, Label: labels[rng.Intn(2)]})
 		}
+		for i := rng.Intn(3); i > 0; i-- {
+			u, v := pattern.VarID(rng.Intn(nv)), pattern.VarID(rng.Intn(nv))
+			if u != v {
+				edges = append(edges, pattern.Edge{U: u, V: v, Label: labels[rng.Intn(2)]})
+			}
+		}
 		p, err := pattern.New(g, nv, edges)
 		if err != nil {
 			return true
 		}
-		got := asKeySet(Find(g, p, start, end, Options{}))
 		want := asKeySet(bruteForce(g, p, start, end))
-		if len(got) != len(want) {
-			return false
-		}
-		for k := range want {
-			if _, ok := got[k]; !ok {
+		agrees := func() bool {
+			got := asKeySet(Find(g, p, start, end, Options{}))
+			if len(got) != len(want) {
 				return false
 			}
+			for k := range want {
+				if _, ok := got[k]; !ok {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if !agrees() {
+			return false
+		}
+		g.Freeze()
+		return agrees()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifiedAnchorsRespectOrientation pins the in-span verification of
+// a variable's non-generating anchors: of three nodes adjacent to both
+// targets under one directed label only the one with start→v→end
+// orientation is an instance, whichever target's span generates the
+// candidates (fillers make either side the shorter one), frozen or not.
+func TestVerifiedAnchorsRespectOrientation(t *testing.T) {
+	for _, fillAt := range []string{"s", "e"} {
+		g := kb.New()
+		d := g.MustLabel("d", true)
+		s, e := g.AddNode("s", "t"), g.AddNode("e", "t")
+		x, y, z := g.AddNode("x", "t"), g.AddNode("y", "t"), g.AddNode("z", "t")
+		g.MustAddEdge(s, x, d)
+		g.MustAddEdge(x, e, d)
+		g.MustAddEdge(s, y, d)
+		g.MustAddEdge(e, y, d) // second hop reversed
+		g.MustAddEdge(z, s, d) // first hop reversed
+		g.MustAddEdge(z, e, d)
+		for i := 0; i < 4; i++ {
+			g.MustAddEdge(g.NodeByName(fillAt), g.AddNode(string(rune('f'+i)), "t"), d)
+		}
+		p := pattern.MustNew(g, 3, []pattern.Edge{
+			{U: pattern.Start, V: 2, Label: d},
+			{U: 2, V: pattern.End, Label: d},
+		})
+		for _, frozen := range []bool{false, true} {
+			if frozen {
+				g.Freeze()
+			}
+			got := Find(g, p, s, e, Options{})
+			if len(got) != 1 || got[0][2] != x {
+				t.Errorf("fillers at %s, frozen=%v: instances %v, want only v2=x", fillAt, frozen, got)
+			}
+		}
 	}
 }

@@ -19,6 +19,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.AddStage(StageRank, time.Second, 1, 1)
 	tr.AddExpansions(3)
 	tr.AddMerges(3)
+	tr.AddJoins(2, 1)
 	tr.MemoHit()
 	tr.MemoMiss()
 	tr.WalkHit()
@@ -51,6 +52,7 @@ func TestTraceReport(t *testing.T) {
 	tr.AddStage(StageEnumerate, 2*time.Millisecond, 1, 10)
 	tr.AddStage(StageMeasure, 3*time.Millisecond, 4, 4)
 	tr.AddExpansions(42)
+	tr.AddJoins(7, 90)
 	tr.MemoHit()
 	tr.MemoMiss()
 	tr.MarkPoolReused()
@@ -64,7 +66,7 @@ func TestTraceReport(t *testing.T) {
 	if !rep.PoolReused || rep.CacheHit || rep.Deduped {
 		t.Fatalf("flags wrong: %+v", rep)
 	}
-	if rep.Expansions != 42 || rep.MemoHits != 1 || rep.MemoMisses != 1 {
+	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.MemoHits != 1 || rep.MemoMisses != 1 {
 		t.Fatalf("counters wrong: %+v", rep)
 	}
 	if len(rep.Stages) != 2 {

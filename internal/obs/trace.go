@@ -84,6 +84,8 @@ type Trace struct {
 
 	expansions atomic.Int64
 	merges     atomic.Int64
+	joins      atomic.Int64
+	joinsSkip  atomic.Int64
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 	walkHits   atomic.Int64
@@ -171,6 +173,17 @@ func (t *Trace) AddMerges(n int64) {
 		return
 	}
 	t.merges.Add(n)
+}
+
+// AddJoins adds what the merge attempts cost at the instance stage:
+// hash joins run, and candidates proven empty from the explanations'
+// binding signatures before any join.
+func (t *Trace) AddJoins(run, skipped int64) {
+	if t == nil {
+		return
+	}
+	t.joins.Add(run)
+	t.joinsSkip.Add(skipped)
 }
 
 // MemoHit records an evaluator memo hit.
@@ -284,6 +297,8 @@ type Report struct {
 	Stages           []StageReport `json:"stages,omitempty"`
 	Expansions       int64         `json:"expansions,omitempty"`
 	Merges           int64         `json:"merges,omitempty"`
+	Joins            int64         `json:"joins,omitempty"`
+	JoinsSkipped     int64         `json:"joins_skipped,omitempty"`
 	MemoHits         int64         `json:"memo_hits,omitempty"`
 	MemoMisses       int64         `json:"memo_misses,omitempty"`
 	WalkCacheHits    int64         `json:"walk_cache_hits,omitempty"`
@@ -300,6 +315,8 @@ func (t *Trace) Report() *Report {
 	rep := &Report{
 		Expansions:      t.expansions.Load(),
 		Merges:          t.merges.Load(),
+		Joins:           t.joins.Load(),
+		JoinsSkipped:    t.joinsSkip.Load(),
 		MemoHits:        t.memoHits.Load(),
 		MemoMisses:      t.memoMisses.Load(),
 		WalkCacheHits:   t.walkHits.Load(),

@@ -74,20 +74,33 @@ type Merger struct {
 	cs      canonScratch
 
 	// Hash-join state: heads/next chain re2's instance indexes by
-	// matched-variable projection; seen de-duplicates joined instances;
-	// arena accumulates accepted instances flattened (total IDs each).
+	// matched-variable projection; arena accumulates accepted instances
+	// flattened (total IDs each).
 	heads map[InstanceKey]int32
 	next  []int32
-	seen  map[InstanceKey]struct{}
 	arena []kb.NodeID
+
+	joins JoinStats
 }
+
+// JoinStats counts what the merge candidates that reached the instance
+// stage cost: Run joins were executed, Skipped were proven empty from
+// the binding signatures without touching the join tables.
+type JoinStats struct{ Run, Skipped int64 }
+
+// Sub returns the counts accumulated since an earlier reading.
+func (j JoinStats) Sub(earlier JoinStats) JoinStats {
+	return JoinStats{Run: j.Run - earlier.Run, Skipped: j.Skipped - earlier.Skipped}
+}
+
+// JoinStats reads the merger's join counters. They only grow, across
+// calls and pool round-trips; a caller reporting one query's share
+// reads them before and after and subtracts.
+func (m *Merger) JoinStats() JoinStats { return m.joins }
 
 // NewMerger returns a Merger with empty (lazily grown) buffers.
 func NewMerger() *Merger {
-	return &Merger{
-		heads: make(map[InstanceKey]int32),
-		seen:  make(map[InstanceKey]struct{}),
-	}
+	return &Merger{heads: make(map[InstanceKey]int32)}
 }
 
 var mergerPool = sync.Pool{New: func() any { return NewMerger() }}
@@ -114,8 +127,7 @@ const mergerRetainedCap = 1 << 16
 // Oversized reports whether the merger's reusable buffers grew past
 // limit elements; pools use it to decide between reuse and release.
 func (m *Merger) Oversized(limit int) bool {
-	return cap(m.arena) > limit || len(m.heads) > limit ||
-		len(m.seen) > limit || cap(m.next) > limit
+	return cap(m.arena) > limit || len(m.heads) > limit || cap(m.next) > limit
 }
 
 // Merge enumerates the valid partial mappings of merge(re1, re2, n) in
@@ -193,9 +205,21 @@ func (m *Merger) candidate(re1, re2 *Explanation, mapping []VarID, maxVars int, 
 		return
 	}
 
-	// Join the instance sets first: the pooled hash-join is cheap, and a
-	// candidate with no instance — the common case — must skip the
-	// (factorial) canonical-form computation entirely.
+	// A candidate with no instance — the common case — must cost as
+	// little as possible. Most are proven empty here: instances can only
+	// agree on a matched variable pair whose binding signatures overlap.
+	if re1.signed && re2.signed {
+		for j, v := range mapping {
+			if v >= 0 && re1.sigs[v].disjoint(&re2.sigs[j+2]) {
+				m.joins.Skipped++
+				return
+			}
+		}
+	}
+	// The rest join their instance sets before anything else: the pooled
+	// hash-join is cheap next to the (factorial) canonical-form
+	// computation, which only non-empty candidates pay.
+	m.joins.Run++
 	n := m.joinInstances(re1, re2, mapping, rename2, total)
 	if n == 0 {
 		return
@@ -235,13 +259,18 @@ func (m *Merger) candidate(re1, re2 *Explanation, mapping []VarID, maxVars int, 
 	for i := range insts {
 		insts[i] = Instance(backing[i*total : (i+1)*total])
 	}
-	take(key, &Explanation{P: p, Instances: insts})
+	ex := &Explanation{P: p, Instances: insts}
+	ex.Sign()
+	take(key, ex)
 }
 
 // joinInstances hash-joins the two instance sets on the matched
 // variables into the reused arena, returning the number of accepted
-// (injective, de-duplicated) merged instances; the arena holds them
-// flattened, total IDs each, in the same order the legacy join emitted.
+// (injective) merged instances; the arena holds them flattened, total
+// IDs each, ordered by re1's instances and, within one, by re2's. A
+// merged instance carries all of i1 and, renamed, all of i2, so it
+// determines the pair that produced it: duplicate-free inputs (every
+// builder de-duplicates) give duplicate-free output with no check.
 func (m *Merger) joinInstances(re1, re2 *Explanation, mapping []VarID, rename2 []VarID, total int) int {
 	var matched1, matched2 [MaxVars]VarID
 	nm := 0
@@ -281,7 +310,6 @@ func (m *Merger) joinInstances(re1, re2 *Explanation, mapping []VarID, rename2 [
 		m.heads[k] = int32(i)
 	}
 
-	clear(m.seen)
 	m.arena = m.arena[:0]
 	n := 0
 	var buf [MaxVars]kb.NodeID
@@ -301,11 +329,6 @@ func (m *Merger) joinInstances(re1, re2 *Explanation, mapping []VarID, rename2 [
 			if !injective(merged) {
 				continue
 			}
-			ik := merged.Key()
-			if _, dup := m.seen[ik]; dup {
-				continue
-			}
-			m.seen[ik] = struct{}{}
 			m.arena = append(m.arena, merged...)
 			n++
 		}

@@ -245,6 +245,12 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	lim, isLimited := m.(measure.Limited)
 	merger := pattern.AcquireMerger()
 	defer pattern.ReleaseMerger(merger)
+	joins0 := merger.JoinStats()
+	traceMerges := func() {
+		j := merger.JoinStats().Sub(joins0)
+		tr.AddMerges(mergeCount)
+		tr.AddJoins(j.Run, j.Skipped)
+	}
 	// Key-first merge protocol: candidates duplicating an already-seen
 	// pattern are dropped before materialisation, so the expansion loop
 	// only allocates for explanations that enter the candidate pool.
@@ -270,7 +276,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 			out := make([]Ranked, len(top))
 			copy(out, top)
 			tr.Truncated(obs.StageRank, obs.TruncDeadline)
-			tr.AddMerges(mergeCount)
+			traceMerges()
 			rankDone(tr, rt0, rinner, len(out))
 			return out, true, nil
 		}
@@ -301,7 +307,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 			}
 			out := make([]Ranked, len(top))
 			copy(out, top)
-			tr.AddMerges(mergeCount)
+			traceMerges()
 			rankDone(tr, rt0, rinner, len(out))
 			return out, truncated, nil
 		}

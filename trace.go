@@ -10,8 +10,10 @@ import (
 // QueryTrace is the per-query execution trace attached to Result when
 // the query ran under a context from WithTrace: per-stage wall time and
 // item counts (enumerate → match → measure → rank → merge, where match
-// time nests inside measure), cache/dedup/pool-reuse flags, evaluator
-// memo hit counters, and budget attribution naming the stage that
+// time nests inside measure), cache/dedup/pool-reuse flags, the merge
+// attempts with the instance joins they ran (Joins) and proved empty
+// without running (JoinsSkipped), evaluator memo hit counters, and
+// budget attribution naming the stage that
 // exhausted MaxExpansions or Timeout ("enumerate:expansions",
 // "rank:deadline", ...). WalkCacheHits and WalkCacheMisses always read
 // 0: the evaluator's walk cache is gone, the fields stay for consumers

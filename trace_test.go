@@ -154,6 +154,12 @@ func TestTraceReportContents(t *testing.T) {
 	if tr.Expansions <= 0 {
 		t.Errorf("Expansions = %d, want > 0", tr.Expansions)
 	}
+	// Every merge attempt between two explanations with a free variable
+	// each yields at least one candidate mapping, and every candidate
+	// within the size limit is either joined or proven empty.
+	if tr.Merges <= 0 || tr.Joins <= 0 || tr.JoinsSkipped <= 0 {
+		t.Errorf("Merges = %d, Joins = %d, JoinsSkipped = %d, want all > 0", tr.Merges, tr.Joins, tr.JoinsSkipped)
+	}
 	if tr.CacheHit || tr.Deduped {
 		t.Errorf("uncached solo query reports CacheHit=%v Deduped=%v", tr.CacheHit, tr.Deduped)
 	}
