@@ -85,6 +85,35 @@ type HalfEdge struct {
 	Dir   Dir
 }
 
+// HasHalfEdge reports whether one label's span (NeighborsLabeled) holds a
+// half-edge to the given node with the given orientation: a binary search
+// when sorted — a frozen graph's spans are ordered by (To, Dir) with at
+// most two entries per To — and a scan otherwise.
+func HasHalfEdge(span []HalfEdge, to NodeID, dir Dir, sorted bool) bool {
+	lo := 0
+	if sorted {
+		hi := len(span)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if span[mid].To < to {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+	}
+	for ; lo < len(span); lo++ {
+		if span[lo].To == to {
+			if span[lo].Dir == dir {
+				return true
+			}
+		} else if sorted {
+			return false
+		}
+	}
+	return false
+}
+
 // Edge is a full edge record as returned by Graph.Edges.
 type Edge struct {
 	From  NodeID
@@ -345,25 +374,11 @@ func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
 		if from < 0 || int(from) >= len(g.nodes) {
 			return false
 		}
-		span := g.NeighborsLabeled(from, label)
-		// Within one label the span is sorted by (To, Dir); at most two
-		// entries share a To (the In and Out halves of a directed cycle
-		// pair), so scan after the binary search.
-		lo, hi := 0, len(span)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if span[mid].To < to {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		dir := Undirected
+		if g.LabelDirected(label) {
+			dir = Out // the required orientation
 		}
-		for ; lo < len(span) && span[lo].To == to; lo++ {
-			if span[lo].Dir != In {
-				return true // Out for the required orientation, or Undirected
-			}
-		}
-		return false
+		return HasHalfEdge(g.NeighborsLabeled(from, label), to, dir, true)
 	}
 	if g.edgeSet == nil {
 		return false

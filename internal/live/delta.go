@@ -86,13 +86,22 @@ type Delta struct {
 	Ops []Op
 }
 
+// maxDeltaLine bounds one record line of the wire format, newline
+// included.
+const maxDeltaLine = 1 << 20
+
 // ParseDelta reads a mutation log in the delta wire format. The input
 // is streamed line by line; one oversized or malformed record fails the
 // whole parse.
 func ParseDelta(r io.Reader) (*Delta, error) {
 	d := &Delta{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	// No buffer up front: the scanner grows its own to maxDeltaLine on
+	// demand. A delta is a few kilobytes and one is parsed for every write
+	// and every replayed WAL record, so a buffer allocated at the limit
+	// would be most of the write path's garbage and a collection every
+	// few deltas.
+	sc.Buffer(nil, maxDeltaLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

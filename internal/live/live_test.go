@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +77,40 @@ func TestParseDeltaErrors(t *testing.T) {
 				t.Errorf("err %v does not name the line", err)
 			}
 		})
+	}
+}
+
+// TestParseDeltaLineLimit pins the record size limit and what a parse
+// costs: a record line may fill the scanner's buffer exactly, one byte
+// more fails the parse, and an ordinary delta allocates a few kilobytes,
+// not the limit.
+func TestParseDeltaLineLimit(t *testing.T) {
+	line := func(n int) string { // a node record of n bytes, newline included
+		return "node\t" + strings.Repeat("x", n-len("node\t\tfilm\n")) + "\tfilm\n"
+	}
+	d, err := ParseDelta(strings.NewReader(line(maxDeltaLine) + "node\ty\tfilm\n"))
+	if err != nil || len(d.Ops) != 2 {
+		t.Fatalf("a record of %d bytes: %d ops, err %v", maxDeltaLine, len(d.Ops), err)
+	}
+	if _, err := ParseDelta(strings.NewReader(line(maxDeltaLine + 1))); err == nil {
+		t.Fatalf("a record of %d bytes parsed", maxDeltaLine+1)
+	}
+	var sb strings.Builder
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&sb, "node\tn%d\tconcept\nedge\ta\tn%d\tknows\n", i, i)
+	}
+	src := sb.String()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		if _, err := ParseDelta(strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per > 64<<10 {
+		t.Errorf("parsing a 100-op delta of %d bytes allocates %d bytes, want under 64 KiB", len(src), per)
 	}
 }
 

@@ -58,20 +58,39 @@ func (c *EndCounter) Release() {
 
 // Add counts one instance ending at end and reports whether counting
 // should continue: false means the position now exceeds the limit.
-func (c *EndCounter) Add(end kb.NodeID) bool {
-	n := c.n[end]
-	if n == math.MaxUint32 {
+func (c *EndCounter) Add(end kb.NodeID) bool { return c.AddWeighted(end, 1, 0) }
+
+// AddWeighted adds m ≥ 1 to end's running sum, of which debt will be
+// taken back by Settle: the end's count is sum − debt, so it exceeds a
+// exactly when the sum crosses bar+debt, and — sums only grow, debt is
+// fixed — the position is bumped the moment that happens.
+func (c *EndCounter) AddWeighted(end kb.NodeID, m, debt uint32) bool {
+	old := uint64(c.n[end])
+	if old == math.MaxUint32 {
 		return true // saturated: already at or above every bar
 	}
-	if n == 0 {
+	if old == 0 {
 		c.touched = append(c.touched, end)
 	}
-	n++
-	c.n[end] = n
-	if n == c.bar {
+	sum := old + uint64(m)
+	if at := uint64(c.bar) + uint64(debt); old < at && at <= sum {
 		c.exceeded++
 	}
+	c.n[end] = uint32(min(sum, math.MaxUint32))
 	return !c.Pruned()
+}
+
+// Settle turns running sums into counts: it subtracts debt[end] from
+// every touched end and forgets the ends left with no instance. The
+// position is unaffected — AddWeighted already accounted for the debts.
+func (c *EndCounter) Settle(debt []uint32) {
+	kept := c.touched[:0]
+	for _, id := range c.touched {
+		if c.n[id] -= min(debt[id], c.n[id]); c.n[id] > 0 {
+			kept = append(kept, id)
+		}
+	}
+	c.touched = kept
 }
 
 // Exceeded is the position so far: ends whose count strictly exceeds a.

@@ -4,19 +4,23 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"rex/internal/kb"
+	"rex/internal/kbgen"
+	"rex/internal/obs"
+	"rex/internal/pattern"
 )
 
 // TestEndCounterSaturates guards the 32-bit counter width: a count at
 // the top of the range stays there instead of wrapping to zero, and the
-// end it belongs to is counted as exceeding a exactly once.
+// end it belongs to is counted as exceeding a exactly once — by Add and
+// by AddWeighted, whose bar is raised by the end's debt.
 func TestEndCounterSaturates(t *testing.T) {
 	g := kb.New()
-	id := g.AddNode("n", "t")
+	id, w := g.AddNode("n", "t"), g.AddNode("w", "t")
 	c := AcquireEndCounter(g, math.MaxUint32-2, -1)
-	defer c.Release()
 	c.Add(id)
 	c.n[id] = math.MaxUint32 - 2 // a instances so far: not above a yet
 	for i := 0; i < 4; i++ {
@@ -27,6 +31,50 @@ func TestEndCounterSaturates(t *testing.T) {
 	}
 	if c.Exceeded() != 1 {
 		t.Errorf("exceeded = %d, want 1", c.Exceeded())
+	}
+	c.Release()
+
+	// a = 5 and a debt of 2: the end exceeds a when its sum reaches 8.
+	c = AcquireEndCounter(g, 5, 1)
+	defer c.Release()
+	for i, m := range []uint32{3, 4, 1, math.MaxUint32, 7} {
+		want := min(i/2, 1) // crossed by the third addition, once
+		if more := c.AddWeighted(w, m, 2); c.Exceeded() != want || !more {
+			t.Fatalf("addition %d (+%d): exceeded = %d (continue %v), want %d and no pruning at limit 1", i, m, c.Exceeded(), more, want)
+		}
+	}
+	if c.n[w] != math.MaxUint32 {
+		t.Errorf("weighted counter = %d, want saturation", c.n[w])
+	}
+	if c.AddWeighted(id, 9, 3) || !c.Pruned() {
+		t.Error("a second end above a must prune under limit 1")
+	}
+}
+
+// TestEndCounterSettle checks the step between weighted sums and counts:
+// debts come off, an end whose sum was all debt leaves the table, and
+// the position AddWeighted kept is already the settled one.
+func TestEndCounterSettle(t *testing.T) {
+	g := kb.New()
+	x, y, z, v := g.AddNode("x", "t"), g.AddNode("y", "t"), g.AddNode("z", "t"), g.AddNode("v", "t")
+	debt := make([]uint32, g.NumNodes())
+	debt[x], debt[y], debt[z] = 2, 4, 2
+	c := AcquireEndCounter(g, 2, -1)
+	defer c.Release()
+	c.AddWeighted(x, 5, debt[x]) // 3 instances: above a = 2
+	c.AddWeighted(y, 4, debt[y]) // none yet
+	c.AddWeighted(z, 2, debt[z]) // none, ever
+	c.AddWeighted(v, 2, debt[v]) // 2 instances: not above
+	c.AddWeighted(y, 3, debt[y]) // 3 instances after all
+	if c.Exceeded() != 2 {
+		t.Fatalf("exceeded = %d before settling, want 2 (x and y)", c.Exceeded())
+	}
+	c.Settle(debt)
+	if got, want := c.Table(), (map[kb.NodeID]int{x: 3, y: 3, v: 2}); !reflect.DeepEqual(got, want) || c.n[z] != 0 {
+		t.Errorf("settled table %v (z at %d), want %v", got, c.n[z], want)
+	}
+	if c.Exceeded() != 2 {
+		t.Errorf("exceeded = %d after settling, want 2 still", c.Exceeded())
 	}
 }
 
@@ -82,5 +130,88 @@ func TestCountByEndDenseMatchesMap(t *testing.T) {
 	}
 	if !c.Pruned() || len(c.touched) != 2 {
 		t.Errorf("limit 1 with %d ends above 0: pruned=%v after %d ends, want a stop at the second", len(want), c.Pruned(), len(c.touched))
+	}
+}
+
+// producerFixture is the tail of the benchmark's heaviest pairs: kbgen
+// medium seed 42 from film_6338 with a free end, where a film reaches a
+// ~500-film producer hub in one step. producer is the 855-instance
+// pattern
+//
+//	start-[produced_by]->v2, end-[produced_by]->v2, end-[starring]->v4,
+//	v3-[produced_by]->v2, v3-[produced_by]->v4
+//
+// and starring its 50 078-instance sibling with v3-[starring]->v4.
+func producerFixture(tb testing.TB) (g *kb.Graph, start kb.NodeID, producer, starring *pattern.Pattern) {
+	tb.Helper()
+	opt, err := kbgen.PresetOptions("medium", 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g = kbgen.Generate(opt)
+	g.Freeze()
+	if start = g.NodeByName("film_6338"); start == kb.InvalidNode {
+		tb.Fatal("film_6338 missing from the medium preset")
+	}
+	prod, star := g.LabelByName(kbgen.RelProducedBy), g.LabelByName(kbgen.RelStarring)
+	shape := func(last kb.LabelID) *pattern.Pattern {
+		return pattern.MustNew(g, 5, []pattern.Edge{
+			{U: pattern.Start, V: 2, Label: prod}, {U: pattern.End, V: 2, Label: prod},
+			{U: pattern.End, V: 4, Label: star}, {U: 3, V: 2, Label: prod}, {U: 3, V: 4, Label: last},
+		})
+	}
+	return g, start, shape(prod), shape(star)
+}
+
+// TestMatcherPicksSmallestSpan pins the per-binding choice as a count of
+// work: a static most-constrained-first plan binds two ~500-film
+// producer spans before the 15-person cast that joins them and tries
+// 932 305 and 1 538 219 bindings on these two patterns; choosing the
+// smallest span at every binding must stay under the ceilings, with the
+// same instances.
+func TestMatcherPicksSmallestSpan(t *testing.T) {
+	g, s, producer, starring := producerFixture(t)
+	for _, c := range []struct {
+		p                  *pattern.Pattern
+		instances, ceiling int64
+	}{{producer, 855, 50_000}, {starring, 50_078, 500_000}} {
+		tr := obs.NewTrace()
+		cnt := AcquireEndCounter(g, 0, -1)
+		if err := CountByEndDense(obs.NewContext(context.Background(), tr), g, c.p, s, cnt); err != nil {
+			t.Fatal(err)
+		}
+		var instances int64
+		for _, n := range cnt.Table() {
+			instances += int64(n)
+		}
+		cnt.Release()
+		tried := tr.Report().Bindings
+		t.Logf("%v: %d instances, %d bindings tried", c.p, instances, tried)
+		if instances != c.instances {
+			t.Errorf("%v: %d instances, want %d", c.p, instances, c.instances)
+		}
+		if tried == 0 || tried > c.ceiling {
+			t.Errorf("%v: %d bindings tried, want 1..%d", c.p, tried, c.ceiling)
+		}
+	}
+}
+
+// BenchmarkCountByEndDense runs the matcher route of the local
+// distribution on the producer pattern: the whole distribution, and the
+// position of a = 0 under LIMIT 0.
+func BenchmarkCountByEndDense(b *testing.B) {
+	g, s, producer, _ := producerFixture(b)
+	ctx := context.Background()
+	for _, limit := range []int{-1, 0} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := AcquireEndCounter(g, 0, limit)
+				if err := CountByEndDense(ctx, g, producer, s, c); err != nil {
+					b.Fatal(err)
+				}
+				c.Release()
+			}
+		})
 	}
 }

@@ -15,9 +15,10 @@
 //
 // # Allocation discipline
 //
-// Measure evaluation calls Count/CountByEnd once per (pattern, pair) —
-// thousands of times per query under the distributional measures — so
-// matcher state is pooled: every entry point takes a matcher from a
+// Measure evaluation calls the matcher once per memo miss — a handful of
+// times per query (non-path patterns of the explanation set; path
+// patterns go through measure's walk), a hundred times that under the
+// global measures' sampled starts — so matcher state is pooled: every entry point takes a matcher from a
 // sync.Pool, resets it, runs, and returns it. All per-run state lives in
 // fixed MaxVars-sized arrays or reused slices inside the pooled struct,
 // making the steady-state Count path allocation-free (see
@@ -29,6 +30,7 @@ package match
 import (
 	"context"
 	"sync"
+	"time"
 
 	"rex/internal/kb"
 	"rex/internal/obs"
@@ -70,10 +72,7 @@ func ForEachContext(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start,
 	m := acquireMatcher(g, p, start, end)
 	m.ctx = ctx
 	m.run(f)
-	err := m.err
-	releaseMatcher(m)
-	tr.End(obs.StageMatch, t0, 0)
-	return err
+	return m.finish(tr, t0, 0)
 }
 
 // CountContext is Count with cancellation; the count is partial when an
@@ -84,10 +83,8 @@ func CountContext(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start, e
 	m := acquireMatcher(g, p, start, end)
 	m.ctx = ctx
 	m.run(m.countFn)
-	n, err := m.count, m.err
-	releaseMatcher(m)
-	tr.End(obs.StageMatch, t0, int64(n))
-	return n, err
+	n := m.count
+	return n, m.finish(tr, t0, int64(n))
 }
 
 // CountByEndContext is CountByEnd with cancellation; the map is partial
@@ -112,11 +109,7 @@ func CountByEndInto(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start 
 	m.ctx = ctx
 	m.endCounts = dst
 	m.run(m.byEndFn)
-	err := m.err
-	m.endCounts = nil
-	releaseMatcher(m)
-	tr.End(obs.StageMatch, t0, int64(len(dst)))
-	return err
+	return m.finish(tr, t0, int64(len(dst)))
 }
 
 // CountByEndDense is CountByEndInto over a dense EndCounter instead of a
@@ -130,10 +123,7 @@ func CountByEndDense(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start
 	m.ctx = ctx
 	m.dense = c
 	m.run(m.denseFn)
-	err := m.err
-	releaseMatcher(m)
-	tr.End(obs.StageMatch, t0, int64(len(c.touched)))
-	return err
+	return m.finish(tr, t0, int64(len(c.touched)))
 }
 
 // Find collects the instances of p with the given target bindings. Pass
@@ -184,20 +174,17 @@ type matcher struct {
 	instBuf  [pattern.MaxVars]kb.NodeID
 	inst     pattern.Instance // instBuf[:n]
 	assigned [pattern.MaxVars]bool
+	left     int // variables still unassigned
 
-	// plan output: order[:orderLen] is the assignment order excluding
-	// pre-bound variables; anchors[anchorSpan[d][0]:anchorSpan[d][1]] are
-	// the pattern edges joining order[d] to variables bound before it.
-	// One of them generates the candidates, the others are verified.
-	// spans[i] is the label span of anchors[i] at its neighbor's current
-	// binding, fetched once per binding of the variables before order[d]
-	// and valid for every candidate tried at depth d.
-	order      [pattern.MaxVars]pattern.VarID
-	orderLen   int
-	anchorSpan [pattern.MaxVars][2]int32
-	anchors    []anchor
-	spans      [][]kb.HalfEdge
-	sorted     bool // g is frozen: label spans are ordered by (To, Dir)
+	// anchors lists every pattern edge twice, once per endpoint:
+	// anchors[first[v]:first[v+1]] are the edges of variable v, each as a
+	// way to reach v from its far endpoint. spans[i] is the label span of
+	// anchors[i] at the far endpoint's binding — fetched by bind when that
+	// endpoint is bound before v, valid for as long as it stays bound.
+	anchors []anchor
+	first   [pattern.MaxVars + 1]int32
+	spans   [][]kb.HalfEdge
+	sorted  bool // g is frozen: label spans are ordered by (To, Dir)
 
 	// countFn is the pooled counting callback for Count/CountContext,
 	// allocated once per pooled matcher so the steady-state count path
@@ -211,8 +198,10 @@ type matcher struct {
 	denseFn   func(pattern.Instance) bool
 	dense     *EndCounter
 
-	// Cancellation: ctx is checked every ctxCheckInterval candidate
-	// tries; when done, err records ctx.Err() and the search unwinds.
+	// tries counts candidate bindings: the unit of work the trace reports
+	// and the clock of cancellation — ctx is checked every
+	// ctxCheckInterval of them; when done, err records ctx.Err() and the
+	// search unwinds.
 	ctx   context.Context
 	err   error
 	tries int
@@ -246,30 +235,45 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 	for i := 0; i < m.n; i++ {
 		m.assigned[i] = false
 	}
-	m.inst[pattern.Start] = start
-	m.assigned[pattern.Start] = true
-	if end != kb.InvalidNode {
-		m.inst[pattern.End] = end
-		m.assigned[pattern.End] = true
-	}
-	m.orderLen = 0
-	m.anchors = m.anchors[:0]
+	m.left = m.n
 	m.count = 0
 	m.tries = 0
 	m.ctx = nil
 	m.err = nil
-	m.plan()
+	m.sorted = g.Frozen()
+
+	// For a directed label, the edge v→other appears at other as a
+	// half-edge with Dir==In, and other→v as Dir==Out.
+	m.anchors = m.anchors[:0]
+	for v := 0; v < m.n; v++ {
+		m.first[v] = int32(len(m.anchors))
+		for _, e := range p.Edges() {
+			var a anchor
+			switch pattern.VarID(v) {
+			case e.U:
+				a = anchor{to: e.U, from: e.V, label: e.Label, wantDir: kb.In}
+			case e.V:
+				a = anchor{to: e.V, from: e.U, label: e.Label, wantDir: kb.Out}
+			default:
+				continue
+			}
+			if !g.LabelDirected(e.Label) {
+				a.wantDir = kb.Undirected
+			}
+			m.anchors = append(m.anchors, a)
+		}
+	}
+	m.first[m.n] = int32(len(m.anchors))
 	if cap(m.spans) < len(m.anchors) {
 		m.spans = make([][]kb.HalfEdge, len(m.anchors))
 	}
 	m.spans = m.spans[:len(m.anchors)]
-	m.sorted = g.Frozen()
 	return m
 }
 
 // releaseMatcher returns a matcher to the pool, clearing every pointer so
 // pooled matchers never pin a knowledge-base snapshot or context alive.
-// The reusable buffers (instance, plan and check storage) are retained —
+// The reusable buffers (instance, anchor and span storage) are retained —
 // that reuse is the point of the pool.
 func releaseMatcher(m *matcher) {
 	m.g, m.p = nil, nil
@@ -282,17 +286,25 @@ func releaseMatcher(m *matcher) {
 	matcherPool.Put(m)
 }
 
-// cancelled reports whether the search should abort, checking the context
-// at a bounded interval.
+// finish ends a context-carrying run: it records the stage and the
+// bindings tried in the trace, releases the matcher and returns the
+// run's error.
+func (m *matcher) finish(tr *obs.Trace, t0 time.Time, items int64) error {
+	err := m.err
+	tr.AddBindings(int64(m.tries))
+	releaseMatcher(m)
+	tr.End(obs.StageMatch, t0, items)
+	return err
+}
+
+// cancelled counts one candidate binding and reports whether the search
+// should abort, checking the context at a bounded interval.
 func (m *matcher) cancelled() bool {
 	if m.err != nil {
 		return true
 	}
-	if m.ctx == nil {
-		return false
-	}
 	m.tries++
-	if m.tries%ctxCheckInterval != 0 {
+	if m.tries%ctxCheckInterval != 0 || m.ctx == nil {
 		return false
 	}
 	if err := m.ctx.Err(); err != nil {
@@ -302,192 +314,132 @@ func (m *matcher) cancelled() bool {
 	return false
 }
 
-// anchor is one pattern edge joining a variable to an already-assigned
-// neighbor. Followed from the neighbor's value it generates candidates
-// for the variable; otherwise a candidate is verified by looking it up
-// in the same label span.
+// anchor is one pattern edge seen from one endpoint, to: followed from
+// the binding of the far endpoint, from, its label span generates the
+// candidates for to, or verifies one by lookup.
 type anchor struct {
-	e    pattern.Edge
-	from pattern.VarID // assigned neighbor variable
+	to, from pattern.VarID
+	label    kb.LabelID
 	// wantDir is the orientation candidates must satisfy as half-edges of
-	// the anchor's value: Out when the pattern edge leaves from, In when
-	// it enters from, Undirected for undirected labels.
+	// from's value: Out when the pattern edge leaves from, In when it
+	// enters from, Undirected for undirected labels.
 	wantDir kb.Dir
-}
-
-// plan picks a static assignment order: repeatedly the unassigned
-// variable with the most edges into the assigned set — the most
-// constrained, hence most selective, binding — breaking ties by higher
-// total pattern degree (more future constraints resolved early) and then
-// by lowest ID for determinism. At least one edge into the assigned set
-// is required so candidates always come from adjacency rather than a
-// full node scan; patterns are connected to the start, so the greedy
-// order always completes.
-func (m *matcher) plan() {
-	n := m.n
-	var done [pattern.MaxVars]bool
-	var degree [pattern.MaxVars]int
-	copy(done[:n], m.assigned[:n])
-	for _, e := range m.p.Edges() {
-		degree[e.U]++
-		degree[e.V]++
-	}
-	remaining := 0
-	for v := 0; v < n; v++ {
-		if !done[v] {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		best := pattern.VarID(-1)
-		bestEdges, bestDegree := 0, 0
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			cnt := 0
-			for _, e := range m.p.Edges() {
-				if (e.U == pattern.VarID(v) && done[e.V]) || (e.V == pattern.VarID(v) && done[e.U]) {
-					cnt++
-				}
-			}
-			if cnt > bestEdges || (cnt == bestEdges && cnt > 0 && degree[v] > bestDegree) {
-				best, bestEdges, bestDegree = pattern.VarID(v), cnt, degree[v]
-			}
-		}
-		if best < 0 {
-			// No unassigned variable touches the assigned set: the
-			// pattern has a component disconnected from the start (an
-			// isolated end, or NaiveEnum's intermediate shapes). Seed the
-			// component with a full-scan binding and resume the greedy
-			// anchored order from there.
-			for v := 0; v < n; v++ {
-				if !done[v] {
-					done[v] = true
-					remaining--
-					m.pushPlan(pattern.VarID(v), len(m.anchors))
-					break
-				}
-			}
-			continue
-		}
-		done[best] = true
-		remaining--
-
-		// Every incident edge whose other endpoint is assigned is an
-		// anchor; search picks the generating one per binding.
-		first := len(m.anchors)
-		for _, e := range m.p.Edges() {
-			var other pattern.VarID
-			var outward bool // edge leaves the anchor toward best
-			switch {
-			case e.U == best && done[e.V] && e.V != best:
-				other, outward = e.V, true // directed edge best→other
-			case e.V == best && done[e.U] && e.U != best:
-				other, outward = e.U, false // directed edge other→best
-			default:
-				continue
-			}
-			// Candidates for best are enumerated from the half-edges at
-			// the anchor's bound node value(other). For a directed label,
-			// the edge best→other appears at other as a half-edge with
-			// Dir==In, and other→best as Dir==Out.
-			dir := kb.Undirected
-			if m.g.LabelDirected(e.Label) {
-				if outward {
-					dir = kb.In
-				} else {
-					dir = kb.Out
-				}
-			}
-			m.anchors = append(m.anchors, anchor{e: e, from: other, wantDir: dir})
-		}
-		m.pushPlan(best, first)
-	}
-}
-
-// pushPlan appends one step to the assignment plan; the step's anchors
-// are m.anchors[first:len(m.anchors)].
-func (m *matcher) pushPlan(v pattern.VarID, first int) {
-	d := m.orderLen
-	m.order[d] = v
-	m.anchorSpan[d] = [2]int32{int32(first), int32(len(m.anchors))}
-	m.orderLen++
 }
 
 // run performs the backtracking search, invoking f for each complete
 // instance until f returns false.
 func (m *matcher) run(f func(pattern.Instance) bool) {
-	// Quick reject: when both targets are bound and the pattern has
-	// direct start–end edges, verify them once up front.
-	for _, e := range m.p.Edges() {
-		if m.assigned[e.U] && m.assigned[e.V] {
-			if !m.g.HasEdge(m.inst[e.U], m.inst[e.V], e.Label) {
+	if !m.bind(pattern.Start, m.start) {
+		return
+	}
+	if m.end != kb.InvalidNode {
+		if !m.bind(pattern.End, m.end) {
+			return
+		}
+		// Quick reject: with both targets bound, verify the pattern's
+		// direct start–end edges once up front.
+		for _, e := range m.p.Edges() {
+			if m.assigned[e.U] && m.assigned[e.V] && !m.g.HasEdge(m.inst[e.U], m.inst[e.V], e.Label) {
 				return
 			}
 		}
 	}
-	m.search(0, f)
+	m.search(f)
 }
 
-// search assigns m.order[depth] and recurses.
-func (m *matcher) search(depth int, f func(pattern.Instance) bool) bool {
-	if depth == m.orderLen {
+// bind assigns cand to v and fetches the label span of every pattern
+// edge from v to a variable still unassigned. It reports false when one
+// of those spans is empty: no instance extends the binding. The caller
+// unassigns v.
+func (m *matcher) bind(v pattern.VarID, cand kb.NodeID) bool {
+	m.inst[v], m.assigned[v] = cand, true
+	m.left--
+	for i := range m.anchors {
+		if a := &m.anchors[i]; a.from == v && !m.assigned[a.to] {
+			if m.spans[i] = m.g.NeighborsLabeled(cand, a.label); len(m.spans[i]) == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// search binds one more variable and recurses. There is no static plan:
+// at every node it takes the unassigned variable whose shortest label
+// span into the bound set is shortest — ties to the variable with more
+// edges into the bound set, then to the lowest ID — generates candidates
+// from that span and verifies them in the variable's other spans. Span
+// lengths are a function of the graph and the bindings alone, so the
+// enumeration order is deterministic.
+func (m *matcher) search(f func(pattern.Instance) bool) bool {
+	if m.left == 0 {
 		return f(m.inst)
 	}
-	v := m.order[depth]
-	first, end := m.anchorSpan[depth][0], m.anchorSpan[depth][1]
-	ancs, spans := m.anchors[first:end], m.spans[first:end]
-	// Generate candidates from the shortest incident label span: with
-	// several edges into the bound set (a cycle closing, a hub on one
-	// side) the first edge in pattern order can fan out over a hub whose
-	// neighbours the other edge rejects one lookup at a time.
-	gen := 0
-	for i := range ancs {
-		spans[i] = m.g.NeighborsLabeled(m.inst[ancs[i].from], ancs[i].e.Label)
-		if len(spans[i]) < len(spans[gen]) {
-			gen = i
+	best, gen, bestLen, bestEdges := pattern.VarID(-1), -1, 0, 0
+	for v := 0; v < m.n; v++ {
+		if m.assigned[v] {
+			continue
+		}
+		short, edges := -1, 0
+		for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
+			if m.assigned[m.anchors[i].from] {
+				edges++
+				if short < 0 || len(m.spans[i]) < len(m.spans[short]) {
+					short = i
+				}
+			}
+		}
+		if edges == 0 {
+			continue
+		}
+		if n := len(m.spans[short]); best < 0 || n < bestLen || (n == bestLen && edges > bestEdges) {
+			best, gen, bestLen, bestEdges = pattern.VarID(v), short, n, edges
 		}
 	}
-	try := func(cand kb.NodeID) bool {
-		if m.cancelled() {
-			return false
+	if best < 0 {
+		// No unassigned variable touches the bound set: the pattern has a
+		// component disconnected from the start (an isolated end, or
+		// NaiveEnum's intermediate shapes). Seed it by full scan.
+		for best = 0; m.assigned[best]; best++ {
 		}
-		if !m.admissible(v, cand) {
-			return true
-		}
-		if !m.checkEdges(ancs, spans, gen, cand) {
-			return true
-		}
-		m.inst[v] = cand
-		m.assigned[v] = true
-		ok := m.search(depth+1, f)
-		m.assigned[v] = false
-		return ok
-	}
-	if len(ancs) == 0 {
-		// Variable in a component disconnected from anything assigned
-		// (e.g. a free, isolated end): bind by full scan.
 		for id := kb.NodeID(0); int(id) < m.g.NumNodes(); id++ {
-			if !try(id) {
+			if !m.try(best, gen, id, f) {
 				return false
 			}
 		}
 		return true
 	}
-	// The label index narrows candidates to the anchor's label up front;
-	// on a frozen graph the order equals Neighbors filtered to the label,
-	// so enumeration stays deterministic.
-	wantDir := ancs[gen].wantDir
-	for _, he := range spans[gen] {
-		if he.Dir != wantDir {
-			continue
-		}
-		if !try(he.To) {
+	// On a frozen graph a label span is ordered by (To, Dir), so
+	// candidates come in node order.
+	wantDir := m.anchors[gen].wantDir
+	for _, he := range m.spans[gen] {
+		if he.Dir == wantDir && !m.try(best, gen, he.To, f) {
 			return false
 		}
 	}
 	return true
+}
+
+// try binds v to cand if the instance side conditions and v's edges into
+// the bound set allow it — gen, the edge that generated cand, needs no
+// check — and searches on. It reports false when the search must stop.
+func (m *matcher) try(v pattern.VarID, gen int, cand kb.NodeID, f func(pattern.Instance) bool) bool {
+	if m.cancelled() {
+		return false
+	}
+	if !m.admissible(v, cand) {
+		return true
+	}
+	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
+		a := &m.anchors[i]
+		if i != gen && m.assigned[a.from] && !kb.HasHalfEdge(m.spans[i], cand, a.wantDir, m.sorted) {
+			return true
+		}
+	}
+	ok := !m.bind(v, cand) || m.search(f)
+	m.assigned[v] = false
+	m.left++
+	return ok
 }
 
 // admissible enforces the instance side conditions for a candidate
@@ -501,45 +453,4 @@ func (m *matcher) admissible(v pattern.VarID, cand kb.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// checkEdges verifies a candidate against the anchors other than the
-// generating one — the edges that become fully bound at this depth — in
-// the label spans search already fetched to choose the generator.
-func (m *matcher) checkEdges(ancs []anchor, spans [][]kb.HalfEdge, gen int, cand kb.NodeID) bool {
-	for i := range ancs {
-		if i != gen && !hasHalfEdge(spans[i], cand, ancs[i].wantDir, m.sorted) {
-			return false
-		}
-	}
-	return true
-}
-
-// hasHalfEdge reports whether one label's span holds a half-edge to the
-// given node with the given orientation: a binary search on a frozen
-// graph, whose spans are ordered by (To, Dir) with at most two entries
-// per To, and a scan otherwise.
-func hasHalfEdge(span []kb.HalfEdge, to kb.NodeID, dir kb.Dir, sorted bool) bool {
-	lo := 0
-	if sorted {
-		hi := len(span)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if span[mid].To < to {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-	}
-	for ; lo < len(span); lo++ {
-		if span[lo].To == to {
-			if span[lo].Dir == dir {
-				return true
-			}
-		} else if sorted {
-			return false
-		}
-	}
-	return false
 }

@@ -172,10 +172,13 @@ func TestDirectedOrientationRespected(t *testing.T) {
 }
 
 // TestQuickMatcherMatchesBruteForce property-checks the matcher against
-// the brute-force oracle on random small graphs and random connected
-// patterns — a spanning tree plus up to two closing edges, so variables
-// with several anchors exercise the in-span verification — before the
-// graph is frozen (unsorted spans) and after (binary search).
+// the brute-force oracle on random small graphs and random patterns — a
+// spanning tree plus up to two closing edges, so variables with several
+// edges into the bound set exercise the per-binding choice and the
+// in-span verification, now and then with a tree edge dropped, so a
+// component off the start falls back to the full scan — with the end
+// bound and free, before the graph is frozen (unsorted spans), after
+// (binary search), and on an overlay of depth 2 that deleted edges.
 func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -187,16 +190,26 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 		labels := []kb.LabelID{
 			g.MustLabel("d", true), g.MustLabel("u", false),
 		}
+		var added []kb.Edge
 		for i := 0; i < 3*n; i++ {
 			a, b := kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				b = 2 // a hub: spans of very different widths
+			}
 			if a != b {
-				g.AddEdge(a, b, labels[rng.Intn(2)])
+				l := labels[rng.Intn(2)]
+				g.AddEdge(a, b, l)
+				added = append(added, kb.Edge{From: a, To: b, Label: l})
 			}
 		}
 		start, end := kb.NodeID(0), kb.NodeID(1)
 
-		// Random small connected pattern.
+		// Random small pattern, connected unless a tree edge is dropped.
 		nv := 2 + rng.Intn(3)
+		drop := -1
+		if rng.Intn(4) == 0 {
+			drop = 1 + rng.Intn(nv-1)
+		}
 		var edges []pattern.Edge
 		for i := 1; i < nv; i++ {
 			u := pattern.VarID(rng.Intn(i))
@@ -204,7 +217,9 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				u, v = v, u
 			}
-			edges = append(edges, pattern.Edge{U: u, V: v, Label: labels[rng.Intn(2)]})
+			if i != drop {
+				edges = append(edges, pattern.Edge{U: u, V: v, Label: labels[rng.Intn(2)]})
+			}
 		}
 		for i := rng.Intn(3); i > 0; i-- {
 			u, v := pattern.VarID(rng.Intn(nv)), pattern.VarID(rng.Intn(nv))
@@ -216,26 +231,48 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		want := asKeySet(bruteForce(g, p, start, end))
-		agrees := func() bool {
-			got := asKeySet(Find(g, p, start, end, Options{}))
-			if len(got) != len(want) {
-				return false
-			}
-			for k := range want {
-				if _, ok := got[k]; !ok {
+		agrees := func(g *kb.Graph) bool {
+			for _, end := range []kb.NodeID{end, kb.InvalidNode} {
+				want := asKeySet(bruteForce(g, p, start, end))
+				got := Find(g, p, start, end, Options{})
+				if len(got) != len(want) || len(asKeySet(got)) != len(want) {
 					return false
+				}
+				for _, in := range got {
+					if _, ok := want[in.Key()]; !ok {
+						return false
+					}
 				}
 			}
 			return true
 		}
-		if !agrees() {
+		if !agrees(g) {
 			return false
 		}
 		g.Freeze()
-		return agrees()
+		if !agrees(g) {
+			return false
+		}
+		for depth := 0; depth < 2; depth++ {
+			b, err := kb.NewOverlayBuilder(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := added[rng.Intn(len(added))]
+			if depth == 0 {
+				e.From = b.AddNode("new", "t")
+				_, err = b.AddEdge(e.From, e.To, e.Label)
+			} else {
+				_, err = b.RemoveEdge(e.From, e.To, e.Label)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = b.Graph()
+		}
+		return g.Overlay().Depth == 2 && agrees(g)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

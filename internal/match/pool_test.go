@@ -25,7 +25,7 @@ func poolTestPattern(t *testing.T) (*kb.Graph, *pattern.Pattern, kb.NodeID, kb.N
 
 // TestCountSteadyStateAllocFree is the alloc-regression guard for the
 // pooled matcher: once the pool is warm, Count must not allocate — the
-// matcher, its plan and its counting callback are all reused. The same
+// matcher, its anchors and its counting callback are all reused. The same
 // holds for CountByEndInto with a caller-reused table: the per-end
 // counting callback and the accumulation map are both recycled.
 func TestCountSteadyStateAllocFree(t *testing.T) {
@@ -87,7 +87,7 @@ func TestPoolReuseIsCorrect(t *testing.T) {
 		if got := Count(g, path3, s, e); got != want[2] {
 			t.Fatalf("iteration %d: Count(path3) = %d, want %d", i, got, want[2])
 		}
-		// Free-end runs interleave with fixed-end runs so both plan
+		// Free-end runs interleave with fixed-end runs so both search
 		// shapes cycle through the same pooled matchers.
 		if got, err := CountByEndContext(context.Background(), g, path3, s); err != nil || len(got) == 0 {
 			t.Fatalf("iteration %d: CountByEndContext = (%v, %v)", i, got, err)

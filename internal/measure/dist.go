@@ -2,9 +2,12 @@ package measure
 
 import (
 	"context"
+	"math"
+	"sync"
 
 	"rex/internal/kb"
 	"rex/internal/match"
+	"rex/internal/obs"
 	"rex/internal/pattern"
 )
 
@@ -89,76 +92,167 @@ func streamLocalPosition(cctx context.Context, g *kb.Graph, p *pattern.Pattern, 
 	return c.Exceeded(), true
 }
 
-// countEnds is the one local-distribution kernel: it streams the end of
-// every instance of p from start into c and stops as soon as c reports
-// the position pruned. No instance set and no table is ever built — the
-// only state is the dense counter and a walk of at most MaxVars nodes.
+// countEnds is the one local-distribution kernel: it adds up in c the
+// instances of p from start per end and stops as soon as c reports the
+// position pruned. No instance set and no table is ever built — the only
+// state is dense counters.
 //
-// Path patterns (the bulk of every explanation set) are a depth-first
-// injective walk over the label spans: for a simple-path pattern the
-// injective walks from the start are precisely the pattern's instances
-// (injectivity of the walk is the instance-level injectivity, and
-// Definition 2's target-avoidance is subsumed by it). Everything else
-// goes through the pooled backtracking matcher.
+// Path patterns (the bulk of every explanation set) are aggregated, not
+// enumerated: for a simple-path pattern the injective walks from the
+// start are precisely the pattern's instances (injectivity of the walk is
+// the instance-level injectivity, and Definition 2's target-avoidance is
+// subsumed by it), and pathWalk counts them without visiting the last
+// level one walk at a time. Everything else goes through the pooled
+// backtracking matcher.
 func countEnds(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, c *match.EndCounter) error {
 	steps, isPath := p.PathSteps()
 	if !isPath {
 		return match.CountByEndDense(cctx, g, p, start, c)
 	}
-	w := pathWalk{ctx: cctx, g: g, steps: steps, c: c}
+	w := pathWalkPool.Get().(*pathWalk)
+	w.ctx, w.g, w.steps, w.sorted = cctx, g, steps, g.Frozen()
+	w.mult, w.debt = dense(w.mult, g.NumNodes()), dense(w.debt, g.NumNodes())
 	w.nodes[0] = start
-	w.from(0)
-	return w.err
+	if w.prefixes(0) {
+		w.scatter(c)
+	}
+	err := w.err
+	obs.FromContext(cctx).AddWalkSteps(int64(w.work))
+	w.release()
+	return err
 }
 
-// walkCheckInterval bounds extension steps between context checks.
+// walkCheckInterval bounds walk steps between context checks.
 const walkCheckInterval = 1024
 
-// pathWalk is the state of one path-pattern walk: nodes[:depth+1] is the
-// current injective prefix.
+// pathWalk counts the instances of an L-step path pattern per end from
+// the walks of its first L−1 steps, the prefixes. With N(v) the nodes
+// one last step away from v,
+//
+//	count[e] = Σ_v mult[v]·[e ∈ N(v)] − debt[e]
+//
+// where mult[v] is the number of prefixes ending at v and debt[e] the
+// number of prefixes that end at a v with e ∈ N(v) and already hold e:
+// the first term extends every prefix by every last step, the second
+// takes back the extensions that revisit a prefix node. Both are final
+// when the prefix walk ends, so scatter touches each distinct v's last
+// span once, however many prefixes end there.
+//
+// Walks are pooled. mult and debt are all-zero between uses (release
+// resets the touched entries) and are sized to the graph at every use:
+// node IDs are append-only across hot swaps, see match.EndCounter.
 type pathWalk struct {
-	ctx     context.Context
-	g       *kb.Graph
-	steps   []pattern.PathStep
-	c       *match.EndCounter
-	nodes   [pattern.MaxVars]kb.NodeID
-	checked int
-	err     error
+	ctx    context.Context
+	g      *kb.Graph
+	steps  []pattern.PathStep
+	sorted bool                       // g is frozen: label spans are ordered by (To, Dir)
+	nodes  [pattern.MaxVars]kb.NodeID // nodes[:depth+1] is the current injective walk
+
+	mult, debt []uint32
+	ends, owed []kb.NodeID // nodes with mult > 0 and with debt > 0, in first-visit order
+
+	work int // half-edges visited, prefix walk and scatter
+	err  error
 }
 
-// from extends the prefix ending at nodes[depth] by steps[depth:],
-// reporting false when the walk must stop (pruned or cancelled).
-func (w *pathWalk) from(depth int) bool {
+var pathWalkPool = sync.Pool{New: func() any { return new(pathWalk) }}
+
+// dense reslices a pooled all-zero array to n entries.
+func dense(a []uint32, n int) []uint32 {
+	if cap(a) < n {
+		return make([]uint32, n)
+	}
+	return a[:n]
+}
+
+// bump adds one to a[id], saturating, and lists id when it was zero.
+func bump(a []uint32, listed []kb.NodeID, id kb.NodeID) []kb.NodeID {
+	if a[id] == 0 {
+		listed = append(listed, id)
+	}
+	if a[id] != math.MaxUint32 {
+		a[id]++
+	}
+	return listed
+}
+
+func (w *pathWalk) release() {
+	for _, id := range w.ends {
+		w.mult[id] = 0
+	}
+	for _, id := range w.owed {
+		w.debt[id] = 0
+	}
+	w.ends, w.owed = w.ends[:0], w.owed[:0]
+	w.ctx, w.g, w.steps, w.work, w.err = nil, nil, nil, 0, nil
+	pathWalkPool.Put(w)
+}
+
+// step counts one visited half-edge and reports false when the context
+// is done, checking it every walkCheckInterval steps.
+func (w *pathWalk) step() bool {
+	w.work++
+	if w.work%walkCheckInterval == 0 {
+		w.err = w.ctx.Err()
+	}
+	return w.err == nil
+}
+
+// prefixes extends the walk ending at nodes[depth] depth-first to every
+// prefix, recording each in mult and debt. It reports false when
+// cancelled.
+func (w *pathWalk) prefixes(depth int) bool {
 	st := w.steps[depth]
-	last := depth == len(w.steps)-1
+	span := w.g.NeighborsLabeled(w.nodes[depth], st.Label)
+	if depth == len(w.steps)-1 {
+		w.ends = bump(w.mult, w.ends, w.nodes[depth])
+		for _, n := range w.nodes[:depth] {
+			if kb.HasHalfEdge(span, n, st.Dir, w.sorted) {
+				w.owed = bump(w.debt, w.owed, n)
+			}
+		}
+		return true
+	}
 nextEdge:
-	for _, he := range w.g.NeighborsLabeled(w.nodes[depth], st.Label) {
+	for _, he := range span {
 		if he.Dir != st.Dir {
 			continue
 		}
-		w.checked++
-		if w.checked%walkCheckInterval == 0 {
-			if w.err = w.ctx.Err(); w.err != nil {
-				return false
-			}
+		if !w.step() {
+			return false
 		}
 		for _, n := range w.nodes[:depth+1] {
 			if n == he.To {
 				continue nextEdge
 			}
 		}
-		if last {
-			if !w.c.Add(he.To) {
-				return false
-			}
-			continue
-		}
 		w.nodes[depth+1] = he.To
-		if !w.from(depth + 1) {
+		if !w.prefixes(depth + 1) {
 			return false
 		}
 	}
 	return true
+}
+
+// scatter adds every distinct prefix end's last span into c, weighted by
+// the prefixes ending there. An end's sum can only grow towards
+// count+debt, so c knows the end exceeds a the moment the sum crosses
+// a+1+debt and LIMIT p stops the scatter early.
+func (w *pathWalk) scatter(c *match.EndCounter) {
+	last := w.steps[len(w.steps)-1]
+	for _, v := range w.ends {
+		for _, he := range w.g.NeighborsLabeled(v, last.Label) {
+			if he.Dir != last.Dir {
+				continue
+			}
+			if !w.step() || !c.AddWeighted(he.To, w.mult[v], w.debt[he.To]) {
+				return
+			}
+		}
+	}
+	if len(w.owed) > 0 {
+		c.Settle(w.debt)
+	}
 }
 
 // GlobalPosition is M_position over the (estimated) global distribution

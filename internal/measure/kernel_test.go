@@ -121,6 +121,85 @@ func hubCase() kernelCase {
 		as: [][]int{{0, fan, fan + 1}, {0, fan, fan + 1}, {0, 1, 2}}}
 }
 
+// debtGraph is hand-built around the identity the path route rests on,
+// count[e] = Σ_v mult[v]·[e ∈ N(v)] − debt[e]: every way a prefix node
+// can (and cannot) be a last-step neighbour of the prefix's end.
+//
+//	s →d m0..m3      m0,m1 →d s (2-cycles)    m_i →d x_j, hub
+//	hub →d s, m1, l0..l1999                    x0 →d m2 (2-cycle), l0..l4
+//	s —u— m0, m1     m0 —u— m1, m2, x0
+//
+// A self-loop would make a prefix end its own last-step neighbour; the
+// knowledge base rejects one, which is why the kernel never discounts v.
+func debtGraph(t *testing.T) (g *kb.Graph, s kb.NodeID) {
+	t.Helper()
+	g = kb.New()
+	d, u := g.MustLabel("d", true), g.MustLabel("u", false)
+	s = g.AddNode("s", "t")
+	hub := g.AddNode("hub", "t")
+	var ms, xs []kb.NodeID
+	for i := 0; i < 4; i++ {
+		ms = append(ms, g.AddNode(fmt.Sprintf("m%d", i), "t"))
+		xs = append(xs, g.AddNode(fmt.Sprintf("x%d", i), "t"))
+	}
+	for i, m := range ms {
+		g.MustAddEdge(s, m, d)
+		g.MustAddEdge(m, hub, d)
+		for _, x := range xs[:i+1] {
+			g.MustAddEdge(m, x, d)
+		}
+	}
+	g.MustAddEdge(ms[0], s, d)
+	g.MustAddEdge(ms[1], s, d)
+	g.MustAddEdge(xs[0], ms[2], d)
+	g.MustAddEdge(hub, s, d)
+	g.MustAddEdge(hub, ms[1], d)
+	for j := 0; j < 2000; j++ {
+		l := g.AddNode(fmt.Sprintf("l%d", j), "t")
+		g.MustAddEdge(hub, l, d)
+		if j < 5 {
+			g.MustAddEdge(xs[0], l, d)
+		}
+	}
+	for _, e := range [][2]kb.NodeID{{s, ms[0]}, {s, ms[1]}, {ms[0], ms[1]}, {ms[0], ms[2]}, {ms[0], xs[0]}} {
+		g.MustAddEdge(e[0], e[1], u)
+	}
+	if _, err := g.AddEdge(hub, hub, d); err == nil {
+		t.Fatal("the knowledge base accepted a self-loop: the path kernel assumes v ∉ N(v)")
+	}
+	return g, s
+}
+
+// debtCase positions debtGraph's path patterns on g: one step; a last
+// step that reverses the one before it, directed and undirected (every
+// prefix owes the start); a last step in the same direction (the start
+// is adjacent to every prefix end the wrong way round and owes nothing,
+// except across a 2-cycle); three steps into the 2 000-wide hub span,
+// which three prefixes share; and mixed labels.
+func debtCase(name string, g *kb.Graph, s kb.NodeID) kernelCase {
+	d, u := g.LabelByName("d"), g.LabelByName("u")
+	const S, E = pattern.Start, pattern.End
+	c := kernelCase{name: name, g: g, start: s}
+	for _, edges := range [][]pattern.Edge{
+		{{U: S, V: E, Label: d}},
+		{{U: E, V: S, Label: d}},
+		{{U: S, V: E, Label: u}},
+		{{U: S, V: 2, Label: d}, {U: E, V: 2, Label: d}},
+		{{U: S, V: 2, Label: u}, {U: 2, V: E, Label: u}},
+		{{U: S, V: 2, Label: d}, {U: 2, V: E, Label: d}},
+		{{U: 2, V: S, Label: d}, {U: 2, V: E, Label: d}},
+		{{U: S, V: 2, Label: d}, {U: 2, V: 3, Label: d}, {U: 3, V: E, Label: d}},
+		{{U: S, V: 2, Label: d}, {U: 2, V: 3, Label: d}, {U: E, V: 3, Label: d}},
+		{{U: S, V: 2, Label: u}, {U: 2, V: 3, Label: d}, {U: 3, V: E, Label: d}},
+		{{U: S, V: 2, Label: d}, {U: 2, V: 3, Label: u}, {U: 3, V: E, Label: u}},
+		{{U: S, V: 2, Label: d}, {U: 2, V: 3, Label: d}, {U: 3, V: 4, Label: d}, {U: 4, V: E, Label: d}},
+	} {
+		c.ps = append(c.ps, pattern.MustNew(g, len(edges)+1, edges))
+		c.as = append(c.as, []int{0, 1, 2, 3, 4})
+	}
+	return c
+}
+
 // oraclePosition is the naive reading of Section 4.3: the whole local
 // distribution as a map, then the ends strictly above a.
 func oraclePosition(table map[kb.NodeID]int, a int) int {
@@ -135,15 +214,20 @@ func oraclePosition(table map[kb.NodeID]int, a int) int {
 
 // TestLocalDistributionDifferential checks the one counting kernel —
 // bare and behind the evaluator's answer memo, path and non-path
-// patterns, frozen and overlay graphs — against the naive oracle:
-// position and pruning decision for every limit, and whole tables for
-// the deviation measures.
+// patterns, unfrozen, frozen and overlay graphs — against the naive
+// oracle: position and pruning decision for every limit, and whole
+// tables for the deviation measures.
 func TestLocalDistributionDifferential(t *testing.T) {
 	small := kbgen.Generate(kbgen.Options{Scale: 1, Seed: 11})
 	small.Freeze()
 	cases := enumeratedCases(t, "small", small, 3)
 	cases = append(cases, enumeratedCases(t, "overlay", overlayOf(t, small), 3)...)
 	cases = append(cases, hubCase())
+	loose, s := debtGraph(t)
+	frozen, _ := debtGraph(t)
+	frozen.Freeze()
+	cases = append(cases, debtCase("debts, unfrozen", loose, s),
+		debtCase("debts", frozen, s), debtCase("debts, overlay", overlayOf(t, frozen), s))
 
 	ctx := context.Background()
 	limits := []int{-1, 0, 1, 2, 10, math.MaxInt}
@@ -189,7 +273,7 @@ func TestLocalDistributionDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(table, oracle) {
-				t.Fatalf("%s %v: evaluator table has %d ends, oracle %d", c.name, p, len(table), len(oracle))
+				t.Fatalf("%s %v: evaluator table %s, oracle %s", c.name, p, tableDiff(c.g, table, oracle), tableDiff(c.g, oracle, table))
 			}
 		}
 	}
@@ -197,6 +281,17 @@ func TestLocalDistributionDifferential(t *testing.T) {
 	if paths == 0 || others == 0 {
 		t.Fatalf("cases must cover both routes: %d path, %d non-path patterns", paths, others)
 	}
+}
+
+// tableDiff renders the size of a table and its first entry that the
+// other table does not hold.
+func tableDiff(g *kb.Graph, t, other map[kb.NodeID]int) string {
+	for id, n := range t {
+		if other[id] != n {
+			return fmt.Sprintf("has %d ends, %s=%d", len(t), g.NodeName(id), n)
+		}
+	}
+	return fmt.Sprintf("has %d ends", len(t))
 }
 
 // TestGlobalPositionResidualLimits checks that the per-sample residual

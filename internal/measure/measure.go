@@ -75,8 +75,8 @@ type Context struct {
 	Ctx context.Context
 	// Eval, when non-nil, routes match counting through the
 	// shared-computation evaluator: counts memoised per (pattern key,
-	// pair), local-distribution tables per (pattern key, start), and
-	// path patterns evaluated with shared prefix walks. Scores are
+	// pair), local positions per (pattern key, start, a) and whole
+	// local-distribution tables per (pattern key, start). Scores are
 	// identical with or without it; only the cost changes. The evaluator
 	// must be pinned to the same graph as G.
 	Eval *Evaluator
@@ -226,14 +226,14 @@ func (c Combined) Score(ctx *Context, ex *pattern.Explanation) Score {
 func (c Combined) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, threshold Score) (Score, bool) {
 	ps := c.Primary.Score(ctx, ex)
 	if threshold == nil {
-		return append(append(Score{}, ps...), scoreOf(c.Secondary, ctx, ex)...), true
+		return append(append(Score{}, ps...), c.Secondary.Score(ctx, ex)...), true
 	}
 	pt := threshold[:min(len(ps), len(threshold))]
 	switch ps.Cmp(pt) {
 	case -1:
 		return nil, false // primary already loses
 	case 1:
-		return append(append(Score{}, ps...), scoreOf(c.Secondary, ctx, ex)...), true
+		return append(append(Score{}, ps...), c.Secondary.Score(ctx, ex)...), true
 	}
 	// Primary ties: the secondary decides, and may prune against the
 	// remaining threshold components.
@@ -247,10 +247,6 @@ func (c Combined) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, threshol
 	}
 	ss := c.Secondary.Score(ctx, ex)
 	return append(append(Score{}, ps...), ss...), true
-}
-
-func scoreOf(m Measure, ctx *Context, ex *pattern.Explanation) Score {
-	return m.Score(ctx, ex)
 }
 
 // CountOracle recomputes M_count with the independent matcher instead of

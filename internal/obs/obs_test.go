@@ -20,6 +20,8 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.AddExpansions(3)
 	tr.AddMerges(3)
 	tr.AddJoins(2, 1)
+	tr.AddBindings(4)
+	tr.AddWalkSteps(4)
 	tr.MemoHit()
 	tr.MemoMiss()
 	tr.WalkHit()
@@ -53,6 +55,8 @@ func TestTraceReport(t *testing.T) {
 	tr.AddStage(StageMeasure, 3*time.Millisecond, 4, 4)
 	tr.AddExpansions(42)
 	tr.AddJoins(7, 90)
+	tr.AddBindings(11)
+	tr.AddWalkSteps(13)
 	tr.MemoHit()
 	tr.MemoMiss()
 	tr.MarkPoolReused()
@@ -66,7 +70,7 @@ func TestTraceReport(t *testing.T) {
 	if !rep.PoolReused || rep.CacheHit || rep.Deduped {
 		t.Fatalf("flags wrong: %+v", rep)
 	}
-	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.MemoHits != 1 || rep.MemoMisses != 1 {
+	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.Bindings != 11 || rep.WalkSteps != 13 || rep.MemoHits != 1 || rep.MemoMisses != 1 {
 		t.Fatalf("counters wrong: %+v", rep)
 	}
 	if len(rep.Stages) != 2 {

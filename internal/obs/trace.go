@@ -86,6 +86,8 @@ type Trace struct {
 	merges     atomic.Int64
 	joins      atomic.Int64
 	joinsSkip  atomic.Int64
+	bindings   atomic.Int64
+	walkSteps  atomic.Int64
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 	walkHits   atomic.Int64
@@ -184,6 +186,23 @@ func (t *Trace) AddJoins(run, skipped int64) {
 	}
 	t.joins.Add(run)
 	t.joinsSkip.Add(skipped)
+}
+
+// AddBindings adds candidate bindings the backtracking matcher tried.
+func (t *Trace) AddBindings(n int64) {
+	if t == nil {
+		return
+	}
+	t.bindings.Add(n)
+}
+
+// AddWalkSteps adds half-edges the path route of the local-distribution
+// kernel visited: prefix extensions plus scattered last-step entries.
+func (t *Trace) AddWalkSteps(n int64) {
+	if t == nil {
+		return
+	}
+	t.walkSteps.Add(n)
 }
 
 // MemoHit records an evaluator memo hit.
@@ -299,6 +318,8 @@ type Report struct {
 	Merges           int64         `json:"merges,omitempty"`
 	Joins            int64         `json:"joins,omitempty"`
 	JoinsSkipped     int64         `json:"joins_skipped,omitempty"`
+	Bindings         int64         `json:"bindings,omitempty"`
+	WalkSteps        int64         `json:"walk_steps,omitempty"`
 	MemoHits         int64         `json:"memo_hits,omitempty"`
 	MemoMisses       int64         `json:"memo_misses,omitempty"`
 	WalkCacheHits    int64         `json:"walk_cache_hits,omitempty"`
@@ -317,6 +338,8 @@ func (t *Trace) Report() *Report {
 		Merges:          t.merges.Load(),
 		Joins:           t.joins.Load(),
 		JoinsSkipped:    t.joinsSkip.Load(),
+		Bindings:        t.bindings.Load(),
+		WalkSteps:       t.walkSteps.Load(),
 		MemoHits:        t.memoHits.Load(),
 		MemoMisses:      t.memoMisses.Load(),
 		WalkCacheHits:   t.walkHits.Load(),

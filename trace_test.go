@@ -168,6 +168,23 @@ func TestTraceReportContents(t *testing.T) {
 	}
 }
 
+// TestTraceCountsKernelWork checks that the local-distribution kernel
+// reports its work as counts: positioning every explanation of a pair
+// walks its path patterns and binds the rest through the matcher.
+func TestTraceCountsKernelWork(t *testing.T) {
+	ex, err := NewExplainer(SampleKB(), Options{Measure: "local-dist", TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.ExplainBudgeted(WithTrace(context.Background()), "brad_pitt", "angelina_jolie", Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := res.Trace; tr == nil || tr.Bindings <= 0 || tr.WalkSteps <= 0 {
+		t.Errorf("trace %+v: want Bindings and WalkSteps > 0", tr)
+	}
+}
+
 // TestTraceCacheHitFlag checks that a repeat query against a warm cache
 // reports CacheHit on its own fresh trace, without the pipeline stages
 // it never ran.
