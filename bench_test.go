@@ -12,6 +12,8 @@ package rex
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"rex/internal/harness"
 	"rex/internal/kb"
 	"rex/internal/kbgen"
+	"rex/internal/live"
 	"rex/internal/match"
 	"rex/internal/measure"
 	"rex/internal/pattern"
@@ -480,6 +483,129 @@ func BenchmarkStoreApplyDelta(b *testing.B) {
 			"node\t" + benchName("bench_node", i) + "\tconcept\n" +
 			"edge\tkate_winslet\t" + benchName("bench_node", i) + "\tbench_ingest\n"
 		if _, err := st.Apply(strings.NewReader(delta)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ingestDeltas generates n deltas of the repository benchmark's shape
+// (deltaStream in benchmark/data.go, a separate module these tests
+// cannot import): each hangs a chain of fresh entities off one
+// low-degree node of g and, once 2000 ingested edges are alive, deletes
+// the oldest, 100 records in all; every 50th registers a new label and
+// moves the stream onto it.
+func ingestDeltas(g *kb.Graph, seed int64, n int) []string {
+	const ops, liveEdges, ringSize, perLabel = 100, 2000, 8000, 50
+	rng := rand.New(rand.NewSource(seed))
+	var fifo []string // "from\tto\tlabel" of the live ingested edges, oldest first
+	out := make([]string, n)
+	slot := 0
+	for i := range out {
+		var sb strings.Builder
+		label := fmt.Sprintf("ingest%d", i/perLabel)
+		used := 0
+		if i%perLabel == 0 {
+			fmt.Fprintf(&sb, "label\t%s\tU\n", label)
+			used++
+		}
+		anchor := kb.NodeID(rng.Intn(g.NumNodes()))
+		for try := 0; try < 16 && g.Degree(anchor) > 8; try++ {
+			if id := kb.NodeID(rng.Intn(g.NumNodes())); g.Degree(id) < g.Degree(anchor) {
+				anchor = id
+			}
+		}
+		prev := g.NodeName(anchor)
+		for used < ops {
+			if len(fifo) > liveEdges {
+				fmt.Fprintf(&sb, "deledge\t%s\n", fifo[0])
+				fifo = fifo[1:]
+				used++
+				continue
+			}
+			if used+2 > ops {
+				break
+			}
+			name := fmt.Sprintf("ing%d", slot%ringSize)
+			slot++
+			edge := prev + "\t" + name + "\t" + label
+			fmt.Fprintf(&sb, "node\t%s\tconcept\nedge\t%s\n", name, edge)
+			fifo = append(fifo, edge)
+			prev = name
+			used += 2
+		}
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// benchMediumGraph generates the repository benchmark's KB: kbgen
+// preset medium, seed 42.
+func benchMediumGraph(b *testing.B) *kb.Graph {
+	b.Helper()
+	opt, err := kbgen.PresetOptions("medium", 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return kbgen.Generate(opt)
+}
+
+var benchCompacted *kb.Graph
+
+// BenchmarkCompact times the write path's periodic fold on the
+// repository benchmark's KB: one compaction of 32 stacked deltas, the
+// default CompactDepth. The 64 deltas before them (two compactions) bring
+// the stream to its steady state, where every delta also deletes.
+func BenchmarkCompact(b *testing.B) {
+	g := benchMediumGraph(b)
+	for i, body := range ingestDeltas(g, 42, 96) {
+		d, err := live.ParseDelta(strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g, _, _, err = d.Apply(g); err != nil {
+			b.Fatal(err)
+		}
+		if i == 31 || i == 63 {
+			g = g.Compact()
+		}
+	}
+	if depth := g.Overlay().Depth; depth != live.DefaultCompactDepth {
+		b.Fatalf("overlay depth %d, want %d", depth, live.DefaultCompactDepth)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCompacted = g.Compact()
+	}
+}
+
+// BenchmarkStoreApplyWarmCache is BenchmarkStoreApplyDelta at the
+// repository benchmark's scale with one cached result in the outgoing
+// snapshot, so every swap runs result carry-over: on a small-world graph
+// the radius-MaxPatternSize ball from a delta reaches nearly every node,
+// and what a swap pays is how soon carry-over finds that out. The pair
+// is explained again, off the clock, whenever a swap dropped it.
+func BenchmarkStoreApplyWarmCache(b *testing.B) {
+	g := benchMediumGraph(b)
+	deltas := ingestDeltas(g, 42, b.N)
+	var start kb.NodeID
+	for g.Degree(start) == 0 || g.Degree(start) > 3 {
+		start++
+	}
+	from, to := g.NodeName(start), g.NodeName(g.Neighbors(start)[0].To)
+	st, err := NewStore(&KB{g: g}, Options{Measure: "size", TopK: 10, CacheSize: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := st.Current().Explainer.Explain(from, to); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := st.Apply(strings.NewReader(deltas[i])); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,14 +46,11 @@ const (
 )
 
 // WriteBinary serialises the graph in the binary format (version 3, the
-// CSR layout). The graph is frozen first if it is not already — the CSR
-// arrays are the wire content. An overlay generation is compacted
-// first: its own CSR arrays belong to the base and describe older
-// content.
+// CSR layout). The graph is frozen first if it is not already — the
+// frozen spans are the wire content. They are streamed node by node
+// through Degree and Neighbors, so an overlay generation writes the same
+// bytes as its compaction without building one.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	if g.ov != nil {
-		return g.Compact().WriteBinary(w)
-	}
 	g.Freeze()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
@@ -105,19 +102,21 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 		return err
 	}
 	for i := range g.nodes {
-		if err := writeUvarint(uint64(g.csrOff[i+1] - g.csrOff[i])); err != nil {
+		if err := writeUvarint(uint64(g.Degree(NodeID(i)))); err != nil {
 			return err
 		}
 	}
-	for _, he := range g.csr {
-		if err := writeUvarint(uint64(he.To)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(he.Label)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(he.Dir)); err != nil {
-			return err
+	for i := range g.nodes {
+		for _, he := range g.Neighbors(NodeID(i)) {
+			if err := writeUvarint(uint64(he.To)); err != nil {
+				return err
+			}
+			if err := writeUvarint(uint64(he.Label)); err != nil {
+				return err
+			}
+			if err := bw.WriteByte(byte(he.Dir)); err != nil {
+				return err
+			}
 		}
 	}
 	if err := writeString(g.fp); err != nil {
@@ -350,6 +349,7 @@ func (g *Graph) readCSR(br *bufio.Reader, readUvarint func(string) (uint64, erro
 			return fmt.Errorf("kb: binary degree sum overflows")
 		}
 		g.csrOff[i+1] = int32(total)
+		g.maxDegree = max(g.maxDegree, int(d))
 	}
 	if total != 2*numEdges {
 		return fmt.Errorf("kb: binary half-edge count %d does not match edge count %d", total, numEdges)

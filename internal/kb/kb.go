@@ -163,9 +163,10 @@ type Graph struct {
 
 	// Remaining read-path indexes, precomputed by Freeze so concurrent
 	// queries never mutate shared state.
-	byType map[string][]NodeID
-	fp     string // content fingerprint, computed by Freeze
-	xorFP  uint64 // XOR-combinable content hash behind fp (see mutate.go)
+	byType    map[string][]NodeID
+	fp        string // content fingerprint, computed by Freeze
+	xorFP     uint64 // XOR-combinable content hash behind fp (see mutate.go)
+	maxDegree int    // largest Degree, kept by every pass that builds a frozen graph
 
 	// ov marks this graph as an overlay generation: the CSR arrays above
 	// are aliased from an immutable frozen base, and nodes whose
@@ -486,9 +487,11 @@ func (g *Graph) buildCSR() {
 	}
 	g.csr = g.csr[:0]
 	g.csrOff[0] = 0
+	g.maxDegree = 0
 	for i := 0; i < n; i++ {
 		g.csr = append(g.csr, g.adj[i]...)
 		g.csrOff[i+1] = int32(len(g.csr))
+		g.maxDegree = max(g.maxDegree, len(g.adj[i]))
 	}
 	for i := 0; i < n; i++ {
 		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]
@@ -732,19 +735,27 @@ type Stats struct {
 	AvgDegree float64
 }
 
-// Stats computes summary statistics over the graph.
+// Stats computes summary statistics over the graph. The degrees sum to
+// two half-edges per edge (self-loops are rejected), and a frozen graph
+// carries its maximum degree from whatever pass built it, so on a frozen
+// graph — overlay generations included — Stats is constant-time. An
+// unfrozen graph is scanned for the maximum.
 func (g *Graph) Stats() Stats {
-	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges(), Labels: g.NumLabels()}
-	total := 0
-	for i := 0; i < len(g.nodes); i++ {
-		d := g.Degree(NodeID(i))
-		total += d
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
+	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges(), Labels: g.NumLabels(), MaxDegree: g.maxDegree}
+	if !g.frozen {
+		s.MaxDegree = g.scanMaxDegree()
 	}
 	if s.Nodes > 0 {
-		s.AvgDegree = float64(total) / float64(s.Nodes)
+		s.AvgDegree = float64(2*g.numEdges) / float64(s.Nodes)
 	}
 	return s
+}
+
+// scanMaxDegree visits every node for the largest degree.
+func (g *Graph) scanMaxDegree() int {
+	m := 0
+	for i := range g.nodes {
+		m = max(m, g.Degree(NodeID(i)))
+	}
+	return m
 }

@@ -149,16 +149,24 @@ func (g *Graph) Overlay() OverlayInfo {
 }
 
 // Compact folds an overlay generation into a plain frozen graph with
-// fresh CSR arrays. Per-node spans are already in final sort order, so
-// the flat arrays are straight concatenations — no comparison sorts, no
-// adjacency-list or edge-set materialisation — and the content
-// fingerprint carries over unchanged. Cost is O(nodes + edges); a plain
-// graph is returned unchanged.
+// fresh CSR arrays, by copying rather than rebuilding. Every overlay node
+// already holds its span in both sort orders with its label runs
+// (buildNodeLabelView makes them byte-identical to a freeze), and every
+// other node's are sitting in the base arrays, so each maximal run of
+// untouched base nodes is three block copies with rebased offsets and
+// each overlay node appends its own slices: no per-edge work, no sort,
+// no label view derived. The type index shares the base's list for every
+// type whose membership the overlay left alone — lists are never written
+// after they are built: NodesOfType copies and Freeze rebuilds into a
+// fresh map. Fingerprint and maximum degree carry over unchanged. What
+// remains proportional to the graph is the copying itself and a fresh
+// name index. A plain graph is returned unchanged.
 func (g *Graph) Compact() *Graph {
 	if g.ov == nil || !g.frozen {
 		return g
 	}
-	n := len(g.nodes)
+	ov, base := g.ov, g.ov.base
+	n, nBase := len(g.nodes), len(base.nodes)
 	c := &Graph{
 		nodes:         append([]Node(nil), g.nodes...),
 		labels:        append([]string(nil), g.labels...),
@@ -167,31 +175,90 @@ func (g *Graph) Compact() *Graph {
 		frozen:        true,
 		xorFP:         g.xorFP,
 		fp:            g.fp,
+		maxDegree:     g.maxDegree,
+		csrOff:        make([]int32, n+1),
+		csr:           make([]HalfEdge, 0, 2*g.numEdges),
+		labelCSR:      make([]HalfEdge, 0, 2*g.numEdges),
+		spanOff:       make([]int32, n+1),
+		spans:         make([]labelSpan, 0, len(base.spans)+len(base.spans)/16),
 	}
 	c.labelIDs = make(map[string]LabelID, len(g.labelIDs))
 	for k, v := range g.labelIDs {
 		c.labelIDs[k] = v
 	}
+	// Inserting into a map sized up front beats cloning the base's index
+	// and adding to it, which grows the clone from empty (measured).
 	c.byName = make(map[string]NodeID, n)
 	for i := range c.nodes {
 		c.byName[c.nodes[i].Name] = c.nodes[i].ID
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += g.Degree(NodeID(i))
+
+	// copyRun appends the untouched base nodes [a, b) as one block per
+	// array, shifting their offsets to where the block lands.
+	copyRun := func(a, b int) {
+		if a >= b {
+			return
+		}
+		lo, hi := base.csrOff[a], base.csrOff[b]
+		slo, shi := base.spanOff[a], base.spanOff[b]
+		spanAt := len(c.spans)
+		shift, spanShift := int32(len(c.csr))-lo, int32(spanAt)-slo
+		c.csr = append(c.csr, base.csr[lo:hi]...)
+		c.labelCSR = append(c.labelCSR, base.labelCSR[lo:hi]...)
+		c.spans = append(c.spans, base.spans[slo:shi]...)
+		for i := spanAt; i < len(c.spans); i++ {
+			c.spans[i].off += shift
+		}
+		for i := a + 1; i <= b; i++ {
+			c.csrOff[i] = base.csrOff[i] + shift
+			c.spanOff[i] = base.spanOff[i] + spanShift
+		}
 	}
-	c.csrOff = make([]int32, n+1)
-	c.csr = make([]HalfEdge, 0, total)
-	for i := 0; i < n; i++ {
-		c.csr = append(c.csr, g.Neighbors(NodeID(i))...)
-		c.csrOff[i+1] = int32(len(c.csr))
+	run := 0 // first node not yet copied
+	for pi, page := range ov.pages {
+		for j, on := range page {
+			if on == nil {
+				continue
+			}
+			// Every node added since the base freeze has an overlay node,
+			// so a run never extends past the base arrays.
+			id := pi<<ovPageShift | j
+			copyRun(run, id)
+			run = id + 1
+			off := int32(len(c.csr))
+			c.csr = append(c.csr, on.csr...)
+			c.labelCSR = append(c.labelCSR, on.labelCSR...)
+			for _, sp := range on.spans {
+				sp.off += off
+				c.spans = append(c.spans, sp)
+			}
+			c.csrOff[id+1] = int32(len(c.csr))
+			c.spanOff[id+1] = int32(len(c.spans))
+		}
 	}
-	// The label view is about as long as the base's: size it up front
-	// instead of growing it by doubling through deriveLabelView's appends.
-	c.spanOff = make([]int32, 0, n+1)
-	c.spans = make([]labelSpan, 0, len(g.spans)+len(g.spans)/16)
-	c.deriveLabelView()
-	c.buildTypeIndex()
+	copyRun(run, nBase)
+
+	// A type's list changed iff the overlay added to or retyped into it
+	// (extraByType) or retyped out of it (a retyped node's base type);
+	// one left with no node gets no entry, as in buildTypeIndex.
+	changed := make(map[string]struct{}, len(ov.extraByType))
+	for typ := range ov.extraByType {
+		changed[typ] = struct{}{}
+	}
+	for id := range ov.retyped {
+		changed[base.nodes[id].Type] = struct{}{}
+	}
+	c.byType = make(map[string][]NodeID, len(base.byType)+len(changed))
+	for typ, ids := range base.byType {
+		if _, ok := changed[typ]; !ok {
+			c.byType[typ] = ids
+		}
+	}
+	for typ := range changed {
+		if ids := ov.nodesOfType(typ); len(ids) > 0 {
+			c.byType[typ] = ids
+		}
+	}
 	return c
 }
 
@@ -485,6 +552,9 @@ func (b *OverlayBuilder) Graph() *Graph {
 		byType:   base.byType,
 		byName:   base.byName,
 		xorFP:    src.xorFP ^ b.xor,
+		// Raised below by any node that outgrows it; rescanned only if a
+		// node that held it got shorter.
+		maxDegree: src.maxDegree,
 	}
 	ng.fp = fpString(total, b.numEdges, b.numLabels(), ng.xorFP)
 
@@ -609,6 +679,7 @@ func (b *OverlayBuilder) Graph() *Graph {
 	}
 
 	// Materialise every changed node's merged span.
+	maxShrunk := false
 	for id, d := range diffs {
 		var cur []HalfEdge
 		var replaced int
@@ -646,6 +717,8 @@ func (b *OverlayBuilder) Graph() *Graph {
 		labelCSR, spans := buildNodeLabelView(merged)
 		setNode(id, &ovNode{csr: merged, labelCSR: labelCSR, spans: spans})
 		ov.halfEdges += len(merged) - replaced
+		ng.maxDegree = max(ng.maxDegree, len(merged))
+		maxShrunk = maxShrunk || (len(cur) == src.maxDegree && len(merged) < len(cur))
 	}
 
 	// Added nodes the delta never connected still need (empty) overlay
@@ -657,6 +730,9 @@ func (b *OverlayBuilder) Graph() *Graph {
 	}
 
 	ng.ov = ov
+	if maxShrunk && ng.maxDegree == src.maxDegree {
+		ng.maxDegree = ng.scanMaxDegree() // another node may still tie it
+	}
 	return ng
 }
 

@@ -363,16 +363,28 @@ func TestOverlayBuilderErrors(t *testing.T) {
 	}
 }
 
-// TestOverlayBinaryRoundTrip: writing an overlay generation compacts it
-// into the wire format; reading back reproduces content and fingerprint.
+// TestOverlayBinaryRoundTrip: an overlay generation streams the bytes
+// its compaction would write, without compacting; reading them back
+// reproduces content and fingerprint.
 func TestOverlayBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	base := randomBase(rng, 15, 4, 50)
-	ops := randomOps(rng, 15, 4, 12, 0)
-	ovG := applyOpsOverlay(t, base, ops)
-	var buf bytes.Buffer
+	ovG := base
+	for round := 0; round < 3; round++ { // stacked, with added nodes and labels
+		ovG = applyOpsOverlay(t, ovG, randomOps(rng, ovG.NumNodes(), ovG.NumLabels(), 12, round))
+	}
+	var buf, compacted bytes.Buffer
 	if err := ovG.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := ovG.Compact().WriteBinary(&compacted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), compacted.Bytes()) {
+		t.Fatalf("overlay wrote %d bytes that differ from its compaction's %d", buf.Len(), compacted.Len())
+	}
+	if ovG.Overlay().Depth != 3 {
+		t.Fatalf("writing changed the overlay: %+v", ovG.Overlay())
 	}
 	back, err := ReadBinary(&buf)
 	if err != nil {
@@ -418,8 +430,21 @@ func FuzzOverlayEquivalence(f *testing.F) {
 				ops = append(ops, ovOp{kind: 4, from: from, typ: fmt.Sprintf("t%d", c%3)})
 			}
 		}
-		got := applyOpsOverlay(t, base, ops)
+		// One delta, and the same ops as two deltas cut at a fuzzed point,
+		// stacked and with a compaction in between.
 		want := applyOpsRebuild(t, base, ops)
-		requireGraphsIdentical(t, "fuzz", got, want)
+		requireGraphsIdentical(t, "fuzz", applyOpsOverlay(t, base, ops), want)
+		cut := 0
+		if len(ops) > 0 {
+			cut = int(data[0]) % (len(ops) + 1)
+		}
+		head := applyOpsOverlay(t, base, ops[:cut])
+		requireSameArrays(t, "fuzz head compacted", head.Compact(), applyOpsRebuild(t, base, ops[:cut]))
+		stacked := applyOpsOverlay(t, head, ops[cut:])
+		requireGraphsIdentical(t, "fuzz stacked", stacked, want)
+		requireSameArrays(t, "fuzz stacked compacted", stacked.Compact(), want)
+		onCompacted := applyOpsOverlay(t, head.Compact(), ops[cut:])
+		requireGraphsIdentical(t, "fuzz on compaction", onCompacted, want)
+		requireSameArrays(t, "fuzz on compaction, compacted", onCompacted.Compact(), want)
 	})
 }

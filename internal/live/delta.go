@@ -252,41 +252,70 @@ func NewChangeSet() *ChangeSet {
 	}
 }
 
-// AffectedBall grows a breadth-first ball of the given radius from the
-// change set's touched nodes over g (the new generation) and returns
-// every node in it. Growth stops once the ball would exceed maxNodes,
-// returning (nil, false) — the caller should then treat every node as
-// potentially affected. Radius 0 returns just the touched nodes.
-func (cs *ChangeSet) AffectedBall(g *kb.Graph, radius, maxNodes int) (map[kb.NodeID]struct{}, bool) {
-	ball := make(map[kb.NodeID]struct{}, len(cs.Nodes))
-	frontier := make([]kb.NodeID, 0, len(cs.Nodes))
-	for id := range cs.Nodes {
-		ball[id] = struct{}{}
-		frontier = append(frontier, id)
-	}
-	if len(ball) > maxNodes {
-		return nil, false
-	}
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
-		var next []kb.NodeID
-		for _, id := range frontier {
-			if int(id) >= g.NumNodes() {
-				continue
-			}
-			for _, he := range g.Neighbors(id) {
-				if _, seen := ball[he.To]; seen {
-					continue
-				}
-				if len(ball) >= maxNodes {
-					return nil, false
-				}
-				ball[he.To] = struct{}{}
-				next = append(next, he.To)
+// BallReaches grows a breadth-first ball of the given radius from the
+// change set's touched nodes over g (the new generation) and reports,
+// pair by pair, whether either endpoint lies inside it. That is the only
+// question carry-over has, so growth stops once every pair is reached —
+// on a small-world graph the full ball is most of the graph. Membership
+// is a bitmap over g's dense node IDs. If the ball would exceed maxNodes
+// before that, it returns (nil, false) and the caller should treat every
+// pair as reached. Radius 0 tests the touched nodes alone.
+func (cs *ChangeSet) BallReaches(g *kb.Graph, radius, maxNodes int, pairs [][2]kb.NodeID) ([]bool, bool) {
+	n := g.NumNodes()
+	has := func(set []uint64, id kb.NodeID) bool { return set[id>>6]&(1<<(id&63)) != 0 }
+	put := func(set []uint64, id kb.NodeID) { set[id>>6] |= 1 << (id & 63) }
+	ball := make([]uint64, (n+63)/64)
+	isEnd := make([]uint64, len(ball)) // some pair's endpoint: keeps the map off the growth path
+	waiting := make(map[kb.NodeID][]int, 2*len(pairs))
+	for i, p := range pairs {
+		for _, id := range p {
+			if id >= 0 && int(id) < n {
+				put(isEnd, id)
+				waiting[id] = append(waiting[id], i)
 			}
 		}
-		frontier = next
 	}
-	return ball, true
+	reached := make([]bool, len(pairs))
+	open, size := len(pairs), 0
+	var frontier []kb.NodeID
+	// add puts an unseen node in the ball, failing at the cap.
+	add := func(id kb.NodeID) bool {
+		if size >= maxNodes {
+			return false
+		}
+		size++
+		put(ball, id)
+		frontier = append(frontier, id)
+		if has(isEnd, id) {
+			for _, i := range waiting[id] {
+				if !reached[i] {
+					reached[i] = true
+					open--
+				}
+			}
+		}
+		return true
+	}
+	for id := range cs.Nodes {
+		if int(id) < n && !add(id) {
+			return nil, false
+		}
+	}
+	for hop := 0; hop < radius; hop++ {
+		level := frontier
+		frontier = nil
+		for _, id := range level {
+			if open == 0 {
+				return reached, true
+			}
+			for _, he := range g.Neighbors(id) {
+				if !has(ball, he.To) && !add(he.To) {
+					return nil, false
+				}
+			}
+		}
+	}
+	return reached, true
 }
 
 // mutator is the graph surface applyOp drives, implemented by both the

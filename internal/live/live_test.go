@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -335,22 +336,104 @@ func TestChangeSetCollection(t *testing.T) {
 		}
 	}
 
-	// The ball at radius 1 reaches c's and d's neighbours; the cap makes
-	// growth fail soft.
-	ball, ok := cs.AffectedBall(g2, 1, 100)
+	// The ball at radius 1 holds c and d and stops short of a and b; the
+	// cap makes growth fail soft. The (a, b) pair is never reached, so it
+	// keeps the ball growing to its radius or its cap.
+	a, b := g2.NodeByName("a"), g2.NodeByName("b")
+	pairs := [][2]kb.NodeID{{a, b}}
+	for id := range cs.Nodes {
+		pairs = append(pairs, [2]kb.NodeID{a, id})
+	}
+	reached, ok := cs.BallReaches(g2, 1, 100, pairs)
 	if !ok {
 		t.Fatal("ball overflowed a generous cap")
 	}
-	for id := range cs.Nodes {
-		if _, in := ball[id]; !in {
-			t.Errorf("touched node %d not in its own ball", id)
+	if reached[0] {
+		t.Error("pair (a, b) reached by a ball that holds neither")
+	}
+	for i, p := range pairs[1:] {
+		if !reached[i+1] {
+			t.Errorf("touched node %d not in its own ball", p[1])
 		}
 	}
-	if _, _, ok := func() (map[kb.NodeID]struct{}, bool, bool) {
-		b, ok := cs.AffectedBall(g2, 1, 1)
-		return b, ok, ok
-	}(); ok {
+	if _, ok := cs.BallReaches(g2, 1, 1, pairs); ok {
 		t.Error("ball cap of 1 not enforced")
+	}
+}
+
+// TestBallReachesMatchesFullBall compares BallReaches, which stops as
+// soon as every pair is decided, against membership in the whole ball
+// grown by a plain map-keyed breadth-first search: same answer for every
+// pair, and when either side overflows the cap every pair counts as
+// reached, which is what carry-over does with it.
+func TestBallReachesMatchesFullBall(t *testing.T) {
+	fullBall := func(cs *ChangeSet, g *kb.Graph, radius, maxNodes int) (map[kb.NodeID]struct{}, bool) {
+		ball := map[kb.NodeID]struct{}{}
+		var frontier []kb.NodeID
+		for id := range cs.Nodes {
+			ball[id] = struct{}{}
+			frontier = append(frontier, id)
+		}
+		for hop := 0; hop < radius; hop++ {
+			var next []kb.NodeID
+			for _, id := range frontier {
+				for _, he := range g.Neighbors(id) {
+					if _, seen := ball[he.To]; !seen {
+						ball[he.To] = struct{}{}
+						next = append(next, he.To)
+					}
+				}
+			}
+			frontier = next
+		}
+		return ball, len(ball) <= maxNodes
+	}
+	rng := rand.New(rand.NewSource(5))
+	const n = 300
+	g := kb.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), "t")
+	}
+	l := g.MustLabel("l", false)
+	for i := 0; i < 400; i++ { // sparse: a ball covers anything from a few nodes to most of the graph
+		if from, to := kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n)); from != to {
+			g.AddEdge(from, to, l) //nolint:errcheck // endpoints and label are valid
+		}
+	}
+	g.Freeze()
+	for trial := 0; trial < 2000; trial++ {
+		cs := NewChangeSet()
+		for i := rng.Intn(4); i >= 0; i-- {
+			cs.Nodes[kb.NodeID(rng.Intn(n))] = struct{}{}
+		}
+		pairs := make([][2]kb.NodeID, rng.Intn(12))
+		for i := range pairs {
+			pairs[i] = [2]kb.NodeID{kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n))}
+			switch rng.Intn(10) {
+			case 0:
+				pairs[i][0] = kb.InvalidNode // a name the new graph does not know
+			case 1:
+				pairs[i][1] = pairs[i][0]
+			}
+		}
+		radius, maxNodes := rng.Intn(7), []int{1, 10, 50, n}[rng.Intn(4)]
+		ball, fits := fullBall(cs, g, radius, maxNodes)
+		reached, ok := cs.BallReaches(g, radius, maxNodes, pairs)
+		if ok && !fits && len(pairs) == 0 {
+			continue // nothing to decide: stopping before the overflow is right
+		}
+		for i, p := range pairs {
+			_, in0 := ball[p[0]]
+			_, in1 := ball[p[1]]
+			want, got := !fits || in0 || in1, !ok || reached[i]
+			if got != want {
+				t.Fatalf("trial %d (radius %d, cap %d, seeds %v): pair %v reached=%v (ok=%v), full ball says %v (fits=%v)",
+					trial, radius, maxNodes, cs.Nodes, p, got, ok, want, fits)
+			}
+		}
+		if ok && len(reached) != len(pairs) {
+			t.Fatalf("trial %d: %d answers for %d pairs", trial, len(reached), len(pairs))
+		}
 	}
 }
 

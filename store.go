@@ -283,28 +283,27 @@ func carryResults(next, prev *Explainer, g *kb.Graph, cs *live.ChangeSet, opt Op
 	if cs == nil || cs.Retyped || needsGlobalSamples(next.m) {
 		return 0, len(entries)
 	}
-	radius := opt.normalized().MaxPatternSize
-	ball, ok := cs.AffectedBall(g, radius, maxCarryBallNodes)
-	if !ok {
-		return 0, len(entries)
-	}
+	// Truncated results are dropped whatever the ball says, so they do
+	// not hold its growth open.
+	total, kept := len(entries), entries[:0]
+	pairs := make([][2]kb.NodeID, 0, total)
 	for _, en := range entries {
-		if en.res.Truncated {
-			dropped++
-			continue
+		if !en.res.Truncated {
+			kept = append(kept, en)
+			pairs = append(pairs, [2]kb.NodeID{g.NodeByName(en.res.Start), g.NodeByName(en.res.End)})
 		}
-		st := g.NodeByName(en.res.Start)
-		en2 := g.NodeByName(en.res.End)
-		_, sIn := ball[st]
-		_, tIn := ball[en2]
-		if sIn || tIn {
-			dropped++
-			continue
-		}
-		next.cache.put(en.key, en.res)
-		carried++
 	}
-	return carried, dropped
+	reached, ok := cs.BallReaches(g, opt.normalized().MaxPatternSize, maxCarryBallNodes, pairs)
+	if !ok {
+		return 0, total
+	}
+	for i, en := range kept {
+		if !reached[i] {
+			next.cache.put(en.key, en.res)
+			carried++
+		}
+	}
+	return carried, total - carried
 }
 
 // OpenStore loads a knowledge base from a file (see LoadKB) and builds
