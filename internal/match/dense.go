@@ -56,14 +56,12 @@ func (c *EndCounter) Release() {
 	endCounterPool.Put(c)
 }
 
-// Add counts one instance ending at end and reports whether counting
-// should continue: false means the position now exceeds the limit.
-func (c *EndCounter) Add(end kb.NodeID) bool { return c.AddWeighted(end, 1, 0) }
-
 // AddWeighted adds m ≥ 1 to end's running sum, of which debt will be
 // taken back by Settle: the end's count is sum − debt, so it exceeds a
 // exactly when the sum crosses bar+debt, and — sums only grow, debt is
-// fixed — the position is bumped the moment that happens.
+// fixed — the position is bumped the moment that happens. It reports
+// whether counting should continue: false means the position now exceeds
+// the limit.
 func (c *EndCounter) AddWeighted(end kb.NodeID, m, debt uint32) bool {
 	old := uint64(c.n[end])
 	if old == math.MaxUint32 {

@@ -18,13 +18,18 @@
 // Measure evaluation calls the matcher once per memo miss — a handful of
 // times per query (non-path patterns of the explanation set; path
 // patterns go through measure's walk), a hundred times that under the
-// global measures' sampled starts — so matcher state is pooled: every entry point takes a matcher from a
-// sync.Pool, resets it, runs, and returns it. All per-run state lives in
-// fixed MaxVars-sized arrays or reused slices inside the pooled struct,
-// making the steady-state Count path allocation-free (see
-// BenchmarkMatchCount). The pool contract: reset rebuilds every field
-// that run reads, and release clears the graph, pattern and context
-// pointers so a pooled matcher never retains a swapped-out snapshot.
+// global measures' sampled starts — so matcher state is pooled: every
+// entry point takes a matcher from a sync.Pool, resets it, runs, and
+// returns it. All per-run state lives in fixed MaxVars-sized arrays,
+// reused slices or the leaf memo inside the pooled struct, making the
+// steady-state Count path allocation-free (see BenchmarkMatchCount). The
+// pool contract: reset rebuilds every field that run reads, and release
+// clears the graph, pattern and context pointers so a pooled matcher
+// never retains a swapped-out snapshot.
+//
+// ForEach and Find bind every variable of every instance; the counting
+// entry points (Count*, CountByEnd*) size the last variable other than
+// the end instead of binding it, see leaf.
 package match
 
 import (
@@ -57,9 +62,7 @@ const ctxCheckInterval = 1024
 // or to the (chosen) end entity; variable bindings are otherwise free to
 // repeat.
 func ForEach(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID, f func(pattern.Instance) bool) {
-	m := acquireMatcher(g, p, start, end)
-	m.run(f)
-	releaseMatcher(m)
+	_ = ForEachContext(context.Background(), g, p, start, end, f) // never cancelled
 }
 
 // ForEachContext is ForEach with cancellation: the search checks ctx
@@ -70,8 +73,8 @@ func ForEachContext(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start,
 	tr := obs.FromContext(ctx)
 	t0 := tr.Begin()
 	m := acquireMatcher(g, p, start, end)
-	m.ctx = ctx
-	m.run(f)
+	m.ctx, m.f = ctx, f
+	m.run()
 	return m.finish(tr, t0, 0)
 }
 
@@ -82,47 +85,39 @@ func CountContext(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start, e
 	t0 := tr.Begin()
 	m := acquireMatcher(g, p, start, end)
 	m.ctx = ctx
-	m.run(m.countFn)
+	m.run()
 	n := m.count
 	return n, m.finish(tr, t0, int64(n))
-}
-
-// CountByEndContext is CountByEnd with cancellation; the map is partial
-// when an error is returned.
-func CountByEndContext(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID) (map[kb.NodeID]int, error) {
-	counts := make(map[kb.NodeID]int)
-	err := CountByEndInto(ctx, g, p, start, counts)
-	return counts, err
 }
 
 // CountByEndInto evaluates p with a free end variable and accumulates
 // the per-end instance counts into dst, which the caller owns (and
 // typically reuses — clear it between unrelated runs). Like Count, the
-// steady-state path allocates nothing: the matcher and its counting
-// callback come from the pool, and dst absorbs the only per-call state
-// the map-returning wrappers had to allocate. The count is partial when
-// an error is returned. The start entity itself is excluded as an end.
+// steady-state path allocates nothing: the matcher and the dense counter
+// the run fills are pooled, and dst absorbs the only per-call state the
+// map-returning wrapper has to allocate. One run's count per end
+// saturates at 2³²−1, as an EndCounter does, and is partial when an error
+// is returned. The start entity itself is excluded as an end.
 func CountByEndInto(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, dst map[kb.NodeID]int) error {
-	tr := obs.FromContext(ctx)
-	t0 := tr.Begin()
-	m := acquireMatcher(g, p, start, kb.InvalidNode)
-	m.ctx = ctx
-	m.endCounts = dst
-	m.run(m.byEndFn)
-	return m.finish(tr, t0, int64(len(dst)))
+	c := AcquireEndCounter(g, 0, -1)
+	defer c.Release()
+	err := CountByEndDense(ctx, g, p, start, c)
+	for _, id := range c.touched {
+		dst[id] += int(c.n[id])
+	}
+	return err
 }
 
 // CountByEndDense is CountByEndInto over a dense EndCounter instead of a
-// map: every instance's end is fed to c.Add, and the search stops the
-// moment Add reports the position pruned (LIMIT p). The counter is
-// partial when an error is returned.
+// map: the instances of every end are added to c by weight, and the
+// search stops the moment c reports the position pruned (LIMIT p). The
+// counter is partial when an error is returned.
 func CountByEndDense(ctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, c *EndCounter) error {
 	tr := obs.FromContext(ctx)
 	t0 := tr.Begin()
 	m := acquireMatcher(g, p, start, kb.InvalidNode)
-	m.ctx = ctx
-	m.dense = c
-	m.run(m.denseFn)
+	m.ctx, m.dense = ctx, c
+	m.run()
 	return m.finish(tr, t0, int64(len(c.touched)))
 }
 
@@ -140,13 +135,10 @@ func Find(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID, opt Options) []
 
 // Count reports the number of instances of p between start and end; this
 // is Mcount evaluated from scratch. The steady-state path performs no
-// allocations: the matcher, its buffers and the counting callback all
-// come from the pool.
+// allocations: the matcher, its buffers and its leaf memo all come from
+// the pool.
 func Count(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) int {
-	m := acquireMatcher(g, p, start, end)
-	m.run(m.countFn)
-	n := m.count
-	releaseMatcher(m)
+	n, _ := CountContext(context.Background(), g, p, start, end) // never cancelled
 	return n
 }
 
@@ -186,44 +178,39 @@ type matcher struct {
 	spans   [][]kb.HalfEdge
 	sorted  bool // g is frozen: label spans are ordered by (To, Dir)
 
-	// countFn is the pooled counting callback for Count/CountContext,
-	// allocated once per pooled matcher so the steady-state count path
-	// closes over nothing. byEndFn and denseFn are its per-end siblings:
-	// they feed endCounts, the caller-owned table wired up by
-	// CountByEndInto, and dense, the counter wired up by CountByEndDense.
-	countFn   func(pattern.Instance) bool
-	count     int
-	byEndFn   func(pattern.Instance) bool
-	endCounts map[kb.NodeID]int
-	denseFn   func(pattern.Instance) bool
-	dense     *EndCounter
+	// f receives every instance of an enumerating run. It is nil on a
+	// counting run, whose instances are added by weight to dense under
+	// their end, or to count when there is no counter.
+	f     func(pattern.Instance) bool
+	count int
+	dense *EndCounter
 
-	// tries counts candidate bindings: the unit of work the trace reports
-	// and the clock of cancellation — ctx is checked every
-	// ctxCheckInterval of them; when done, err records ctx.Err() and the
-	// search unwinds.
+	memo map[leafKey]int // |C(x)| per leaf of this run, see size
+
+	// tries counts candidate bindings, and the candidates a leaf scan
+	// examines: the unit of work the trace reports and the clock of
+	// cancellation — ctx is checked every ctxCheckInterval of them; when
+	// done, err records ctx.Err() and the search unwinds.
 	ctx   context.Context
 	err   error
 	tries int
 }
 
-var matcherPool = sync.Pool{
-	New: func() any {
-		m := &matcher{}
-		m.countFn = func(pattern.Instance) bool {
-			m.count++
-			return true
-		}
-		m.byEndFn = func(in pattern.Instance) bool {
-			m.endCounts[in[pattern.End]]++
-			return true
-		}
-		m.denseFn = func(in pattern.Instance) bool {
-			return m.dense.Add(in[pattern.End])
-		}
-		return m
-	},
+// leafKey names a leaf's candidate set: x and the bindings of its pattern
+// neighbours, zero elsewhere (which slots count follows from x).
+type leafKey struct {
+	x  pattern.VarID
+	at [pattern.MaxVars]kb.NodeID
 }
+
+// leafMemoKeep is the largest memo a matcher may go back to the pool with.
+// clear costs a map's capacity, not its length, and a map never shrinks:
+// one wide run would tax every later one.
+const leafMemoKeep = 1 << 10
+
+// The memo's hint is past the 8 up to which a map allocates on first
+// insert instead: a pooled matcher's first leaf must not allocate.
+var matcherPool = sync.Pool{New: func() any { return &matcher{memo: make(map[leafKey]int, 16)} }}
 
 // acquireMatcher takes a pooled matcher and rebuilds its state for one
 // run. The caller must pass it to releaseMatcher when done.
@@ -273,16 +260,20 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 
 // releaseMatcher returns a matcher to the pool, clearing every pointer so
 // pooled matchers never pin a knowledge-base snapshot or context alive.
-// The reusable buffers (instance, anchor and span storage) are retained —
-// that reuse is the point of the pool.
+// The reusable buffers (instance, anchor and span storage, the emptied
+// memo) are retained — that reuse is the point of the pool — unless the
+// run outgrew leafMemoKeep: the collector takes that matcher.
 func releaseMatcher(m *matcher) {
 	m.g, m.p = nil, nil
 	clear(m.spans)
 	m.inst = nil
 	m.ctx = nil
 	m.err = nil
-	m.endCounts = nil
-	m.dense = nil
+	m.f, m.dense = nil, nil
+	if len(m.memo) > leafMemoKeep {
+		return
+	}
+	clear(m.memo)
 	matcherPool.Put(m)
 }
 
@@ -326,9 +317,8 @@ type anchor struct {
 	wantDir kb.Dir
 }
 
-// run performs the backtracking search, invoking f for each complete
-// instance until f returns false.
-func (m *matcher) run(f func(pattern.Instance) bool) {
+// run performs the backtracking search until emit stops it.
+func (m *matcher) run() {
 	if !m.bind(pattern.Start, m.start) {
 		return
 	}
@@ -344,7 +334,21 @@ func (m *matcher) run(f func(pattern.Instance) bool) {
 			}
 		}
 	}
-	m.search(f)
+	m.search()
+}
+
+// emit delivers the n instances that complete the current bindings — the
+// one in inst to an enumerating run's callback, their number to a
+// counting run's sink — and reports whether the search goes on.
+func (m *matcher) emit(n int) bool {
+	switch {
+	case m.f != nil:
+		return m.f(m.inst)
+	case m.dense != nil:
+		return m.dense.AddWeighted(m.inst[pattern.End], uint32(n), 0)
+	}
+	m.count += n
+	return true
 }
 
 // bind assigns cand to v and fetches the label span of every pattern
@@ -370,25 +374,21 @@ func (m *matcher) bind(v pattern.VarID, cand kb.NodeID) bool {
 // edges into the bound set, then to the lowest ID — generates candidates
 // from that span and verifies them in the variable's other spans. Span
 // lengths are a function of the graph and the bindings alone, so the
-// enumeration order is deterministic.
-func (m *matcher) search(f func(pattern.Instance) bool) bool {
+// enumeration order is deterministic. A counting run stops short of the
+// last variable other than the end, see leaf.
+func (m *matcher) search() bool {
 	if m.left == 0 {
-		return f(m.inst)
+		return m.emit(1)
+	}
+	if x := m.sized(); x >= 0 {
+		return m.leaf(x)
 	}
 	best, gen, bestLen, bestEdges := pattern.VarID(-1), -1, 0, 0
 	for v := 0; v < m.n; v++ {
 		if m.assigned[v] {
 			continue
 		}
-		short, edges := -1, 0
-		for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
-			if m.assigned[m.anchors[i].from] {
-				edges++
-				if short < 0 || len(m.spans[i]) < len(m.spans[short]) {
-					short = i
-				}
-			}
-		}
+		short, edges := m.shortest(pattern.VarID(v))
 		if edges == 0 {
 			continue
 		}
@@ -403,7 +403,7 @@ func (m *matcher) search(f func(pattern.Instance) bool) bool {
 		for best = 0; m.assigned[best]; best++ {
 		}
 		for id := kb.NodeID(0); int(id) < m.g.NumNodes(); id++ {
-			if !m.try(best, gen, id, f) {
+			if !m.try(best, gen, id) {
 				return false
 			}
 		}
@@ -413,33 +413,75 @@ func (m *matcher) search(f func(pattern.Instance) bool) bool {
 	// candidates come in node order.
 	wantDir := m.anchors[gen].wantDir
 	for _, he := range m.spans[gen] {
-		if he.Dir == wantDir && !m.try(best, gen, he.To, f) {
+		if he.Dir == wantDir && !m.try(best, gen, he.To) {
 			return false
 		}
 	}
 	return true
 }
 
+// shortest returns the shortest of v's label spans into the bound set,
+// the first of equals, and how many it has: −1 and 0 when none.
+func (m *matcher) shortest(v pattern.VarID) (short, edges int) {
+	short = -1
+	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
+		if m.assigned[m.anchors[i].from] {
+			edges++
+			if short < 0 || len(m.spans[i]) < len(m.spans[short]) {
+				short = i
+			}
+		}
+	}
+	return short, edges
+}
+
 // try binds v to cand if the instance side conditions and v's edges into
 // the bound set allow it — gen, the edge that generated cand, needs no
 // check — and searches on. It reports false when the search must stop.
-func (m *matcher) try(v pattern.VarID, gen int, cand kb.NodeID, f func(pattern.Instance) bool) bool {
+func (m *matcher) try(v pattern.VarID, gen int, cand kb.NodeID) bool {
 	if m.cancelled() {
 		return false
 	}
-	if !m.admissible(v, cand) {
+	if !m.admissible(v, cand) || !m.fits(v, gen, cand) {
 		return true
 	}
-	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
-		a := &m.anchors[i]
-		if i != gen && m.assigned[a.from] && !kb.HasHalfEdge(m.spans[i], cand, a.wantDir, m.sorted) {
-			return true
-		}
-	}
-	ok := !m.bind(v, cand) || m.search(f)
+	ok := !m.bind(v, cand) || m.search()
 	m.assigned[v] = false
 	m.left++
 	return ok
+}
+
+// sized returns the variable a counting run sizes instead of binding, or
+// −1: the one unassigned variable besides the end, once all its pattern
+// edges (it must have some) lead to bound variables and the end, if
+// still free, has an edge into the bound set to come from.
+func (m *matcher) sized() pattern.VarID {
+	if m.f != nil || m.left > 2 || m.assigned[pattern.End] != (m.left == 1) {
+		return -1
+	}
+	x := pattern.VarID(m.n - 1)
+	for m.assigned[x] {
+		x--
+	}
+	if _, edges := m.shortest(x); edges == 0 || edges < int(m.first[x+1]-m.first[x]) {
+		return -1
+	}
+	if _, edges := m.shortest(pattern.End); m.left == 2 && edges == 0 {
+		return -1
+	}
+	return x
+}
+
+// fits reports whether cand satisfies every pattern edge of v into the
+// bound set other than gen.
+func (m *matcher) fits(v pattern.VarID, gen int, cand kb.NodeID) bool {
+	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
+		a := &m.anchors[i]
+		if i != gen && m.assigned[a.from] && !kb.HasHalfEdge(m.spans[i], cand, a.wantDir, m.sorted) {
+			return false
+		}
+	}
+	return true
 }
 
 // admissible enforces the instance side conditions for a candidate
@@ -453,4 +495,79 @@ func (m *matcher) admissible(v pattern.VarID, cand kb.NodeID) bool {
 		}
 	}
 	return true
+}
+
+// leaf adds up the instances below a node where every variable but x is
+// bound, without binding x. With C(x) the nodes that satisfy every
+// pattern edge of x, they number |C(x)| less the bound nodes in C(x): a
+// candidate fails to extend the bindings only by being bound already, and
+// bound nodes are pairwise distinct, so each takes back exactly one. An
+// end left without an instance is not added at all.
+//
+// The end may be free as well if it shares no edge with x: C(x) is then
+// the same for every end candidate, each completes that many instances
+// less one if it is in C(x) itself, and the two variables cost the sum of
+// their candidate sets, not the product. (When they do share an edge
+// every end is a new C(x), and search goes on by smallest span.)
+func (m *matcher) leaf(x pattern.VarID) bool {
+	n := m.size(x)
+	for u := 0; u < m.n && n > 0; u++ {
+		if m.assigned[u] && m.fits(x, -1, m.inst[u]) {
+			n--
+		}
+	}
+	if n == 0 || m.left == 1 {
+		return n == 0 || m.emit(n)
+	}
+	gen, _ := m.shortest(pattern.End)
+	wantDir := m.anchors[gen].wantDir
+	for _, he := range m.spans[gen] {
+		if he.Dir != wantDir {
+			continue
+		}
+		if m.cancelled() {
+			return false
+		}
+		if !m.admissible(pattern.End, he.To) || !m.fits(pattern.End, gen, he.To) {
+			continue
+		}
+		w := n
+		if m.fits(x, -1, he.To) {
+			w--
+		}
+		if m.inst[pattern.End] = he.To; w > 0 && !m.emit(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// size returns |C(x)| for an x whose pattern neighbours are all bound:
+// the candidates of its shortest span that its other spans hold too, as
+// try would find them. The set depends on x and those bindings alone, so
+// it is counted once per run and neighbourhood; only a counting scan
+// ticks tries. Cancelled, it returns 0 and the search unwinds.
+func (m *matcher) size(x pattern.VarID) (n int) {
+	key := leafKey{x: x}
+	for _, a := range m.anchors[m.first[x]:m.first[x+1]] {
+		key.at[a.from] = m.inst[a.from]
+	}
+	if n, ok := m.memo[key]; ok {
+		return n
+	}
+	gen, _ := m.shortest(x)
+	wantDir := m.anchors[gen].wantDir
+	for _, he := range m.spans[gen] {
+		if he.Dir != wantDir {
+			continue
+		}
+		if m.cancelled() {
+			return 0
+		}
+		if m.fits(x, gen, he.To) {
+			n++
+		}
+	}
+	m.memo[key] = n
+	return n
 }

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +58,16 @@ func bruteForce(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) []pattern
 		}
 	}
 	rec(0)
+	return out
+}
+
+// endTable groups instances by their end: the local distribution the
+// counting entry points must reproduce, ends without an instance absent.
+func endTable(ins []pattern.Instance) map[kb.NodeID]int {
+	out := make(map[kb.NodeID]int)
+	for _, in := range ins {
+		out[in[pattern.End]]++
+	}
 	return out
 }
 
@@ -172,13 +184,17 @@ func TestDirectedOrientationRespected(t *testing.T) {
 }
 
 // TestQuickMatcherMatchesBruteForce property-checks the matcher against
-// the brute-force oracle on random small graphs and random patterns — a
-// spanning tree plus up to two closing edges, so variables with several
-// edges into the bound set exercise the per-binding choice and the
-// in-span verification, now and then with a tree edge dropped, so a
-// component off the start falls back to the full scan — with the end
-// bound and free, before the graph is frozen (unsorted spans), after
-// (binary search), and on an overlay of depth 2 that deleted edges.
+// the brute-force oracle on random small graphs and random patterns of
+// two to five variables — a spanning tree plus up to two closing edges,
+// so variables with several edges into the bound set exercise the
+// per-binding choice and the in-span verification, now and then with a
+// tree edge dropped, so a component off the start falls back to the full
+// scan — with the end bound and free, before the graph is frozen
+// (unsorted spans), after (binary search), and on an overlay of depth 2
+// that deleted edges. Find must yield the oracle's instances; the
+// counting entry points, which do not bind the last variable, its counts:
+// Count for every end, CountByEnd, CountByEndDense's table, and position
+// and pruning decision under LIMIT p.
 func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -205,7 +221,7 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 		start, end := kb.NodeID(0), kb.NodeID(1)
 
 		// Random small pattern, connected unless a tree edge is dropped.
-		nv := 2 + rng.Intn(3)
+		nv := 2 + rng.Intn(4)
 		drop := -1
 		if rng.Intn(4) == 0 {
 			drop = 1 + rng.Intn(nv-1)
@@ -244,6 +260,34 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
+			table := endTable(bruteForce(g, p, start, kb.InvalidNode))
+			for id := kb.NodeID(1); int(id) < g.NumNodes(); id++ {
+				if Count(g, p, start, id) != table[id] {
+					return false
+				}
+			}
+			if !reflect.DeepEqual(CountByEnd(g, p, start), table) {
+				return false
+			}
+			for _, a := range []int{0, 1, 2, 5} {
+				for _, limit := range []int{-1, 0, 1, 3} {
+					pos := 0
+					for _, n := range table {
+						if n > a {
+							pos++
+						}
+					}
+					c := AcquireEndCounter(g, a, limit)
+					err := CountByEndDense(context.Background(), g, p, start, c)
+					pruned := limit >= 0 && pos > limit
+					ok := err == nil && c.Pruned() == pruned &&
+						(pruned || c.Exceeded() == pos && reflect.DeepEqual(c.Table(), table))
+					c.Release()
+					if !ok {
+						return false
+					}
+				}
+			}
 			return true
 		}
 		if !agrees(g) {
@@ -272,7 +316,7 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 		}
 		return g.Overlay().Depth == 2 && agrees(g)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"rex/internal/kb"
-	"rex/internal/match"
 	"rex/internal/pattern"
 )
 
@@ -48,7 +47,7 @@ func countByEnd(ctx *Context, p *pattern.Pattern, start kb.NodeID) (map[kb.NodeI
 	if ev := ctx.Eval; ev != nil {
 		return ev.CountByEnd(ctx.Context(), p, start)
 	}
-	return match.CountByEndContext(ctx.Context(), ctx.G, p, start)
+	return localTable(ctx.Context(), ctx.G, p, start)
 }
 
 // GlobalDeviation averages the deviation over the sampled start

@@ -92,6 +92,17 @@ func streamLocalPosition(cctx context.Context, g *kb.Graph, p *pattern.Pattern, 
 	return c.Exceeded(), true
 }
 
+// localTable is the whole local distribution of p from start as a fresh
+// map: the deviation measures need it, the position measures never do.
+func localTable(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID) (map[kb.NodeID]int, error) {
+	c := match.AcquireEndCounter(g, 0, -1)
+	defer c.Release()
+	if err := countEnds(cctx, g, p, start, c); err != nil {
+		return nil, err
+	}
+	return c.Table(), nil
+}
+
 // countEnds is the one local-distribution kernel: it adds up in c the
 // instances of p from start per end and stops as soon as c reports the
 // position pruned. No instance set and no table is ever built — the only

@@ -248,13 +248,8 @@ func (ev *Evaluator) CountByEnd(ctx context.Context, p *pattern.Pattern, start k
 	obs.FromContext(ctx).MemoMiss()
 	counts, promoted := ev.carriedTable(p, key)
 	if !promoted {
-		c := match.AcquireEndCounter(ev.g, 0, -1)
-		err := countEnds(ctx, ev.g, p, start, c)
-		if err == nil {
-			counts = c.Table()
-		}
-		c.Release()
-		if err != nil {
+		var err error
+		if counts, err = localTable(ctx, ev.g, p, start); err != nil {
 			return nil, err
 		}
 	}

@@ -188,7 +188,8 @@ func (t *Trace) AddJoins(run, skipped int64) {
 	t.joinsSkip.Add(skipped)
 }
 
-// AddBindings adds candidate bindings the backtracking matcher tried.
+// AddBindings adds candidates the backtracking matcher examined: bindings
+// tried, and the nodes a counting run's leaf scans looked at.
 func (t *Trace) AddBindings(n int64) {
 	if t == nil {
 		return

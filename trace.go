@@ -13,9 +13,10 @@ import (
 // time nests inside measure), cache/dedup/pool-reuse flags, the merge
 // attempts with the instance joins they ran (Joins) and proved empty
 // without running (JoinsSkipped), the work the local-distribution kernel
-// did as counts (Bindings: candidate bindings the matcher tried;
-// WalkSteps: half-edges the path route visited, prefix plus scatter),
-// evaluator memo hit counters, and budget attribution naming the stage
+// did as counts (Bindings: candidates the matcher examined — bindings
+// tried, and the nodes a counting run's leaf scans looked at; WalkSteps:
+// half-edges the path route visited, prefix plus scatter), evaluator
+// memo hit counters, and budget attribution naming the stage
 // that exhausted MaxExpansions or Timeout ("enumerate:expansions",
 // "rank:deadline", ...). WalkCacheHits and WalkCacheMisses always read
 // 0: the evaluator's walk cache is gone, the fields stay for consumers
