@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/harness"
@@ -421,8 +422,10 @@ func BenchmarkExplainCache(b *testing.B) {
 	})
 }
 
-// BenchmarkEnumerationWorkers measures the prioritized enumerator's
-// worker-pool scaling on the densest workload pair.
+// BenchmarkEnumerationWorkers measures the prioritized frontier's
+// worker-pool scaling on the densest workload pair. Only a
+// deadline-budgeted query fans out, so each run takes a deadline that
+// never expires.
 func BenchmarkEnumerationWorkers(b *testing.B) {
 	env, rep := benchSetup(b)
 	p, ok := rep[kb.ConnHigh]
@@ -437,6 +440,7 @@ func BenchmarkEnumerationWorkers(b *testing.B) {
 		cfg := benchCfg
 		cfg.Workers = workers
 		b.Run(name, func(b *testing.B) {
+			cfg.Budget.Deadline = time.Now().Add(time.Hour)
 			for i := 0; i < b.N; i++ {
 				enumerate.Explanations(env.G, p.Start, p.End, cfg)
 			}

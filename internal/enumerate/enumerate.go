@@ -6,7 +6,9 @@
 //   - PathEnum{Naive,Basic,Prioritized}: simple-path explanation
 //     enumeration between the targets (Section 3.2). Basic is the
 //     bidirectional BANKS-style strategy, Prioritized the BANKS2-style
-//     activation-score strategy.
+//     activation-score strategy — whose order serves the requests a
+//     Budget can stop; the others get the same paths from a streaming
+//     meet-in-the-middle join that keeps no order (path.go).
 //   - PathUnion{Basic,Prune}: combination of path explanations into all
 //     minimal explanations (Algorithms 3 and 4).
 //
@@ -17,6 +19,7 @@
 package enumerate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -42,7 +45,10 @@ const (
 	// partial paths grow from both targets and join at a meeting node.
 	PathBasic
 	// PathPrioritized is the BANKS2 adaptation: bidirectional expansion
-	// ordered by activation scores that postpone high-degree nodes.
+	// ordered by activation scores that postpone high-degree nodes, so a
+	// Budget that stops it keeps the cheap paths. A request whose budget
+	// cannot stop it runs the same bidirectional search exhaustively and
+	// unordered; a budget that never truncates returns the same bytes.
 	PathPrioritized
 )
 
@@ -89,16 +95,16 @@ type Config struct {
 	// MaxPatternSize bounds the number of nodes (variables) in a
 	// pattern; the paper's n. Defaults to DefaultMaxPatternSize.
 	MaxPatternSize int
-	// PathAlg selects the path enumeration strategy. Defaults to
-	// PathPrioritized (zero value is PathNaive; use Normalize or the
-	// framework helpers to apply defaults).
+	// PathAlg selects the path enumeration strategy; the zero value is
+	// PathNaive.
 	PathAlg PathAlgorithm
 	// UnionAlg selects the combination strategy.
 	UnionAlg UnionAlgorithm
 	// Workers sizes the worker pool that the prioritized enumerator
 	// fans its expansion frontier over: 0 means GOMAXPROCS, 1 forces
-	// serial expansion. The enumerated explanation set and its ordering
-	// are identical for every worker count.
+	// serial expansion. Only a deadline-budgeted request has a frontier
+	// to fan out. The enumerated explanation set and its ordering are
+	// identical for every worker count.
 	Workers int
 	// Pool supplies reusable enumeration state. The facade owns one Pool
 	// per knowledge-base snapshot (the measure.Evaluator lifetime
@@ -278,7 +284,13 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	case PathBasic:
 		keys, err = pathEnumBasic(ctx, g, start, end, maxLen, st.out[:0])
 	case PathPrioritized:
-		keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Workers, cfg.Budget)
+		// The request selects the route: only a budget that can stop
+		// the search has any use for the frontier's order.
+		if cfg.Budget.restricts() {
+			keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Workers, cfg.Budget)
+		} else {
+			keys, err = st.pathEnumExhaustive(ctx, g, start, end, maxLen)
+		}
 	default:
 		keys, err = pathEnumNaive(ctx, g, start, end, maxLen, st.out[:0])
 	}
@@ -324,34 +336,34 @@ func (k *pathKey) stepSeq() stepSeqKey {
 	return stepSeqKey{n: k.n, steps: k.steps}
 }
 
-// less orders path keys exactly as the legacy byte-string keys did
+// compare orders path keys exactly as the legacy byte-string keys did
 // (interleaved node/label little-endian bytes, prefix first), so the
 // representative-pattern choice in groupPaths — and with it the rendered
-// output — is unchanged from the string era.
-func (a pathKey) less(b pathKey) bool {
+// output — is unchanged from the string era. Pointers: a key is 140 B.
+func (a *pathKey) compare(b *pathKey) int {
 	for i := 0; ; i++ {
 		if i >= int(a.n) || i >= int(b.n) {
-			return a.n < b.n
+			return cmp.Compare(a.n, b.n)
 		}
 		if a.nodes[i] != b.nodes[i] {
-			return leLess32(uint32(a.nodes[i]), uint32(b.nodes[i]))
+			return leCompare32(uint32(a.nodes[i]), uint32(b.nodes[i]))
 		}
 		if i >= int(a.n)-1 || i >= int(b.n)-1 {
-			return a.n < b.n
+			return cmp.Compare(a.n, b.n)
 		}
 		if a.steps[i] != b.steps[i] {
 			if a.steps[i].label != b.steps[i].label {
-				return leLess32(uint32(a.steps[i].label), uint32(b.steps[i].label))
+				return leCompare32(uint32(a.steps[i].label), uint32(b.steps[i].label))
 			}
-			return a.steps[i].dir < b.steps[i].dir
+			return cmp.Compare(a.steps[i].dir, b.steps[i].dir)
 		}
 	}
 }
 
-// leLess32 compares two 32-bit values by their little-endian byte
+// leCompare32 compares two 32-bit values by their little-endian byte
 // encoding — the comparison the legacy string keys performed.
-func leLess32(a, b uint32) bool {
-	return bits.ReverseBytes32(a) < bits.ReverseBytes32(b)
+func leCompare32(a, b uint32) int {
+	return cmp.Compare(bits.ReverseBytes32(a), bits.ReverseBytes32(b))
 }
 
 // groupPaths converts path instances into path explanations: instances
@@ -367,15 +379,7 @@ func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanat
 	if len(keys) == 0 {
 		return nil
 	}
-	slices.SortFunc(keys, func(a, b pathKey) int {
-		if a.less(b) {
-			return -1
-		}
-		if b.less(a) {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(keys, func(a, b pathKey) int { return a.compare(&b) })
 	// Pass 1: assign groups and count unique paths per group.
 	clear(st.groups)
 	st.gcounts = st.gcounts[:0]

@@ -145,15 +145,22 @@ func TestInstancesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPathAlgorithmsAgree compares the three path enumerators directly.
+// TestPathAlgorithmsAgree compares the path enumerators directly: naive
+// against basic, the exhaustive join, and the frontier reached by a
+// deadline and by an expansion budget.
 func TestPathAlgorithmsAgree(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
 		want := resultSignature(t, Paths(g, start, end, Config{PathAlg: PathNaive}))
-		for _, pa := range []PathAlgorithm{PathBasic, PathPrioritized} {
-			got := resultSignature(t, Paths(g, start, end, Config{PathAlg: pa}))
-			diffSignatures(t, names[0]+"/"+names[1]+" "+pa.String(), want, got)
+		for name, cfg := range map[string]Config{
+			"basic":                  {PathAlg: PathBasic},
+			"exhaustive":             {PathAlg: PathPrioritized},
+			"frontier by deadline":   {PathAlg: PathPrioritized, Budget: neverExpires()},
+			"frontier by expansions": {PathAlg: PathPrioritized, Budget: neverTruncates},
+		} {
+			got := resultSignature(t, Paths(g, start, end, cfg))
+			diffSignatures(t, names[0]+"/"+names[1]+" "+name, want, got)
 		}
 	}
 }

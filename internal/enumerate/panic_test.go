@@ -10,7 +10,8 @@ import (
 
 // TestExtensionWorkerPanicContained proves a panic in a parallel
 // extension worker surfaces as the query's error instead of crashing
-// the process (or deadlocking the other workers on wg.Wait).
+// the process (or deadlocking the other workers on wg.Wait). Only a
+// deadline-budgeted request fans out (see neverExpires).
 func TestExtensionWorkerPanicContained(t *testing.T) {
 	defer fail.Reset()
 	fail.EnableFunc("enumerate.extend", func() error {
@@ -20,7 +21,7 @@ func TestExtensionWorkerPanicContained(t *testing.T) {
 	for seed := int64(0); seed < 10 && !tripped; seed++ {
 		g, start, end := randomKB(seed)
 		es, err := PathsContext(context.Background(), g, start, end,
-			Config{PathAlg: PathPrioritized, Workers: 4})
+			Config{PathAlg: PathPrioritized, Workers: 4, Budget: neverExpires()})
 		if err == nil {
 			continue // this graph never reached the parallel branch
 		}
@@ -41,7 +42,7 @@ func TestExtensionWorkerPanicContained(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g, start, end := randomKB(seed)
 		if _, err := PathsContext(context.Background(), g, start, end,
-			Config{PathAlg: PathPrioritized, Workers: 4}); err != nil {
+			Config{PathAlg: PathPrioritized, Workers: 4, Budget: neverExpires()}); err != nil {
 			t.Fatalf("seed %d after reset: %v", seed, err)
 		}
 	}

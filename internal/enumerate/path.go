@@ -13,10 +13,14 @@ import (
 	"rex/internal/pattern"
 )
 
-// Path enumeration at the instance level (Section 3.2). All three
-// algorithms return exactly the set of simple paths between the targets
+// Path enumeration at the instance level (Section 3.2). Every
+// algorithm returns exactly the set of simple paths between the targets
 // with length ≤ maxLen; they differ in how much of the graph they touch
-// and in what order, which is what Figure 7 measures.
+// and in what order, which is what Figure 7 measures. PathPrioritized
+// has one implementation per kind of request: the activation-ordered
+// frontier (pathEnumPrioritized) when a Budget can stop the search, the
+// streaming join (pathEnumExhaustive) when nothing can — an order only
+// matters to a search that can stop.
 //
 // Paths are represented as fixed-size values throughout — a partial path
 // is a small struct of inline arrays bounded by pattern.MaxVars, and a
@@ -34,7 +38,7 @@ import (
 // checks in the enumeration loops.
 const ctxCheckInterval = 256
 
-// cancelCheck counts expansion steps and polls the context once per
+// cancelCheck counts expansion steps (n) and polls the context once per
 // ctxCheckInterval steps. The zero value with a nil ctx never cancels.
 type cancelCheck struct {
 	ctx context.Context
@@ -48,11 +52,8 @@ func (c *cancelCheck) step() error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.ctx == nil {
-		return nil
-	}
 	c.n++
-	if c.n%ctxCheckInterval != 0 {
+	if c.ctx == nil || c.n%ctxCheckInterval != 0 {
 		return nil
 	}
 	c.err = c.ctx.Err()
@@ -293,12 +294,95 @@ func collectPartials(g *kb.Graph, origin, other kb.NodeID, cap int, s side, chec
 	return out, nil
 }
 
-// pathEnumPrioritized is the BANKS2 adaptation: bidirectional expansion
-// where the next node to expand is chosen by activation score. A target's
-// initial activation is 1/degree; expanding a node zeroes its activation
-// and spreads it to each neighbor divided by the neighbor's degree, so
-// expansion through high-degree hubs is postponed — ideally until the
-// opposite side has met the frontier more cheaply.
+// pathEnumExhaustive answers the PathPrioritized request no budget can
+// stop. The caps are fixed at (⌈l/2⌉, ⌊l/2⌋) and paths join only at the
+// canonical split, so an exhaustive search expands every under-cap
+// partial whatever the order; activation order decides which paths come
+// first, and groupPaths sorts them anyway. So there is no order: the
+// backward side is materialised breadth-first into st.bwd, each partial
+// chained to the others at its terminal through the dense index
+// (st.head, st.next), and the forward side is walked depth-first on one
+// partial used as a stack (joinForward), joining at every step and
+// storing nothing — a leaf under a hub costs one array read.
+// Expansions count expanded partials, one adjacency scan each.
+func (st *enumState) pathEnumExhaustive(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int) ([]pathKey, error) {
+	st.out = st.out[:0]
+	if maxLen <= 0 || start == end {
+		return st.out, nil
+	}
+	st.sizeIndex(g.NumNodes())
+	defer st.resetIndex()
+	check := cancelCheck{ctx: ctx}
+
+	// Backward: never through start, so nothing is chained there.
+	seed := partial{n: 1}
+	seed.nodes[0] = end
+	st.bwd, st.next = append(st.bwd[:0], seed), append(st.next[:0], 0)
+	st.setHead(end, 1)
+	for i := 0; i < len(st.bwd) && st.bwd[i].length() < maxLen/2; i++ {
+		if err := check.step(); err != nil {
+			return nil, err
+		}
+		p := st.bwd[i] // a copy: the appends below may move the array
+		for _, he := range g.Neighbors(p.last()) {
+			if he.To == start || p.contains(he.To) {
+				continue
+			}
+			st.bwd, st.next = append(st.bwd, p.extend(he)), append(st.next, st.head[he.To])
+			st.setHead(he.To, int32(len(st.bwd)))
+		}
+	}
+
+	st.fwd = partial{n: 1}
+	st.fwd.nodes[0] = start
+	if err := st.joinForward(g, end, (maxLen+1)/2, &check); err != nil {
+		return nil, err
+	}
+	obs.FromContext(ctx).AddExpansions(int64(check.n))
+	return st.out, nil
+}
+
+// joinForward scans the neighbours of st.fwd's terminal: each simple
+// extension is pushed, joined with the backward partials chained at its
+// terminal that canonicalSplit admits, expanded in turn when under the
+// cap and not at end (the forward side never goes past it), and popped.
+func (st *enumState) joinForward(g *kb.Graph, end kb.NodeID, capFwd int, check *cancelCheck) error {
+	if err := check.step(); err != nil {
+		return err
+	}
+	f := &st.fwd
+	leaf := f.length()+1 == capFwd
+	for _, he := range g.Neighbors(f.last()) {
+		h := st.head[he.To]
+		if h == 0 && leaf || f.contains(he.To) {
+			continue
+		}
+		f.nodes[f.n], f.steps[f.n-1] = he.To, he
+		f.n++
+		for ; h != 0; h = st.next[h-1] {
+			if b := &st.bwd[h-1]; canonicalSplit(f.length(), b.length()) {
+				if k, ok := joinToKey(f, b); ok {
+					st.out = append(st.out, k)
+				}
+			}
+		}
+		if !leaf && he.To != end {
+			if err := st.joinForward(g, end, capFwd, check); err != nil {
+				return err
+			}
+		}
+		f.n--
+	}
+	return nil
+}
+
+// pathEnumPrioritized is the BANKS2 adaptation, which serves the requests
+// a Budget can stop: bidirectional expansion where the next node to
+// expand is chosen by activation score. A target's initial activation is
+// 1/degree; expanding a node zeroes its activation and spreads it to
+// each neighbor divided by the neighbor's degree, so expansion through
+// high-degree hubs is postponed — ideally until the opposite side has
+// met the frontier more cheaply.
 //
 // The frontier is processed in batches: up to `workers` queue entries are
 // popped together, each entry's path extensions are computed concurrently
@@ -313,9 +397,9 @@ func collectPartials(g *kb.Graph, origin, other kb.NodeID, cap int, s side, chec
 // terminal is re-activated by the expansion that created it, so every
 // under-cap partial is eventually expanded regardless of order).
 //
-// All per-query storage — the node-state arena and index, the priority
-// queue, the dedup set and the per-worker extension buffers — lives in
-// the pooled enumState and is reused across queries.
+// All per-query storage — the node-state arena and its dense index, the
+// priority queue and the per-worker extension buffers — lives in the
+// pooled enumState and is reused across queries.
 //
 // The budget makes the search anytime: expansions are counted per
 // expanded node and the deadline is polled per popped entry; when
@@ -328,10 +412,12 @@ func collectPartials(g *kb.Graph, origin, other kb.NodeID, cap int, s side, chec
 // the returned set — is identical for every Workers setting and is a
 // prefix of any larger budget's expansion sequence.
 func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen, workers int, bud Budget) ([]pathKey, bool, error) {
-	st.resetPrio()
+	st.states, st.pq, st.out = st.states[:0], st.pq[:0], st.out[:0]
 	if maxLen <= 0 || start == end {
 		return nil, false, nil
 	}
+	st.sizeIndex(g.NumNodes())
+	defer st.resetIndex()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -463,11 +549,11 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 				if he.To == start || he.To == end {
 					continue
 				}
-				ni, ok := st.stateIdx[he.To]
-				if !ok {
+				ni := st.head[he.To]
+				if ni == 0 {
 					continue // never touched: nothing pending on this side
 				}
-				ns := &st.states[ni]
+				ns := &st.states[ni-1]
 				if len(ns.partial[j.s]) == int(ns.expanded[j.s]) {
 					continue // nothing pending on this side
 				}
@@ -549,10 +635,7 @@ func (st *enumState) addPartial(s side, p partial, activation float64) {
 			continue
 		}
 		if k, ok := joinToKey(f, b); ok {
-			if _, dup := st.seen[k]; !dup {
-				st.seen[k] = struct{}{}
-				st.out = append(st.out, k)
-			}
+			st.out = append(st.out, k)
 		}
 	}
 	if activation > 0 {

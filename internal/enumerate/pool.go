@@ -54,20 +54,34 @@ func (pl *Pool) put(s *enumState) {
 // queries; a state that outgrew it is dropped instead of pinned forever.
 const retainedCap = 1 << 16
 
-// enumState is the per-query scratch of the enumeration pipeline:
-// prioritized-path frontier storage, path grouping tables and the
-// union-phase merge machinery. All of it is reused across queries; none
-// of it retains a reference to any graph, context or returned
-// explanation after a query completes.
+// enumState is the per-query scratch of the enumeration pipeline: the
+// path search's storage, path grouping tables and the union-phase merge
+// machinery. All of it is reused across queries; none of it retains a
+// reference to any graph, context or returned explanation after a query
+// completes.
 type enumState struct {
-	// Prioritized path search (path.go).
-	stateIdx map[kb.NodeID]int32 // node → index into states
-	states   []nodeState
-	pq       actQueue
-	out      []pathKey
-	seen     map[pathKey]struct{}
-	jobs     []expandJob
-	results  [][]partial
+	// Dense terminal index of both PathPrioritized routes (path.go):
+	// head[id] is 0 or 1 + an index into states (frontier) or bwd
+	// (exhaustive join). All-zero between queries — every exit resets
+	// the touched entries — and sized to the graph at every use, because
+	// overlay generations add nodes. Its size is the graph's, not the
+	// query's (4 B a node), so it is exempt from retainedCap.
+	head    []int32
+	touched []kb.NodeID
+	out     []pathKey
+
+	// Exhaustive join: the backward partials, next[i] chaining bwd[i] to
+	// the previous one at its terminal (1-based, 0 ends), and the
+	// forward stack.
+	bwd  []partial
+	next []int32
+	fwd  partial
+
+	// Activation-ordered frontier, for budgeted requests.
+	states  []nodeState
+	pq      actQueue
+	jobs    []expandJob
+	results [][]partial
 
 	// Path grouping (enumerate.go).
 	groups   map[stepSeqKey]int32
@@ -88,8 +102,6 @@ type enumState struct {
 
 func newEnumState() *enumState {
 	return &enumState{
-		stateIdx:  make(map[kb.NodeID]int32),
-		seen:      make(map[pathKey]struct{}),
 		groups:    make(map[stepSeqKey]int32),
 		unionSeen: make(map[pattern.Key]struct{}),
 		newIndex:  make(map[pattern.Key]int),
@@ -104,9 +116,8 @@ func newEnumState() *enumState {
 // footprint for the snapshot's lifetime.
 func (s *enumState) oversized() bool {
 	return cap(s.out) > retainedCap ||
-		len(s.seen) > retainedCap ||
+		cap(s.bwd) > retainedCap ||
 		cap(s.states) > retainedCap ||
-		len(s.stateIdx) > retainedCap ||
 		len(s.groups) > retainedCap ||
 		cap(s.gcounts) > retainedCap ||
 		len(s.unionSeen) > retainedCap ||
@@ -132,21 +143,35 @@ type expandJob struct {
 	pending []partial
 }
 
-// resetPrio prepares the prioritized-search state for one query.
-func (s *enumState) resetPrio() {
-	clear(s.stateIdx)
-	s.states = s.states[:0]
-	s.pq = s.pq[:0]
-	s.out = s.out[:0]
-	clear(s.seen)
+// sizeIndex sizes the all-zero index to a graph of n nodes; the caller
+// defers resetIndex, which zeroes what setHead touched since.
+func (s *enumState) sizeIndex(n int) {
+	if cap(s.head) < n {
+		s.head = make([]int32, n)
+	}
+	s.head = s.head[:n]
+}
+
+func (s *enumState) setHead(id kb.NodeID, v int32) {
+	if s.head[id] == 0 {
+		s.touched = append(s.touched, id)
+	}
+	s.head[id] = v
+}
+
+func (s *enumState) resetIndex() {
+	for _, id := range s.touched {
+		s.head[id] = 0
+	}
+	s.touched = s.touched[:0]
 }
 
 // stateFor returns the index of id's nodeState, creating one (with
 // recycled buffers) on first touch. Callers must index s.states fresh
 // after any call that can create states — the backing array may move.
 func (s *enumState) stateFor(id kb.NodeID) int32 {
-	if i, ok := s.stateIdx[id]; ok {
-		return i
+	if i := s.head[id]; i != 0 {
+		return i - 1
 	}
 	i := int32(len(s.states))
 	if len(s.states) < cap(s.states) {
@@ -159,6 +184,6 @@ func (s *enumState) stateFor(id kb.NodeID) int32 {
 	} else {
 		s.states = append(s.states, nodeState{})
 	}
-	s.stateIdx[id] = i
+	s.setHead(id, i+1)
 	return i
 }

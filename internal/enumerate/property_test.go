@@ -2,9 +2,11 @@ package enumerate
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rex/internal/kb"
 	"rex/internal/match"
@@ -35,6 +37,14 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	g.Freeze()
 	return g, 0, 1
 }
+
+// Plain PathPrioritized requests take the exhaustive join; these two
+// budgets reach the activation-ordered frontier the way a caller does,
+// without ever truncating it. A deadline keeps Config.Workers, an
+// expansion budget forces the serial order.
+func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} }
+
+var neverTruncates = Budget{MaxExpansions: math.MaxInt}
 
 // TestQuickFrameworkEqualsNaiveOnRandomGraphs is the randomized
 // counterpart of TestFrameworkMatchesNaiveEnum: on arbitrary small
@@ -115,9 +125,10 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickPathAlgorithmsAgreeOnRandomGraphs checks all three path
-// enumerators — and the prioritized enumerator at several worker-pool
-// sizes — produce identical path sets on random graphs.
+// TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that naive, basic,
+// the exhaustive join and the frontier — reached by a deadline at
+// several worker-pool sizes and by an expansion budget — produce
+// identical path sets on random graphs.
 func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
@@ -131,9 +142,11 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 		a := sig(Config{PathAlg: PathNaive})
 		others := []Config{
 			{PathAlg: PathBasic},
-			{PathAlg: PathPrioritized, Workers: 1},
-			{PathAlg: PathPrioritized, Workers: 4},
-			{PathAlg: PathPrioritized}, // GOMAXPROCS workers
+			{PathAlg: PathPrioritized},
+			{PathAlg: PathPrioritized, Workers: 1, Budget: neverExpires()},
+			{PathAlg: PathPrioritized, Workers: 4, Budget: neverExpires()},
+			{PathAlg: PathPrioritized, Budget: neverExpires()}, // GOMAXPROCS workers
+			{PathAlg: PathPrioritized, Budget: neverTruncates},
 		}
 		for _, cfg := range others {
 			b := sig(cfg)
@@ -155,13 +168,19 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 
 // TestParallelPathsDeterministic checks the stronger property the engine
 // documents: the grouped path explanations are byte-identical — same
-// representative patterns, same instance order — for every worker count.
+// representative patterns, same instance order — for every worker count
+// of the frontier (a deadline keeps Workers) and for the exhaustive join
+// (workers 0 below).
 func TestParallelPathsDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g, start, end := randomKB(seed)
-		base := Paths(g, start, end, Config{PathAlg: PathPrioritized, Workers: 1})
-		for _, workers := range []int{2, 4, 8} {
-			got := Paths(g, start, end, Config{PathAlg: PathPrioritized, Workers: workers})
+		base := Paths(g, start, end, Config{PathAlg: PathPrioritized, Workers: 1, Budget: neverExpires()})
+		for _, workers := range []int{0, 2, 4, 8} {
+			cfg := Config{PathAlg: PathPrioritized}
+			if workers > 0 {
+				cfg.Workers, cfg.Budget = workers, neverExpires()
+			}
+			got := Paths(g, start, end, cfg)
 			if len(got) != len(base) {
 				t.Fatalf("seed %d workers %d: %d explanations, want %d", seed, workers, len(got), len(base))
 			}

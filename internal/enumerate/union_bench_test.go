@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,23 +10,69 @@ import (
 	"rex/internal/kbgen"
 )
 
-// BenchmarkPathUnionPrune times the union stage alone on the pair that
-// sets engine_cold's query_p95_ms (medium seed 42, film_5972 →
-// film_4871: 52 path explanations, 77 explanations): path enumeration
-// runs once outside the timer, every iteration is one pathUnionPrune on
-// warm pooled state. joins/op and skipped/op are the merger's own
-// counts of hash joins run and candidates proven empty.
-func BenchmarkPathUnionPrune(b *testing.B) {
+// benchGraph is the benchmark's KB (kbgen medium, seed 42), generated
+// once per process.
+var benchGraph = sync.OnceValue(func() *kb.Graph {
 	opt, err := kbgen.PresetOptions("medium", 42)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
 	g := kbgen.Generate(opt)
 	g.Freeze()
+	return g
+})
+
+// benchPair returns that KB and the pair that sets engine_cold's
+// query_p95_ms.
+func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
+	g := benchGraph()
 	s, e := g.NodeByName("film_5972"), g.NodeByName("film_4871")
 	if s == kb.InvalidNode || e == kb.InvalidNode {
 		b.Fatal("benchmark pair missing from the medium preset")
 	}
+	return g, s, e
+}
+
+// BenchmarkPathEnum times path search and grouping alone on that pair
+// (52 path explanations), serial, on warm pooled state, once per route
+// of PathPrioritized: exhaustive is the streaming join a plain request
+// takes, anytime the activation-ordered frontier under a deadline that
+// never expires.
+func BenchmarkPathEnum(b *testing.B) {
+	g, s, e := benchPair(b)
+	for _, route := range []string{"exhaustive", "anytime"} {
+		b.Run(route, func(b *testing.B) {
+			cfg := Config{PathAlg: PathPrioritized, Workers: 1, Pool: NewPool()}
+			if route == "anytime" {
+				cfg.Budget.Deadline = time.Now().Add(time.Hour)
+			}
+			enum := func() int {
+				paths, truncated, err := PathsBudgeted(context.Background(), g, s, e, cfg)
+				if err != nil || truncated {
+					b.Fatalf("truncated=%v err=%v", truncated, err)
+				}
+				return len(paths)
+			}
+			want := enum()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := enum(); got != want {
+					b.Fatalf("enumeration returned %d path explanations, then %d", want, got)
+				}
+			}
+			b.ReportMetric(float64(want), "explanations")
+		})
+	}
+}
+
+// BenchmarkPathUnionPrune times the union stage alone on the same pair
+// (52 path explanations, 77 explanations): path enumeration
+// runs once outside the timer, every iteration is one pathUnionPrune on
+// warm pooled state. joins/op and skipped/op are the merger's own
+// counts of hash joins run and candidates proven empty.
+func BenchmarkPathUnionPrune(b *testing.B) {
+	g, s, e := benchPair(b)
 	cfg := Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}.normalized()
 	paths := Paths(g, s, e, cfg)
 	st := newEnumState()

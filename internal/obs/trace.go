@@ -161,7 +161,9 @@ func (t *Trace) InnerNs() int64 {
 		t.stages[StageMerge].ns.Load()
 }
 
-// AddExpansions adds popped enumeration jobs.
+// AddExpansions adds path-search expansions: entries the budgeted
+// frontier popped, or partials the exhaustive join expanded — one
+// adjacency scan each.
 func (t *Trace) AddExpansions(n int64) {
 	if t == nil {
 		return

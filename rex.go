@@ -198,7 +198,10 @@ type Options struct {
 	Decorate bool
 	// Parallelism sizes the worker pool the engine fans the prioritized
 	// enumeration frontier over: 0 uses GOMAXPROCS, 1 forces serial
-	// enumeration. Results are identical either way.
+	// enumeration. Only queries under a Budget.Timeout have a frontier
+	// to fan out — an unbudgeted query enumerates without one, an
+	// expansion budget forces the serial order — and results are
+	// identical either way.
 	Parallelism int
 	// CacheSize enables an LRU cache of rendered results keyed by
 	// (entity pair, normalized options) when positive; 0 disables
