@@ -71,26 +71,6 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 		workers = len(pairs)
 	}
 
-	// When the batch itself fans out, split the core budget between the
-	// two levels instead of nesting a full GOMAXPROCS enumeration pool
-	// inside every batch worker (which would run ~P² CPU-bound
-	// goroutines and multiply scheduler contention): each query gets
-	// GOMAXPROCS/workers enumeration workers, at least one. Only the
-	// auto setting (Workers == 0) is rebudgeted — an explicit
-	// Options.Parallelism is respected. Results are identical either way
-	// (the engine's worker count never changes output), so the shallow
-	// copy can share the result cache.
-	eng := e
-	if workers > 1 && e.cfg.Workers == 0 {
-		per := runtime.GOMAXPROCS(0) / workers
-		if per < 1 {
-			per = 1
-		}
-		budgeted := *e
-		budgeted.cfg.Workers = per
-		eng = &budgeted
-	}
-
 	bud := opts.Budget
 	if !bud.active() {
 		bud = e.opt.Budget
@@ -121,7 +101,7 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 					pctx = WithTrace(pctx)
 				}
 				t0 := time.Now()
-				res, err := explainContained(eng, pctx, p, bud)
+				res, err := e.explainContained(pctx, p, bud)
 				elapsed := time.Since(t0)
 				if cancel != nil {
 					cancel()
@@ -140,11 +120,11 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 // unwinding a worker goroutine and crashing the whole process. A
 // panicking worker would otherwise also strand BatchExplain's wg.Wait
 // forever, hanging every other pair of the batch.
-func explainContained(eng *Explainer, ctx context.Context, p Pair, bud Budget) (res *Result, err error) {
+func (e *Explainer) explainContained(ctx context.Context, p Pair, bud Budget) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("rex: internal panic explaining (%s, %s): %v", p.Start, p.End, r)
 		}
 	}()
-	return eng.ExplainBudgeted(ctx, p.Start, p.End, bud)
+	return e.ExplainBudgeted(ctx, p.Start, p.End, bud)
 }

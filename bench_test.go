@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/harness"
@@ -358,13 +357,12 @@ func benchBatchPairs(b *testing.B, env *harness.Env) []Pair {
 
 // BenchmarkBatchExplain measures batch throughput serial vs fanned out
 // over the worker pool: the parallel/serial ratio is the speedup the
-// concurrent serving layer buys on multi-core hardware. Enumeration is
-// pinned serial (Parallelism: 1) so the ratio isolates the pair-level
-// fan-out, and caching is off so every pair pays full query cost.
+// concurrent serving layer buys on multi-core hardware. Caching is off
+// so every pair pays full query cost.
 func BenchmarkBatchExplain(b *testing.B) {
 	env, _ := benchSetup(b)
 	kbv := &KB{g: env.G}
-	ex, err := NewExplainer(kbv, Options{Measure: "size+monocount", TopK: 10, Parallelism: 1})
+	ex, err := NewExplainer(kbv, Options{Measure: "size+monocount", TopK: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -420,32 +418,6 @@ func BenchmarkExplainCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkEnumerationWorkers measures the prioritized frontier's
-// worker-pool scaling on the densest workload pair. Only a
-// deadline-budgeted query fans out, so each run takes a deadline that
-// never expires.
-func BenchmarkEnumerationWorkers(b *testing.B) {
-	env, rep := benchSetup(b)
-	p, ok := rep[kb.ConnHigh]
-	if !ok {
-		b.Skip("no high-connectedness pair at bench scale")
-	}
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "gomaxprocs"
-		}
-		cfg := benchCfg
-		cfg.Workers = workers
-		b.Run(name, func(b *testing.B) {
-			cfg.Budget.Deadline = time.Now().Add(time.Hour)
-			for i := 0; i < b.N; i++ {
-				enumerate.Explanations(env.G, p.Start, p.End, cfg)
-			}
-		})
-	}
 }
 
 // BenchmarkExplain is the end-to-end wall-time benchmark: one uncached

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noPruning = fs.Bool("no-pruning", false, "disable ranking-time pruning")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON")
 		decorate  = fs.Bool("decorate", false, "attach non-essential context facts to each explanation")
-		workers   = fs.Int("parallelism", 0, "enumeration worker pool size (0 = GOMAXPROCS)")
 		timeout   = fs.Duration("timeout", 0, "query deadline (0 = none)")
 		traceOn   = fs.Bool("trace", false, "print the per-stage query trace (included in -json output)")
 		version   = fs.Bool("version", false, "print build information and exit")
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DisablePruning:             *noPruning,
 		MaxInstancesPerExplanation: *maxInst,
 		Decorate:                   *decorate,
-		Parallelism:                *workers,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "rex:", err)

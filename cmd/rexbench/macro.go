@@ -24,8 +24,8 @@ import (
 // With a budget configured it additionally measures the anytime path
 // (budgeted percentiles and truncation counts), and with a worker list
 // it runs the contended mode: sustained BatchExplain at each worker
-// count over serial-enumeration queries, so the numbers measure
-// cross-query scaling — the lock-shard story — not intra-query fan-out.
+// count, so the numbers measure cross-query scaling — the lock-shard
+// story.
 // Everything is deterministic in the seed except wall-clock timings.
 
 // macroOptions parameterises the macro run.
@@ -74,8 +74,7 @@ type macroReport struct {
 	BatchQPS     float64 `json:"batch_qps"`
 
 	// Contended holds the contended-mode points: sustained BatchExplain
-	// over serial-enumeration queries at each (GOMAXPROCS, workers,
-	// budget) combination.
+	// at each (GOMAXPROCS, workers, budget) combination.
 	Contended []contendedPoint `json:"contended,omitempty"`
 }
 
@@ -247,12 +246,11 @@ func runMacro(report *benchReport, stdout io.Writer, opt macroOptions) error {
 	fmt.Fprintf(stdout, "macro: sustained BatchExplain: %d queries in %.1fs = %.1f QPS (%d workers)\n",
 		m.BatchQueries, m.BatchSeconds, m.BatchQPS, workers)
 
-	// Contended mode: worker-scaling points. Queries run with serial
-	// enumeration (Parallelism 1) so a 1-worker run is a true serial
-	// baseline and added workers measure cross-query concurrency — the
-	// evaluator/cache lock shards — rather than intra-query fan-out.
+	// Contended mode: worker-scaling points. A 1-worker run is the
+	// serial baseline; added workers measure cross-query concurrency —
+	// the evaluator/cache lock shards.
 	if len(opt.Workers) > 0 {
-		exc, err := rex.NewExplainer(kbv, rex.Options{TopK: 10, Parallelism: 1})
+		exc, err := rex.NewExplainer(kbv, rex.Options{TopK: 10})
 		if err != nil {
 			return err
 		}

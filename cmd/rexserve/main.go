@@ -121,7 +121,6 @@ func main() {
 		topK     = flag.Int("k", 10, "number of explanations per query")
 		maxSize  = flag.Int("size", 5, "pattern size limit (nodes)")
 		maxInst  = flag.Int("instances", 3, "max instances per explanation (0 = all)")
-		workers  = flag.Int("parallelism", 0, "enumeration worker pool size (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 		budgetT  = flag.Duration("budget", 0, "default per-query work budget; on expiry the best-so-far explanations are returned as truncated instead of erroring (0 = none; requests override with budget_ms)")
 		budgetX  = flag.Int("budget-expansions", 0, "default per-query enumeration expansion budget, deterministic truncation (0 = none; requests override with budget_expansions)")
@@ -162,7 +161,6 @@ func main() {
 		Measure:                    *measureN,
 		TopK:                       *topK,
 		MaxInstancesPerExplanation: *maxInst,
-		Parallelism:                *workers,
 		CacheSize:                  *cacheSz,
 		Budget:                     rex.Budget{Timeout: *budgetT, MaxExpansions: *budgetX},
 		Durability: rex.DurabilityOptions{

@@ -86,45 +86,6 @@ func TestConcurrentExplainContext(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial checks that the parallel enumeration engine
-// returns byte-identical rankings to the forced-serial engine.
-func TestParallelMatchesSerial(t *testing.T) {
-	kb := GenerateKB(GenOptions{Scale: 0.4, Seed: 11})
-	serial, err := NewExplainer(kb, Options{Measure: "size+monocount", TopK: 10, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewExplainer(kb, Options{Measure: "size+monocount", TopK: 10, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := kb.Entities("actor")
-	if len(names) < 8 {
-		t.Fatal("generated KB too small")
-	}
-	checked := 0
-	for i := 0; i+1 < len(names) && checked < 5; i += 2 {
-		a, errA := serial.Explain(names[i], names[i+1])
-		b, errB := parallel.Explain(names[i], names[i+1])
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error mismatch for (%s, %s): %v vs %v", names[i], names[i+1], errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if len(a.Explanations) == 0 {
-			continue
-		}
-		if !resultsEqual(a, b) {
-			t.Errorf("parallel ranking differs from serial for (%s, %s)", names[i], names[i+1])
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Skip("no connected sampled pairs at this scale")
-	}
-}
-
 // TestExplainContextPreCancelled checks that an already-cancelled context
 // is rejected before any work happens.
 func TestExplainContextPreCancelled(t *testing.T) {
@@ -311,7 +272,7 @@ func TestResultCache(t *testing.T) {
 // and merge buffers are never shared between in-flight queries.
 func TestPooledEnumerationDeterminismUnderBatch(t *testing.T) {
 	kb := SampleKB()
-	ex, err := NewExplainer(kb, Options{TopK: 10, Parallelism: 2})
+	ex, err := NewExplainer(kb, Options{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

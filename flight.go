@@ -18,9 +18,9 @@ import (
 // bounded by concurrency and the semantics compose with (but do not
 // require) the result cache.
 //
-// Each Explainer owns one group (shared by the shallow engine copies
-// BatchExplain makes), so a key fully identifies the computation: the
-// options dimension is the group's identity, exactly like the cache.
+// Each Explainer owns one group, so a key fully identifies the
+// computation: the options dimension is the group's identity, exactly
+// like the cache.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

@@ -17,7 +17,8 @@ import (
 const enumerateAllocBudget = 600
 
 // TestEnumerateSteadyStateAllocBudget is the alloc-regression guard for
-// the pooled enumeration pipeline, enforced like the match pool test.
+// the pooled enumeration pipeline, enforced like the match pool test, on
+// both routes of PathPrioritized.
 func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
@@ -26,18 +27,20 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	g.Freeze()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	cfg := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune, Workers: 1}
+	for route, bud := range map[string]Budget{"exhaustive": {}, "frontier": neverTruncates} {
+		cfg := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune, Budget: bud}
 
-	want := len(Explanations(g, s, e, cfg)) // warm pools, pin expected size
-	if want == 0 {
-		t.Fatal("sample enumeration returned nothing")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if got := len(Explanations(g, s, e, cfg)); got != want {
-			t.Fatalf("enumeration size changed under pooling: %d != %d", got, want)
+		want := len(Explanations(g, s, e, cfg)) // warm pools, pin expected size
+		if want == 0 {
+			t.Fatalf("%s: sample enumeration returned nothing", route)
 		}
-	})
-	if allocs > enumerateAllocBudget {
-		t.Errorf("steady-state Explanations allocates %.0f times per op; budget %d", allocs, enumerateAllocBudget)
+		allocs := testing.AllocsPerRun(50, func() {
+			if got := len(Explanations(g, s, e, cfg)); got != want {
+				t.Fatalf("%s: enumeration size changed under pooling: %d != %d", route, got, want)
+			}
+		})
+		if allocs > enumerateAllocBudget {
+			t.Errorf("%s: steady-state Explanations allocates %.0f times per op; budget %d", route, allocs, enumerateAllocBudget)
+		}
 	}
 }

@@ -100,12 +100,6 @@ type Config struct {
 	PathAlg PathAlgorithm
 	// UnionAlg selects the combination strategy.
 	UnionAlg UnionAlgorithm
-	// Workers sizes the worker pool that the prioritized enumerator
-	// fans its expansion frontier over: 0 means GOMAXPROCS, 1 forces
-	// serial expansion. Only a deadline-budgeted request has a frontier
-	// to fan out. The enumerated explanation set and its ordering are
-	// identical for every worker count.
-	Workers int
 	// Pool supplies reusable enumeration state. The facade owns one Pool
 	// per knowledge-base snapshot (the measure.Evaluator lifetime
 	// contract); nil falls back to a process-wide pool. Results never
@@ -126,9 +120,8 @@ type Config struct {
 // error. The zero value never truncates.
 type Budget struct {
 	// MaxExpansions bounds the number of frontier node expansions of
-	// the prioritized path search (0 = unlimited). Expansion-budgeted
-	// searches run the canonical serial expansion order regardless of
-	// Config.Workers, so the returned path set is a deterministic
+	// the prioritized path search (0 = unlimited). The expansion order
+	// is deterministic, so the returned path set is a deterministic
 	// prefix: enumerating with budget N always yields a subset of the
 	// paths found with any budget ≥ N, and of the unbudgeted set.
 	// Only PathPrioritized honours it; the naive and basic strawmen
@@ -194,25 +187,18 @@ func (cfg Config) normalized() Config {
 // combine them into all minimal explanations of bounded size. The result
 // is sorted deterministically by (pattern size, canonical key).
 func Explanations(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
-	out, _ := ExplanationsContext(context.Background(), g, start, end, cfg)
+	out, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, cfg)
 	return out
 }
 
-// ExplanationsContext is Explanations with cancellation: enumeration and
-// combination check ctx at bounded intervals and abort mid-flight,
-// returning ctx.Err() and no explanations.
-func ExplanationsContext(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, error) {
-	out, _, err := ExplanationsBudgeted(ctx, g, start, end, cfg)
-	return out, err
-}
-
-// ExplanationsBudgeted is ExplanationsContext surfacing the anytime
-// contract: when cfg.Budget truncates the search, truncated is true and
-// the returned explanations are the complete minimal explanations built
-// from every path the budget admitted — a valid (deterministic, for an
-// expansion budget) subset of the unbudgeted result, never an error.
-// With a zero budget the output is byte-identical to
-// ExplanationsContext and truncated is always false.
+// ExplanationsBudgeted is Explanations with cancellation and the anytime
+// contract. Enumeration and combination check ctx at bounded intervals
+// and abort mid-flight, returning ctx.Err() and no explanations. When
+// cfg.Budget truncates the search, truncated is true and the returned
+// explanations are the complete minimal explanations built from every
+// path the budget admitted — a valid (deterministic, for an expansion
+// budget) subset of the unbudgeted result, never an error. With a zero
+// budget truncated is always false.
 func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) (out []*pattern.Explanation, truncated bool, err error) {
 	cfg = cfg.normalized()
 	pl := cfg.pool()
@@ -240,18 +226,12 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 // path length up to MaxPatternSize-1 (Section 3.2), grouped into
 // explanations (pattern + instance set) and deterministically sorted.
 func Paths(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
-	out, _ := PathsContext(context.Background(), g, start, end, cfg)
+	out, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
 	return out
 }
 
-// PathsContext is Paths with cancellation, checked at bounded intervals
-// inside the enumeration loops.
-func PathsContext(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, error) {
-	out, _, err := PathsBudgeted(ctx, g, start, end, cfg)
-	return out, err
-}
-
-// PathsBudgeted is PathsContext surfacing the anytime contract (see
+// PathsBudgeted is Paths with cancellation, checked at bounded intervals
+// inside the enumeration loops, and the anytime contract (see
 // ExplanationsBudgeted): a truncating budget yields the path
 // explanations completed so far with truncated = true.
 func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
@@ -287,7 +267,7 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 		// The request selects the route: only a budget that can stop
 		// the search has any use for the frontier's order.
 		if cfg.Budget.restricts() {
-			keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Workers, cfg.Budget)
+			keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Budget)
 		} else {
 			keys, err = st.pathEnumExhaustive(ctx, g, start, end, maxLen)
 		}
@@ -371,8 +351,8 @@ func leCompare32(a, b uint32) int {
 // start→end paths are pattern-isomorphic exactly when their step
 // sequences agree (see stepSeqKey), so grouping needs no pattern
 // construction per instance: the keys are sorted (which also puts each
-// group's smallest-keyed instance — the representative the parallel
-// enumerator's determinism relies on — first), de-duplicated by adjacent
+// group's smallest-keyed instance — the representative, whatever order
+// the enumerator found the paths in — first), de-duplicated by adjacent
 // equality, counted per group, and materialised with one pattern and one
 // block-allocated instance set per group.
 func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanation {

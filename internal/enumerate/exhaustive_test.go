@@ -121,7 +121,7 @@ func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.No
 	}
 
 	for name, bud := range map[string]Budget{"deadline": neverExpires(), "expansions": neverTruncates} {
-		got, truncated, err := st.pathEnumPrioritized(context.Background(), g, start, end, maxLen, 1, bud)
+		got, truncated, err := st.pathEnumPrioritized(context.Background(), g, start, end, maxLen, bud)
 		if err != nil || truncated {
 			t.Fatalf("%s: frontier by %s: truncated=%v err=%v", when, name, truncated, err)
 		}

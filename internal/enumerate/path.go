@@ -2,12 +2,8 @@ package enumerate
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"rex/internal/fail"
 	"rex/internal/kb"
 	"rex/internal/obs"
 	"rex/internal/pattern"
@@ -384,49 +380,31 @@ func (st *enumState) joinForward(g *kb.Graph, end kb.NodeID, capFwd int, check *
 // high-degree hubs is postponed — ideally until the opposite side has
 // met the frontier more cheaply.
 //
-// The frontier is processed in batches: up to `workers` queue entries are
-// popped together, each entry's path extensions are computed concurrently
-// on a worker pool, and the results are applied (joins, bookkeeping,
-// activation spreading) sequentially in pop order. Shared state is only
-// read during the concurrent phase and only mutated during the sequential
-// phase, and pop order is deterministic, so the enumerated path set and
-// its grouping are identical for every worker count; with workers == 1
-// the batch size is 1 and the algorithm is exactly the sequential
-// original. Batching changes the traversal order relative to
-// one-at-a-time popping, never the result set (every partial path's
-// terminal is re-activated by the expansion that created it, so every
-// under-cap partial is eventually expanded regardless of order).
+// One entry is popped at a time, in strict activation order: its pending
+// partials are extended by every neighbour, each extension registered
+// and joined as it is made (addPartial), and only then does the entry
+// spread its activation. Every partial path's terminal is re-activated
+// by the expansion that created it, so an untruncated search expands
+// every under-cap partial and returns the set pathEnumExhaustive does.
 //
-// All per-query storage — the node-state arena and its dense index, the
-// priority queue and the per-worker extension buffers — lives in the
-// pooled enumState and is reused across queries.
+// All per-query storage — the node-state arena and its dense index and
+// the priority queue — lives in the pooled enumState and is reused
+// across queries.
 //
-// The budget makes the search anytime: expansions are counted per
-// expanded node and the deadline is polled per popped entry; when
-// either expires the current batch finishes (its nodes were already
-// marked expanded) and the paths completed so far are returned with
-// truncated = true. Because activation ordering postpones high-degree
-// hubs, the truncated set holds exactly the cheap, high-value paths the
-// paper's anytime argument (Section 5) keeps. An expansion budget
-// forces the serial batch size, so its truncation point — and therefore
-// the returned set — is identical for every Workers setting and is a
-// prefix of any larger budget's expansion sequence.
-func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen, workers int, bud Budget) ([]pathKey, bool, error) {
+// The budget makes the search anytime: expansions are counted and the
+// deadline polled per popped entry; when either expires the paths
+// completed so far are returned with truncated = true. Because
+// activation ordering postpones high-degree hubs, the truncated set
+// holds exactly the cheap, high-value paths the paper's anytime argument
+// (Section 5) keeps, and an expansion budget's set is a prefix of any
+// larger budget's expansion sequence.
+func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int, bud Budget) ([]pathKey, bool, error) {
 	st.states, st.pq, st.out = st.states[:0], st.pq[:0], st.out[:0]
 	if maxLen <= 0 || start == end {
 		return nil, false, nil
 	}
 	st.sizeIndex(g.NumNodes())
 	defer st.resetIndex()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if bud.MaxExpansions > 0 {
-		// Deterministic anytime mode: batch size 1 is exactly the
-		// sequential algorithm, so "first N expansions" is well defined
-		// independent of the worker count.
-		workers = 1
-	}
 	hasDeadline := !bud.Deadline.IsZero()
 	tr := obs.FromContext(ctx)
 	expansions := 0
@@ -445,176 +423,100 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 		st.addPartial(s, seed, a)
 	}
 
-	if cap(st.results) < workers {
-		st.results = append(st.results[:cap(st.results)], make([][]partial, workers-cap(st.results))...)
-	}
-	results := st.results[:workers]
-	jobs := st.jobs[:0]
-
+	// The cancellation check steps once per popped entry — the same
+	// expansion-step granularity as the other enumerators.
 	check := cancelCheck{ctx: ctx}
 	for st.pq.Len() > 0 {
-		// Sequential phase 1: pop a batch and snapshot each entry's
-		// pending work, marking it expanded. The cancellation check
-		// steps once per popped node — the same expansion-step
-		// granularity as the other enumerators.
-		jobs = jobs[:0]
-		pendingTotal := 0
-		for st.pq.Len() > 0 && len(jobs) < workers {
-			if bud.MaxExpansions > 0 && expansions >= bud.MaxExpansions {
-				truncated = true
-				tr.Truncated(obs.StageEnumerate, obs.TruncExpansions)
-				break
-			}
-			if hasDeadline && time.Now().After(bud.Deadline) {
-				truncated = true
-				tr.Truncated(obs.StageEnumerate, obs.TruncDeadline)
-				break
-			}
-			if err := check.step(); err != nil {
-				st.jobs = jobs
-				return nil, false, err
-			}
-			e := st.pq.pop()
-			si := st.stateFor(e.node)
-			ns := &st.states[si]
-			if ns.act[e.s] == 0 {
-				continue // already expanded since this entry was pushed
-			}
-			spread := ns.act[e.s]
-			ns.act[e.s] = 0
-
-			// The forward side never expands beyond the end entity; the
-			// backward side never sits on the start entity at all.
-			if e.s == forwardSide && e.node == end {
-				continue
-			}
-			pending := ns.partial[e.s][ns.expanded[e.s]:]
-			ns.expanded[e.s] = int32(len(ns.partial[e.s]))
-			jobs = append(jobs, expandJob{node: e.node, s: e.s, spread: spread, pending: pending})
-			pendingTotal += len(pending)
-			expansions++
-		}
-
-		// Concurrent phase: compute every job's extensions into the
-		// per-worker reused buffers. Tiny batches run inline — goroutine
-		// fan-out only pays off once there is real expansion work to
-		// split.
-		if len(jobs) > 1 && pendingTotal >= 16 {
-			// Worker panics are contained and surfaced as this query's
-			// error (first one wins): a bug tripped by one pathological
-			// pair must fail that query, not take down the process every
-			// other request lives in.
-			var wg sync.WaitGroup
-			var panicMu sync.Mutex
-			var panicErr error
-			for i := range jobs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicErr == nil {
-								panicErr = fmt.Errorf("enumerate: panic in extension worker: %v", r)
-							}
-							panicMu.Unlock()
-						}
-					}()
-					// Failpoint for the containment tests: armed with a
-					// panicking function it simulates a worker bug.
-					_ = fail.Hit("enumerate.extend")
-					results[i] = extendJobPaths(g, &jobs[i], caps, targets, results[i][:0], bud.Deadline)
-				}(i)
-			}
-			wg.Wait()
-			if panicErr != nil {
-				st.jobs = jobs
-				return nil, false, panicErr
-			}
-		} else {
-			for i := range jobs {
-				results[i] = extendJobPaths(g, &jobs[i], caps, targets, results[i][:0], bud.Deadline)
-			}
-		}
-
-		// Sequential phase 2: apply in pop order — register extensions
-		// (joining against the opposite side) and spread activation to
-		// neighbors with pending work.
-		for i := range jobs {
-			j := &jobs[i]
-			for r := range results[i] {
-				st.addPartial(j.s, results[i][r], 0)
-			}
-			for _, he := range g.Neighbors(j.node) {
-				if he.To == start || he.To == end {
-					continue
-				}
-				ni := st.head[he.To]
-				if ni == 0 {
-					continue // never touched: nothing pending on this side
-				}
-				ns := &st.states[ni-1]
-				if len(ns.partial[j.s]) == int(ns.expanded[j.s]) {
-					continue // nothing pending on this side
-				}
-				d := g.Degree(he.To)
-				inc := j.spread
-				if d > 0 {
-					inc = j.spread / float64(d)
-				}
-				ns.act[j.s] += inc
-				st.pq.push(actEntry{node: he.To, s: j.s, act: ns.act[j.s]})
-			}
-			// Partial paths terminating at the opposite target still need
-			// to be joinable (they were, at add time) but never expand;
-			// nothing further to do for them.
-		}
-		if truncated {
-			// Budget exhausted: the popped batch was applied in full (its
-			// nodes were marked expanded before the cut), so st.out holds
-			// every path completed by the admitted expansions.
+		if bud.MaxExpansions > 0 && expansions >= bud.MaxExpansions {
+			truncated = true
+			tr.Truncated(obs.StageEnumerate, obs.TruncExpansions)
 			break
 		}
+		if hasDeadline && time.Now().After(bud.Deadline) {
+			truncated = true
+			tr.Truncated(obs.StageEnumerate, obs.TruncDeadline)
+			break
+		}
+		if err := check.step(); err != nil {
+			return nil, false, err
+		}
+		e := st.pq.pop()
+		ns := &st.states[st.stateFor(e.node)]
+		if ns.act[e.s] == 0 {
+			continue // already expanded since this entry was pushed
+		}
+		spread := ns.act[e.s]
+		ns.act[e.s] = 0
+
+		// The forward side never expands beyond the end entity; the
+		// backward side never sits on the start entity at all.
+		if e.s == forwardSide && e.node == end {
+			continue
+		}
+		pending := ns.partial[e.s][ns.expanded[e.s]:]
+		ns.expanded[e.s] = int32(len(ns.partial[e.s]))
+		expansions++
+		st.extend(g, e, pending, caps[e.s], targets, bud.Deadline)
+
+		// Spread activation to the neighbors with pending work.
+		for _, he := range g.Neighbors(e.node) {
+			if he.To == start || he.To == end {
+				continue
+			}
+			ni := st.head[he.To]
+			if ni == 0 {
+				continue // never touched: nothing pending on this side
+			}
+			ns := &st.states[ni-1]
+			if len(ns.partial[e.s]) == int(ns.expanded[e.s]) {
+				continue // nothing pending on this side
+			}
+			d := g.Degree(he.To)
+			inc := spread
+			if d > 0 {
+				inc = spread / float64(d)
+			}
+			ns.act[e.s] += inc
+			st.pq.push(actEntry{node: he.To, s: e.s, act: ns.act[e.s]})
+		}
 	}
-	st.jobs = jobs
 	tr.AddExpansions(int64(expansions))
 	return st.out, truncated, nil
 }
 
-// extendJobPaths computes the new partial paths one job contributes into
-// dst. It only reads the graph and the job's snapshot, so jobs run in
-// parallel. A non-zero deadline is polled at a bounded interval so one
-// huge expansion (a high-degree hub with many pending paths) cannot
-// overshoot the anytime budget by its own full cost; cutting the
-// extension set short only shrinks the truncated result, which the
-// budget contract allows.
-func extendJobPaths(g *kb.Graph, j *expandJob, caps [2]int, targets [2]kb.NodeID, dst []partial, deadline time.Time) []partial {
+// extend grows the popped entry's pending partials by every neighbour of
+// its node and registers each extension at its own terminal. That
+// terminal is never e.node (a simple path does not revisit it), so
+// addPartial leaves pending alone. A non-zero deadline is polled at a
+// bounded interval so one huge expansion (a high-degree hub with many
+// pending paths) cannot overshoot the anytime budget by its own full
+// cost; cutting the extension set short only shrinks the truncated
+// result, which the budget contract allows.
+func (st *enumState) extend(g *kb.Graph, e actEntry, pending []partial, maxLen int, targets [2]kb.NodeID, deadline time.Time) {
 	checked := 0
-	for i := range j.pending {
-		p := &j.pending[i]
-		if p.length() >= caps[j.s] {
+	for i := range pending {
+		p := &pending[i]
+		if p.length() >= maxLen {
 			continue
 		}
-		for _, he := range g.Neighbors(j.node) {
+		for _, he := range g.Neighbors(e.node) {
 			checked++
 			if checked%ctxCheckInterval == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-				return dst
+				return
 			}
-			if he.To == targets[j.s] || p.contains(he.To) {
+			if he.To == targets[e.s] || p.contains(he.To) {
 				continue
 			}
-			if j.s == backwardSide && he.To == targets[forwardSide] {
+			if e.s == backwardSide && he.To == targets[forwardSide] {
 				continue
 			}
-			dst = append(dst, p.extend(he))
+			st.addPartial(e.s, p.extend(he), 0)
 		}
 	}
-	return dst
 }
 
 // addPartial registers a new partial path at its terminal node, joins it
-// against the opposite side, and makes the terminal expandable. Only the
-// sequential phases call it.
+// against the opposite side, and makes the terminal expandable.
 func (st *enumState) addPartial(s side, p partial, activation float64) {
 	x := p.last()
 	si := st.stateFor(x)

@@ -13,7 +13,7 @@ import (
 // only for the explanations it returns, and a hot-swapped snapshot's
 // buffers become collectable the moment its Pool is dropped. A Pool is
 // safe for concurrent use: each query checks out a private state, so
-// parallel BatchExplain callers never share scratch.
+// concurrent queries never share scratch.
 //
 // The package-level entry points (Explanations, Paths, ...) fall back to
 // a process-wide Pool, keeping the zero-configuration API allocation-
@@ -78,10 +78,8 @@ type enumState struct {
 	fwd  partial
 
 	// Activation-ordered frontier, for budgeted requests.
-	states  []nodeState
-	pq      actQueue
-	jobs    []expandJob
-	results [][]partial
+	states []nodeState
+	pq     actQueue
 
 	// Path grouping (enumerate.go).
 	groups   map[stepSeqKey]int32
@@ -115,14 +113,28 @@ func newEnumState() *enumState {
 // re-pooling a state after one pathological query would pin its
 // footprint for the snapshot's lifetime.
 func (s *enumState) oversized() bool {
-	return cap(s.out) > retainedCap ||
+	if cap(s.out) > retainedCap ||
 		cap(s.bwd) > retainedCap ||
 		cap(s.states) > retainedCap ||
+		cap(s.pq) > retainedCap ||
 		len(s.groups) > retainedCap ||
 		cap(s.gcounts) > retainedCap ||
 		len(s.unionSeen) > retainedCap ||
 		len(s.newIndex) > retainedCap ||
-		s.merger.Oversized(retainedCap)
+		s.merger.Oversized(retainedCap) {
+		return true
+	}
+	// The frontier's partials are spread over the per-node lists that
+	// stateFor recycles, used or not by the last query.
+	kept := 0
+	all := s.states[:cap(s.states)]
+	for i := range all {
+		kept += cap(all[i].partial[0]) + cap(all[i].partial[1])
+		if kept > retainedCap {
+			return true
+		}
+	}
+	return false
 }
 
 // nodeState is the per-node frontier bookkeeping of the prioritized
@@ -131,16 +143,6 @@ type nodeState struct {
 	partial  [2][]partial
 	expanded [2]int32 // partial[s][:expanded[s]] have been expanded
 	act      [2]float64
-}
-
-// expandJob is one popped frontier entry: the node to expand on one
-// side, its pending partial paths (snapshotted sequentially before the
-// concurrent phase), and the activation it will spread.
-type expandJob struct {
-	node    kb.NodeID
-	s       side
-	spread  float64
-	pending []partial
 }
 
 // sizeIndex sizes the all-zero index to a graph of n nodes; the caller

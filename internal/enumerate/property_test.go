@@ -40,8 +40,7 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 
 // Plain PathPrioritized requests take the exhaustive join; these two
 // budgets reach the activation-ordered frontier the way a caller does,
-// without ever truncating it. A deadline keeps Config.Workers, an
-// expansion budget forces the serial order.
+// without ever truncating it.
 func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} }
 
 var neverTruncates = Budget{MaxExpansions: math.MaxInt}
@@ -126,9 +125,8 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 }
 
 // TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that naive, basic,
-// the exhaustive join and the frontier — reached by a deadline at
-// several worker-pool sizes and by an expansion budget — produce
-// identical path sets on random graphs.
+// the exhaustive join and the frontier — reached by a deadline and by an
+// expansion budget — produce identical path sets on random graphs.
 func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
@@ -143,9 +141,7 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 		others := []Config{
 			{PathAlg: PathBasic},
 			{PathAlg: PathPrioritized},
-			{PathAlg: PathPrioritized, Workers: 1, Budget: neverExpires()},
-			{PathAlg: PathPrioritized, Workers: 4, Budget: neverExpires()},
-			{PathAlg: PathPrioritized, Budget: neverExpires()}, // GOMAXPROCS workers
+			{PathAlg: PathPrioritized, Budget: neverExpires()},
 			{PathAlg: PathPrioritized, Budget: neverTruncates},
 		}
 		for _, cfg := range others {
@@ -166,44 +162,6 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestParallelPathsDeterministic checks the stronger property the engine
-// documents: the grouped path explanations are byte-identical — same
-// representative patterns, same instance order — for every worker count
-// of the frontier (a deadline keeps Workers) and for the exhaustive join
-// (workers 0 below).
-func TestParallelPathsDeterministic(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g, start, end := randomKB(seed)
-		base := Paths(g, start, end, Config{PathAlg: PathPrioritized, Workers: 1, Budget: neverExpires()})
-		for _, workers := range []int{0, 2, 4, 8} {
-			cfg := Config{PathAlg: PathPrioritized}
-			if workers > 0 {
-				cfg.Workers, cfg.Budget = workers, neverExpires()
-			}
-			got := Paths(g, start, end, cfg)
-			if len(got) != len(base) {
-				t.Fatalf("seed %d workers %d: %d explanations, want %d", seed, workers, len(got), len(base))
-			}
-			for i := range base {
-				if base[i].P.String() != got[i].P.String() {
-					t.Fatalf("seed %d workers %d: representative %d differs: %s vs %s",
-						seed, workers, i, base[i].P, got[i].P)
-				}
-				wantKeys := base[i].CanonicalInstanceKeys()
-				gotKeys := got[i].CanonicalInstanceKeys()
-				if len(wantKeys) != len(gotKeys) {
-					t.Fatalf("seed %d workers %d: instance count differs at %d", seed, workers, i)
-				}
-				for j := range wantKeys {
-					if wantKeys[j] != gotKeys[j] {
-						t.Fatalf("seed %d workers %d: instance %d/%d differs", seed, workers, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPathsContextCancelled checks cancellation propagates out of every
 // enumeration algorithm.
 func TestPathsContextCancelled(t *testing.T) {
@@ -216,7 +174,7 @@ func TestPathsContextCancelled(t *testing.T) {
 		// pre-cancelled context deterministic for prioritized, and the
 		// others tolerate either outcome on graphs this small only if
 		// enumeration is trivial — so only assert "no wrong error".
-		es, err := PathsContext(ctx, g, start, end, Config{PathAlg: alg})
+		es, _, err := PathsBudgeted(ctx, g, start, end, Config{PathAlg: alg})
 		if err == nil {
 			continue // finished under the check interval: acceptable
 		}

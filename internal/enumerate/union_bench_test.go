@@ -34,15 +34,15 @@ func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
 }
 
 // BenchmarkPathEnum times path search and grouping alone on that pair
-// (52 path explanations), serial, on warm pooled state, once per route
-// of PathPrioritized: exhaustive is the streaming join a plain request
+// (52 path explanations), on warm pooled state, once per route of
+// PathPrioritized: exhaustive is the streaming join a plain request
 // takes, anytime the activation-ordered frontier under a deadline that
 // never expires.
 func BenchmarkPathEnum(b *testing.B) {
 	g, s, e := benchPair(b)
 	for _, route := range []string{"exhaustive", "anytime"} {
 		b.Run(route, func(b *testing.B) {
-			cfg := Config{PathAlg: PathPrioritized, Workers: 1, Pool: NewPool()}
+			cfg := Config{PathAlg: PathPrioritized, Pool: NewPool()}
 			if route == "anytime" {
 				cfg.Budget.Deadline = time.Now().Add(time.Hour)
 			}

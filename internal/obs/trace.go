@@ -70,7 +70,8 @@ func (c TruncCause) String() string {
 }
 
 // stageRec accumulates one stage's timings. All fields are atomic
-// because enumeration and batch scoring record from worker goroutines.
+// because a trace on a BatchExplain context is recorded into by every
+// worker of the batch.
 type stageRec struct {
 	ns    atomic.Int64
 	calls atomic.Int64

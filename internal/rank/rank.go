@@ -126,23 +126,17 @@ func sortRanked(rs []Ranked) {
 // General implements Algorithm 5 over an already-enumerated explanation
 // list: score, sort, return the top k (all, when k ≤ 0).
 func General(ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int) []Ranked {
-	rs, _ := GeneralContext(context.Background(), ctx, es, m, k)
+	rs, _, _ := GeneralBudgeted(context.Background(), ctx, es, m, k, time.Time{})
 	return rs
 }
 
-// GeneralContext is General with cancellation: the context is checked
-// before each (potentially expensive) measure evaluation, and a done
-// context aborts ranking mid-flight with ctx.Err(). Scores computed while
-// the context expires are discarded, never partially returned.
-func GeneralContext(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int) ([]Ranked, error) {
-	rs, _, err := GeneralBudgeted(cctx, ctx, es, m, k, time.Time{})
-	return rs, err
-}
-
-// GeneralBudgeted is GeneralContext with an anytime deadline: scoring
-// stops when the deadline passes and the explanations scored so far are
-// ranked and returned with truncated = true. A zero deadline never
-// truncates and is byte-identical to GeneralContext.
+// GeneralBudgeted is General with cancellation and an anytime deadline.
+// The context is checked before each (potentially expensive) measure
+// evaluation, and a done context aborts ranking mid-flight with
+// ctx.Err(); scores computed while the context expires are discarded,
+// never partially returned. Scoring stops when the deadline passes and
+// the explanations scored so far are ranked and returned with
+// truncated = true. A zero deadline never truncates.
 func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int, deadline time.Time) ([]Ranked, bool, error) {
 	tr := obs.FromContext(cctx)
 	rt0, rinner := rankTimer(tr)
@@ -187,25 +181,18 @@ func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.E
 // equals General's on the full enumeration, usually at a fraction of the
 // cost.
 func TopKAntiMonotone(g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) []Ranked {
-	rs, _ := TopKAntiMonotoneContext(context.Background(), g, start, end, cfg, ctx, m, k)
+	rs, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, start, end, cfg, ctx, m, k)
 	return rs
 }
 
-// TopKAntiMonotoneContext is TopKAntiMonotone with cancellation: path
+// TopKAntiMonotoneBudgeted is TopKAntiMonotone with cancellation — path
 // enumeration aborts via the enumerate layer, and the interleaved
-// expansion checks the context once per frontier explanation.
-func TopKAntiMonotoneContext(cctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) ([]Ranked, error) {
-	rs, _, err := TopKAntiMonotoneBudgeted(cctx, g, start, end, cfg, ctx, m, k)
-	return rs, err
-}
-
-// TopKAntiMonotoneBudgeted is TopKAntiMonotoneContext surfacing the
+// expansion checks the context once per frontier explanation — and the
 // anytime contract of cfg.Budget: path enumeration truncates per the
 // enumerate layer, and when the budget deadline passes mid-expansion the
 // current top-k list (complete explanations, correctly ranked among
 // everything scored so far) is returned with truncated = true. A zero
-// budget never truncates and the result is byte-identical to
-// TopKAntiMonotoneContext.
+// budget never truncates.
 func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10
@@ -301,7 +288,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		if len(frontier) == 0 {
 			// Guard against a context that expired during the last
 			// Score call of the previous expansion round (see
-			// GeneralContext).
+			// GeneralBudgeted).
 			if err := cctx.Err(); err != nil {
 				return nil, false, err
 			}
@@ -353,22 +340,15 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 // position computations abort early. The result equals General's ranking
 // under the same measure.
 func TopKDistributional(ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int) []Ranked {
-	rs, _ := TopKDistributionalContext(context.Background(), ctx, es, m, k)
+	rs, _, _ := TopKDistributionalBudgeted(context.Background(), ctx, es, m, k, time.Time{})
 	return rs
 }
 
-// TopKDistributionalContext is TopKDistributional with cancellation,
-// checked before each bounded evaluation.
-func TopKDistributionalContext(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int) ([]Ranked, error) {
-	rs, _, err := TopKDistributionalBudgeted(cctx, ctx, es, m, k, time.Time{})
-	return rs, err
-}
-
-// TopKDistributionalBudgeted is TopKDistributionalContext with an
-// anytime deadline: when it passes, evaluation stops and the top-k over
-// the explanations scored so far is returned with truncated = true. A
-// zero deadline never truncates and is byte-identical to
-// TopKDistributionalContext.
+// TopKDistributionalBudgeted is TopKDistributional with cancellation,
+// checked before each bounded evaluation, and an anytime deadline: when
+// it passes, evaluation stops and the top-k over the explanations scored
+// so far is returned with truncated = true. A zero deadline never
+// truncates.
 func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int, deadline time.Time) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10

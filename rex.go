@@ -196,13 +196,6 @@ type Options struct {
 	// director of a co-starred film) to each returned explanation — the
 	// post-processing stage Section 2.3 of the paper defers.
 	Decorate bool
-	// Parallelism sizes the worker pool the engine fans the prioritized
-	// enumeration frontier over: 0 uses GOMAXPROCS, 1 forces serial
-	// enumeration. Only queries under a Budget.Timeout have a frontier
-	// to fan out — an unbudgeted query enumerates without one, an
-	// expansion budget forces the serial order — and results are
-	// identical either way.
-	Parallelism int
 	// CacheSize enables an LRU cache of rendered results keyed by
 	// (entity pair, normalized options) when positive; 0 disables
 	// caching. Cached results are shared between callers and must be
@@ -260,9 +253,9 @@ type Budget struct {
 	// MaxExpansions bounds the node expansions of the prioritized path
 	// search (0 = unlimited). Expansion-budgeted enumeration is
 	// deterministic: the result is a prefix-consistent subset of the
-	// unbudgeted explanation set, identical across runs and worker
-	// counts. Requires PathAlgorithm "prioritized" (the default); the
-	// naive and basic strawmen ignore it.
+	// unbudgeted explanation set, identical across runs. Requires
+	// PathAlgorithm "prioritized" (the default); the naive and basic
+	// strawmen ignore it.
 	MaxExpansions int
 	// Timeout bounds the query's wall-clock time (0 = none), polled at
 	// bounded intervals in enumeration, union and ranking. Unlike a
@@ -345,7 +338,7 @@ func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 // internal/measure/carry.go). Both nil for a cold build.
 func newExplainer(k *KB, opt Options, prevEval *measure.Evaluator, touched map[kb.LabelID]struct{}) (*Explainer, error) {
 	opt = opt.normalized()
-	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize, Workers: opt.Parallelism}
+	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize}
 	switch opt.PathAlgorithm {
 	case "naive":
 		cfg.PathAlg = enumerate.PathNaive
