@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -115,7 +116,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Pairs: g.pairs, BudgetMS: req.BudgetMS,
 				BudgetExpansions: req.BudgetExpansions, Trace: req.Trace,
 			})
-			res, err := rt.trySequence(r.Context(), g.chain, http.MethodPost, "/batch", "", sb, reqID, true)
+			res, err := rt.trySequence(r.Context(), g.chain, http.MethodPost, "/batch", "", sb, reqID)
 			out <- subOut{subResult{indices: g.indices, res: res}, err}
 		}(g)
 	}
@@ -160,6 +161,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.genFloor.lift(gathered.Generation)
 	rt.lat.note(time.Since(t0))
 	gathered.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
+	w.Header().Set(generationHeader, strconv.FormatUint(gathered.Generation, 10))
 	writeJSON(w, http.StatusOK, gathered)
 }
 
@@ -207,5 +209,5 @@ func (rt *Router) repinBatch(r *http.Request, subs []subResult, body []byte, req
 			chain = append(chain, rp)
 		}
 	}
-	return rt.trySequence(r.Context(), chain, http.MethodPost, "/batch", "", body, reqID, true)
+	return rt.trySequence(r.Context(), chain, http.MethodPost, "/batch", "", body, reqID)
 }

@@ -73,7 +73,8 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// forward writes a replica's buffered answer to the client.
+// forward writes a replica's buffered answer to the client, unmodified
+// and with its length, so this hop is not chunk-framed either.
 func forward(w http.ResponseWriter, reqID string, res *proxyResult) {
 	if res.contentType != "" {
 		w.Header().Set("Content-Type", res.contentType)
@@ -81,6 +82,10 @@ func forward(w http.ResponseWriter, reqID string, res *proxyResult) {
 	if res.retryAfter != "" {
 		w.Header().Set("Retry-After", res.retryAfter)
 	}
+	if res.generation != 0 {
+		w.Header().Set(generationHeader, strconv.FormatUint(res.generation, 10))
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.Header().Set("X-Request-Id", reqID)
 	w.Header().Set("X-Rex-Replica", res.replica.name)
 	w.WriteHeader(res.status)

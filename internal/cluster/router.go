@@ -237,8 +237,13 @@ type proxyResult struct {
 	retryAfter  string // preserved from a forwarded 429
 	body        []byte
 	replica     *replica
-	generation  uint64 // parsed from 200 query responses, else 0
+	generation  uint64 // a 200 query response's generationHeader, else 0
 }
+
+// generationHeader is where a replica states the generation that
+// answered a 200 from /explain or /batch (serve.GenerationHeader). The
+// router pins and floor-checks on it, and never reads a query body.
+const generationHeader = "X-Rex-Generation"
 
 // maxProxyBody bounds one buffered replica response. Batch responses
 // over the wire dominate; 64 MiB comfortably holds a maximal batch.
@@ -251,9 +256,9 @@ var errNoReplica = errors.New("cluster: no routable replica")
 // terminal=true means the result must go to the client as-is (success,
 // client error, or 429 — shed is shed, the router never retries a shed
 // request into an overloaded fleet); terminal=false with err set means
-// the chain should move on (connect failure, 5xx, corrupt body, stale
-// generation).
-func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQuery string, body []byte, reqID string, wantGen bool) (res *proxyResult, terminal bool, err error) {
+// the chain should move on (connect failure, a body cut short of its
+// framing, 5xx, a 200 without a generation, stale generation).
+func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQuery string, body []byte, reqID string) (res *proxyResult, terminal bool, err error) {
 	u := rp.baseURL + path
 	if rawQuery != "" {
 		u += "?" + rawQuery
@@ -282,11 +287,20 @@ func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQue
 		return nil, false, fmt.Errorf("%s: %w", rp.name, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
+	// One buffer of the announced size when the replica sent a
+	// Content-Length; a chunked body grows it as it arrives. Either way a
+	// body that ends before its framing says so is a read error here.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		// ReadFrom wants MinRead spare bytes before every read, the one
+		// that finds EOF included.
+		buf.Grow(int(min(n, maxProxyBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxProxyBody)); err != nil {
 		rp.breaker.failure()
 		return nil, false, fmt.Errorf("%s: reading body: %w", rp.name, err)
 	}
+	raw := buf.Bytes()
 	switch {
 	case resp.StatusCode >= 500:
 		rp.breaker.failure()
@@ -305,24 +319,22 @@ func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQue
 	}
 	rp.breaker.success()
 	pr := &proxyResult{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: raw, replica: rp}
-	if wantGen && resp.StatusCode == http.StatusOK {
-		var env struct {
-			Generation uint64 `json:"generation"`
-		}
-		if json.Unmarshal(raw, &env) != nil || env.Generation == 0 {
+	if resp.StatusCode == http.StatusOK {
+		gen, err := strconv.ParseUint(resp.Header.Get(generationHeader), 10, 64)
+		if err != nil || gen == 0 {
 			// A 200 the router cannot attribute to a generation is a
 			// corrupt replica answer — never forward it.
-			return nil, false, fmt.Errorf("%s: corrupt response body", rp.name)
+			return nil, false, fmt.Errorf("%s: 200 without a %s", rp.name, generationHeader)
 		}
-		pr.generation = env.Generation
-		rp.liftGen(env.Generation)
-		if floor := rt.genFloor.load(); env.Generation < floor {
+		pr.generation = gen
+		rp.liftGen(gen)
+		if floor := rt.genFloor.load(); gen < floor {
 			// The replica answered from a snapshot older than one a
 			// client has already seen; serving it would move the KB
 			// backwards. Route on, and tell the straggler to catch up.
 			rt.m.staleRejects.Inc()
 			rt.noteLagging(rp)
-			return nil, false, fmt.Errorf("%s: generation %d below floor %d", rp.name, env.Generation, floor)
+			return nil, false, fmt.Errorf("%s: generation %d below floor %d", rp.name, gen, floor)
 		}
 	}
 	return pr, true, nil
@@ -334,7 +346,7 @@ func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQue
 // pass structure means a chain that is briefly all-down gets re-walked
 // after the backoff instead of failing the client immediately — riding
 // out the gap between a replica dying and its successor warming.
-func (rt *Router) trySequence(ctx context.Context, cands []*replica, method, path, rawQuery string, body []byte, reqID string, wantGen bool) (*proxyResult, error) {
+func (rt *Router) trySequence(ctx context.Context, cands []*replica, method, path, rawQuery string, body []byte, reqID string) (*proxyResult, error) {
 	var lastErr error
 	for round := 0; round < rt.cfg.Retries; round++ {
 		if round > 0 {
@@ -352,7 +364,7 @@ func (rt *Router) trySequence(ctx context.Context, cands []*replica, method, pat
 			if round > 0 || i > 0 {
 				rt.m.failovers.Inc()
 			}
-			res, terminal, err := rt.attempt(ctx, rp, method, path, rawQuery, body, reqID, wantGen)
+			res, terminal, err := rt.attempt(ctx, rp, method, path, rawQuery, body, reqID)
 			if terminal {
 				return res, nil
 			}
@@ -410,7 +422,7 @@ func (rt *Router) routeQuery(ctx context.Context, cands []*replica, method, path
 	out := make(chan seqOut, 2)
 	launch := func(c []*replica, hedged bool) {
 		go func() {
-			res, err := rt.trySequence(ctx, c, method, path, rawQuery, body, reqID, true)
+			res, err := rt.trySequence(ctx, c, method, path, rawQuery, body, reqID)
 			out <- seqOut{res, err, hedged}
 		}()
 	}

@@ -57,8 +57,9 @@ func bootReplica(t *testing.T, name string, setup ...func(*serve.Server)) *testR
 	wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if (r.URL.Path == "/explain" || r.URL.Path == "/batch") &&
 			fail.Hit("test.corrupt@"+name) != nil {
-			// A 200 whose body is truncated mid-object: the worst kind of
-			// corruption, because only body inspection can catch it.
+			// A 200 whose body is truncated mid-object and, like anything
+			// not written by the replica's own handlers, carries no
+			// X-Rex-Generation: the router must not forward it.
 			w.Header().Set("Content-Type", "application/json")
 			w.Write([]byte(`{"explanations": [], "genera`)) //nolint:errcheck
 			return
@@ -175,6 +176,9 @@ func TestRouterRoutesAndPinsByKey(t *testing.T) {
 	}
 	if g := generationOf(t, first); g != 1 {
 		t.Fatalf("generation = %d, want 1", g)
+	}
+	if got := first.Header().Get(generationHeader); got != "1" {
+		t.Fatalf("%s = %q, want the body's generation 1", generationHeader, got)
 	}
 	if first.Header().Get("X-Request-Id") == "" {
 		t.Fatal("router did not stamp X-Request-Id")

@@ -18,6 +18,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -186,18 +187,75 @@ func (s *Server) Handler() http.Handler {
 	return s.recoverPanics(s.withRequestID(mux))
 }
 
-// explainResponse wraps one query result for the wire. Generation and
-// Fingerprint identify the snapshot that computed the result, so
-// clients (and the swap-under-traffic tests) can correlate answers
-// with KB versions. Truncated mirrors Result.Truncated: the query
-// exhausted its budget and the explanations are the best found within
-// it, not the exhaustive ranking.
-type explainResponse struct {
-	Result      *rex.Result `json:"result"`
-	Truncated   bool        `json:"truncated"`
-	Generation  uint64      `json:"generation"`
-	Fingerprint string      `json:"fingerprint"`
-	ElapsedMS   float64     `json:"elapsed_ms"`
+// GenerationHeader is the response header carrying the generation of
+// the snapshot that answered a 200 from /explain or /batch — the same
+// number as the body's "generation", where the router can read it
+// without reading the body.
+const GenerationHeader = "X-Rex-Generation"
+
+// explainBufs pools the buffers writeExplain assembles responses in.
+var explainBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledExplainBuf keeps one oversized answer from pinning its
+// buffer in the pool for the life of the process.
+const maxPooledExplainBuf = 1 << 20
+
+// writeExplain is the one writer of a 200 /explain: the result (with
+// res.Trace, when set) wrapped with the query's truncation flag, the
+// generation and fingerprint of the snapshot that computed it — so
+// clients and the swap-under-traffic tests can correlate answers with
+// KB versions — and the elapsed time, sent with a Content-Length and
+// GenerationHeader. The body is byte for byte what a json.Encoder with
+// a two-space indent writes for an object of "result", "truncated",
+// "generation", "fingerprint" and "elapsed_ms" in that order
+// (TestWriteExplainMatchesEncoder), but the result arrives already
+// encoded (rex.Result.AppendJSON) and the four scalars are appended by
+// hand, so a cache hit costs a copy and not an encoding.
+func writeExplain(w http.ResponseWriter, res *rex.Result, generation uint64, fingerprint string, elapsed time.Duration) {
+	buf := explainBufs.Get().(*[]byte)
+	b, err := res.AppendJSON(append((*buf)[:0], "{\n  \"result\": "...))
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encoding result: " + err.Error()})
+		return
+	}
+	b = append(b, ",\n  \"truncated\": "...)
+	b = strconv.AppendBool(b, res.Truncated)
+	b = append(b, ",\n  \"generation\": "...)
+	b = strconv.AppendUint(b, generation, 10)
+	b = append(b, ",\n  \"fingerprint\": "...)
+	b = appendJSONString(b, fingerprint)
+	b = append(b, ",\n  \"elapsed_ms\": "...)
+	// Whole microseconds over 1000 are 0 or at least 0.001, and far below
+	// 1e21: the range where encoding/json also prints 'f' with the
+	// shortest digits.
+	b = strconv.AppendFloat(b, float64(elapsed.Microseconds())/1000, 'f', -1, 64)
+	b = append(b, "\n}\n"...)
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	h.Set(GenerationHeader, strconv.FormatUint(generation, 10))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) //nolint:errcheck // the response is already committed
+	if cap(b) <= maxPooledExplainBuf {
+		*buf = b
+		explainBufs.Put(buf)
+	}
+}
+
+// appendJSONString appends s as encoding/json quotes it. A fingerprint
+// is sixteen hex digits, which need no escaping; anything else takes
+// the encoder's own path.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // budgetRequest carries the per-request work budget accepted by
@@ -466,13 +524,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// clearing the report cannot corrupt cached results.
 		res.Trace = nil
 	}
-	writeJSON(w, http.StatusOK, explainResponse{
-		Result:      res,
-		Truncated:   res.Truncated,
-		Generation:  snap.Generation,
-		Fingerprint: snap.Fingerprint,
-		ElapsedMS:   float64(time.Since(t0).Microseconds()) / 1000,
-	})
+	writeExplain(w, res, snap.Generation, snap.Fingerprint, time.Since(t0))
 }
 
 // handleBatch answers POST /batch with {"pairs":[{"start","end"},...]},
@@ -552,6 +604,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = entry
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
+	w.Header().Set(GenerationHeader, strconv.FormatUint(snap.Generation, 10))
 	writeJSON(w, http.StatusOK, resp)
 }
 

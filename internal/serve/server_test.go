@@ -99,6 +99,9 @@ func TestBatchEndpoint(t *testing.T) {
 	if len(resp.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(resp.Results))
 	}
+	if got := rec.Header().Get(GenerationHeader); got != "1" {
+		t.Errorf("%s = %q, want the body's generation 1", GenerationHeader, got)
+	}
 	if resp.Results[0].Result == nil || resp.Results[0].Error != "" {
 		t.Errorf("pair 0 should succeed: %+v", resp.Results[0])
 	}

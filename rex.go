@@ -21,10 +21,13 @@ package rex
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"sync"
 	"time"
 
 	"rex/internal/decorate"
@@ -466,6 +469,68 @@ type Result struct {
 	// private shallow copies, so the trace is per-caller even when the
 	// underlying result came from the cache or a coalesced computation.
 	Trace *QueryTrace `json:"trace,omitempty"`
+	// enc holds the result's wire encoding once something has asked for
+	// it (see AppendJSON). compute makes the holder, and because it is a
+	// pointer every later copy of the result — tracedResult's, the
+	// single-flight followers', the cache's and a carried-over entry's —
+	// shares the one encoding. Nil on a Result built as a literal.
+	enc *resultJSON
+}
+
+// resultJSON is the once-built encoding of a computed Result without its
+// Trace: everything in it is fixed when compute returns, so the bytes
+// are too.
+type resultJSON struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// AppendJSON appends to dst exactly the bytes of
+// json.MarshalIndent(r, "  ", "  ") — the result as it sits one level
+// inside an indented response envelope — and returns the extended
+// slice. For a result an Explainer computed, everything but the Trace
+// is encoded on the first call and copied on every later one, from any
+// copy of the result and on any goroutine; a Trace is per caller, so it
+// is encoded per call and spliced in as the last field. Callers that
+// never ask pay nothing. The bytes are of the result as computed:
+// results are shared and read-only (see ExplainContext), and a copy
+// modified anyway still appends what was computed.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	body, err := r.bareJSON()
+	if err != nil {
+		return dst, err
+	}
+	if r.Trace == nil {
+		return append(dst, body...), nil
+	}
+	trace, err := json.MarshalIndent(r.Trace, "    ", "  ")
+	if err != nil {
+		return dst, err
+	}
+	// No Result field is omitempty, so body always ends a non-empty
+	// object: a newline, the prefix and the closing brace.
+	const closing = "\n  }"
+	dst = append(dst, body[:len(body)-len(closing)]...)
+	dst = append(dst, ",\n    \"trace\": "...)
+	dst = append(dst, trace...)
+	return append(dst, closing...), nil
+}
+
+// bareJSON returns the encoding of r without its Trace, shared and
+// read-only when r has a holder.
+func (r *Result) bareJSON() ([]byte, error) {
+	if r.enc == nil {
+		return r.marshalBare()
+	}
+	r.enc.once.Do(func() { r.enc.body, r.enc.err = r.marshalBare() })
+	return r.enc.body, r.enc.err
+}
+
+func (r *Result) marshalBare() ([]byte, error) {
+	bare := *r
+	bare.Trace = nil
+	return json.MarshalIndent(&bare, "  ", "  ")
 }
 
 // Explain enumerates and ranks relationship explanations between two
@@ -600,7 +665,7 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 		return nil, err
 	}
 
-	res := &Result{Start: start, End: end, Measure: e.m.Name(), Truncated: truncated}
+	res := &Result{Start: start, End: end, Measure: e.m.Name(), Truncated: truncated, enc: new(resultJSON)}
 	for _, r := range ranked {
 		res.Explanations = append(res.Explanations, e.render(r))
 	}
@@ -613,13 +678,14 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 // budget identifies the computation. Length-prefixing makes the key
 // unambiguous for arbitrary entity names — no separator byte needs to
 // be excluded — and unbudgeted queries keep the historical pair-only
-// key shape.
+// key shape. It runs on every lookup, so it is one concatenation: no
+// fmt, and strconv.Itoa does not allocate below 100.
 func (e *Explainer) queryKey(start, end string, b Budget) string {
-	key := fmt.Sprintf("%d:%s%d:%s", len(start), start, len(end), end)
+	budget := ""
 	if b.active() {
-		key += fmt.Sprintf("|x%d|t%d", b.MaxExpansions, int64(b.Timeout))
+		budget = "|x" + strconv.Itoa(b.MaxExpansions) + "|t" + strconv.FormatInt(int64(b.Timeout), 10)
 	}
-	return key
+	return strconv.Itoa(len(start)) + ":" + start + strconv.Itoa(len(end)) + ":" + end + budget
 }
 
 func isLimited(m measure.Measure) bool {
