@@ -11,8 +11,10 @@ package rex
 // full workload size.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -516,7 +518,7 @@ func ingestDeltas(g *kb.Graph, seed int64, n int) []string {
 
 // benchMediumGraph generates the repository benchmark's KB: kbgen
 // preset medium, seed 42.
-func benchMediumGraph(b *testing.B) *kb.Graph {
+func benchMediumGraph(b testing.TB) *kb.Graph {
 	b.Helper()
 	opt, err := kbgen.PresetOptions("medium", 42)
 	if err != nil {
@@ -552,6 +554,74 @@ func BenchmarkCompact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchCompacted = g.Compact()
+	}
+}
+
+// benchMediumSnapshot is benchMediumGraph with its binary encoding.
+func benchMediumSnapshot(b testing.TB) (*kb.Graph, []byte) {
+	b.Helper()
+	g := benchMediumGraph(b)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return g, buf.Bytes()
+}
+
+// BenchmarkSnapshotDecode times what a recovery, a restart and a snapshot
+// install all wait for: kb.ReadBinary of the repository benchmark's KB
+// from memory (1.36 MB; 20.3 ms and 141 254 allocs before PR 22).
+func BenchmarkSnapshotDecode(b *testing.B) {
+	_, data := benchMediumSnapshot(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := kb.ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCompacted = g
+	}
+}
+
+// BenchmarkSnapshotEncode times the CPU share of a checkpoint:
+// WriteBinary of the same KB into a writer that discards (3.97 ms before
+// PR 22). B/op is the encoder's window, not the snapshot.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	g, data := benchMediumSnapshot(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.WriteBinary(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotDecodeAllocBound holds the codec to one buffer each way:
+// decoding the benchmark's KB allocates its arrays, its two indexes and
+// one string for every name (141 254 allocations when each value went
+// through a stream), and encoding it allocates the window.
+func TestSnapshotDecodeAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g, data := benchMediumSnapshot(t)
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := kb.ReadBinary(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1000 {
+		t.Errorf("decoding the medium snapshot allocates %.0f times, want ≤ 1000", n)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if err := g.WriteBinary(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("encoding the medium snapshot allocates %.0f times, want ≤ 4", n)
 	}
 }
 

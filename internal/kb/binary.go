@@ -1,30 +1,29 @@
 package kb
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
 // Binary serialisation. The TSV format is the interchange format; the
-// binary format exists because a paper-scale knowledge base (hundreds of
-// thousands of entities, >10^6 edges) loads an order of magnitude faster
-// without string splitting.
+// binary format is what a checkpoint, a recovery and a replica catching up
+// move, and it loads a paper-scale knowledge base (hundreds of thousands
+// of entities, >10^6 edges) an order of magnitude faster than TSV.
 //
-// Version 3 serialises the frozen CSR layout directly — per-node degrees
-// followed by the flat half-edge array in frozen (To, Label, Dir) span
-// order — so loading is a streaming fill of the read-path arrays: no
-// AddEdge bookkeeping, no edge-set map, no re-sorting. The content
-// fingerprint is carried in the file (it is a pure function of the
-// content that the loader verifies structurally), together with the
+// It serialises the frozen CSR layout directly — per-node degrees, then
+// the flat half-edge array in frozen (To, Label, Dir) span order — so
+// loading is one fill of the read-path arrays: no AddEdge bookkeeping, no
+// edge-set map, no re-sorting. The content fingerprint travels with the
 // XOR-combinable item hash behind it, so a loaded graph can serve as an
 // overlay base with O(delta) incremental fingerprints. Layout, all
 // integers unsigned varints:
 //
 //	magic "REXKB" version(3)
-//	numLabels { nameLen name directed(1 byte) } ...
+//	numLabels { nameLen name directed(1 byte, 0 or 1) } ...
 //	numNodes  { nameLen name typeLen type } ...
 //	numEdges
 //	degrees   numNodes × degree
@@ -32,367 +31,367 @@ import (
 //	fpLen fp
 //	xorFP (8 bytes big-endian)
 //
-// Version 2 (the same layout without the trailing xorFP) and version 1
-// (edge-list layout: numEdges × { from to label }) remain readable;
-// their fingerprints are recomputed on load. Writers always emit
-// version 3. Node and label references are the dense IDs assigned by
-// declaration order, so graphs round-trip with identical IDs.
+// Node and label references are the dense IDs assigned by declaration
+// order, so graphs round-trip with identical IDs. A reader holds the
+// header to itself: fp must be the fingerprint the three counts and xorFP
+// derive (the invariant of every frozen graph), and nothing may follow
+// xorFP — two transfers concatenated into one spool are not a snapshot.
+// Other versions are refused: 1 and 2 predate the journal, which only
+// ever holds what the running binary wrote.
 
-const binaryMagic = "REXKB"
 const (
-	binaryVersion1 = 1
-	binaryVersion2 = 2
-	binaryVersion  = 3
+	binaryMagic   = "REXKB"
+	binaryVersion = 3
+	maxNameLen    = 1 << 20
+
+	// The encoder writes whenever it has gathered encodeWindow bytes, so
+	// encoding a snapshot never holds a snapshot-sized slice (a checkpoint
+	// runs inside the commit hook of every 64th delta). encodeSlack is room
+	// for the item that crosses the line; a longer name grows the buffer.
+	encodeWindow = 64 << 10
+	encodeSlack  = 1 << 10
 )
 
-// WriteBinary serialises the graph in the binary format (version 3, the
-// CSR layout). The graph is frozen first if it is not already — the
-// frozen spans are the wire content. They are streamed node by node
-// through Degree and Neighbors, so an overlay generation writes the same
-// bytes as its compaction without building one.
-func (g *Graph) WriteBinary(w io.Writer) error {
+// WriteBinary serialises the graph in the binary format. The graph is
+// frozen first if it is not already — the frozen spans are the wire
+// content. They are read node by node through Degree and Neighbors, so
+// an overlay generation writes the same bytes as its compaction without
+// building one.
+func (g *Graph) WriteBinary(w io.Writer) (err error) {
 	g.Freeze()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeUvarint(binaryVersion); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(g.labels))); err != nil {
-		return err
-	}
+	buf := append(make([]byte, 0, encodeWindow+encodeSlack), binaryMagic...)
+	buf = appendUvarint(appendUvarint(buf, binaryVersion), uint64(len(g.labels)))
 	for i, name := range g.labels {
-		if err := writeString(name); err != nil {
-			return err
-		}
-		d := byte(0)
+		directed := byte(0)
 		if g.labelDirected[i] {
-			d = 1
+			directed = 1
 		}
-		if err := bw.WriteByte(d); err != nil {
+		buf = append(appendString(buf, name), directed)
+		if buf, err = drain(w, buf); err != nil {
 			return err
 		}
 	}
-	if err := writeUvarint(uint64(len(g.nodes))); err != nil {
-		return err
-	}
+	buf = appendUvarint(buf, uint64(len(g.nodes)))
 	for _, n := range g.nodes {
-		if err := writeString(n.Name); err != nil {
-			return err
-		}
-		if err := writeString(n.Type); err != nil {
+		buf = appendString(appendString(buf, n.Name), n.Type)
+		if buf, err = drain(w, buf); err != nil {
 			return err
 		}
 	}
-	if err := writeUvarint(uint64(g.numEdges)); err != nil {
-		return err
-	}
+	buf = appendUvarint(buf, uint64(g.numEdges))
 	for i := range g.nodes {
-		if err := writeUvarint(uint64(g.Degree(NodeID(i)))); err != nil {
+		buf = appendUvarint(buf, uint64(g.Degree(NodeID(i))))
+		if buf, err = drain(w, buf); err != nil {
 			return err
 		}
 	}
 	for i := range g.nodes {
 		for _, he := range g.Neighbors(NodeID(i)) {
-			if err := writeUvarint(uint64(he.To)); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(he.Label)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(he.Dir)); err != nil {
+			buf = appendUvarint(buf, uint64(he.To))
+			buf = appendUvarint(buf, uint64(he.Label))
+			buf = append(buf, byte(he.Dir))
+			if buf, err = drain(w, buf); err != nil {
 				return err
 			}
 		}
 	}
-	if err := writeString(g.fp); err != nil {
-		return err
-	}
-	var xorBuf [8]byte
-	binary.BigEndian.PutUint64(xorBuf[:], g.xorFP)
-	if _, err := bw.Write(xorBuf[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	buf = appendString(buf, g.fp)
+	buf = binary.BigEndian.AppendUint64(buf, g.xorFP)
+	_, err = w.Write(buf)
+	return err
 }
 
-// writeBinaryV1 emits the legacy edge-list layout; kept (unexported) so
-// the compatibility path stays covered by tests.
-func (g *Graph) writeBinaryV1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
+// drain writes the buffer out once it has filled the window and returns
+// the buffer to go on with.
+func drain(w io.Writer, buf []byte) (_ []byte, err error) {
+	if len(buf) >= encodeWindow {
+		_, err = w.Write(buf)
+		buf = buf[:0]
 	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
+	return buf, err
+}
+
+// appendUvarint is binary.AppendUvarint with the one-byte case — most
+// degrees, every label and orientation — kept out of its loop.
+func appendUvarint(buf []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(buf, byte(v))
 	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeUvarint(binaryVersion1); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(g.labels))); err != nil {
-		return err
-	}
-	for i, name := range g.labels {
-		if err := writeString(name); err != nil {
-			return err
-		}
-		d := byte(0)
-		if g.labelDirected[i] {
-			d = 1
-		}
-		if err := bw.WriteByte(d); err != nil {
-			return err
-		}
-	}
-	if err := writeUvarint(uint64(len(g.nodes))); err != nil {
-		return err
-	}
-	for _, n := range g.nodes {
-		if err := writeString(n.Name); err != nil {
-			return err
-		}
-		if err := writeString(n.Type); err != nil {
-			return err
+	return binary.AppendUvarint(buf, v)
+}
+
+func appendString(buf []byte, s string) []byte {
+	return append(appendUvarint(buf, uint64(len(s))), s...)
+}
+
+// uvarint decodes the unsigned varint at b[p:] and returns it with the
+// offset after it. When the bytes end first, or the value needs more than
+// 63 bits (nothing the format holds does), the offset returned is past
+// len(b) — and stays there through further calls, so a run of reads needs
+// one check at its end. Small enough to inline into the loops below.
+func uvarint(b []byte, p int) (v uint64, next int) {
+	for shift := uint(0); shift < 63 && p < len(b); shift += 7 {
+		c := b[p]
+		p++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, p
 		}
 	}
-	edges := g.Edges()
-	if err := writeUvarint(uint64(len(edges))); err != nil {
-		return err
+	return 0, len(b) + 1
+}
+
+// cursor walks a snapshot's bytes. Its readers name the field they were
+// after in the error, and a count is refused unless the bytes that remain
+// could hold that many items — so nothing is allocated on a file's say-so.
+type cursor struct {
+	b []byte
+	p int
+}
+
+func short(what string) error {
+	return fmt.Errorf("kb: binary %s: truncated or malformed: %w", what, io.ErrUnexpectedEOF)
+}
+
+func (c *cursor) uvarint(what string) (uint64, error) {
+	v, p := uvarint(c.b, c.p)
+	if p > len(c.b) {
+		return 0, short(what)
 	}
-	for _, e := range edges {
-		if err := writeUvarint(uint64(e.From)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.To)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.Label)); err != nil {
-			return err
-		}
+	c.p = p
+	return v, nil
+}
+
+// count reads the number of items in a section whose items take at least
+// minBytes each.
+func (c *cursor) count(what string, minBytes int) (int, error) {
+	v, err := c.uvarint(what + " count")
+	if err != nil {
+		return 0, err
 	}
-	return bw.Flush()
+	if rest := len(c.b) - c.p; v > uint64(rest/minBytes) {
+		return 0, fmt.Errorf("kb: binary %s count %d exceeds what the remaining %d bytes can hold", what, v, rest)
+	}
+	return int(v), nil
+}
+
+// bytes reads a length-prefixed field without copying it.
+func (c *cursor) bytes(what string, maxLen int) ([]byte, error) {
+	n, err := c.uvarint(what)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(maxLen) {
+		return nil, fmt.Errorf("kb: binary %s length %d exceeds limit %d", what, n, maxLen)
+	}
+	if int(n) > len(c.b)-c.p {
+		return nil, short(what)
+	}
+	c.p += int(n)
+	return c.b[c.p-int(n) : c.p], nil
 }
 
 // ReadBinary parses a graph from the binary format and returns it
-// frozen.
+// frozen. The input is read to its end, into a buffer sized up front when
+// the reader can say what it holds (a file, a bytes.Reader), and decoded
+// from memory; nothing of it is retained.
+//
+// The structure is verified in full — every reference in range, every
+// span strictly sorted, the degree sum against the edge count, the
+// fingerprint against the header's counts and item hash. The item hash
+// itself is taken from the file: recomputing it means hashing every name
+// and edge, which costs more than the rest of the load, and a peer's
+// snapshot is checked against the fingerprint the fleet expects anyway.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("kb: binary header: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("kb: not a REX binary knowledge base (magic %q)", magic)
-	}
-	readUvarint := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("kb: binary %s: %w", what, err)
+	var size int64
+	switch v := r.(type) {
+	case *os.File:
+		if st, err := v.Stat(); err == nil {
+			size = st.Size()
 		}
-		return v, nil
+	case interface{ Len() int }:
+		size = int64(v.Len())
 	}
-	readString := func(what string, maxLen uint64) (string, error) {
-		n, err := readUvarint(what + " length")
-		if err != nil {
-			return "", err
-		}
-		if n > maxLen {
-			return "", fmt.Errorf("kb: binary %s length %d exceeds limit %d", what, n, maxLen)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", fmt.Errorf("kb: binary %s: %w", what, err)
-		}
-		return string(b), nil
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("kb: binary read: %w", err)
 	}
-	version, err := readUvarint("version")
+	return decodeBinary(buf.Bytes())
+}
+
+func decodeBinary(b []byte) (*Graph, error) {
+	if !bytes.HasPrefix(b, []byte(binaryMagic)) {
+		return nil, fmt.Errorf("kb: not a REX binary knowledge base (magic %q)", b[:min(len(b), len(binaryMagic))])
+	}
+	c := &cursor{b: b, p: len(binaryMagic)}
+	version, err := c.uvarint("version")
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion1 && version != binaryVersion2 && version != binaryVersion {
-		return nil, fmt.Errorf("kb: unsupported binary version %d", version)
+	if version != binaryVersion {
+		return nil, fmt.Errorf("kb: unsupported binary version %d (re-export from TSV)", version)
 	}
 	g := New()
-	numLabels, err := readUvarint("label count")
+	numLabels, err := c.count("label", 2)
 	if err != nil {
 		return nil, err
 	}
-	const maxName = 1 << 20
-	for i := uint64(0); i < numLabels; i++ {
-		name, err := readString("label name", maxName)
+	for i := 0; i < numLabels; i++ {
+		name, err := c.bytes("label name", maxNameLen)
 		if err != nil {
 			return nil, err
 		}
-		d, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("kb: binary label direction: %w", err)
+		if c.p == len(b) || b[c.p] > 1 {
+			return nil, fmt.Errorf("kb: binary label %d: missing or bad direction byte", i)
 		}
-		if _, err := g.Label(name, d == 1); err != nil {
+		if _, err := g.Label(string(name), b[c.p] == 1); err != nil {
 			return nil, err
 		}
+		if len(g.labels) != i+1 {
+			return nil, fmt.Errorf("kb: binary label %d: duplicate name %q", i, name)
+		}
+		c.p++
 	}
-	numNodes, err := readUvarint("node count")
+	if err := g.readNodes(c); err != nil {
+		return nil, err
+	}
+	numEdges, err := c.uvarint("edge count")
 	if err != nil {
 		return nil, err
 	}
-	g.nodes = make([]Node, 0, numNodes)
-	g.byName = make(map[string]NodeID, numNodes)
-	for i := uint64(0); i < numNodes; i++ {
-		name, err := readString("node name", maxName)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := readString("node type", maxName)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := g.byName[name]; dup {
-			return nil, fmt.Errorf("kb: binary node %d: duplicate name %q", i, name)
-		}
-		id := NodeID(len(g.nodes))
-		g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
-		g.byName[name] = id
+	if err := g.readCSR(c, numEdges); err != nil {
+		return nil, err
 	}
-	numEdges, err := readUvarint("edge count")
+	fp, err := c.bytes("fingerprint", 64)
 	if err != nil {
 		return nil, err
 	}
-	if version == binaryVersion1 {
-		g.adj = make([][]HalfEdge, len(g.nodes))
-		for i := uint64(0); i < numEdges; i++ {
-			from, err := readUvarint("edge from")
-			if err != nil {
-				return nil, err
-			}
-			to, err := readUvarint("edge to")
-			if err != nil {
-				return nil, err
-			}
-			label, err := readUvarint("edge label")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := g.AddEdge(NodeID(from), NodeID(to), LabelID(label)); err != nil {
-				return nil, err
-			}
-		}
-		g.Freeze()
-		return g, nil
+	if len(b)-c.p < 8 {
+		return nil, short("item hash")
 	}
-	if err := g.readCSR(br, readUvarint, numEdges); err != nil {
-		return nil, err
-	}
-	fp, err := readString("fingerprint", 64)
-	if err != nil {
-		return nil, err
+	g.xorFP = binary.BigEndian.Uint64(b[c.p:])
+	if rest := len(b) - c.p - 8; rest != 0 {
+		return nil, fmt.Errorf("kb: binary: %d bytes after the end of the snapshot", rest)
 	}
 	g.numEdges = int(numEdges)
+	g.fp = fpString(g.NumNodes(), g.NumEdges(), g.NumLabels(), g.xorFP)
+	if string(fp) != g.fp {
+		return nil, fmt.Errorf("kb: binary fingerprint %q does not match the header's counts and item hash (%s)", fp, g.fp)
+	}
 	g.frozen = true
 	g.deriveLabelView()
 	g.buildTypeIndex()
-	if version == binaryVersion2 {
-		// The legacy format carries a fingerprint computed by the old
-		// sequential hash; recompute both hashes so the invariant
-		// fp == fpString(counts, xorFP) holds for every frozen graph.
-		g.xorFP = g.contentXor()
-		g.fp = fpString(g.NumNodes(), g.NumEdges(), g.NumLabels(), g.xorFP)
-		return g, nil
-	}
-	var xorBuf [8]byte
-	if _, err := io.ReadFull(br, xorBuf[:]); err != nil {
-		return nil, fmt.Errorf("kb: binary xor hash: %w", err)
-	}
-	g.fp = fp
-	g.xorFP = binary.BigEndian.Uint64(xorBuf[:])
 	return g, nil
 }
 
-// readCSR streams the version-2 degree and half-edge arrays into the CSR
-// layout, validating references, orientation values, span sort order and
-// the half-edge/edge-count invariant so a corrupt file cannot produce a
-// structurally inconsistent graph.
-func (g *Graph) readCSR(br *bufio.Reader, readUvarint func(string) (uint64, error), numEdges uint64) error {
-	n := len(g.nodes)
-	g.csrOff = make([]int32, n+1)
-	total := uint64(0)
+// readNodes reads the node section. It is walked once to find its end and
+// copied into one string; every name and type is a substring of it, so a
+// load allocates one string however many entities there are.
+func (g *Graph) readNodes(c *cursor) error {
+	n, err := c.count("node", 2)
+	if err != nil {
+		return err
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("kb: binary node count %d exceeds the ID space", n)
+	}
+	start := c.p
 	for i := 0; i < n; i++ {
-		d, err := readUvarint("node degree")
-		if err != nil {
+		if _, err := c.bytes("node name", maxNameLen); err != nil {
 			return err
 		}
-		total += d
-		if total >= uint64(1)<<31 {
+		if _, err := c.bytes("node type", maxNameLen); err != nil {
+			return err
+		}
+	}
+	sec := c.b[start:c.p]
+	text := string(sec)
+	// carve returns the length-prefixed field at sec[p:], already checked
+	// by the walk above, as a substring of text.
+	carve := func(p int) (string, int) {
+		l, p := uvarint(sec, p)
+		return text[p : p+int(l)], p + int(l)
+	}
+	g.nodes = make([]Node, n)
+	g.byName = make(map[string]NodeID, n)
+	p := 0
+	for i := range g.nodes {
+		nd := &g.nodes[i]
+		nd.ID = NodeID(i)
+		nd.Name, p = carve(p)
+		nd.Type, p = carve(p)
+		if g.byName[nd.Name] = nd.ID; len(g.byName) != i+1 {
+			return fmt.Errorf("kb: binary node %d: duplicate name %q", i, nd.Name)
+		}
+	}
+	return nil
+}
+
+// readCSR fills the CSR arrays from the degree and half-edge sections in
+// one pass, validating as it goes — references, orientation values,
+// strict (To, Label, Dir) order within a span, no self-loop, and the
+// half-edge/edge-count invariant — so a corrupt file cannot produce a
+// structurally inconsistent graph.
+func (g *Graph) readCSR(c *cursor, numEdges uint64) error {
+	n := len(g.nodes) // backed by the node section's bytes, so safe to size from
+	b := c.b
+	g.csrOff = make([]int32, n+1)
+	total, p := uint64(0), c.p
+	for i := 0; i < n; i++ {
+		var d uint64
+		d, p = uvarint(b, p)
+		// A degree read past the end is 0, so the sum stays bounded.
+		if total += d; total >= 1<<31 {
 			return fmt.Errorf("kb: binary degree sum overflows")
 		}
 		g.csrOff[i+1] = int32(total)
 		g.maxDegree = max(g.maxDegree, int(d))
 	}
+	if p > len(b) {
+		return short("node degrees")
+	}
 	if total != 2*numEdges {
 		return fmt.Errorf("kb: binary half-edge count %d does not match edge count %d", total, numEdges)
 	}
-	g.csr = make([]HalfEdge, total)
-	for i := range g.csr {
-		to, err := readUvarint("half-edge target")
-		if err != nil {
-			return err
-		}
-		label, err := readUvarint("half-edge label")
-		if err != nil {
-			return err
-		}
-		d, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("kb: binary half-edge dir: %w", err)
-		}
-		if to >= uint64(n) {
-			return fmt.Errorf("kb: binary half-edge %d: target %d out of range", i, to)
-		}
-		if label >= uint64(len(g.labels)) {
-			return fmt.Errorf("kb: binary half-edge %d: label %d out of range", i, label)
-		}
-		if Dir(d) != Out && Dir(d) != In && Dir(d) != Undirected {
-			return fmt.Errorf("kb: binary half-edge %d: bad orientation %d", i, d)
-		}
-		g.csr[i] = HalfEdge{To: NodeID(to), Label: LabelID(label), Dir: Dir(d)}
+	if rest := len(b) - p; total > uint64(rest/3) {
+		return fmt.Errorf("kb: binary half-edge count %d exceeds what the remaining %d bytes can hold", total, rest)
 	}
+	g.csr = make([]HalfEdge, total)
+	numLabels := uint64(len(g.labels))
 	for i := 0; i < n; i++ {
 		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]
-		for j := 1; j < len(span); j++ {
-			a, b := span[j-1], span[j]
-			if a.To > b.To || (a.To == b.To && (a.Label > b.Label || (a.Label == b.Label && a.Dir >= b.Dir))) {
+		// (To, Label, Dir) packed 31+31+2 bits, plus one: strictly
+		// ascending keys are a strictly sorted span, and 0 is below all.
+		prev := uint64(0)
+		for j := range span {
+			to, q := uvarint(b, p)
+			label, q := uvarint(b, q)
+			if q >= len(b) {
+				return short("half-edges")
+			}
+			d := b[q]
+			p = q + 1
+			if to >= uint64(n) {
+				return fmt.Errorf("kb: binary half-edge %d: target %d out of range", int(g.csrOff[i])+j, to)
+			}
+			if label >= numLabels {
+				return fmt.Errorf("kb: binary half-edge %d: label %d out of range", int(g.csrOff[i])+j, label)
+			}
+			if d > byte(Undirected) {
+				return fmt.Errorf("kb: binary half-edge %d: bad orientation %d", int(g.csrOff[i])+j, d)
+			}
+			key := (to<<33 | label<<2 | uint64(d)) + 1
+			if key <= prev {
 				return fmt.Errorf("kb: binary node %d: half-edge span not strictly (To, Label, Dir)-sorted", i)
 			}
-		}
-		for _, he := range span {
-			if he.To == NodeID(i) {
+			if to == uint64(i) {
 				return fmt.Errorf("kb: binary node %d: self-loop", i)
 			}
+			prev = key
+			span[j] = HalfEdge{To: NodeID(to), Label: LabelID(label), Dir: Dir(d)}
 		}
 	}
+	c.p = p
 	return nil
 }
 
@@ -411,10 +410,9 @@ func (g *Graph) SaveBinary(path string) error {
 
 // LoadBinary reads a graph from a binary-format file.
 func LoadBinary(path string) (*Graph, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBinary(f)
+	return decodeBinary(data)
 }

@@ -2,7 +2,10 @@ package kb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,24 +130,6 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryV1Compat proves the reader still accepts the legacy edge-list
-// layout emitted before the CSR snapshot format.
-func TestBinaryV1Compat(t *testing.T) {
-	g := randomGraph(11, 20)
-	var buf bytes.Buffer
-	if err := g.writeBinaryV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsEqual(t, g, g2)
-	if g.Fingerprint() != g2.Fingerprint() {
-		t.Errorf("v1 fingerprint mismatch: %s vs %s", g.Fingerprint(), g2.Fingerprint())
-	}
-}
-
 // TestBinaryCSRRoundTripFingerprint is the CSR-layout round-trip guard:
 // the loaded graph must carry identical CSR arrays (checked via the
 // public accessors) and its content fingerprint — recomputed from the
@@ -223,6 +208,107 @@ func TestBinaryCSRRejectsCorrupt(t *testing.T) {
 	for _, cut := range []int{len(data) - 1, len(data) / 2, 8} {
 		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes loaded successfully", cut)
+		}
+	}
+}
+
+// TestBinaryCountsAreClaims feeds the reader headers whose counts promise
+// far more than the bytes behind them. Each count is checked against the
+// bytes that remain before anything is sized from it, so each body is an
+// error naming its section — not an allocation of what the count claims
+// (at 2⁴⁰ nodes that was "fatal error: out of memory", which no recover
+// catches).
+func TestBinaryCountsAreClaims(t *testing.T) {
+	header := func(fields ...uint64) []byte {
+		b := append([]byte(binaryMagic), binaryVersion)
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
+		}
+		return b
+	}
+	// Two nameless-but-distinct nodes of degree 2³⁰−1 each: every header
+	// invariant holds (degree sum 2³¹−2 = 2 × edges) and no half-edge
+	// follows.
+	hub := header(0, 2)
+	hub = append(hub, 1, 'a', 0, 1, 'b', 0)
+	for range 3 { // the edge count, then the two degrees
+		hub = binary.AppendUvarint(hub, 1<<30-1)
+	}
+	cases := []struct {
+		name, want string
+		body       []byte
+	}{
+		{"2^40 nodes in 13 bytes", "node count", header(0, 1<<40)},
+		{"2^40 labels", "label count", header(1 << 40)},
+		{"degree sum 2^31-2, no half-edges", "half-edge count", hub},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadBinary(bytes.NewReader(tc.body))
+		runtime.ReadMemStats(&after)
+		if err == nil || g != nil {
+			t.Fatalf("%s: loaded", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the %s", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d bytes allocated to refuse %d bytes of input", tc.name, got, len(tc.body))
+		}
+	}
+}
+
+// TestBinaryHeaderCheckedAgainstItself: the stored fingerprint must be the
+// one its own counts and item hash derive, and the snapshot must end where
+// the format says it does.
+func TestBinaryHeaderCheckedAgainstItself(t *testing.T) {
+	g := randomGraph(7, 12)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	mutate := func(at int) []byte {
+		mut := bytes.Clone(data)
+		mut[at] ^= 0x01
+		return mut
+	}
+	cases := []struct {
+		name, want string
+		body       []byte
+	}{
+		{"fingerprint digit", "fingerprint", mutate(len(data) - 9)},
+		{"item hash bit", "fingerprint", mutate(len(data) - 1)},
+		{"one trailing byte", "after the end", append(bytes.Clone(data), 0)},
+		{"two transfers in one spool", "after the end", append(bytes.Clone(data), data...)},
+	}
+	for _, tc := range cases {
+		_, err := ReadBinary(bytes.NewReader(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestBinaryEveryPrefixFails cuts a 500-node snapshot at every offset:
+// the whole decodes to exactly the arrays a freeze builds, and no strict
+// prefix decodes at all.
+func TestBinaryEveryPrefixFails(t *testing.T) {
+	g := randomBase(rand.New(rand.NewSource(22)), 500, 5, 1500)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	back, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameArrays(t, "loaded", back, g)
+	for cut := 0; cut < len(data); cut++ {
+		if _, err := decodeBinary(data[:cut:cut]); err == nil {
+			t.Fatalf("the first %d of %d bytes loaded", cut, len(data))
 		}
 	}
 }

@@ -480,12 +480,8 @@ func (g *Graph) Freeze() {
 // Backing arrays from a previous freeze are reused.
 func (g *Graph) buildCSR() {
 	n := len(g.nodes)
-	if cap(g.csrOff) < n+1 {
-		g.csrOff = make([]int32, n+1)
-	} else {
-		g.csrOff = g.csrOff[:n+1]
-	}
-	g.csr = g.csr[:0]
+	g.csrOff = sized(g.csrOff, n+1)
+	g.csr = sized(g.csr, 2*g.numEdges)[:0] // two half-edges an edge: self-loops are refused
 	g.csrOff[0] = 0
 	g.maxDegree = 0
 	for i := 0; i < n; i++ {
@@ -513,68 +509,73 @@ func (g *Graph) buildCSR() {
 // Because a node's csr span is already sorted by (To, Dir) within each
 // label, a stable counting pass per node — group sizes, then placement in
 // traversal order — produces the label view without a comparison sort.
+// Every array is sized before it is written: a first sweep counts the
+// (node, label) runs, so nothing grows and nothing is copied.
 func (g *Graph) deriveLabelView() {
 	n := len(g.nodes)
-	if cap(g.labelCSR) < len(g.csr) {
-		g.labelCSR = make([]HalfEdge, len(g.csr))
-	} else {
-		g.labelCSR = g.labelCSR[:len(g.csr)]
-	}
-	g.spanOff = g.spanOff[:0]
-	g.spans = g.spans[:0]
-	// Scratch reused across nodes: per-label counts for the labels
-	// touched by the current node.
-	type labelCount struct {
-		label LabelID
-		count int32
-		off   int32
-	}
-	var touched []labelCount
+	g.labelCSR = sized(g.labelCSR, len(g.csr))
+	g.spanOff = sized(g.spanOff, n+1)
+	// slot is the one scratch, indexed by label. In the first sweep it
+	// holds the last node (plus one) seen carrying the label; in the
+	// second, per node, the label's count, then its write offset, then 0.
+	slot := make([]int32, len(g.labels))
+	runs := int32(0)
 	for i := 0; i < n; i++ {
-		g.spanOff = append(g.spanOff, int32(len(g.spans)))
-		base := g.csrOff[i]
-		span := g.csr[base:g.csrOff[i+1]]
-		touched = touched[:0]
+		g.spanOff[i] = runs
+		for _, he := range g.csr[g.csrOff[i]:g.csrOff[i+1]] {
+			if slot[he.Label] != int32(i)+1 {
+				slot[he.Label] = int32(i) + 1
+				runs++
+			}
+		}
+	}
+	g.spanOff[n] = runs
+	g.spans = sized(g.spans, int(runs))
+	clear(slot)
+	for i := 0; i < n; i++ {
+		off := g.csrOff[i]
+		span := g.csr[off:g.csrOff[i+1]]
+		touched := g.spans[g.spanOff[i]:g.spanOff[i]]
 		for _, he := range span {
-			found := false
-			for t := range touched {
-				if touched[t].label == he.Label {
-					touched[t].count++
-					found = true
-					break
-				}
+			if slot[he.Label] == 0 {
+				touched = append(touched, labelSpan{label: he.Label})
 			}
-			if !found {
-				touched = append(touched, labelCount{label: he.Label, count: 1})
-			}
+			slot[he.Label]++
 		}
 		// Ascending label order for the binary search in NeighborsLabeled:
 		// an insertion sort, because a node carries a handful of labels
 		// and sort.Slice allocates twice per call — once per node of
-		// every Freeze and every Compact.
+		// every Freeze.
 		for x := 1; x < len(touched); x++ {
 			for y := x; y > 0 && touched[y].label < touched[y-1].label; y-- {
 				touched[y], touched[y-1] = touched[y-1], touched[y]
 			}
 		}
-		off := base
 		for t := range touched {
-			touched[t].off = off
-			g.spans = append(g.spans, labelSpan{label: touched[t].label, off: off, n: touched[t].count})
-			off += touched[t].count
+			sp := &touched[t]
+			sp.off, sp.n = off, slot[sp.label]
+			slot[sp.label] = off
+			off += sp.n
 		}
 		// Stable placement: traversal order within a label is (To, Dir).
 		for _, he := range span {
-			for t := range touched {
-				if touched[t].label == he.Label {
-					g.labelCSR[touched[t].off] = he
-					touched[t].off++
-					break
-				}
-			}
+			g.labelCSR[slot[he.Label]] = he
+			slot[he.Label]++
+		}
+		for _, sp := range touched {
+			slot[sp.label] = 0
 		}
 	}
-	g.spanOff = append(g.spanOff, int32(len(g.spans)))
+}
+
+// sized returns s with length n, reusing its backing array when that is
+// large enough (a re-freeze) and allocating exactly n otherwise. The
+// contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // thaw reconstructs the build-time representation (per-node adjacency

@@ -370,7 +370,7 @@ func TestOverlayBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	base := randomBase(rng, 15, 4, 50)
 	ovG := base
-	for round := 0; round < 3; round++ { // stacked, with added nodes and labels
+	for round := 0; round < 5; round++ { // stacked, with added nodes and labels
 		ovG = applyOpsOverlay(t, ovG, randomOps(rng, ovG.NumNodes(), ovG.NumLabels(), 12, round))
 	}
 	var buf, compacted bytes.Buffer
@@ -383,7 +383,7 @@ func TestOverlayBinaryRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), compacted.Bytes()) {
 		t.Fatalf("overlay wrote %d bytes that differ from its compaction's %d", buf.Len(), compacted.Len())
 	}
-	if ovG.Overlay().Depth != 3 {
+	if ovG.Overlay().Depth != 5 {
 		t.Fatalf("writing changed the overlay: %+v", ovG.Overlay())
 	}
 	back, err := ReadBinary(&buf)

@@ -19,7 +19,6 @@
 package rex
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,23 +54,25 @@ type KB struct {
 
 // LoadKB reads a knowledge base from a file, auto-detecting the format:
 // the fast binary format (see KB.SaveBinary) by its magic header,
-// otherwise the TSV interchange format (node/label/edge records).
+// otherwise the TSV interchange format (node/label/edge records). Either
+// reader gets the file itself, from its start: the binary one takes it in
+// a single read sized by Stat, the TSV one streams it.
 func LoadKB(path string) (*KB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(5)
-	if err == nil && string(head) == "REXKB" {
-		g, err := kb.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return &KB{g: g}, nil
+	var magic [5]byte
+	n, _ := io.ReadFull(f, magic[:]) // a file shorter than the magic is TSV's to refuse
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
 	}
-	g, err := kb.ReadTSV(br)
+	read := kb.ReadTSV
+	if string(magic[:n]) == "REXKB" {
+		read = kb.ReadBinary
+	}
+	g, err := read(f)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package rex
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,6 +50,38 @@ func TestTSVRoundTripPublic(t *testing.T) {
 	}
 	if kb3.Stats() != kb.Stats() {
 		t.Error("ReadKB stats differ")
+	}
+}
+
+// TestLoadKBDetectsFormat: one entry point, both formats, told apart by
+// the magic — including files too short to hold one.
+func TestLoadKBDetectsFormat(t *testing.T) {
+	kb := SampleKB()
+	dir := t.TempDir()
+	bin, tsv := filepath.Join(dir, "kb.bin"), filepath.Join(dir, "kb.tsv")
+	if err := kb.SaveBinary(bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.SaveTSV(tsv); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{bin, tsv} {
+		got, err := LoadKB(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != kb.Fingerprint() {
+			t.Errorf("%s: fingerprint %s, want %s", filepath.Base(path), got.Fingerprint(), kb.Fingerprint())
+		}
+	}
+	short := filepath.Join(dir, "short")
+	for body, wantErr := range map[string]bool{"": false, "REX": true, "REXKB": true, "# a\n": false} {
+		if err := os.WriteFile(short, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadKB(short); (err != nil) != wantErr {
+			t.Errorf("LoadKB of %q: error %v, want error %v", body, err, wantErr)
+		}
 	}
 }
 

@@ -122,9 +122,10 @@ func TestStoreApplyErrorsLeaveStoreUntouched(t *testing.T) {
 }
 
 // TestStoreErrorPathsPreserveState pins down the all-or-nothing
-// contract in full: a failed Apply or ReloadFrom leaves the generation,
-// the fingerprint, every LiveStats counter and the warm result cache
-// exactly as they were — the failed attempt is invisible to readers.
+// contract in full: a failed Apply, ReloadFrom or InstallSnapshot leaves
+// the generation, the fingerprint, every LiveStats counter and the warm
+// result cache exactly as they were — the failed attempt is invisible to
+// readers.
 func TestStoreErrorPathsPreserveState(t *testing.T) {
 	st := newTestStore(t, Options{Measure: "size", CacheSize: 16})
 	// One successful swap first, so the counters have non-trivial values
@@ -155,6 +156,13 @@ func TestStoreErrorPathsPreserveState(t *testing.T) {
 	}
 	if _, err := st.ReloadFrom(bad); err == nil {
 		t.Fatal("reload of malformed file succeeded")
+	}
+	// A peer's snapshot that claims 2⁴⁰ entities in 13 bytes: refused from
+	// the bytes that came, not sized from the claim (which no recover
+	// survives).
+	claim := "REXKB\x03\x00\x80\x80\x80\x80\x80\x20"
+	if _, err := st.InstallSnapshot(strings.NewReader(claim), gen+1, ""); err == nil || !strings.Contains(err.Error(), "node count") {
+		t.Fatalf("install of a snapshot claiming 2^40 nodes: %v", err)
 	}
 
 	if st.Generation() != gen || st.Current().Fingerprint != fp {
