@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -529,31 +530,66 @@ func benchMediumGraph(b testing.TB) *kb.Graph {
 
 var benchCompacted *kb.Graph
 
-// BenchmarkCompact times the write path's periodic fold on the
-// repository benchmark's KB: one compaction of 32 stacked deltas, the
-// default CompactDepth. The 64 deltas before them (two compactions) bring
-// the stream to its steady state, where every delta also deletes.
-func BenchmarkCompact(b *testing.B) {
-	g := benchMediumGraph(b)
+// benchCompactChain is the graph BenchmarkCompact folds: the repository
+// benchmark's KB under 32 stacked deltas, the default CompactDepth. The
+// 64 deltas before them (two compactions) bring the stream to its steady
+// state, where every delta also deletes.
+func benchCompactChain(tb testing.TB) *kb.Graph {
+	tb.Helper()
+	g := benchMediumGraph(tb)
 	for i, body := range ingestDeltas(g, 42, 96) {
 		d, err := live.ParseDelta(strings.NewReader(body))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if g, _, _, err = d.Apply(g); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if i == 31 || i == 63 {
 			g = g.Compact()
 		}
 	}
 	if depth := g.Overlay().Depth; depth != live.DefaultCompactDepth {
-		b.Fatalf("overlay depth %d, want %d", depth, live.DefaultCompactDepth)
+		tb.Fatalf("overlay depth %d, want %d", depth, live.DefaultCompactDepth)
 	}
+	return g
+}
+
+// BenchmarkCompact times the write path's periodic fold on the
+// repository benchmark's KB: one compaction of benchCompactChain (3.2 ms,
+// 93 allocs and 8.9 MB before the fold shared the node table and the
+// name index).
+func BenchmarkCompact(b *testing.B) {
+	g := benchCompactChain(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchCompacted = g.Compact()
+	}
+}
+
+// TestCompactAllocBound holds a compaction to its arrays: the CSR blocks,
+// the label tables and the changed type lists. The node table and the
+// name index are shared, not copied or rebuilt (93 allocations and
+// 8.9 MB when they were).
+func TestCompactAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := benchCompactChain(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		benchCompacted = g.Compact()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / runs; n > 40 {
+		t.Errorf("a compaction allocates %d times, want ≤ 40", n)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6; mb > 7.5 {
+		t.Errorf("a compaction allocates %.2f MB, want ≤ 7.5", mb)
 	}
 }
 
@@ -622,6 +658,49 @@ func TestSnapshotDecodeAllocBound(t *testing.T) {
 		}
 	}); n > 4 {
 		t.Errorf("encoding the medium snapshot allocates %.0f times, want ≤ 4", n)
+	}
+}
+
+// BenchmarkStoreApplyCheckpoint times the acknowledgement of a durable
+// apply (fsync always) that triggers a checkpoint, on the repository
+// benchmark's KB at the default policies: each iteration applies 63
+// deltas off the clock and times the 64th, the one that hits
+// CheckpointEvery — and, as in a store, CompactDepth too. The checkpoint
+// itself runs on the journal's checkpointer behind the ack; "off" is the
+// same loop with checkpoints disabled, the floor "trigger" is held to.
+func BenchmarkStoreApplyCheckpoint(b *testing.B) {
+	const every = live.DefaultCheckpointEvery
+	for _, bc := range []struct {
+		name  string
+		every int
+	}{{"trigger", every}, {"off", -1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := benchMediumGraph(b)
+			deltas := ingestDeltas(g, 42, every*b.N)
+			st, err := NewStore(&KB{g: g}, Options{Measure: "size", TopK: 10, Durability: DurabilityOptions{
+				Dir: b.TempDir(), Fsync: "always", CheckpointEvery: bc.every}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			apply := func(d string) {
+				if _, err := st.Apply(strings.NewReader(d)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, d := range deltas[i*every : (i+1)*every-1] {
+					apply(d)
+				}
+				b.StartTimer()
+				apply(deltas[(i+1)*every-1])
+			}
+			b.StopTimer()
+			st.Close() //nolint:errcheck // off the clock: it waits for the last checkpoint
+		})
 	}
 }
 

@@ -296,3 +296,235 @@ func TestCrashRecoverySoak(t *testing.T) {
 		}
 	}
 }
+
+// gateFailpoint arms point with a hook that reports its first hit on
+// entered, holds every hit until release is closed, and then returns
+// err. The hook runs on the journal's checkpointer goroutine.
+func gateFailpoint(point string, err error) (entered <-chan struct{}, release func()) {
+	in, gate := make(chan struct{}, 1), make(chan struct{})
+	fail.EnableFunc(point, func() error {
+		select {
+		case in <- struct{}{}:
+		default:
+		}
+		<-gate
+		return err
+	})
+	return in, func() { close(gate) }
+}
+
+// journalFiles lists the journal directory's checkpoint files and WAL
+// segment files (wal.log and wal-<gen>.log).
+func journalFiles(t *testing.T, dir string) (ckpts, wal []string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "checkpoint-"):
+			ckpts = append(ckpts, name)
+		case strings.HasPrefix(name, "wal"):
+			wal = append(wal, name)
+		}
+	}
+	return ckpts, wal
+}
+
+// TestCrashDuringBackgroundCheckpoint crashes a durable store while a
+// checkpoint is in flight on the journal's checkpointer: the checkpoint
+// is held at each of its failpoints while deltas keep arriving — each is
+// acknowledged without waiting for it, one of them triggering the next
+// checkpoint behind it — and then fails there, the store is abandoned,
+// and the directory is recovered. Nothing acknowledged is lost, the
+// recovered state is the crash-free oracle's, and the recovered store
+// converges on the oracle's final state across a clean restart.
+func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
+	const nDeltas = 12
+	deltas := make([]string, nDeltas)
+	for i := range deltas {
+		deltas[i] = soakDelta(i)
+	}
+	oracle := soakOracle(t, deltas)
+	for _, point := range []string{"checkpoint.write", "checkpoint.rename", "checkpoint.gc"} {
+		t.Run(point, func(t *testing.T) {
+			defer fail.Reset()
+			dir := t.TempDir()
+			st, err := NewStore(durableKB(t), durableOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entered, release := gateFailpoint(point, fmt.Errorf("%w at %s", fail.ErrInjected, point))
+			var acked uint64
+			for i := 0; i < 7; i++ { // the 3rd and 6th appends trigger checkpoints
+				info, err := st.Apply(strings.NewReader(deltas[i]))
+				if err != nil {
+					t.Fatalf("apply %d with a checkpoint in flight: %v", i, err)
+				}
+				acked = info.Generation
+				if i == 2 {
+					<-entered // the checkpoint of generation 4 is held at point
+				}
+			}
+			release()
+			fail.Reset()
+
+			// The crashed store is abandoned; reopening the directory takes
+			// it over from the journal still checkpointing in the background.
+			st2, err := NewStore(durableKB(t), durableOptions(dir))
+			if err != nil {
+				t.Fatalf("recovery after a crash at %s: %v", point, err)
+			}
+			if gen := st2.Generation(); gen != acked || st2.Current().Fingerprint != oracle[gen] {
+				t.Fatalf("recovered generation %d (%s), want the acknowledged %d (%s)",
+					gen, st2.Current().Fingerprint, acked, oracle[acked])
+			}
+			for g := acked; g < nDeltas+1; g++ {
+				if _, err := st2.Apply(strings.NewReader(deltas[g-1])); err != nil {
+					t.Fatalf("post-recovery apply for generation %d: %v", g+1, err)
+				}
+			}
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st3, err := NewStore(durableKB(t), durableOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st3.Close()
+			if gen := st3.Generation(); gen != nDeltas+1 || st3.Current().Fingerprint != oracle[gen] {
+				t.Fatalf("restart after convergence: generation %d (%s), want %d (%s)",
+					gen, st3.Current().Fingerprint, nDeltas+1, oracle[nDeltas+1])
+			}
+			// Draining the abandoned journal runs what it still had queued
+			// and shows the held checkpoint was counted as failed.
+			st.Close() //nolint:errcheck // the crashed store's journal
+			if ds := st.DurabilityStats(); ds.CheckpointFailures == 0 {
+				t.Fatalf("crashed store's stats = %+v, want the failed checkpoint counted", ds)
+			}
+		})
+	}
+}
+
+// TestRepairDuringBackgroundCheckpoint: a replica whose history forked
+// is repaired onto the fleet's lower generation while a checkpoint of
+// its forked history is still being written. The repair waits for it,
+// and then no checkpoint and no WAL segment above the repair generation
+// is left behind, so a restart lands on the fleet's state.
+func TestRepairDuringBackgroundCheckpoint(t *testing.T) {
+	defer fail.Reset()
+	fleet, err := NewStore(durableKB(t), Options{Measure: "size"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := fleet.Apply(strings.NewReader(soakDelta(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fleet.Current() // generation 3
+
+	dir := t.TempDir()
+	st, err := NewStore(durableKB(t), durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := gateFailpoint("checkpoint.write", nil)
+	for i := 0; i < 5; i++ { // generations 2..6; the 3rd append triggers a checkpoint of 4
+		if _, err := st.Apply(strings.NewReader(fmt.Sprintf("node\tf%d\tperson\nedge\tbob\tf%d\tknows\n", i, i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			<-entered
+		}
+	}
+	h, err := fleet.SyncCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired := make(chan error, 1)
+	go func() {
+		_, err := st.RepairSnapshot(h.Reader, h.Generation, h.Fingerprint)
+		repaired <- err
+	}()
+	release()
+	if err := <-repaired; err != nil {
+		t.Fatalf("repair during a background checkpoint: %v", err)
+	}
+	ckpts, wal := journalFiles(t, dir)
+	if len(ckpts) != 1 || ckpts[0] != fmt.Sprintf("checkpoint-%016x.rexkb", want.Generation) || len(wal) != 1 {
+		t.Fatalf("after the repair: checkpoints %v, WAL segments %v; want the repair's checkpoint and one empty segment", ckpts, wal)
+	}
+	if ds := st.DurabilityStats(); ds.WALSize != 0 || ds.CheckpointGen != want.Generation {
+		t.Fatalf("after the repair: %+v, want an empty WAL and checkpoint %d", ds, want.Generation)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := NewStore(durableKB(t), durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Generation() != want.Generation || st2.Current().Fingerprint != want.Fingerprint {
+		t.Fatalf("restart after the repair: generation %d (%s), want the fleet's %d (%s)",
+			st2.Generation(), st2.Current().Fingerprint, want.Generation, want.Fingerprint)
+	}
+}
+
+// TestRecoverSingleFileJournal recovers a journal directory in the
+// layout before WAL segments — one checkpoint and one wal.log, written
+// by that code: durableOptions, five soakDeltas, a checkpoint at
+// generation 4 and Close — and keeps it working: the next checkpoint
+// seals wal.log as the first segment and collects it.
+func TestRecoverSingleFileJournal(t *testing.T) {
+	const nDeltas = 9
+	deltas := make([]string, nDeltas)
+	for i := range deltas {
+		deltas[i] = soakDelta(i)
+	}
+	oracle := soakOracle(t, deltas)
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "journal-wal-log")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewStore(durableKB(t), durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := st.DurabilityStats(); st.Generation() != 6 || st.Current().Fingerprint != oracle[6] || ds.Replayed != 2 {
+		t.Fatalf("recovered generation %d (%s), %d replayed; want 6 (%s) from checkpoint 4 and 2 records",
+			st.Generation(), st.Current().Fingerprint, ds.Replayed, oracle[6])
+	}
+	for g := 6; g < nDeltas+1; g++ {
+		if _, err := st.Apply(strings.NewReader(deltas[g-1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ckpts, wal := journalFiles(t, dir); len(ckpts) != 1 || len(wal) != 1 || wal[0] == "wal.log" {
+		t.Fatalf("after a checkpoint on the recovered journal: checkpoints %v, WAL segments %v", ckpts, wal)
+	}
+	st2, err := NewStore(durableKB(t), durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Generation() != nDeltas+1 || st2.Current().Fingerprint != oracle[nDeltas+1] {
+		t.Fatalf("restart: generation %d (%s), want %d (%s)", st2.Generation(), st2.Current().Fingerprint, nDeltas+1, oracle[nDeltas+1])
+	}
+}

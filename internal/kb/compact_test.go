@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -39,10 +40,29 @@ func requireSameArrays(t *testing.T, tag string, got, want *Graph) {
 	check("spanOff", slices.Equal(got.spanOff, want.spanOff))
 	check("spans", slices.Equal(got.spans, want.spans))
 	check("byType", maps.EqualFunc(got.byType, want.byType, slices.Equal[[]NodeID]))
-	check("byName", maps.Equal(got.byName, want.byName))
 	check("fingerprint", got.fp == want.fp && got.xorFP == want.xorFP)
 	check("numEdges", got.numEdges == want.numEdges)
 	check("maxDegree", got.maxDegree == want.maxDegree)
+	requireSameNames(t, tag, got, want)
+}
+
+// requireSameNames compares name lookups, not the maps behind them: a
+// compaction shares its base's index and keeps the names added since in
+// a second map. Every node's name — base and added alike — resolves to
+// the same ID, and absent names to none.
+func requireSameNames(t *testing.T, tag string, got, want *Graph) {
+	t.Helper()
+	for i := range want.nodes {
+		name := want.nodes[i].Name
+		if g, w := got.NodeByName(name), want.NodeByName(name); g != w {
+			t.Fatalf("%s: NodeByName(%q) = %d, Clone+Freeze says %d", tag, name, g, w)
+		}
+	}
+	for _, name := range []string{"", "absent", "n-1", "a20"} {
+		if id := got.NodeByName(name); id != InvalidNode {
+			t.Fatalf("%s: NodeByName(%q) = %d for a name no node has", tag, name, id)
+		}
+	}
 }
 
 // requireStatsMatchScan recomputes Stats by a Degree scan of every node
@@ -194,6 +214,116 @@ func TestCompactConcatenation(t *testing.T) {
 		// written to them.
 		requireGraphsIdentical(t, tag+" (overlay after compaction)", ov, rebuilt)
 	})
+}
+
+// sameMap reports whether a and b are one map, not two equal ones.
+func sameMap(a, b map[string]NodeID) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestCompactSharesNameIndex walks a compaction chain through every case
+// of the two-level name index: the chain's additions shared as the
+// second map, both maps shared when the chain added no name, the two
+// second maps merged, and the fold once they outgrow a quarter of the
+// full map. Lookups agree with a rebuild at every step.
+func TestCompactSharesNameIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := randomBase(rng, 100, 3, 300)
+	addNames := func(prefix string, n int) []ovOp {
+		var ops []ovOp
+		for i := 0; i < n; i++ {
+			ops = append(ops, ovOp{kind: 0, name: fmt.Sprintf("%s%d", prefix, i), typ: "robot"})
+		}
+		return append(ops, ovOp{kind: 2, from: 1, to: 2, label: 0}, ovOp{kind: 3, from: 3, to: 4, label: 1})
+	}
+	cur, rebuilt := base, base
+	for _, step := range []struct {
+		tag   string
+		ops   []ovOp
+		added int // names in the compaction's second map; -1: folded
+	}{
+		{"chain's names become the second map", addNames("a", 5), 5},
+		{"no name added: both maps shared", addNames("", 0), 5},
+		{"second maps merged", addNames("b", 5), 10},
+		{"folded past a quarter", addNames("c", 20), -1},
+		{"fresh second map after the fold", addNames("d", 3), 3},
+	} {
+		ov := applyOpsOverlay(t, cur, step.ops)
+		rebuilt = applyOpsRebuild(t, rebuilt, step.ops)
+		c := ov.Compact()
+		requireSameArrays(t, step.tag, c, rebuilt)
+		switch {
+		case step.added < 0:
+			if c.addedNames != nil || len(c.byName) != c.NumNodes() || sameMap(c.byName, cur.byName) {
+				t.Fatalf("%s: %d + %d names, want one fresh full map", step.tag, len(c.byName), len(c.addedNames))
+			}
+		case !sameMap(c.byName, cur.byName) || len(c.addedNames) != step.added:
+			t.Fatalf("%s: full map shared %v, %d added names, want shared and %d", step.tag,
+				sameMap(c.byName, cur.byName), len(c.addedNames), step.added)
+		case len(step.ops) == 2 && !sameMap(c.addedNames, cur.addedNames):
+			t.Fatalf("%s: a chain that added no name copied the second map", step.tag)
+		}
+		cur = c
+	}
+}
+
+// TestThawedCompactionLeavesSourceAlone: a compaction aliases its source
+// generation's node table and its base's name maps, so mutating the
+// compaction — which thaws it — must copy them first. The overlay
+// generation it came from, a sibling compaction of that generation and
+// the base keep their nodes, names and fingerprints.
+func TestThawedCompactionLeavesSourceAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := randomBase(rng, 60, 3, 200)
+	ops := []ovOp{
+		{kind: 0, name: "added", typ: "robot"},
+		{kind: 2, from: 0, to: 60, label: 0},
+		{kind: 4, from: 5, typ: "android"},
+	}
+	ov := applyOpsOverlay(t, base, ops)
+	c := ov.Compact()
+	requireSameArrays(t, "before the thaw", c, applyOpsRebuild(t, base, ops))
+	type view struct {
+		nodes []Node
+		names map[string]NodeID
+		fp    string
+	}
+	look := func(g *Graph) view {
+		v := view{nodes: g.Nodes(), names: map[string]NodeID{}, fp: g.Fingerprint()}
+		for _, n := range v.nodes {
+			v.names[n.Name] = g.NodeByName(n.Name)
+		}
+		for _, name := range []string{"thawed", "sibling"} {
+			v.names[name] = g.NodeByName(name)
+		}
+		return v
+	}
+	sibling := ov.Compact()
+	before := map[string]view{"overlay": look(ov), "base": look(base), "sibling": look(sibling)}
+
+	if err := c.SetNodeType(0, "retyped"); err != nil {
+		t.Fatal(err)
+	}
+	c.AddNode("thawed", "robot")
+	if err := c.SetNodeType(60, "moved"); err != nil { // the overlay's added node
+		t.Fatal(err)
+	}
+	sibling.AddNode("sibling", "robot")
+	if err := sibling.SetNodeType(5, "film"); err != nil {
+		t.Fatal(err)
+	}
+	c.Freeze()
+	if c.NodeByName("thawed") != 61 || c.Node(60).Type != "moved" || c.NodeByName("sibling") != InvalidNode {
+		t.Fatal("the thawed compaction lost its own mutations or sees its sibling's")
+	}
+	for tag, g := range map[string]*Graph{"overlay": ov, "base": base} {
+		if !reflect.DeepEqual(look(g), before[tag]) {
+			t.Fatalf("%s changed under a thawed compaction (node 0 %+v, node 60 %+v)", tag, g.Node(0), g.Node(60))
+		}
+	}
+	if sibling.NodeByName("thawed") != InvalidNode || sibling.Node(0).Type == "retyped" || sibling.Node(60).Type != "robot" {
+		t.Fatal("a sibling compaction sees another compaction's mutations")
+	}
 }
 
 // TestStatsMatchesScan: the constant-time Stats of every frozen graph —

@@ -129,8 +129,15 @@ type Edge struct {
 // deterministic. Mutating a frozen graph unfreezes it. Graph is not safe
 // for concurrent mutation; concurrent reads are safe.
 type Graph struct {
-	nodes  []Node
-	byName map[string]NodeID
+	// nodes and the two name maps are shared between the frozen
+	// generations a compaction or an overlay derives from one another, so
+	// no frozen graph writes to them: thaw gives a graph private copies
+	// before a mutator touches either. byName is the full index built
+	// when the table was last folded; addedNames holds the names added
+	// since (nil when byName is complete, see Compact).
+	nodes      []Node
+	byName     map[string]NodeID
+	addedNames map[string]NodeID
 
 	labels        []string
 	labelIDs      map[string]LabelID
@@ -208,13 +215,13 @@ func (g *Graph) NumLabels() int { return len(g.labels) }
 // same name already exists its ID is returned and the type is left
 // unchanged.
 func (g *Graph) AddNode(name, typ string) NodeID {
-	if g.byName == nil {
-		g.byName = make(map[string]NodeID)
-	}
-	if id, ok := g.byName[name]; ok {
+	if id := g.NodeByName(name); id != InvalidNode {
 		return id
 	}
 	g.thaw()
+	if g.byName == nil {
+		g.byName = make(map[string]NodeID)
+	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
 	g.adj = append(g.adj, nil)
@@ -295,6 +302,9 @@ func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 // when absent.
 func (g *Graph) NodeByName(name string) NodeID {
 	if id, ok := g.byName[name]; ok {
+		return id
+	}
+	if id, ok := g.addedNames[name]; ok {
 		return id
 	}
 	if g.ov != nil {
@@ -581,10 +591,12 @@ func sized[T any](s []T, n int) []T {
 // thaw reconstructs the build-time representation (per-node adjacency
 // lists and the edge-existence set) from the CSR arrays so a frozen graph
 // can be mutated again. Every mutator calls it first; on an unfrozen
-// graph it is a no-op. The CSR views are truncated, keeping their backing
-// arrays for the next Freeze. An overlay generation instead detaches
-// from its base entirely — the aliased arrays and the shared name index
-// belong to the base, which keeps serving other generations.
+// graph it is a no-op. The node table and the name index are copied,
+// since other frozen generations may share them. The CSR views are
+// truncated, keeping their backing arrays for the next Freeze. An
+// overlay generation instead detaches from its base entirely — the
+// aliased arrays belong to the base, which keeps serving other
+// generations.
 func (g *Graph) thaw() {
 	if !g.frozen {
 		return
@@ -593,14 +605,10 @@ func (g *Graph) thaw() {
 	g.frozen = false
 	g.adj = adj
 	g.edgeSet = edgeSetFromAdj(adj)
+	g.nodes = append([]Node(nil), g.nodes...)
+	g.byName, g.addedNames = g.nameIndex(), nil
 	if g.ov != nil {
 		g.csr, g.csrOff, g.labelCSR, g.spanOff, g.spans = nil, nil, nil, nil, nil
-		g.nodes = append([]Node(nil), g.nodes...)
-		byName := make(map[string]NodeID, len(g.nodes))
-		for i := range g.nodes {
-			byName[g.nodes[i].Name] = g.nodes[i].ID
-		}
-		g.byName = byName
 		g.byType = nil
 		g.ov = nil
 	} else {
@@ -611,6 +619,15 @@ func (g *Graph) thaw() {
 		g.spans = g.spans[:0]
 	}
 	g.fp = ""
+}
+
+// nameIndex builds a complete, private name index from the node table.
+func (g *Graph) nameIndex() map[string]NodeID {
+	m := make(map[string]NodeID, len(g.nodes))
+	for i := range g.nodes {
+		m[g.nodes[i].Name] = g.nodes[i].ID
+	}
+	return m
 }
 
 // adjFromCSR copies the frozen spans back into per-node adjacency

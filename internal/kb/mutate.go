@@ -20,10 +20,7 @@ func (g *Graph) Clone() *Graph {
 		nodes:    append([]Node(nil), g.nodes...),
 		numEdges: g.numEdges,
 	}
-	c.byName = make(map[string]NodeID, len(g.byName))
-	for k, v := range g.byName {
-		c.byName[k] = v
-	}
+	c.byName = g.nameIndex()
 	c.labels = append([]string(nil), g.labels...)
 	c.labelDirected = append([]bool(nil), g.labelDirected...)
 	c.labelIDs = make(map[string]LabelID, len(g.labelIDs))
@@ -33,16 +30,9 @@ func (g *Graph) Clone() *Graph {
 	if g.frozen {
 		// A frozen graph holds only the CSR arrays; materialise the
 		// clone's build-time state from them. The original stays frozen
-		// and keeps serving reads. An overlay generation's shared name
-		// index lacks the nodes added since the base freeze — fold its
-		// additions in so the clone's index is complete.
+		// and keeps serving reads.
 		c.adj = g.adjFromCSR()
 		c.edgeSet = edgeSetFromAdj(c.adj)
-		if g.ov != nil {
-			for name, id := range g.ov.addedByName {
-				c.byName[name] = id
-			}
-		}
 		return c
 	}
 	c.adj = make([][]HalfEdge, len(g.adj))

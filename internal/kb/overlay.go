@@ -2,6 +2,7 @@ package kb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -54,7 +55,7 @@ type overlay struct {
 	pages []ovPage // node directory, indexed by NodeID >> ovPageShift
 
 	// Cumulative node bookkeeping since the base freeze. addedByName
-	// complements the shared base name index; retyped maps base nodes
+	// complements the base's shared name maps; retyped maps base nodes
 	// whose current type differs from their base type (so base type
 	// lists can be filtered on read); extraByType lists, per type and in
 	// ID order, the added and retyped-in nodes missing from the base
@@ -158,9 +159,12 @@ func (g *Graph) Overlay() OverlayInfo {
 // no label view derived. The type index shares the base's list for every
 // type whose membership the overlay left alone — lists are never written
 // after they are built: NodesOfType copies and Freeze rebuilds into a
-// fresh map. Fingerprint and maximum degree carry over unchanged. What
-// remains proportional to the graph is the copying itself and a fresh
-// name index. A plain graph is returned unchanged.
+// fresh map. The node table is the overlay generation's own, aliased
+// (no frozen graph writes to it), and so is the base's name index, with
+// the names added since it was built in a second map (compactNames).
+// Fingerprint and maximum degree carry over unchanged. What remains
+// proportional to the graph is the block copying. A plain graph is
+// returned unchanged.
 func (g *Graph) Compact() *Graph {
 	if g.ov == nil || !g.frozen {
 		return g
@@ -168,7 +172,7 @@ func (g *Graph) Compact() *Graph {
 	ov, base := g.ov, g.ov.base
 	n, nBase := len(g.nodes), len(base.nodes)
 	c := &Graph{
-		nodes:         append([]Node(nil), g.nodes...),
+		nodes:         g.nodes,
 		labels:        append([]string(nil), g.labels...),
 		labelDirected: append([]bool(nil), g.labelDirected...),
 		numEdges:      g.numEdges,
@@ -186,12 +190,7 @@ func (g *Graph) Compact() *Graph {
 	for k, v := range g.labelIDs {
 		c.labelIDs[k] = v
 	}
-	// Inserting into a map sized up front beats cloning the base's index
-	// and adding to it, which grows the clone from empty (measured).
-	c.byName = make(map[string]NodeID, n)
-	for i := range c.nodes {
-		c.byName[c.nodes[i].Name] = c.nodes[i].ID
-	}
+	c.byName, c.addedNames = compactNames(c, base, ov.addedByName)
 
 	// copyRun appends the untouched base nodes [a, b) as one block per
 	// array, shifting their offsets to where the block lands.
@@ -260,6 +259,29 @@ func (g *Graph) Compact() *Graph {
 		}
 	}
 	return c
+}
+
+// compactNames gives a compaction c of an overlay chain over base its
+// two-level name index: base's full map, shared, and the names added
+// since that map was built — base's own second map plus the chain's
+// additions. Either second map is shared as it is when the other is
+// empty; both are immutable. A second map that would outgrow a quarter
+// of the full one is folded into a fresh full map instead, so lookups
+// stay two probes and the fold's O(names) is paid once per quarter of
+// the table added.
+func compactNames(c, base *Graph, chain map[string]NodeID) (byName, added map[string]NodeID) {
+	switch {
+	case len(base.addedNames)+len(chain) > len(base.byName)/4:
+		return c.nameIndex(), nil
+	case len(chain) == 0:
+		return base.byName, base.addedNames
+	case len(base.addedNames) == 0:
+		return base.byName, chain
+	}
+	added = make(map[string]NodeID, len(base.addedNames)+len(chain))
+	maps.Copy(added, base.addedNames)
+	maps.Copy(added, chain)
+	return base.byName, added
 }
 
 // OverlayBuilder accumulates one delta against a frozen graph and
@@ -544,14 +566,15 @@ func (b *OverlayBuilder) Graph() *Graph {
 		frozen:   true,
 		// Aliased base read path: untouched nodes answer straight from
 		// the base arrays.
-		csrOff:   base.csrOff,
-		csr:      base.csr,
-		labelCSR: base.labelCSR,
-		spanOff:  base.spanOff,
-		spans:    base.spans,
-		byType:   base.byType,
-		byName:   base.byName,
-		xorFP:    src.xorFP ^ b.xor,
+		csrOff:     base.csrOff,
+		csr:        base.csr,
+		labelCSR:   base.labelCSR,
+		spanOff:    base.spanOff,
+		spans:      base.spans,
+		byType:     base.byType,
+		byName:     base.byName,
+		addedNames: base.addedNames,
+		xorFP:      src.xorFP ^ b.xor,
 		// Raised below by any node that outgrows it; rescanned only if a
 		// node that held it got shorter.
 		maxDegree: src.maxDegree,

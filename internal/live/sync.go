@@ -1,6 +1,8 @@
 package live
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,16 +37,19 @@ func EncodeFrame(buf []byte, gen uint64, payload []byte) []byte {
 	var header [walFrameHeader]byte
 	binary.BigEndian.PutUint64(header[0:8], gen)
 	binary.BigEndian.PutUint32(header[8:12], uint32(len(payload)))
-	h := crc32.NewIEEE()
-	h.Write(header[0:12]) //nolint:errcheck // hash writes cannot fail
-	h.Write(payload)      //nolint:errcheck
-	binary.BigEndian.PutUint32(header[12:16], h.Sum32())
+	binary.BigEndian.PutUint32(header[12:16], frameCRC(header[0:12], payload))
 	buf = append(buf, header[:]...)
 	return append(buf, payload...)
 }
 
+// frameCRC is CRC-32 (IEEE) over a frame's gen and len bytes followed by
+// its payload.
+func frameCRC(genLen, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(genLen), crc32.IEEETable, payload)
+}
+
 // FrameScanner reads CRC-framed WAL records from a byte stream (a WAL
-// file or a streamed tail transfer). Next returns io.EOF at a clean
+// segment or a streamed tail transfer). Next returns io.EOF at a clean
 // frame boundary and ErrTornFrame when the stream ends mid-record or a
 // CRC fails — the receiver keeps everything before the tear and
 // refetches from there.
@@ -72,17 +77,21 @@ func (s *FrameScanner) Next() (gen uint64, payload []byte, err error) {
 	if int64(n) > maxWALRecord {
 		return 0, nil, ErrTornFrame
 	}
-	if int(n) > cap(s.payload) {
-		s.payload = make([]byte, n)
+	if int(n) <= cap(s.payload) {
+		s.payload = s.payload[:n]
+		if _, err := io.ReadFull(s.r, s.payload); err != nil {
+			return 0, nil, ErrTornFrame
+		}
+	} else {
+		// Grow by the bytes the stream holds, not by what the length
+		// field claims: a corrupt length cannot allocate past them.
+		buf := bytes.NewBuffer(s.payload[:0])
+		if m, err := buf.ReadFrom(io.LimitReader(s.r, int64(n))); err != nil || m != int64(n) {
+			return 0, nil, ErrTornFrame
+		}
+		s.payload = buf.Bytes()
 	}
-	s.payload = s.payload[:n]
-	if _, err := io.ReadFull(s.r, s.payload); err != nil {
-		return 0, nil, ErrTornFrame
-	}
-	h := crc32.NewIEEE()
-	h.Write(header[0:12]) //nolint:errcheck // hash writes cannot fail
-	h.Write(s.payload)    //nolint:errcheck
-	if h.Sum32() != crc {
+	if frameCRC(header[0:12], s.payload) != crc {
 		return 0, nil, ErrTornFrame
 	}
 	return gen, s.payload, nil
@@ -97,6 +106,7 @@ func (s *FrameScanner) Next() (gen uint64, payload []byte, err error) {
 func (j *Journal) OpenCheckpoint() (f *os.File, gen uint64, fingerprint string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.awaitCheckpointsLocked()
 	gen = j.ckptGen.Load()
 	if gen == 0 {
 		return nil, 0, "", fmt.Errorf("live: no checkpoint to serve")
@@ -106,6 +116,16 @@ func (j *Journal) OpenCheckpoint() (f *os.File, gen uint64, fingerprint string, 
 		return nil, 0, "", fmt.Errorf("live: open checkpoint: %w", err)
 	}
 	return f, gen, j.checkpointFP(), nil
+}
+
+// awaitCheckpointsLocked lets every checkpoint started so far finish
+// (or be superseded). A catching-up peer is served as if checkpoints
+// still ran inside the commit hook: the snapshot is the newest one
+// triggered, and the WAL horizon is its generation.
+func (j *Journal) awaitCheckpointsLocked() {
+	for want := j.queued; j.finished < want; {
+		j.ran.Wait()
+	}
 }
 
 func (j *Journal) checkpointFP() string {
@@ -142,44 +162,82 @@ func (j *Journal) TailSince(from uint64) (data []byte, records int, err error) {
 
 // TailReaderSince is the streaming form of TailSince: it returns a
 // reader positioned at the first WAL record above from, plus the
-// tail's byte size and record count. Only frame headers are touched
-// here — payload bytes flow straight from the file to the caller, so
-// a large tail costs O(1) memory per concurrent transfer instead of a
-// full in-memory copy each. The returned reader owns its own
-// descriptor (Close releases it); the offsets are computed under the
-// journal lock against the acknowledged WAL size, so the section
-// never covers a half-written frame. A checkpoint truncating the WAL
-// mid-transfer surfaces to the receiver as a short read — a torn
-// frame, which the catch-up protocol already retries.
+// tail's byte size and record count. Only the scan that finds where the
+// tail starts reads here — payload bytes flow straight from the segment
+// files to the caller, so a large tail costs O(1) memory per concurrent
+// transfer instead of a full in-memory copy each. The returned reader
+// owns one descriptor per segment it covers (Close releases them); the
+// sections are computed under the journal lock against the acknowledged
+// segment sizes, so they never cover a half-written frame. A descriptor
+// keeps its file readable after a checkpoint's GC unlinks it, so a
+// checkpoint completing mid-transfer cuts nothing.
 func (j *Journal) TailReaderSince(from uint64) (r io.ReadCloser, size int64, records int, err error) {
+	files, sizes, err := j.openSegments(from)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	tail := &walTail{files: files}
+	var parts []io.Reader
+	for i, f := range files {
+		start, recs, err := tailOf(f, sizes[i], from)
+		if err != nil {
+			tail.Close() //nolint:errcheck // already failing
+			return nil, 0, 0, err
+		}
+		parts = append(parts, io.NewSectionReader(f, start, sizes[i]-start))
+		size += sizes[i] - start
+		records += recs
+	}
+	tail.Reader = io.MultiReader(parts...)
+	return tail, size, records, nil
+}
+
+// openSegments opens every WAL segment for reading, with its
+// acknowledged size, under the journal lock — a descriptor opened here
+// stays readable whatever a checkpoint deletes afterwards, so the scans
+// run without holding appends up.
+func (j *Journal) openSegments(from uint64) (files []*os.File, sizes []int64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.wal == nil {
-		return nil, 0, 0, fmt.Errorf("live: tail of closed journal")
+		return nil, nil, fmt.Errorf("live: tail of closed journal")
 	}
+	j.awaitCheckpointsLocked()
 	if from < j.ckptGen.Load() {
-		return nil, 0, 0, ErrBelowHorizon
+		return nil, nil, ErrBelowHorizon
 	}
-	// A separate descriptor leaves the append position of j.wal alone.
-	f, err := os.Open(j.walPath())
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("live: open wal for tail: %w", err)
-	}
-	start := j.walSize // empty tail: a zero-length section at the end
-	var header [walFrameHeader]byte
-	for off := int64(0); off < j.walSize; {
-		if _, err := f.ReadAt(header[:], off); err != nil {
-			f.Close() //nolint:errcheck // already failing
-			return nil, 0, 0, fmt.Errorf("live: wal tail header at offset %d: %w", off, ErrTornFrame)
+	for i := 0; i <= len(j.sealed); i++ {
+		name, n := j.active, j.walSize
+		if i < len(j.sealed) {
+			name, n = j.sealed[i].name, j.sealed[i].size
 		}
-		gen := binary.BigEndian.Uint64(header[0:8])
-		n := int64(binary.BigEndian.Uint32(header[8:12]))
-		if n > maxWALRecord || off+walFrameHeader+n > j.walSize {
+		// A separate descriptor leaves the append position of j.wal alone.
+		f, err := os.Open(j.path(name))
+		if err != nil {
+			(&walTail{files: files}).Close() //nolint:errcheck // already failing
+			return nil, nil, fmt.Errorf("live: open wal for tail: %w", err)
+		}
+		files, sizes = append(files, f), append(sizes, n)
+	}
+	return files, sizes, nil
+}
+
+// tailOf scans the first size bytes of a WAL segment for the records
+// above generation from, returning the offset of the first and their
+// count.
+func tailOf(f *os.File, size int64, from uint64) (start int64, records int, err error) {
+	sc := NewFrameScanner(bufio.NewReader(io.NewSectionReader(f, 0, size)))
+	start = size
+	for off := int64(0); ; {
+		gen, payload, err := sc.Next()
+		if err == io.EOF {
+			return start, records, nil
+		}
+		if err != nil {
 			// The acknowledged prefix was validated at recovery and every
-			// append since was framed by this process; an impossible
-			// length inside it means on-disk corruption.
-			f.Close() //nolint:errcheck // already failing
-			return nil, 0, 0, fmt.Errorf("live: wal tail at offset %d: %w", off, ErrTornFrame)
+			// append since was framed by this process; a bad frame inside
+			// it means on-disk corruption.
+			return 0, 0, fmt.Errorf("live: wal tail at offset %d: %w", off, err)
 		}
 		if gen > from {
 			if records == 0 {
@@ -187,19 +245,23 @@ func (j *Journal) TailReaderSince(from uint64) (r io.ReadCloser, size int64, rec
 			}
 			records++
 		}
-		off += walFrameHeader + n
+		off += walFrameHeader + int64(len(payload))
 	}
-	return &walSection{
-		SectionReader: io.NewSectionReader(f, start, j.walSize-start),
-		f:             f,
-	}, j.walSize - start, records, nil
 }
 
-// walSection is a SectionReader over the WAL file that owns (and
-// closes) its descriptor.
-type walSection struct {
-	*io.SectionReader
-	f *os.File
+// walTail streams sections of WAL segment files and owns (and closes)
+// their descriptors.
+type walTail struct {
+	io.Reader
+	files []*os.File
 }
 
-func (s *walSection) Close() error { return s.f.Close() }
+func (t *walTail) Close() error {
+	var err error
+	for _, f := range t.files {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}

@@ -1,9 +1,9 @@
 package live
 
 import (
-	"encoding/binary"
+	"bufio"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,18 +22,28 @@ import (
 // two kinds of files:
 //
 //	checkpoint-<gen16x>.rexkb   a full binary snapshot of generation gen
-//	wal.log                     the write-ahead log of delta batches
+//	wal-<gen16x>.log            a WAL segment, whose records start at gen
 //
-// Every accepted delta batch is appended to the WAL — length+CRC
-// framed, tagged with the generation it produces — and fsynced per
+// plus wal.log, the first segment of a fresh directory (and the whole WAL
+// of one written before segments), which sorts before every other. The
+// last segment is the active one; the others are sealed.
+//
+// Every accepted delta batch is appended to the active segment — length+
+// CRC framed, tagged with the generation it produces — and fsynced per
 // policy *before* the manager publishes the new snapshot, so an
-// acknowledged delta can never be lost to a crash. Periodically the
-// published graph is checkpointed: written to a temp file, fsynced,
-// atomically renamed, and the WAL truncated. Recovery loads the newest
-// valid checkpoint and replays the WAL tail, tolerating a torn final
-// record (the crash window of an in-flight append).
+// acknowledged delta can never be lost to a crash. When the checkpoint
+// policy triggers, the commit hook seals the active segment by creating
+// the next one (one file create, nothing proportional to the graph) and
+// hands the frozen graph to the journal's checkpointer goroutine, which
+// writes it to a temp file, fsyncs, atomically renames and fsyncs the
+// directory, then deletes the segments sealed at or before its trigger
+// and every other checkpoint. Recovery loads the newest valid checkpoint
+// and replays the segments in order, skipping records at or below the
+// checkpoint's generation and tolerating a torn final record (the crash
+// window of an in-flight append).
 //
-// WAL record framing, all integers big-endian:
+// WAL record framing (EncodeFrame, FrameScanner), all integers
+// big-endian:
 //
 //	gen(8) len(4) crc(4) payload(len)
 //
@@ -42,8 +52,8 @@ import (
 // (Delta.AppendWire). A record is valid only if its header and payload
 // read completely, the CRC matches, and its generation continues the
 // replay sequence; the first invalid record ends recovery — everything
-// after it is by construction unacknowledged tail garbage, and the file
-// is truncated back to the validated prefix before new appends.
+// after it is by construction unacknowledged tail garbage, and the
+// segments are cut back to the validated prefix before new appends.
 
 // FsyncPolicy selects when the WAL is flushed to stable storage.
 type FsyncPolicy int
@@ -132,23 +142,45 @@ type JournalStats struct {
 	Checkpoints   uint64 // checkpoints written since open
 	Replayed      int    // WAL records replayed by Recover
 	TornTail      bool   // Recover dropped a torn/corrupt tail
-	WALSize       int64  // current WAL size in bytes
+	WALSize       int64  // bytes in the WAL segments still on disk
 	CheckpointGen uint64 // newest on-disk checkpoint generation (0 = none)
 }
 
-// Journal is the durability sidecar of one live store. Append and
-// Checkpoint are called from the store's (already serialised) write
-// path; Stats may be called from any goroutine.
+// Journal is the durability sidecar of one live store. Append,
+// Checkpoint and CheckpointAsync are called from the store's (already
+// serialised) write path; Stats may be called from any goroutine.
 type Journal struct {
-	dir string
-	opt JournalOptions
+	dir   string
+	opt   JournalOptions
+	owner *dirOwner
 
-	mu       sync.Mutex
-	wal      *os.File
-	walSize  int64
-	sinceCk  int  // appends since the last checkpoint
-	broken   bool // a failed append left an unrolled-back tail: refuse writes
-	lastSync time.Time
+	mu          sync.Mutex
+	wal         *os.File  // the active segment
+	active      string    // its file name
+	walSize     int64     // its acknowledged bytes
+	frame       []byte    // Append's frame, reused
+	sealed      []segment // sealed segments not yet collected, in order
+	sealedBytes int64
+	sealSeq     uint64 // seq of the newest sealed segment
+	sinceCk     int    // appends since the last checkpoint trigger
+	retry       bool   // the last checkpoint failed: the next append asks again
+	broken      bool   // a failed append left an unrolled-back tail: refuse writes
+	unsynced    bool   // appends the WAL fsync has not covered yet
+	dirDirty    bool   // a seal's create awaits a directory fsync
+	lastSync    time.Time
+
+	// The checkpointer: one goroutine at most, started by the job that
+	// finds none running and gone once the queue is empty; Close drains
+	// the queue and waits for it. Jobs are numbered as they are queued;
+	// finished is the newest that has run or been superseded, and ran
+	// (on mu) signals each step.
+	queue    []*ckptJob
+	queued   uint64
+	finished uint64
+	ran      sync.Cond
+	running  bool
+	closing  bool
+	worker   sync.WaitGroup
 
 	appends   atomic.Uint64
 	appBytes  atomic.Uint64
@@ -162,8 +194,30 @@ type Journal struct {
 	closeOnce sync.Once
 }
 
+// segment is one sealed WAL file.
+type segment struct {
+	name string
+	size int64
+	seq  uint64 // seal order: a checkpoint collects every segment up to its trigger's
+}
+
+// segmentName names the segment whose records start at generation gen.
+func segmentName(gen uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, gen, segSuffix) }
+
+// ckptJob is one checkpoint handed to the checkpointer.
+type ckptJob struct {
+	g    *kb.Graph
+	gen  uint64
+	seq  uint64      // queue order
+	upTo uint64      // seq of the last segment sealed by the trigger
+	wait bool        // a caller blocks on done: never superseded
+	done func(error) // receives the outcome, on the checkpointer goroutine
+}
+
 const (
 	walName        = "wal.log"
+	segPrefix      = "wal-"
+	segSuffix      = ".log"
 	ckptPrefix     = "checkpoint-"
 	ckptSuffix     = ".rexkb"
 	walFrameHeader = 16 // gen(8) + len(4) + crc(4)
@@ -172,6 +226,44 @@ const (
 	// serving layer's delta body limit.
 	maxWALRecord = 256 << 20
 )
+
+// journalDirs maps every journal directory opened in this process to
+// the journal that opened it last. A directory has one writer: opening
+// it again — a restart after a simulated crash, a store reopened without
+// Close — takes it over, and a checkpoint does its file work under the
+// owner's lock and only while its journal still owns the directory. A
+// checkpoint left running by a journal its owner abandoned therefore
+// finishes before the new journal lists the directory, or never starts,
+// and cannot delete the files the new one recovers from.
+var journalDirs = struct {
+	sync.Mutex
+	m map[string]*dirOwner
+}{m: make(map[string]*dirOwner)}
+
+type dirOwner struct {
+	sync.Mutex // held across a checkpoint's file work and across a takeover
+	j          *Journal
+}
+
+// claimDir makes j the owner of dir, waiting out any checkpoint the
+// previous owner has mid-write.
+func claimDir(dir string, j *Journal) *dirOwner {
+	key, err := filepath.Abs(dir)
+	if err != nil {
+		key = filepath.Clean(dir)
+	}
+	journalDirs.Lock()
+	o := journalDirs.m[key]
+	if o == nil {
+		o = &dirOwner{}
+		journalDirs.m[key] = o
+	}
+	journalDirs.Unlock()
+	o.Lock()
+	o.j = j
+	o.Unlock()
+	return o
+}
 
 // OpenJournal opens (creating if needed) the journal directory. Stale
 // temp files from an interrupted checkpoint are removed; the WAL is
@@ -184,11 +276,13 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("live: journal dir: %w", err)
 	}
+	j := &Journal{dir: dir, opt: opt.normalized(), lastSync: time.Now()}
+	j.ran.L = &j.mu
+	j.owner = claimDir(dir, j)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("live: journal dir: %w", err)
 	}
-	j := &Journal{dir: dir, opt: opt.normalized(), lastSync: time.Now()}
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			os.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck // best-effort cleanup
@@ -197,7 +291,21 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 	if gens := j.checkpointGens(); len(gens) > 0 {
 		j.ckptGen.Store(gens[len(gens)-1])
 	}
-	f, err := os.OpenFile(j.walPath(), os.O_CREATE|os.O_RDWR, 0o644)
+	segs, err := j.segmentsOnDisk()
+	if err != nil {
+		return nil, err
+	}
+	j.active = walName
+	if n := len(segs); n > 0 {
+		j.active, j.walSize = segs[n-1].name, segs[n-1].size
+		for _, s := range segs[:n-1] {
+			j.sealSeq++
+			s.seq = j.sealSeq
+			j.sealed = append(j.sealed, s)
+			j.sealedBytes += s.size
+		}
+	}
+	f, err := os.OpenFile(j.path(j.active), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("live: wal: %w", err)
 	}
@@ -205,10 +313,19 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 	return j, nil
 }
 
-func (j *Journal) walPath() string { return filepath.Join(j.dir, walName) }
+func (j *Journal) path(name string) string { return filepath.Join(j.dir, name) }
 
 func (j *Journal) ckptPath(gen uint64) string {
 	return filepath.Join(j.dir, fmt.Sprintf("%s%016x%s", ckptPrefix, gen, ckptSuffix))
+}
+
+// genOf parses the generation out of a file name prefix<gen16x>suffix.
+func genOf(name, prefix, suffix string) (uint64, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 16, 64)
+	return gen, err == nil
 }
 
 // checkpointGens lists the on-disk checkpoint generations, ascending.
@@ -219,19 +336,41 @@ func (j *Journal) checkpointGens() []uint64 {
 	}
 	var gens []uint64
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
+		if gen, ok := genOf(e.Name(), ckptPrefix, ckptSuffix); ok {
+			gens = append(gens, gen)
 		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		gen, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue
-		}
-		gens = append(gens, gen)
 	}
 	sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
 	return gens
+}
+
+// segmentsOnDisk lists the WAL segments in the directory in replay
+// order: wal.log, then by starting generation.
+func (j *Journal) segmentsOnDisk() ([]segment, error) {
+	ents, err := os.ReadDir(j.dir)
+	if err != nil {
+		return nil, fmt.Errorf("live: journal dir: %w", err)
+	}
+	var segs []segment
+	for _, e := range ents {
+		if _, ok := genOf(e.Name(), segPrefix, segSuffix); !ok && e.Name() != walName {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("live: wal segment: %w", err)
+		}
+		segs = append(segs, segment{name: e.Name(), size: info.Size()})
+	}
+	sort.Slice(segs, func(a, b int) bool { return segmentStart(segs[a].name) < segmentStart(segs[b].name) })
+	return segs, nil
+}
+
+// segmentStart is the generation a segment's name says its records start
+// at: 0 for wal.log, which precedes every other segment.
+func segmentStart(name string) uint64 {
+	start, _ := genOf(name, segPrefix, segSuffix)
+	return start
 }
 
 // HasState reports whether the journal holds anything to recover from
@@ -239,16 +378,17 @@ func (j *Journal) checkpointGens() []uint64 {
 // caller seeds it with Checkpoint of its initial graph.
 func (j *Journal) HasState() bool { return j.ckptGen.Load() != 0 }
 
-// Recover loads the newest valid checkpoint and replays the WAL tail
-// onto it, returning the recovered graph and its generation. Corrupt
-// checkpoints fall back to the next older one; a torn or corrupt final
-// WAL record (the crash window of an in-flight append) ends replay and
-// is truncated away, as are leftover records at or below the checkpoint
-// generation (the crash window of an interrupted checkpoint GC). After
-// Recover the journal is positioned for appends.
+// Recover loads the newest valid checkpoint and replays the WAL
+// segments onto it, returning the recovered graph and its generation.
+// Corrupt checkpoints fall back to the next older one; a torn or corrupt
+// final WAL record (the crash window of an in-flight append) ends replay
+// and is cut away together with everything after it, and leftover
+// records at or below the checkpoint generation (the crash window of an
+// interrupted checkpoint GC) are skipped. After Recover the journal is
+// positioned for appends.
 //
 // A fresh journal (no checkpoint) returns a nil graph and generation 0;
-// a WAL tail without any checkpoint to base it on is an error.
+// a WAL without any checkpoint to base it on is an error.
 func (j *Journal) Recover() (*kb.Graph, uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -275,102 +415,121 @@ func (j *Journal) Recover() (*kb.Graph, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("live: wal seek: %w", err)
 	}
+	segs := append(j.sealed[:len(j.sealed):len(j.sealed)], segment{name: j.active, size: size})
 	if g == nil {
 		if len(gens) > 0 {
 			return nil, 0, fmt.Errorf("live: no readable checkpoint among %d candidates in %s", len(gens), j.dir)
 		}
-		if size > 0 {
-			return nil, 0, fmt.Errorf("live: wal has %d bytes but no checkpoint to replay onto", size)
+		if total := j.sealedBytes + size; total > 0 {
+			return nil, 0, fmt.Errorf("live: wal has %d bytes but no checkpoint to replay onto", total)
 		}
-		j.walSize = 0
-		j.walSizeA.Store(0)
 		return nil, 0, nil
 	}
-	g, gen, validEnd, replayed, torn, err := j.replayLocked(g, gen, size)
-	if err != nil {
-		return nil, 0, err
-	}
-	j.replayed, j.tornTail = replayed, torn
-	if validEnd < size {
-		if err := j.wal.Truncate(validEnd); err != nil {
+	r := replayer{g: g, gen: gen}
+	torn := false
+	for i := range segs {
+		end, stopped, err := r.segment(j.path(segs[i].name))
+		if err != nil {
+			return nil, 0, err
+		}
+		segs[i].size = end
+		if !stopped {
+			continue
+		}
+		// Cut the WAL here: this segment keeps its valid prefix and takes
+		// the appends, and every later one is unreachable.
+		torn = true
+		for _, later := range segs[i+1:] {
+			if err := os.Remove(j.path(later.name)); err != nil {
+				return nil, 0, fmt.Errorf("live: wal segment: %w", err)
+			}
+		}
+		if err := os.Truncate(j.path(segs[i].name), end); err != nil {
 			return nil, 0, fmt.Errorf("live: wal truncate: %w", err)
 		}
+		if segs[i].name != j.active {
+			f, err := os.OpenFile(j.path(segs[i].name), os.O_RDWR, 0)
+			if err != nil {
+				return nil, 0, fmt.Errorf("live: wal: %w", err)
+			}
+			j.wal.Close() //nolint:errcheck // its file is gone
+			j.wal, j.active = f, segs[i].name
+		}
+		segs = segs[:i+1]
+		break
 	}
-	if _, err := j.wal.Seek(validEnd, io.SeekStart); err != nil {
+	last := len(segs) - 1
+	j.sealed, j.sealedBytes = segs[:last], 0
+	for _, s := range j.sealed {
+		j.sealedBytes += s.size
+	}
+	j.walSize = segs[last].size
+	if _, err := j.wal.Seek(j.walSize, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("live: wal seek: %w", err)
 	}
-	j.walSize = validEnd
-	j.walSizeA.Store(validEnd)
+	j.publishSizeLocked()
+	j.replayed, j.tornTail = r.replayed, torn
+	g, gen = r.g, r.gen
 	// Replay rebuilt the tail as stacked overlays; fold them so the
 	// recovered store starts from fresh CSR arrays like a clean boot.
-	if replayed > 0 && g.Overlay().Depth > 0 {
+	if r.replayed > 0 && g.Overlay().Depth > 0 {
 		g = g.Compact()
 	}
 	return g, gen, nil
 }
 
-// replayLocked scans the WAL from the start, applying every valid
-// record above the checkpoint generation, and reports where the valid
-// prefix ends.
-func (j *Journal) replayLocked(g *kb.Graph, gen uint64, size int64) (*kb.Graph, uint64, int64, int, bool, error) {
-	if _, err := j.wal.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, 0, 0, false, fmt.Errorf("live: wal seek: %w", err)
-	}
-	var (
-		off      int64
-		replayed int
-		header   [walFrameHeader]byte
-		payload  []byte
-	)
-	for off < size {
-		if _, err := io.ReadFull(j.wal, header[:]); err != nil {
-			return g, gen, off, replayed, true, nil // torn header
-		}
-		recGen := binary.BigEndian.Uint64(header[0:8])
-		n := binary.BigEndian.Uint32(header[8:12])
-		crc := binary.BigEndian.Uint32(header[12:16])
-		if int64(n) > maxWALRecord || off+walFrameHeader+int64(n) > size {
-			return g, gen, off, replayed, true, nil // torn or corrupt length
-		}
-		if int(n) > cap(payload) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(j.wal, payload); err != nil {
-			return g, gen, off, replayed, true, nil // torn payload
-		}
-		h := crc32.NewIEEE()
-		h.Write(header[0:12]) //nolint:errcheck // hash writes cannot fail
-		h.Write(payload)      //nolint:errcheck
-		if h.Sum32() != crc {
-			return g, gen, off, replayed, true, nil // corrupt record
-		}
-		off += walFrameHeader + int64(n)
-		if recGen <= gen {
-			continue // pre-checkpoint leftover of an interrupted GC
-		}
-		if recGen != gen+1 {
-			// A generation gap can only follow a record the rollback path
-			// failed to truncate; everything from here on is unreachable
-			// tail garbage.
-			return g, gen, off - walFrameHeader - int64(n), replayed, true, nil
-		}
-		d, err := ParseDelta(strings.NewReader(string(payload)))
-		if err != nil {
-			return g, gen, off - walFrameHeader - int64(n), replayed, true, nil
-		}
-		next, _, _, err := d.Apply(g)
-		if err != nil {
-			// The record was acknowledged against exactly this graph state
-			// once, so replay cannot legitimately fail: surface it rather
-			// than silently dropping acknowledged writes.
-			return nil, 0, 0, 0, false, fmt.Errorf("live: wal replay of generation %d: %w", recGen, err)
-		}
-		g, gen = next, recGen
-		replayed++
-	}
-	return g, gen, off, replayed, false, nil
+// replayer applies WAL records above its generation, in order.
+type replayer struct {
+	g        *kb.Graph
+	gen      uint64
+	replayed int
 }
+
+// segment replays one segment file. It returns the end of the file's
+// valid prefix and whether replay stopped early at a torn, corrupt or
+// out-of-sequence record.
+func (r *replayer) segment(path string) (end int64, stopped bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, fmt.Errorf("live: wal segment: %w", err)
+	}
+	defer f.Close() //nolint:errcheck // read-only descriptor
+	sc := NewFrameScanner(bufio.NewReaderSize(f, 64<<10))
+	for {
+		recGen, payload, err := sc.Next()
+		if err == io.EOF {
+			return end, false, nil
+		}
+		if err != nil {
+			return end, true, nil // torn or corrupt record
+		}
+		if recGen > r.gen {
+			if recGen != r.gen+1 {
+				// A generation gap can only follow a record the rollback
+				// path failed to truncate; everything from here on is
+				// unreachable tail garbage.
+				return end, true, nil
+			}
+			d, err := ParseDelta(bytes.NewReader(payload))
+			if err != nil {
+				return end, true, nil
+			}
+			next, _, _, err := d.Apply(r.g)
+			if err != nil {
+				// The record was acknowledged against exactly this graph
+				// state once, so replay cannot legitimately fail: surface it
+				// rather than silently dropping acknowledged writes.
+				return 0, false, fmt.Errorf("live: wal replay of generation %d: %w", recGen, err)
+			}
+			r.g, r.gen = next, recGen
+			r.replayed++
+		} // else: a pre-checkpoint leftover of an interrupted GC
+		end += walFrameHeader + int64(len(payload))
+	}
+}
+
+// publishSizeLocked refreshes the WALSize the stats report.
+func (j *Journal) publishSizeLocked() { j.walSizeA.Store(j.sealedBytes + j.walSize) }
 
 // Append writes one delta batch producing generation gen to the WAL and
 // flushes it per the fsync policy. It must be called before the
@@ -391,21 +550,16 @@ func (j *Journal) Append(gen uint64, payload []byte) error {
 	if err := fail.Hit("wal.append"); err != nil {
 		return err
 	}
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.BigEndian.PutUint64(frame[0:8], gen)
-	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
-	h := crc32.NewIEEE()
-	h.Write(frame[0:12]) //nolint:errcheck // hash writes cannot fail
-	h.Write(payload)     //nolint:errcheck
-	binary.BigEndian.PutUint32(frame[12:16], h.Sum32())
-	copy(frame[walFrameHeader:], payload)
-
-	written := frame
+	if cap(j.frame) > 1<<20 {
+		j.frame = nil // one outsized delta does not pin its frame
+	}
+	j.frame = EncodeFrame(j.frame[:0], gen, payload)
+	written := j.frame
 	var werr error
 	if err := fail.Hit("wal.append.torn"); err != nil {
 		// Simulated crash mid-write: flush half the frame and stop cold,
 		// leaving the torn tail on disk exactly as a real crash would.
-		written = frame[:len(frame)/2]
+		written = written[:len(written)/2]
 		werr = err
 	}
 	n, err := j.wal.Write(written)
@@ -417,6 +571,7 @@ func (j *Journal) Append(gen uint64, payload []byte) error {
 		j.broken = true
 		return werr
 	}
+	j.unsynced = true
 	if werr == nil {
 		werr = fail.Hit("wal.sync.error")
 	}
@@ -439,7 +594,7 @@ func (j *Journal) Append(gen uint64, payload []byte) error {
 		return werr
 	}
 	j.walSize += int64(n)
-	j.walSizeA.Store(j.walSize)
+	j.publishSizeLocked()
 	j.sinceCk++
 	j.appends.Add(1)
 	j.appBytes.Add(uint64(n))
@@ -464,33 +619,167 @@ func (j *Journal) syncLocked() error {
 	if err := j.wal.Sync(); err != nil {
 		return err
 	}
+	if j.dirDirty {
+		// The segment the last seal created must be on disk before a
+		// record in it is acknowledged.
+		syncDir(j.dir)
+		j.dirDirty = false
+	}
 	j.fsyncs.Add(1)
+	j.unsynced = false
 	j.lastSync = time.Now()
 	return nil
 }
 
 // ShouldCheckpoint reports whether the checkpoint policy asks for one
-// (appends since the last checkpoint, or WAL size).
+// (appends since the last checkpoint trigger, or the active segment's
+// size), or the last checkpoint failed and the next swap should retry.
 func (j *Journal) ShouldCheckpoint() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return (j.opt.CheckpointEvery > 0 && j.sinceCk >= j.opt.CheckpointEvery) ||
+	return j.retry || (j.opt.CheckpointEvery > 0 && j.sinceCk >= j.opt.CheckpointEvery) ||
 		(j.opt.CheckpointBytes > 0 && j.walSize >= j.opt.CheckpointBytes)
 }
 
-// Checkpoint writes g (generation gen) as a durable snapshot: temp
-// file, fsync, atomic rename, directory fsync — then garbage-collects
-// older checkpoints and truncates the WAL. A crash at any point leaves
-// a recoverable directory: before the rename the old checkpoint + full
-// WAL still recover, after it the new checkpoint shadows the stale WAL
-// records (replay skips records at or below the checkpoint generation).
+// Checkpoint writes g (generation gen) as a durable snapshot and returns
+// once it is on disk and the files it makes redundant are gone: the job
+// CheckpointAsync starts, enqueued and awaited, behind any checkpoint
+// already running. The snapshot goes to a temp file, is fsynced,
+// atomically renamed and the directory fsynced; then every other
+// checkpoint and every WAL segment sealed up to this call are deleted —
+// a checkpoint at the current generation leaves an empty WAL. A crash at
+// any point leaves a recoverable directory: before the rename the old
+// checkpoint and all segments still recover, after it the new
+// checkpoint shadows the stale records (replay skips records at or below
+// the checkpoint generation).
 func (j *Journal) Checkpoint(g *kb.Graph, gen uint64) error {
+	res := make(chan error, 1)
+	if err := j.enqueue(&ckptJob{g: g, gen: gen, wait: true, done: func(err error) { res <- err }}); err != nil {
+		return err
+	}
+	return <-res
+}
+
+// CheckpointAsync checkpoints g (generation gen) off the caller's path:
+// it seals the active WAL segment — one file create — and hands g,
+// which must be frozen, to the checkpointer, which does what Checkpoint
+// does. At most one checkpoint runs at a time; one still waiting when
+// another is started is superseded, never run. failed receives the
+// error of a checkpoint that fails, on the checkpointer goroutine (on
+// the caller's when the seal fails); the next ShouldCheckpoint then asks
+// for another.
+func (j *Journal) CheckpointAsync(g *kb.Graph, gen uint64, failed func(error)) {
+	job := &ckptJob{g: g, gen: gen, done: func(err error) {
+		if err != nil {
+			failed(err)
+		}
+	}}
+	if err := j.enqueue(job); err != nil {
+		failed(err)
+	}
+}
+
+// enqueue seals the active segment for job and queues it, starting the
+// checkpointer if none is running.
+func (j *Journal) enqueue(job *ckptJob) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wal == nil {
+	if j.wal == nil || j.closing {
 		return fmt.Errorf("live: checkpoint on closed journal")
 	}
-	final := j.ckptPath(gen)
+	if err := j.sealLocked(job.gen + 1); err != nil {
+		return err
+	}
+	j.queued++
+	job.seq, job.upTo = j.queued, j.sealSeq
+	j.sinceCk, j.retry = 0, false
+	// A newer checkpoint collects every segment an older one waiting in
+	// the queue would: drop those nobody waits for.
+	kept := j.queue[:0]
+	for _, q := range j.queue {
+		if q.wait {
+			kept = append(kept, q)
+		}
+	}
+	clear(j.queue[len(kept):])
+	j.queue = append(kept, job)
+	if !j.running {
+		j.running = true
+		j.worker.Add(1)
+		go j.checkpointer()
+	}
+	return nil
+}
+
+// sealLocked seals the active segment by creating the next one, for
+// the records from generation next on: one create, no rename. The
+// directory fsync that makes the new file durable is left to the next
+// WAL sync, which runs before any record in it is acknowledged. Under
+// FsyncInterval a segment holding unsynced appends is synced first,
+// since later syncs reach only the active segment.
+func (j *Journal) sealLocked(next uint64) error {
+	if j.broken {
+		return fmt.Errorf("live: wal is broken by an earlier failed append; restart to recover")
+	}
+	if j.walSize == 0 {
+		return nil
+	}
+	if j.opt.Fsync == FsyncInterval && j.unsynced {
+		if err := j.syncLocked(); err != nil {
+			return err
+		}
+	}
+	// Names follow creation order even where generations do not: after a
+	// repair moved the generation back, segments of the abandoned history
+	// stay until the repair's checkpoint collects them.
+	name := segmentName(max(next, segmentStart(j.active)+1))
+	f, err := os.OpenFile(j.path(name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("live: open wal segment: %w", err)
+	}
+	j.wal.Close() //nolint:errcheck // synced per policy; appends move on
+	j.sealSeq++
+	j.sealed = append(j.sealed, segment{name: j.active, size: j.walSize, seq: j.sealSeq})
+	j.sealedBytes += j.walSize
+	j.wal, j.active, j.walSize = f, name, 0
+	j.dirDirty = j.opt.Fsync != FsyncNever
+	return nil
+}
+
+// checkpointer runs queued checkpoints one at a time until the queue is
+// empty.
+func (j *Journal) checkpointer() {
+	defer j.worker.Done()
+	for {
+		j.mu.Lock()
+		if len(j.queue) == 0 {
+			j.running = false
+			j.mu.Unlock()
+			return
+		}
+		job := j.queue[0]
+		j.queue[0] = nil
+		j.queue = j.queue[1:]
+		j.mu.Unlock()
+		err := j.writeCheckpoint(job)
+		job.done(err)
+		j.mu.Lock()
+		j.retry = j.retry || err != nil
+		j.finished = job.seq
+		j.ran.Broadcast()
+		j.mu.Unlock()
+	}
+}
+
+// writeCheckpoint is the checkpointer's file work for one job; see
+// Checkpoint.
+func (j *Journal) writeCheckpoint(job *ckptJob) error {
+	j.owner.Lock()
+	defer j.owner.Unlock()
+	if j.owner.j != j {
+		return fmt.Errorf("live: checkpoint of generation %d dropped: %s was reopened by another journal", job.gen, j.dir)
+	}
+	final := j.ckptPath(job.gen)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -503,7 +792,7 @@ func (j *Journal) Checkpoint(g *kb.Graph, gen uint64) error {
 		f.Close()                          //nolint:errcheck
 		return werr
 	}
-	if err := g.WriteBinary(f); err != nil {
+	if err := job.g.WriteBinary(f); err != nil {
 		f.Close()      //nolint:errcheck
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
 		return fmt.Errorf("live: checkpoint write: %w", err)
@@ -525,35 +814,42 @@ func (j *Journal) Checkpoint(g *kb.Graph, gen uint64) error {
 		return fmt.Errorf("live: checkpoint rename: %w", err)
 	}
 	syncDir(j.dir)
-	j.ckptGen.Store(gen)
-	fp := g.Fingerprint()
+	fp := job.g.Fingerprint()
+	j.mu.Lock()
+	j.ckptGen.Store(job.gen)
 	j.ckptFP.Store(&fp)
+	j.mu.Unlock()
 	j.ckpts.Add(1)
 	if err := fail.Hit("checkpoint.gc"); err != nil {
 		return err // simulated crash: new checkpoint durable, GC pending
 	}
 	// GC: the new checkpoint is durable, so every other checkpoint and
-	// every WAL record are now redundant. Removing checkpoints *above*
-	// gen matters for divergence repair: a forked replica installing
-	// the fleet's (lower-numbered) checkpoint must not leave its forked
-	// higher checkpoint behind, or the next recovery would resurrect
-	// the fork. A crash in here merely leaves extra files — recovery
-	// would then pick the forked checkpoint, but the sync engine
+	// every segment sealed up to its trigger are now redundant. Removing
+	// the segments first and the checkpoints *above* gen at all matters
+	// for divergence repair: a forked replica installing the fleet's
+	// (lower-numbered) checkpoint must leave neither its forked records
+	// nor its forked higher checkpoint behind, or the next recovery would
+	// resurrect the fork. A crash in here merely leaves extra files —
+	// recovery would then pick the forked checkpoint, but the sync engine
 	// re-detects the fingerprint mismatch and repairs again.
+	j.mu.Lock()
+	k := 0
+	for k < len(j.sealed) && j.sealed[k].seq <= job.upTo {
+		j.sealedBytes -= j.sealed[k].size
+		k++
+	}
+	gone := j.sealed[:k:k]
+	j.sealed = j.sealed[k:]
+	j.publishSizeLocked()
+	j.mu.Unlock()
+	for _, s := range gone {
+		os.Remove(j.path(s.name)) //nolint:errcheck // a leftover is skipped by replay and re-collected
+	}
 	for _, old := range j.checkpointGens() {
-		if old != gen {
+		if old != job.gen {
 			os.Remove(j.ckptPath(old)) //nolint:errcheck // stale files are re-GCed next time
 		}
 	}
-	if err := j.wal.Truncate(0); err != nil {
-		return fmt.Errorf("live: wal truncate after checkpoint: %w", err)
-	}
-	if _, err := j.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("live: wal seek after checkpoint: %w", err)
-	}
-	j.walSize = 0
-	j.walSizeA.Store(0)
-	j.sinceCk = 0
 	return nil
 }
 
@@ -584,16 +880,26 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
-// Close flushes and closes the WAL. The journal is unusable afterwards.
+// Close lets the checkpointer finish every checkpoint already started,
+// then flushes and closes the WAL. The journal is unusable afterwards.
 func (j *Journal) Close() error {
 	var err error
 	j.closeOnce.Do(func() {
 		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.wal == nil {
-			return
+		j.closing = true
+		j.mu.Unlock()
+		j.worker.Wait()
+		j.owner.Lock()
+		if j.owner.j == j {
+			j.owner.j = nil
 		}
+		j.owner.Unlock()
+		j.mu.Lock()
+		defer j.mu.Unlock()
 		serr := j.wal.Sync()
+		if j.dirDirty {
+			syncDir(j.dir)
+		}
 		cerr := j.wal.Close()
 		j.wal = nil
 		if serr != nil {

@@ -26,7 +26,7 @@ edge	a	c	knows
 `
 
 // newStore boots one store; ckptEvery > 0 makes it durable in a temp
-// dir with that checkpoint cadence (1 = every delta truncates the WAL,
+// dir with that checkpoint cadence (1 = every delta empties the WAL,
 // forcing full-snapshot catch-up; large = the whole history stays in
 // the WAL tail).
 func newStore(t *testing.T, ckptEvery int) *rex.Store {

@@ -28,11 +28,11 @@ type Store struct {
 	opt Options
 
 	// journal is the durability sidecar (WAL + checkpoints), nil unless
-	// Options.Durability.Dir was set. Appends and checkpoints run on the
-	// manager-serialised write path; ckptFailures counts checkpoints
-	// that failed after their delta was already durable in the WAL
-	// (non-fatal: the next swap retries, recovery replays the longer
-	// WAL tail).
+	// Options.Durability.Dir was set. Appends and checkpoint triggers
+	// run on the manager-serialised write path; ckptFailures counts
+	// checkpoints that failed after their delta was already durable in
+	// the WAL (non-fatal: a later swap retries, recovery replays the
+	// longer WAL tail).
 	journal      *live.Journal
 	ckptFailures atomic.Uint64
 
@@ -386,13 +386,12 @@ func (s *Store) apply(r io.Reader, expect uint64) (SwapInfo, error) {
 				return err
 			}
 			if s.journal.ShouldCheckpoint() {
-				if err := s.journal.Checkpoint(g, gen); err != nil {
-					// The delta is already durable in the WAL, so a failed
-					// checkpoint must not abort the swap: count it, let the
-					// next swap retry, and let recovery replay the longer
-					// WAL tail in the meantime.
-					s.ckptFailures.Add(1)
-				}
+				// The delta is already durable in the WAL, so a checkpoint
+				// only bounds recovery: it runs on the journal's
+				// checkpointer and the ack does not wait for it. A failed
+				// one is counted and retried by a later swap, and recovery
+				// replays the longer WAL tail in the meantime.
+				s.journal.CheckpointAsync(g, gen, s.checkpointFailed)
 			}
 			return nil
 		}
@@ -425,6 +424,9 @@ func (s *Store) apply(r io.Reader, expect uint64) (SwapInfo, error) {
 	s.notifySwap(info)
 	return info, nil
 }
+
+// checkpointFailed counts a background checkpoint that failed.
+func (s *Store) checkpointFailed(error) { s.ckptFailures.Add(1) }
 
 // LiveStats reports the write-path and carry-over counters of the
 // store, cumulative since construction (except OverlayDepth, which
