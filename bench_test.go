@@ -2,13 +2,14 @@ package rex
 
 // Benchmarks mirroring every figure and table of the paper's evaluation
 // (Section 5), plus micro-benchmarks for the load-bearing primitives.
-// The experiment harness behind `cmd/rexbench` produces the full
+// The experiment harness behind `cmd/rexpaper` produces the full
 // tables; these testing.B benchmarks pin the same code paths into
 // `go test -bench` so regressions surface in ordinary development.
 //
 // Workloads are built once per process at a reduced scale so the whole
-// suite completes on a single core; rexbench regenerates the figures at
-// full workload size.
+// suite completes on a single core; rexpaper regenerates the figures at
+// full workload size. End-to-end latency, throughput and write-path cost
+// are the benchmark module's job (`bash benchmark/run.sh`).
 
 import (
 	"bytes"

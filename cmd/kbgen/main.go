@@ -8,8 +8,8 @@
 //
 // Generation is deterministic in -seed: the same flags always produce
 // the byte-identical knowledge base (same content fingerprint). The
-// -preset sizes (small, medium, million) are shared with the macro
-// benchmark in rexbench.
+// -preset sizes (small, medium, million) are shared with the benchmark
+// module under benchmark/ and the repository's testing.B benchmarks.
 package main
 
 import (

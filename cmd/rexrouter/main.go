@@ -35,7 +35,7 @@
 // observed p95 latency (clamped to [-hedge-min, -hedge-max]), a
 // duplicate fires one position down the failover chain carrying the
 // same X-Request-Id; the first answer wins and the loser is cancelled.
-// -no-hedge disables the mechanism (the rexbench comparison mode).
+// -no-hedge disables the mechanism, for comparing tails with and without it.
 //
 // Every response below the router's generation floor — the largest KB
 // generation any client has seen — is discarded and re-routed, so no

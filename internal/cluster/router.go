@@ -38,7 +38,7 @@ type Config struct {
 	// fire a duplicate attempt against the next replica; first answer
 	// wins, the loser is cancelled. HedgeMin/HedgeMax clamp the
 	// p95-derived delay (defaults 10ms / 2s); DisableHedging turns the
-	// mechanism off (the rexbench comparison mode).
+	// mechanism off (the control in TestRouterUnhedgedEatsTheStall).
 	HedgeMin       time.Duration
 	HedgeMax       time.Duration
 	DisableHedging bool

@@ -375,8 +375,8 @@ func TestRouterHedgesAroundStalledReplica(t *testing.T) {
 
 func TestRouterUnhedgedEatsTheStall(t *testing.T) {
 	// The control for the hedging test: same stall, hedging disabled —
-	// the client waits out the full stall. This pair of tests is what
-	// rexbench's hedged-vs-unhedged comparison automates.
+	// the client waits out the full stall. Together the pair is the
+	// hedged-vs-unhedged comparison.
 	rt, _ := bootCluster(t, 2, func(c *Config) { c.DisableHedging = true })
 	h := rt.Handler()
 

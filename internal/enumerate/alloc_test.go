@@ -10,10 +10,10 @@ import (
 // sample-KB enumeration (prioritized paths + pruned union). The pooled
 // state makes frontier growth, grouping and merge candidates free; what
 // remains is the returned explanation set itself (patterns, instance
-// blocks, result slices) plus amortised map growth. The committed
-// BENCH.json acceptance line is ≤ 880 allocs/op (10× under the 8,834
-// the unpooled implementation performed); the budget sits under it with
-// headroom so a regression trips here before it shows in CI numbers.
+// blocks, result slices) plus amortised map growth. The pooling's
+// acceptance line was ≤ 880 allocs/op (10× under the 8,834 the unpooled
+// implementation performed); the budget sits under it with headroom so a
+// regression trips here before it shows in any benchmark.
 const enumerateAllocBudget = 600
 
 // TestEnumerateSteadyStateAllocBudget is the alloc-regression guard for

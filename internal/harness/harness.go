@@ -1,6 +1,6 @@
 // Package harness builds the workloads, timings and tables behind every
 // figure and table of the paper's evaluation (Section 5). Both the
-// rexbench command and the repository's testing.B benchmarks call into
+// rexpaper command and the repository's testing.B benchmarks call into
 // this package so the two always agree on what an experiment means.
 package harness
 

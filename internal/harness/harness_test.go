@@ -162,6 +162,34 @@ func TestPathShareSmoke(t *testing.T) {
 	}
 }
 
+func TestAblationSmoke(t *testing.T) {
+	env := tinyEnv(t)
+	tab := env.Ablation()
+	if len(tab.Rows) != 4 { // 2 dedup strategies + 2 distribution engines
+		t.Fatalf("ablation rows = %d", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != 2+len(Buckets()) { // study, variant, one cell per bucket
+			t.Fatalf("ablation row arity %d: %v", len(row), row)
+		}
+	}
+}
+
+func TestLearnedSmoke(t *testing.T) {
+	tab := Learned(StudyOptions{Scale: 0.3, Seed: 7, NumRaters: 3, GlobalSamples: 6, NumPairs: 2})
+	if len(tab.Rows) != 4 { // 3 hand-tuned baselines + learned (LOO)
+		t.Fatalf("learned rows = %d", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != 2+2 { // measure, P1, P2, avg
+			t.Fatalf("learned row arity %d: %v", len(row), row)
+		}
+	}
+	if last := tab.Rows[len(tab.Rows)-1][0]; last != "learned (LOO)" {
+		t.Errorf("last row = %q, want the learned model", last)
+	}
+}
+
 func TestStudyPairsNamed(t *testing.T) {
 	if len(StudyPairs()) != 5 {
 		t.Fatal("the paper uses five study pairs")

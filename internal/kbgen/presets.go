@@ -2,8 +2,9 @@ package kbgen
 
 import "fmt"
 
-// Generation presets: named sizes shared by the kbgen CLI and the macro
-// benchmark, so "the million-edge KB" means the same graph everywhere.
+// Generation presets: named sizes shared by the kbgen CLI, the benchmark
+// module and the repository's testing.B benchmarks, so "the medium KB"
+// or "the million-edge KB" means the same graph everywhere.
 // All presets are deterministic in the seed — same (preset, seed) ⇒
 // byte-identical graph and fingerprint (see TestGenerateReproducible).
 //

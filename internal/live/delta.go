@@ -206,15 +206,15 @@ type ApplyStats struct {
 	EdgesRemoved int
 	TypesSet     int
 
-	// Overlay reports whether the new generation was built as an
-	// O(delta) overlay over the previous snapshot (Apply) rather than a
-	// full Clone+Freeze rebuild (ApplyRebuild).
+	// Overlay reports that Apply built a new generation as an O(delta)
+	// overlay over the previous snapshot; it is false when the delta
+	// changed nothing and no generation was built.
 	Overlay bool
 	// Compacted reports that the manager folded the overlay chain into
 	// fresh CSR arrays while publishing this generation.
 	Compacted bool
 	// OverlayDepth is the overlay depth of the published snapshot
-	// (0 after a rebuild or compaction).
+	// (0 after a compaction).
 	OverlayDepth int
 }
 
@@ -318,9 +318,10 @@ func (cs *ChangeSet) BallReaches(g *kb.Graph, radius, maxNodes int, pairs [][2]k
 	return reached, true
 }
 
-// mutator is the graph surface applyOp drives, implemented by both the
-// O(delta) overlay builder and a plain clone, so the two apply paths
-// share one replay loop with identical record semantics and error text.
+// mutator is the graph surface applyOp drives. The O(delta) overlay
+// builder implements it; so can a plain clone, which lets a test replay
+// a delta with identical record semantics and error text and compare
+// the overlay against a Clone+Freeze rebuild.
 type mutator interface {
 	NodeByName(string) kb.NodeID
 	LabelByName(string) kb.LabelID
@@ -331,11 +332,6 @@ type mutator interface {
 	RemoveEdge(kb.NodeID, kb.NodeID, kb.LabelID) (bool, error)
 	SetNodeType(kb.NodeID, string) error
 }
-
-// graphAdapter lifts *kb.Graph to the mutator surface.
-type graphAdapter struct{ *kb.Graph }
-
-func (a graphAdapter) NodeType(id kb.NodeID) string { return a.Node(id).Type }
 
 // Apply replays the delta as an overlay generation over base in
 // O(delta · degree): base's CSR arrays are shared, only touched nodes
@@ -370,24 +366,6 @@ func (d *Delta) Apply(base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error)
 	g := b.Graph()
 	st.Overlay = true
 	st.OverlayDepth = g.Overlay().Depth
-	return g, st, cs, nil
-}
-
-// ApplyRebuild replays the delta onto a deep clone of base and freezes
-// the result from scratch — the legacy O(graph) path, kept as the
-// equivalence oracle for the overlay path and for measuring the
-// rebuild-vs-overlay cost gap (cmd/rexbench). Semantics and error text
-// are identical to Apply, including the undefined-stats error contract.
-func (d *Delta) ApplyRebuild(base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error) {
-	g := base.Clone()
-	var st ApplyStats
-	cs := NewChangeSet()
-	for _, op := range d.Ops {
-		if err := applyOp(graphAdapter{g}, op, &st, cs); err != nil {
-			return nil, st, nil, err
-		}
-	}
-	g.Freeze()
 	return g, st, cs, nil
 }
 

@@ -270,8 +270,31 @@ func TestManagerNoopDeltaPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestApplyRebuildMatchesOverlay pins that both apply paths produce
-// identical content, fingerprints and effective-change stats.
+// graphAdapter lifts *kb.Graph to the mutator surface.
+type graphAdapter struct{ *kb.Graph }
+
+func (a graphAdapter) NodeType(id kb.NodeID) string { return a.Node(id).Type }
+
+// rebuildApply replays d onto a deep clone of base and freezes the
+// result from scratch: the O(graph) Clone+Freeze path the overlay
+// replaced, kept as its equivalence oracle. It shares applyOp with
+// Delta.Apply, so record semantics and error text are identical.
+func rebuildApply(d *Delta, base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error) {
+	g := base.Clone()
+	var st ApplyStats
+	cs := NewChangeSet()
+	for _, op := range d.Ops {
+		if err := applyOp(graphAdapter{g}, op, &st, cs); err != nil {
+			return nil, st, nil, err
+		}
+	}
+	g.Freeze()
+	return g, st, cs, nil
+}
+
+// TestApplyRebuildMatchesOverlay pins that the overlay apply and the
+// Clone+Freeze rebuild produce identical content, fingerprints and
+// effective-change stats.
 func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	src := strings.Join([]string{
 		"node\td\tfilm",
@@ -286,7 +309,7 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbG, rbSt, rbCS, err := d.ApplyRebuild(baseGraph(t))
+	rbG, rbSt, rbCS, err := rebuildApply(d, baseGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}

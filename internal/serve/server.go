@@ -2,8 +2,8 @@
 // query, admin, observability and lifecycle endpoints that cmd/rexserve
 // exposes. It is a library so the replicated serving tier — the
 // rexrouter front tier, the internal/cluster chaos tests and the
-// rexbench router suite — can boot real replicas (in-process or as
-// child processes) instead of re-implementing the wire contract.
+// benchmark module's serve_hot and tier_routed workloads — can boot
+// real replicas in-process instead of re-implementing the wire contract.
 package serve
 
 import (

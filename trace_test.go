@@ -1,8 +1,9 @@
 package rex
 
 // Tests for the query-path tracing layer: the trace must be free when
-// absent (the alloc budgets of BENCH.json hold with no trace on the
-// context), O(stages) when present, and its report must attribute work
+// absent (the alloc budgets of BenchmarkMatchCount and BenchmarkExplain
+// hold with no trace on the context), O(stages) when present, and its
+// report must attribute work
 // and truncation to the right pipeline stages.
 
 import (
@@ -15,8 +16,8 @@ import (
 	"rex/internal/match"
 )
 
-// traceBenchExplainer builds the explainer of the explain_end_to_end
-// micro workload (uncached, so every query walks the full pipeline).
+// traceBenchExplainer builds the explainer of BenchmarkExplain's
+// end-to-end query (uncached, so every query walks the full pipeline).
 func traceBenchExplainer(t *testing.T) *Explainer {
 	t.Helper()
 	ex, err := NewExplainer(SampleKB(), Options{Measure: "size+local-dist", TopK: 10})
@@ -27,9 +28,9 @@ func traceBenchExplainer(t *testing.T) *Explainer {
 }
 
 // TestTracingOffAllocBudgets pins the zero-cost-when-off contract
-// against the committed BENCH.json baselines: with no trace on the
-// context, the instrumented hot paths must not allocate one byte more
-// than before instrumentation (match_count: 0 allocs/op,
+// against the allocation counts measured before instrumentation: with
+// no trace on the context, the instrumented hot paths must not allocate
+// more than they did then (match_count: 0 allocs/op,
 // explain_end_to_end: 1195 allocs/op).
 func TestTracingOffAllocBudgets(t *testing.T) {
 	if raceEnabled {
@@ -69,7 +70,7 @@ func TestTracingOffAllocBudgets(t *testing.T) {
 			}
 		})
 		if allocs > 1195 {
-			t.Errorf("untraced Explain allocates %.0f times per op; BENCH.json baseline is 1195", allocs)
+			t.Errorf("untraced Explain allocates %.0f times per op; pre-instrumentation baseline is 1195", allocs)
 		}
 	})
 }
