@@ -444,8 +444,8 @@ func BenchmarkExplain(b *testing.B) {
 
 // BenchmarkStoreApplyDelta is the write-path benchmark: one small
 // localized delta applied and hot-swapped through a live store per
-// iteration — O(delta) overlay build, explainer construction and cache
-// carry-over included. Each iteration's delta attaches a fresh chain of
+// iteration — O(delta) overlay build and explainer construction
+// included. Each iteration's delta attaches a fresh chain of
 // entities under one label, so successive applies stack overlay
 // generations and periodically exercise compaction.
 func BenchmarkStoreApplyDelta(b *testing.B) {
@@ -707,10 +707,10 @@ func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 
 // BenchmarkStoreApplyWarmCache is BenchmarkStoreApplyDelta at the
 // repository benchmark's scale with one cached result in the outgoing
-// snapshot, so every swap runs result carry-over: on a small-world graph
-// the radius-MaxPatternSize ball from a delta reaches nearly every node,
-// and what a swap pays is how soon carry-over finds that out. The pair
-// is explained again, off the clock, whenever a swap dropped it.
+// snapshot. No swap carries cached results over, so the warm cache
+// costs a swap nothing: the apply is an overlay build, a fresh
+// Explainer and the publish. The pair is explained again, off the clock,
+// before every apply.
 func BenchmarkStoreApplyWarmCache(b *testing.B) {
 	g := benchMediumGraph(b)
 	deltas := ingestDeltas(g, 42, b.N)

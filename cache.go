@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"rex/internal/measure"
 )
 
 // resultCache is a synchronised LRU cache of rendered explanation
@@ -124,22 +122,6 @@ func (c *resultCache) put(key string, res *Result) {
 	}
 }
 
-// entries snapshots every cached (key, result) pair, least recently
-// used first, so re-putting them in order into a fresh cache preserves
-// relative recency. Used by the store's swap-time carry-over.
-func (c *resultCache) entries() []cacheEntry {
-	out := make([]cacheEntry, 0, c.len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Back(); el != nil; el = el.Prev() {
-			out = append(out, el.Value.(cacheEntry))
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // len reports the number of cached entries across all shards.
 func (c *resultCache) len() int {
 	n := 0
@@ -187,16 +169,4 @@ func (e *Explainer) CacheStats() CacheStats {
 	st.Entries = e.cache.len()
 	st.Capacity = e.cache.capacity
 	return st
-}
-
-// EvaluatorStats reports the measure evaluator's memo occupancy and
-// effectiveness: pair-memo, position-memo and table-cell entries across
-// shards, lookup hit/miss counters, and memos promoted across a hot
-// swap. Counters are per-snapshot (they reset when a hot swap rebuilds the
-// evaluator); occupancy is current. Used by the /metrics gauges.
-type EvaluatorStats = measure.MemoStats
-
-// MemoStats returns a snapshot of the evaluator's memo statistics.
-func (e *Explainer) MemoStats() EvaluatorStats {
-	return e.eval.MemoStats()
 }

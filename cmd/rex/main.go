@@ -166,8 +166,8 @@ func printTrace(w io.Writer, tr *rex.QueryTrace) {
 	for _, st := range tr.Stages {
 		fmt.Fprintf(w, "  %-12s %12.3f %8d %10d\n", st.Stage, st.DurationMS, st.Calls, st.Items)
 	}
-	fmt.Fprintf(w, "  expansions=%d merges=%d joins=%d joins_skipped=%d bindings=%d walk_steps=%d memo=%d/%d\n",
-		tr.Expansions, tr.Merges, tr.Joins, tr.JoinsSkipped, tr.Bindings, tr.WalkSteps, tr.MemoHits, tr.MemoHits+tr.MemoMisses)
+	fmt.Fprintf(w, "  expansions=%d merges=%d joins=%d joins_skipped=%d bindings=%d walk_steps=%d\n",
+		tr.Expansions, tr.Merges, tr.Joins, tr.JoinsSkipped, tr.Bindings, tr.WalkSteps)
 	if tr.TruncatedBy != "" {
 		fmt.Fprintf(w, "  truncated by: %s\n", tr.TruncatedBy)
 	}

@@ -241,8 +241,8 @@ func TestCacheHitAllocBound(t *testing.T) {
 }
 
 // TestQueryKeyFormat holds the key to the bytes fmt used to build: the
-// cache, single-flight and swap-time carry-over all key on them, and
-// the length prefixes are what keeps names holding the separators apart.
+// cache and single-flight both key on them, and the length prefixes are
+// what keeps names holding the separators apart.
 func TestQueryKeyFormat(t *testing.T) {
 	var e Explainer
 	names := []string{"a", "brad_pitt", "1:a", "a|x1|t2", "x:y|z", strings.Repeat("n", 100), ""}

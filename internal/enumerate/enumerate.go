@@ -101,9 +101,9 @@ type Config struct {
 	// UnionAlg selects the combination strategy.
 	UnionAlg UnionAlgorithm
 	// Pool supplies reusable enumeration state. The facade owns one Pool
-	// per knowledge-base snapshot (the measure.Evaluator lifetime
-	// contract); nil falls back to a process-wide pool. Results never
-	// alias pooled storage, so any pool choice yields identical output.
+	// per knowledge-base snapshot; nil falls back to a process-wide
+	// pool. Results never alias pooled storage, so any pool choice
+	// yields identical output.
 	Pool *Pool
 	// Budget bounds enumeration work, turning the prioritized search
 	// into an anytime algorithm. The zero value never truncates and is

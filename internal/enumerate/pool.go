@@ -8,12 +8,11 @@ import (
 )
 
 // Pool reuses enumeration state across queries. The facade creates one
-// Pool per knowledge-base snapshot — the same lifetime contract as
-// measure.Evaluator — so steady-state enumeration touches the allocator
-// only for the explanations it returns, and a hot-swapped snapshot's
-// buffers become collectable the moment its Pool is dropped. A Pool is
-// safe for concurrent use: each query checks out a private state, so
-// concurrent queries never share scratch.
+// Pool per knowledge-base snapshot, so steady-state enumeration touches
+// the allocator only for the explanations it returns, and a hot-swapped
+// snapshot's buffers become collectable the moment its Pool is dropped.
+// A Pool is safe for concurrent use: each query checks out a private
+// state, so concurrent queries never share scratch.
 //
 // The package-level entry points (Explanations, Paths, ...) fall back to
 // a process-wide Pool, keeping the zero-configuration API allocation-

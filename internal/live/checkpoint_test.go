@@ -180,11 +180,38 @@ func TestJournalCheckpointSupersedesWaiting(t *testing.T) {
 	}
 }
 
+// journalGoroutines counts the live goroutines a Journal started. It
+// reads the stacks rather than runtime.NumGoroutine, which also counts
+// whatever an earlier test, or the runtime, has not yet retired.
+func journalGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by rex/internal/live.(*Journal).")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settledJournalGoroutines waits up to five seconds for the journal
+// goroutines to fall to want, giving an exiting one the moment the
+// runtime takes to retire it, and returns the count it ends on.
+func settledJournalGoroutines(want int) int {
+	n := journalGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = journalGoroutines() {
+		runtime.Gosched()
+	}
+	return n
+}
+
 // TestJournalCloseJoinsCheckpointer: the journal runs its checkpoints on
-// one goroutine at most, and Close waits for it — afterwards the process
-// has exactly the goroutines it had before OpenJournal.
+// one goroutine at most, and Close waits for it — afterwards no goroutine
+// a journal started is left.
 func TestJournalCloseJoinsCheckpointer(t *testing.T) {
-	before := runtime.NumGoroutine()
+	if n := settledJournalGoroutines(0); n != 0 {
+		t.Fatalf("%d journal goroutines still running from earlier tests", n)
+	}
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, JournalOptions{Fsync: FsyncNever})
 	if err != nil {
@@ -200,8 +227,8 @@ func TestJournalCloseJoinsCheckpointer(t *testing.T) {
 	for gen := uint64(2); gen <= 20; gen++ {
 		g = applyAndAppend(t, j, g, gen, walDelta(int(gen)))
 		j.CheckpointAsync(g, gen, func(err error) { t.Errorf("background checkpoint: %v", err) })
-		if n := runtime.NumGoroutine(); n > before+1 {
-			t.Fatalf("%d goroutines with checkpoints queued, %d before OpenJournal", n, before)
+		if n := journalGoroutines(); n > 1 {
+			t.Fatalf("%d journal goroutines with checkpoints queued, want at most 1", n)
 		}
 	}
 	if err := j.Close(); err != nil {
@@ -210,13 +237,9 @@ func TestJournalCloseJoinsCheckpointer(t *testing.T) {
 	if st := j.Stats(); st.CheckpointGen != 20 {
 		t.Fatalf("Close left checkpoint %d, want the last one started (20)", st.CheckpointGen)
 	}
-	// The checkpointer has signalled its exit when Close returns; give
-	// the runtime the moment it takes to retire the goroutine.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != before && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("%d goroutines after Close, %d before OpenJournal", n, before)
+	// The checkpointer has signalled its exit when Close returns.
+	if n := settledJournalGoroutines(0); n != 0 {
+		t.Fatalf("%d journal goroutines after Close, want 0", n)
 	}
 	if err := j.Append(21, []byte(strings.Repeat("x", 4))); err == nil {
 		t.Fatal("append after Close succeeded")

@@ -109,6 +109,12 @@ func ParseDelta(r io.Reader) (*Delta, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		// The scanner drops one carriage return before the newline, and a
+		// re-parse of the wire encoding would drop a second one: a record
+		// whose last field ends in '\r' could not be replayed as accepted.
+		if strings.HasSuffix(line, "\r") {
+			return nil, fmt.Errorf("live: line %d: record ends in a carriage return", lineNo)
+		}
 		fields := strings.Split(line, "\t")
 		op := Op{Line: lineNo}
 		switch fields[0] {
@@ -223,100 +229,9 @@ func (s ApplyStats) Changed() bool {
 	return s.NodesAdded+s.LabelsAdded+s.EdgesAdded+s.EdgesRemoved+s.TypesSet > 0
 }
 
-// ChangeSet is the touched-set of one delta application, the input to
-// label-scoped cache carry-over (see the rex facade): which labels had
-// edges added or removed, which nodes changed (edge endpoints, added
-// entities, retyped entities), and whether any entity changed type.
-type ChangeSet struct {
-	// Labels holds every label with an edge added or removed. Cached
-	// state whose pattern mentions none of these labels cannot observe
-	// the edge changes.
-	Labels map[kb.LabelID]struct{}
-	// Nodes holds the endpoints of every changed edge plus added and
-	// retyped entities. Both endpoints of every removed edge are here,
-	// so a breadth-first ball grown from Nodes over the NEW graph also
-	// covers every path that existed only in the old graph: any such
-	// path crosses a removed edge, whose endpoints seed the ball.
-	Nodes map[kb.NodeID]struct{}
-	// Retyped reports that some entity's type changed. Type changes
-	// shift pattern applicability globally (matching is type-scoped), so
-	// carry-over is disabled wholesale when set.
-	Retyped bool
-}
-
-// NewChangeSet returns an empty change set.
-func NewChangeSet() *ChangeSet {
-	return &ChangeSet{
-		Labels: make(map[kb.LabelID]struct{}),
-		Nodes:  make(map[kb.NodeID]struct{}),
-	}
-}
-
-// BallReaches grows a breadth-first ball of the given radius from the
-// change set's touched nodes over g (the new generation) and reports,
-// pair by pair, whether either endpoint lies inside it. That is the only
-// question carry-over has, so growth stops once every pair is reached —
-// on a small-world graph the full ball is most of the graph. Membership
-// is a bitmap over g's dense node IDs. If the ball would exceed maxNodes
-// before that, it returns (nil, false) and the caller should treat every
-// pair as reached. Radius 0 tests the touched nodes alone.
-func (cs *ChangeSet) BallReaches(g *kb.Graph, radius, maxNodes int, pairs [][2]kb.NodeID) ([]bool, bool) {
-	n := g.NumNodes()
-	has := func(set []uint64, id kb.NodeID) bool { return set[id>>6]&(1<<(id&63)) != 0 }
-	put := func(set []uint64, id kb.NodeID) { set[id>>6] |= 1 << (id & 63) }
-	ball := make([]uint64, (n+63)/64)
-	isEnd := make([]uint64, len(ball)) // some pair's endpoint: keeps the map off the growth path
-	waiting := make(map[kb.NodeID][]int, 2*len(pairs))
-	for i, p := range pairs {
-		for _, id := range p {
-			if id >= 0 && int(id) < n {
-				put(isEnd, id)
-				waiting[id] = append(waiting[id], i)
-			}
-		}
-	}
-	reached := make([]bool, len(pairs))
-	open, size := len(pairs), 0
-	var frontier []kb.NodeID
-	// add puts an unseen node in the ball, failing at the cap.
-	add := func(id kb.NodeID) bool {
-		if size >= maxNodes {
-			return false
-		}
-		size++
-		put(ball, id)
-		frontier = append(frontier, id)
-		if has(isEnd, id) {
-			for _, i := range waiting[id] {
-				if !reached[i] {
-					reached[i] = true
-					open--
-				}
-			}
-		}
-		return true
-	}
-	for id := range cs.Nodes {
-		if int(id) < n && !add(id) {
-			return nil, false
-		}
-	}
-	for hop := 0; hop < radius; hop++ {
-		level := frontier
-		frontier = nil
-		for _, id := range level {
-			if open == 0 {
-				return reached, true
-			}
-			for _, he := range g.Neighbors(id) {
-				if !has(ball, he.To) && !add(he.To) {
-					return nil, false
-				}
-			}
-		}
-	}
-	return reached, true
-}
+// ChangeSet records nothing: Apply returns an empty one, kept for
+// callers compiled against Apply's four results.
+type ChangeSet struct{}
 
 // mutator is the graph surface applyOp drives. The O(delta) overlay
 // builder implements it; so can a plain clone, which lets a test replay
@@ -336,15 +251,15 @@ type mutator interface {
 // Apply replays the delta as an overlay generation over base in
 // O(delta · degree): base's CSR arrays are shared, only touched nodes
 // get materialised spans, and base is never mutated — it keeps serving
-// concurrent reads throughout. The returned ChangeSet records what the
-// delta touched, for cache carry-over across the swap.
+// concurrent reads throughout. The third result is always an empty
+// ChangeSet.
 //
 // Application is all-or-nothing: any failing record (unknown entity or
 // label, directedness conflict, self-loop) aborts with an error
-// identifying the source line, and no new graph or change set is
-// produced. The stats returned alongside an error are the partial
-// counts accumulated before the failing record and are undefined for
-// any other purpose — callers must not publish or act on them.
+// identifying the source line, and no new graph is produced. The stats
+// returned alongside an error are the partial counts accumulated before
+// the failing record and are undefined for any other purpose — callers
+// must not publish or act on them.
 //
 // A delta whose records are all no-ops returns base itself (with
 // zero-valued stats), not a new generation.
@@ -354,31 +269,29 @@ func (d *Delta) Apply(base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error)
 		return nil, ApplyStats{}, nil, fmt.Errorf("live: %v", err)
 	}
 	var st ApplyStats
-	cs := NewChangeSet()
 	for _, op := range d.Ops {
-		if err := applyOp(b, op, &st, cs); err != nil {
+		if err := applyOp(b, op, &st); err != nil {
 			return nil, st, nil, err
 		}
 	}
 	if !st.Changed() {
-		return base, st, cs, nil
+		return base, st, &ChangeSet{}, nil
 	}
 	g := b.Graph()
 	st.Overlay = true
 	st.OverlayDepth = g.Overlay().Depth
-	return g, st, cs, nil
+	return g, st, &ChangeSet{}, nil
 }
 
 // applyOp replays one mutation onto the generation under construction,
-// recording effective changes in both the stats and the change set.
-func applyOp(g mutator, op Op, st *ApplyStats, cs *ChangeSet) error {
+// counting effective changes in the stats.
+func applyOp(g mutator, op Op, st *ApplyStats) error {
 	switch op.Kind {
 	case OpAddNode:
 		known := g.NodeByName(op.Name) != kb.InvalidNode
-		id := g.AddNode(op.Name, op.Type)
+		g.AddNode(op.Name, op.Type)
 		if !known {
 			st.NodesAdded++
-			cs.Nodes[id] = struct{}{}
 		}
 	case OpAddLabel:
 		known := g.LabelByName(op.Name) != kb.InvalidLabel
@@ -387,10 +300,6 @@ func applyOp(g mutator, op Op, st *ApplyStats, cs *ChangeSet) error {
 		}
 		if !known {
 			st.LabelsAdded++
-			// A label first seen in this delta cannot appear in any
-			// pattern cached against earlier generations, so it does not
-			// join the touched-label set; edges using it touch their
-			// endpoints as usual.
 		}
 	case OpSetType:
 		id := g.NodeByName(op.Name)
@@ -404,8 +313,6 @@ func applyOp(g mutator, op Op, st *ApplyStats, cs *ChangeSet) error {
 			return fmt.Errorf("live: line %d: %v", op.Line, err)
 		}
 		st.TypesSet++
-		cs.Nodes[id] = struct{}{}
-		cs.Retyped = true
 	case OpAddEdge, OpDelEdge:
 		from := g.NodeByName(op.From)
 		if from == kb.InvalidNode {
@@ -426,9 +333,6 @@ func applyOp(g mutator, op Op, st *ApplyStats, cs *ChangeSet) error {
 			}
 			if added {
 				st.EdgesAdded++
-				cs.Labels[label] = struct{}{}
-				cs.Nodes[from] = struct{}{}
-				cs.Nodes[to] = struct{}{}
 			}
 		} else {
 			removed, err := g.RemoveEdge(from, to, label)
@@ -437,9 +341,6 @@ func applyOp(g mutator, op Op, st *ApplyStats, cs *ChangeSet) error {
 			}
 			if removed {
 				st.EdgesRemoved++
-				cs.Labels[label] = struct{}{}
-				cs.Nodes[from] = struct{}{}
-				cs.Nodes[to] = struct{}{}
 			}
 		}
 	default:

@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -67,6 +66,7 @@ func TestParseDeltaErrors(t *testing.T) {
 		{"label direction", "label\tx\tB", "direction must be D or U"},
 		{"edge fields", "edge\ta\tb", "edge wants 3 fields"},
 		{"deledge fields", "deledge\ta\tb\tc\td", "deledge wants 3 fields"},
+		{"stray carriage return", "node\ta\tb\r\r\n", "carriage return"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestDeltaApply(t *testing.T) {
 		"deledge\ta\tb\tknows",
 		"deledge\ta\tc\tknows", // absent: no-op
 	}, "\n"))
-	g2, st, cs, err := d.Apply(g)
+	g2, st, _, err := d.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,6 @@ func TestDeltaApply(t *testing.T) {
 		Overlay: true, OverlayDepth: 1}
 	if st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
-	}
-	if cs == nil || !cs.Retyped {
-		t.Errorf("change set = %+v, want Retyped", cs)
 	}
 	if !st.Changed() {
 		t.Error("Changed() = false")
@@ -207,7 +204,7 @@ func TestDeltaApplyErrors(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	builds := 0
-	m, err := NewManager(baseGraph(t), func(g *kb.Graph, prev *Snapshot, cs *ChangeSet) (any, error) {
+	m, err := NewManager(baseGraph(t), func(*kb.Graph) (any, error) {
 		builds++
 		return fmt.Sprintf("payload-%d", builds), nil
 	})
@@ -279,17 +276,16 @@ func (a graphAdapter) NodeType(id kb.NodeID) string { return a.Node(id).Type }
 // result from scratch: the O(graph) Clone+Freeze path the overlay
 // replaced, kept as its equivalence oracle. It shares applyOp with
 // Delta.Apply, so record semantics and error text are identical.
-func rebuildApply(d *Delta, base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error) {
+func rebuildApply(d *Delta, base *kb.Graph) (*kb.Graph, ApplyStats, error) {
 	g := base.Clone()
 	var st ApplyStats
-	cs := NewChangeSet()
 	for _, op := range d.Ops {
-		if err := applyOp(graphAdapter{g}, op, &st, cs); err != nil {
-			return nil, st, nil, err
+		if err := applyOp(graphAdapter{g}, op, &st); err != nil {
+			return nil, st, err
 		}
 	}
 	g.Freeze()
-	return g, st, cs, nil
+	return g, st, nil
 }
 
 // TestApplyRebuildMatchesOverlay pins that the overlay apply and the
@@ -305,11 +301,11 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 		"settype\tc\tdirector",
 	}, "\n")
 	d := parse(t, src)
-	ovG, ovSt, ovCS, err := d.Apply(baseGraph(t))
+	ovG, ovSt, _, err := d.Apply(baseGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbG, rbSt, rbCS, err := rebuildApply(d, baseGraph(t))
+	rbG, rbSt, err := rebuildApply(d, baseGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,141 +318,6 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	ovSt.Overlay, ovSt.OverlayDepth = false, 0
 	if ovSt != rbSt {
 		t.Errorf("stats diverge: %+v vs %+v", ovSt, rbSt)
-	}
-	if len(ovCS.Labels) != len(rbCS.Labels) || len(ovCS.Nodes) != len(rbCS.Nodes) || ovCS.Retyped != rbCS.Retyped {
-		t.Errorf("change sets diverge: %+v vs %+v", ovCS, rbCS)
-	}
-}
-
-// TestChangeSetCollection checks that the touched-set records exactly
-// the labels and nodes of effective mutations.
-func TestChangeSetCollection(t *testing.T) {
-	g := baseGraph(t)
-	d := parse(t, strings.Join([]string{
-		"node\td\tfilm",
-		"label\tstarring\tD",
-		"edge\td\tc\tstarring",
-		"edge\ta\tb\tknows", // duplicate: no-op, must not touch knows
-	}, "\n"))
-	g2, _, cs, err := d.Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Retyped {
-		t.Error("Retyped set without a settype")
-	}
-	starring := g2.LabelByName("starring")
-	if _, ok := cs.Labels[starring]; !ok || len(cs.Labels) != 1 {
-		t.Errorf("touched labels = %v, want only starring (%d)", cs.Labels, starring)
-	}
-	wantNodes := []kb.NodeID{g2.NodeByName("c"), g2.NodeByName("d")}
-	if len(cs.Nodes) != len(wantNodes) {
-		t.Fatalf("touched nodes = %v, want %v", cs.Nodes, wantNodes)
-	}
-	for _, id := range wantNodes {
-		if _, ok := cs.Nodes[id]; !ok {
-			t.Errorf("node %d missing from touched set %v", id, cs.Nodes)
-		}
-	}
-
-	// The ball at radius 1 holds c and d and stops short of a and b; the
-	// cap makes growth fail soft. The (a, b) pair is never reached, so it
-	// keeps the ball growing to its radius or its cap.
-	a, b := g2.NodeByName("a"), g2.NodeByName("b")
-	pairs := [][2]kb.NodeID{{a, b}}
-	for id := range cs.Nodes {
-		pairs = append(pairs, [2]kb.NodeID{a, id})
-	}
-	reached, ok := cs.BallReaches(g2, 1, 100, pairs)
-	if !ok {
-		t.Fatal("ball overflowed a generous cap")
-	}
-	if reached[0] {
-		t.Error("pair (a, b) reached by a ball that holds neither")
-	}
-	for i, p := range pairs[1:] {
-		if !reached[i+1] {
-			t.Errorf("touched node %d not in its own ball", p[1])
-		}
-	}
-	if _, ok := cs.BallReaches(g2, 1, 1, pairs); ok {
-		t.Error("ball cap of 1 not enforced")
-	}
-}
-
-// TestBallReachesMatchesFullBall compares BallReaches, which stops as
-// soon as every pair is decided, against membership in the whole ball
-// grown by a plain map-keyed breadth-first search: same answer for every
-// pair, and when either side overflows the cap every pair counts as
-// reached, which is what carry-over does with it.
-func TestBallReachesMatchesFullBall(t *testing.T) {
-	fullBall := func(cs *ChangeSet, g *kb.Graph, radius, maxNodes int) (map[kb.NodeID]struct{}, bool) {
-		ball := map[kb.NodeID]struct{}{}
-		var frontier []kb.NodeID
-		for id := range cs.Nodes {
-			ball[id] = struct{}{}
-			frontier = append(frontier, id)
-		}
-		for hop := 0; hop < radius; hop++ {
-			var next []kb.NodeID
-			for _, id := range frontier {
-				for _, he := range g.Neighbors(id) {
-					if _, seen := ball[he.To]; !seen {
-						ball[he.To] = struct{}{}
-						next = append(next, he.To)
-					}
-				}
-			}
-			frontier = next
-		}
-		return ball, len(ball) <= maxNodes
-	}
-	rng := rand.New(rand.NewSource(5))
-	const n = 300
-	g := kb.New()
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i), "t")
-	}
-	l := g.MustLabel("l", false)
-	for i := 0; i < 400; i++ { // sparse: a ball covers anything from a few nodes to most of the graph
-		if from, to := kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n)); from != to {
-			g.AddEdge(from, to, l) //nolint:errcheck // endpoints and label are valid
-		}
-	}
-	g.Freeze()
-	for trial := 0; trial < 2000; trial++ {
-		cs := NewChangeSet()
-		for i := rng.Intn(4); i >= 0; i-- {
-			cs.Nodes[kb.NodeID(rng.Intn(n))] = struct{}{}
-		}
-		pairs := make([][2]kb.NodeID, rng.Intn(12))
-		for i := range pairs {
-			pairs[i] = [2]kb.NodeID{kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n))}
-			switch rng.Intn(10) {
-			case 0:
-				pairs[i][0] = kb.InvalidNode // a name the new graph does not know
-			case 1:
-				pairs[i][1] = pairs[i][0]
-			}
-		}
-		radius, maxNodes := rng.Intn(7), []int{1, 10, 50, n}[rng.Intn(4)]
-		ball, fits := fullBall(cs, g, radius, maxNodes)
-		reached, ok := cs.BallReaches(g, radius, maxNodes, pairs)
-		if ok && !fits && len(pairs) == 0 {
-			continue // nothing to decide: stopping before the overflow is right
-		}
-		for i, p := range pairs {
-			_, in0 := ball[p[0]]
-			_, in1 := ball[p[1]]
-			want, got := !fits || in0 || in1, !ok || reached[i]
-			if got != want {
-				t.Fatalf("trial %d (radius %d, cap %d, seeds %v): pair %v reached=%v (ok=%v), full ball says %v (fits=%v)",
-					trial, radius, maxNodes, cs.Nodes, p, got, ok, want, fits)
-			}
-		}
-		if ok && len(reached) != len(pairs) {
-			t.Fatalf("trial %d: %d answers for %d pairs", trial, len(reached), len(pairs))
-		}
 	}
 }
 
@@ -556,7 +417,7 @@ func TestManagerApplyErrorKeepsSnapshot(t *testing.T) {
 
 func TestManagerBuildErrorKeepsSnapshot(t *testing.T) {
 	builds := 0
-	m, err := NewManager(baseGraph(t), func(g *kb.Graph, prev *Snapshot, cs *ChangeSet) (any, error) {
+	m, err := NewManager(baseGraph(t), func(*kb.Graph) (any, error) {
 		builds++
 		if builds > 1 {
 			return nil, fmt.Errorf("boom")
@@ -576,7 +437,7 @@ func TestManagerBuildErrorKeepsSnapshot(t *testing.T) {
 }
 
 func TestManagerInitialBuildError(t *testing.T) {
-	if _, err := NewManager(baseGraph(t), func(*kb.Graph, *Snapshot, *ChangeSet) (any, error) {
+	if _, err := NewManager(baseGraph(t), func(*kb.Graph) (any, error) {
 		return nil, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("NewManager swallowed build error")
@@ -589,7 +450,7 @@ func TestManagerInitialBuildError(t *testing.T) {
 // TestManagerConcurrentReadersAndWriters drives lock-free reads under
 // concurrent swaps; run with -race this checks the epoch discipline.
 func TestManagerConcurrentReadersAndWriters(t *testing.T) {
-	m, err := NewManager(baseGraph(t), func(g *kb.Graph, prev *Snapshot, cs *ChangeSet) (any, error) {
+	m, err := NewManager(baseGraph(t), func(g *kb.Graph) (any, error) {
 		return g.Fingerprint(), nil
 	})
 	if err != nil {

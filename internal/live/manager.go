@@ -43,15 +43,8 @@ type Snapshot struct {
 // BuildFunc constructs the per-snapshot serving payload for a freshly
 // built frozen graph. It runs once per swap, before the snapshot is
 // published; an error aborts the swap and keeps the current snapshot
-// active.
-//
-// prev and cs enable cache carry-over: for a delta-driven swap, prev is
-// the snapshot being replaced and cs the delta's touched-set, so the
-// builder may seed the new payload's caches with entries from prev that
-// provably cannot observe the change. Both are nil for the initial
-// build and for whole-graph swaps (SwapGraph), where no sound carry
-// basis exists — the payload must then start cold.
-type BuildFunc func(g *kb.Graph, prev *Snapshot, cs *ChangeSet) (any, error)
+// active. It sees only the new graph, so every payload starts cold.
+type BuildFunc func(g *kb.Graph) (any, error)
 
 // Manager owns the active snapshot and serialises its replacement.
 //
@@ -110,10 +103,10 @@ func NewManagerAt(g *kb.Graph, build BuildFunc, gen uint64) (*Manager, error) {
 		return nil, fmt.Errorf("live: NewManagerAt: generation must be positive")
 	}
 	if build == nil {
-		build = func(*kb.Graph, *Snapshot, *ChangeSet) (any, error) { return nil, nil }
+		build = func(*kb.Graph) (any, error) { return nil, nil }
 	}
 	g.Freeze()
-	payload, err := build(g, nil, nil)
+	payload, err := build(g)
 	if err != nil {
 		return nil, fmt.Errorf("live: building initial snapshot: %w", err)
 	}
@@ -209,7 +202,7 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 		return nil, ApplyStats{}, fmt.Errorf("%w: expected to publish generation %d, store is at %d",
 			ErrGenerationConflict, expect, cur.Generation)
 	}
-	g, st, cs, err := d.Apply(cur.Graph)
+	g, st, _, err := d.Apply(cur.Graph)
 	if err != nil {
 		return nil, st, err
 	}
@@ -222,7 +215,7 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 		st.OverlayDepth = 0
 		m.compactions.Add(1)
 	}
-	snap, err := m.publishLocked(g, cur, cs, commit)
+	snap, err := m.publishLocked(g, commit)
 	if err != nil {
 		return nil, st, err
 	}
@@ -230,9 +223,7 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 }
 
 // SwapGraph publishes an independently built graph (e.g. re-read from
-// disk) as the next generation, freezing it first if needed. There is
-// no delta relating it to the current snapshot, so the payload is built
-// without a carry basis and starts cold.
+// disk) as the next generation, freezing it first if needed.
 func (m *Manager) SwapGraph(g *kb.Graph) (*Snapshot, error) {
 	return m.SwapGraphCommit(g, nil)
 }
@@ -247,7 +238,7 @@ func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, er
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g.Freeze()
-	return m.publishLocked(g, nil, nil, commit)
+	return m.publishLocked(g, commit)
 }
 
 // SwapGraphAt publishes an independently built graph at an explicit
@@ -256,8 +247,7 @@ func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, er
 // forward to match the fleet's numbering instead of incrementing by
 // one. gen must be strictly above the current generation (generations
 // never move backwards, and an equal generation with different content
-// would fork the fleet's history). Like SwapGraph, the payload is built
-// without a carry basis and starts cold.
+// would fork the fleet's history).
 func (m *Manager) SwapGraphAt(g *kb.Graph, gen uint64, commit CommitFunc) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("live: SwapGraphAt: nil graph")
@@ -268,7 +258,7 @@ func (m *Manager) SwapGraphAt(g *kb.Graph, gen uint64, commit CommitFunc) (*Snap
 		return nil, fmt.Errorf("live: SwapGraphAt: generation %d is not above current %d", gen, cur)
 	}
 	g.Freeze()
-	return m.publishAtLocked(g, gen, nil, nil, commit)
+	return m.publishAtLocked(g, gen, commit)
 }
 
 // SwapGraphRepair publishes an independently built graph at an
@@ -292,20 +282,18 @@ func (m *Manager) SwapGraphRepair(g *kb.Graph, gen uint64, commit CommitFunc) (*
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g.Freeze()
-	return m.publishAtLocked(g, gen, nil, nil, commit)
+	return m.publishAtLocked(g, gen, commit)
 }
 
 // publishLocked builds the payload for g, runs the durability commit
-// hook, and stores the next-generation snapshot. prev and cs are
-// forwarded to the BuildFunc as the carry basis when the swap came from
-// a delta. Callers hold m.mu.
-func (m *Manager) publishLocked(g *kb.Graph, prev *Snapshot, cs *ChangeSet, commit CommitFunc) (*Snapshot, error) {
-	return m.publishAtLocked(g, m.cur.Load().Generation+1, prev, cs, commit)
+// hook, and stores the next-generation snapshot. Callers hold m.mu.
+func (m *Manager) publishLocked(g *kb.Graph, commit CommitFunc) (*Snapshot, error) {
+	return m.publishAtLocked(g, m.cur.Load().Generation+1, commit)
 }
 
 // publishAtLocked is publishLocked at an explicit target generation.
-func (m *Manager) publishAtLocked(g *kb.Graph, next uint64, prev *Snapshot, cs *ChangeSet, commit CommitFunc) (*Snapshot, error) {
-	payload, err := m.build(g, prev, cs)
+func (m *Manager) publishAtLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
+	payload, err := m.build(g)
 	if err != nil {
 		return nil, fmt.Errorf("live: building snapshot payload: %w", err)
 	}

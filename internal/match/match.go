@@ -15,12 +15,11 @@
 //
 // # Allocation discipline
 //
-// Measure evaluation calls the matcher once per memo miss — a handful of
-// times per query (non-path patterns of the explanation set; path
-// patterns go through measure's walk), a hundred times that under the
-// global measures' sampled starts — so matcher state is pooled: every
-// entry point takes a matcher from a sync.Pool, resets it, runs, and
-// returns it. All per-run state lives in fixed MaxVars-sized arrays,
+// Measure evaluation calls the matcher a handful of times per query
+// (non-path patterns of the explanation set; path patterns go through
+// measure's walk), a hundred times that under the global measures'
+// sampled starts — so matcher state is pooled: every entry point takes a
+// matcher from a sync.Pool, resets it, runs, and returns it. All per-run state lives in fixed MaxVars-sized arrays,
 // reused slices or the leaf memo inside the pooled struct, making the
 // steady-state Count path allocation-free (see BenchmarkMatchCount). The
 // pool contract: reset rebuilds every field that run reads, and release

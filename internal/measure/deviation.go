@@ -35,23 +35,15 @@ func (LocalDeviation) AntiMonotonic() bool { return false }
 
 // Score implements Measure.
 func (LocalDeviation) Score(ctx *Context, ex *pattern.Explanation) Score {
-	counts, _ := countByEnd(ctx, ex.P, ctx.Start)
-	a := float64(ex.Count())
-	return Score{deviation(counts, a)}
-}
-
-// countByEnd routes a local-distribution table computation through the
-// shared evaluator when the context carries one. The returned map is
-// shared on that route and must be treated as read-only.
-func countByEnd(ctx *Context, p *pattern.Pattern, start kb.NodeID) (map[kb.NodeID]int, error) {
-	if ev := ctx.Eval; ev != nil {
-		return ev.CountByEnd(ctx.Context(), p, start)
-	}
-	return localTable(ctx.Context(), ctx.G, p, start)
+	counts, _ := localTable(ctx.Context(), ctx.G, ex.P, ctx.Start)
+	return Score{deviation(counts, float64(ex.Count()))}
 }
 
 // GlobalDeviation averages the deviation over the sampled start
 // entities' local distributions, mirroring the global position estimate.
+// A start the sample repeats is evaluated once per call and its
+// deviation added again in sample order, so the sum is that of one
+// evaluation per sample.
 type GlobalDeviation struct{}
 
 // Name implements Measure.
@@ -69,12 +61,18 @@ func (GlobalDeviation) Score(ctx *Context, ex *pattern.Explanation) Score {
 	a := float64(ex.Count())
 	total := 0.0
 	cctx := ctx.Context()
+	seen := make(map[kb.NodeID]float64, len(starts))
 	for _, s := range starts {
 		if cctx.Err() != nil {
 			break // partial score; the caller checks the context
 		}
-		counts, _ := countByEnd(ctx, ex.P, s)
-		total += deviation(counts, a)
+		d, ok := seen[s]
+		if !ok {
+			counts, _ := localTable(cctx, ctx.G, ex.P, s)
+			d = deviation(counts, a)
+			seen[s] = d
+		}
+		total += d
 	}
 	return Score{total / float64(len(starts))}
 }

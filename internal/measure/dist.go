@@ -55,27 +55,11 @@ func (LocalPosition) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, thres
 		}
 		limit = int(-threshold[0])
 	}
-	a := ex.Count()
-	pos, ok := localPosition(ctx, ex.P, ctx.Start, a, limit)
+	pos, ok := streamLocalPosition(ctx.Context(), ctx.G, ex.P, ctx.Start, ex.Count(), limit)
 	if !ok {
 		return nil, false
 	}
 	return Score{-float64(pos)}, true
-}
-
-// localPosition answers one local-position question: from the
-// evaluator's answer memo when the context carries one, straight from
-// the counting kernel otherwise. Both return identical positions and
-// identical pruning decisions.
-func localPosition(ctx *Context, p *pattern.Pattern, start kb.NodeID, a, limit int) (pos int, ok bool) {
-	if ev := ctx.Eval; ev != nil {
-		pos, ok, err := ev.LocalPosition(ctx.Context(), p, start, a, limit)
-		if err != nil {
-			return 0, false
-		}
-		return pos, ok
-	}
-	return streamLocalPosition(ctx.Context(), ctx.G, p, start, a, limit)
 }
 
 // streamLocalPosition counts the end entities whose instance count with
@@ -286,6 +270,10 @@ func (m GlobalPosition) Score(ctx *Context, ex *pattern.Explanation) Score {
 
 // ScoreWithLimit implements Limited: the running sum of per-sample
 // positions stops as soon as it exceeds the threshold's implied limit.
+// The sample may repeat a start (it is drawn with replacement); each
+// distinct start is evaluated once per call and its exact position
+// reused, in sample order, so the sum and the pruning decision are those
+// of one evaluation per sample.
 func (GlobalPosition) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, threshold Score) (Score, bool) {
 	limit := -1
 	if len(threshold) > 0 {
@@ -301,6 +289,7 @@ func (GlobalPosition) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, thre
 	}
 	total := 0
 	cctx := ctx.Context()
+	seen := make(map[kb.NodeID]int, len(starts))
 	for _, s := range starts {
 		if cctx.Err() != nil {
 			return nil, false
@@ -312,11 +301,14 @@ func (GlobalPosition) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, thre
 				return nil, false
 			}
 		}
-		pos, ok := localPosition(ctx, ex.P, s, a, rem)
+		pos, ok := seen[s]
 		if !ok {
-			return nil, false
+			if pos, ok = streamLocalPosition(cctx, ctx.G, ex.P, s, a, rem); !ok {
+				return nil, false
+			}
+			seen[s] = pos
 		}
-		total += pos
+		total += pos // past the limit, the next residual or the final check prunes
 	}
 	if limit >= 0 && total > limit {
 		return nil, false

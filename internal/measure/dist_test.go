@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"rex/internal/enumerate"
+	"rex/internal/kb"
 	"rex/internal/kbgen"
 	"rex/internal/pattern"
 )
@@ -128,5 +130,109 @@ func TestGlobalPositionLimit(t *testing.T) {
 		if _, ok := global.ScoreWithLimit(ctx, ex, Score{full[0] + 1}); ok {
 			t.Fatalf("strictly-worse score not pruned")
 		}
+	}
+}
+
+// perSampleGlobalPosition is GlobalPosition.ScoreWithLimit as one kernel
+// call per sampled start, repeated starts included.
+func perSampleGlobalPosition(g *kb.Graph, p *pattern.Pattern, starts []kb.NodeID, a, limit int) (Score, bool) {
+	total := 0
+	for _, s := range starts {
+		rem := -1
+		if limit >= 0 {
+			if rem = limit - total; rem < 0 {
+				return nil, false
+			}
+		}
+		pos, ok := streamLocalPosition(context.Background(), g, p, s, a, rem)
+		if !ok {
+			return nil, false
+		}
+		total += pos
+	}
+	return Score{-float64(total)}, true
+}
+
+// perSampleGlobalDeviation is GlobalDeviation.Score as one kernel call
+// per sampled start, repeated starts included.
+func perSampleGlobalDeviation(g *kb.Graph, p *pattern.Pattern, starts []kb.NodeID, a int) Score {
+	total := 0.0
+	for _, s := range starts {
+		counts, err := localTable(context.Background(), g, p, s)
+		if err != nil {
+			panic(err)
+		}
+		total += deviation(counts, float64(a))
+	}
+	return Score{total / float64(len(starts))}
+}
+
+// TestGlobalMeasuresEvaluateRepeatedStartsOnce pins the per-call reuse
+// of a repeated sampled start: on kbgen small, for every type whose
+// 100-start sample repeats a start, both global measures score each
+// explanation bit for bit as one kernel call per sample does, and
+// GlobalPosition prunes at exactly the same limits.
+func TestGlobalMeasuresEvaluateRepeatedStartsOnce(t *testing.T) {
+	opt, err := kbgen.PresetOptions("small", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := kbgen.Generate(opt)
+	perType := 10
+	if testing.Short() {
+		perType = 4
+	}
+	repeating := 0
+	for _, typ := range []string{kbgen.TypeActor, kbgen.TypeDirector, kbgen.TypeFilm, kbgen.TypeGenre} {
+		starts := SampleStartsOfType(g, typ, 100, 0)
+		distinct := map[kb.NodeID]bool{}
+		for _, s := range starts {
+			distinct[s] = true
+		}
+		if len(distinct) == len(starts) {
+			continue
+		}
+		repeating++
+		// A pair two hops apart from the first sampled start.
+		s, e := starts[0], kb.InvalidNode
+		for _, he := range g.Neighbors(s) {
+			for _, he2 := range g.Neighbors(he.To) {
+				if he2.To != s && e == kb.InvalidNode {
+					e = he2.To
+				}
+			}
+		}
+		es := enumerate.Explanations(g, s, e, enumerate.Config{
+			PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
+		})
+		if len(es) == 0 {
+			t.Fatalf("%s: no explanations for %s-%s", typ, g.NodeName(s), g.NodeName(e))
+		}
+		t.Logf("%s: %d of %d sampled starts repeat, %d explanations", typ, len(starts)-len(distinct), len(starts), len(es))
+		mctx := &Context{G: g, Start: s, End: e, SampleStarts: starts}
+		for _, ex := range es[:min(len(es), perType)] {
+			a := ex.Count()
+			if got, want := (GlobalDeviation{}).Score(mctx, ex), perSampleGlobalDeviation(g, ex.P, starts, a); got[0] != want[0] {
+				t.Fatalf("%s %v: global-dev %v, per sample %v", typ, ex.P, got[0], want[0])
+			}
+			want, _ := perSampleGlobalPosition(g, ex.P, starts, a, -1)
+			if got := (GlobalPosition{}).Score(mctx, ex); got[0] != want[0] {
+				t.Fatalf("%s %v: global-dist %v, per sample %v", typ, ex.P, got[0], want[0])
+			}
+			sum := int(-want[0])
+			for _, limit := range []int{0, 1, 2, sum / 4, sum / 2, 3 * sum / 4, sum - 1, sum, sum + 1} {
+				if limit < 0 {
+					continue
+				}
+				want, wantOK := perSampleGlobalPosition(g, ex.P, starts, a, limit)
+				got, ok := (GlobalPosition{}).ScoreWithLimit(mctx, ex, Score{-float64(limit)})
+				if ok != wantOK || (ok && got[0] != want[0]) {
+					t.Fatalf("%s %v limit %d: (%v,%v), per sample (%v,%v)", typ, ex.P, limit, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+	if repeating == 0 {
+		t.Fatal("no type's sample repeats a start: the reuse path is untested")
 	}
 }

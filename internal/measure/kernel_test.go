@@ -225,8 +225,8 @@ func oraclePosition(table map[kb.NodeID]int, a int) int {
 }
 
 // TestLocalDistributionDifferential checks the one counting kernel —
-// bare and behind the evaluator's answer memo, path and non-path
-// patterns, unfrozen, frozen and overlay graphs — against the naive
+// path and non-path patterns, unfrozen, frozen and overlay graphs —
+// against the naive
 // oracle: position and pruning decision for every limit, and whole
 // tables for the deviation measures.
 func TestLocalDistributionDifferential(t *testing.T) {
@@ -245,10 +245,6 @@ func TestLocalDistributionDifferential(t *testing.T) {
 	limits := []int{-1, 0, 1, 2, 10, math.MaxInt}
 	paths, others := 0, 0
 	for _, c := range cases {
-		// Two evaluators see the limits in opposite orders, so the memo
-		// answers from an exact position in one and from bounds of
-		// growing strength in the other.
-		fwd, rev := NewEvaluator(c.g), NewEvaluator(c.g)
 		for i, p := range c.ps {
 			if p.IsPath() {
 				paths++
@@ -258,34 +254,19 @@ func TestLocalDistributionDifferential(t *testing.T) {
 			oracle := enumeratedTable(c.g, p, c.start)
 			for _, a := range c.as[i] {
 				want := oraclePosition(oracle, a)
-				check := func(route string, limit, pos int, ok bool) {
-					t.Helper()
-					if wantOK := limit < 0 || want <= limit; ok != wantOK || (ok && pos != want) {
-						t.Fatalf("%s %v a=%d limit=%d via %s: (%d,%v), oracle position %d", c.name, p, a, limit, route, pos, ok, want)
-					}
-				}
-				for k, limit := range limits {
+				for _, limit := range limits {
 					pos, ok := streamLocalPosition(ctx, c.g, p, c.start, a, limit)
-					check("kernel", limit, pos, ok)
-					pos, ok, err := fwd.LocalPosition(ctx, p, c.start, a, limit)
-					if err != nil {
-						t.Fatal(err)
+					if wantOK := limit < 0 || want <= limit; ok != wantOK || (ok && pos != want) {
+						t.Fatalf("%s %v a=%d limit=%d: (%d,%v), oracle position %d", c.name, p, a, limit, pos, ok, want)
 					}
-					check("evaluator", limit, pos, ok)
-					back := limits[len(limits)-1-k]
-					pos, ok, err = rev.LocalPosition(ctx, p, c.start, a, back)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check("evaluator, limits reversed", back, pos, ok)
 				}
 			}
-			table, err := fwd.CountByEnd(ctx, p, c.start)
+			table, err := localTable(ctx, c.g, p, c.start)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(table, oracle) {
-				t.Fatalf("%s %v: evaluator table %s, oracle %s", c.name, p, tableDiff(c.g, table, oracle), tableDiff(c.g, oracle, table))
+				t.Fatalf("%s %v: kernel table %s, oracle %s", c.name, p, tableDiff(c.g, table, oracle), tableDiff(c.g, oracle, table))
 			}
 		}
 	}
@@ -310,26 +291,22 @@ func tableDiff(g *kb.Graph, t, other map[kb.NodeID]int) string {
 // limit GlobalPosition hands the kernel prunes exactly when the summed
 // position exceeds the limit, and otherwise returns the unlimited sum.
 func TestGlobalPositionResidualLimits(t *testing.T) {
-	g, ev, es, s, e := evalFixture(t)
-	starts := SampleStarts(g, 8, 7)
+	mctx, es := sampleCtx(t, "brad_pitt", "angelina_jolie")
+	g := mctx.G
+	mctx.SampleStarts = SampleStarts(g, 8, 7)
 	global := GlobalPosition{}
-	for _, mctx := range []*Context{
-		{G: g, Start: s, End: e, SampleStarts: starts},
-		{G: g, Start: s, End: e, SampleStarts: starts, Eval: ev},
-	} {
-		for _, ex := range es {
-			sum := 0
-			for _, st := range starts {
-				sum += oraclePosition(enumeratedTable(g, ex.P, st), ex.Count())
+	for _, ex := range es {
+		sum := 0
+		for _, st := range mctx.SampleStarts {
+			sum += oraclePosition(enumeratedTable(g, ex.P, st), ex.Count())
+		}
+		for _, limit := range []int{0, 1, sum - 1, sum, sum + 1, math.MaxInt32} {
+			if limit < 0 {
+				continue
 			}
-			for _, limit := range []int{0, 1, sum - 1, sum, sum + 1, math.MaxInt32} {
-				if limit < 0 {
-					continue
-				}
-				got, ok := global.ScoreWithLimit(mctx, ex, Score{-float64(limit)})
-				if ok != (sum <= limit) || (ok && got[0] != -float64(sum)) {
-					t.Fatalf("%v limit %d (evaluator %v): (%v,%v), unlimited sum %d", ex.P, limit, mctx.Eval != nil, got, ok, sum)
-				}
+			got, ok := global.ScoreWithLimit(mctx, ex, Score{-float64(limit)})
+			if ok != (sum <= limit) || (ok && got[0] != -float64(sum)) {
+				t.Fatalf("%v limit %d: (%v,%v), unlimited sum %d", ex.P, limit, got, ok, sum)
 			}
 		}
 	}
@@ -342,7 +319,8 @@ func TestLocalPositionSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
 	}
-	g, _, es, s, _ := evalFixture(t)
+	mctx, es := sampleCtx(t, "brad_pitt", "angelina_jolie")
+	g, s := mctx.G, mctx.Start
 	ctx := context.Background()
 	var path, other *pattern.Explanation
 	for _, ex := range es {

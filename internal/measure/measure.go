@@ -73,14 +73,17 @@ type Context struct {
 	// callers observing a done context must discard results and surface
 	// ctx.Err() — the rank layer does exactly that.
 	Ctx context.Context
-	// Eval, when non-nil, routes match counting through the
-	// shared-computation evaluator: counts memoised per (pattern key,
-	// pair), local positions per (pattern key, start, a) and whole
-	// local-distribution tables per (pattern key, start). Scores are
-	// identical with or without it; only the cost changes. The evaluator
-	// must be pinned to the same graph as G.
+	// Eval is ignored: measures count with the kernel on every call and
+	// memoise nothing across calls. It stays, with Evaluator, for callers
+	// compiled against it.
 	Eval *Evaluator
 }
+
+// Evaluator holds nothing; see Context.Eval.
+type Evaluator struct{}
+
+// NewEvaluator returns an empty Evaluator; g is ignored.
+func NewEvaluator(g *kb.Graph) *Evaluator { return new(Evaluator) }
 
 // Context returns the cancellation context, defaulting to Background so
 // measures never nil-check.
@@ -252,21 +255,10 @@ func (c Combined) ScoreWithLimit(ctx *Context, ex *pattern.Explanation, threshol
 // CountOracle recomputes M_count with the independent matcher instead of
 // the enumerated instance list; tests use it to cross-check instance
 // propagation, and distributional measures use the same matcher on other
-// entity pairs. With an evaluator in the context the count is memoised
-// by (pattern key, pair).
+// entity pairs. A cancelled context yields an incomplete count, which
+// callers observing the done context discard (the rank layer's
+// contract).
 func CountOracle(ctx *Context, ex *pattern.Explanation) int {
-	if ev := ctx.Eval; ev != nil {
-		n, err := ev.Count(ctx.Context(), ex.P, ctx.Start, ctx.End)
-		if err == nil {
-			return n
-		}
-	}
-	// A cancelled (or budget-expired) context must not fall through to
-	// the uninterruptible matcher: return an incomplete value — callers
-	// observing a done context discard the score (the rank layer's
-	// contract), so the shortcut is never visible in results.
-	if ctx.Context().Err() != nil {
-		return 0
-	}
-	return match.Count(ctx.G, ex.P, ctx.Start, ctx.End)
+	n, _ := match.CountContext(ctx.Context(), ctx.G, ex.P, ctx.Start, ctx.End)
+	return n
 }

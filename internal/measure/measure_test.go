@@ -211,3 +211,29 @@ func TestContextSampleStartsDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical samples")
 	}
 }
+
+// TestScoresIdenticalWithAndWithoutEvaluator pins that Context.Eval is
+// ignored: every measure scores every explanation identically whether
+// or not the context carries an Evaluator.
+func TestScoresIdenticalWithAndWithoutEvaluator(t *testing.T) {
+	bare, es := sampleCtx(t, "brad_pitt", "angelina_jolie")
+	bare.SampleStarts = SampleStarts(bare.G, 8, 7)
+	withEval := *bare
+	withEval.Eval = NewEvaluator(bare.G)
+	measures := []Measure{
+		Size{}, RandomWalk{}, Count{}, Monocount{},
+		LocalPosition{}, GlobalPosition{},
+		LocalDeviation{}, GlobalDeviation{},
+		Combined{Primary: Size{}, Secondary: LocalPosition{}},
+		Combined{Primary: Size{}, Secondary: Monocount{}},
+	}
+	for _, m := range measures {
+		for _, ex := range es {
+			got := m.Score(&withEval, ex)
+			want := m.Score(bare, ex)
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s on %v: with Eval %v, without %v", m.Name(), ex.P, got, want)
+			}
+		}
+	}
+}

@@ -22,10 +22,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.AddJoins(2, 1)
 	tr.AddBindings(4)
 	tr.AddWalkSteps(4)
-	tr.MemoHit()
-	tr.MemoMiss()
-	tr.WalkHit()
-	tr.WalkMiss()
 	tr.MarkCacheHit()
 	tr.MarkDeduped()
 	tr.MarkPoolReused()
@@ -57,8 +53,6 @@ func TestTraceReport(t *testing.T) {
 	tr.AddJoins(7, 90)
 	tr.AddBindings(11)
 	tr.AddWalkSteps(13)
-	tr.MemoHit()
-	tr.MemoMiss()
 	tr.MarkPoolReused()
 	tr.Truncated(StageEnumerate, TruncExpansions)
 	tr.Truncated(StageRank, TruncDeadline) // later attribution must not overwrite
@@ -70,7 +64,7 @@ func TestTraceReport(t *testing.T) {
 	if !rep.PoolReused || rep.CacheHit || rep.Deduped {
 		t.Fatalf("flags wrong: %+v", rep)
 	}
-	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.Bindings != 11 || rep.WalkSteps != 13 || rep.MemoHits != 1 || rep.MemoMisses != 1 {
+	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.Bindings != 11 || rep.WalkSteps != 13 {
 		t.Fatalf("counters wrong: %+v", rep)
 	}
 	if len(rep.Stages) != 2 {

@@ -20,8 +20,8 @@ import (
 )
 
 // Stage identifies one pipeline stage of a query. Stages nest: match
-// runs inside measure (the evaluator calls the matcher on memo misses),
-// so match time is informational and not disjoint from measure time.
+// runs inside measure (the measures call the matcher), so match time is
+// informational and not disjoint from measure time.
 // The rank stage is recorded as the ranker's wall time minus the
 // enumerate/measure/merge time it drove, keeping the top-level stages
 // additive.
@@ -89,10 +89,6 @@ type Trace struct {
 	joinsSkip  atomic.Int64
 	bindings   atomic.Int64
 	walkSteps  atomic.Int64
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
-	walkHits   atomic.Int64
-	walkMisses atomic.Int64
 
 	flags atomic.Uint32
 	// trunc packs the first budget-truncation event as
@@ -209,41 +205,6 @@ func (t *Trace) AddWalkSteps(n int64) {
 	t.walkSteps.Add(n)
 }
 
-// MemoHit records an evaluator memo hit.
-func (t *Trace) MemoHit() {
-	if t == nil {
-		return
-	}
-	t.memoHits.Add(1)
-}
-
-// MemoMiss records an evaluator memo miss.
-func (t *Trace) MemoMiss() {
-	if t == nil {
-		return
-	}
-	t.memoMisses.Add(1)
-}
-
-// WalkHit records a prefix walk-cache hit. The evaluator no longer has a
-// walk cache and nothing in the engine calls WalkHit or WalkMiss, so
-// Report.WalkCacheHits and WalkCacheMisses read 0; both stay for
-// consumers compiled against them.
-func (t *Trace) WalkHit() {
-	if t == nil {
-		return
-	}
-	t.walkHits.Add(1)
-}
-
-// WalkMiss records a prefix walk-cache miss.
-func (t *Trace) WalkMiss() {
-	if t == nil {
-		return
-	}
-	t.walkMisses.Add(1)
-}
-
 // MarkCacheHit flags the query as served from the result cache.
 func (t *Trace) MarkCacheHit() {
 	if t == nil {
@@ -306,6 +267,9 @@ type StageReport struct {
 // Report is the rendered, serializable form of a Trace, attached to
 // Result and embedded in slow-log entries. TruncatedBy is
 // "<stage>:<cause>" (e.g. "enumerate:expansions") or empty.
+// MemoHits, MemoMisses, WalkCacheHits and WalkCacheMisses always read 0:
+// the measures keep no memo and no walk cache, and the fields stay for
+// consumers compiled against them.
 type Report struct {
 	// RequestID ties this trace to the HTTP request (and, behind a
 	// router, the hedged attempt) that ran the query. Stamped by the
@@ -338,16 +302,12 @@ func (t *Trace) Report() *Report {
 		return nil
 	}
 	rep := &Report{
-		Expansions:      t.expansions.Load(),
-		Merges:          t.merges.Load(),
-		Joins:           t.joins.Load(),
-		JoinsSkipped:    t.joinsSkip.Load(),
-		Bindings:        t.bindings.Load(),
-		WalkSteps:       t.walkSteps.Load(),
-		MemoHits:        t.memoHits.Load(),
-		MemoMisses:      t.memoMisses.Load(),
-		WalkCacheHits:   t.walkHits.Load(),
-		WalkCacheMisses: t.walkMisses.Load(),
+		Expansions:   t.expansions.Load(),
+		Merges:       t.merges.Load(),
+		Joins:        t.joins.Load(),
+		JoinsSkipped: t.joinsSkip.Load(),
+		Bindings:     t.bindings.Load(),
+		WalkSteps:    t.walkSteps.Load(),
 	}
 	fl := t.flags.Load()
 	rep.CacheHit = fl&flagCacheHit != 0

@@ -187,9 +187,9 @@ type PathStep struct {
 }
 
 // PathSteps returns the start→end step sequence when p is a simple path
-// (IsPath), or ok=false otherwise. The measure evaluator uses it to
-// enumerate path instances with shared prefixes across explanations.
-// Computed once and cached, like the canonical key.
+// (IsPath), or ok=false otherwise. The local-distribution kernel uses it
+// to count path instances per end without enumerating them. Computed
+// once and cached, like the canonical key.
 func (p *Pattern) PathSteps() ([]PathStep, bool) {
 	if !p.stepsDone {
 		p.steps, p.stepsOK = p.computePathSteps()

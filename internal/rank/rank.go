@@ -71,7 +71,7 @@ func (c *rankClock) hit() bool {
 // budgetedMeasureCtx prepares anytime scoring for a deadline: measure
 // evaluations run under a context that expires at the deadline (derived
 // from cctx, so real cancellation still flows through), which the
-// engine's bounded-interval checks — matcher bindings, evaluator walks,
+// engine's bounded-interval checks — matcher bindings, path walks,
 // streaming positions — already poll. A heavy evaluation therefore
 // aborts within the budget instead of overshooting it by its own full
 // cost; the rank loops observe the expiry via rankClock, discard the

@@ -136,10 +136,10 @@ func TestTopKAntiMonotoneSparsePair(t *testing.T) {
 	assertSameRanking(t, "sparse pair", want, got)
 }
 
-// TestRankingUnchangedByEvaluator locks the shared-computation engine's
-// correctness bar at the ranking level: with a measure evaluator in the
-// context, both pruned rankers still return exactly what full
-// enumeration plus sorting returns without one.
+// TestRankingUnchangedByEvaluator pins at the ranking level that
+// measure.Context.Eval is ignored: with an Evaluator in the context,
+// both pruned rankers still return exactly what full enumeration plus
+// sorting returns without one.
 func TestRankingUnchangedByEvaluator(t *testing.T) {
 	for _, pairNames := range rankPairs {
 		g, s, e, ctx := setup(t, pairNames[0], pairNames[1])

@@ -134,10 +134,10 @@ func TestAdminDeltaEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsLiveSection checks the /stats "live" section and the
-// overlay/carry fields of the swap response: a one-edge delta swaps in
-// as a depth-1 overlay, carries the cached result whose pair is out of
-// the delta's reach, and drops the touched pair's entry.
+// TestStatsLiveSection checks the /stats "live" section and the overlay
+// fields of the swap response: a one-edge delta swaps in as a depth-1
+// overlay, and the new generation's cache starts empty, so even the
+// cached pair out of the delta's reach is computed again.
 func TestStatsLiveSection(t *testing.T) {
 	// Pad the base with filler edges disconnected from every queried
 	// pair so the one-edge delta stays under the compaction ratio and
@@ -163,14 +163,12 @@ func TestStatsLiveSection(t *testing.T) {
 	s := New(store, Config{Timeout: time.Minute, MaxBatch: 8})
 	h := s.Handler()
 
-	if st := stats(t, h); st.Live.OverlayDepth != 0 || st.Live.Compactions != 0 ||
-		st.Live.ResultsCarried != 0 || st.Live.ResultsDropped != 0 || st.Live.MemoPromotions != 0 {
+	if st := stats(t, h); st.Live.OverlayDepth != 0 || st.Live.Compactions != 0 {
 		t.Fatalf("live stats before any delta = %+v", st.Live)
 	}
 
 	// Warm the cache on both pairs, then ingest an edge touching only
-	// (c, d): the (a, b) entry is outside the delta's radius and must be
-	// carried, the (c, d) entry must be invalidated.
+	// (c, d).
 	explain(t, h, "a", "b")
 	explain(t, h, "c", "d")
 	rec := postBody(t, h, "/admin/delta", "edge\tc\td\tknows\n")
@@ -184,23 +182,26 @@ func TestStatsLiveSection(t *testing.T) {
 	if !sw.Overlay || sw.Compacted || sw.OverlayDepth != 1 {
 		t.Errorf("swap overlay fields = %+v, want depth-1 uncompacted overlay", sw)
 	}
-	if sw.ResultsCarried != 1 || sw.ResultsDropped != 1 {
-		t.Errorf("swap carry fields = carried %d, dropped %d, want 1/1", sw.ResultsCarried, sw.ResultsDropped)
+	for _, body := range []string{rec.Body.String(), get(t, h, "/stats").Body.String()} {
+		for _, gone := range []string{"results_carried", "results_dropped", "memo_promotions"} {
+			if strings.Contains(body, gone) {
+				t.Errorf("response still carries %q: %s", gone, body)
+			}
+		}
 	}
 
 	st := stats(t, h)
 	if st.Live.OverlayDepth != 1 || st.Live.Compactions != 0 {
 		t.Errorf("live overlay stats after delta = %+v", st.Live)
 	}
-	if st.Live.ResultsCarried != 1 || st.Live.ResultsDropped != 1 {
-		t.Errorf("live carry stats after delta = %+v", st.Live)
+	if st.Cache.Entries != 0 {
+		t.Errorf("new generation's cache = %+v, want empty", st.Cache)
 	}
 
-	// The carried (a, b) entry is a post-swap cache hit.
-	hits0 := st.Cache.Hits
+	// The (a, b) entry did not survive the swap: its next query misses.
 	explain(t, h, "a", "b")
-	if st := stats(t, h); st.Cache.Hits != hits0+1 {
-		t.Errorf("carried result was not a post-swap cache hit: %+v", st.Cache)
+	if st := stats(t, h); st.Cache.Hits != 0 || st.Cache.Misses != 1 {
+		t.Errorf("post-swap (a, b) = %+v, want one miss", st.Cache)
 	}
 }
 
@@ -321,7 +322,7 @@ func TestAdminReloadEndpoint(t *testing.T) {
 // (~11K relationships) served over HTTP while a stream of localized
 // deltas applies through /admin/delta under concurrent /explain
 // traffic. Run with -race it exercises the overlay build, compaction
-// policy and cache carry-over against live readers at a realistic
+// policy and per-generation caches against live readers at a realistic
 // graph size; its own assertions check that every request succeeds,
 // every delta lands as the expected generation, and the /stats live
 // section stays coherent.
@@ -354,8 +355,8 @@ func TestDeltaIngestionSoak(t *testing.T) {
 		numReaders  = 3
 	)
 
-	// Warm the generation-1 cache so the first swap has entries to carry
-	// or drop even if the readers below are scheduled late.
+	// Warm the generation-1 cache so the first swap replaces a warm cache
+	// even if the readers below are scheduled late.
 	for _, p := range sampled {
 		url := "/explain?start=" + g.NodeName(p.Start) + "&end=" + g.NodeName(p.End)
 		rec := httptest.NewRecorder()
@@ -428,9 +429,6 @@ func TestDeltaIngestionSoak(t *testing.T) {
 	}
 	if st.Queries.Errors != 0 {
 		t.Errorf("%d query errors during soak", st.Queries.Errors)
-	}
-	if st.Live.ResultsCarried+st.Live.ResultsDropped == 0 {
-		t.Error("no carry-over accounting after a warm soak")
 	}
 	if st.Live.OverlayDepth < 0 || st.Live.OverlayDepth > numDeltas {
 		t.Errorf("implausible overlay depth %d", st.Live.OverlayDepth)
@@ -573,18 +571,6 @@ func TestLiveSwapUnderTraffic(t *testing.T) {
 		t.Errorf("%d query errors during swaps, want 0", st.Queries.Errors)
 	}
 
-	// Carry-over accounting: the cached (c, d) result lives outside
-	// every delta's reach until the final one ingests the c—d edge, so
-	// it is carried across exactly the first numDeltas-1 swaps and then
-	// invalidated. (a, b) entries sit inside every delta's ball and are
-	// always dropped, never carried.
-	if st.Live.ResultsCarried != numDeltas-1 {
-		t.Errorf("results carried = %d, want %d (the (c, d) entry per untouching swap)",
-			st.Live.ResultsCarried, numDeltas-1)
-	}
-	if st.Live.ResultsDropped < 2 {
-		t.Errorf("results dropped = %d, want ≥ 2", st.Live.ResultsDropped)
-	}
 	// The first delta doubles the one-edge base, so the ratio policy
 	// must have compacted at least once during the run.
 	if st.Live.Compactions == 0 {

@@ -43,7 +43,7 @@ type serverRegistry = obs.Registry
 
 // newServerMetrics registers every metric family. Gauge families
 // sample the store and slow log at scrape time, so a scrape is a few
-// atomic loads plus the brief shard locks of MemoStats.
+// atomic loads plus the brief shard locks of the result cache's count.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg}
@@ -88,27 +88,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.Gauge("rex_result_cache_capacity",
 		"Configured result-cache capacity.").With().
 		SetFunc(func() float64 { return float64(s.store.Current().Explainer.CacheStats().Capacity) })
-
-	memo := reg.Gauge("rex_evaluator_memo_entries",
-		"Evaluator memo occupancy of the active snapshot by kind.", "kind")
-	memo.With("pairs").SetFunc(func() float64 {
-		return float64(s.store.Current().Explainer.MemoStats().PairMemos)
-	})
-	memo.With("table_cells").SetFunc(func() float64 {
-		return float64(s.store.Current().Explainer.MemoStats().TableCells)
-	})
-	memo.With("positions").SetFunc(func() float64 {
-		return float64(s.store.Current().Explainer.MemoStats().Positions)
-	})
-	// Evaluator memo counters are per-snapshot and reset on hot swap;
-	// exposed as counters anyway because Prometheus rate() handles
-	// counter resets natively.
-	reg.Counter("rex_evaluator_memo_hits_total",
-		"Evaluator memo hits of the active snapshot (resets on swap).").With().
-		SetFunc(func() float64 { return float64(s.store.Current().Explainer.MemoStats().Hits) })
-	reg.Counter("rex_evaluator_memo_misses_total",
-		"Evaluator memo misses of the active snapshot (resets on swap).").With().
-		SetFunc(func() float64 { return float64(s.store.Current().Explainer.MemoStats().Misses) })
 
 	reg.Gauge("rex_overlay_depth",
 		"Overlay depth of the active snapshot (0 = fully compacted CSR).").With().

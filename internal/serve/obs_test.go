@@ -82,7 +82,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rex_result_cache_misses_total":     "counter",
 		"rex_singleflight_dedup_total":      "counter",
 		"rex_result_cache_entries":          "gauge",
-		"rex_evaluator_memo_entries":        "gauge",
 		"rex_overlay_depth":                 "gauge",
 		"rex_store_swaps_total":             "counter",
 		"rex_store_compactions_total":       "counter",
@@ -96,6 +95,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	for name, typ := range wantType {
 		if got := fams[name]; got != typ {
 			t.Errorf("family %s: type %q, want %q", name, got, typ)
+		}
+	}
+	for name := range fams {
+		if strings.HasPrefix(name, "rex_evaluator_memo") {
+			t.Errorf("family %s exposed: the measures keep no memo", name)
 		}
 	}
 
@@ -307,7 +311,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 // TestMetricsScrapeUnderIngestion is the observability soak: concurrent
 // /metrics and /admin/slow scrapes while deltas hot-swap the store
 // under /explain traffic. Run with -race it checks that scrape-time
-// gauge sampling (cache stats, memo occupancy, overlay depth) is safe
+// gauge sampling (cache stats, overlay depth) is safe
 // against live swaps; its own assertions check every scrape parses and
 // the swap counters land.
 func TestMetricsScrapeUnderIngestion(t *testing.T) {

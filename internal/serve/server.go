@@ -363,30 +363,23 @@ type swapResponse struct {
 	Overlay      bool `json:"overlay,omitempty"`
 	Compacted    bool `json:"compacted,omitempty"`
 	OverlayDepth int  `json:"overlay_depth,omitempty"`
-	// ResultsCarried/ResultsDropped report swap-time cache carry-over:
-	// previous-generation results that survived into, or were
-	// invalidated out of, the new snapshot's cache.
-	ResultsCarried int `json:"results_carried,omitempty"`
-	ResultsDropped int `json:"results_dropped,omitempty"`
 }
 
 func swapResponseOf(info rex.SwapInfo) swapResponse {
 	return swapResponse{
-		Generation:     info.Generation,
-		Fingerprint:    info.Fingerprint,
-		Nodes:          info.KB.Nodes,
-		Edges:          info.KB.Edges,
-		Labels:         info.KB.Labels,
-		NodesAdded:     info.NodesAdded,
-		LabelsAdded:    info.LabelsAdded,
-		EdgesAdded:     info.EdgesAdded,
-		EdgesRemoved:   info.EdgesRemoved,
-		TypesSet:       info.TypesSet,
-		Overlay:        info.Overlay,
-		Compacted:      info.Compacted,
-		OverlayDepth:   info.OverlayDepth,
-		ResultsCarried: info.ResultsCarried,
-		ResultsDropped: info.ResultsDropped,
+		Generation:   info.Generation,
+		Fingerprint:  info.Fingerprint,
+		Nodes:        info.KB.Nodes,
+		Edges:        info.KB.Edges,
+		Labels:       info.KB.Labels,
+		NodesAdded:   info.NodesAdded,
+		LabelsAdded:  info.LabelsAdded,
+		EdgesAdded:   info.EdgesAdded,
+		EdgesRemoved: info.EdgesRemoved,
+		TypesSet:     info.TypesSet,
+		Overlay:      info.Overlay,
+		Compacted:    info.Compacted,
+		OverlayDepth: info.OverlayDepth,
 	}
 }
 
@@ -707,24 +700,15 @@ type queryStats struct {
 	Timeouts uint64 `json:"timeouts"`
 }
 
-// liveStats is the write-path and carry-over section of /stats: overlay
-// state of the active snapshot plus cumulative carry-over counters.
+// liveStats is the write-path section of /stats: overlay state of the
+// active snapshot plus cumulative compactions.
 type liveStats struct {
-	OverlayDepth   int    `json:"overlay_depth"`
-	Compactions    uint64 `json:"compactions"`
-	ResultsCarried uint64 `json:"results_carried"`
-	ResultsDropped uint64 `json:"results_dropped"`
-	MemoPromotions uint64 `json:"memo_promotions"`
+	OverlayDepth int    `json:"overlay_depth"`
+	Compactions  uint64 `json:"compactions"`
 }
 
 func liveStatsOf(ls rex.LiveStats) liveStats {
-	return liveStats{
-		OverlayDepth:   ls.OverlayDepth,
-		Compactions:    ls.Compactions,
-		ResultsCarried: ls.ResultsCarried,
-		ResultsDropped: ls.ResultsDropped,
-		MemoPromotions: ls.MemoPromotions,
-	}
+	return liveStats{OverlayDepth: ls.OverlayDepth, Compactions: ls.Compactions}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

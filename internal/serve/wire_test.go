@@ -150,9 +150,8 @@ func resultBytes(t *testing.T, body []byte) []byte {
 // TestFirstHitsShareOneEncoding takes the first HTTP hit of one cached
 // result on 16 goroutines at once — under -race, the check that the
 // encoding is built behind its Once and the cached result is only ever
-// read — and requires every body to carry the same result bytes; then
-// one delta later the carried entry must serve those bytes again under
-// the new generation and fingerprint.
+// read — and requires every body to carry the same result bytes; a
+// later hit on the same generation must serve those bytes again.
 func TestFirstHitsShareOneEncoding(t *testing.T) {
 	s := liveServer(t, "")
 	h := s.Handler()
@@ -196,26 +195,14 @@ func TestFirstHitsShareOneEncoding(t *testing.T) {
 		t.Fatalf("cache after %d first hits = %+v", clients, st.Cache)
 	}
 
-	before, _ := explain(t, h, "a", "b")
-	if rec := postBody(t, h, "/admin/delta", "edge\tc\td\tknows\n"); rec.Code != http.StatusOK {
-		t.Fatalf("delta: status %d, body %s", rec.Code, rec.Body)
-	}
-	if st := stats(t, h); st.Live.ResultsCarried != 1 {
-		t.Fatalf("carry-over after the delta = %+v, want the (a, b) entry carried", st.Live)
-	}
 	rec := get(t, h, "/explain?start=a&end=b")
-	var after explainResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Generation != 2 || after.Fingerprint == before.Fingerprint || rec.Header().Get(GenerationHeader) != "2" {
-		t.Errorf("carried hit: generation %d, %s %q, fingerprint %s (was %s); want generation 2 and a new fingerprint",
-			after.Generation, GenerationHeader, rec.Header().Get(GenerationHeader), after.Fingerprint, before.Fingerprint)
+	if rec.Header().Get(GenerationHeader) != "1" {
+		t.Errorf("later hit: %s %q, want 1", GenerationHeader, rec.Header().Get(GenerationHeader))
 	}
 	if got := resultBytes(t, rec.Body.Bytes()); !bytes.Equal(got, want) {
-		t.Errorf("carried hit: result bytes\n%s\nwant\n%s", got, want)
+		t.Errorf("later hit: result bytes\n%s\nwant\n%s", got, want)
 	}
-	if st := stats(t, h); st.Cache.Hits != 1 || st.Cache.Misses != 0 {
-		t.Errorf("generation 2's cache after one query = %+v, want the carried entry hit", st.Cache)
+	if st := stats(t, h); st.Cache.Hits != clients+1 || st.Cache.Misses != 1 {
+		t.Errorf("cache after one more hit = %+v", st.Cache)
 	}
 }

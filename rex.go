@@ -321,26 +321,10 @@ type Explainer struct {
 	// serving traffic, cost one execution instead of racing N times.
 	// Always on (it needs no capacity), independent of the cache.
 	flight *flightGroup
-	// eval is the shared-computation measure evaluator for this
-	// explainer's (frozen) graph: match counts and local-distribution
-	// tables are memoised across explanations and queries. It is pinned
-	// to the graph, so stores that hot-swap snapshots get a fresh one
-	// per generation automatically (each snapshot builds its own
-	// Explainer) — swap-time invalidation mirrors the result cache's.
-	eval *measure.Evaluator
 }
 
 // NewExplainer validates the options and builds an explainer.
 func NewExplainer(k *KB, opt Options) (*Explainer, error) {
-	return newExplainer(k, opt, nil, nil)
-}
-
-// newExplainer is NewExplainer with an optional evaluator carry basis:
-// prevEval is the previous snapshot's evaluator and touched the labels
-// changed by the delta separating the snapshots, so memos for untouched
-// patterns warm the new generation instead of recomputing (see
-// internal/measure/carry.go). Both nil for a cold build.
-func newExplainer(k *KB, opt Options, prevEval *measure.Evaluator, touched map[kb.LabelID]struct{}) (*Explainer, error) {
 	opt = opt.normalized()
 	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize}
 	switch opt.PathAlgorithm {
@@ -369,12 +353,11 @@ func newExplainer(k *KB, opt Options, prevEval *measure.Evaluator, touched map[k
 	// guarantees the graph's read indexes exist before the first query
 	// and that concurrent queries never mutate shared state.
 	k.g.Freeze()
-	// The enumeration pool shares the evaluator's lifetime contract: one
-	// per snapshot, so steady-state queries reuse frontier and merge
-	// buffers, and a hot swap releases them with the old explainer.
+	// One enumeration pool per explainer, and so per snapshot:
+	// steady-state queries reuse frontier and merge buffers, and a hot
+	// swap releases them with the old explainer.
 	cfg.Pool = enumerate.NewPool()
-	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg,
-		flight: newFlightGroup(), eval: measure.NewEvaluatorFrom(k.g, prevEval, touched)}
+	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg, flight: newFlightGroup()}
 	if opt.CacheSize > 0 {
 		e.cache = newResultCache(opt.CacheSize)
 	}
@@ -473,8 +456,8 @@ type Result struct {
 	// enc holds the result's wire encoding once something has asked for
 	// it (see AppendJSON). compute makes the holder, and because it is a
 	// pointer every later copy of the result — tracedResult's, the
-	// single-flight followers', the cache's and a carried-over entry's —
-	// shares the one encoding. Nil on a Result built as a literal.
+	// single-flight followers' and the cache's — shares the one encoding.
+	// Nil on a Result built as a literal.
 	enc *resultJSON
 }
 
@@ -626,7 +609,7 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 			cfg.Budget.Deadline = time.Now().Add(b.Timeout)
 		}
 	}
-	mctx := &measure.Context{G: g, Start: s, End: t, Ctx: ctx, Eval: e.eval}
+	mctx := &measure.Context{G: g, Start: s, End: t, Ctx: ctx}
 	if needsGlobalSamples(e.m) {
 		mctx.SampleStarts = measure.SampleStartsOfType(g, g.Node(s).Type, e.opt.GlobalSamples, e.opt.Seed)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"rex/internal/kb"
 	"rex/internal/live"
-	"rex/internal/measure"
 )
 
 // Store is a live knowledge base: it owns a sequence of versioned,
@@ -35,14 +34,6 @@ type Store struct {
 	// longer WAL tail).
 	journal      *live.Journal
 	ckptFailures atomic.Uint64
-
-	// Carry-over effectiveness counters, cumulative across swaps.
-	resultsCarried atomic.Uint64
-	resultsDropped atomic.Uint64
-	// promosRetired accumulates the memo-promotion counts of evaluators
-	// as their generation is replaced, so LiveStats can report a running
-	// total without keeping retired evaluators alive.
-	promosRetired atomic.Uint64
 
 	// onSwap, when set via OnSwap, is invoked after every successful
 	// swap (Apply or ReloadFrom) with the completed SwapInfo.
@@ -75,10 +66,6 @@ func (s *Store) notifySwap(info SwapInfo) {
 type storePayload struct {
 	kb *KB
 	ex *Explainer
-	// carried and dropped count the previous generation's cached results
-	// that survived into (or were invalidated out of) this snapshot's
-	// cache at build time.
-	carried, dropped int
 }
 
 // StoreSnapshot is one pinned knowledge-base version. The KB and
@@ -108,13 +95,9 @@ type SwapInfo struct {
 	Overlay      bool
 	Compacted    bool
 	OverlayDepth int
-	// ResultsCarried and ResultsDropped count the previous generation's
-	// cached results that survived into, or were invalidated out of, the
-	// new snapshot's cache.
-	ResultsCarried, ResultsDropped int
 	// Elapsed is the wall time of the whole mutating call: parse (or
-	// load), graph build, payload build (cache carry, evaluator), and
-	// publication.
+	// load), graph build, payload build (a fresh Explainer with an empty
+	// cache), and publication.
 	Elapsed time.Duration
 }
 
@@ -136,39 +119,13 @@ func NewStore(k *KB, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("rex: NewStore: nil KB")
 	}
 	s := &Store{opt: opt}
-	build := func(g *kb.Graph, prev *live.Snapshot, cs *live.ChangeSet) (any, error) {
+	build := func(g *kb.Graph) (any, error) {
 		snapKB := &KB{g: g}
-		var prevPay *storePayload
-		if prev != nil {
-			prevPay = prev.Payload.(*storePayload)
-		}
-		// Evaluator memo carry is sound under the label rule alone:
-		// match counting reads exactly the edges whose labels the
-		// pattern mentions, and never entity types, so the per-lookup
-		// untouched-label test in measure covers every delta — including
-		// retypes (see internal/measure/carry.go).
-		var prevEval *measure.Evaluator
-		var touched map[kb.LabelID]struct{}
-		if prevPay != nil && cs != nil {
-			prevEval = prevPay.ex.eval
-			touched = cs.Labels
-		}
-		ex, err := newExplainer(snapKB, opt, prevEval, touched)
+		ex, err := NewExplainer(snapKB, opt)
 		if err != nil {
 			return nil, err
 		}
-		pay := &storePayload{kb: snapKB, ex: ex}
-		if prevPay != nil {
-			// Retire the predecessor: bank its promotion count for the
-			// running total and sever its own carry link, so at most two
-			// generations of memos stay reachable at once.
-			s.promosRetired.Add(prevPay.ex.eval.Promotions())
-			prevPay.ex.eval.DropCarry()
-			pay.carried, pay.dropped = carryResults(ex, prevPay.ex, g, cs, opt)
-			s.resultsCarried.Add(uint64(pay.carried))
-			s.resultsDropped.Add(uint64(pay.dropped))
-		}
-		return pay, nil
+		return &storePayload{kb: snapKB, ex: ex}, nil
 	}
 	g, gen := k.g, uint64(1)
 	var jn *live.Journal
@@ -240,70 +197,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	return s.journal.Close()
-}
-
-// maxCarryBallNodes caps the affected-ball breadth-first search behind
-// result carry-over. A delta touching a hub can reach a large fraction
-// of the graph within the pattern radius; past this many nodes the ball
-// no longer proves anything cheaply, so carry-over degrades to the
-// sound default of dropping everything.
-const maxCarryBallNodes = 1 << 17
-
-// carryResults seeds the new snapshot's result cache with the previous
-// generation's entries that provably cannot observe the delta, and
-// reports how many were carried vs. dropped.
-//
-// Soundness: with M = MaxPatternSize, every instance of an explanation
-// for the pair (s, t) — including the free-end instances behind the
-// local-distribution measure — lies within M−1 hops of s or t, and the
-// prioritized enumeration additionally reads the degrees of nodes one
-// hop beyond the nodes it visits. So every graph read a query makes
-// stays within M hops of its endpoints, and a cached result can change
-// only if some changed edge or entity lies within that horizon —
-// equivalently, if an endpoint falls inside the radius-M ball grown
-// from the delta's touched nodes. The ball is grown over the new graph,
-// which also covers paths that existed only in the old one: any such
-// path crosses a removed edge, and both endpoints of every removed edge
-// seed the ball (live.ChangeSet.Nodes).
-//
-// Drop-when-in-doubt cases: no change set (whole-graph reload), a
-// retype (entity types steer decoration and sampling), a global
-// measure (its sampled start set can shift under any node addition),
-// a ball that overflows maxCarryBallNodes, and budget-truncated
-// results (their coverage depends on enumeration order, which degree
-// changes can reorder).
-func carryResults(next, prev *Explainer, g *kb.Graph, cs *live.ChangeSet, opt Options) (carried, dropped int) {
-	if prev.cache == nil || next.cache == nil {
-		return 0, 0
-	}
-	entries := prev.cache.entries()
-	if len(entries) == 0 {
-		return 0, 0
-	}
-	if cs == nil || cs.Retyped || needsGlobalSamples(next.m) {
-		return 0, len(entries)
-	}
-	// Truncated results are dropped whatever the ball says, so they do
-	// not hold its growth open.
-	total, kept := len(entries), entries[:0]
-	pairs := make([][2]kb.NodeID, 0, total)
-	for _, en := range entries {
-		if !en.res.Truncated {
-			kept = append(kept, en)
-			pairs = append(pairs, [2]kb.NodeID{g.NodeByName(en.res.Start), g.NodeByName(en.res.End)})
-		}
-	}
-	reached, ok := cs.BallReaches(g, opt.normalized().MaxPatternSize, maxCarryBallNodes, pairs)
-	if !ok {
-		return 0, total
-	}
-	for i, en := range kept {
-		if !reached[i] {
-			next.cache.put(en.key, en.res)
-			carried++
-		}
-	}
-	return carried, total - carried
 }
 
 // OpenStore loads a knowledge base from a file (see LoadKB) and builds
@@ -415,11 +308,6 @@ func (s *Store) apply(r io.Reader, expect uint64) (SwapInfo, error) {
 	info.Overlay = st.Overlay
 	info.Compacted = st.Compacted
 	info.OverlayDepth = st.OverlayDepth
-	if st.Changed() {
-		p := snap.Payload.(*storePayload)
-		info.ResultsCarried = p.carried
-		info.ResultsDropped = p.dropped
-	}
 	info.Elapsed = time.Since(t0)
 	s.notifySwap(info)
 	return info, nil
@@ -428,9 +316,9 @@ func (s *Store) apply(r io.Reader, expect uint64) (SwapInfo, error) {
 // checkpointFailed counts a background checkpoint that failed.
 func (s *Store) checkpointFailed(error) { s.ckptFailures.Add(1) }
 
-// LiveStats reports the write-path and carry-over counters of the
-// store, cumulative since construction (except OverlayDepth, which
-// describes the currently active snapshot).
+// LiveStats reports the write-path counters of the store, cumulative
+// since construction (except OverlayDepth, which describes the
+// currently active snapshot).
 type LiveStats struct {
 	// OverlayDepth is the active snapshot's overlay depth: 0 for a
 	// plain graph, k after k stacked O(delta) applies since the last
@@ -438,25 +326,17 @@ type LiveStats struct {
 	OverlayDepth int
 	// Compactions counts overlay chains folded into fresh CSR arrays.
 	Compactions uint64
-	// ResultsCarried and ResultsDropped count cached results carried
-	// into, or invalidated out of, new snapshots across all swaps.
+	// ResultsCarried and ResultsDropped always read 0: every swap
+	// publishes an empty result cache, and the fields stay for callers
+	// compiled against them.
 	ResultsCarried, ResultsDropped uint64
-	// MemoPromotions counts evaluator memos (match counts, count
-	// tables, prefix walks) promoted from a previous generation instead
-	// of recomputed.
-	MemoPromotions uint64
 }
 
 // LiveStats returns a snapshot of the store's write-path counters.
 func (s *Store) LiveStats() LiveStats {
-	cur := s.mgr.Current()
-	p := cur.Payload.(*storePayload)
 	return LiveStats{
-		OverlayDepth:   cur.Graph.Overlay().Depth,
-		Compactions:    s.mgr.Compactions(),
-		ResultsCarried: s.resultsCarried.Load(),
-		ResultsDropped: s.resultsDropped.Load(),
-		MemoPromotions: s.promosRetired.Load() + p.ex.eval.Promotions(),
+		OverlayDepth: s.mgr.Current().Graph.Overlay().Depth,
+		Compactions:  s.mgr.Compactions(),
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 // without running (JoinsSkipped), the work the local-distribution kernel
 // did as counts (Bindings: candidates the matcher examined — bindings
 // tried, and the nodes a counting run's leaf scans looked at; WalkSteps:
-// half-edges the path route visited, prefix plus scatter), evaluator
-// memo hit counters, and budget attribution naming the stage
-// that exhausted MaxExpansions or Timeout ("enumerate:expansions",
-// "rank:deadline", ...). WalkCacheHits and WalkCacheMisses always read
-// 0: the evaluator's walk cache is gone, the fields stay for consumers
-// compiled against them.
+// half-edges the path route visited, prefix plus scatter), and budget
+// attribution naming the stage that exhausted MaxExpansions or Timeout
+// ("enumerate:expansions", "rank:deadline", ...). MemoHits, MemoMisses,
+// WalkCacheHits and WalkCacheMisses always read 0: the measures keep no
+// memo and no walk cache, and the fields stay for consumers compiled
+// against them.
 type QueryTrace = obs.Report
 
 // BuildInfo identifies the running binary (Go version, VCS revision).

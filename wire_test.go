@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -51,10 +50,9 @@ func TestAppendJSONMatchesMarshalIndent(t *testing.T) {
 }
 
 // TestResultEncodingSharedAcrossCopies: one computation, one encoding.
-// The traced shallow copy of a hit and the entry a delta carried into
-// the next generation's cache hold the holder the miss made, a caller
-// that never asks for JSON leaves it empty, and the first caller that
-// does fills it for all of them.
+// The traced shallow copy of a hit and a later plain hit hold the holder
+// the miss made, a caller that never asks for JSON leaves it empty, and
+// the first caller that does fills it for all of them.
 func TestResultEncodingSharedAcrossCopies(t *testing.T) {
 	st := mustStore(t, clusteredKB(t, 2), Options{Measure: "size", TopK: 10, CacheSize: 8})
 	miss := mustExplain(t, st, "s1", "t1")
@@ -65,12 +63,9 @@ func TestResultEncodingSharedAcrossCopies(t *testing.T) {
 	if hit == miss || hit.enc != miss.enc {
 		t.Fatalf("traced hit: copy %v, holder shared %v; want a private copy on the shared holder", hit != miss, hit.enc == miss.enc)
 	}
-	if info, err := st.Apply(strings.NewReader("edge\ts0\tt0\textra\n")); err != nil || info.ResultsCarried != 1 {
-		t.Fatalf("delta: carried %d, err %v; want the (s1, t1) entry carried", info.ResultsCarried, err)
-	}
-	carried := mustExplain(t, st, "s1", "t1")
-	if carried.enc != miss.enc {
-		t.Fatal("carried entry lost the encoding holder")
+	again := mustExplain(t, st, "s1", "t1")
+	if again != miss {
+		t.Fatal("plain hit is not the cached result")
 	}
 	if miss.enc.body != nil {
 		t.Fatal("encoding built before anything asked for it")
@@ -83,7 +78,7 @@ func TestResultEncodingSharedAcrossCopies(t *testing.T) {
 	if built == nil {
 		t.Fatal("first AppendJSON did not fill the shared holder")
 	}
-	second, err := carried.AppendJSON(nil)
+	second, err := again.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +86,6 @@ func TestResultEncodingSharedAcrossCopies(t *testing.T) {
 		t.Error("a later AppendJSON encoded again")
 	}
 	if !bytes.HasPrefix(first, second[:len(second)-len("\n  }")]) {
-		t.Errorf("traced hit and carried entry disagree on the result:\n%s\n%s", first, second)
+		t.Errorf("traced hit and plain hit disagree on the result:\n%s\n%s", first, second)
 	}
 }
