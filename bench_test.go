@@ -663,18 +663,19 @@ func TestSnapshotDecodeAllocBound(t *testing.T) {
 }
 
 // BenchmarkStoreApplyCheckpoint times the acknowledgement of a durable
-// apply (fsync always) that triggers a checkpoint, on the repository
-// benchmark's KB at the default policies: each iteration applies 63
-// deltas off the clock and times the 64th, the one that hits
-// CheckpointEvery — and, as in a store, CompactDepth too. The checkpoint
-// itself runs on the journal's checkpointer behind the ack; "off" is the
-// same loop with checkpoints disabled, the floor "trigger" is held to.
+// apply (fsync always) on the repository benchmark's KB at the default
+// policies: each iteration applies 64 deltas and times one of them.
+// "trigger" times the 64th, the one that hits CheckpointEvery and, as
+// in a store, CompactDepth too: it seals a WAL segment and starts a
+// checkpoint and a fold, both of which run behind the ack. "plain"
+// times the 63rd, which triggers neither; "off" is the 64th with
+// checkpoints disabled. The three should be within 2× of each other.
 func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 	const every = live.DefaultCheckpointEvery
 	for _, bc := range []struct {
-		name  string
-		every int
-	}{{"trigger", every}, {"off", -1}} {
+		name         string
+		every, timed int // checkpoint policy; which delta of the 64 is timed
+	}{{"trigger", every, every - 1}, {"plain", every, every - 2}, {"off", -1, every - 1}} {
 		b.Run(bc.name, func(b *testing.B) {
 			g := benchMediumGraph(b)
 			deltas := ingestDeltas(g, 42, every*b.N)
@@ -691,17 +692,49 @@ func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for _, d := range deltas[i*every : (i+1)*every-1] {
-					apply(d)
-				}
-				b.StartTimer()
-				apply(deltas[(i+1)*every-1])
-			}
 			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				for j, d := range deltas[i*every : (i+1)*every] {
+					if j == bc.timed {
+						b.StartTimer()
+						apply(d)
+						b.StopTimer()
+					} else {
+						apply(d)
+					}
+				}
+			}
 			st.Close() //nolint:errcheck // off the clock: it waits for the last checkpoint
 		})
+	}
+}
+
+// BenchmarkStoreApplyNodeDelta times a node-adding delta — one entity
+// and one edge to it — applied through a store on the repository
+// benchmark's KB. It only measures: every such overlay generation copies
+// the whole node table (OverlayBuilder.Graph), so the apply is
+// O(|V|) where an edge-only delta is O(delta).
+func BenchmarkStoreApplyNodeDelta(b *testing.B) {
+	g := benchMediumGraph(b)
+	var anchor kb.NodeID
+	for g.Degree(anchor) == 0 {
+		anchor++
+	}
+	label := g.LabelName(g.Neighbors(anchor)[0].Label)
+	deltas := make([]string, b.N)
+	for i := range deltas {
+		deltas[i] = fmt.Sprintf("node\tnd%d\tconcept\nedge\t%s\tnd%d\t%s\n", i, g.NodeName(anchor), i, label)
+	}
+	st, err := NewStore(&KB{g: g}, Options{Measure: "size", TopK: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, d := range deltas {
+		if _, err := st.Apply(strings.NewReader(d)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -214,6 +216,33 @@ func TestCompactConcatenation(t *testing.T) {
 		// written to them.
 		requireGraphsIdentical(t, tag+" (overlay after compaction)", ov, rebuilt)
 	})
+}
+
+// TestCompactYields: Compact gives up its processor between blocks, so a
+// goroutine sharing the only processor runs during a compaction, once
+// per compactYieldEvery half-edges copied, not only after it.
+func TestCompactYields(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	base := randomBase(rng, 20000, 4, 4*compactYieldEvery) // ≈ 8 yields' worth of half-edges
+	ov := applyOpsOverlay(t, base, randomOps(rng, base.NumNodes(), base.NumLabels(), 50, 0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var done atomic.Bool
+	turns := make(chan int)
+	go func() {
+		n := 0
+		for !done.Load() {
+			n++
+			runtime.Gosched()
+		}
+		turns <- n
+	}()
+	runtime.Gosched() // let it take its first turn
+	c := ov.Compact()
+	done.Store(true)
+	if n := <-turns; n < 5 {
+		t.Fatalf("the other goroutine ran %d times around a compaction of %d half-edges, want one turn per %d",
+			n, len(c.csr), compactYieldEvery)
+	}
 }
 
 // sameMap reports whether a and b are one map, not two equal ones.

@@ -3,6 +3,7 @@ package kb
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"sort"
 )
 
@@ -29,6 +30,10 @@ const (
 	ovPageShift = 9 // 512 nodes per page: a touched page costs 4KB
 	ovPageSize  = 1 << ovPageShift
 	ovPageMask  = ovPageSize - 1
+
+	// compactYieldEvery is how many half-edges Compact copies between two
+	// yields of its processor: about 50 µs of copying.
+	compactYieldEvery = 1 << 14
 )
 
 // ovNode is one materialised overlay node: its full half-edge span in
@@ -192,25 +197,40 @@ func (g *Graph) Compact() *Graph {
 	}
 	c.byName, c.addedNames = compactNames(c, base, ov.addedByName)
 
-	// copyRun appends the untouched base nodes [a, b) as one block per
-	// array, shifting their offsets to where the block lands.
+	// The copying gives up the processor every compactYieldEvery
+	// half-edges. The live manager compacts on a goroutine of its own,
+	// and when no CPU is idle the scheduler may run it on the processor a
+	// writer was just preempted from; the writer then waits for the next
+	// yield instead of for the whole compaction.
+	copied := 0
+	yield := func(n int) {
+		if copied += n; copied >= compactYieldEvery {
+			copied = 0
+			runtime.Gosched()
+		}
+	}
+	// copyRun appends the untouched base nodes [a, b) a page of nodes at
+	// a time, one block per array, shifting their offsets to where the
+	// block lands.
 	copyRun := func(a, b int) {
-		if a >= b {
-			return
-		}
-		lo, hi := base.csrOff[a], base.csrOff[b]
-		slo, shi := base.spanOff[a], base.spanOff[b]
-		spanAt := len(c.spans)
-		shift, spanShift := int32(len(c.csr))-lo, int32(spanAt)-slo
-		c.csr = append(c.csr, base.csr[lo:hi]...)
-		c.labelCSR = append(c.labelCSR, base.labelCSR[lo:hi]...)
-		c.spans = append(c.spans, base.spans[slo:shi]...)
-		for i := spanAt; i < len(c.spans); i++ {
-			c.spans[i].off += shift
-		}
-		for i := a + 1; i <= b; i++ {
-			c.csrOff[i] = base.csrOff[i] + shift
-			c.spanOff[i] = base.spanOff[i] + spanShift
+		for a < b {
+			e := min(b, a+ovPageSize)
+			lo, hi := base.csrOff[a], base.csrOff[e]
+			slo, shi := base.spanOff[a], base.spanOff[e]
+			spanAt := len(c.spans)
+			shift, spanShift := int32(len(c.csr))-lo, int32(spanAt)-slo
+			c.csr = append(c.csr, base.csr[lo:hi]...)
+			c.labelCSR = append(c.labelCSR, base.labelCSR[lo:hi]...)
+			c.spans = append(c.spans, base.spans[slo:shi]...)
+			for i := spanAt; i < len(c.spans); i++ {
+				c.spans[i].off += shift
+			}
+			for i := a + 1; i <= e; i++ {
+				c.csrOff[i] = base.csrOff[i] + shift
+				c.spanOff[i] = base.spanOff[i] + spanShift
+			}
+			yield(int(hi - lo))
+			a = e
 		}
 	}
 	run := 0 // first node not yet copied
@@ -233,6 +253,7 @@ func (g *Graph) Compact() *Graph {
 			}
 			c.csrOff[id+1] = int32(len(c.csr))
 			c.spanOff[id+1] = int32(len(c.spans))
+			yield(len(on.csr))
 		}
 	}
 	copyRun(run, nBase)
@@ -282,6 +303,114 @@ func compactNames(c, base *Graph, chain map[string]NodeID) (byName, added map[st
 	maps.Copy(added, base.addedNames)
 	maps.Copy(added, chain)
 	return base.byName, added
+}
+
+// Rebase re-bases an overlay generation onto the compaction of one of
+// its ancestors, for a compaction that ran while later generations were
+// built over the old base. g and from must share a base, from must be g
+// or a generation g was built over, and onto must be from.Compact(); it
+// panics if the bases differ. The result answers every read exactly as g
+// does, but aliases onto's CSR arrays and indexes, and its depth counts
+// the generations since from. Overlay pages are cumulative and an overlay
+// node holds its node's whole span, so the nodes whose span differs from
+// onto's are exactly those whose overlay node g does not share with
+// from: the patch set keeps those and drops the rest. The cost is the
+// page table plus the nodes changed since from, nothing proportional to
+// the graph.
+func (g *Graph) Rebase(from, onto *Graph) *Graph {
+	if g == from {
+		return onto
+	}
+	if g.ov == nil || from.ov == nil || g.ov.base != from.ov.base {
+		panic("kb: Rebase: the generations do not share an overlay base")
+	}
+	gov, fov := g.ov, from.ov
+	r := &Graph{
+		nodes:         g.nodes,
+		labels:        append([]string(nil), g.labels...),
+		labelIDs:      maps.Clone(g.labelIDs),
+		labelDirected: append([]bool(nil), g.labelDirected...),
+		numEdges:      g.numEdges,
+		frozen:        true,
+		csrOff:        onto.csrOff,
+		csr:           onto.csr,
+		labelCSR:      onto.labelCSR,
+		spanOff:       onto.spanOff,
+		spans:         onto.spans,
+		byType:        onto.byType,
+		byName:        onto.byName,
+		addedNames:    onto.addedNames,
+		fp:            g.fp,
+		xorFP:         g.xorFP,
+		maxDegree:     g.maxDegree,
+	}
+	ov := &overlay{base: onto, depth: gov.depth - fov.depth, pages: make([]ovPage, len(gov.pages))}
+	for pi, page := range gov.pages {
+		var old ovPage
+		if pi < len(fov.pages) {
+			old = fov.pages[pi]
+		}
+		if page == nil || (old != nil && &page[0] == &old[0]) {
+			continue // untouched since from: onto holds every span on it
+		}
+		var kept ovPage
+		for j, on := range page {
+			if on == nil || (old != nil && old[j] == on) {
+				continue
+			}
+			if kept == nil {
+				kept = make(ovPage, ovPageSize)
+			}
+			kept[j] = on
+			ov.halfEdges += len(on.csr)
+		}
+		ov.pages[pi] = kept
+	}
+
+	// Node bookkeeping relative to onto, whose node table is from's: the
+	// names added since from, and the nodes whose type differs from
+	// from's — only a node retyped against the old base on either side,
+	// or added between that base and from, can.
+	ov.addedByName = make(map[string]NodeID, len(g.nodes)-len(from.nodes))
+	for _, nd := range g.nodes[len(from.nodes):] {
+		ov.addedByName[nd.Name] = nd.ID
+	}
+	ov.retyped = make(map[NodeID]string)
+	retype := func(id NodeID) {
+		if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
+			ov.retyped[id] = typ
+		}
+	}
+	for id := range gov.retyped {
+		retype(id)
+	}
+	for id := range fov.retyped {
+		retype(id)
+	}
+	for id := len(fov.base.nodes); id < len(from.nodes); id++ {
+		retype(NodeID(id))
+	}
+	ov.extraByType = typeExtras(g.nodes, len(from.nodes), ov.retyped)
+	r.ov = ov
+	return r
+}
+
+// typeExtras lists, per type and in ID order, the nodes an overlay
+// generation's base type lists miss: those added since the base (IDs
+// from nBase on) and the base nodes retyped into the type.
+func typeExtras(nodes []Node, nBase int, retyped map[NodeID]string) map[string][]NodeID {
+	extra := make(map[string][]NodeID)
+	for id := nBase; id < len(nodes); id++ {
+		t := nodes[id].Type
+		extra[t] = append(extra[t], NodeID(id))
+	}
+	for id, typ := range retyped {
+		extra[typ] = append(extra[typ], id)
+	}
+	for _, ids := range extra {
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
+	return extra
 }
 
 // OverlayBuilder accumulates one delta against a frozen graph and
@@ -660,17 +789,7 @@ func (b *OverlayBuilder) Graph() *Graph {
 				}
 			}
 		}
-		ov.extraByType = make(map[string][]NodeID)
-		for id := base.NumNodes(); id < total; id++ {
-			t := ng.nodes[id].Type
-			ov.extraByType[t] = append(ov.extraByType[t], NodeID(id))
-		}
-		for id, typ := range ov.retyped {
-			ov.extraByType[typ] = append(ov.extraByType[typ], id)
-		}
-		for _, ids := range ov.extraByType {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
+		ov.extraByType = typeExtras(ng.nodes, base.NumNodes(), ov.retyped)
 	}
 
 	// Group this delta's edge changes by endpoint.

@@ -216,11 +216,14 @@ type ApplyStats struct {
 	// overlay over the previous snapshot; it is false when the delta
 	// changed nothing and no generation was built.
 	Overlay bool
-	// Compacted reports that the manager folded the overlay chain into
-	// fresh CSR arrays while publishing this generation.
+	// Compacted reports that this apply installed a fold: the manager
+	// compacted an earlier generation in the background, and this
+	// generation was built over the folded CSR arrays instead of the old
+	// base.
 	Compacted bool
-	// OverlayDepth is the overlay depth of the published snapshot
-	// (0 after a compaction).
+	// OverlayDepth is the overlay depth of the published snapshot: the
+	// deltas stacked over its base arrays, at least 1. After an install
+	// it counts this delta and those since the folded generation.
 	OverlayDepth int
 }
 

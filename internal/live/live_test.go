@@ -322,7 +322,10 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 }
 
 // TestManagerCompaction drives enough deltas through a tight compaction
-// policy to trigger folding, and checks depth bookkeeping.
+// policy to trigger folding, and checks depth bookkeeping: a generation
+// reaching CompactDepth starts a fold, and the next delta — here after
+// the fold has finished — installs it, landing at depth 1 over the
+// folded arrays.
 func TestManagerCompaction(t *testing.T) {
 	m, err := NewManager(baseGraph(t), nil)
 	if err != nil {
@@ -331,7 +334,9 @@ func TestManagerCompaction(t *testing.T) {
 	m.CompactDepth = 3
 	m.CompactRatio = 100 // depth-only policy for the test
 	var depths []int
+	var installed []int
 	for i := 0; i < 7; i++ {
+		m.WaitFold()
 		d := parse(t, fmt.Sprintf("node\tx%d\tperson\nedge\ta\tx%d\tknows", i, i))
 		snap, st, err := m.ApplyDelta(d)
 		if err != nil {
@@ -344,16 +349,15 @@ func TestManagerCompaction(t *testing.T) {
 		if got := snap.Graph.Overlay().Depth; got != st.OverlayDepth {
 			t.Fatalf("delta %d: stats depth %d != graph depth %d", i, st.OverlayDepth, got)
 		}
-		if st.Compacted != (st.OverlayDepth == 0) {
-			t.Fatalf("delta %d: Compacted=%v at depth %d", i, st.Compacted, st.OverlayDepth)
+		if st.Compacted {
+			installed = append(installed, i)
 		}
 	}
-	// Depth counts 1, 2, then hits CompactDepth=3 and folds to 0.
-	want := []int{1, 2, 0, 1, 2, 0, 1}
-	for i := range want {
-		if depths[i] != want[i] {
-			t.Fatalf("depths = %v, want %v", depths, want)
-		}
+	// Depth counts 1, 2, then hits CompactDepth=3 and starts a fold that
+	// the fourth delta installs.
+	want := []int{1, 2, 3, 1, 2, 3, 1}
+	if fmt.Sprint(depths) != fmt.Sprint(want) || fmt.Sprint(installed) != "[3 6]" {
+		t.Fatalf("depths = %v with installs at %v, want %v with installs at [3 6]", depths, installed, want)
 	}
 	if m.Compactions() != 2 {
 		t.Errorf("compactions = %d, want 2", m.Compactions())

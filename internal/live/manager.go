@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -58,21 +59,32 @@ type Manager struct {
 	build BuildFunc
 
 	// CompactDepth and CompactRatio bound the overlay chain: when a
-	// delta-built generation reaches CompactDepth stacked overlays or
-	// its materialised half-edges exceed CompactRatio of the base CSR,
-	// the manager folds it into fresh CSR arrays before publishing.
-	// Compaction runs on the writer path under the same mutex as the
-	// apply — readers keep serving the previous snapshot lock-free
-	// throughout. Set both before traffic starts; zero values take the
+	// published delta-built generation reaches CompactDepth stacked
+	// overlays or its materialised half-edges exceed CompactRatio of the
+	// base CSR, the manager folds it into fresh CSR arrays. The fold runs
+	// on a goroutine of its own, not under mu: deltas keep publishing
+	// overlays over the old base meanwhile (the depth may pass
+	// CompactDepth, and no second fold starts), and the first delta to
+	// publish after the fold has finished re-bases its source onto the
+	// folded graph — O(nodes changed since the fold's generation) — before
+	// applying. Set both before traffic starts; NewManager sets the
 	// defaults (32 and 0.25).
 	CompactDepth int
 	CompactRatio float64
 
-	mu  sync.Mutex // serialises writers; readers never take it
-	cur atomic.Pointer[Snapshot]
+	mu   sync.Mutex // serialises writers; readers never take it
+	cur  atomic.Pointer[Snapshot]
+	fold *fold // the fold in flight or awaiting install, on mu; nil when none
 
 	swaps       atomic.Uint64 // completed swaps (generation - 1)
-	compactions atomic.Uint64 // overlay chains folded on the write path
+	compactions atomic.Uint64 // folds started
+}
+
+// fold is one background compaction of a published generation.
+type fold struct {
+	from *kb.Graph     // the generation being folded, an ancestor of the tip
+	done chan struct{} // closed when to is set or the fold has failed
+	to   *kb.Graph     // from.Compact(); nil if the fold failed
 }
 
 // Default compaction policy: fold the overlay chain every 32 deltas, or
@@ -136,14 +148,15 @@ func (m *Manager) Generation() uint64 { return m.cur.Load().Generation }
 // construction.
 func (m *Manager) Swaps() uint64 { return m.swaps.Load() }
 
-// Compactions returns the number of overlay chains folded into fresh
-// CSR arrays on the write path.
+// Compactions returns the number of folds of the overlay chain into
+// fresh CSR arrays started since construction.
 func (m *Manager) Compactions() uint64 { return m.compactions.Load() }
 
 // ApplyDelta replays a delta onto the current snapshot's graph as an
 // O(delta) overlay generation and atomically publishes the result as
-// the next generation, compacting the overlay chain first when it
-// crosses the CompactDepth/CompactRatio policy. The current snapshot
+// the next generation. It installs a finished fold first (re-basing the
+// source onto it) and starts a fold of the published generation when
+// that crosses the CompactDepth/CompactRatio policy. The current snapshot
 // keeps serving until the new one — graph and payload — is fully
 // built; on any error nothing is published and the active generation
 // is unchanged (the stats returned alongside an error are partial
@@ -202,24 +215,70 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 		return nil, ApplyStats{}, fmt.Errorf("%w: expected to publish generation %d, store is at %d",
 			ErrGenerationConflict, expect, cur.Generation)
 	}
-	g, st, _, err := d.Apply(cur.Graph)
+	src := cur.Graph
+	f := m.fold
+	if f != nil {
+		select {
+		case <-f.done:
+			if f.to == nil {
+				m.fold, f = nil, nil // failed: the next trigger starts another
+			} else {
+				src = src.Rebase(f.from, f.to)
+			}
+		default:
+			f = nil // still running: apply over the old base
+		}
+	}
+	g, st, _, err := d.Apply(src)
 	if err != nil {
 		return nil, st, err
 	}
 	if !st.Changed() {
 		return cur, st, nil
 	}
-	if info := g.Overlay(); info.Depth >= m.CompactDepth || info.Ratio > m.CompactRatio {
-		g = g.Compact()
-		st.Compacted = true
-		st.OverlayDepth = 0
-		m.compactions.Add(1)
-	}
-	snap, err := m.publishLocked(g, commit)
+	snap, err := m.publishLocked(g, cur.Generation+1, commit)
 	if err != nil {
 		return nil, st, err
 	}
+	if f != nil {
+		m.fold = nil
+		st.Compacted = true
+	}
+	if info := g.Overlay(); m.fold == nil && (info.Depth >= m.CompactDepth || info.Ratio > m.CompactRatio) {
+		m.startFoldLocked(g)
+	}
 	return snap, st, nil
+}
+
+// startFoldLocked starts folding the published generation g on a
+// goroutine of its own. Callers hold m.mu.
+func (m *Manager) startFoldLocked(g *kb.Graph) {
+	f := &fold{from: g, done: make(chan struct{})}
+	m.fold = f
+	m.compactions.Add(1)
+	go func() {
+		defer close(f.done)
+		// A new goroutine is queued to run next on the writer's processor.
+		// Yield once, so that if the writer is preempted before an idle
+		// processor picks the fold up, the writer does not wait behind
+		// the fold's allocations; Compact yields between its blocks.
+		runtime.Gosched()
+		if fail.Hit("live.fold") != nil {
+			return // an injected failure: the fold is dropped at install
+		}
+		f.to = g.Compact()
+	}()
+}
+
+// WaitFold blocks until the fold in flight, if any, has finished, so the
+// next delta to publish installs it. It starts no fold.
+func (m *Manager) WaitFold() {
+	m.mu.Lock()
+	f := m.fold
+	m.mu.Unlock()
+	if f != nil {
+		<-f.done
+	}
 }
 
 // SwapGraph publishes an independently built graph (e.g. re-read from
@@ -237,8 +296,7 @@ func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, er
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g.Freeze()
-	return m.publishLocked(g, commit)
+	return m.swapLocked(g, m.cur.Load().Generation+1, commit)
 }
 
 // SwapGraphAt publishes an independently built graph at an explicit
@@ -257,8 +315,7 @@ func (m *Manager) SwapGraphAt(g *kb.Graph, gen uint64, commit CommitFunc) (*Snap
 	if cur := m.cur.Load().Generation; gen <= cur {
 		return nil, fmt.Errorf("live: SwapGraphAt: generation %d is not above current %d", gen, cur)
 	}
-	g.Freeze()
-	return m.publishAtLocked(g, gen, commit)
+	return m.swapLocked(g, gen, commit)
 }
 
 // SwapGraphRepair publishes an independently built graph at an
@@ -281,18 +338,24 @@ func (m *Manager) SwapGraphRepair(g *kb.Graph, gen uint64, commit CommitFunc) (*
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.swapLocked(g, gen, commit)
+}
+
+// swapLocked freezes and publishes an independently built graph at
+// generation next, and drops the fold, if any: the new tip does not
+// descend from the generation being folded. Callers hold m.mu.
+func (m *Manager) swapLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
 	g.Freeze()
-	return m.publishAtLocked(g, gen, commit)
+	snap, err := m.publishLocked(g, next, commit)
+	if err == nil {
+		m.fold = nil
+	}
+	return snap, err
 }
 
 // publishLocked builds the payload for g, runs the durability commit
-// hook, and stores the next-generation snapshot. Callers hold m.mu.
-func (m *Manager) publishLocked(g *kb.Graph, commit CommitFunc) (*Snapshot, error) {
-	return m.publishAtLocked(g, m.cur.Load().Generation+1, commit)
-}
-
-// publishAtLocked is publishLocked at an explicit target generation.
-func (m *Manager) publishAtLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
+// hook, and stores the snapshot as generation next. Callers hold m.mu.
+func (m *Manager) publishLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
 	payload, err := m.build(g)
 	if err != nil {
 		return nil, fmt.Errorf("live: building snapshot payload: %w", err)

@@ -358,8 +358,9 @@ type swapResponse struct {
 	EdgesRemoved int    `json:"edges_removed,omitempty"`
 	TypesSet     int    `json:"types_set,omitempty"`
 	// Overlay/Compacted/OverlayDepth describe how the swap was built:
-	// as an O(delta) overlay over the previous CSR, and whether the
-	// overlay chain was folded back into fresh arrays.
+	// as an O(delta) overlay, whether it was the first built over a
+	// background fold's fresh arrays, and how many deltas its base
+	// arrays carry stacked.
 	Overlay      bool `json:"overlay,omitempty"`
 	Compacted    bool `json:"compacted,omitempty"`
 	OverlayDepth int  `json:"overlay_depth,omitempty"`

@@ -89,9 +89,9 @@ type SwapInfo struct {
 	// replaces the graph wholesale.
 	NodesAdded, LabelsAdded, EdgesAdded, EdgesRemoved, TypesSet int
 	// Overlay reports the new generation was built as an O(delta)
-	// overlay; Compacted that the overlay chain was folded into fresh
-	// CSR arrays during this swap; OverlayDepth the published
-	// generation's overlay depth.
+	// overlay; Compacted that it was the first built over the fresh CSR
+	// arrays of a fold that ran in the background; OverlayDepth the
+	// published generation's overlay depth (see live.ApplyStats).
 	Overlay      bool
 	Compacted    bool
 	OverlayDepth int
@@ -321,10 +321,11 @@ func (s *Store) checkpointFailed(error) { s.ckptFailures.Add(1) }
 // currently active snapshot).
 type LiveStats struct {
 	// OverlayDepth is the active snapshot's overlay depth: 0 for a
-	// plain graph, k after k stacked O(delta) applies since the last
-	// compaction or full build.
+	// plain graph, k after k stacked O(delta) applies over its base
+	// arrays — the last fold's generation or a full build.
 	OverlayDepth int
-	// Compactions counts overlay chains folded into fresh CSR arrays.
+	// Compactions counts folds of the overlay chain into fresh CSR
+	// arrays started in the background.
 	Compactions uint64
 	// ResultsCarried and ResultsDropped always read 0: every swap
 	// publishes an empty result cache, and the fields stay for callers
