@@ -18,6 +18,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -520,9 +521,14 @@ func ingestDeltas(g *kb.Graph, seed int64, n int) []string {
 
 // benchMediumGraph generates the repository benchmark's KB: kbgen
 // preset medium, seed 42.
-func benchMediumGraph(b testing.TB) *kb.Graph {
+func benchMediumGraph(b testing.TB) *kb.Graph { return benchGraph(b, "medium") }
+
+// benchGraph generates a kbgen preset at seed 42: "medium" is the
+// repository benchmark's KB (23 474 nodes, 110 300 edges), "million" the
+// paper's scale (254 474 nodes, 1 214 370 edges; 1.6 s to generate).
+func benchGraph(b testing.TB, preset string) *kb.Graph {
 	b.Helper()
-	opt, err := kbgen.PresetOptions("medium", 42)
+	opt, err := kbgen.PresetOptions(preset, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -532,26 +538,35 @@ func benchMediumGraph(b testing.TB) *kb.Graph {
 var benchCompacted *kb.Graph
 
 // benchCompactChain is the graph BenchmarkCompact folds: the repository
-// benchmark's KB under 32 stacked deltas, the default CompactDepth. The
-// 64 deltas before them (two compactions) bring the stream to its steady
-// state, where every delta also deletes.
+// benchmark's KB under 32 stacked deltas, the depth the store folded at
+// while it folded on age. The 64 deltas before them (two compactions)
+// bring the stream to its steady state, where every delta also deletes.
 func benchCompactChain(tb testing.TB) *kb.Graph {
 	tb.Helper()
+	const depth = 32
 	g := benchMediumGraph(tb)
-	for i, body := range ingestDeltas(g, 42, 96) {
-		d, err := live.ParseDelta(strings.NewReader(body))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if g, _, _, err = d.Apply(g); err != nil {
-			tb.Fatal(err)
-		}
-		if i == 31 || i == 63 {
+	for i, body := range ingestDeltas(g, 42, 3*depth) {
+		g = benchApply(tb, g, body)
+		if i == depth-1 || i == 2*depth-1 {
 			g = g.Compact()
 		}
 	}
-	if depth := g.Overlay().Depth; depth != live.DefaultCompactDepth {
-		tb.Fatalf("overlay depth %d, want %d", depth, live.DefaultCompactDepth)
+	if d := g.Overlay().Depth; d != depth {
+		tb.Fatalf("overlay depth %d, want %d", d, depth)
+	}
+	return g
+}
+
+// benchApply applies one delta in the wire format to g as an overlay
+// generation.
+func benchApply(tb testing.TB, g *kb.Graph, body string) *kb.Graph {
+	tb.Helper()
+	d, err := live.ParseDelta(strings.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if g, _, _, err = d.Apply(g); err != nil {
+		tb.Fatal(err)
 	}
 	return g
 }
@@ -665,10 +680,9 @@ func TestSnapshotDecodeAllocBound(t *testing.T) {
 // BenchmarkStoreApplyCheckpoint times the acknowledgement of a durable
 // apply (fsync always) on the repository benchmark's KB at the default
 // policies: each iteration applies 64 deltas and times one of them.
-// "trigger" times the 64th, the one that hits CheckpointEvery and, as
-// in a store, CompactDepth too: it seals a WAL segment and starts a
-// checkpoint and a fold, both of which run behind the ack. "plain"
-// times the 63rd, which triggers neither; "off" is the 64th with
+// "trigger" times the 64th, the one that hits CheckpointEvery: it seals
+// a WAL segment and starts a checkpoint, which runs behind the ack.
+// "plain" times the 63rd, which does not; "off" is the 64th with
 // checkpoints disabled. The three should be within 2× of each other.
 func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 	const every = live.DefaultCheckpointEvery
@@ -709,32 +723,147 @@ func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreApplyNodeDelta times a node-adding delta — one entity
-// and one edge to it — applied through a store on the repository
-// benchmark's KB. It only measures: every such overlay generation copies
-// the whole node table (OverlayBuilder.Graph), so the apply is
-// O(|V|) where an edge-only delta is O(delta).
-func BenchmarkStoreApplyNodeDelta(b *testing.B) {
-	g := benchMediumGraph(b)
-	var anchor kb.NodeID
-	for g.Degree(anchor) == 0 {
-		anchor++
+// nodeDeltaStore is a store over g, after one node-adding delta (the
+// first one an overlay chain appends to a freshly built graph copies its
+// node table into an array with room to grow, and the deltas after it
+// append in place), and the node-adding deltas to apply to it: delta i
+// adds a node and an edge to it from the i-th of g's nodes of degree 1
+// to 8, in ID order, so no node's span grows with the number applied.
+func nodeDeltaStore(tb testing.TB, g *kb.Graph) (st *Store, delta func(i int) string) {
+	tb.Helper()
+	g.Freeze()
+	var anchors []kb.NodeID
+	for id := range kb.NodeID(g.NumNodes()) {
+		if d := g.Degree(id); d >= 1 && d <= 8 {
+			anchors = append(anchors, id)
+		}
 	}
-	label := g.LabelName(g.Neighbors(anchor)[0].Label)
-	deltas := make([]string, b.N)
-	for i := range deltas {
-		deltas[i] = fmt.Sprintf("node\tnd%d\tconcept\nedge\t%s\tnd%d\t%s\n", i, g.NodeName(anchor), i, label)
+	delta = func(i int) string {
+		anchor := anchors[(i+len(anchors))%len(anchors)]
+		label := g.LabelName(g.Neighbors(anchor)[0].Label)
+		return fmt.Sprintf("node\tnd%d\tconcept\nedge\t%s\tnd%d\t%s\n", i, g.NodeName(anchor), i, label)
 	}
 	st, err := NewStore(&KB{g: g}, Options{Measure: "size", TopK: 10})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, d := range deltas {
-		if _, err := st.Apply(strings.NewReader(d)); err != nil {
-			b.Fatal(err)
+	if _, err := st.Apply(strings.NewReader(delta(-1))); err != nil {
+		tb.Fatal(err)
+	}
+	return st, delta
+}
+
+// BenchmarkStoreApplyNodeDelta times a node-adding delta — one entity
+// and one edge to it — applied through a store, on the repository
+// benchmark's KB and at the paper's scale. The new node is appended to
+// the node table the previous generation shares, so the apply is
+// O(delta): the two presets should read within 2× of each other and
+// well under 64 KB an op.
+func BenchmarkStoreApplyNodeDelta(b *testing.B) {
+	for _, preset := range []string{"medium", "million"} {
+		b.Run(preset, func(b *testing.B) {
+			st, delta := nodeDeltaStore(b, benchGraph(b, preset))
+			deltas := make([]string, b.N)
+			for i := range deltas {
+				deltas[i] = delta(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, d := range deltas {
+				if _, err := st.Apply(strings.NewReader(d)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestNodeDeltaCostIndependentOfHistory holds a node-adding delta to
+// O(delta) however long the overlay chain: on the repository benchmark's
+// KB, the bytes a delta allocates after 2 000 node-adding deltas are at
+// most twice those after 10, and under 64 KB. Each figure is the median
+// of 21 deltas, so the rare delta that regrows the node table's array
+// does not set it.
+func TestNodeDeltaCostIndependentOfHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	st, delta := nodeDeltaStore(t, benchMediumGraph(t))
+	const window = 21
+	var ms runtime.MemStats
+	next := 0
+	median := func() uint64 {
+		bytes := make([]uint64, window)
+		for i := range bytes {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if _, err := st.Apply(strings.NewReader(delta(next))); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			bytes[i] = ms.TotalAlloc - before
+			next++
 		}
+		slices.Sort(bytes)
+		return bytes[window/2]
+	}
+	apply := func(n int) {
+		for ; next < n; next++ {
+			if _, err := st.Apply(strings.NewReader(delta(next))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(10)
+	early := median()
+	apply(2000)
+	late := median()
+	t.Logf("a node-adding delta allocates %d B after 10 deltas, %d B after 2000 (overlay depth %d)",
+		early, late, st.Current().KB.g.Overlay().Depth)
+	if late > 2*early || late >= 64<<10 {
+		t.Fatalf("a node-adding delta allocates %d B after 2000 deltas and %d B after 10: want at most 2× and under 64 KB", late, early)
+	}
+}
+
+// BenchmarkOverlayReadsByDepth times a pass over the repository
+// benchmark's hot pairs (its low and medium connectedness buckets) with
+// a fresh Explainer and no result cache, on generations of its delta
+// stream: the plain KB (depth 0), 32 stacked deltas, 4 032 stacked
+// deltas (a whole 16-second ingest run with nothing folded), and the
+// compaction of the last. It is the read cost an overlay's depth buys.
+func BenchmarkOverlayReadsByDepth(b *testing.B) {
+	g := benchMediumGraph(b)
+	g.Freeze()
+	var pairs []Pair
+	for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43}) {
+		if p.Bucket != kb.ConnHigh {
+			pairs = append(pairs, Pair{Start: g.NodeName(p.Start), End: g.NodeName(p.End)})
+		}
+	}
+	gens := map[string]*kb.Graph{"depth0": g}
+	for i, body := range ingestDeltas(g, 42, 4032) {
+		g = benchApply(b, g, body)
+		switch i + 1 {
+		case 32:
+			gens["depth32"] = g
+		case 4032:
+			gens["depth4032"], gens["depth4032compacted"] = g, g.Compact()
+		}
+	}
+	for _, name := range []string{"depth0", "depth32", "depth4032", "depth4032compacted"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ex, err := NewExplainer(&KB{g: gens[name]}, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range pairs {
+					if _, err := ex.Explain(p.Start, p.End); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package rex
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,6 +120,80 @@ func TestStoreDurableRecovery(t *testing.T) {
 	}
 	if _, err := st2.Apply(strings.NewReader(soakDelta(9))); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenStoreJournalIsAuthoritative: OpenStore over a journal that
+// holds a checkpoint recovers it without decoding the knowledge-base
+// file — truncated to something no loader accepts, it still reopens at
+// the journal's generation and fingerprint. A missing file is refused
+// before the journal is touched.
+func TestOpenStoreJournalIsAuthoritative(t *testing.T) {
+	dir, path := t.TempDir(), filepath.Join(t.TempDir(), "kb.tsv")
+	if err := os.WriteFile(path, []byte(storeBaseTSV), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(path, durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := st.Apply(strings.NewReader(soakDelta(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := st.Current()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("REXKB\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadKB(path); err == nil {
+		t.Fatal("the truncated file still loads")
+	}
+	st2, err := OpenStore(path, durableOptions(dir))
+	if err != nil {
+		t.Fatalf("reopening over the journal decoded the file: %v", err)
+	}
+	defer st2.Close()
+	if got := st2.Current(); got.Generation != want.Generation || got.Fingerprint != want.Fingerprint {
+		t.Fatalf("reopened at generation %d (%s), want the journal's %d (%s)",
+			got.Generation, got.Fingerprint, want.Generation, want.Fingerprint)
+	}
+	if _, err := OpenStore(filepath.Join(t.TempDir(), "missing.tsv"), durableOptions(dir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenStore of a missing file over a journal with state: %v, want not-exist", err)
+	}
+}
+
+// TestOpenStoreSeedsFreshJournal: over a fresh journal the file is
+// decoded and seeds the journal's first checkpoint; a file that does not
+// decode is refused.
+func TestOpenStoreSeedsFreshJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.tsv")
+	if err := os.WriteFile(path, []byte(storeBaseTSV), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k, err := LoadKB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(path, durableOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Current(); got.Generation != 1 || got.Fingerprint != k.g.Fingerprint() {
+		t.Fatalf("fresh journal opened at generation %d (%s), want 1 (%s)", got.Generation, got.Fingerprint, k.g.Fingerprint())
+	}
+	if ds := st.DurabilityStats(); ds.CheckpointGen != 1 {
+		t.Fatalf("fresh journal stats %+v, want the seed checkpoint at 1", ds)
+	}
+	if err := os.WriteFile(path, []byte("REXKB\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(path, durableOptions(t.TempDir())); err == nil {
+		t.Fatal("a fresh journal was seeded from a file that does not decode")
 	}
 }
 

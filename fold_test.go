@@ -11,8 +11,8 @@ import (
 )
 
 // TestBackgroundFoldExplainsLikeRebuild serves a delta stream from a
-// store that folds its overlay chain every third generation in the
-// background, and on a sample of generations compares the served
+// store that folds its overlay chain in the background whenever a
+// generation has a patch, and on a sample of generations compares the served
 // answers with a fresh Explainer over the Clone+Freeze rebuild of a
 // store that never folds: same fingerprint, byte-identical results —
 // for pairs of the base KB and pairs along the chains the deltas hang.
@@ -36,12 +36,12 @@ func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folding.mgr.CompactDepth = 3
+	folding.mgr.CompactRatio = 0
 	chained, err := NewStore(&KB{g: base}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chained.mgr.CompactDepth, chained.mgr.CompactRatio = math.MaxInt, math.Inf(1)
+	chained.mgr.CompactRatio = math.Inf(1)
 	installs, answered := 0, 0
 	for i, body := range ingestDeltas(base, 42, deltas) {
 		info, err := folding.Apply(strings.NewReader(body))
@@ -101,15 +101,16 @@ func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
 			}
 		}
 	}
+	folding.mgr.WaitFold() // no later test's fail point may catch the last fold
 	t.Logf("%d deltas, %d installs, %d non-empty answers compared", deltas, installs, answered)
 	if installs == 0 || answered == 0 {
 		t.Fatalf("%d deltas installed %d folds and compared %d non-empty answers", deltas, installs, answered)
 	}
 }
 
-// TestCrashDuringBackgroundFold crashes a durable store, folding every
-// third generation, while its fold is held on the compactor (deltas
-// acked past CompactDepth over the old base, checkpoints of those
+// TestCrashDuringBackgroundFold crashes a durable store, folding any
+// generation with a patch, while its fold is held on the compactor (deltas
+// acked over the old base, checkpoints of those
 // generations behind them) and after a fold was installed (generations
 // and checkpoints over the folded arrays). Recovery never reads the
 // compactor's output: it lands on the last acknowledged generation with
@@ -130,7 +131,7 @@ func TestCrashDuringBackgroundFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.mgr.CompactDepth = 3
+			st.mgr.CompactRatio = 0
 			entered, release := gateFailpoint("live.fold", nil)
 			released := false
 			free := func() {
@@ -152,8 +153,8 @@ func TestCrashDuringBackgroundFold(t *testing.T) {
 			}
 			for i := range 9 {
 				apply(i)
-				if i == 2 {
-					<-entered // the fold of generation 4 is held
+				if i == 0 {
+					<-entered // the fold of generation 2 is held
 				}
 			}
 			if depth := st.Current().KB.g.Overlay().Depth; depth != 9 {

@@ -26,7 +26,10 @@ package kb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies an entity in the knowledge base. IDs are dense and
@@ -129,15 +132,23 @@ type Edge struct {
 // deterministic. Mutating a frozen graph unfreezes it. Graph is not safe
 // for concurrent mutation; concurrent reads are safe.
 type Graph struct {
-	// nodes and the two name maps are shared between the frozen
-	// generations a compaction or an overlay derives from one another, so
-	// no frozen graph writes to them: thaw gives a graph private copies
-	// before a mutator touches either. byName is the full index built
-	// when the table was last folded; addedNames holds the names added
-	// since (nil when byName is complete, see Compact).
+	// nodes, the two name maps and the three label tables are shared
+	// between the frozen generations a compaction or an overlay derives
+	// from one another, so no frozen graph writes to them: thaw gives a
+	// graph private copies before a mutator touches any. byName is the
+	// full index built when the table was last folded; addedNames holds
+	// the names added since (nil when byName is complete, see Compact).
 	nodes      []Node
 	byName     map[string]NodeID
 	addedNames map[string]NodeID
+
+	// claim is the tip-owner token of the node table's backing array:
+	// how much of it has been handed out. The generations that alias one
+	// array share its claim, and an overlay builder appends into the
+	// spare capacity past nodes only if it moves the claim from
+	// len(nodes) (see appendNodes), so no two generations ever write the
+	// same slot. nil when no generation may append in place.
+	claim *atomic.Int64
 
 	labels        []string
 	labelIDs      map[string]LabelID
@@ -233,9 +244,6 @@ func (g *Graph) AddNode(name, typ string) NodeID {
 // with that label are directed. It returns an error if the label was
 // previously registered with the opposite directedness.
 func (g *Graph) Label(name string, directed bool) (LabelID, error) {
-	if g.labelIDs == nil {
-		g.labelIDs = make(map[string]LabelID)
-	}
 	if id, ok := g.labelIDs[name]; ok {
 		if g.labelDirected[id] != directed {
 			return InvalidLabel, fmt.Errorf("kb: label %q registered as directed=%v, got directed=%v",
@@ -246,6 +254,9 @@ func (g *Graph) Label(name string, directed bool) (LabelID, error) {
 	// Labels are part of the hashed content, so registering one must
 	// invalidate the frozen fingerprint like every other mutation.
 	g.thaw()
+	if g.labelIDs == nil {
+		g.labelIDs = make(map[string]LabelID)
+	}
 	id := LabelID(len(g.labels))
 	g.labels = append(g.labels, name)
 	g.labelDirected = append(g.labelDirected, directed)
@@ -308,8 +319,10 @@ func (g *Graph) NodeByName(name string) NodeID {
 		return id
 	}
 	if g.ov != nil {
-		if id, ok := g.ov.addedByName[name]; ok {
-			return id
+		for _, lv := range g.ov.added {
+			if id, ok := lv.byName[name]; ok {
+				return id
+			}
 		}
 	}
 	return InvalidNode
@@ -591,8 +604,9 @@ func sized[T any](s []T, n int) []T {
 // thaw reconstructs the build-time representation (per-node adjacency
 // lists and the edge-existence set) from the CSR arrays so a frozen graph
 // can be mutated again. Every mutator calls it first; on an unfrozen
-// graph it is a no-op. The node table and the name index are copied,
-// since other frozen generations may share them. The CSR views are
+// graph it is a no-op. The node table, the name index and the label
+// tables are copied, since other frozen generations may share them, and
+// the copy gives up the node table's claim. The CSR views are
 // truncated, keeping their backing arrays for the next Freeze. An
 // overlay generation instead detaches from its base entirely — the
 // aliased arrays belong to the base, which keeps serving other
@@ -605,8 +619,11 @@ func (g *Graph) thaw() {
 	g.frozen = false
 	g.adj = adj
 	g.edgeSet = edgeSetFromAdj(adj)
-	g.nodes = append([]Node(nil), g.nodes...)
+	g.nodes, g.claim = append([]Node(nil), g.nodes...), nil
 	g.byName, g.addedNames = g.nameIndex(), nil
+	g.labels = slices.Clone(g.labels)
+	g.labelDirected = slices.Clone(g.labelDirected)
+	g.labelIDs = maps.Clone(g.labelIDs)
 	if g.ov != nil {
 		g.csr, g.csrOff, g.labelCSR, g.spanOff, g.spans = nil, nil, nil, nil, nil
 		g.byType = nil

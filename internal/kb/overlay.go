@@ -3,8 +3,11 @@ package kb
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // This file implements overlay generations: frozen graphs that layer a
@@ -18,7 +21,11 @@ import (
 // whose adjacency actually changed get materialised spans, looked up
 // through a sparse page table. Stacked deltas produce stacked overlay
 // generations over the same base until Compact folds everything back
-// into a plain graph with fresh CSR arrays.
+// into a plain graph with fresh CSR arrays. Nothing a generation builds
+// grows with the number of generations under it: added nodes are
+// appended to the node table the source shares (appendNodes), and the
+// names and types added since the base are indexed in levels
+// (addedLevel), so a chain needs no bound on its depth.
 //
 // Overlay generations follow the same immutability rule as every frozen
 // graph: after the builder returns, the generation is never mutated and
@@ -59,17 +66,107 @@ type overlay struct {
 
 	pages []ovPage // node directory, indexed by NodeID >> ovPageShift
 
-	// Cumulative node bookkeeping since the base freeze. addedByName
-	// complements the base's shared name maps; retyped maps base nodes
-	// whose current type differs from their base type (so base type
-	// lists can be filtered on read); extraByType lists, per type and in
-	// ID order, the added and retyped-in nodes missing from the base
-	// type lists.
-	addedByName map[string]NodeID
-	retyped     map[NodeID]string
-	extraByType map[string][]NodeID
+	// Node bookkeeping since the base freeze, immutable and shared with
+	// the source generation until a delta changes it. added indexes the
+	// nodes added since the base (IDs from len(base.nodes) on), oldest
+	// level first, and complements the base's shared name maps; retyped
+	// maps base nodes whose current type differs from their base type
+	// (so base type lists can be filtered on read), and retypedIn lists
+	// those nodes per current type in ID order.
+	added     []*addedLevel
+	retyped   map[NodeID]string
+	retypedIn map[string][]NodeID
 
 	halfEdges int // half-edges materialised across all ovNodes
+}
+
+// addedLevel indexes one contiguous run of the nodes added since an
+// overlay's base: their names, and their IDs per type in ID order. A
+// level is immutable. A node-adding delta pushes a level of its own
+// nodes and merges the newest levels into it binary-counter style
+// (pushLevel), so a generation holds O(log A) levels for A added nodes
+// and a node is indexed O(log A) times over its life, however long the
+// chain grows.
+type addedLevel struct {
+	n      int // nodes in the run
+	byName map[string]NodeID
+	byType map[string][]NodeID
+}
+
+// newLevel indexes nodes[lo:].
+func newLevel(nodes []Node, lo int) *addedLevel {
+	lv := &addedLevel{n: len(nodes) - lo, byName: make(map[string]NodeID, len(nodes)-lo), byType: make(map[string][]NodeID)}
+	for _, nd := range nodes[lo:] {
+		lv.byName[nd.Name] = nd.ID
+		lv.byType[nd.Type] = append(lv.byType[nd.Type], nd.ID)
+	}
+	return lv
+}
+
+// pushLevel returns levels, which index nodes[:lo] past the base, plus
+// a level for nodes[lo:]. While the newest level is no more than one
+// binary order of magnitude larger than the new one, the two are
+// re-indexed as one, so the levels' orders strictly decrease from the
+// oldest. levels itself is left as it is: other generations share it.
+func pushLevel(levels []*addedLevel, nodes []Node, lo int) []*addedLevel {
+	out := make([]*addedLevel, len(levels), len(levels)+1)
+	copy(out, levels)
+	for len(out) > 0 && bits.Len(uint(out[len(out)-1].n)) <= bits.Len(uint(len(nodes)-lo)) {
+		lo -= out[len(out)-1].n
+		out = out[:len(out)-1]
+	}
+	return append(out, newLevel(nodes, lo))
+}
+
+// addedNames returns every name the levels index in one map: the
+// single level's own when there is one, nil when there is none.
+func (ov *overlay) addedNames() map[string]NodeID {
+	switch len(ov.added) {
+	case 0:
+		return nil
+	case 1:
+		return ov.added[0].byName
+	}
+	n := 0
+	for _, lv := range ov.added {
+		n += lv.n
+	}
+	m := make(map[string]NodeID, n)
+	for _, lv := range ov.added {
+		maps.Copy(m, lv.byName)
+	}
+	return m
+}
+
+// typeLists lists retyped base nodes per current type, in ID order.
+func typeLists(retyped map[NodeID]string) map[string][]NodeID {
+	lists := make(map[string][]NodeID)
+	for id, typ := range retyped {
+		lists[typ] = append(lists[typ], id)
+	}
+	for _, ids := range lists {
+		slices.Sort(ids)
+	}
+	return lists
+}
+
+// appendNodes returns a node table extended by added, and the claim of
+// the array it lives in. When the table's length is still the claim on
+// its backing array — no other generation, published or not, has
+// appended past it — the nodes go into the spare capacity in place, and
+// the readers of every generation sharing the array never look past
+// their own length. Otherwise (or with a nil claim) the table is copied
+// into a fresh array of twice its new length, under a fresh claim, so
+// the copies are amortized O(1) per added node.
+func appendNodes(nodes []Node, claim *atomic.Int64, added []Node) ([]Node, *atomic.Int64) {
+	n := len(nodes) + len(added)
+	if claim != nil && n <= cap(nodes) && claim.CompareAndSwap(int64(len(nodes)), int64(n)) {
+		return append(nodes, added...), claim
+	}
+	nodes = append(append(make([]Node, 0, 2*n), nodes...), added...)
+	claim = new(atomic.Int64)
+	claim.Store(int64(len(nodes)))
+	return nodes, claim
 }
 
 // node returns the materialised overlay node for id, or nil when the
@@ -103,12 +200,18 @@ func (on *ovNode) labeled(label LabelID) []HalfEdge {
 }
 
 // nodesOfType answers NodesOfType for an overlay generation: the base
-// type list filtered by retypes, merged in ID order with the
-// generation's extra list.
+// type list filtered by retypes, merged in ID order with the base nodes
+// retyped into the type, then the added nodes of the type level by
+// level — every added ID is above every base ID, and the levels cover
+// ascending runs.
 func (ov *overlay) nodesOfType(typ string) []NodeID {
 	baseList := ov.base.byType[typ]
-	extra := ov.extraByType[typ]
-	out := make([]NodeID, 0, len(baseList)+len(extra))
+	in := ov.retypedIn[typ]
+	n := len(baseList) + len(in)
+	for _, lv := range ov.added {
+		n += len(lv.byType[typ])
+	}
+	out := make([]NodeID, 0, n)
 	for _, id := range baseList {
 		// A base node present in retyped has moved to another type: if
 		// its current type were typ it would not appear in this base
@@ -116,13 +219,17 @@ func (ov *overlay) nodesOfType(typ string) []NodeID {
 		if _, moved := ov.retyped[id]; moved {
 			continue
 		}
-		for len(extra) > 0 && extra[0] < id {
-			out = append(out, extra[0])
-			extra = extra[1:]
+		for len(in) > 0 && in[0] < id {
+			out = append(out, in[0])
+			in = in[1:]
 		}
 		out = append(out, id)
 	}
-	return append(out, extra...)
+	out = append(out, in...)
+	for _, lv := range ov.added {
+		out = append(out, lv.byType[typ]...)
+	}
+	return out
 }
 
 // OverlayInfo describes the overlay state of a frozen graph, for
@@ -164,12 +271,12 @@ func (g *Graph) Overlay() OverlayInfo {
 // no label view derived. The type index shares the base's list for every
 // type whose membership the overlay left alone — lists are never written
 // after they are built: NodesOfType copies and Freeze rebuilds into a
-// fresh map. The node table is the overlay generation's own, aliased
-// (no frozen graph writes to it), and so is the base's name index, with
-// the names added since it was built in a second map (compactNames).
-// Fingerprint and maximum degree carry over unchanged. What remains
-// proportional to the graph is the block copying. A plain graph is
-// returned unchanged.
+// fresh map. The node table (with its claim) and the label tables are
+// the overlay generation's own, aliased (no frozen graph writes to
+// them), and so is the base's name index, with the names added since it
+// was built in a second map (compactNames). Fingerprint and maximum
+// degree carry over unchanged. What remains proportional to the graph
+// is the block copying. A plain graph is returned unchanged.
 func (g *Graph) Compact() *Graph {
 	if g.ov == nil || !g.frozen {
 		return g
@@ -178,8 +285,10 @@ func (g *Graph) Compact() *Graph {
 	n, nBase := len(g.nodes), len(base.nodes)
 	c := &Graph{
 		nodes:         g.nodes,
-		labels:        append([]string(nil), g.labels...),
-		labelDirected: append([]bool(nil), g.labelDirected...),
+		claim:         g.claim,
+		labels:        g.labels,
+		labelIDs:      g.labelIDs,
+		labelDirected: g.labelDirected,
 		numEdges:      g.numEdges,
 		frozen:        true,
 		xorFP:         g.xorFP,
@@ -191,11 +300,7 @@ func (g *Graph) Compact() *Graph {
 		spanOff:       make([]int32, n+1),
 		spans:         make([]labelSpan, 0, len(base.spans)+len(base.spans)/16),
 	}
-	c.labelIDs = make(map[string]LabelID, len(g.labelIDs))
-	for k, v := range g.labelIDs {
-		c.labelIDs[k] = v
-	}
-	c.byName, c.addedNames = compactNames(c, base, ov.addedByName)
+	c.byName, c.addedNames = compactNames(c, base, ov.addedNames())
 
 	// The copying gives up the processor every compactYieldEvery
 	// half-edges. The live manager compacts on a goroutine of its own,
@@ -258,12 +363,18 @@ func (g *Graph) Compact() *Graph {
 	}
 	copyRun(run, nBase)
 
-	// A type's list changed iff the overlay added to or retyped into it
-	// (extraByType) or retyped out of it (a retyped node's base type);
-	// one left with no node gets no entry, as in buildTypeIndex.
-	changed := make(map[string]struct{}, len(ov.extraByType))
-	for typ := range ov.extraByType {
+	// A type's list changed iff the overlay added to it (a level's
+	// byType), retyped into it (retypedIn) or retyped out of it (a
+	// retyped node's base type); one left with no node gets no entry, as
+	// in buildTypeIndex.
+	changed := make(map[string]struct{}, len(ov.retypedIn))
+	for typ := range ov.retypedIn {
 		changed[typ] = struct{}{}
+	}
+	for _, lv := range ov.added {
+		for typ := range lv.byType {
+			changed[typ] = struct{}{}
+		}
 	}
 	for id := range ov.retyped {
 		changed[base.nodes[id].Type] = struct{}{}
@@ -327,9 +438,10 @@ func (g *Graph) Rebase(from, onto *Graph) *Graph {
 	gov, fov := g.ov, from.ov
 	r := &Graph{
 		nodes:         g.nodes,
-		labels:        append([]string(nil), g.labels...),
-		labelIDs:      maps.Clone(g.labelIDs),
-		labelDirected: append([]bool(nil), g.labelDirected...),
+		claim:         g.claim,
+		labels:        g.labels,
+		labelIDs:      g.labelIDs,
+		labelDirected: g.labelDirected,
 		numEdges:      g.numEdges,
 		frozen:        true,
 		csrOff:        onto.csrOff,
@@ -368,49 +480,34 @@ func (g *Graph) Rebase(from, onto *Graph) *Graph {
 	}
 
 	// Node bookkeeping relative to onto, whose node table is from's: the
-	// names added since from, and the nodes whose type differs from
-	// from's — only a node retyped against the old base on either side,
-	// or added between that base and from, can.
-	ov.addedByName = make(map[string]NodeID, len(g.nodes)-len(from.nodes))
-	for _, nd := range g.nodes[len(from.nodes):] {
-		ov.addedByName[nd.Name] = nd.ID
+	// nodes added since from, and the nodes whose type differs from
+	// from's. While g's table is from's array extended in place, no node
+	// of from's can differ; otherwise a retype or a lost claim copied it,
+	// and only a node retyped against the old base on either side, or
+	// added between that base and from, can.
+	if len(g.nodes) > len(from.nodes) {
+		ov.added = []*addedLevel{newLevel(g.nodes, len(from.nodes))}
 	}
 	ov.retyped = make(map[NodeID]string)
-	retype := func(id NodeID) {
-		if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
-			ov.retyped[id] = typ
+	if len(from.nodes) > 0 && &g.nodes[0] != &from.nodes[0] {
+		retype := func(id NodeID) {
+			if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
+				ov.retyped[id] = typ
+			}
+		}
+		for id := range gov.retyped {
+			retype(id)
+		}
+		for id := range fov.retyped {
+			retype(id)
+		}
+		for id := len(fov.base.nodes); id < len(from.nodes); id++ {
+			retype(NodeID(id))
 		}
 	}
-	for id := range gov.retyped {
-		retype(id)
-	}
-	for id := range fov.retyped {
-		retype(id)
-	}
-	for id := len(fov.base.nodes); id < len(from.nodes); id++ {
-		retype(NodeID(id))
-	}
-	ov.extraByType = typeExtras(g.nodes, len(from.nodes), ov.retyped)
+	ov.retypedIn = typeLists(ov.retyped)
 	r.ov = ov
 	return r
-}
-
-// typeExtras lists, per type and in ID order, the nodes an overlay
-// generation's base type lists miss: those added since the base (IDs
-// from nBase on) and the base nodes retyped into the type.
-func typeExtras(nodes []Node, nBase int, retyped map[NodeID]string) map[string][]NodeID {
-	extra := make(map[string][]NodeID)
-	for id := nBase; id < len(nodes); id++ {
-		t := nodes[id].Type
-		extra[t] = append(extra[t], NodeID(id))
-	}
-	for id, typ := range retyped {
-		extra[typ] = append(extra[typ], id)
-	}
-	for _, ids := range extra {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	return extra
 }
 
 // OverlayBuilder accumulates one delta against a frozen graph and
@@ -684,10 +781,15 @@ func (b *OverlayBuilder) Changed() bool {
 }
 
 // Graph materialises the pending delta as the next overlay generation.
-// The builder must not be used afterwards.
+// The builder must not be used afterwards. Its cost is the delta's: the
+// added nodes are appended to the source's node table (appendNodes),
+// the label tables and the node bookkeeping are shared with the source
+// unless the delta changes them, and the page table is copied. Only a
+// delta that retypes a node copies the node table, and one that retypes
+// a node added since the base re-indexes the added nodes.
 func (b *OverlayBuilder) Graph() *Graph {
 	src, base := b.src, b.base
-	nSrc := src.NumNodes()
+	nSrc, nBase := src.NumNodes(), base.NumNodes()
 	total := nSrc + len(b.addNodes)
 
 	ng := &Graph{
@@ -710,32 +812,60 @@ func (b *OverlayBuilder) Graph() *Graph {
 	}
 	ng.fp = fpString(total, b.numEdges, b.numLabels(), ng.xorFP)
 
-	nodeStateChanged := len(b.addNodes) > 0 || len(b.retypes) > 0
-	if nodeStateChanged {
-		nodes := make([]Node, 0, total)
-		nodes = append(nodes, src.nodes...)
+	switch {
+	case len(b.retypes) > 0:
+		// Older generations read the types in place: a fresh array.
+		ng.nodes, ng.claim = appendNodes(src.nodes, nil, b.addNodes)
 		for id, typ := range b.retypes {
-			nodes[id].Type = typ
+			ng.nodes[id].Type = typ
 		}
-		ng.nodes = append(nodes, b.addNodes...)
-	} else {
-		ng.nodes = src.nodes // shared with the frozen source
+	case len(b.addNodes) > 0:
+		ng.nodes, ng.claim = appendNodes(src.nodes, src.claim, b.addNodes)
+	default:
+		ng.nodes, ng.claim = src.nodes, src.claim
 	}
 
-	ng.labels = append(append([]string(nil), src.labels...), b.addLabels...)
-	ng.labelDirected = append(append([]bool(nil), src.labelDirected...), b.addLabelDir...)
-	ng.labelIDs = make(map[string]LabelID, len(ng.labels))
-	for k, v := range src.labelIDs {
-		ng.labelIDs[k] = v
-	}
-	for k, v := range b.addLabelIDs {
-		ng.labelIDs[k] = v
+	ng.labels, ng.labelDirected, ng.labelIDs = src.labels, src.labelDirected, src.labelIDs
+	if len(b.addLabels) > 0 {
+		ng.labels = append(slices.Clip(src.labels), b.addLabels...)
+		ng.labelDirected = append(slices.Clip(src.labelDirected), b.addLabelDir...)
+		ng.labelIDs = make(map[string]LabelID, len(ng.labels))
+		maps.Copy(ng.labelIDs, src.labelIDs)
+		maps.Copy(ng.labelIDs, b.addLabelIDs)
 	}
 
 	ov := &overlay{base: base, depth: 1}
 	if src.ov != nil {
 		ov.depth = src.ov.depth + 1
 		ov.halfEdges = src.ov.halfEdges
+		ov.added, ov.retyped, ov.retypedIn = src.ov.added, src.ov.retyped, src.ov.retypedIn
+	}
+	// Node bookkeeping: a retype of a base node updates retyped, one of a
+	// node added since the base re-indexes the added nodes as one level,
+	// and added nodes otherwise push a level of their own.
+	reindex := false
+	if len(b.retypes) > 0 {
+		retyped := maps.Clone(ov.retyped)
+		if retyped == nil {
+			retyped = make(map[NodeID]string)
+		}
+		for id, typ := range b.retypes {
+			switch {
+			case int(id) >= nBase:
+				reindex = true
+			case base.nodes[id].Type == typ:
+				delete(retyped, id)
+			default:
+				retyped[id] = typ
+			}
+		}
+		ov.retyped, ov.retypedIn = retyped, typeLists(retyped)
+	}
+	switch {
+	case reindex:
+		ov.added = []*addedLevel{newLevel(ng.nodes, nBase)}
+	case len(b.addNodes) > 0:
+		ov.added = pushLevel(ov.added, ng.nodes, nSrc)
 	}
 
 	// Node directory: start from the source generation's pages, extend
@@ -758,38 +888,6 @@ func (b *OverlayBuilder) Graph() *Graph {
 			clonedPages[pi] = true
 		}
 		ov.pages[pi][int(id)&ovPageMask] = on
-	}
-
-	// Cumulative name/type bookkeeping: shared with the source
-	// generation when this delta changed no node state.
-	if src.ov != nil && !nodeStateChanged {
-		ov.addedByName = src.ov.addedByName
-		ov.retyped = src.ov.retyped
-		ov.extraByType = src.ov.extraByType
-	} else {
-		ov.addedByName = make(map[string]NodeID, len(b.addByName))
-		ov.retyped = make(map[NodeID]string)
-		if src.ov != nil {
-			for k, v := range src.ov.addedByName {
-				ov.addedByName[k] = v
-			}
-			for k, v := range src.ov.retyped {
-				ov.retyped[k] = v
-			}
-		}
-		for k, v := range b.addByName {
-			ov.addedByName[k] = v
-		}
-		for id, typ := range b.retypes {
-			if int(id) < base.NumNodes() {
-				if base.nodes[id].Type == typ {
-					delete(ov.retyped, id)
-				} else {
-					ov.retyped[id] = typ
-				}
-			}
-		}
-		ov.extraByType = typeExtras(ng.nodes, base.NumNodes(), ov.retyped)
 	}
 
 	// Group this delta's edge changes by endpoint.

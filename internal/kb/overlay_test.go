@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -426,24 +429,46 @@ func FuzzOverlayEquivalence(f *testing.F) {
 				if from != to {
 					ops = append(ops, ovOp{kind: 3, from: from, to: to, label: label})
 				}
-			case 4:
-				ops = append(ops, ovOp{kind: 4, from: from, typ: fmt.Sprintf("t%d", c%3)})
+			case 4: // to another type, or back to the base type
+				typ := fmt.Sprintf("t%d", c%3)
+				if c&0x80 != 0 {
+					typ = "fuzz"
+					if from < 12 {
+						typ = base.Node(from).Type
+					}
+				}
+				ops = append(ops, ovOp{kind: 4, from: from, typ: typ})
 			}
 		}
-		// One delta, and the same ops as two deltas cut at a fuzzed point,
-		// stacked, with a compaction in between, and stacked then re-based
-		// onto the compaction of the first.
+		// One delta; every op a delta of its own, a chain with no fold;
+		// and the same ops as two deltas cut at a fuzzed point, stacked
+		// twice on one head (the second build loses the head's tip claim),
+		// with a compaction in between, and stacked then re-based onto the
+		// compaction of the first.
 		want := applyOpsRebuild(t, base, ops)
 		requireGraphsIdentical(t, "fuzz", applyOpsOverlay(t, base, ops), want)
+		chain := base
+		for i := range ops {
+			chain = applyOpsOverlay(t, chain, ops[i:i+1])
+		}
+		requireGraphsIdentical(t, "fuzz chain", chain, want)
 		cut := 0
 		if len(ops) > 0 {
 			cut = int(data[0]) % (len(ops) + 1)
 		}
 		head := applyOpsOverlay(t, base, ops[:cut])
-		requireSameArrays(t, "fuzz head compacted", head.Compact(), applyOpsRebuild(t, base, ops[:cut]))
+		headWant := applyOpsRebuild(t, base, ops[:cut])
+		requireSameArrays(t, "fuzz head compacted", head.Compact(), headWant)
 		stacked := applyOpsOverlay(t, head, ops[cut:])
 		requireGraphsIdentical(t, "fuzz stacked", stacked, want)
 		requireSameArrays(t, "fuzz stacked compacted", stacked.Compact(), want)
+		branch := applyOpsOverlay(t, head, ops[cut:])
+		requireGraphsIdentical(t, "fuzz branch", branch, want)
+		if countAdds(ops[cut:]) > 0 && &branch.nodes[0] == &stacked.nodes[0] {
+			t.Fatal("two generations built on one head share a node table both appended to")
+		}
+		requireGraphsIdentical(t, "fuzz head after two builds on it", head, headWant)
+		requireGraphsIdentical(t, "fuzz stacked after a branch", stacked, want)
 		onCompacted := applyOpsOverlay(t, head.Compact(), ops[cut:])
 		requireGraphsIdentical(t, "fuzz on compaction", onCompacted, want)
 		requireSameArrays(t, "fuzz on compaction, compacted", onCompacted.Compact(), want)
@@ -557,7 +582,116 @@ func requireOnlyChangedSince(t *testing.T, tag string, r, tip, from *Graph) {
 	if r.Overlay().HalfEdges != halfEdges {
 		t.Fatalf("%s: %d materialised half-edges, want %d", tag, r.Overlay().HalfEdges, halfEdges)
 	}
-	if added := tip.NumNodes() - from.NumNodes(); len(r.ov.addedByName) != added {
-		t.Fatalf("%s: %d names in the added index, want the %d added since from", tag, len(r.ov.addedByName), added)
+	if added := tip.NumNodes() - from.NumNodes(); len(r.ov.addedNames()) != added {
+		t.Fatalf("%s: %d names in the added index, want the %d added since from", tag, len(r.ov.addedNames()), added)
+	}
+}
+
+// TestLabelOnThawedGenerationLeavesSource: a delta that registers no
+// label shares its source's label tables, so registering one on the
+// thawed generation must copy them first. The source and a sibling
+// generation keep their labels.
+func TestLabelOnThawedGenerationLeavesSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	src := randomBase(rng, 20, 3, 40)
+	ops := []ovOp{{kind: 0, name: "x", typ: "robot"}, {kind: 2, from: 0, to: 20, label: 1}}
+	g, sibling := applyOpsOverlay(t, src, ops), applyOpsOverlay(t, src, ops)
+	if &g.labels[0] != &src.labels[0] || !sameLabelMap(g.labelIDs, src.labelIDs) {
+		t.Fatal("a delta that registers no label copied the label tables")
+	}
+	id, err := g.Label("thawed", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 3 || !g.LabelDirected(id) || g.LabelByName("thawed") != id {
+		t.Fatalf("the thawed generation registered label %d (%q)", id, g.LabelName(id))
+	}
+	for tag, other := range map[string]*Graph{"source": src, "sibling": sibling} {
+		if other.NumLabels() != 3 || other.LabelByName("thawed") != InvalidLabel || len(other.labelDirected) != 3 {
+			t.Fatalf("%s sees the thawed generation's label: %d labels", tag, other.NumLabels())
+		}
+	}
+	requireGraphsIdentical(t, "sibling", sibling, applyOpsRebuild(t, src, ops))
+}
+
+// sameLabelMap reports whether a and b are one map, not two equal ones.
+func sameLabelMap(a, b map[string]LabelID) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestOverlayReadersDuringAppend runs readers over published generations
+// — Node, NodeByName, NodesOfType and Neighbors against what each
+// generation answered when it was built — while the tip keeps appending
+// nodes into the node table they share, and while branches built on
+// older generations lose the tip claim and copy. Under -race it is the
+// proof that appending past a generation's length never touches what it
+// reads.
+func TestOverlayReadersDuringAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	base := randomBase(rng, 300, 3, 900)
+	type gen struct {
+		g      *Graph
+		nodes  []Node
+		types  map[string][]NodeID
+		degree []int
+	}
+	record := func(g *Graph) *gen {
+		r := &gen{g: g, nodes: g.Nodes(), types: map[string][]NodeID{}}
+		for _, nd := range r.nodes {
+			r.types[nd.Type] = nil
+			r.degree = append(r.degree, g.Degree(nd.ID))
+		}
+		for typ := range r.types {
+			r.types[typ] = g.NodesOfType(typ)
+		}
+		return r
+	}
+	var published atomic.Pointer[[]*gen]
+	gens := []*gen{record(base)}
+	published.Store(&gens)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rrng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				list := *published.Load()
+				v := list[rrng.Intn(len(list))]
+				id := NodeID(rrng.Intn(len(v.nodes)))
+				nd := v.g.Node(id)
+				if nd != v.nodes[id] || v.g.NodeByName(nd.Name) != id || len(v.g.Neighbors(id)) != v.degree[id] {
+					t.Errorf("generation of %d nodes: node %d reads %+v, degree %d; it was built with %+v, degree %d",
+						len(v.nodes), id, nd, len(v.g.Neighbors(id)), v.nodes[id], v.degree[id])
+					return
+				}
+				if got := v.g.NodesOfType(nd.Type); !slices.Equal(got, v.types[nd.Type]) {
+					t.Errorf("generation of %d nodes: NodesOfType(%q) changed", len(v.nodes), nd.Type)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	appended := 0
+	for round := range 300 {
+		list := *published.Load()
+		src := list[len(list)-1]
+		if round%7 == 6 { // a branch on an older generation
+			src = list[rng.Intn(len(list))]
+		}
+		ops := randomOps(rng, src.g.NumNodes(), src.g.NumLabels(), 6, round)
+		ops = append(ops, ovOp{kind: 0, name: fmt.Sprintf("tip%d", round), typ: "robot"})
+		next := applyOpsOverlay(t, src.g, ops)
+		if next.claim == src.g.claim && len(src.g.nodes) > 0 && &next.nodes[0] == &src.g.nodes[0] {
+			appended++
+		}
+		grown := append(slices.Clip(list), record(next))
+		published.Store(&grown)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if appended < 100 {
+		t.Fatalf("%d of 300 generations appended in place, want most", appended)
 	}
 }

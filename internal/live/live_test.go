@@ -10,7 +10,7 @@ import (
 	"rex/internal/kb"
 )
 
-func baseGraph(t *testing.T) *kb.Graph {
+func baseGraph(t testing.TB) *kb.Graph {
 	t.Helper()
 	g := kb.New()
 	a := g.AddNode("a", "person")
@@ -204,13 +204,10 @@ func TestDeltaApplyErrors(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	builds := 0
-	m, err := NewManager(baseGraph(t), func(*kb.Graph) (any, error) {
+	m := newManager(t, baseGraph(t), func(*kb.Graph) (any, error) {
 		builds++
 		return fmt.Sprintf("payload-%d", builds), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s1 := m.Current()
 	if s1.Generation != 1 || m.Generation() != 1 || m.Swaps() != 0 {
 		t.Fatalf("initial gen/swaps = %d/%d, want 1/0", s1.Generation, m.Swaps())
@@ -249,10 +246,7 @@ func TestManagerLifecycle(t *testing.T) {
 // redelivered delta whose records are all no-ops must not bump the
 // generation or rebuild the payload (which would flush a warm cache).
 func TestManagerNoopDeltaPublishesNothing(t *testing.T) {
-	m, err := NewManager(baseGraph(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(t, baseGraph(t), nil)
 	delta := "node\ta\tperson\nedge\ta\tb\tknows\ndeledge\ta\tc\tknows\nsettype\ta\tperson\nlabel\tknows\tU"
 	before := m.Current()
 	snap, st, err := m.ApplyDelta(parse(t, delta))
@@ -321,22 +315,24 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	}
 }
 
-// TestManagerCompaction drives enough deltas through a tight compaction
-// policy to trigger folding, and checks depth bookkeeping: a generation
-// reaching CompactDepth starts a fold, and the next delta — here after
-// the fold has finished — installs it, landing at depth 1 over the
-// folded arrays.
+// TestManagerCompaction drives deltas through a policy that folds any
+// generation with a patch, releasing each held fold at a chosen delta,
+// and checks depth bookkeeping: a generation tripping the ratio starts a
+// fold, deltas stack over the old base while it is held, and the first
+// delta after it finishes installs it — at depth 1 over the folded
+// arrays when nothing stacked meanwhile, else at the number of
+// generations since the folded one.
 func TestManagerCompaction(t *testing.T) {
-	m, err := NewManager(baseGraph(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.CompactDepth = 3
-	m.CompactRatio = 100 // depth-only policy for the test
+	m := newManager(t, baseGraph(t), nil)
+	gate, _ := gateFolds(t)
+	m.CompactRatio = 0
 	var depths []int
 	var installed []int
 	for i := 0; i < 7; i++ {
-		m.WaitFold()
+		if i == 1 || i == 4 {
+			gate <- nil
+			m.WaitFold()
+		}
 		d := parse(t, fmt.Sprintf("node\tx%d\tperson\nedge\ta\tx%d\tknows", i, i))
 		snap, st, err := m.ApplyDelta(d)
 		if err != nil {
@@ -353,14 +349,15 @@ func TestManagerCompaction(t *testing.T) {
 			installed = append(installed, i)
 		}
 	}
-	// Depth counts 1, 2, then hits CompactDepth=3 and starts a fold that
-	// the fourth delta installs.
-	want := []int{1, 2, 3, 1, 2, 3, 1}
-	if fmt.Sprint(depths) != fmt.Sprint(want) || fmt.Sprint(installed) != "[3 6]" {
-		t.Fatalf("depths = %v with installs at %v, want %v with installs at [3 6]", depths, installed, want)
+	// The first delta starts a fold that the second installs at depth 1
+	// and folds again; that fold is held over two more deltas, so the
+	// fifth installs it at depth 2 + 1.
+	want := []int{1, 1, 2, 3, 3, 4, 5}
+	if fmt.Sprint(depths) != fmt.Sprint(want) || fmt.Sprint(installed) != "[1 4]" {
+		t.Fatalf("depths = %v with installs at %v, want %v with installs at [1 4]", depths, installed, want)
 	}
-	if m.Compactions() != 2 {
-		t.Errorf("compactions = %d, want 2", m.Compactions())
+	if m.Compactions() != 3 {
+		t.Errorf("compactions = %d, want 3", m.Compactions())
 	}
 	if m.Generation() != 8 {
 		t.Errorf("generation = %d, want 8", m.Generation())
@@ -372,10 +369,7 @@ func TestManagerCompaction(t *testing.T) {
 // not publish, bump the generation, or disturb the served graph, even
 // though the partial stats are non-zero.
 func TestFailedApplyPublishesNothing(t *testing.T) {
-	m, err := NewManager(baseGraph(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(t, baseGraph(t), nil)
 	before := m.Current()
 	d := parse(t, strings.Join([]string{
 		"node\td\tfilm",          // effective
@@ -403,10 +397,7 @@ func TestFailedApplyPublishesNothing(t *testing.T) {
 }
 
 func TestManagerApplyErrorKeepsSnapshot(t *testing.T) {
-	m, err := NewManager(baseGraph(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(t, baseGraph(t), nil)
 	before := m.Current()
 	if _, _, err := m.ApplyDelta(parse(t, "edge\tghost\tb\tknows")); err == nil {
 		t.Fatal("bad delta accepted")
@@ -421,16 +412,13 @@ func TestManagerApplyErrorKeepsSnapshot(t *testing.T) {
 
 func TestManagerBuildErrorKeepsSnapshot(t *testing.T) {
 	builds := 0
-	m, err := NewManager(baseGraph(t), func(*kb.Graph) (any, error) {
+	m := newManager(t, baseGraph(t), func(*kb.Graph) (any, error) {
 		builds++
 		if builds > 1 {
 			return nil, fmt.Errorf("boom")
 		}
 		return "ok", nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := m.Current()
 	if _, _, err := m.ApplyDelta(parse(t, "node\td\tperson")); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want boom", err)
@@ -454,12 +442,9 @@ func TestManagerInitialBuildError(t *testing.T) {
 // TestManagerConcurrentReadersAndWriters drives lock-free reads under
 // concurrent swaps; run with -race this checks the epoch discipline.
 func TestManagerConcurrentReadersAndWriters(t *testing.T) {
-	m, err := NewManager(baseGraph(t), func(g *kb.Graph) (any, error) {
+	m := newManager(t, baseGraph(t), func(g *kb.Graph) (any, error) {
 		return g.Fingerprint(), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const swaps = 20
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,18 +59,18 @@ type BuildFunc func(g *kb.Graph) (any, error)
 type Manager struct {
 	build BuildFunc
 
-	// CompactDepth and CompactRatio bound the overlay chain: when a
-	// published delta-built generation reaches CompactDepth stacked
-	// overlays or its materialised half-edges exceed CompactRatio of the
-	// base CSR, the manager folds it into fresh CSR arrays. The fold runs
-	// on a goroutine of its own, not under mu: deltas keep publishing
-	// overlays over the old base meanwhile (the depth may pass
-	// CompactDepth, and no second fold starts), and the first delta to
-	// publish after the fold has finished re-bases its source onto the
-	// folded graph — O(nodes changed since the fold's generation) — before
-	// applying. Set both before traffic starts; NewManager sets the
-	// defaults (32 and 0.25).
-	CompactDepth int
+	// CompactRatio bounds the overlay chain by size, never by age: when
+	// a published delta-built generation's materialised half-edges exceed
+	// CompactRatio of the base CSR, the manager folds it into fresh CSR
+	// arrays. Every per-generation structure of an overlay costs the
+	// delta, not the chain's length, so the number of stacked generations
+	// needs no bound of its own. The fold runs on a goroutine of its own,
+	// not under mu: deltas keep publishing overlays over the old base
+	// meanwhile (no second fold starts), and the first delta to publish
+	// after the fold has finished re-bases its source onto the folded
+	// graph — O(nodes changed since the fold's generation) — before
+	// applying. Set it before traffic starts; NewManager sets the default
+	// (0.25).
 	CompactRatio float64
 
 	mu   sync.Mutex // serialises writers; readers never take it
@@ -87,14 +88,18 @@ type fold struct {
 	to   *kb.Graph     // from.Compact(); nil if the fold failed
 }
 
-// Default compaction policy: fold the overlay chain every 32 deltas, or
-// sooner if the materialised patch spans reach a quarter of the base
+// DefaultCompactRatio is the default compaction policy: fold the overlay
+// chain once the materialised patch spans reach a quarter of the base
 // CSR (at that point the memory sharing no longer pays for the extra
 // page-table indirection).
-const (
-	DefaultCompactDepth = 32
-	DefaultCompactRatio = 0.25
-)
+const DefaultCompactRatio = 0.25
+
+// DefaultCompactDepth is kept only for callers compiled against it.
+//
+// Deprecated: the manager folds on size alone (CompactRatio), never on
+// the number of stacked generations. The value is math.MaxInt, so a
+// depth is never at or past it.
+const DefaultCompactDepth = math.MaxInt
 
 // NewManager freezes g, builds its payload and installs it as
 // generation 1.
@@ -122,11 +127,7 @@ func NewManagerAt(g *kb.Graph, build BuildFunc, gen uint64) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: building initial snapshot: %w", err)
 	}
-	m := &Manager{
-		build:        build,
-		CompactDepth: DefaultCompactDepth,
-		CompactRatio: DefaultCompactRatio,
-	}
+	m := &Manager{build: build, CompactRatio: DefaultCompactRatio}
 	m.cur.Store(&Snapshot{
 		Generation:  gen,
 		Fingerprint: g.Fingerprint(),
@@ -156,7 +157,7 @@ func (m *Manager) Compactions() uint64 { return m.compactions.Load() }
 // O(delta) overlay generation and atomically publishes the result as
 // the next generation. It installs a finished fold first (re-basing the
 // source onto it) and starts a fold of the published generation when
-// that crosses the CompactDepth/CompactRatio policy. The current snapshot
+// that crosses the CompactRatio policy. The current snapshot
 // keeps serving until the new one — graph and payload — is fully
 // built; on any error nothing is published and the active generation
 // is unchanged (the stats returned alongside an error are partial
@@ -244,7 +245,7 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 		m.fold = nil
 		st.Compacted = true
 	}
-	if info := g.Overlay(); m.fold == nil && (info.Depth >= m.CompactDepth || info.Ratio > m.CompactRatio) {
+	if m.fold == nil && g.Overlay().Ratio > m.CompactRatio {
 		m.startFoldLocked(g)
 	}
 	return snap, st, nil

@@ -3,6 +3,7 @@ package rex
 import (
 	"fmt"
 	"io"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -118,6 +119,13 @@ func NewStore(k *KB, opt Options) (*Store, error) {
 	if k == nil {
 		return nil, fmt.Errorf("rex: NewStore: nil KB")
 	}
+	return newStore(opt, func() (*kb.Graph, error) { return k.g, nil })
+}
+
+// newStore builds a store over the recovered state of a durable
+// journal, if it has any, and over the graph load returns otherwise:
+// load runs only when the store has no journal or a fresh one.
+func newStore(opt Options, load func() (*kb.Graph, error)) (*Store, error) {
 	s := &Store{opt: opt}
 	build := func(g *kb.Graph) (any, error) {
 		snapKB := &KB{g: g}
@@ -127,7 +135,8 @@ func NewStore(k *KB, opt Options) (*Store, error) {
 		}
 		return &storePayload{kb: snapKB, ex: ex}, nil
 	}
-	g, gen := k.g, uint64(1)
+	var g *kb.Graph
+	gen := uint64(1)
 	var jn *live.Journal
 	if d := opt.Durability; d.Dir != "" {
 		jn2, rg, rgen, err := openJournal(d)
@@ -137,6 +146,15 @@ func NewStore(k *KB, opt Options) (*Store, error) {
 		jn = jn2
 		if rg != nil {
 			g, gen = rg, rgen
+		}
+	}
+	if g == nil {
+		var err error
+		if g, err = load(); err != nil {
+			if jn != nil {
+				jn.Close() //nolint:errcheck // construction failed anyway
+			}
+			return nil, err
 		}
 	}
 	mgr, err := live.NewManagerAt(g, build, gen)
@@ -199,14 +217,22 @@ func (s *Store) Close() error {
 	return s.journal.Close()
 }
 
-// OpenStore loads a knowledge base from a file (see LoadKB) and builds
-// a live store over it.
+// OpenStore builds a live store over the knowledge base in a file (see
+// LoadKB). With Options.Durability.Dir set, a journal that already holds
+// a checkpoint is authoritative: the store recovers it, exactly as
+// NewStore does, and the file is only checked to exist, never decoded.
+// The file seeds a fresh journal.
 func OpenStore(path string, opt Options) (*Store, error) {
-	k, err := LoadKB(path)
-	if err != nil {
+	if _, err := os.Stat(path); err != nil {
 		return nil, err
 	}
-	return NewStore(k, opt)
+	return newStore(opt, func() (*kb.Graph, error) {
+		k, err := LoadKB(path)
+		if err != nil {
+			return nil, err
+		}
+		return k.g, nil
+	})
 }
 
 // Current pins the active snapshot. The result stays valid and
