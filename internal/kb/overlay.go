@@ -481,29 +481,25 @@ func (g *Graph) Rebase(from, onto *Graph) *Graph {
 
 	// Node bookkeeping relative to onto, whose node table is from's: the
 	// nodes added since from, and the nodes whose type differs from
-	// from's. While g's table is from's array extended in place, no node
-	// of from's can differ; otherwise a retype or a lost claim copied it,
-	// and only a node retyped against the old base on either side, or
-	// added between that base and from, can.
+	// from's — only a node retyped against the old base on either side,
+	// or added between that base and from, can.
 	if len(g.nodes) > len(from.nodes) {
 		ov.added = []*addedLevel{newLevel(g.nodes, len(from.nodes))}
 	}
 	ov.retyped = make(map[NodeID]string)
-	if len(from.nodes) > 0 && &g.nodes[0] != &from.nodes[0] {
-		retype := func(id NodeID) {
-			if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
-				ov.retyped[id] = typ
-			}
+	retype := func(id NodeID) {
+		if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
+			ov.retyped[id] = typ
 		}
-		for id := range gov.retyped {
-			retype(id)
-		}
-		for id := range fov.retyped {
-			retype(id)
-		}
-		for id := len(fov.base.nodes); id < len(from.nodes); id++ {
-			retype(NodeID(id))
-		}
+	}
+	for id := range gov.retyped {
+		retype(id)
+	}
+	for id := range fov.retyped {
+		retype(id)
+	}
+	for id := len(fov.base.nodes); id < len(from.nodes); id++ {
+		retype(NodeID(id))
 	}
 	ov.retypedIn = typeLists(ov.retyped)
 	r.ov = ov
