@@ -781,6 +781,33 @@ func BenchmarkStoreApplyNodeDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkExplainUncached times one uncached query end to end — the
+// engine, with no result cache in front of it — at both scales: on the
+// repository benchmark's KB its heaviest film pair, and at the paper's
+// scale a film pair that answers in well under a second.
+func BenchmarkExplainUncached(b *testing.B) {
+	for _, c := range []struct{ preset, start, end string }{
+		{"medium", "film_5972", "film_4871"},
+		{"million", "film_36414", "film_65793"},
+	} {
+		b.Run(c.preset, func(b *testing.B) {
+			g := benchGraph(b, c.preset)
+			g.Freeze()
+			ex, err := NewExplainer(&KB{g: g}, Options{CacheSize: 0})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Explain(c.start, c.end); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestNodeDeltaCostIndependentOfHistory holds a node-adding delta to
 // O(delta) however long the overlay chain: on the repository benchmark's
 // KB, the bytes a delta allocates after 2 000 node-adding deltas are at

@@ -296,6 +296,12 @@ type pathKey struct {
 	steps [pattern.MaxVars - 1]pathStepKey
 }
 
+// pathRef names one key of groupPaths' input by index, and the group of
+// its step sequence once pass 1 has assigned it.
+type pathRef struct {
+	key, group int32
+}
+
 type pathStepKey struct {
 	label kb.LabelID
 	dir   kb.Dir
@@ -354,20 +360,29 @@ func leCompare32(a, b uint32) int {
 // group's smallest-keyed instance — the representative, whatever order
 // the enumerator found the paths in — first), de-duplicated by adjacent
 // equality, counted per group, and materialised with one pattern and one
-// block-allocated instance set per group.
+// block-allocated instance set per group. What is sorted is a reference
+// to each key: a key is 140 B, which a comparison by value would copy
+// twice.
 func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanation {
 	if len(keys) == 0 {
 		return nil
 	}
-	slices.SortFunc(keys, func(a, b pathKey) int { return a.compare(&b) })
-	// Pass 1: assign groups and count unique paths per group.
+	refs := slices.Grow(st.refs[:0], len(keys))
+	for i := range keys {
+		refs = append(refs, pathRef{key: int32(i)})
+	}
+	st.refs = refs
+	slices.SortFunc(refs, func(a, b pathRef) int { return keys[a.key].compare(&keys[b.key]) })
+	// Pass 1: drop duplicates, give each unique path its group, and count
+	// unique paths per group.
 	clear(st.groups)
 	st.gcounts = st.gcounts[:0]
-	for i := range keys {
-		if i > 0 && keys[i] == keys[i-1] {
+	uniq := refs[:0]
+	for _, r := range refs {
+		if len(uniq) > 0 && keys[r.key] == keys[uniq[len(uniq)-1].key] {
 			continue
 		}
-		ssk := keys[i].stepSeq()
+		ssk := keys[r.key].stepSeq()
 		gid, ok := st.groups[ssk]
 		if !ok {
 			gid = int32(len(st.gcounts))
@@ -375,6 +390,7 @@ func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanat
 			st.gcounts = append(st.gcounts, 0)
 		}
 		st.gcounts[gid]++
+		uniq = append(uniq, pathRef{key: r.key, group: gid})
 	}
 	// Pass 2: materialise. The representative pattern is built from the
 	// group's first (smallest) key; every member shares its step
@@ -385,12 +401,8 @@ func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanat
 	// many paths it contains.
 	out := make([]*pattern.Explanation, len(st.gcounts))
 	backs := make([][]kb.NodeID, len(st.gcounts))
-	for i := range keys {
-		if i > 0 && keys[i] == keys[i-1] {
-			continue
-		}
-		k := &keys[i]
-		gid := st.groups[k.stepSeq()]
+	for _, r := range uniq {
+		k, gid := &keys[r.key], r.group
 		total := int(k.n)
 		ex := out[gid]
 		if ex == nil {

@@ -178,20 +178,10 @@ func joinToKey(fwd, bwd *partial) (pathKey, bool) {
 		// traverses it from bwd.nodes[i+1] to bwd.nodes[i].
 		he := bwd.steps[i]
 		k.nodes[at] = bwd.nodes[i]
-		k.steps[at-1] = pathStepKey{label: he.Label, dir: flipDir(he.Dir)}
+		k.steps[at-1] = pathStepKey{label: he.Label, dir: he.Dir.Reverse()}
 		at++
 	}
 	return k, true
-}
-
-func flipDir(d kb.Dir) kb.Dir {
-	switch d {
-	case kb.Out:
-		return kb.In
-	case kb.In:
-		return kb.Out
-	}
-	return kb.Undirected
 }
 
 // canonicalSplit reports whether a forward length a and backward length b

@@ -81,6 +81,7 @@ type enumState struct {
 	pq     actQueue
 
 	// Path grouping (enumerate.go).
+	refs     []pathRef
 	groups   map[stepSeqKey]int32
 	gcounts  []int32
 	nodesBuf [pattern.MaxVars]kb.NodeID
@@ -118,6 +119,7 @@ func (s *enumState) oversized() bool {
 		cap(s.pq) > retainedCap ||
 		len(s.groups) > retainedCap ||
 		cap(s.gcounts) > retainedCap ||
+		cap(s.refs) > retainedCap ||
 		len(s.unionSeen) > retainedCap ||
 		len(s.newIndex) > retainedCap ||
 		s.merger.Oversized(retainedCap) {

@@ -71,6 +71,18 @@ func (d Dir) String() string {
 	return fmt.Sprintf("Dir(%d)", int8(d))
 }
 
+// Reverse returns the orientation of the same edge seen from its other
+// endpoint: Out and In swap, Undirected stays.
+func (d Dir) Reverse() Dir {
+	switch d {
+	case Out:
+		return In
+	case In:
+		return Out
+	}
+	return Undirected
+}
+
 // Node is an entity: a stable ID, a unique human-readable name and an
 // entity type (e.g. "person", "film").
 type Node struct {
@@ -88,15 +100,40 @@ type HalfEdge struct {
 	Dir   Dir
 }
 
-// HasHalfEdge reports whether one label's span (NeighborsLabeled) holds a
-// half-edge to the given node with the given orientation: a binary search
-// when sorted — a frozen graph's spans are ordered by (To, Dir) with at
-// most two entries per To — and a scan otherwise.
-func HasHalfEdge(span []HalfEdge, to NodeID, dir Dir, sorted bool) bool {
-	lo := 0
-	if sorted {
-		hi := len(span)
-		for lo < hi {
+// SeekHalfEdge reports whether one label's span (NeighborsLabeled) holds a
+// half-edge to the given node with the given orientation.
+//
+// A frozen graph's spans are sorted by (To, Dir), with at most two
+// entries per To (In and Out). On a sorted span the seek is a cursor: it
+// gallops forward from *pos — steps of 1, 2, 4, … then a binary search of
+// the last step — and leaves *pos at the first entry with To ≥ to. A
+// caller probing one span with ascending nodes therefore merges the span
+// forward instead of searching it afresh per probe: k probes over a span
+// of d entries cost O(k·log(d/k)), never more than k binary searches.
+// Probes must not descend between rewinds (*pos = 0); equal nodes may
+// repeat. On an unsorted span (an unfrozen graph) it scans and ignores
+// *pos.
+func SeekHalfEdge(span []HalfEdge, pos *int, to NodeID, dir Dir, sorted bool) bool {
+	if !sorted {
+		for _, he := range span {
+			if he.To == to && he.Dir == dir {
+				return true
+			}
+		}
+		return false
+	}
+	lo := *pos
+	if lo < len(span) && span[lo].To < to {
+		// span[lo].To < to ≤ span[hi].To (or hi is past the end): the
+		// answer lies in (lo, hi].
+		hi, step := lo+1, 1
+		for hi < len(span) && span[hi].To < to {
+			lo = hi
+			step <<= 1
+			hi = lo + step
+		}
+		hi = min(hi, len(span))
+		for lo++; lo < hi; {
 			mid := int(uint(lo+hi) >> 1)
 			if span[mid].To < to {
 				lo = mid + 1
@@ -104,14 +141,11 @@ func HasHalfEdge(span []HalfEdge, to NodeID, dir Dir, sorted bool) bool {
 				hi = mid
 			}
 		}
+		*pos = lo
 	}
-	for ; lo < len(span); lo++ {
-		if span[lo].To == to {
-			if span[lo].Dir == dir {
-				return true
-			}
-		} else if sorted {
-			return false
+	for ; lo < len(span) && span[lo].To == to; lo++ {
+		if span[lo].Dir == dir {
+			return true
 		}
 	}
 	return false
@@ -391,8 +425,8 @@ func (g *Graph) MustAddEdge(from, to NodeID, label LabelID) {
 // HasEdge reports whether an edge with the given label connects from and
 // to. For directed labels the orientation from→to is required; for
 // undirected labels either orientation matches. On a frozen graph the
-// check is a binary search in the node's label-sorted CSR span — no map,
-// no hashing; on an unfrozen graph it consults the edge set.
+// check is a seek from the start of the node's label-sorted CSR span — no
+// map, no hashing; on an unfrozen graph it consults the edge set.
 func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
 	if g.frozen {
 		if from < 0 || int(from) >= len(g.nodes) {
@@ -402,7 +436,8 @@ func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
 		if g.LabelDirected(label) {
 			dir = Out // the required orientation
 		}
-		return HasHalfEdge(g.NeighborsLabeled(from, label), to, dir, true)
+		pos := 0
+		return SeekHalfEdge(g.NeighborsLabeled(from, label), &pos, to, dir, true)
 	}
 	if g.edgeSet == nil {
 		return false

@@ -29,6 +29,17 @@
 // ForEach and Find bind every variable of every instance; the counting
 // entry points (Count*, CountByEnd*) size the last variable other than
 // the end instead of binding it, see leaf.
+//
+// # Candidate checks
+//
+// A candidate for a variable is generated from one label span and
+// checked against the variable's other spans into the bound set. On a
+// frozen graph every loop that feeds one variable's checks sees its
+// candidates in ascending node order, so the checks are a forward merge:
+// fits seeks each span from a per-anchor cursor (kb.SeekHalfEdge), and
+// the loop rewinds the variable's cursors before its first candidate.
+// The one probe out of order, leaf's check of the bound nodes, rewinds
+// before each.
 package match
 
 import (
@@ -172,9 +183,11 @@ type matcher struct {
 	// way to reach v from its far endpoint. spans[i] is the label span of
 	// anchors[i] at the far endpoint's binding — fetched by bind when that
 	// endpoint is bound before v, valid for as long as it stays bound.
+	// cur[i] is fits' seek cursor into spans[i], see rewind.
 	anchors []anchor
 	first   [pattern.MaxVars + 1]int32
 	spans   [][]kb.HalfEdge
+	cur     []int
 	sorted  bool // g is frozen: label spans are ordered by (To, Dir)
 
 	// f receives every instance of an enumerating run. It is nil on a
@@ -252,8 +265,9 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 	m.first[m.n] = int32(len(m.anchors))
 	if cap(m.spans) < len(m.anchors) {
 		m.spans = make([][]kb.HalfEdge, len(m.anchors))
+		m.cur = make([]int, len(m.anchors))
 	}
-	m.spans = m.spans[:len(m.anchors)]
+	m.spans, m.cur = m.spans[:len(m.anchors)], m.cur[:len(m.anchors)]
 	return m
 }
 
@@ -401,6 +415,7 @@ func (m *matcher) search() bool {
 		// NaiveEnum's intermediate shapes). Seed it by full scan.
 		for best = 0; m.assigned[best]; best++ {
 		}
+		m.rewind(best)
 		for id := kb.NodeID(0); int(id) < m.g.NumNodes(); id++ {
 			if !m.try(best, gen, id) {
 				return false
@@ -409,7 +424,9 @@ func (m *matcher) search() bool {
 		return true
 	}
 	// On a frozen graph a label span is ordered by (To, Dir), so
-	// candidates come in node order.
+	// candidates come in node order and fits merges best's other spans
+	// forward.
+	m.rewind(best)
 	wantDir := m.anchors[gen].wantDir
 	for _, he := range m.spans[gen] {
 		if he.Dir == wantDir && !m.try(best, gen, he.To) {
@@ -472,15 +489,24 @@ func (m *matcher) sized() pattern.VarID {
 }
 
 // fits reports whether cand satisfies every pattern edge of v into the
-// bound set other than gen.
+// bound set other than gen. It seeks each span from v's cursor, so the
+// candidates fits sees for v must ascend between two rewinds of v.
 func (m *matcher) fits(v pattern.VarID, gen int, cand kb.NodeID) bool {
 	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
 		a := &m.anchors[i]
-		if i != gen && m.assigned[a.from] && !kb.HasHalfEdge(m.spans[i], cand, a.wantDir, m.sorted) {
+		if i != gen && m.assigned[a.from] && !kb.SeekHalfEdge(m.spans[i], &m.cur[i], cand, a.wantDir, m.sorted) {
 			return false
 		}
 	}
 	return true
+}
+
+// rewind resets v's seek cursors to the start of its spans. Every loop
+// that feeds fits(v, …) ascending candidates rewinds v first. The cursors
+// stay valid across the recursion below a candidate: only fits(v, …)
+// reads them, and below the candidate v is bound, so nothing calls it.
+func (m *matcher) rewind(v pattern.VarID) {
+	clear(m.cur[m.first[v]:m.first[v+1]])
 }
 
 // admissible enforces the instance side conditions for a candidate
@@ -511,7 +537,11 @@ func (m *matcher) admissible(v pattern.VarID, cand kb.NodeID) bool {
 func (m *matcher) leaf(x pattern.VarID) bool {
 	n := m.size(x)
 	for u := 0; u < m.n && n > 0; u++ {
-		if m.assigned[u] && m.fits(x, -1, m.inst[u]) {
+		if !m.assigned[u] {
+			continue
+		}
+		m.rewind(x) // the bound nodes come in no order
+		if m.fits(x, -1, m.inst[u]) {
 			n--
 		}
 	}
@@ -519,6 +549,8 @@ func (m *matcher) leaf(x pattern.VarID) bool {
 		return n == 0 || m.emit(n)
 	}
 	gen, _ := m.shortest(pattern.End)
+	m.rewind(pattern.End)
+	m.rewind(x)
 	wantDir := m.anchors[gen].wantDir
 	for _, he := range m.spans[gen] {
 		if he.Dir != wantDir {
@@ -555,6 +587,7 @@ func (m *matcher) size(x pattern.VarID) (n int) {
 		return n
 	}
 	gen, _ := m.shortest(x)
+	m.rewind(x)
 	wantDir := m.anchors[gen].wantDir
 	for _, he := range m.spans[gen] {
 		if he.Dir != wantDir {

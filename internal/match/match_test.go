@@ -190,7 +190,7 @@ func TestDirectedOrientationRespected(t *testing.T) {
 // per-binding choice and the in-span verification, now and then with a
 // tree edge dropped, so a component off the start falls back to the full
 // scan — with the end bound and free, before the graph is frozen
-// (unsorted spans), after (binary search), and on an overlay of depth 2
+// (unsorted spans), after (forward seeks), and on an overlay of depth 2
 // that deleted edges. Find must yield the oracle's instances; the
 // counting entry points, which do not bind the last variable, its counts:
 // Count for every end, CountByEnd, CountByEndDense's table, and position

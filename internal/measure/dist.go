@@ -133,6 +133,13 @@ const walkCheckInterval = 1024
 // when the prefix walk ends, so scatter touches each distinct v's last
 // span once, however many prefixes end there.
 //
+// The debt test "n ∈ N(v)", for every prefix end v and every earlier
+// node n of its prefix, is asked from n's side: v ∈ rev(n), n's span of
+// the last label with the orientation reversed. The prefix ends below one
+// node arrive in ascending order on a frozen graph, so each rev(n) is
+// merged forward by a seek cursor instead of searched once per end, and
+// no prefix end's own last span is fetched until scatter.
+//
 // Walks are pooled. mult and debt are all-zero between uses (release
 // resets the touched entries) and are sized to the graph at every use:
 // node IDs are append-only across hot swaps, see match.EndCounter.
@@ -142,6 +149,11 @@ type pathWalk struct {
 	steps  []pattern.PathStep
 	sorted bool                       // g is frozen: label spans are ordered by (To, Dir)
 	nodes  [pattern.MaxVars]kb.NodeID // nodes[:depth+1] is the current injective walk
+
+	// rev[d] is nodes[d]'s span of the last label, fetched when the walk
+	// pushes it, and cur[d] the debt test's seek cursor into it.
+	rev [pattern.MaxVars][]kb.HalfEdge
+	cur [pattern.MaxVars]int
 
 	mult, debt []uint32
 	ends, owed []kb.NodeID // nodes with mult > 0 and with debt > 0, in first-visit order
@@ -179,6 +191,7 @@ func (w *pathWalk) release() {
 		w.debt[id] = 0
 	}
 	w.ends, w.owed = w.ends[:0], w.owed[:0]
+	clear(w.rev[:])
 	w.ctx, w.g, w.steps, w.work, w.err = nil, nil, nil, 0, nil
 	pathWalkPool.Put(w)
 }
@@ -197,19 +210,22 @@ func (w *pathWalk) step() bool {
 // prefix, recording each in mult and debt. It reports false when
 // cancelled.
 func (w *pathWalk) prefixes(depth int) bool {
-	st := w.steps[depth]
-	span := w.g.NeighborsLabeled(w.nodes[depth], st.Label)
+	last := w.steps[len(w.steps)-1]
 	if depth == len(w.steps)-1 {
+		// A one-step pattern: the start is the only prefix, and it holds
+		// no earlier node to owe.
 		w.ends = bump(w.mult, w.ends, w.nodes[depth])
-		for _, n := range w.nodes[:depth] {
-			if kb.HasHalfEdge(span, n, st.Dir, w.sorted) {
-				w.owed = bump(w.debt, w.owed, n)
-			}
-		}
 		return true
 	}
+	st := w.steps[depth]
+	w.rev[depth] = w.g.NeighborsLabeled(w.nodes[depth], last.Label)
+	childEnds := depth == len(w.steps)-2 // the children are prefix ends
+	if childEnds {
+		clear(w.cur[:depth+1])
+	}
+	back := last.Dir.Reverse()
 nextEdge:
-	for _, he := range span {
+	for _, he := range w.g.NeighborsLabeled(w.nodes[depth], st.Label) {
 		if he.Dir != st.Dir {
 			continue
 		}
@@ -221,9 +237,18 @@ nextEdge:
 				continue nextEdge
 			}
 		}
-		w.nodes[depth+1] = he.To
-		if !w.prefixes(depth + 1) {
-			return false
+		if !childEnds {
+			w.nodes[depth+1] = he.To
+			if !w.prefixes(depth + 1) {
+				return false
+			}
+			continue
+		}
+		w.ends = bump(w.mult, w.ends, he.To)
+		for d, n := range w.nodes[:depth+1] {
+			if kb.SeekHalfEdge(w.rev[d], &w.cur[d], he.To, back, w.sorted) {
+				w.owed = bump(w.debt, w.owed, n)
+			}
 		}
 	}
 	return true
