@@ -26,8 +26,9 @@ type BatchOptions struct {
 	// answer instead.
 	PerPairTimeout time.Duration
 	// Budget bounds each pair's work, returning truncated best-so-far
-	// results instead of errors when it expires (see Budget). The zero
-	// value inherits the explainer's Options.Budget.
+	// results instead of errors when it expires (see Budget). A budget
+	// that bounds nothing inherits the explainer's Options.Budget bounds;
+	// its SQL flag is always its own.
 	Budget Budget
 	// Traced attaches a fresh per-pair trace context (see WithTrace) to
 	// every pair, so each BatchResult.Result carries its own
@@ -73,7 +74,9 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 
 	bud := opts.Budget
 	if !bud.active() {
+		sql := bud.SQL
 		bud = e.opt.Budget
+		bud.SQL = sql
 	}
 
 	var next sync.Mutex

@@ -163,25 +163,77 @@ func TestExplainBudgetTimeout(t *testing.T) {
 	}
 }
 
-// TestBatchExplainBudget checks budget plumbing through BatchExplain:
-// the per-batch budget truncates every heavy pair and per-pair Elapsed
-// is populated.
-func TestBatchExplainBudget(t *testing.T) {
-	kb := SampleKB()
-	ex, err := NewExplainer(kb, Options{TopK: 10})
+// TestOptionsBudgetSQLIgnored: SQL is asked for per request only, so an
+// Options.Budget with SQL set puts SQL in no answer.
+func TestOptionsBudgetSQLIgnored(t *testing.T) {
+	ex, err := NewExplainer(SampleKB(), Options{TopK: 10, Budget: Budget{SQL: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{Budget: Budget{MaxExpansions: 1}})
+	if ex.DefaultBudget().SQL {
+		t.Error("DefaultBudget kept Options.Budget.SQL")
+	}
+	res, err := ex.Explain("brad_pitt", "angelina_jolie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{})
+	results := []*Result{res}
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("pair %d: %v", i, br.Err)
 		}
-		if !br.Result.Truncated {
-			t.Errorf("pair %d: one-expansion budget did not truncate", i)
+		results = append(results, br.Result)
+	}
+	for i, r := range results {
+		if len(r.Explanations) == 0 {
+			t.Fatalf("result %d: no explanations", i)
 		}
-		if br.Elapsed <= 0 {
-			t.Errorf("pair %d: Elapsed not populated", i)
+		for _, e := range r.Explanations {
+			if e.SQL != "" {
+				t.Errorf("result %d: SQL %q without a request for it", i, e.SQL)
+			}
+		}
+	}
+}
+
+// TestBatchExplainBudget checks budget plumbing through BatchExplain:
+// the per-batch budget truncates every heavy pair and per-pair Elapsed
+// is populated. A batch budget that only asks for SQL bounds nothing,
+// so it runs under the explainer's default budget, with SQL.
+func TestBatchExplainBudget(t *testing.T) {
+	kb := SampleKB()
+	for _, tc := range []struct {
+		name       string
+		def, batch Budget
+		wantSQL    bool
+	}{
+		{"batch budget", Budget{}, Budget{MaxExpansions: 1}, false},
+		{"default budget, sql", Budget{MaxExpansions: 2}, Budget{SQL: true}, true},
+	} {
+		ex, err := NewExplainer(kb, Options{TopK: 10, Budget: tc.def})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{Budget: tc.batch})
+		for i, br := range out {
+			if br.Err != nil {
+				t.Fatalf("%s, pair %d: %v", tc.name, i, br.Err)
+			}
+			if !br.Result.Truncated {
+				t.Errorf("%s, pair %d: the budget did not truncate", tc.name, i)
+			}
+			if br.Elapsed <= 0 {
+				t.Errorf("%s, pair %d: Elapsed not populated", tc.name, i)
+			}
+			if tc.wantSQL && len(br.Result.Explanations) == 0 {
+				t.Errorf("%s, pair %d: no explanations to carry SQL", tc.name, i)
+			}
+			for _, e := range br.Result.Explanations {
+				if (e.SQL != "") != tc.wantSQL {
+					t.Errorf("%s, pair %d: SQL %q", tc.name, i, e.SQL)
+				}
+			}
 		}
 	}
 }

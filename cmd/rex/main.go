@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pathAlg   = fs.String("path", "prioritized", "path enumeration: naive, basic, prioritized")
 		unionAlg  = fs.String("union", "prune", "path union: basic, prune")
 		maxInst   = fs.Int("instances", 3, "max instances to print per explanation (0 = all)")
-		showSQL   = fs.Bool("sql", false, "print the distributional SQL for each explanation")
+		showSQL   = fs.Bool("sql", false, "render the distributional SQL for each explanation (printed, and included in -json output, which leaves it out otherwise)")
 		noPruning = fs.Bool("no-pruning", false, "disable ranking-time pruning")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON")
 		decorate  = fs.Bool("decorate", false, "attach non-essential context facts to each explanation")
@@ -107,7 +107,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOn {
 		ctx = rex.WithTrace(ctx)
 	}
-	res, err := ex.ExplainContext(ctx, *start, *end)
+	bud := ex.DefaultBudget()
+	bud.SQL = *showSQL
+	res, err := ex.ExplainBudgeted(ctx, *start, *end, bud)
 	if err != nil {
 		fmt.Fprintln(stderr, "rex:", err)
 		return 1

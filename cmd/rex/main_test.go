@@ -41,6 +41,40 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestRunSQL: -sql renders each explanation's SQL, printed and in -json
+// output, which has none without it.
+func TestRunSQL(t *testing.T) {
+	args := []string{"-start", "brad_pitt", "-end", "angelina_jolie", "-k", "2"}
+	for _, tc := range []struct {
+		flags   []string
+		wantSQL bool
+	}{
+		{[]string{"-json"}, false},
+		{[]string{"-json", "-sql"}, true},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(append(args, tc.flags...), &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr: %s", tc.flags, code, errOut.String())
+		}
+		var res rex.Result
+		if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+			t.Fatalf("%v: invalid JSON: %v\n%s", tc.flags, err, out.String())
+		}
+		for _, e := range res.Explanations {
+			if got := strings.HasPrefix(e.SQL, "SELECT "); got != tc.wantSQL {
+				t.Errorf("%v: SQL %q", tc.flags, e.SQL)
+			}
+		}
+		if got := strings.Contains(out.String(), `"SQL"`); got != tc.wantSQL {
+			t.Errorf("%v: \"SQL\" key present %v", tc.flags, got)
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run(append(args, "-sql"), &out, &errOut); code != 0 || !strings.Contains(out.String(), "distributional SQL:") {
+		t.Errorf("-sql: exit code %d, output:\n%s", code, out.String())
+	}
+}
+
 // TestRunErrors checks flag validation and unknown-entity exit codes.
 func TestRunErrors(t *testing.T) {
 	var out, errOut bytes.Buffer

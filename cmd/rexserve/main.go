@@ -4,7 +4,8 @@
 //	rexserve -kb entertainment.tsv -addr :8080 -timeout 2s -cache 4096
 //	rexserve -sample   # serve the built-in sample knowledge base
 //
-// Query endpoints (all JSON):
+// Query endpoints (all compact JSON; pipe a body through `jq .` to read
+// it indented):
 //
 //	GET  /explain?start=a&end=b   one pair (also POST {"start","end"})
 //	POST /batch                   {"pairs":[{"start","end"},...]}
@@ -17,6 +18,9 @@
 // "trace": true to a /batch body — includes a per-stage trace block in
 // each result: wall time, expansions, merges and cache activity per
 // pipeline stage, plus which stage consumed the budget on truncation.
+// Adding sql=1 (GET) or "sql": true (POST and /batch bodies) includes
+// each explanation's distributional SQL, which answers leave out
+// otherwise; the two answers are cached separately.
 //
 // Queries at or above -slow-threshold enter an in-memory forensics
 // ring served at GET /admin/slow (newest first), and optionally append

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := explainer.Explain("brad_pitt", "angelina_jolie")
+	// Explanation.SQL is rendered only for a query that asks for it.
+	res, err := explainer.ExplainBudgeted(context.Background(), "brad_pitt", "angelina_jolie", rex.Budget{SQL: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestAttemptAttributesByHeader(t *testing.T) {
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || resp.Header.Get(generationHeader) != "2" || !bytes.Contains(body, []byte(`"generation": 2,`)) {
+	if err != nil || resp.Header.Get(generationHeader) != "2" || !bytes.Contains(body, []byte(`"generation":2,`)) {
 		t.Fatalf("fixture: err %v, %s %q, body %s", err, generationHeader, resp.Header.Get(generationHeader), body)
 	}
 

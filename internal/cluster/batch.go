@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"rex/internal/httpjson"
 )
 
 // Batch routing. A /batch is scattered by ring ownership: each pair
@@ -29,6 +31,7 @@ type batchRequest struct {
 	BudgetMS         int64       `json:"budget_ms,omitempty"`
 	BudgetExpansions int         `json:"budget_expansions,omitempty"`
 	Trace            bool        `json:"trace,omitempty"`
+	SQL              bool        `json:"sql,omitempty"`
 }
 
 // batchWire is the replica /batch response with each entry kept as raw
@@ -59,23 +62,23 @@ const maxBatchBody = 32 << 20
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	reqID := requestID(r)
 	w.Header().Set("X-Request-Id", reqID)
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error()})
+		httpjson.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
+		httpjson.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
 	if len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "pairs must be non-empty"})
+		httpjson.WriteError(w, http.StatusBadRequest, "pairs must be non-empty")
 		return
 	}
 	t0 := time.Now()
@@ -92,7 +95,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Pairs {
 		chain := rt.candidates(queryKey(p.Start, p.End, req.BudgetMS, req.BudgetExpansions))
 		if len(chain) == 0 {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: errNoReplica.Error()})
+			httpjson.WriteError(w, http.StatusServiceUnavailable, errNoReplica.Error())
 			return
 		}
 		k := chain[0].name
@@ -114,7 +117,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(g *group) {
 			sb, _ := json.Marshal(batchRequest{
 				Pairs: g.pairs, BudgetMS: req.BudgetMS,
-				BudgetExpansions: req.BudgetExpansions, Trace: req.Trace,
+				BudgetExpansions: req.BudgetExpansions, Trace: req.Trace, SQL: req.SQL,
 			})
 			res, err := rt.trySequence(r.Context(), g.chain, http.MethodPost, "/batch", "", sb, reqID)
 			out <- subOut{subResult{indices: g.indices, res: res}, err}
@@ -128,7 +131,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for range groups {
 		o := <-out
 		if o.err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no replica answered: " + o.err.Error()})
+			httpjson.WriteError(w, http.StatusServiceUnavailable, "no replica answered: "+o.err.Error())
 			return
 		}
 		if o.sub.res.status != http.StatusOK {
@@ -140,7 +143,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	gathered, mixed, err := assembleBatch(len(req.Pairs), subs)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	if mixed {
@@ -149,7 +152,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.m.batchRepins.Inc()
 		res, err := rt.repinBatch(r, subs, body, reqID)
 		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "batch repin failed: " + err.Error()})
+			httpjson.WriteError(w, http.StatusServiceUnavailable, "batch repin failed: "+err.Error())
 			return
 		}
 		if res.status == http.StatusOK {
@@ -162,7 +165,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.lat.note(time.Since(t0))
 	gathered.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	w.Header().Set(generationHeader, strconv.FormatUint(gathered.Generation, 10))
-	writeJSON(w, http.StatusOK, gathered)
+	httpjson.Write(w, http.StatusOK, gathered)
 }
 
 // assembleBatch reorders sub-batch entries into request order and

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
+
+	"rex/internal/httpjson"
 )
 
 // Delta broadcast. The router is the single writer of the tier: one
@@ -63,12 +65,12 @@ type deltaResponse struct {
 
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxDeltaBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error()})
+		httpjson.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 
@@ -192,12 +194,10 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case rejected != nil:
 		rt.m.deltaBroadcasts.With("rejected").Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(rejected.status)
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck
+		httpjson.Write(w, rejected.status, resp)
 	case resp.Applied == 0:
 		rt.m.deltaBroadcasts.With("failed").Inc()
-		writeJSON(w, http.StatusBadGateway, resp)
+		httpjson.Write(w, http.StatusBadGateway, resp)
 	case failedHealthy:
 		// Some replica that looked healthy failed mid-broadcast. If it
 		// is *still* reachable the tier has silently diverged — refuse
@@ -214,19 +214,19 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		if stillUp {
 			rt.m.deltaBroadcasts.With("partial").Inc()
-			writeJSON(w, http.StatusBadGateway, resp)
+			httpjson.Write(w, http.StatusBadGateway, resp)
 			return
 		}
 		rt.m.deltaBroadcasts.With("ok").Inc()
 		rt.genFloor.lift(resp.Generation)
-		writeJSON(w, http.StatusOK, resp)
+		httpjson.Write(w, http.StatusOK, resp)
 	default:
 		rt.m.deltaBroadcasts.With("ok").Inc()
 		// The new generation is client-visible from this response on;
 		// lifting the floor here (not just at the next query) closes the
 		// window where a stale replica could answer below it.
 		rt.genFloor.lift(resp.Generation)
-		writeJSON(w, http.StatusOK, resp)
+		httpjson.Write(w, http.StatusOK, resp)
 	}
 }
 

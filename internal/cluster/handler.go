@@ -3,28 +3,17 @@ package cluster
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"rex/internal/httpjson"
 )
 
 // The router's HTTP surface mirrors the replica's where it proxies
 // (/explain, /batch, /admin/delta) and adds its own introspection
 // (/healthz over the whole tier, /metrics for the routing families).
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response already committed
-}
 
 // Handler builds the router's route table.
 func (rt *Router) Handler() http.Handler {
@@ -56,21 +45,11 @@ func requestID(r *http.Request) string {
 func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &httpjson.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		h(rec, r)
-		rt.m.requests.With(endpoint, strconv.Itoa(rec.status)).Inc()
+		rt.m.requests.With(endpoint, strconv.Itoa(rec.Status)).Inc()
 		rt.m.duration.With(endpoint).Observe(time.Since(t0).Seconds())
 	}
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // forward writes a replica's buffered answer to the client, unmodified
@@ -99,20 +78,20 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		var err error
 		if body, err = io.ReadAll(io.LimitReader(r.Body, 1<<20)); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error()})
+			httpjson.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
 			return
 		}
 	}
 	pq, err := parseExplain(r, body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := queryKey(pq.start, pq.end, pq.budgetMS, pq.budgetExp)
 	t0 := time.Now()
 	res, err := rt.routeQuery(r.Context(), rt.candidates(key), r.Method, "/explain", r.URL.RawQuery, body, reqID, pq.budgeted())
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no replica answered: " + err.Error()})
+		httpjson.WriteError(w, http.StatusServiceUnavailable, "no replica answered: "+err.Error())
 		return
 	}
 	if res.status == http.StatusOK {
@@ -145,7 +124,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	httpjson.Write(w, status, h)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -207,6 +207,76 @@ func TestRouterRoutesAndPinsByKey(t *testing.T) {
 	}
 }
 
+// TestRouterCarriesSQL: the sql opt-in reaches the replica through the
+// router on every query endpoint — as GET's query string, inside a POST
+// /explain body, and in each sub-batch the /batch scatter re-encodes —
+// and a request without it gets no SQL. The flag is not part of the
+// ring key, so a pair answers from one replica either way.
+func TestRouterCarriesSQL(t *testing.T) {
+	rt, _ := bootCluster(t, 3, nil)
+	h := rt.Handler()
+	sqlKey := `"SQL":`
+	owner := ""
+	for _, tc := range []struct {
+		method, target, body string
+		wantSQL              bool
+	}{
+		{http.MethodGet, "/explain?start=a&end=b", "", false},
+		{http.MethodGet, "/explain?start=a&end=b&sql=1", "", true},
+		{http.MethodPost, "/explain", `{"start":"a","end":"b"}`, false},
+		{http.MethodPost, "/explain", `{"start":"a","end":"b","sql":true}`, true},
+	} {
+		rec := routerDo(h, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s %s = %d: %s", tc.method, tc.target, tc.body, rec.Code, rec.Body)
+		}
+		if got := strings.Contains(rec.Body.String(), sqlKey); got != tc.wantSQL {
+			t.Errorf("%s %s %s: SQL present %v, want %v: %s", tc.method, tc.target, tc.body, got, tc.wantSQL, rec.Body)
+		}
+		replica := rec.Header().Get("X-Rex-Replica")
+		if owner == "" {
+			owner = replica
+		} else if replica != owner {
+			t.Errorf("%s %s %s answered from %s, the pair's owner is %s", tc.method, tc.target, tc.body, replica, owner)
+		}
+	}
+
+	pairs := `"pairs":[{"start":"a","end":"b"},{"start":"a","end":"c"},{"start":"a","end":"d"},{"start":"b","end":"c"},{"start":"c","end":"d"},{"start":"d","end":"b"}]`
+	for _, wantSQL := range []bool{false, true} {
+		body := `{` + pairs + `}`
+		if wantSQL {
+			body = `{` + pairs + `,"sql":true}`
+		}
+		rec := routerDo(h, http.MethodPost, "/batch", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch %s = %d: %s", body, rec.Code, rec.Body)
+		}
+		var resp struct {
+			Results []struct {
+				Result struct {
+					Explanations []struct{ SQL *string }
+				} `json:"result"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 6 {
+			t.Fatalf("batch: %d results, want 6", len(resp.Results))
+		}
+		for i, r := range resp.Results {
+			if len(r.Result.Explanations) == 0 {
+				t.Fatalf("batch entry %d has no explanations: %s", i, rec.Body)
+			}
+			for _, e := range r.Result.Explanations {
+				if got := e.SQL != nil && *e.SQL != ""; got != wantSQL {
+					t.Errorf("batch sql=%v, entry %d: SQL present %v", wantSQL, i, got)
+				}
+			}
+		}
+	}
+}
+
 func TestRouterDeltaBroadcastLiftsFloor(t *testing.T) {
 	rt, reps := bootCluster(t, 3, nil)
 	h := rt.Handler()

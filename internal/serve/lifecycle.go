@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"rex/internal/httpjson"
 )
 
 // Overload resilience and lifecycle: admission control bounds the
@@ -111,8 +113,7 @@ func (s *Server) admit(l *classLimiter, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !l.acquire(r.Context()) {
 			w.Header().Set("Retry-After", retryAfter())
-			writeJSON(w, http.StatusTooManyRequests,
-				errorResponse{Error: "server overloaded, retry later"})
+			httpjson.WriteError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}
 		defer l.release()
@@ -146,8 +147,7 @@ func (s *Server) recoverPanics(h http.Handler) http.Handler {
 				}
 				s.panics.Add(1)
 				log.Printf("rexserve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-				writeJSON(w, http.StatusInternalServerError,
-					errorResponse{Error: "internal server error"})
+				httpjson.WriteError(w, http.StatusInternalServerError, "internal server error")
 			}
 		}()
 		h.ServeHTTP(w, r)

@@ -1,16 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"net"
 	"net/http"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"rex"
+	"rex/internal/httpjson"
 	"rex/internal/obs"
 )
 
@@ -209,37 +208,16 @@ func (m *serverMetrics) observeTrace(rep *rex.QueryTrace) {
 	}
 }
 
-// statusRecorder captures the status code a handler wrote so the
-// request counter can label it.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Hijack forwards to the underlying writer so the transfer-cut
-// failpoint seams can kill a connection mid-body.
-func (w *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := w.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, http.ErrNotSupported
-}
-
 // instrument wraps a handler with the per-endpoint request counter,
 // latency histogram and in-flight gauge.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inflight.Add(1)
 		t0 := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &httpjson.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		h(rec, r)
 		s.metrics.inflight.Add(-1)
-		s.metrics.httpRequests.With(endpoint, strconv.Itoa(rec.status)).Inc()
+		s.metrics.httpRequests.With(endpoint, strconv.Itoa(rec.Status)).Inc()
 		s.metrics.httpDuration.With(endpoint).Observe(time.Since(t0).Seconds())
 	}
 }
@@ -264,7 +242,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeAdmin(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, slowResponse{
+	httpjson.Write(w, http.StatusOK, slowResponse{
 		ThresholdMS: float64(s.slow.Threshold()) / 1e6,
 		Total:       s.slow.Total(),
 		Entries:     s.slow.Entries(),

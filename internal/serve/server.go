@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"rex"
+	"rex/internal/httpjson"
 	"rex/internal/obs"
 	rexsync "rex/internal/sync"
 )
@@ -143,7 +144,7 @@ func (s *Server) authorizeAdmin(w http.ResponseWriter, r *http.Request) bool {
 	}
 	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 	if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(s.adminToken)) != 1 {
-		writeJSON(w, http.StatusUnauthorized, errorResponse{Error: "missing or invalid admin token"})
+		httpjson.WriteError(w, http.StatusUnauthorized, "missing or invalid admin token")
 		return false
 	}
 	return true
@@ -193,7 +194,8 @@ func (s *Server) Handler() http.Handler {
 // without reading the body.
 const GenerationHeader = "X-Rex-Generation"
 
-// explainBufs pools the buffers writeExplain assembles responses in.
+// explainBufs pools the buffers /explain and /batch answers are
+// assembled in.
 var explainBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledExplainBuf keeps one oversized answer from pinning its
@@ -205,31 +207,74 @@ const maxPooledExplainBuf = 1 << 20
 // generation and fingerprint of the snapshot that computed it — so
 // clients and the swap-under-traffic tests can correlate answers with
 // KB versions — and the elapsed time, sent with a Content-Length and
-// GenerationHeader. The body is byte for byte what a json.Encoder with
-// a two-space indent writes for an object of "result", "truncated",
-// "generation", "fingerprint" and "elapsed_ms" in that order
+// GenerationHeader. The body is byte for byte what json.NewEncoder(w)
+// writes for an object of "result", "truncated", "generation",
+// "fingerprint" and "elapsed_ms" in that order
 // (TestWriteExplainMatchesEncoder), but the result arrives already
 // encoded (rex.Result.AppendJSON) and the four scalars are appended by
 // hand, so a cache hit costs a copy and not an encoding.
 func writeExplain(w http.ResponseWriter, res *rex.Result, generation uint64, fingerprint string, elapsed time.Duration) {
 	buf := explainBufs.Get().(*[]byte)
-	b, err := res.AppendJSON(append((*buf)[:0], "{\n  \"result\": "...))
+	b, err := res.AppendJSON(append((*buf)[:0], `{"result":`...))
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encoding result: " + err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, "encoding result: "+err.Error())
 		return
 	}
-	b = append(b, ",\n  \"truncated\": "...)
+	b = append(b, `,"truncated":`...)
 	b = strconv.AppendBool(b, res.Truncated)
-	b = append(b, ",\n  \"generation\": "...)
+	writeAssembled(w, buf, b, generation, fingerprint, elapsed)
+}
+
+// writeBatch is the one writer of a 200 /batch: one entry per pair, in
+// request order, each carrying either that pair's result — its cached
+// encoding, as /explain sends it — or its error, in the envelope
+// /explain has. The body is byte for byte what json.NewEncoder(w)
+// writes for the same value (TestWriteBatchMatchesEncoder).
+func writeBatch(w http.ResponseWriter, results []rex.BatchResult, generation uint64, fingerprint string, elapsed time.Duration) {
+	buf := explainBufs.Get().(*[]byte)
+	b := append((*buf)[:0], `{"results":[`...)
+	for i, br := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"start":`...)
+		b = appendJSONString(b, br.Pair.Start)
+		b = append(b, `,"end":`...)
+		b = appendJSONString(b, br.Pair.End)
+		if br.Result != nil {
+			var err error
+			if b, err = br.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
+				httpjson.WriteError(w, http.StatusInternalServerError, "encoding result: "+err.Error())
+				return
+			}
+			if br.Result.Truncated {
+				b = append(b, `,"truncated":true`...)
+			}
+		}
+		if br.Err != nil {
+			b = appendJSONString(append(b, `,"error":`...), br.Err.Error())
+		}
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	writeAssembled(w, buf, b, generation, fingerprint, elapsed)
+}
+
+// writeAssembled closes an answer body b with the generation,
+// fingerprint and elapsed fields every 200 query answer ends with and
+// sends it with its length and GenerationHeader, then returns buf, the
+// pooled buffer b was built in, to the pool.
+func writeAssembled(w http.ResponseWriter, buf *[]byte, b []byte, generation uint64, fingerprint string, elapsed time.Duration) {
+	b = append(b, `,"generation":`...)
 	b = strconv.AppendUint(b, generation, 10)
-	b = append(b, ",\n  \"fingerprint\": "...)
+	b = append(b, `,"fingerprint":`...)
 	b = appendJSONString(b, fingerprint)
-	b = append(b, ",\n  \"elapsed_ms\": "...)
+	b = append(b, `,"elapsed_ms":`...)
 	// Whole microseconds over 1000 are 0 or at least 0.001, and far below
 	// 1e21: the range where encoding/json also prints 'f' with the
 	// shortest digits.
 	b = strconv.AppendFloat(b, float64(elapsed.Microseconds())/1000, 'f', -1, 64)
-	b = append(b, "\n}\n"...)
+	b = append(b, "}\n"...)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -243,9 +288,9 @@ func writeExplain(w http.ResponseWriter, res *rex.Result, generation uint64, fin
 	}
 }
 
-// appendJSONString appends s as encoding/json quotes it. A fingerprint
-// is sixteen hex digits, which need no escaping; anything else takes
-// the encoder's own path.
+// appendJSONString appends s as encoding/json quotes it. Fingerprints
+// and entity names seldom need escaping; anything that does takes the
+// encoder's own path.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
@@ -260,7 +305,8 @@ func appendJSONString(b []byte, s string) []byte {
 
 // budgetRequest carries the per-request work budget accepted by
 // /explain (query parameters or JSON body fields) and /batch (top-level
-// body fields, applied to every pair). Zero values fall back to the
+// body fields, applied to every pair), and the sql flag, which the
+// facade carries in the same rex.Budget. Zero bounds fall back to the
 // server's default budget flags.
 type budgetRequest struct {
 	// BudgetMS bounds the query's wall-clock milliseconds; on expiry
@@ -269,13 +315,31 @@ type budgetRequest struct {
 	// BudgetExpansions bounds enumeration node expansions —
 	// deterministic truncation, unlike the wall-clock budget.
 	BudgetExpansions int `json:"budget_expansions"`
+	// SQL asks for each explanation's distributional SQL (sql=1, or
+	// "sql": true in a body); answers leave it out otherwise.
+	SQL bool `json:"sql"`
 }
 
+// budget is the request's own budget, SQL flag included. BatchExplain
+// resolves a budget that bounds nothing against the default itself;
+// ExplainBudgeted does not, so /explain resolves it with explainBudget.
 func (b budgetRequest) budget() rex.Budget {
 	return rex.Budget{
 		MaxExpansions: b.BudgetExpansions,
 		Timeout:       time.Duration(b.BudgetMS) * time.Millisecond,
+		SQL:           b.SQL,
 	}
+}
+
+// explainBudget is the request's budget, or ex's default bounds when
+// the request bounds nothing.
+func (b budgetRequest) explainBudget(ex *rex.Explainer) rex.Budget {
+	if b.BudgetExpansions == 0 && b.BudgetMS == 0 {
+		bud := ex.DefaultBudget()
+		bud.SQL = b.SQL
+		return bud
+	}
+	return b.budget()
 }
 
 // validate rejects nonsensical budgets so a client typo (a negative
@@ -291,9 +355,10 @@ func (b budgetRequest) validate() error {
 	return nil
 }
 
-// parseBudgetQuery reads the budget knobs from URL query parameters.
+// parseBudgetQuery reads the budget knobs and the sql flag from URL
+// query parameters.
 func parseBudgetQuery(q url.Values) (budgetRequest, error) {
-	var b budgetRequest
+	b := budgetRequest{SQL: q.Get("sql") == "1"}
 	if v := q.Get("budget_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -311,37 +376,53 @@ func parseBudgetQuery(q url.Values) (budgetRequest, error) {
 	return b, b.validate()
 }
 
-// errorResponse is the JSON error shape of every endpoint.
-type errorResponse struct {
-	Error string `json:"error"`
+// explainRequest is the POST /explain input.
+type explainRequest struct {
+	rex.Pair
+	budgetRequest
+	// Trace includes the per-stage trace in the result.
+	Trace bool `json:"trace"`
 }
 
-// batchRequest is the /batch input. The budget fields apply to every
-// pair of the batch.
+// decodeExplainBody reads a POST /explain body. A refused body comes
+// back with the status to answer it with.
+func decodeExplainBody(r io.Reader) (explainRequest, int, error) {
+	var req explainRequest
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return req, decodeStatus(err), fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if err := req.validate(); err != nil {
+		return req, http.StatusBadRequest, err
+	}
+	return req, http.StatusOK, nil
+}
+
+// batchRequest is the /batch input. The budget fields and the sql flag
+// apply to every pair of the batch.
 type batchRequest struct {
-	Pairs            []rex.Pair `json:"pairs"`
-	BudgetMS         int64      `json:"budget_ms"`
-	BudgetExpansions int        `json:"budget_expansions"`
+	Pairs []rex.Pair `json:"pairs"`
+	budgetRequest
 	// Trace includes each pair's per-stage trace in its result.
 	Trace bool `json:"trace"`
 }
 
-// batchResponse is the /batch output: one entry per requested pair, in
-// request order, each carrying either a result or that pair's error.
-// The whole batch runs on one pinned snapshot.
-type batchResponse struct {
-	Results     []batchEntry `json:"results"`
-	Generation  uint64       `json:"generation"`
-	Fingerprint string       `json:"fingerprint"`
-	ElapsedMS   float64      `json:"elapsed_ms"`
-}
-
-type batchEntry struct {
-	Start     string      `json:"start"`
-	End       string      `json:"end"`
-	Result    *rex.Result `json:"result,omitempty"`
-	Truncated bool        `json:"truncated,omitempty"`
-	Error     string      `json:"error,omitempty"`
+// decodeBatchBody reads a /batch body of at most maxBatch pairs. A
+// refused body comes back with the status to answer it with.
+func decodeBatchBody(r io.Reader, maxBatch int) (batchRequest, int, error) {
+	var req batchRequest
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return req, decodeStatus(err), fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if len(req.Pairs) == 0 {
+		return req, http.StatusBadRequest, errors.New("pairs must be non-empty")
+	}
+	if len(req.Pairs) > maxBatch {
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d exceeds limit %d", len(req.Pairs), maxBatch)
+	}
+	if err := req.validate(); err != nil {
+		return req, http.StatusBadRequest, err
+	}
+	return req, http.StatusOK, nil
 }
 
 // swapResponse reports a completed snapshot swap from the admin
@@ -382,14 +463,6 @@ func swapResponseOf(info rex.SwapInfo) swapResponse {
 		Compacted:    info.Compacted,
 		OverlayDepth: info.OverlayDepth,
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
 }
 
 // decodeStatus distinguishes an oversized request body (413) from
@@ -436,45 +509,34 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 // handleExplain answers GET /explain?start=a&end=b and the equivalent
 // POST with a JSON {"start","end"} body. Both forms accept the
-// per-request budget knobs budget_ms and budget_expansions; requests
-// without them run under the server's default budget flags.
+// per-request budget knobs budget_ms and budget_expansions (requests
+// without them run under the server's default budget flags) and the
+// trace and sql flags.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var p rex.Pair
-	var bud budgetRequest
-	var wantTrace bool
+	var req explainRequest
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		p.Start = q.Get("start")
-		p.End = q.Get("end")
-		wantTrace = q.Get("trace") == "1"
 		var err error
-		if bud, err = parseBudgetQuery(q); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		if req.budgetRequest, err = parseBudgetQuery(q); err != nil {
+			httpjson.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		req.Start, req.End, req.Trace = q.Get("start"), q.Get("end"), q.Get("trace") == "1"
 	case http.MethodPost:
-		body := http.MaxBytesReader(w, r.Body, 1<<20)
-		var req struct {
-			rex.Pair
-			budgetRequest
-			Trace bool `json:"trace"`
-		}
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			writeJSON(w, decodeStatus(err), errorResponse{Error: "invalid JSON body: " + err.Error()})
-			return
-		}
-		p, bud, wantTrace = req.Pair, req.budgetRequest, req.Trace
-		if err := bud.validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		var status int
+		var err error
+		if req, status, err = decodeExplainBody(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
+			httpjson.WriteError(w, status, err.Error())
 			return
 		}
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET or POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
+	p, bud := req.Pair, req.budgetRequest
 	if p.Start == "" || p.End == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "start and end are required"})
+		httpjson.WriteError(w, http.StatusBadRequest, "start and end are required")
 		return
 	}
 	if !s.refuseWhileSyncing(w) {
@@ -484,7 +546,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// injected stall is a lagging one — both before any engine work, so
 	// faults never corrupt state.
 	if err := s.failpoint(FailRespond); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	reqID := RequestIDFrom(r.Context())
@@ -497,23 +559,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx = rex.WithTrace(ctx)
 	snap := s.store.Current() // pin one KB version for the whole request
 	t0 := time.Now()
-	var res *rex.Result
-	var err error
-	if b := bud.budget(); b != (rex.Budget{}) {
-		res, err = snap.Explainer.ExplainBudgeted(ctx, p.Start, p.End, b)
-	} else {
-		res, err = snap.Explainer.ExplainContext(ctx, p.Start, p.End)
-	}
+	res, err := snap.Explainer.ExplainBudgeted(ctx, p.Start, p.End, bud.explainBudget(snap.Explainer))
 	s.note(err)
 	if res != nil && res.Trace != nil {
 		res.Trace.RequestID = reqID // the trace is a private per-query report
 	}
 	s.noteQuery("/explain", reqID, p, bud, res, err, time.Since(t0), snap.Generation)
 	if err != nil {
-		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	if !wantTrace {
+	if !req.Trace {
 		// tracedResult hands each caller a private shallow copy, so
 		// clearing the report cannot corrupt cached results.
 		res.Trace = nil
@@ -526,37 +582,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // error isolation. All pairs run on the same pinned snapshot.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	// Bound the body before decoding: the pair-count limit below cannot
+	// Bound the body before decoding: the pair-count limit cannot
 	// protect memory once an unbounded payload has been parsed. Entity
 	// names are short, so 1 KiB per allowed pair is generous.
 	body := http.MaxBytesReader(w, r.Body, 1<<20+int64(s.maxBatch)*1024)
-	var req batchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, decodeStatus(err), errorResponse{Error: "invalid JSON body: " + err.Error()})
-		return
-	}
-	if len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "pairs must be non-empty"})
-		return
-	}
-	if len(req.Pairs) > s.maxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Pairs), s.maxBatch)})
-		return
-	}
-	bud := budgetRequest{BudgetMS: req.BudgetMS, BudgetExpansions: req.BudgetExpansions}
-	if err := bud.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	req, status, err := decodeBatchBody(body, s.maxBatch)
+	if err != nil {
+		httpjson.WriteError(w, status, err.Error())
 		return
 	}
 	if !s.refuseWhileSyncing(w) {
 		return
 	}
 	if err := s.failpoint(FailRespond); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	reqID := RequestIDFrom(r.Context())
@@ -567,13 +609,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Traced gives every pair its own trace (stage histograms, slow
 	// log); the request's trace flag decides whether reports reach the
 	// response.
+	bud := req.budgetRequest
 	results := snap.Explainer.BatchExplain(ctx, req.Pairs, rex.BatchOptions{Budget: bud.budget(), Traced: true})
-	resp := batchResponse{
-		Results:     make([]batchEntry, len(results)),
-		Generation:  snap.Generation,
-		Fingerprint: snap.Fingerprint,
-	}
-	for i, br := range results {
+	for _, br := range results {
 		s.note(br.Err)
 		// Per-pair wall time comes from the trace; the request-level
 		// elapsed would blame every pair for the whole batch.
@@ -583,23 +621,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			pairElapsed = time.Duration(br.Result.Trace.TotalMS * float64(time.Millisecond))
 		}
 		s.noteQuery("/batch", reqID, br.Pair, bud, br.Result, br.Err, pairElapsed, snap.Generation)
-		entry := batchEntry{Start: br.Pair.Start, End: br.Pair.End, Result: br.Result}
-		if br.Result != nil {
-			entry.Truncated = br.Result.Truncated
-			if !req.Trace {
-				// Traced results are private shallow copies, so
-				// stripping the report cannot touch cached entries.
-				br.Result.Trace = nil
-			}
+		if br.Result != nil && !req.Trace {
+			// Traced results are private shallow copies, so stripping
+			// the report cannot touch cached entries.
+			br.Result.Trace = nil
 		}
-		if br.Err != nil {
-			entry.Error = br.Err.Error()
-		}
-		resp.Results[i] = entry
 	}
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	w.Header().Set(GenerationHeader, strconv.FormatUint(snap.Generation, 10))
-	writeJSON(w, http.StatusOK, resp)
+	writeBatch(w, results, snap.Generation, snap.Fingerprint, time.Since(t0))
 }
 
 // handleAdminDelta answers POST /admin/delta: the body is a streamed
@@ -610,7 +638,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the active snapshot is unchanged (422 for parse/apply failures).
 func (s *Server) handleAdminDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if !s.refuseDuringDrain(w) || !s.authorizeAdmin(w, r) {
@@ -624,11 +652,11 @@ func (s *Server) handleAdminDelta(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, status, err.Error())
 		return
 	}
 	s.deltas.Add(1)
-	writeJSON(w, http.StatusOK, swapResponseOf(info))
+	httpjson.Write(w, http.StatusOK, swapResponseOf(info))
 }
 
 // handleAdminReload answers POST /admin/reload: re-read the knowledge
@@ -637,24 +665,23 @@ func (s *Server) handleAdminDelta(w http.ResponseWriter, r *http.Request) {
 // authoritative file have diverged.
 func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if !s.refuseDuringDrain(w) || !s.authorizeAdmin(w, r) {
 		return
 	}
 	if s.kbPath == "" {
-		writeJSON(w, http.StatusConflict,
-			errorResponse{Error: "server is serving a built-in knowledge base; start with -kb to enable reload"})
+		httpjson.WriteError(w, http.StatusConflict, "server is serving a built-in knowledge base; start with -kb to enable reload")
 		return
 	}
 	info, err := s.store.ReloadFrom(s.kbPath)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.reloads.Add(1)
-	writeJSON(w, http.StatusOK, swapResponseOf(info))
+	httpjson.Write(w, http.StatusOK, swapResponseOf(info))
 }
 
 // refuseDuringDrain sheds a mutating admin request while the server is
@@ -668,8 +695,7 @@ func (s *Server) refuseDuringDrain(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return true
 	}
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorResponse{Error: "server is draining; mutations refused"})
+	httpjson.WriteError(w, http.StatusServiceUnavailable, "server is draining; mutations refused")
 	return false
 }
 
@@ -714,7 +740,7 @@ func liveStatsOf(ls rex.LiveStats) liveStats {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Current()
-	writeJSON(w, http.StatusOK, statsResponse{
+	httpjson.Write(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Version: versionInfo{
 			Generation:  snap.Generation,
@@ -755,7 +781,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Chaos seam: a flapping health endpoint while the query path still
 	// works — the health checker's view and the client's view diverge.
 	if err := s.failpoint(FailHealthz); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	snap := s.store.Current()
@@ -776,8 +802,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		resp.Status = "draining"
 		resp.Draining = true
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		httpjson.Write(w, http.StatusServiceUnavailable, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rex"
+	"rex/internal/httpjson"
 	rexsync "rex/internal/sync"
 )
 
@@ -67,8 +68,7 @@ func (s *Server) refuseWhileSyncing(w http.ResponseWriter) bool {
 		return true
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorResponse{Error: "replica is catching up; stale answers are disabled"})
+	httpjson.WriteError(w, http.StatusServiceUnavailable, "replica is catching up; stale answers are disabled")
 	return false
 }
 
@@ -103,19 +103,19 @@ func hijackCut(w http.ResponseWriter, headers [][2]string, total int64, partial 
 // peer which generation it is installing.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if !s.authorizeAdmin(w, r) {
 		return
 	}
 	if err := s.failpoint(FailSnapshot); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	h, err := s.store.SyncCheckpoint()
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	defer h.Close() //nolint:errcheck // read-only handle
@@ -146,7 +146,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // the full snapshot first.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use GET"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if !s.authorizeAdmin(w, r) {
@@ -154,11 +154,11 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "from must be a generation number"})
+		httpjson.WriteError(w, http.StatusBadRequest, "from must be a generation number")
 		return
 	}
 	if err := s.failpoint(FailWALStream); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// The tail streams straight from the WAL file — the handler never
@@ -167,12 +167,11 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	// sits outside the admission limiter).
 	tail, size, records, err := s.store.WALTailReader(from)
 	if errors.Is(err, rex.ErrBelowWALHorizon) {
-		writeJSON(w, http.StatusGone,
-			errorResponse{Error: fmt.Sprintf("generation %d is below the checkpoint horizon; fetch /admin/snapshot", from)})
+		httpjson.WriteError(w, http.StatusGone, fmt.Sprintf("generation %d is below the checkpoint horizon; fetch /admin/snapshot", from))
 		return
 	}
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpjson.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	defer tail.Close() //nolint:errcheck // read-only descriptor
@@ -212,7 +211,7 @@ type syncTriggerResponse struct {
 // source; without it the engine probes its configured peers.
 func (s *Server) handleSyncTrigger(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if !s.refuseDuringDrain(w) || !s.authorizeAdmin(w, r) {
@@ -220,13 +219,12 @@ func (s *Server) handleSyncTrigger(w http.ResponseWriter, r *http.Request) {
 	}
 	e := s.syncEngine()
 	if e == nil {
-		writeJSON(w, http.StatusConflict,
-			errorResponse{Error: "no sync engine configured; start with -peers"})
+		httpjson.WriteError(w, http.StatusConflict, "no sync engine configured; start with -peers")
 		return
 	}
 	peer := r.URL.Query().Get("peer")
 	if e.Syncing() {
-		writeJSON(w, http.StatusOK, syncTriggerResponse{Status: "already syncing", Peer: peer})
+		httpjson.Write(w, http.StatusOK, syncTriggerResponse{Status: "already syncing", Peer: peer})
 		return
 	}
 	go func() {
@@ -235,7 +233,7 @@ func (s *Server) handleSyncTrigger(w http.ResponseWriter, r *http.Request) {
 			s.logSyncFailure(err)
 		}
 	}()
-	writeJSON(w, http.StatusAccepted, syncTriggerResponse{Status: "sync started", Peer: peer})
+	httpjson.Write(w, http.StatusAccepted, syncTriggerResponse{Status: "sync started", Peer: peer})
 }
 
 // logSyncFailure counts a failed admin-triggered sync; the engine's own

@@ -267,6 +267,11 @@ type Budget struct {
 	// timeout returns the truncated best-so-far result. Timeout
 	// truncation is timing-dependent, so such results are never cached.
 	Timeout time.Duration
+	// SQL renders Explanation.SQL for this request only: it bounds no
+	// work, is part of the query key, and is cleared in Options.Budget.
+	// A budget with only SQL set runs unbounded in ExplainBudgeted; for
+	// the default bounds plus SQL use b := ex.DefaultBudget(); b.SQL = true.
+	SQL bool
 }
 
 // active reports whether the budget can truncate at all.
@@ -285,6 +290,7 @@ func (b Budget) normalized() Budget {
 
 func (o Options) normalized() Options {
 	o.Budget = o.Budget.normalized()
+	o.Budget.SQL = false // SQL is asked for per request, never by default
 	if o.MaxPatternSize <= 0 {
 		o.MaxPatternSize = 5
 	}
@@ -416,8 +422,10 @@ type Explanation struct {
 	// pattern for display ("brad_pitt --spouse-- angelina_jolie; ...").
 	Description string
 	// SQL is the paper-style SQL query whose groups compute the local
-	// count distribution of this pattern (Section 5.3.2).
-	SQL string
+	// count distribution of this pattern (Section 5.3.2), rendered only
+	// for a query whose Budget asks for it (Budget.SQL) and empty and
+	// left out of the JSON encoding otherwise.
+	SQL string `json:",omitempty"`
 	// IsPath reports whether the pattern is a simple path.
 	IsPath bool
 	// Size is the number of pattern nodes including the targets.
@@ -470,16 +478,15 @@ type resultJSON struct {
 	err  error
 }
 
-// AppendJSON appends to dst exactly the bytes of
-// json.MarshalIndent(r, "  ", "  ") — the result as it sits one level
-// inside an indented response envelope — and returns the extended
-// slice. For a result an Explainer computed, everything but the Trace
-// is encoded on the first call and copied on every later one, from any
-// copy of the result and on any goroutine; a Trace is per caller, so it
-// is encoded per call and spliced in as the last field. Callers that
-// never ask pay nothing. The bytes are of the result as computed:
-// results are shared and read-only (see ExplainContext), and a copy
-// modified anyway still appends what was computed.
+// AppendJSON appends to dst exactly the bytes of json.Marshal(r) and
+// returns the extended slice. For a result an Explainer computed,
+// everything but the Trace is encoded on the first call and copied on
+// every later one, from any copy of the result and on any goroutine; a
+// Trace is per caller, so it is encoded per call and spliced in as the
+// last field. Callers that never ask pay nothing. The bytes are of the
+// result as computed: results are shared and read-only (see
+// ExplainContext), and a copy modified anyway still appends what was
+// computed.
 func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	body, err := r.bareJSON()
 	if err != nil {
@@ -488,17 +495,16 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	if r.Trace == nil {
 		return append(dst, body...), nil
 	}
-	trace, err := json.MarshalIndent(r.Trace, "    ", "  ")
+	trace, err := json.Marshal(r.Trace)
 	if err != nil {
 		return dst, err
 	}
-	// No Result field is omitempty, so body always ends a non-empty
-	// object: a newline, the prefix and the closing brace.
-	const closing = "\n  }"
-	dst = append(dst, body[:len(body)-len(closing)]...)
-	dst = append(dst, ",\n    \"trace\": "...)
+	// No Result field but Trace is omitempty, so body always ends a
+	// non-empty object and the trace goes in before its closing brace.
+	dst = append(dst, body[:len(body)-1]...)
+	dst = append(dst, `,"trace":`...)
 	dst = append(dst, trace...)
-	return append(dst, closing...), nil
+	return append(dst, '}'), nil
 }
 
 // bareJSON returns the encoding of r without its Trace, shared and
@@ -514,7 +520,7 @@ func (r *Result) bareJSON() ([]byte, error) {
 func (r *Result) marshalBare() ([]byte, error) {
 	bare := *r
 	bare.Trace = nil
-	return json.MarshalIndent(&bare, "  ", "  ")
+	return json.Marshal(&bare)
 }
 
 // Explain enumerates and ranks relationship explanations between two
@@ -522,6 +528,10 @@ func (r *Result) marshalBare() ([]byte, error) {
 func (e *Explainer) Explain(start, end string) (*Result, error) {
 	return e.ExplainContext(context.Background(), start, end)
 }
+
+// DefaultBudget returns the budget ExplainContext runs under:
+// Options.Budget, normalized.
+func (e *Explainer) DefaultBudget() Budget { return e.opt.Budget }
 
 // ExplainContext enumerates and ranks relationship explanations between
 // two named entities under a context: cancellation or an expired deadline
@@ -545,7 +555,8 @@ var testHookComputeStart func(key string)
 // overriding Options.Budget: when the budget expires the query returns
 // the best explanations found so far with Result.Truncated set (see
 // Budget). A zero budget runs to exhaustion and is byte-identical to an
-// unbudgeted query.
+// unbudgeted query, and so does one that only sets SQL: b does not
+// inherit Options.Budget's bounds (start from DefaultBudget for that).
 func (e *Explainer) ExplainBudgeted(ctx context.Context, start, end string, b Budget) (*Result, error) {
 	b = b.normalized()
 	if err := ctx.Err(); err != nil {
@@ -651,7 +662,7 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 
 	res := &Result{Start: start, End: end, Measure: e.m.Name(), Truncated: truncated, enc: new(resultJSON)}
 	for _, r := range ranked {
-		res.Explanations = append(res.Explanations, e.render(r))
+		res.Explanations = append(res.Explanations, e.render(r, b.SQL))
 	}
 	return res, nil
 }
@@ -662,14 +673,19 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 // budget identifies the computation. Length-prefixing makes the key
 // unambiguous for arbitrary entity names — no separator byte needs to
 // be excluded — and unbudgeted queries keep the historical pair-only
-// key shape. It runs on every lookup, so it is one concatenation: no
-// fmt, and strconv.Itoa does not allocate below 100.
+// key shape. An answer with SQL is a different answer, so it is a
+// different entry. It runs on every lookup, so it is one
+// concatenation: no fmt, and strconv.Itoa does not allocate below 100.
 func (e *Explainer) queryKey(start, end string, b Budget) string {
 	budget := ""
 	if b.active() {
 		budget = "|x" + strconv.Itoa(b.MaxExpansions) + "|t" + strconv.FormatInt(int64(b.Timeout), 10)
 	}
-	return strconv.Itoa(len(start)) + ":" + start + strconv.Itoa(len(end)) + ":" + end + budget
+	sql := ""
+	if b.SQL {
+		sql = "|sql"
+	}
+	return strconv.Itoa(len(start)) + ":" + start + strconv.Itoa(len(end)) + ":" + end + budget + sql
 }
 
 func isLimited(m measure.Measure) bool {
@@ -690,8 +706,9 @@ func needsGlobalSamples(m measure.Measure) bool {
 	return false
 }
 
-// render converts an internal ranked explanation to the public shape.
-func (e *Explainer) render(r rank.Ranked) Explanation {
+// render converts an internal ranked explanation to the public shape,
+// with its distributional SQL when the query asked for it.
+func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
 	g := e.kb.g
 	ex := r.Ex
 	out := Explanation{
@@ -701,7 +718,9 @@ func (e *Explainer) render(r rank.Ranked) Explanation {
 		NumInstances: ex.Count(),
 		Monocount:    ex.Monocount(),
 		Score:        append([]float64{}, r.Score...),
-		SQL:          relstore.SQL(g, ex.P, ex.Count(), -1),
+	}
+	if sql {
+		out.SQL = relstore.SQL(g, ex.P, ex.Count(), -1)
 	}
 	if len(ex.Instances) > 0 {
 		out.Description = ex.P.Describe(g, ex.Instances[0])

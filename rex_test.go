@@ -2,6 +2,7 @@ package rex
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,8 +176,8 @@ func TestExplainBasics(t *testing.T) {
 	if len(top.Instances) != 1 || top.Instances[0].Bindings[0] != "brad_pitt" {
 		t.Errorf("instances rendered wrong: %+v", top.Instances)
 	}
-	if !strings.Contains(top.SQL, "spouse") {
-		t.Errorf("SQL rendering missing label: %s", top.SQL)
+	if top.SQL != "" {
+		t.Errorf("SQL rendered for a query that did not ask: %s", top.SQL)
 	}
 	if top.Description == "" {
 		t.Error("empty description")
@@ -185,6 +186,13 @@ func TestExplainBasics(t *testing.T) {
 		if len(e.Instances) > 2 {
 			t.Errorf("instance truncation ignored: %d", len(e.Instances))
 		}
+	}
+	withSQL, err := ex.ExplainBudgeted(context.Background(), "brad_pitt", "angelina_jolie", Budget{SQL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sql := withSQL.Explanations[0].SQL; !strings.Contains(sql, "spouse") {
+		t.Errorf("SQL rendering missing label: %s", sql)
 	}
 }
 
