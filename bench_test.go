@@ -784,14 +784,17 @@ func BenchmarkStoreApplyNodeDelta(b *testing.B) {
 // BenchmarkExplainUncached times one uncached query end to end — the
 // engine, with no result cache in front of it — at both scales: on the
 // repository benchmark's KB its heaviest film pair, and at the paper's
-// scale a film pair that answers in well under a second.
+// scale a film pair that answers in well under a second and the hub pair
+// whose union sets the preset's slowest query.
 func BenchmarkExplainUncached(b *testing.B) {
-	for _, c := range []struct{ preset, start, end string }{
+	for _, c := range []struct{ name, start, end string }{
 		{"medium", "film_5972", "film_4871"},
 		{"million", "film_36414", "film_65793"},
+		{"million-hub", "film_52640", "actor_0000"},
 	} {
-		b.Run(c.preset, func(b *testing.B) {
-			g := benchGraph(b, c.preset)
+		b.Run(c.name, func(b *testing.B) {
+			preset, _, _ := strings.Cut(c.name, "-")
+			g := benchGraph(b, preset)
 			g.Freeze()
 			ex, err := NewExplainer(&KB{g: g}, Options{CacheSize: 0})
 			if err != nil {

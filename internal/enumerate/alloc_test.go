@@ -1,7 +1,10 @@
 package enumerate
 
 import (
+	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"rex/internal/kbgen"
 )
@@ -42,5 +45,40 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 		if allocs > enumerateAllocBudget {
 			t.Errorf("%s: steady-state Explanations allocates %.0f times per op; budget %d", route, allocs, enumerateAllocBudget)
 		}
+	}
+}
+
+// TestPathUnionPruneAllocBound holds the steady-state union stage on the
+// benchmark's heaviest medium pair (film_5972→film_4871, the
+// BenchmarkPathUnionPrune workload) to what it allocated with a hash
+// index built per join: at most 73 776 B and 333 allocations an op.
+// The per-run binding index lives in the merger's pooled storage, so a
+// warm state pays only for the explanations the union returns.
+func TestPathUnionPruneAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
+	}
+	const maxBytes, maxAllocs = 73776, 333
+	g := benchGraph()
+	cfg := Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}.normalized()
+	paths := Paths(g, g.NodeByName("film_5972"), g.NodeByName("film_4871"), cfg)
+	st := newEnumState()
+	ctx := context.Background()
+	union := func() {
+		if _, _, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, union)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun runs the function once more to warm up.
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("pathUnionPrune: %.0f B and %.0f allocs an op", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("pathUnionPrune allocates %.0f B and %.0f times an op; bound %d B, %d allocs", bytes, allocs, maxBytes, maxAllocs)
 	}
 }

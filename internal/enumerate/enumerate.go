@@ -423,9 +423,6 @@ func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanat
 		backs[gid] = b
 		ex.Instances = append(ex.Instances, pattern.Instance(b[off:len(b):len(b)]))
 	}
-	for _, ex := range out {
-		ex.Sign()
-	}
 	sortExplanations(out)
 	return out
 }

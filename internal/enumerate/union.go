@@ -16,11 +16,16 @@ import (
 // minimal pattern surfaces exactly once — at the ring equal to its
 // minimal covering cardinality minus one.
 //
-// Both algorithms drive the pattern.Merger with a key-first protocol:
-// the canonical key of each merge candidate is computed in reused
-// scratch before any instance work, so a candidate that duplicates an
-// already-committed pattern costs no instance join and no allocation,
-// and only explanations that enter the result are ever materialised.
+// Both algorithms drive the pattern.Merger, which takes each merge
+// candidate in order of cost: the mask of variable pairs with a shared
+// binding rules out empty candidates before they are enumerated, a
+// semi-join stops at the first merged instance, only a non-empty
+// candidate has its canonical key computed in scratch and handed to
+// decide, and only a taken one is joined in full and materialised — so
+// a candidate that duplicates a committed pattern costs no full join and
+// no allocation. One union run is one Merger run: every explanation's
+// binding index is built at its first merge, each path's once, and
+// dropped when the run returns.
 
 // mergeStage is one union run's entry in the query trace: the stage
 // timer, the merge attempts, and the merger's join counters from
@@ -60,6 +65,7 @@ func PathUnionBasic(qpath []*pattern.Explanation, maxVars int) []*pattern.Explan
 func (st *enumState) pathUnionBasic(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
 	tr := obs.FromContext(ctx)
 	rec := beginMergeStage(tr, st.merger)
+	defer st.merger.Reset()
 	q := append([]*pattern.Explanation{}, qpath...)
 	seen := st.unionSeen
 	clear(seen)
@@ -118,15 +124,15 @@ func PathUnionPrune(qpath []*pattern.Explanation, maxVars int) []*pattern.Explan
 
 // pathUnionPrune implements PathUnionPrune with cancellation, checked
 // once per merge pair. Candidates that duplicate an older ring are
-// skipped before instance work; candidates that duplicate the current
-// ring run the instance join only to decide whether a composition
-// history entry is due (MergeProbe) — exactly the work the unpooled
-// implementation performed, minus every wasted materialisation. An
+// skipped after their semi-join; candidates that duplicate the current
+// ring need only that semi-join to decide whether a composition history
+// entry is due (MergeProbe); only new patterns are joined in full. An
 // anytime deadline returns the explanations committed so far (each
 // complete) with truncated = true.
 func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
 	tr := obs.FromContext(ctx)
 	rec := beginMergeStage(tr, st.merger)
+	defer st.merger.Reset()
 	q := append([]*pattern.Explanation{}, qpath...)
 	seen := st.unionSeen
 	clear(seen)

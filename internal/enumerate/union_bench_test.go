@@ -70,7 +70,7 @@ func BenchmarkPathEnum(b *testing.B) {
 // (52 path explanations, 77 explanations): path enumeration
 // runs once outside the timer, every iteration is one pathUnionPrune on
 // warm pooled state. joins/op and skipped/op are the merger's own
-// counts of hash joins run and candidates proven empty.
+// counts of candidates joined and variable pairs its mask ruled out.
 func BenchmarkPathUnionPrune(b *testing.B) {
 	g, s, e := benchPair(b)
 	cfg := Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}.normalized()

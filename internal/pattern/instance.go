@@ -24,64 +24,16 @@ func (in Instance) Clone() Instance {
 // Explanation is a relationship explanation: a pattern together with its
 // non-empty instance set for a specific entity pair (the pair is implicit
 // in inst[0] and inst[1] of every instance).
+//
+// An Explanation is plain data, and nothing on it is derived or cached:
+// the merger builds the per-variable binding lists its emptiness test
+// and join index need in its own pooled storage, for one union run (see
+// Merger). So any explanation, a bare literal included, merges the same
+// way, and concurrent merges may share one (TestMergeSharedExplanations
+// runs two under -race).
 type Explanation struct {
 	P         *Pattern
 	Instances []Instance
-
-	// sigs[v] is the binding signature of variable v over Instances,
-	// valid once signed is set (see Sign). An explanation assembled as a
-	// bare literal stays unsigned and merges without the filter.
-	sigs   [MaxVars]bindingSig
-	signed bool
-}
-
-// sigBitsLog2 sets the width of a binding signature: 2^8 = 256 bits
-// (sigWords 64-bit words) per variable, 384 B per explanation. Measured
-// on the union of the benchmark's 33 medium pairs, where 87 302 of
-// 88 911 joins are empty: 64 bits prove 98.2 % of the empty ones empty
-// (union 40 ms a pass, 250 ms unfiltered), 128 bits 99.0 % (27 ms), 256
-// bits 99.3 % (22 ms), 512 bits 99.6 % (24 ms) — past 256 the words
-// compared per rejected mapping outweigh the joins still saved.
-const (
-	sigBitsLog2 = 8
-	sigWords    = 1 << (sigBitsLog2 - 6)
-)
-
-// bindingSig is a one-hash Bloom filter over the node IDs bound to one
-// variable across an explanation's instances. Two instance sets can
-// join on a matched variable pair only if some node is bound on both
-// sides, and a shared node sets the same bit in both signatures; so
-// disjoint signatures prove the join empty, while overlapping ones
-// (saturation, hash collisions) prove nothing and the join runs.
-type bindingSig [sigWords]uint64
-
-func (s *bindingSig) add(id kb.NodeID) {
-	// Fibonacci hashing: the top bits of the product spread the dense,
-	// sequential IDs of one entity type over the whole signature.
-	h := uint32(id) * 0x9E3779B1 >> (32 - sigBitsLog2)
-	s[h>>6] |= 1 << (h & 63)
-}
-
-func (s *bindingSig) disjoint(o *bindingSig) bool {
-	var and uint64
-	for w := range s {
-		and |= s[w] & o[w]
-	}
-	return and == 0
-}
-
-// Sign computes the per-variable binding signatures from Instances. The
-// builders that fill Instances themselves call it once when the set is
-// complete; removing or reordering instances afterwards keeps the
-// signatures valid (they only over-approximate), adding one does not.
-func (e *Explanation) Sign() {
-	e.sigs = [MaxVars]bindingSig{}
-	for _, in := range e.Instances {
-		for v, id := range in {
-			e.sigs[v].add(id)
-		}
-	}
-	e.signed = true
 }
 
 // NewExplanation bundles a pattern with instances, de-duplicating the
@@ -97,9 +49,7 @@ func NewExplanation(p *Pattern, instances []Instance) *Explanation {
 		seen[k] = struct{}{}
 		out = append(out, in)
 	}
-	ex := &Explanation{P: p, Instances: out}
-	ex.Sign()
-	return ex
+	return &Explanation{P: p, Instances: out}
 }
 
 // Count reports the number of distinct instances (the paper's Mcount).

@@ -1,12 +1,14 @@
 package pattern_test
 
-// Differential and pinning tests for the union's binding-signature
-// filter. They sit outside the package so they can take real
-// explanations from the enumerator, and they see the filter only through
-// what every caller sees: Merge's callbacks and JoinStats.
+// Differential and pinning tests for the union's emptiness mask (the
+// per-Merge test of which variable pairs share a binding) and the
+// semi-join behind it. They sit outside the package so they can take
+// real explanations from the enumerator, and they see the merger only
+// through what every caller sees: Merge's callbacks and JoinStats.
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"rex/internal/enumerate"
@@ -16,14 +18,17 @@ import (
 )
 
 // refCandidate is one mapping of merge(re1, re2, n) whose join is
-// non-empty: the merged pattern's key and its instances in join order.
+// non-empty: the mapping (mapping[j] is the re1 variable matched to re2
+// variable j+2, or -1), the merged pattern's key and its instances in
+// join order.
 type refCandidate struct {
-	key   pattern.Key
-	insts []pattern.Instance
+	mapping []pattern.VarID
+	key     pattern.Key
+	insts   []pattern.Instance
 }
 
 // referenceMerge is the ∪f operator written for obviousness: every
-// partial one-to-one mapping in the Merger's order, no signature filter,
+// partial one-to-one mapping in the Merger's order, no emptiness mask,
 // a nested-loop join with the seen-set the production join used to
 // carry, and the merged pattern built through pattern.New.
 func referenceMerge(t *testing.T, re1, re2 *pattern.Explanation, maxVars int) []refCandidate {
@@ -91,7 +96,7 @@ func referenceMerge(t *testing.T, re1, re2 *pattern.Explanation, maxVars int) []
 		if err != nil {
 			t.Fatalf("reference merge built an invalid pattern: %v", err)
 		}
-		out = append(out, refCandidate{key: p.Key(), insts: insts})
+		out = append(out, refCandidate{mapping: append([]pattern.VarID{}, mapping...), key: p.Key(), insts: insts})
 	}
 	var rec func(j, matched int)
 	rec = func(j, matched int) {
@@ -119,51 +124,76 @@ func referenceMerge(t *testing.T, re1, re2 *pattern.Explanation, maxVars int) []
 }
 
 // diffMerge runs the Merger and the reference over one (re1, re2) and
-// compares, candidate by candidate, the keys offered to decide and what
-// take receives under a decide that cycles Skip / Probe / Take.
+// fails the test at the first difference (see mergeDiff).
 func diffMerge(t *testing.T, m *pattern.Merger, re1, re2 *pattern.Explanation, maxVars int) {
+	t.Helper()
+	if err := mergeDiff(t, m, re1, re2, maxVars); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mergeDiff runs the Merger and the reference over one (re1, re2) and
+// compares, candidate by candidate, the keys offered to decide and what
+// take receives under a decide that cycles Skip / Probe / Take. It
+// returns the first difference.
+func mergeDiff(t *testing.T, m *pattern.Merger, re1, re2 *pattern.Explanation, maxVars int) error {
 	t.Helper()
 	want := referenceMerge(t, re1, re2, maxVars)
 	action := func(i int) pattern.MergeAction { return pattern.MergeAction(i % 3) }
 	decided, taken := 0, 0
+	var diff error
+	fail := func(format string, args ...any) {
+		if diff == nil {
+			diff = fmt.Errorf("%v ∪ %v: "+format, append([]any{re1.P, re2.P}, args...)...)
+		}
+	}
 	m.Merge(re1, re2, maxVars,
 		func(k pattern.Key) pattern.MergeAction {
 			if decided >= len(want) {
-				t.Fatalf("%v ∪ %v: candidate %d offered, the reference has %d", re1.P, re2.P, decided, len(want))
-			}
-			if k != want[decided].key {
-				t.Fatalf("%v ∪ %v: candidate %d has key %v, reference %v", re1.P, re2.P, decided, k, want[decided].key)
+				fail("candidate %d offered, the reference has %d", decided, len(want))
+			} else if k != want[decided].key {
+				fail("candidate %d has key %v, reference %v", decided, k, want[decided].key)
 			}
 			decided++
 			return action(decided - 1)
 		},
 		func(k pattern.Key, ex *pattern.Explanation) {
 			// take follows its own decide call directly.
-			c := want[decided-1]
 			taken++
+			if decided > len(want) {
+				return
+			}
+			c := want[decided-1]
 			switch action(decided - 1) {
 			case pattern.MergeSkip:
-				t.Fatalf("%v ∪ %v: take called for a skipped candidate", re1.P, re2.P)
+				fail("take called for a skipped candidate")
+				return
 			case pattern.MergeProbe:
 				if ex != nil || k != c.key {
-					t.Fatalf("%v ∪ %v: probe delivered (%v, %v), want (%v, nil)", re1.P, re2.P, k, ex, c.key)
+					fail("probe delivered (%v, %v), want (%v, nil)", k, ex, c.key)
 				}
 				return
 			}
 			if k != c.key || ex.P.Key() != c.key {
-				t.Fatalf("%v ∪ %v: took key %v / pattern %v, reference %v", re1.P, re2.P, k, ex.P, c.key)
+				fail("took key %v / pattern %v, reference %v", k, ex.P, c.key)
+				return
 			}
 			if len(ex.Instances) != len(c.insts) {
-				t.Fatalf("%v ∪ %v → %v: %d instances, reference %d", re1.P, re2.P, ex.P, len(ex.Instances), len(c.insts))
+				fail("→ %v: %d instances, reference %d", ex.P, len(ex.Instances), len(c.insts))
+				return
 			}
 			for i, in := range ex.Instances {
 				if in.Key() != c.insts[i].Key() {
-					t.Fatalf("%v ∪ %v → %v: instance %d is %v, reference %v", re1.P, re2.P, ex.P, i, in, c.insts[i])
+					fail("→ %v: instance %d is %v, reference %v", ex.P, i, in, c.insts[i])
+					return
 				}
 			}
 		})
+	if diff != nil {
+		return diff
+	}
 	if decided != len(want) {
-		t.Fatalf("%v ∪ %v: %d candidates offered, the reference has %d", re1.P, re2.P, decided, len(want))
+		return fmt.Errorf("%v ∪ %v: %d candidates offered, the reference has %d", re1.P, re2.P, decided, len(want))
 	}
 	wantTaken := 0
 	for i := range want {
@@ -172,8 +202,9 @@ func diffMerge(t *testing.T, m *pattern.Merger, re1, re2 *pattern.Explanation, m
 		}
 	}
 	if taken != wantTaken {
-		t.Fatalf("%v ∪ %v: take called %d times, want %d", re1.P, re2.P, taken, wantTaken)
+		return fmt.Errorf("%v ∪ %v: take called %d times, want %d", re1.P, re2.P, taken, wantTaken)
 	}
+	return nil
 }
 
 var unionCfg = enumerate.Config{PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune}
@@ -199,12 +230,12 @@ func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 	return all, paths
 }
 
-// fanGraph is the hand-built case for wide signatures: start and end
+// fanGraph is the hand-built case for wide variables: start and end
 // joined through n middle nodes by label pairs that select overlapping
 // residue classes (so some joins keep a few of thousands of bindings),
 // and through n further nodes by a pair of their own — a path whose
-// variable binds far more nodes than a signature has bits, disjoint from
-// the first group, which only the join itself can prove.
+// variable binds thousands of nodes, disjoint from the first group (the
+// case that saturated the 256-bit Bloom signature the mask replaced).
 func fanGraph(n int) (g *kb.Graph, start, end kb.NodeID) {
 	g = kb.New()
 	start, end = g.AddNode("s", "t"), g.AddNode("e", "t")
@@ -228,10 +259,11 @@ func fanGraph(n int) (g *kb.Graph, start, end kb.NodeID) {
 	return g, start, end
 }
 
-// TestMergeSignatureDifferential holds the filtered, seen-less Merger to
-// the reference on every merge the union performs over kbgen small, on a
-// graph whose signatures saturate, and on a pair whose signatures
-// collide while their bindings differ.
+// TestMergeSignatureDifferential holds the masked, semi-joining Merger
+// to the reference on every merge the union performs over kbgen small,
+// on a graph whose variables bind thousands of nodes, and on single
+// bindings a hash would confuse; and it checks that a list missing one
+// distinct value is caught.
 func TestMergeSignatureDifferential(t *testing.T) {
 	m := pattern.NewMerger()
 
@@ -244,12 +276,13 @@ func TestMergeSignatureDifferential(t *testing.T) {
 					diffMerge(t, m, re1, re2, 5)
 				}
 			}
+			m.Reset()
 		}
 		j := m.JoinStats().Sub(before)
 		if j.Run == 0 || j.Skipped == 0 {
-			t.Fatalf("join stats %+v: the corpus must exercise both the join and the filter", j)
+			t.Fatalf("join stats %+v: the corpus must exercise both the join and the mask", j)
 		}
-		t.Logf("%d pairs: %d joins run, %d proven empty", len(all), j.Run, j.Skipped)
+		t.Logf("%d pairs: %d joins run, %d variable pairs ruled out", len(all), j.Run, j.Skipped)
 	})
 
 	t.Run("saturated", func(t *testing.T) {
@@ -271,14 +304,15 @@ func TestMergeSignatureDifferential(t *testing.T) {
 		}
 		before := m.JoinStats()
 		diffMerge(t, m, wide, far, 5)
-		if j := m.JoinStats().Sub(before); j.Run != 1 || j.Skipped != 0 {
-			t.Fatalf("join stats %+v for two disjoint 2000-node variables: saturated signatures must leave the proof to the join", j)
+		if j := m.JoinStats().Sub(before); j != (pattern.JoinStats{Skipped: 1}) {
+			t.Fatalf("join stats %+v for two disjoint 2000-node variables: want the mask to rule the pair out, unjoined", j)
 		}
 		for _, re1 := range all {
 			for _, re2 := range paths {
 				diffMerge(t, m, re1, re2, 5)
 			}
 		}
+		m.Reset()
 	})
 
 	t.Run("collision", func(t *testing.T) {
@@ -287,32 +321,127 @@ func TestMergeSignatureDifferential(t *testing.T) {
 		p1, p2 := paths[0].P, paths[1].P
 		x := kb.NodeID(1000)
 		re1 := pattern.NewExplanation(p1, []pattern.Instance{{s, e, x}})
-		// The first node after x that the filter cannot tell from x: one
-		// must exist within a signature's width of candidates.
-		collided, separated := false, false
-		for y := x + 1; y < x+1000 && !(collided && separated); y++ {
+		// Every other node is told from x without a join, including the
+		// ones a 256-bit one-hash signature could not tell from it.
+		for y := x + 1; y < x+1000; y++ {
 			re2 := pattern.NewExplanation(p2, []pattern.Instance{{s, e, y}})
 			before := m.JoinStats()
 			diffMerge(t, m, re1, re2, 5)
-			switch j := m.JoinStats().Sub(before); j {
-			case pattern.JoinStats{Run: 1}:
-				collided = true
-			case pattern.JoinStats{Skipped: 1}:
-				separated = true
-			default:
-				t.Fatalf("join stats %+v for a single mapping", j)
+			if j := m.JoinStats().Sub(before); j != (pattern.JoinStats{Skipped: 1}) {
+				t.Fatalf("join stats %+v for bindings %d and %d: want the pair ruled out, unjoined", j, x, y)
 			}
-		}
-		if !collided || !separated {
-			t.Fatalf("collided=%v separated=%v: want one node the signatures confuse with %d and one they do not", collided, separated, x)
 		}
 		// Same node on both sides: the join must run and keep it.
 		re2 := pattern.NewExplanation(p2, []pattern.Instance{{s, e, x}})
+		before := m.JoinStats()
 		diffMerge(t, m, re1, re2, 5)
+		if j := m.JoinStats().Sub(before); j != (pattern.JoinStats{Run: 1}) {
+			t.Fatalf("join stats %+v for a shared binding: want one join", j)
+		}
 		if got := pattern.Merge(re1, re2, 5); len(got) != 1 || got[0].Count() != 1 {
 			t.Fatalf("merging on a shared node gave %d explanations", len(got))
 		}
+		m.Reset()
 	})
+
+	t.Run("mutation", func(t *testing.T) {
+		// For every merge with a candidate that matches a variable pair
+		// through exactly one shared node, drop that node from the path
+		// side's list: the Merger must then disagree with the reference.
+		all, paths := smallCorpus(t)
+		mutants := 0
+		for i := range all {
+			for _, re1 := range all[i] {
+				for _, re2 := range paths[i] {
+					v, x, ok := soleWitness(t, re1, re2)
+					if !ok {
+						continue
+					}
+					mm := pattern.NewMerger()
+					pattern.DropBinding(mm, re2, v, x)
+					if err := mergeDiff(t, mm, re1, re2, 5); err == nil {
+						t.Fatalf("%v ∪ %v: dropping node %d from variable %d's list went unnoticed", re1.P, re2.P, x, v)
+					}
+					mutants++
+				}
+			}
+		}
+		if mutants == 0 {
+			t.Fatal("the corpus has no candidate matched through a single shared node")
+		}
+		t.Logf("%d mutants caught", mutants)
+	})
+}
+
+// soleWitness finds, in the reference's first candidate of re1 ∪ re2, a
+// matched pair whose variables share exactly one bound node: the re2
+// variable and that node.
+func soleWitness(t *testing.T, re1, re2 *pattern.Explanation) (pattern.VarID, kb.NodeID, bool) {
+	t.Helper()
+	want := referenceMerge(t, re1, re2, 5)
+	if len(want) == 0 {
+		return 0, 0, false
+	}
+	for j, v1 := range want[0].mapping {
+		if v1 < 0 {
+			continue
+		}
+		bound := map[kb.NodeID]bool{}
+		for _, in := range re1.Instances {
+			bound[in[v1]] = true
+		}
+		shared := map[kb.NodeID]bool{}
+		for _, in := range re2.Instances {
+			if bound[in[j+2]] {
+				shared[in[j+2]] = true
+			}
+		}
+		if len(shared) == 1 {
+			for x := range shared {
+				return pattern.VarID(j + 2), x, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// TestMergeSharedExplanations merges the same explanations on two
+// goroutines at once, each with its own pooled Merger: an Explanation
+// is only read by a merge, so under -race the two runs must neither
+// race nor disagree.
+func TestMergeSharedExplanations(t *testing.T) {
+	all, paths := smallCorpus(t)
+	run := func() []string {
+		var keys []string
+		for i := range all {
+			for _, re1 := range all[i] {
+				for _, re2 := range paths[i] {
+					for _, ex := range pattern.Merge(re1, re2, 5) {
+						keys = append(keys, fmt.Sprintf("%v %d", ex.P.Key(), ex.Count()))
+					}
+				}
+			}
+		}
+		return keys
+	}
+	var wg sync.WaitGroup
+	var got [2][]string
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run()
+		}()
+	}
+	wg.Wait()
+	if len(got[0]) == 0 || len(got[0]) != len(got[1]) {
+		t.Fatalf("concurrent merges produced %d and %d explanations", len(got[0]), len(got[1]))
+	}
+	for i := range got[0] {
+		if got[0][i] != got[1][i] {
+			t.Fatalf("concurrent merges of shared explanations disagree: %s vs %s", got[0][i], got[1][i])
+		}
+	}
 }
 
 // TestMergedInstancesNeverDuplicate pins what the join's seen-set used
@@ -357,8 +486,9 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 	check(re1, pattern.NewExplanation(paths1[0].P, []pattern.Instance{{s, e, 10}, {s, e, 20}}))
 }
 
-// TestMergeRejectedCandidateAllocFree: a merge whose every mapping the
-// signatures reject costs no allocation once the merger is warm.
+// TestMergeRejectedCandidateAllocFree: a merge whose every variable pair
+// the mask rules out costs no allocation once the merger has indexed
+// both explanations.
 func TestMergeRejectedCandidateAllocFree(t *testing.T) {
 	g, s, e := fanGraph(1)
 	paths := enumerate.Paths(g, s, e, unionCfg)

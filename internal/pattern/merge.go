@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sync"
 
 	"rex/internal/kb"
@@ -39,9 +40,9 @@ func Merge(re1, re2 *Explanation, maxVars int) []*Explanation {
 }
 
 // MergeAction tells the Merger how far to take one merge candidate,
-// decided from its canonical key — after the (pooled, allocation-free)
-// instance join proved the candidate non-empty, but before anything is
-// materialised.
+// decided from its canonical key — after a semi-join proved the
+// candidate non-empty, but before its instance set is joined in full
+// or anything is materialised.
 type MergeAction int
 
 const (
@@ -54,18 +55,40 @@ const (
 	// composition history for a pattern that already exists in the
 	// current ring.
 	MergeProbe
-	// MergeTake materialises the merged explanation and passes it to
-	// take.
+	// MergeTake joins the candidate's instance sets in full, materialises
+	// the merged explanation and passes it to take.
 	MergeTake
 )
 
 // Merger runs the ∪f enumeration with every intermediate buffer — the
 // mapping search state, the merged-edge scratch, the canonical-encoding
-// buffers and the hash-join tables — reused across calls, so the only
-// allocations a merge performs are for explanations the caller actually
-// keeps. A Merger retains no reference to any graph or explanation after
-// a call returns and is freely reusable across snapshots; it is not safe
-// for concurrent use (pool one per goroutine, see AcquireMerger).
+// buffers, the binding index and the join arena — reused across calls,
+// so the only allocations a merge performs are for explanations the
+// caller actually keeps. It is not safe for concurrent use (pool one per
+// goroutine, see AcquireMerger).
+//
+// Per Merge(re1, re2) it works in four steps, each paid only by what
+// survives the one before:
+//
+//  1. Mask. Two variables can be matched only if some node is bound to
+//     both, so for every free2 × free1 pair of non-target variables it
+//     tests whether their sorted lists of distinct bindings intersect.
+//     The mapping search never enumerates a mapping that matches a
+//     disjoint pair: their join is empty, exactly.
+//  2. Semi-join. A mapping that passes runs the instance join only up to
+//     its first injective merged instance.
+//  3. Key. A non-empty candidate's canonical key is resolved in scratch
+//     and decide picks the action.
+//  4. Full join, for MergeTake only: the join resumes where the
+//     semi-join stopped and the result is materialised.
+//
+// The binding lists and the join index are built per explanation at its
+// first merge and kept for the union run (the caller's sequence of
+// merges over one set of explanations): the right-hand side of every
+// union merge is a path explanation, so each path is indexed once per
+// run rather than once per join. Reset ends a run; ReleaseMerger does it
+// too. The Merger then retains no reference to any graph or explanation
+// and is freely reusable across snapshots.
 type Merger struct {
 	mapping []VarID
 	used    []bool
@@ -73,19 +96,33 @@ type Merger struct {
 	edges   []Edge
 	cs      canonScratch
 
-	// Hash-join state: heads/next chain re2's instance indexes by
-	// matched-variable projection; arena accumulates accepted instances
-	// flattened (total IDs each).
-	heads map[InstanceKey]int32
-	next  []int32
+	// Binding index of the run: index maps an explanation to its first
+	// column in cols, one column per non-target variable (see columns).
+	// A column's distinct bindings are vals[off:off+nv], ascending;
+	// starts[off+k] is where the instances binding vals[off+k] begin in
+	// perm[poff:poff+n], instance indexes grouped by binding and
+	// ascending within a group.
+	index   map[*Explanation]int32
+	cols    []column
+	vals    []kb.NodeID
+	starts  []int32
+	perm    []int32
+	sortBuf []uint64
+
+	// arena accumulates a taken candidate's merged instances flattened,
+	// total IDs each.
 	arena []kb.NodeID
 
 	joins JoinStats
 }
 
-// JoinStats counts what the merge candidates that reached the instance
-// stage cost: Run joins were executed, Skipped were proven empty from
-// the binding signatures without touching the join tables.
+type column struct{ off, nv, poff, n int32 }
+
+// JoinStats counts what the merge candidates cost at the instance stage:
+// Run candidates were joined (a semi-join to the first merged instance,
+// completed only for a taken candidate), and Skipped pairs of non-target
+// variables were ruled out by the mask because no node is bound to both
+// — each one removes every mapping that would match the pair, unjoined.
 type JoinStats struct{ Run, Skipped int64 }
 
 // Sub returns the counts accumulated since an earlier reading.
@@ -100,7 +137,7 @@ func (m *Merger) JoinStats() JoinStats { return m.joins }
 
 // NewMerger returns a Merger with empty (lazily grown) buffers.
 func NewMerger() *Merger {
-	return &Merger{heads: make(map[InstanceKey]int32)}
+	return &Merger{index: make(map[*Explanation]int32)}
 }
 
 var mergerPool = sync.Pool{New: func() any { return NewMerger() }}
@@ -108,12 +145,13 @@ var mergerPool = sync.Pool{New: func() any { return NewMerger() }}
 // AcquireMerger takes a Merger from the process-wide pool.
 func AcquireMerger() *Merger { return mergerPool.Get().(*Merger) }
 
-// ReleaseMerger returns a Merger to the pool. The warm buffers are the
-// point; they hold no pointers into caller state. A merger whose join
-// tables outgrew the retention bound is dropped instead — Go maps never
-// shrink, so re-pooling it would pin a pathological query's footprint
-// for the life of the process.
+// ReleaseMerger ends the merger's run and returns it to the pool. The
+// warm buffers are the point; they hold no pointers into caller state. A
+// merger whose buffers outgrew the retention bound is dropped instead —
+// Go maps never shrink, so re-pooling it would pin a pathological
+// query's footprint for the life of the process.
 func ReleaseMerger(m *Merger) {
+	m.Reset()
 	if m.Oversized(mergerRetainedCap) {
 		return
 	}
@@ -127,22 +165,140 @@ const mergerRetainedCap = 1 << 16
 // Oversized reports whether the merger's reusable buffers grew past
 // limit elements; pools use it to decide between reuse and release.
 func (m *Merger) Oversized(limit int) bool {
-	return cap(m.arena) > limit || len(m.heads) > limit || cap(m.next) > limit
+	return cap(m.arena) > limit || cap(m.perm) > limit || cap(m.sortBuf) > limit ||
+		cap(m.vals) > limit || cap(m.cols) > limit
+}
+
+// Reset ends a union run: it forgets every explanation's binding index,
+// keeping the storage for the next run. An explanation must not change
+// while a run holds its index.
+func (m *Merger) Reset() {
+	clear(m.index)
+	m.cols = m.cols[:0]
+	m.vals = m.vals[:0]
+	m.starts = m.starts[:0]
+	m.perm = m.perm[:0]
+}
+
+// columns returns the index of ex's first column, building one column per
+// non-target variable at ex's first merge of the run: the instances are
+// sorted by (binding, instance index) as packed integers, and each run
+// of equal bindings becomes one distinct value and one group of perm.
+func (m *Merger) columns(ex *Explanation) int32 {
+	if base, ok := m.index[ex]; ok {
+		return base
+	}
+	base := int32(len(m.cols))
+	m.index[ex] = base
+	n := len(ex.Instances)
+	for v := 2; v < ex.P.NumVars(); v++ {
+		buf := m.sortBuf[:0]
+		for i, in := range ex.Instances {
+			buf = append(buf, uint64(uint32(in[v]))<<32|uint64(uint32(i)))
+		}
+		slices.Sort(buf)
+		m.sortBuf = buf
+		c := column{off: int32(len(m.vals)), poff: int32(len(m.perm)), n: int32(n)}
+		for i, x := range buf {
+			if id := kb.NodeID(x >> 32); i == 0 || id != m.vals[len(m.vals)-1] {
+				m.vals = append(m.vals, id)
+				m.starts = append(m.starts, int32(i))
+			}
+			m.perm = append(m.perm, int32(uint32(x)))
+		}
+		c.nv = int32(len(m.vals)) - c.off
+		m.cols = append(m.cols, c)
+	}
+	return base
+}
+
+func (m *Merger) distinct(c column) []kb.NodeID { return m.vals[c.off : c.off+c.nv] }
+
+// group returns the instance indexes of c's k-th distinct binding.
+func (m *Merger) group(c column, k int) []int32 {
+	lo, hi := m.starts[c.off+int32(k)], c.n
+	if int32(k+1) < c.nv {
+		hi = m.starts[c.off+int32(k)+1]
+	}
+	return m.perm[c.poff+lo : c.poff+hi]
+}
+
+// intersects reports whether two ascending lists share a value. It walks
+// the shorter and gallops through the longer from a cursor (doubling
+// steps, then a binary search of the last one, as kb.SeekHalfEdge does),
+// so a test costs O(short · log(long/short)) (Demaine, López-Ortiz and
+// Munro, SODA 2000).
+func intersects(a, b []kb.NodeID) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 || a[len(a)-1] < b[0] || b[len(b)-1] < a[0] {
+		return false
+	}
+	lo := 0
+	for _, x := range a {
+		if b[lo] < x {
+			// b[lo] < x ≤ b[hi] (or hi is past the end): the first
+			// entry ≥ x lies in (lo, hi].
+			hi, step := lo+1, 1
+			for hi < len(b) && b[hi] < x {
+				lo = hi
+				step <<= 1
+				hi = lo + step
+			}
+			hi = min(hi, len(b))
+			for lo++; lo < hi; {
+				mid := int(uint(lo+hi) >> 1)
+				if b[mid] < x {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo == len(b) {
+				return false
+			}
+		}
+		if b[lo] == x {
+			return true
+		}
+	}
+	return false
 }
 
 // Merge enumerates the valid partial mappings of merge(re1, re2, n) in
-// the same order as the package-level Merge. Each candidate's instance
-// sets are hash-joined in pooled scratch; for non-empty candidates the
-// merged pattern's canonical key is resolved and decide picks the action
-// (see MergeAction). take is invoked — in enumeration order — once per
-// candidate whose join was non-empty and whose action was MergeProbe
-// (ex == nil) or MergeTake (ex materialised).
+// the same order as the package-level Merge, leaving out every mapping
+// that matches a pair of variables with disjoint bindings (see Merger).
+// For each remaining candidate whose instance sets join to a non-empty
+// set, the merged pattern's canonical key is resolved and decide picks
+// the action (see MergeAction). take is invoked — in enumeration order —
+// once per such candidate whose action was MergeProbe (ex == nil) or
+// MergeTake (ex materialised).
 func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) MergeAction, take func(Key, *Explanation)) {
 	p1, p2 := re1.P, re2.P
 	free1 := p1.NumVars() - 2
 	free2 := p2.NumVars() - 2
 	if free1 == 0 || free2 == 0 {
 		// Requirement (4) cannot be met: nothing to match.
+		return
+	}
+	base1, base2 := m.columns(re1), m.columns(re2)
+	// compat[j] has bit i set when p2 variable j+2 and p1 variable i+2
+	// share a binding.
+	var compat [MaxVars]uint32
+	possible := false
+	for j := 0; j < free2; j++ {
+		b := m.distinct(m.cols[base2+int32(j)])
+		for i := 0; i < free1; i++ {
+			if intersects(m.distinct(m.cols[base1+int32(i)]), b) {
+				compat[j] |= 1 << i
+				possible = true
+			} else {
+				m.joins.Skipped++
+			}
+		}
+	}
+	if !possible {
 		return
 	}
 	if cap(m.mapping) < free2 {
@@ -163,13 +319,13 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 			if matched == 0 {
 				return
 			}
-			m.candidate(re1, re2, mapping, maxVars, decide, take)
+			m.candidate(re1, re2, base2, mapping, maxVars, decide, take)
 			return
 		}
 		mapping[j] = -1
 		rec(j+1, matched)
 		for i := 0; i < free1; i++ {
-			if used[i] {
+			if used[i] || compat[j]&(1<<i) == 0 {
 				continue
 			}
 			used[i] = true
@@ -182,10 +338,11 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 	rec(0, 0)
 }
 
-// candidate processes one mapping: renames, normalises the merged edge
-// multiset in scratch, resolves the canonical key, and — if the caller
-// wants the candidate — joins the instance sets and materialises.
-func (m *Merger) candidate(re1, re2 *Explanation, mapping []VarID, maxVars int, decide func(Key) MergeAction, take func(Key, *Explanation)) {
+// candidate processes one mapping: renames, semi-joins the instance sets,
+// and for a non-empty candidate normalises the merged edge multiset in
+// scratch, resolves the canonical key and — if the caller takes it —
+// completes the join and materialises.
+func (m *Merger) candidate(re1, re2 *Explanation, base2 int32, mapping []VarID, maxVars int, decide func(Key) MergeAction, take func(Key, *Explanation)) {
 	p1, p2 := re1.P, re2.P
 	// Assign variable IDs in the merged pattern: p1 variables keep their
 	// IDs; unmatched p2 variables get fresh IDs.
@@ -205,23 +362,13 @@ func (m *Merger) candidate(re1, re2 *Explanation, mapping []VarID, maxVars int, 
 		return
 	}
 
-	// A candidate with no instance — the common case — must cost as
-	// little as possible. Most are proven empty here: instances can only
-	// agree on a matched variable pair whose binding signatures overlap.
-	if re1.signed && re2.signed {
-		for j, v := range mapping {
-			if v >= 0 && re1.sigs[v].disjoint(&re2.sigs[j+2]) {
-				m.joins.Skipped++
-				return
-			}
-		}
-	}
-	// The rest join their instance sets before anything else: the pooled
-	// hash-join is cheap next to the (factorial) canonical-form
-	// computation, which only non-empty candidates pay.
+	// Existence first: the join stops at the first merged instance, and
+	// the (factorial) canonical form is computed only for candidates
+	// that have one.
 	m.joins.Run++
-	n := m.joinInstances(re1, re2, mapping, rename2, total)
-	if n == 0 {
+	j := m.joiner(re1, re2, base2, mapping, rename2, total)
+	at := j.run(0, true)
+	if at < 0 {
 		return
 	}
 
@@ -250,90 +397,98 @@ func (m *Merger) candidate(re1, re2 *Explanation, mapping []VarID, maxVars int, 
 		take(key, nil)
 		return
 	}
+	// No instance of re1 before the first match merges with anything, so
+	// the full join resumes there.
+	m.arena = m.arena[:0]
+	j.run(at, false)
+	n := len(m.arena) / total
 	p := newInterned(schema, total, m.edges, canon, key)
 	// Exactly two allocations for the instance set: one flat ID backing
 	// array and one header slice.
 	backing := make([]kb.NodeID, n*total)
-	copy(backing, m.arena[:n*total])
+	copy(backing, m.arena)
 	insts := make([]Instance, n)
 	for i := range insts {
 		insts[i] = Instance(backing[i*total : (i+1)*total])
 	}
-	ex := &Explanation{P: p, Instances: insts}
-	ex.Sign()
-	take(key, ex)
+	take(key, &Explanation{P: p, Instances: insts})
 }
 
-// joinInstances hash-joins the two instance sets on the matched
-// variables into the reused arena, returning the number of accepted
-// (injective) merged instances; the arena holds them flattened, total
-// IDs each, ordered by re1's instances and, within one, by re2's. A
-// merged instance carries all of i1 and, renamed, all of i2, so it
-// determines the pair that produced it: duplicate-free inputs (every
-// builder de-duplicates) give duplicate-free output with no check.
-func (m *Merger) joinInstances(re1, re2 *Explanation, mapping []VarID, rename2 []VarID, total int) int {
-	var matched1, matched2 [MaxVars]VarID
-	nm := 0
-	for j, v := range mapping {
-		if v >= 0 {
-			matched2[nm] = VarID(j + 2)
-			matched1[nm] = v
-			nm++
-		}
-	}
-	// joinKey projects an instance onto the matched variables; the
-	// resulting InstanceKey is the hash-join key, built without
-	// allocating.
-	joinKey := func(in Instance, vars []VarID) InstanceKey {
-		var k InstanceKey
-		k.n = int8(len(vars))
-		for i, v := range vars {
-			k.ids[i] = in[v]
-		}
-		return k
-	}
-	// Index re2's instances by projection as forward chains: heads holds
-	// the first instance index per key, next the following one. Built in
-	// reverse so chain traversal preserves instance order.
-	clear(m.heads)
-	if cap(m.next) < len(re2.Instances) {
-		m.next = make([]int32, len(re2.Instances))
-	}
-	nxt := m.next[:len(re2.Instances)]
-	for i := len(re2.Instances) - 1; i >= 0; i-- {
-		k := joinKey(re2.Instances[i], matched2[:nm])
-		if head, ok := m.heads[k]; ok {
-			nxt[i] = head
-		} else {
-			nxt[i] = -1
-		}
-		m.heads[k] = int32(i)
-	}
+// joiner is one candidate's instance join: every instance of re1, in
+// order, probes re2's column for the matched variable with the most
+// distinct bindings (the shortest groups); each instance of the group,
+// in order, that agrees on the other matched variables and merges
+// injectively is a result. A merged instance carries all of i1 and,
+// renamed, all of i2, so it determines the pair that produced it:
+// duplicate-free inputs (every builder de-duplicates) give
+// duplicate-free output with no check.
+type joiner struct {
+	m        *Merger
+	re1, re2 *Explanation
+	rename2  []VarID
+	total    int
+	key      column // re2's column of the key variable
+	key1     VarID  // the re1 variable matched to it
+	nm       int    // the other matched pairs: m1[x] in re1, m2[x] in re2
+	m1, m2   [MaxVars]VarID
+}
 
-	m.arena = m.arena[:0]
-	n := 0
+func (m *Merger) joiner(re1, re2 *Explanation, base2 int32, mapping []VarID, rename2 []VarID, total int) joiner {
+	kx := -1
+	for x, v := range mapping {
+		if v >= 0 && (kx < 0 || m.cols[base2+int32(x)].nv > m.cols[base2+int32(kx)].nv) {
+			kx = x
+		}
+	}
+	j := joiner{m: m, re1: re1, re2: re2, rename2: rename2, total: total,
+		key: m.cols[base2+int32(kx)], key1: mapping[kx]}
+	for x, v := range mapping {
+		if v >= 0 && x != kx {
+			j.m1[j.nm], j.m2[j.nm] = v, VarID(x+2)
+			j.nm++
+		}
+	}
+	return j
+}
+
+// run joins re1's instances from index from on. With first set it stops
+// at the first merged instance and returns the index of the re1 instance
+// that produced it, or -1 if there is none; otherwise it appends every
+// merged instance to the arena, ordered by re1's instances and, within
+// one, by re2's, and returns -1.
+func (j *joiner) run(from int, first bool) int {
+	m := j.m
+	vals := m.distinct(j.key)
 	var buf [MaxVars]kb.NodeID
-	for _, i1 := range re1.Instances {
-		k := joinKey(i1, matched1[:nm])
-		idx, ok := m.heads[k]
+	merged := Instance(buf[:j.total])
+	for a := from; a < len(j.re1.Instances); a++ {
+		i1 := j.re1.Instances[a]
+		k, ok := slices.BinarySearch(vals, i1[j.key1])
 		if !ok {
 			continue
 		}
-		for ; idx >= 0; idx = nxt[idx] {
-			i2 := re2.Instances[idx]
-			merged := Instance(buf[:total])
+	next:
+		for _, idx := range m.group(j.key, k) {
+			i2 := j.re2.Instances[idx]
+			for x := 0; x < j.nm; x++ {
+				if i1[j.m1[x]] != i2[j.m2[x]] {
+					continue next
+				}
+			}
 			copy(merged, i1)
 			for v2 := 2; v2 < len(i2); v2++ {
-				merged[rename2[v2]] = i2[v2]
+				merged[j.rename2[v2]] = i2[v2]
 			}
 			if !injective(merged) {
 				continue
 			}
+			if first {
+				return a
+			}
 			m.arena = append(m.arena, merged...)
-			n++
 		}
 	}
-	return n
+	return -1
 }
 
 // injective reports whether all variable bindings are distinct. REX
