@@ -177,8 +177,9 @@ func (t *Trace) AddMerges(n int64) {
 }
 
 // AddJoins adds what the merge attempts cost at the instance stage:
-// hash joins run, and candidates proven empty from the explanations'
-// binding signatures before any join.
+// candidates joined (to their first merged instance at least), and
+// variable pairs the merger's emptiness mask ruled out because no node
+// is bound to both — each removes every mapping through it, unjoined.
 func (t *Trace) AddJoins(run, skipped int64) {
 	if t == nil {
 		return

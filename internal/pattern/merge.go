@@ -74,7 +74,10 @@ const (
 //     both, so for every free2 × free1 pair of non-target variables it
 //     tests whether their sorted lists of distinct bindings intersect.
 //     The mapping search never enumerates a mapping that matches a
-//     disjoint pair: their join is empty, exactly.
+//     disjoint pair: their join is empty, exactly. A mapping that fits
+//     maxVars matches a minimum number of p2's variables, so the mask
+//     stops as soon as too few p2 variables with a shared binding can
+//     be left.
 //  2. Semi-join. A mapping that passes runs the instance join only up to
 //     its first injective merged instance.
 //  3. Key. A non-empty candidate's canonical key is resolved in scratch
@@ -103,6 +106,8 @@ type Merger struct {
 	// perm[poff:poff+n], instance indexes grouped by binding and
 	// ascending within a group.
 	index   map[*Explanation]int32
+	re1     *Explanation // the last left-hand side and its first column
+	base1   int32
 	cols    []column
 	vals    []kb.NodeID
 	starts  []int32
@@ -121,8 +126,8 @@ type column struct{ off, nv, poff, n int32 }
 // JoinStats counts what the merge candidates cost at the instance stage:
 // Run candidates were joined (a semi-join to the first merged instance,
 // completed only for a taken candidate), and Skipped pairs of non-target
-// variables were ruled out by the mask because no node is bound to both
-// — each one removes every mapping that would match the pair, unjoined.
+// variables were tested by the mask and found to share no bound node —
+// each one removes every mapping that would match the pair, unjoined.
 type JoinStats struct{ Run, Skipped int64 }
 
 // Sub returns the counts accumulated since an earlier reading.
@@ -174,6 +179,7 @@ func (m *Merger) Oversized(limit int) bool {
 // while a run holds its index.
 func (m *Merger) Reset() {
 	clear(m.index)
+	m.re1 = nil
 	m.cols = m.cols[:0]
 	m.vals = m.vals[:0]
 	m.starts = m.starts[:0]
@@ -282,23 +288,38 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 		// Requirement (4) cannot be met: nothing to match.
 		return
 	}
-	base1, base2 := m.columns(re1), m.columns(re2)
+	// A union merges one explanation with path after path: its columns
+	// are looked up once.
+	if re1 != m.re1 {
+		m.re1, m.base1 = re1, m.columns(re1)
+	}
+	base1, base2 := m.base1, m.columns(re2)
+	// Every unmatched p2 variable is a new variable of the merged
+	// pattern, so a mapping that fits maxVars matches at least need of
+	// them (and one, by requirement (4)).
+	need := max(1, p1.NumVars()+free2-maxVars)
 	// compat[j] has bit i set when p2 variable j+2 and p1 variable i+2
-	// share a binding.
+	// share a binding; rows counts the j with some bit set. The mask
+	// stops as soon as too few rows are left to make up need.
 	var compat [MaxVars]uint32
-	possible := false
+	rows := 0
 	for j := 0; j < free2; j++ {
+		if rows+free2-j < need {
+			return
+		}
 		b := m.distinct(m.cols[base2+int32(j)])
 		for i := 0; i < free1; i++ {
 			if intersects(m.distinct(m.cols[base1+int32(i)]), b) {
 				compat[j] |= 1 << i
-				possible = true
 			} else {
 				m.joins.Skipped++
 			}
 		}
+		if compat[j] != 0 {
+			rows++
+		}
 	}
-	if !possible {
+	if rows < need {
 		return
 	}
 	if cap(m.mapping) < free2 {
@@ -315,10 +336,10 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 	// mapping[j] is the p1 variable matched to p2 variable j+2, or -1.
 	var rec func(j, matched int)
 	rec = func(j, matched int) {
+		if matched+free2-j < need {
+			return
+		}
 		if j == free2 {
-			if matched == 0 {
-				return
-			}
 			m.candidate(re1, re2, base2, mapping, maxVars, decide, take)
 			return
 		}

@@ -238,9 +238,10 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		tr.AddMerges(mergeCount)
 		tr.AddJoins(j.Run, j.Skipped)
 	}
-	// Key-first merge protocol: candidates duplicating an already-seen
-	// pattern are dropped before materialisation, so the expansion loop
-	// only allocates for explanations that enter the candidate pool.
+	// Candidates duplicating an already-seen pattern are dropped after
+	// their semi-join, before the full join and materialisation, so the
+	// expansion loop only allocates for explanations that enter the
+	// candidate pool.
 	decide := func(k pattern.Key) pattern.MergeAction {
 		if _, dup := seen[k]; dup {
 			return pattern.MergeSkip

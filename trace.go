@@ -11,11 +11,12 @@ import (
 // the query ran under a context from WithTrace: per-stage wall time and
 // item counts (enumerate → match → measure → rank → merge, where match
 // time nests inside measure), cache/dedup/pool-reuse flags, the merge
-// attempts with the instance joins they ran (Joins) and proved empty
-// without running (JoinsSkipped), the work the local-distribution kernel
-// did as counts (Bindings: candidates the matcher examined — bindings
-// tried, and the nodes a counting run's leaf scans looked at; WalkSteps:
-// half-edges the path route visited, prefix plus scatter), and budget
+// attempts with the candidates they joined (Joins) and the variable
+// pairs the merge's emptiness mask ruled out unjoined (JoinsSkipped),
+// the work the local-distribution kernel did as counts (Bindings:
+// candidates the matcher examined — bindings tried, and the nodes a
+// counting run's leaf scans looked at; WalkSteps: half-edges the path
+// route visited, prefix plus scatter), and budget
 // attribution naming the stage that exhausted MaxExpansions or Timeout
 // ("enumerate:expansions", "rank:deadline", ...). MemoHits, MemoMisses,
 // WalkCacheHits and WalkCacheMisses always read 0: the measures keep no

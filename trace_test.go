@@ -156,8 +156,9 @@ func TestTraceReportContents(t *testing.T) {
 		t.Errorf("Expansions = %d, want > 0", tr.Expansions)
 	}
 	// Every merge attempt between two explanations with a free variable
-	// each yields at least one candidate mapping, and every candidate
-	// within the size limit is either joined or proven empty.
+	// each tests every pair of their free variables for a shared binding:
+	// a pair with none counts as skipped, and a candidate mapping through
+	// pairs that all share one is joined. On this pair both happen.
 	if tr.Merges <= 0 || tr.Joins <= 0 || tr.JoinsSkipped <= 0 {
 		t.Errorf("Merges = %d, Joins = %d, JoinsSkipped = %d, want all > 0", tr.Merges, tr.Joins, tr.JoinsSkipped)
 	}
