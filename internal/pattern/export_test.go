@@ -8,8 +8,8 @@ import "rex/internal/kb"
 // ex's index first if the run has none.
 func DropBinding(m *Merger, ex *Explanation, v VarID, x kb.NodeID) {
 	ci := m.columns(ex) + int32(v) - 2
-	c := m.cols[ci]
-	d := column{off: int32(len(m.vals)), poff: int32(len(m.perm))}
+	c := m.grouped(ex, ci, v)
+	d := column{off: int32(len(m.vals)), soff: int32(len(m.starts)), poff: int32(len(m.perm))}
 	for k, y := range m.distinct(c) {
 		if y == x {
 			continue

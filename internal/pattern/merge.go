@@ -101,10 +101,10 @@ type Merger struct {
 
 	// Binding index of the run: index maps an explanation to its first
 	// column in cols, one column per non-target variable (see columns).
-	// A column's distinct bindings are vals[off:off+nv], ascending;
-	// starts[off+k] is where the instances binding vals[off+k] begin in
-	// perm[poff:poff+n], instance indexes grouped by binding and
-	// ascending within a group.
+	// A column's distinct bindings are vals[off:off+nv], ascending. Once
+	// a join has probed the column (see grouped), starts[soff+k] is where
+	// the instances binding vals[off+k] begin in perm[poff:poff+n],
+	// instance indexes grouped by binding and ascending within a group.
 	index   map[*Explanation]int32
 	re1     *Explanation // the last left-hand side and its first column
 	base1   int32
@@ -112,6 +112,7 @@ type Merger struct {
 	vals    []kb.NodeID
 	starts  []int32
 	perm    []int32
+	idBuf   []kb.NodeID
 	sortBuf []uint64
 
 	// arena accumulates a taken candidate's merged instances flattened,
@@ -121,7 +122,10 @@ type Merger struct {
 	joins JoinStats
 }
 
-type column struct{ off, nv, poff, n int32 }
+type column struct {
+	off, nv       int32
+	soff, poff, n int32 // soff < 0 until grouped
+}
 
 // JoinStats counts what the merge candidates cost at the instance stage:
 // Run candidates were joined (a semi-join to the first merged instance,
@@ -152,9 +156,9 @@ func AcquireMerger() *Merger { return mergerPool.Get().(*Merger) }
 
 // ReleaseMerger ends the merger's run and returns it to the pool. The
 // warm buffers are the point; they hold no pointers into caller state. A
-// merger whose buffers outgrew the retention bound is dropped instead —
-// Go maps never shrink, so re-pooling it would pin a pathological
-// query's footprint for the life of the process.
+// merger whose buffers outgrew the retention bound is dropped instead:
+// re-pooling it would pin a pathological query's footprint for the life
+// of the process.
 func ReleaseMerger(m *Merger) {
 	m.Reset()
 	if m.Oversized(mergerRetainedCap) {
@@ -171,7 +175,7 @@ const mergerRetainedCap = 1 << 16
 // limit elements; pools use it to decide between reuse and release.
 func (m *Merger) Oversized(limit int) bool {
 	return cap(m.arena) > limit || cap(m.perm) > limit || cap(m.sortBuf) > limit ||
-		cap(m.vals) > limit || cap(m.cols) > limit
+		cap(m.idBuf) > limit || cap(m.vals) > limit || cap(m.cols) > limit
 }
 
 // Reset ends a union run: it forgets every explanation's binding index,
@@ -187,44 +191,66 @@ func (m *Merger) Reset() {
 }
 
 // columns returns the index of ex's first column, building one column per
-// non-target variable at ex's first merge of the run: the instances are
-// sorted by (binding, instance index) as packed integers, and each run
-// of equal bindings becomes one distinct value and one group of perm.
+// non-target variable at ex's first merge of the run: the variable's
+// bindings, sorted and de-duplicated.
 func (m *Merger) columns(ex *Explanation) int32 {
 	if base, ok := m.index[ex]; ok {
 		return base
 	}
 	base := int32(len(m.cols))
 	m.index[ex] = base
-	n := len(ex.Instances)
 	for v := 2; v < ex.P.NumVars(); v++ {
-		buf := m.sortBuf[:0]
-		for i, in := range ex.Instances {
-			buf = append(buf, uint64(uint32(in[v]))<<32|uint64(uint32(i)))
+		ids := m.idBuf[:0]
+		for _, in := range ex.Instances {
+			ids = append(ids, in[v])
 		}
-		slices.Sort(buf)
-		m.sortBuf = buf
-		c := column{off: int32(len(m.vals)), poff: int32(len(m.perm)), n: int32(n)}
-		for i, x := range buf {
-			if id := kb.NodeID(x >> 32); i == 0 || id != m.vals[len(m.vals)-1] {
+		slices.Sort(ids)
+		m.idBuf = ids
+		off := int32(len(m.vals))
+		for i, id := range ids {
+			if i == 0 || id != ids[i-1] {
 				m.vals = append(m.vals, id)
-				m.starts = append(m.starts, int32(i))
 			}
-			m.perm = append(m.perm, int32(uint32(x)))
 		}
-		c.nv = int32(len(m.vals)) - c.off
-		m.cols = append(m.cols, c)
+		m.cols = append(m.cols, column{off: off, nv: int32(len(m.vals)) - off, soff: -1})
 	}
 	return base
 }
 
 func (m *Merger) distinct(c column) []kb.NodeID { return m.vals[c.off : c.off+c.nv] }
 
-// group returns the instance indexes of c's k-th distinct binding.
+// grouped returns column ci, of ex's variable v, with ex's instances
+// grouped by binding, building the groups at the column's first probe:
+// the instances are sorted by (binding, instance index) as packed
+// integers, and each run of equal bindings is one group. Only the probed
+// side of a join — a path explanation, in a union — is ever grouped.
+func (m *Merger) grouped(ex *Explanation, ci int32, v VarID) column {
+	c := &m.cols[ci]
+	if c.soff >= 0 {
+		return *c
+	}
+	buf := m.sortBuf[:0]
+	for i, in := range ex.Instances {
+		buf = append(buf, uint64(uint32(in[v]))<<32|uint64(uint32(i)))
+	}
+	slices.Sort(buf)
+	m.sortBuf = buf
+	c.soff, c.poff, c.n = int32(len(m.starts)), int32(len(m.perm)), int32(len(buf))
+	for i, x := range buf {
+		if i == 0 || x>>32 != buf[i-1]>>32 {
+			m.starts = append(m.starts, int32(i))
+		}
+		m.perm = append(m.perm, int32(uint32(x)))
+	}
+	return *c
+}
+
+// group returns the instance indexes of grouped column c's k-th distinct
+// binding.
 func (m *Merger) group(c column, k int) []int32 {
-	lo, hi := m.starts[c.off+int32(k)], c.n
+	lo, hi := m.starts[c.soff+int32(k)], c.n
 	if int32(k+1) < c.nv {
-		hi = m.starts[c.off+int32(k)+1]
+		hi = m.starts[c.soff+int32(k)+1]
 	}
 	return m.perm[c.poff+lo : c.poff+hi]
 }
@@ -462,7 +488,7 @@ func (m *Merger) joiner(re1, re2 *Explanation, base2 int32, mapping []VarID, ren
 		}
 	}
 	j := joiner{m: m, re1: re1, re2: re2, rename2: rename2, total: total,
-		key: m.cols[base2+int32(kx)], key1: mapping[kx]}
+		key: m.grouped(re2, base2+int32(kx), VarID(kx+2)), key1: mapping[kx]}
 	for x, v := range mapping {
 		if v >= 0 && x != kx {
 			j.m1[j.nm], j.m2[j.nm] = v, VarID(x+2)
