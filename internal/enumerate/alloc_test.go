@@ -50,9 +50,9 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 
 // TestPathUnionPruneAllocBound holds the steady-state union stage on the
 // benchmark's heaviest medium pair (film_5972→film_4871, the
-// BenchmarkPathUnionPrune workload) to what it allocated with a hash
-// index built per join: at most 73 776 B and 333 allocations an op.
-// The per-run binding index lives in the merger's pooled storage, so a
+// BenchmarkPathUnionPrune workload) to at most 73 776 B and 333
+// allocations an op, what a per-join hash index cost: the per-run
+// binding index must live in the merger's pooled storage, so that a
 // warm state pays only for the explanations the union returns.
 func TestPathUnionPruneAllocBound(t *testing.T) {
 	if raceEnabled {

@@ -234,8 +234,8 @@ func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 // joined through n middle nodes by label pairs that select overlapping
 // residue classes (so some joins keep a few of thousands of bindings),
 // and through n further nodes by a pair of their own — a path whose
-// variable binds thousands of nodes, disjoint from the first group (the
-// case that saturated the 256-bit Bloom signature the mask replaced).
+// variable binds thousands of nodes, disjoint from the first group: the
+// case a fixed-width hash of the bindings saturates on.
 func fanGraph(n int) (g *kb.Graph, start, end kb.NodeID) {
 	g = kb.New()
 	start, end = g.AddNode("s", "t"), g.AddNode("e", "t")
@@ -322,7 +322,7 @@ func TestMergeSignatureDifferential(t *testing.T) {
 		x := kb.NodeID(1000)
 		re1 := pattern.NewExplanation(p1, []pattern.Instance{{s, e, x}})
 		// Every other node is told from x without a join, including the
-		// ones a 256-bit one-hash signature could not tell from it.
+		// ones a fixed-width hash of the bindings would confuse with it.
 		for y := x + 1; y < x+1000; y++ {
 			re2 := pattern.NewExplanation(p2, []pattern.Instance{{s, e, y}})
 			before := m.JoinStats()

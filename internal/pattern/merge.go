@@ -359,14 +359,15 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 	for i := range used {
 		used[i] = false
 	}
-	// mapping[j] is the p1 variable matched to p2 variable j+2, or -1.
+	// mapping[j] is the p1 variable matched to p2 variable j+2, or -1. A
+	// branch that can no longer match need variables is cut.
 	var rec func(j, matched int)
 	rec = func(j, matched int) {
 		if matched+free2-j < need {
 			return
 		}
 		if j == free2 {
-			m.candidate(re1, re2, base2, mapping, maxVars, decide, take)
+			m.candidate(re1, re2, base2, mapping, decide, take)
 			return
 		}
 		mapping[j] = -1
@@ -389,10 +390,11 @@ func (m *Merger) Merge(re1, re2 *Explanation, maxVars int, decide func(Key) Merg
 // and for a non-empty candidate normalises the merged edge multiset in
 // scratch, resolves the canonical key and — if the caller takes it —
 // completes the join and materialises.
-func (m *Merger) candidate(re1, re2 *Explanation, base2 int32, mapping []VarID, maxVars int, decide func(Key) MergeAction, take func(Key, *Explanation)) {
+func (m *Merger) candidate(re1, re2 *Explanation, base2 int32, mapping []VarID, decide func(Key) MergeAction, take func(Key, *Explanation)) {
 	p1, p2 := re1.P, re2.P
 	// Assign variable IDs in the merged pattern: p1 variables keep their
-	// IDs; unmatched p2 variables get fresh IDs.
+	// IDs; unmatched p2 variables get fresh IDs (Merge matched enough of
+	// them for the total to fit maxVars).
 	rename2 := m.rename2[:p2.NumVars()]
 	rename2[Start], rename2[End] = Start, End
 	next := VarID(p1.NumVars())
@@ -405,9 +407,6 @@ func (m *Merger) candidate(re1, re2 *Explanation, base2 int32, mapping []VarID, 
 		}
 	}
 	total := int(next)
-	if total > maxVars {
-		return
-	}
 
 	// Existence first: the join stops at the first merged instance, and
 	// the (factorial) canonical form is computed only for candidates
