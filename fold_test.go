@@ -2,7 +2,9 @@ package rex
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +12,16 @@ import (
 	"rex/internal/kbgen"
 )
 
-// TestBackgroundFoldExplainsLikeRebuild serves a delta stream from a
-// store that folds its overlay chain in the background whenever a
-// generation has a patch, and on a sample of generations compares the served
-// answers with a fresh Explainer over the Clone+Freeze rebuild of a
-// store that never folds: same fingerprint, byte-identical results —
-// for pairs of the base KB and pairs along the chains the deltas hang.
-func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
+// TestFoldExplainsLikeRebuild serves a delta stream from a store whose
+// CompactRatio folds the overlay chain every few deltas, and on a sample
+// of generations compares the served answers with a fresh Explainer
+// over the Clone+Freeze rebuild of a store that never folds: same
+// fingerprint, byte-identical results — for pairs of the base KB and
+// pairs along the chains the deltas hang.
+func TestFoldExplainsLikeRebuild(t *testing.T) {
 	deltas, every := 96, 8
 	if testing.Short() || raceEnabled {
-		deltas, every = 32, 8
+		deltas, every = 32, 4
 	}
 	opt := Options{Measure: "size+local-dist", TopK: 5}
 	gen, err := kbgen.PresetOptions("small", 42)
@@ -36,13 +38,14 @@ func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folding.mgr.CompactRatio = 0
+	folding.mgr.CompactRatio = 0.03
 	chained, err := NewStore(&KB{g: base}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chained.mgr.CompactRatio = math.Inf(1)
-	installs, answered := 0, 0
+	folds, answered, maxDepth := 0, 0, 0
+	var depths []int // of the compared generations
 	for i, body := range ingestDeltas(base, 42, deltas) {
 		info, err := folding.Apply(strings.NewReader(body))
 		if err != nil {
@@ -52,15 +55,14 @@ func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if info.Compacted {
-			installs++
+			folds++
 		}
+		maxDepth = max(maxDepth, info.OverlayDepth)
 		if i%every != every-1 {
 			continue
 		}
-		// Settle the fold in flight: the next delta installs it, so
-		// installs do not depend on when the scheduler runs the fold.
-		folding.mgr.WaitFold()
 		served := folding.Current()
+		depths = append(depths, served.KB.g.Overlay().Depth)
 		rebuilt := chained.Current().KB.g.Clone()
 		rebuilt.Freeze()
 		if served.Fingerprint != rebuilt.Fingerprint() {
@@ -101,46 +103,44 @@ func TestBackgroundFoldExplainsLikeRebuild(t *testing.T) {
 			}
 		}
 	}
-	folding.mgr.WaitFold() // no later test's fail point may catch the last fold
-	t.Logf("%d deltas, %d installs, %d non-empty answers compared", deltas, installs, answered)
-	if installs == 0 || answered == 0 {
-		t.Fatalf("%d deltas installed %d folds and compared %d non-empty answers", deltas, installs, answered)
+	t.Logf("%d deltas: %d folds, depth up to %d; compared at depths %v, %d non-empty answers",
+		deltas, folds, maxDepth, depths, answered)
+	if folds == 0 || maxDepth < 2 || !slices.Contains(depths, 0) || answered == 0 {
+		t.Fatalf("%d deltas folded %d times, stacked up to depth %d, compared at depths %v and compared %d non-empty answers",
+			deltas, folds, maxDepth, depths, answered)
 	}
 }
 
-// TestCrashDuringBackgroundFold crashes a durable store, folding any
-// generation with a patch, while its fold is held on the compactor (deltas
-// acked over the old base, checkpoints of those
-// generations behind them) and after a fold was installed (generations
-// and checkpoints over the folded arrays). Recovery never reads the
-// compactor's output: it lands on the last acknowledged generation with
-// the crash-free oracle's fingerprint, and converges on the oracle's
-// final state.
-func TestCrashDuringBackgroundFold(t *testing.T) {
-	const nDeltas = 14
+// TestCrashAroundFold crashes a durable store around the delta whose
+// generation crosses the compaction ratio and is folded under the
+// writer's lock. In "publish" the tripping delta crashes at the
+// live.publish fail point: its WAL record is durable, but it was never
+// acknowledged and no fold was published. In "folded" the crash comes
+// three deltas after the fold was published (generations and
+// checkpoints over the folded arrays). Recovery lands on the crash-free
+// oracle's fingerprint — at the acknowledged generation, or one past it
+// when the unacknowledged record is on disk — and converges on the
+// oracle's final state.
+func TestCrashAroundFold(t *testing.T) {
+	const nDeltas, trip = 14, 5
 	deltas := make([]string, nDeltas)
 	for i := range deltas {
 		deltas[i] = soakDelta(i)
 	}
 	oracle := soakOracle(t, deltas)
-	for _, installed := range []bool{false, true} {
-		t.Run(map[bool]string{false: "held", true: "installed"}[installed], func(t *testing.T) {
+	for _, published := range []bool{false, true} {
+		t.Run(map[bool]string{false: "publish", true: "folded"}[published], func(t *testing.T) {
 			defer fail.Reset()
 			dir := t.TempDir()
 			st, err := NewStore(durableKB(t), durableOptions(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.mgr.CompactRatio = 0
-			entered, release := gateFailpoint("live.fold", nil)
-			released := false
-			free := func() {
-				if !released {
-					released = true
-					release()
-				}
-			}
-			defer free()
+			// Each delta adds a node with one edge at alice, so over the
+			// base's 2 half-edges the k-th delta materialises 2k+1: the
+			// sixth (delta trip) is the first to cross a ratio of 6. Over
+			// the folded arrays the ratio stays below 1.
+			st.mgr.CompactRatio = 6
 			var acked uint64
 			apply := func(i int) SwapInfo {
 				t.Helper()
@@ -148,24 +148,32 @@ func TestCrashDuringBackgroundFold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("apply %d: %v", i, err)
 				}
+				if info.Compacted != (i == trip) || info.Compacted != (info.OverlayDepth == 0) {
+					t.Fatalf("apply %d: %+v, want a fold at delta %d only", i, info, trip)
+				}
 				acked = info.Generation
 				return info
 			}
-			for i := range 9 {
+			for i := range trip {
 				apply(i)
-				if i == 0 {
-					<-entered // the fold of generation 2 is held
-				}
 			}
-			if depth := st.Current().KB.g.Overlay().Depth; depth != 9 {
-				t.Fatalf("nine deltas with the fold held reached depth %d, want 9", depth)
-			}
-			if installed {
-				free()
-				st.mgr.WaitFold()
-				if info := apply(9); !info.Compacted {
-					t.Fatalf("the delta after the released fold finished did not install it: %+v", info)
+			var want uint64
+			if published {
+				for i := trip; i < trip+4; i++ {
+					apply(i)
 				}
+				want = acked
+			} else {
+				fail.EnableTimes("live.publish", 1)
+				if _, err := st.Apply(strings.NewReader(deltas[trip])); !errors.Is(err, fail.ErrInjected) {
+					t.Fatalf("the tripping delta with live.publish armed: %v", err)
+				}
+				fail.Reset()
+				if st.Generation() != acked || st.LiveStats().Compactions != 0 {
+					t.Fatalf("a failed publish moved the store: generation %d, %d compactions",
+						st.Generation(), st.LiveStats().Compactions)
+				}
+				want = acked + 1 // the durable, unacknowledged record replays
 			}
 			// The crashed store is abandoned without Close.
 			st2, err := NewStore(durableKB(t), durableOptions(dir))
@@ -173,11 +181,11 @@ func TestCrashDuringBackgroundFold(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 			defer st2.Close()
-			if gen := st2.Generation(); gen != acked || st2.Current().Fingerprint != oracle[gen] {
-				t.Fatalf("recovered generation %d (%s), want the acknowledged %d (%s)",
-					gen, st2.Current().Fingerprint, acked, oracle[acked])
+			if gen := st2.Generation(); gen != want || st2.Current().Fingerprint != oracle[gen] {
+				t.Fatalf("recovered generation %d (%s), want %d (%s) with %d acknowledged",
+					gen, st2.Current().Fingerprint, want, oracle[want], acked)
 			}
-			for g := acked; g < nDeltas+1; g++ {
+			for g := want; g < nDeltas+1; g++ {
 				info, err := st2.Apply(strings.NewReader(deltas[g-1]))
 				if err != nil {
 					t.Fatal(err)

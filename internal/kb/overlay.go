@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -37,10 +36,6 @@ const (
 	ovPageShift = 9 // 512 nodes per page: a touched page costs 4KB
 	ovPageSize  = 1 << ovPageShift
 	ovPageMask  = ovPageSize - 1
-
-	// compactYieldEvery is how many half-edges Compact copies between two
-	// yields of its processor: about 50 µs of copying.
-	compactYieldEvery = 1 << 14
 )
 
 // ovNode is one materialised overlay node: its full half-edge span in
@@ -302,18 +297,6 @@ func (g *Graph) Compact() *Graph {
 	}
 	c.byName, c.addedNames = compactNames(c, base, ov.addedNames())
 
-	// The copying gives up the processor every compactYieldEvery
-	// half-edges. The live manager compacts on a goroutine of its own,
-	// and when no CPU is idle the scheduler may run it on the processor a
-	// writer was just preempted from; the writer then waits for the next
-	// yield instead of for the whole compaction.
-	copied := 0
-	yield := func(n int) {
-		if copied += n; copied >= compactYieldEvery {
-			copied = 0
-			runtime.Gosched()
-		}
-	}
 	// copyRun appends the untouched base nodes [a, b) a page of nodes at
 	// a time, one block per array, shifting their offsets to where the
 	// block lands.
@@ -334,7 +317,6 @@ func (g *Graph) Compact() *Graph {
 				c.csrOff[i] = base.csrOff[i] + shift
 				c.spanOff[i] = base.spanOff[i] + spanShift
 			}
-			yield(int(hi - lo))
 			a = e
 		}
 	}
@@ -358,7 +340,6 @@ func (g *Graph) Compact() *Graph {
 			}
 			c.csrOff[id+1] = int32(len(c.csr))
 			c.spanOff[id+1] = int32(len(c.spans))
-			yield(len(on.csr))
 		}
 	}
 	copyRun(run, nBase)
@@ -414,96 +395,6 @@ func compactNames(c, base *Graph, chain map[string]NodeID) (byName, added map[st
 	maps.Copy(added, base.addedNames)
 	maps.Copy(added, chain)
 	return base.byName, added
-}
-
-// Rebase re-bases an overlay generation onto the compaction of one of
-// its ancestors, for a compaction that ran while later generations were
-// built over the old base. g and from must share a base, from must be g
-// or a generation g was built over, and onto must be from.Compact(); it
-// panics if the bases differ. The result answers every read exactly as g
-// does, but aliases onto's CSR arrays and indexes, and its depth counts
-// the generations since from. Overlay pages are cumulative and an overlay
-// node holds its node's whole span, so the nodes whose span differs from
-// onto's are exactly those whose overlay node g does not share with
-// from: the patch set keeps those and drops the rest. The cost is the
-// page table plus the nodes changed since from, nothing proportional to
-// the graph.
-func (g *Graph) Rebase(from, onto *Graph) *Graph {
-	if g == from {
-		return onto
-	}
-	if g.ov == nil || from.ov == nil || g.ov.base != from.ov.base {
-		panic("kb: Rebase: the generations do not share an overlay base")
-	}
-	gov, fov := g.ov, from.ov
-	r := &Graph{
-		nodes:         g.nodes,
-		claim:         g.claim,
-		labels:        g.labels,
-		labelIDs:      g.labelIDs,
-		labelDirected: g.labelDirected,
-		numEdges:      g.numEdges,
-		frozen:        true,
-		csrOff:        onto.csrOff,
-		csr:           onto.csr,
-		labelCSR:      onto.labelCSR,
-		spanOff:       onto.spanOff,
-		spans:         onto.spans,
-		byType:        onto.byType,
-		byName:        onto.byName,
-		addedNames:    onto.addedNames,
-		fp:            g.fp,
-		xorFP:         g.xorFP,
-		maxDegree:     g.maxDegree,
-	}
-	ov := &overlay{base: onto, depth: gov.depth - fov.depth, pages: make([]ovPage, len(gov.pages))}
-	for pi, page := range gov.pages {
-		var old ovPage
-		if pi < len(fov.pages) {
-			old = fov.pages[pi]
-		}
-		if page == nil || (old != nil && &page[0] == &old[0]) {
-			continue // untouched since from: onto holds every span on it
-		}
-		var kept ovPage
-		for j, on := range page {
-			if on == nil || (old != nil && old[j] == on) {
-				continue
-			}
-			if kept == nil {
-				kept = make(ovPage, ovPageSize)
-			}
-			kept[j] = on
-			ov.halfEdges += len(on.csr)
-		}
-		ov.pages[pi] = kept
-	}
-
-	// Node bookkeeping relative to onto, whose node table is from's: the
-	// nodes added since from, and the nodes whose type differs from
-	// from's — only a node retyped against the old base on either side,
-	// or added between that base and from, can.
-	if len(g.nodes) > len(from.nodes) {
-		ov.added = []*addedLevel{newLevel(g.nodes, len(from.nodes))}
-	}
-	ov.retyped = make(map[NodeID]string)
-	retype := func(id NodeID) {
-		if typ := g.nodes[id].Type; typ != from.nodes[id].Type {
-			ov.retyped[id] = typ
-		}
-	}
-	for id := range gov.retyped {
-		retype(id)
-	}
-	for id := range fov.retyped {
-		retype(id)
-	}
-	for id := len(fov.base.nodes); id < len(from.nodes); id++ {
-		retype(NodeID(id))
-	}
-	ov.retypedIn = typeLists(ov.retyped)
-	r.ov = ov
-	return r
 }
 
 // OverlayBuilder accumulates one delta against a frozen graph and

@@ -443,8 +443,7 @@ func FuzzOverlayEquivalence(f *testing.F) {
 		// One delta; every op a delta of its own, a chain with no fold;
 		// and the same ops as two deltas cut at a fuzzed point, stacked
 		// twice on one head (the second build loses the head's tip claim),
-		// with a compaction in between, and stacked then re-based onto the
-		// compaction of the first.
+		// and with a compaction in between.
 		want := applyOpsRebuild(t, base, ops)
 		requireGraphsIdentical(t, "fuzz", applyOpsOverlay(t, base, ops), want)
 		chain := base
@@ -472,80 +471,7 @@ func FuzzOverlayEquivalence(f *testing.F) {
 		onCompacted := applyOpsOverlay(t, head.Compact(), ops[cut:])
 		requireGraphsIdentical(t, "fuzz on compaction", onCompacted, want)
 		requireSameArrays(t, "fuzz on compaction, compacted", onCompacted.Compact(), want)
-		rebased := stacked.Rebase(head, head.Compact())
-		requireGraphsIdentical(t, "fuzz re-based", rebased, want)
-		requireSameArrays(t, "fuzz re-based, compacted", rebased.Compact(), want)
 	})
-}
-
-// TestRebaseMatchesRebuild re-bases every generation of a chain onto the
-// compaction of every ancestor, as a fold that finishes some deltas
-// after its generation does: the result reads like the rebuild, it
-// compacts to the rebuild's arrays, it holds only the nodes touched
-// since the ancestor, and deltas stack on it — through a second fold
-// and re-base, too.
-func TestRebaseMatchesRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		base := randomBase(rng, 700, 5, 2500) // two overlay pages
-		chain, rebuilt := []*Graph{base}, []*Graph{base}
-		// Node 5 is retyped away from its base type in round 1 and back in
-		// round 4; late is added in round 2, retyped in round 4 and back in
-		// round 5.
-		late := InvalidNode
-		for round := 0; round < 6; round++ {
-			prev := chain[len(chain)-1]
-			ops := randomOps(rng, prev.NumNodes(), prev.NumLabels(), 20, round)
-			switch round {
-			case 1:
-				ops = append(ops, ovOp{kind: 4, from: 5, typ: "android"})
-			case 2:
-				ops = append(ops, ovOp{kind: 0, name: "late", typ: "robot"})
-				late = NodeID(prev.NumNodes() + countAdds(ops) - 1)
-			case 4:
-				ops = append(ops, ovOp{kind: 4, from: late, typ: "android"}, ovOp{kind: 4, from: 5, typ: base.Node(5).Type})
-			case 5:
-				ops = append(ops, ovOp{kind: 4, from: late, typ: "robot"})
-			}
-			chain = append(chain, applyOpsOverlay(t, prev, ops))
-			rebuilt = append(rebuilt, applyOpsRebuild(t, rebuilt[len(rebuilt)-1], ops))
-		}
-		for from := 1; from < len(chain); from++ {
-			onto := chain[from].Compact()
-			for tip := from; tip < len(chain); tip++ {
-				tag := fmt.Sprintf("seed %d: generation %d re-based onto %d", seed, tip, from)
-				r := chain[tip].Rebase(chain[from], onto)
-				if tip == from && r != onto {
-					t.Fatalf("%s: a generation re-based onto its own compaction is not that compaction", tag)
-				}
-				if got := r.Overlay().Depth; got != tip-from {
-					t.Fatalf("%s: depth %d, want %d", tag, got, tip-from)
-				}
-				requireGraphsIdentical(t, tag, r, rebuilt[tip])
-				requireSameArrays(t, tag+", compacted", r.Compact(), rebuilt[tip])
-				requireStatsMatchScan(t, tag, r)
-				if tip > from {
-					requireOnlyChangedSince(t, tag, r, chain[tip], chain[from])
-				}
-			}
-		}
-		// Stack deltas on a re-based generation, fold again and re-base
-		// again: the second round runs over the first fold's arrays.
-		g := chain[len(chain)-1].Rebase(chain[3], chain[3].Compact())
-		want := rebuilt[len(rebuilt)-1]
-		var folded *Graph
-		for round := 10; round < 14; round++ {
-			ops := randomOps(rng, g.NumNodes(), g.NumLabels(), 20, round)
-			g, want = applyOpsOverlay(t, g, ops), applyOpsRebuild(t, want, ops)
-			requireGraphsIdentical(t, fmt.Sprintf("seed %d: round %d over a re-base", seed, round), g, want)
-			if round == 11 {
-				folded = g
-			}
-		}
-		g = g.Rebase(folded, folded.Compact())
-		requireGraphsIdentical(t, fmt.Sprintf("seed %d: second re-base", seed), g, want)
-		requireSameArrays(t, fmt.Sprintf("seed %d: second re-base, compacted", seed), g.Compact(), want)
-	}
 }
 
 // countAdds counts the node additions among ops.
@@ -557,34 +483,6 @@ func countAdds(ops []ovOp) int {
 		}
 	}
 	return n
-}
-
-// requireOnlyChangedSince checks a re-base's patch set: a node is
-// materialised iff the tip's overlay node is not the one from had, the
-// materialised half-edges add up, and the added-name index holds only
-// the names added since from.
-func requireOnlyChangedSince(t *testing.T, tag string, r, tip, from *Graph) {
-	t.Helper()
-	halfEdges := 0
-	for i := range tip.NumNodes() {
-		id := NodeID(i)
-		want := tip.ov.node(id)
-		if i < from.NumNodes() && from.ov.node(id) == want {
-			want = nil
-		}
-		if got := r.ov.node(id); got != want {
-			t.Fatalf("%s: node %d materialised as %p, want %p", tag, id, got, want)
-		}
-		if want != nil {
-			halfEdges += len(want.csr)
-		}
-	}
-	if r.Overlay().HalfEdges != halfEdges {
-		t.Fatalf("%s: %d materialised half-edges, want %d", tag, r.Overlay().HalfEdges, halfEdges)
-	}
-	if added := tip.NumNodes() - from.NumNodes(); len(r.ov.addedNames()) != added {
-		t.Fatalf("%s: %d names in the added index, want the %d added since from", tag, len(r.ov.addedNames()), added)
-	}
 }
 
 // TestLabelOnThawedGenerationLeavesSource: a delta that registers no

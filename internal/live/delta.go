@@ -216,14 +216,13 @@ type ApplyStats struct {
 	// overlay over the previous snapshot; it is false when the delta
 	// changed nothing and no generation was built.
 	Overlay bool
-	// Compacted reports that this apply installed a fold: the manager
-	// compacted an earlier generation in the background, and this
-	// generation was built over the folded CSR arrays instead of the old
-	// base.
+	// Compacted reports that the generation this delta built crossed
+	// the manager's CompactRatio and was folded into fresh CSR arrays
+	// before it was published: the published snapshot is a plain graph.
 	Compacted bool
 	// OverlayDepth is the overlay depth of the published snapshot: the
-	// deltas stacked over its base arrays, at least 1. After an install
-	// it counts this delta and those since the folded generation.
+	// deltas stacked over its base arrays, 0 when Compacted, else at
+	// least 1.
 	OverlayDepth int
 }
 

@@ -8,51 +8,19 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"rex/internal/fail"
 	"rex/internal/kb"
 	"rex/internal/kbgen"
 )
 
-// gateFolds arms live.fold to hold every fold until the test sends it
-// an outcome: nil lets the fold compact, an error fails it. The buffer
-// lets a test release a fold that has not reached the gate yet, and
-// send a last release when no fold may be waiting. A fold reaching the
-// gate reports on entered while its buffer has room. The fail point is
-// global, so a fold of another test's manager would take a release meant
-// for this test's fold: build managers with newManager, which finishes
-// their folds when the test ends. At cleanup the gate is disarmed and
-// lets every fold it still holds compact; arm it after newManager, so
-// that this cleanup runs before the manager waits for its fold.
-func gateFolds(t testing.TB) (gate chan<- error, entered <-chan struct{}) {
-	g, in := make(chan error, 16), make(chan struct{}, 16)
-	fail.EnableFunc("live.fold", func() error {
-		select {
-		case in <- struct{}{}:
-		default:
-		}
-		return <-g
-	})
-	t.Cleanup(func() {
-		fail.Disable("live.fold")
-		close(g) // a held fold receives nil from the closed gate
-	})
-	return g, in
-}
-
-// newManager is NewManager for a test: the manager's fold in flight, if
-// any, is finished when the test ends, so it cannot reach a fail point a
-// later test arms.
+// newManager is NewManager for a test, failing it on an error.
 func newManager(t testing.TB, g *kb.Graph, build BuildFunc) *Manager {
 	t.Helper()
 	m, err := NewManager(g, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.WaitFold)
 	return m
 }
 
@@ -173,24 +141,21 @@ func requireSameGraph(t *testing.T, tag string, rng *rand.Rand, got, want *kb.Gr
 	}
 }
 
-// TestBackgroundFoldMatchesRebuild is the differential of the overlay
-// chain and its background fold: a seeded random delta stream over
-// kbgen's small KB through a Manager, against the Clone+Freeze rebuild of
-// every generation. In the seedN subtests every generation with a patch
-// trips the fold policy and each fold is held for a random number of
-// deltas (some failed instead); in "chain" nothing folds for 500
-// generations. One
-// delta in ten is built and then refused by its commit hook, so the next
-// one branches from the same source as a generation that claimed the
-// node table's spare capacity and was never published. Every published
-// generation — over the old base with a fold in flight, re-based at an
-// install, over the folded arrays, or deep in the chain — must equal the
-// rebuild, and so must a sample of old generations once the stream has
-// appended past them. The rebuild applies each delta to one unfrozen
-// graph with the ordinary mutators and is cloned and frozen where it is
-// compared: every generation, or under -short and -race every fifth of
-// the chain's.
-func TestBackgroundFoldMatchesRebuild(t *testing.T) {
+// TestFoldMatchesRebuild is the differential of the overlay chain and
+// its fold: a seeded random delta stream over kbgen's small KB through a
+// Manager, against the Clone+Freeze rebuild of every generation. In the
+// seedN subtests the CompactRatio is low enough that a fold trips every
+// few deltas; in "chain" nothing folds for 500 generations. One delta in
+// ten is built and then refused by its commit hook, so the next one
+// branches from the same source as a generation that claimed the node
+// table's spare capacity and was never published. Every published
+// generation — folded, stacked over a fold's arrays, or deep in the
+// chain — must equal the rebuild, and so must a sample of old
+// generations once the stream has appended past them. The rebuild
+// applies each delta to one unfrozen graph with the ordinary mutators
+// and is cloned and frozen where it is compared: every generation, or
+// under -short and -race every fifth of the chain's.
+func TestFoldMatchesRebuild(t *testing.T) {
 	seeds, deltas, every := 6, 300, 1
 	if testing.Short() || raceEnabled {
 		seeds, deltas, every = 2, 100, 5
@@ -201,7 +166,7 @@ func TestBackgroundFoldMatchesRebuild(t *testing.T) {
 		seeds, deltas, every int
 		ratio                float64 // the manager's CompactRatio
 	}{
-		{"", seeds, deltas, 1, 0},
+		{"", seeds, deltas, 1, 0.01},
 		{"chain/", 1, 500, every, math.Inf(1)},
 	} {
 		for seed := int64(1); seed <= int64(mode.seeds); seed++ {
@@ -216,21 +181,9 @@ func TestBackgroundFoldMatchesRebuild(t *testing.T) {
 				oracle := orig.Clone()
 				m := newManager(t, orig, nil)
 				m.CompactRatio = mode.ratio
-				gate, _ := gateFolds(t)
-				hold := -1 // deltas the pending fold is still held for
-				var folds uint64
 				var old [][2]*kb.Graph // (served, rebuilt) of every 25th generation
-				installs, branches, maxDepth := 0, 0, 0
+				folds, branches, maxDepth := 0, 0, 0
 				for i := range mode.deltas {
-					if hold == 0 {
-						var outcome error
-						if rng.Intn(8) == 0 {
-							outcome = fail.ErrInjected
-						}
-						gate <- outcome
-						m.WaitFold()
-					}
-					hold--
 					d := parse(t, foldDelta(rng, oracle, orig, i))
 					if len(d.Ops) == 0 {
 						continue // every record drawn was skipped
@@ -263,169 +216,30 @@ func TestBackgroundFoldMatchesRebuild(t *testing.T) {
 							old = append(old, [2]*kb.Graph{snap.Graph, want})
 						}
 					}
+					if depth := snap.Graph.Overlay().Depth; st.Changed() && (st.OverlayDepth != depth || st.Compacted != (depth == 0)) {
+						t.Fatalf("delta %d: %+v, published at depth %d", i, st, depth)
+					}
 					if st.Compacted {
-						installs++
+						folds++
 					}
-					maxDepth = max(maxDepth, snap.Graph.Overlay().Depth)
-					if n := m.Compactions(); n > folds {
-						folds, hold = n, rng.Intn(6)
-					}
+					maxDepth = max(maxDepth, st.OverlayDepth)
 				}
 				for k, pair := range old {
 					requireSameGraph(t, fmt.Sprintf("generation of delta %d, at the end", 25*k), rng, pair[0], pair[1])
 				}
-				t.Logf("%d deltas (%d branched): %d folds started, %d installed, overlay depth up to %d",
-					mode.deltas, branches, folds, installs, maxDepth)
+				t.Logf("%d deltas (%d branched): %d folds, overlay depth up to %d",
+					mode.deltas, branches, folds, maxDepth)
 				switch {
 				case branches == 0:
 					t.Fatal("no delta branched from a source another build had claimed")
-				case mode.ratio == 0 && (installs < mode.deltas/20 || maxDepth <= 3):
-					t.Fatalf("%d installs and depth up to %d: the stream did not exercise held folds", installs, maxDepth)
-				case mode.ratio > 0 && (folds != 0 || maxDepth != int(m.Generation()-1)):
+				case uint64(folds) != m.Compactions():
+					t.Fatalf("%d deltas reported a fold, the manager counts %d", folds, m.Compactions())
+				case !math.IsInf(mode.ratio, 1) && (folds < mode.deltas/20 || maxDepth < 2):
+					t.Fatalf("%d folds and depth up to %d: the stream did not fold and stack over folds", folds, maxDepth)
+				case math.IsInf(mode.ratio, 1) && (folds != 0 || maxDepth != int(m.Generation()-1)):
 					t.Fatalf("%d folds, depth %d at generation %d: the chain folded", folds, maxDepth, m.Generation())
 				}
 			})
 		}
-	}
-}
-
-// TestHeldFoldDoesNotBlockAcks: with the fold held on its goroutine,
-// deltas keep publishing over the old base without waiting for it, and
-// no second fold starts although every generation trips the policy.
-// Once the fold finishes, the next delta installs it, re-basing the ten
-// generations stacked since the folded one.
-func TestHeldFoldDoesNotBlockAcks(t *testing.T) {
-	m := newManager(t, baseGraph(t), nil)
-	gate, _ := gateFolds(t)
-	m.CompactRatio = 0 // every generation with a patch trips the fold
-	want := baseGraph(t)
-	apply := func(i int) ApplyStats {
-		t.Helper()
-		d := parse(t, walDelta(i))
-		snap, st, err := m.ApplyDelta(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _, err = rebuildApply(d, want); err != nil {
-			t.Fatal(err)
-		}
-		if snap.Fingerprint != want.Fingerprint() || st.OverlayDepth != snap.Graph.Overlay().Depth {
-			t.Fatalf("delta %d: generation %s at depth %d (stats %d), rebuild %s", i,
-				snap.Fingerprint, snap.Graph.Overlay().Depth, st.OverlayDepth, want.Fingerprint())
-		}
-		return st
-	}
-	apply(0) // starts the fold
-	// An ack that waited for the fold would hang here: the watchdog lets
-	// the fold go after ten seconds and the test fails on it.
-	var stuck atomic.Bool
-	watchdog := time.AfterFunc(10*time.Second, func() { stuck.Store(true); gate <- fail.ErrInjected })
-	for i := 1; i < 11; i++ {
-		if st := apply(i); st.Compacted || st.OverlayDepth != i+1 || stuck.Load() {
-			t.Fatalf("delta %d with the fold held: %+v after the watchdog fired: %v; want depth %d and no install",
-				i, st, stuck.Load(), i+1)
-		}
-	}
-	if !watchdog.Stop() {
-		t.Fatal("ten acks took ten seconds with the fold held")
-	}
-	if m.Compactions() != 1 {
-		t.Fatalf("%d folds started, want 1: the trigger must be skipped while one is in flight", m.Compactions())
-	}
-	gate <- nil
-	m.WaitFold()
-	if st := apply(11); !st.Compacted || st.OverlayDepth != 12-1 {
-		t.Fatalf("the delta after the fold: %+v, want the install at depth 11", st)
-	}
-	// The installed generation has a patch: it folds again.
-	if m.Compactions() != 2 {
-		t.Fatalf("%d folds started after the install, want 2", m.Compactions())
-	}
-	gate <- nil
-	m.WaitFold()
-	if st := apply(12); !st.Compacted || st.OverlayDepth != 1 {
-		t.Fatalf("the delta after the second fold: %+v, want the install at depth 1", st)
-	}
-}
-
-// TestSwapDiscardsHeldFold: a graph swapped in wholesale while a fold is
-// held drops the fold, since the new tip does not descend from the
-// folded generation. The fold finishing afterwards changes nothing: the
-// next delta stacks on the swapped graph, and the trigger folds again.
-func TestSwapDiscardsHeldFold(t *testing.T) {
-	for _, swap := range []struct {
-		name string
-		do   func(m *Manager, g *kb.Graph) (*Snapshot, error)
-	}{
-		{"SwapGraph", func(m *Manager, g *kb.Graph) (*Snapshot, error) { return m.SwapGraph(g) }},
-		{"SwapGraphAt", func(m *Manager, g *kb.Graph) (*Snapshot, error) { return m.SwapGraphAt(g, m.Generation()+5, nil) }},
-		{"SwapGraphRepair", func(m *Manager, g *kb.Graph) (*Snapshot, error) { return m.SwapGraphRepair(g, 2, nil) }},
-	} {
-		t.Run(swap.name, func(t *testing.T) {
-			m := newManager(t, baseGraph(t), nil)
-			gate, entered := gateFolds(t)
-			m.CompactRatio = 0 // every generation with a patch trips the fold
-			for i := range 4 {
-				if _, _, err := m.ApplyDelta(parse(t, walDelta(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Swap only once the fold is held. A dropped fold that reached
-			// the fail point later would take the next fold's release here,
-			// or a later test's gate.
-			<-entered
-			swapped := baseGraph(t)
-			swapped.AddNode("z", "robot")
-			if _, err := swap.do(m, swapped); err != nil {
-				t.Fatal(err)
-			}
-			gate <- nil
-			m.WaitFold()
-			want := swapped
-			for i := 10; i < 14; i++ {
-				d := parse(t, walDelta(i))
-				snap, st, err := m.ApplyDelta(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want, _, err = rebuildApply(d, want); err != nil {
-					t.Fatal(err)
-				}
-				if st.Compacted || st.OverlayDepth != i-9 || snap.Fingerprint != want.Fingerprint() {
-					t.Fatalf("delta %d after the swap: %+v (%s), want depth %d over the swapped graph (%s)",
-						i, st, snap.Fingerprint, i-9, want.Fingerprint())
-				}
-			}
-			if m.Compactions() != 2 {
-				t.Fatalf("%d folds started, want the held one and one over the swapped graph", m.Compactions())
-			}
-		})
-	}
-}
-
-// TestFailedApplyLeavesFoldPending: a finished fold is installed only by
-// a delta that publishes. A failing delta and a no-op delta leave it
-// pending, and the next delta that changes something installs it.
-func TestFailedApplyLeavesFoldPending(t *testing.T) {
-	m := newManager(t, baseGraph(t), nil)
-	m.CompactRatio = 0 // every generation with a patch trips the fold
-	if _, _, err := m.ApplyDelta(parse(t, walDelta(0))); err != nil {
-		t.Fatal(err)
-	}
-	m.WaitFold()
-	if _, _, err := m.ApplyDelta(parse(t, "node\tq\tperson\nedge\tghost\ta\tknows")); err == nil {
-		t.Fatal("a delta naming an unknown node applied")
-	}
-	if snap, st, err := m.ApplyDelta(parse(t, walDelta(0))); err != nil || st.Changed() || snap.Generation != 2 {
-		t.Fatalf("no-op delta: generation %d, %+v, %v", snap.Generation, st, err)
-	}
-	m.mu.Lock()
-	pending := m.fold != nil
-	m.mu.Unlock()
-	if !pending {
-		t.Fatal("a delta that published nothing dropped the finished fold")
-	}
-	if _, st, err := m.ApplyDelta(parse(t, walDelta(1))); err != nil || !st.Compacted || st.OverlayDepth != 1 {
-		t.Fatalf("the next delta: %+v, %v; want the install at depth 1", st, err)
 	}
 }

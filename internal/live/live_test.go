@@ -315,24 +315,16 @@ func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	}
 }
 
-// TestManagerCompaction drives deltas through a policy that folds any
-// generation with a patch, releasing each held fold at a chosen delta,
-// and checks depth bookkeeping: a generation tripping the ratio starts a
-// fold, deltas stack over the old base while it is held, and the first
-// delta after it finishes installs it — at depth 1 over the folded
-// arrays when nothing stacked meanwhile, else at the number of
-// generations since the folded one.
+// TestManagerCompaction drives deltas through a ratio policy and checks
+// the depth bookkeeping: the delta whose generation crosses the ratio
+// publishes it folded, at depth 0 with Compacted set, and the deltas
+// after it stack over the folded arrays from depth 1.
 func TestManagerCompaction(t *testing.T) {
 	m := newManager(t, baseGraph(t), nil)
-	gate, _ := gateFolds(t)
-	m.CompactRatio = 0
+	m.CompactRatio = 1.2
 	var depths []int
-	var installed []int
+	var folded []int
 	for i := 0; i < 7; i++ {
-		if i == 1 || i == 4 {
-			gate <- nil
-			m.WaitFold()
-		}
 		d := parse(t, fmt.Sprintf("node\tx%d\tperson\nedge\ta\tx%d\tknows", i, i))
 		snap, st, err := m.ApplyDelta(d)
 		if err != nil {
@@ -346,15 +338,17 @@ func TestManagerCompaction(t *testing.T) {
 			t.Fatalf("delta %d: stats depth %d != graph depth %d", i, st.OverlayDepth, got)
 		}
 		if st.Compacted {
-			installed = append(installed, i)
+			folded = append(folded, i)
 		}
 	}
-	// The first delta starts a fold that the second installs at depth 1
-	// and folds again; that fold is held over two more deltas, so the
-	// fifth installs it at depth 2 + 1.
-	want := []int{1, 1, 2, 3, 3, 4, 5}
-	if fmt.Sprint(depths) != fmt.Sprint(want) || fmt.Sprint(installed) != "[1 4]" {
-		t.Fatalf("depths = %v with installs at %v, want %v with installs at [1 4]", depths, installed, want)
+	// Each delta adds one edge at a, whose materialised span holds all
+	// of a's edges, plus one half-edge per node added since the fold.
+	// Over the base's 2 half-edges the first delta materialises 3 (ratio
+	// 1.5) and folds; over 4, the next two reach 4 and 6 (1.0, 1.5); over
+	// 8, the next three reach 6, 8 and 10 (0.75, 1.0, 1.25); over 12, 8.
+	want := []int{0, 1, 0, 1, 2, 0, 1}
+	if fmt.Sprint(depths) != fmt.Sprint(want) || fmt.Sprint(folded) != "[0 2 5]" {
+		t.Fatalf("depths = %v with folds at %v, want %v with folds at [0 2 5]", depths, folded, want)
 	}
 	if m.Compactions() != 3 {
 		t.Errorf("compactions = %d, want 3", m.Compactions())

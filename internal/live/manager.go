@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -60,32 +59,21 @@ type Manager struct {
 	build BuildFunc
 
 	// CompactRatio bounds the overlay chain by size, never by age: when
-	// a published delta-built generation's materialised half-edges exceed
+	// a delta-built generation's materialised half-edges exceed
 	// CompactRatio of the base CSR, the manager folds it into fresh CSR
-	// arrays. Every per-generation structure of an overlay costs the
-	// delta, not the chain's length, so the number of stacked generations
-	// needs no bound of its own. The fold runs on a goroutine of its own,
-	// not under mu: deltas keep publishing overlays over the old base
-	// meanwhile (no second fold starts), and the first delta to publish
-	// after the fold has finished re-bases its source onto the folded
-	// graph — O(nodes changed since the fold's generation) — before
-	// applying. Set it before traffic starts; NewManager sets the default
-	// (0.25).
+	// arrays (kb.Graph.Compact) under the writer's lock, before the
+	// generation is published, so the delta's snapshot is plain CSR.
+	// Every per-generation structure of an overlay costs the delta, not
+	// the chain's length, so the number of stacked generations needs no
+	// bound of its own. Set it before traffic starts; NewManager sets the
+	// default (0.25).
 	CompactRatio float64
 
-	mu   sync.Mutex // serialises writers; readers never take it
-	cur  atomic.Pointer[Snapshot]
-	fold *fold // the fold in flight or awaiting install, on mu; nil when none
+	mu  sync.Mutex // serialises writers; readers never take it
+	cur atomic.Pointer[Snapshot]
 
 	swaps       atomic.Uint64 // completed swaps (generation - 1)
-	compactions atomic.Uint64 // folds started
-}
-
-// fold is one background compaction of a published generation.
-type fold struct {
-	from *kb.Graph     // the generation being folded, an ancestor of the tip
-	done chan struct{} // closed when to is set or the fold has failed
-	to   *kb.Graph     // from.Compact(); nil if the fold failed
+	compactions atomic.Uint64 // folds published
 }
 
 // DefaultCompactRatio is the default compaction policy: fold the overlay
@@ -150,14 +138,13 @@ func (m *Manager) Generation() uint64 { return m.cur.Load().Generation }
 func (m *Manager) Swaps() uint64 { return m.swaps.Load() }
 
 // Compactions returns the number of folds of the overlay chain into
-// fresh CSR arrays started since construction.
+// fresh CSR arrays published since construction.
 func (m *Manager) Compactions() uint64 { return m.compactions.Load() }
 
 // ApplyDelta replays a delta onto the current snapshot's graph as an
 // O(delta) overlay generation and atomically publishes the result as
-// the next generation. It installs a finished fold first (re-basing the
-// source onto it) and starts a fold of the published generation when
-// that crosses the CompactRatio policy. The current snapshot
+// the next generation, folding that generation into fresh CSR arrays
+// first when it crosses the CompactRatio policy. The current snapshot
 // keeps serving until the new one — graph and payload — is fully
 // built; on any error nothing is published and the active generation
 // is unchanged (the stats returned alongside an error are partial
@@ -216,70 +203,24 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 		return nil, ApplyStats{}, fmt.Errorf("%w: expected to publish generation %d, store is at %d",
 			ErrGenerationConflict, expect, cur.Generation)
 	}
-	src := cur.Graph
-	f := m.fold
-	if f != nil {
-		select {
-		case <-f.done:
-			if f.to == nil {
-				m.fold, f = nil, nil // failed: the next trigger starts another
-			} else {
-				src = src.Rebase(f.from, f.to)
-			}
-		default:
-			f = nil // still running: apply over the old base
-		}
-	}
-	g, st, _, err := d.Apply(src)
+	g, st, _, err := d.Apply(cur.Graph)
 	if err != nil {
 		return nil, st, err
 	}
 	if !st.Changed() {
 		return cur, st, nil
 	}
+	if g.Overlay().Ratio > m.CompactRatio {
+		g, st.Compacted, st.OverlayDepth = g.Compact(), true, 0
+	}
 	snap, err := m.publishLocked(g, cur.Generation+1, commit)
 	if err != nil {
 		return nil, st, err
 	}
-	if f != nil {
-		m.fold = nil
-		st.Compacted = true
-	}
-	if m.fold == nil && g.Overlay().Ratio > m.CompactRatio {
-		m.startFoldLocked(g)
+	if st.Compacted {
+		m.compactions.Add(1)
 	}
 	return snap, st, nil
-}
-
-// startFoldLocked starts folding the published generation g on a
-// goroutine of its own. Callers hold m.mu.
-func (m *Manager) startFoldLocked(g *kb.Graph) {
-	f := &fold{from: g, done: make(chan struct{})}
-	m.fold = f
-	m.compactions.Add(1)
-	go func() {
-		defer close(f.done)
-		// A new goroutine is queued to run next on the writer's processor.
-		// Yield once, so that if the writer is preempted before an idle
-		// processor picks the fold up, the writer does not wait behind
-		// the fold's allocations; Compact yields between its blocks.
-		runtime.Gosched()
-		if fail.Hit("live.fold") != nil {
-			return // an injected failure: the fold is dropped at install
-		}
-		f.to = g.Compact()
-	}()
-}
-
-// WaitFold blocks until the fold in flight, if any, has finished, so the
-// next delta to publish installs it. It starts no fold.
-func (m *Manager) WaitFold() {
-	m.mu.Lock()
-	f := m.fold
-	m.mu.Unlock()
-	if f != nil {
-		<-f.done
-	}
 }
 
 // SwapGraph publishes an independently built graph (e.g. re-read from
@@ -343,15 +284,10 @@ func (m *Manager) SwapGraphRepair(g *kb.Graph, gen uint64, commit CommitFunc) (*
 }
 
 // swapLocked freezes and publishes an independently built graph at
-// generation next, and drops the fold, if any: the new tip does not
-// descend from the generation being folded. Callers hold m.mu.
+// generation next. Callers hold m.mu.
 func (m *Manager) swapLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
 	g.Freeze()
-	snap, err := m.publishLocked(g, next, commit)
-	if err == nil {
-		m.fold = nil
-	}
-	return snap, err
+	return m.publishLocked(g, next, commit)
 }
 
 // publishLocked builds the payload for g, runs the durability commit

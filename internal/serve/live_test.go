@@ -531,13 +531,11 @@ func TestLiveSwapUnderTraffic(t *testing.T) {
 		if sw.Generation != uint64(i+1) {
 			t.Fatalf("delta %d produced generation %d, want %d", i, sw.Generation, i+1)
 		}
-		// Every delta applies as an overlay. When a background fold lands
-		// depends on the ratio policy and on timing, but the reported depth
-		// must be consistent: one more than the last delta's, except on the
-		// swap that installed a fold, which counts only the deltas since the
-		// folded generation — at least this one, at most as many as before.
-		if !sw.Overlay || (!sw.Compacted && sw.OverlayDepth != depth+1) ||
-			(sw.Compacted && (sw.OverlayDepth < 1 || sw.OverlayDepth > depth)) {
+		// Every delta applies as an overlay. A generation that crosses the
+		// ratio policy is folded before it is published, at depth 0; any
+		// other stacks one deeper than the last swap.
+		if !sw.Overlay || (sw.Compacted && sw.OverlayDepth != 0) ||
+			(!sw.Compacted && sw.OverlayDepth != depth+1) {
 			t.Fatalf("delta %d: overlay = %v, compacted = %v, depth = %d after %d", i, sw.Overlay, sw.Compacted, sw.OverlayDepth, depth)
 		}
 		depth = sw.OverlayDepth

@@ -439,9 +439,9 @@ type swapResponse struct {
 	EdgesRemoved int    `json:"edges_removed,omitempty"`
 	TypesSet     int    `json:"types_set,omitempty"`
 	// Overlay/Compacted/OverlayDepth describe how the swap was built:
-	// as an O(delta) overlay, whether it was the first built over a
-	// background fold's fresh arrays, and how many deltas its base
-	// arrays carry stacked.
+	// as an O(delta) overlay, whether it was then folded into fresh CSR
+	// arrays (its depth is 0), and how many deltas its base arrays carry
+	// stacked.
 	Overlay      bool `json:"overlay,omitempty"`
 	Compacted    bool `json:"compacted,omitempty"`
 	OverlayDepth int  `json:"overlay_depth,omitempty"`

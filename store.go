@@ -90,9 +90,10 @@ type SwapInfo struct {
 	// replaces the graph wholesale.
 	NodesAdded, LabelsAdded, EdgesAdded, EdgesRemoved, TypesSet int
 	// Overlay reports the new generation was built as an O(delta)
-	// overlay; Compacted that it was the first built over the fresh CSR
-	// arrays of a fold that ran in the background; OverlayDepth the
-	// published generation's overlay depth (see live.ApplyStats).
+	// overlay; Compacted that it crossed the compaction ratio and was
+	// folded into fresh CSR arrays before it was published; OverlayDepth
+	// the published generation's overlay depth, 0 when Compacted (see
+	// live.ApplyStats).
 	Overlay      bool
 	Compacted    bool
 	OverlayDepth int
@@ -351,7 +352,7 @@ type LiveStats struct {
 	// arrays — the last fold's generation or a full build.
 	OverlayDepth int
 	// Compactions counts folds of the overlay chain into fresh CSR
-	// arrays started in the background.
+	// arrays, each done by the delta that crossed the compaction ratio.
 	Compactions uint64
 	// ResultsCarried and ResultsDropped always read 0: every swap
 	// publishes an empty result cache, and the fields stay for callers
