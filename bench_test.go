@@ -734,7 +734,6 @@ func BenchmarkStoreApplyCheckpoint(b *testing.B) {
 // to 8, in ID order, so no node's span grows with the number applied.
 func nodeDeltaStore(tb testing.TB, g *kb.Graph) (st *Store, delta func(i int) string) {
 	tb.Helper()
-	g.Freeze()
 	var anchors []kb.NodeID
 	for id := range kb.NodeID(g.NumNodes()) {
 		if d := g.Degree(id); d >= 1 && d <= 8 {
@@ -795,7 +794,6 @@ func BenchmarkExplainUncached(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			preset, _, _ := strings.Cut(c.name, "-")
 			g := benchGraph(b, preset)
-			g.Freeze()
 			ex, err := NewExplainer(&KB{g: g}, Options{CacheSize: 0})
 			if err != nil {
 				b.Fatal(err)
@@ -866,7 +864,6 @@ func TestNodeDeltaCostIndependentOfHistory(t *testing.T) {
 // compaction of the last. It is the read cost an overlay's depth buys.
 func BenchmarkOverlayReadsByDepth(b *testing.B) {
 	g := benchMediumGraph(b)
-	g.Freeze()
 	var pairs []Pair
 	for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43}) {
 		if p.Bucket != kb.ConnHigh {

@@ -9,13 +9,15 @@ import (
 	"testing"
 
 	"rex/internal/fail"
+	"rex/internal/kb"
 	"rex/internal/kbgen"
 )
 
 // TestFoldExplainsLikeRebuild serves a delta stream from a store whose
 // CompactRatio folds the overlay chain every few deltas, and on a sample
 // of generations compares the served answers with a fresh Explainer
-// over the Clone+Freeze rebuild of a store that never folds: same
+// over a from-scratch rebuild (a builder seeded from the generation) of
+// a store that never folds: same
 // fingerprint, byte-identical results — for pairs of the base KB and
 // pairs along the chains the deltas hang.
 func TestFoldExplainsLikeRebuild(t *testing.T) {
@@ -29,7 +31,6 @@ func TestFoldExplainsLikeRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := kbgen.Generate(gen)
-	base.Freeze()
 	var pairs [][2]string
 	for _, p := range kbgen.SamplePairs(base, kbgen.PairOptions{PerBucket: 1, Seed: 3}) {
 		pairs = append(pairs, [2]string{base.NodeName(p.Start), base.NodeName(p.End)})
@@ -63,8 +64,7 @@ func TestFoldExplainsLikeRebuild(t *testing.T) {
 		}
 		served := folding.Current()
 		depths = append(depths, served.KB.g.Overlay().Depth)
-		rebuilt := chained.Current().KB.g.Clone()
-		rebuilt.Freeze()
+		rebuilt := kb.NewBuilderFrom(chained.Current().KB.g).Build()
 		if served.Fingerprint != rebuilt.Fingerprint() {
 			t.Fatalf("delta %d: served %s, rebuild %s", i, served.Fingerprint, rebuilt.Fingerprint())
 		}

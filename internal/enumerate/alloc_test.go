@@ -27,7 +27,6 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
 	}
 	g := kbgen.Sample()
-	g.Freeze()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
 	for route, bud := range map[string]Budget{"exhaustive": {}, "frontier": neverTruncates} {

@@ -48,7 +48,6 @@ func assertSubset(t *testing.T, label string, sub, super []*pattern.Explanation)
 // matches the unbudgeted result exactly.
 func TestBudgetedEnumerationPrefixConsistent(t *testing.T) {
 	g := kbgen.Sample()
-	g.Freeze()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
 	base := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune}
@@ -108,7 +107,6 @@ func TestBudgetedEnumerationPrefixConsistent(t *testing.T) {
 // nothing.
 func TestBudgetDeadlineTruncates(t *testing.T) {
 	g := kbgen.Sample()
-	g.Freeze()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
 	base := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune}

@@ -14,15 +14,15 @@ import (
 // join must get right: a hub adjacent to every other node, two labels
 // between one node pair, A→B and B→A under one label, undirected
 // labels, and — by seed — start adjacent to end or end cut off from
-// everything. It is returned unfrozen, with the edges it holds.
+// everything. It is returned with the edges it holds.
 func joinKB(seed int64) (g *kb.Graph, start, end kb.NodeID, edges []kb.Edge) {
 	rng := rand.New(rand.NewSource(seed))
-	g = kb.New()
+	gb := kb.NewBuilder()
 	n := 8 + rng.Intn(6)
 	for i := 0; i < n; i++ {
-		g.AddNode(string(rune('a'+i)), "t")
+		gb.AddNode(string(rune('a'+i)), "t")
 	}
-	d1, d2, u1 := g.MustLabel("d1", true), g.MustLabel("d2", true), g.MustLabel("u1", false)
+	d1, d2, u1 := gb.MustLabel("d1", true), gb.MustLabel("d2", true), gb.MustLabel("u1", false)
 	labels := []kb.LabelID{d1, d2, u1}
 	start, end = 0, 1
 	const hub, a, b, c = 2, 3, 4, 5
@@ -31,7 +31,7 @@ func joinKB(seed int64) (g *kb.Graph, start, end kb.NodeID, edges []kb.Edge) {
 		if from == to || disconnected && (from == end || to == end) {
 			return
 		}
-		if ok, err := g.AddEdge(from, to, l); err != nil {
+		if ok, err := gb.AddEdge(from, to, l); err != nil {
 			panic(err)
 		} else if ok {
 			edges = append(edges, kb.Edge{From: from, To: to, Label: l})
@@ -50,7 +50,7 @@ func joinKB(seed int64) (g *kb.Graph, start, end kb.NodeID, edges []kb.Edge) {
 	for i := n + rng.Intn(2*n); i > 0; i-- {
 		add(kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n)), labels[rng.Intn(len(labels))])
 	}
-	return g, start, end, edges
+	return gb.Build(), start, end, edges
 }
 
 // sortedKeys copies and sorts a raw key list, so two routes compare as
@@ -139,8 +139,8 @@ func TestExhaustiveMatchesFrontier(t *testing.T) {
 	t.Run("cancelled mid-join", testJoinCancelled)
 }
 
-// testRoutesOnRandomGraphs has one pooled state serve a graph unfrozen,
-// frozen, and as an overlay of depth 2 that added a node — on a path
+// testRoutesOnRandomGraphs has one pooled state serve a graph, and then
+// the same graph as an overlay of depth 2 that added a node — on a path
 // between the targets — and then deleted an edge, so an index sized
 // once instead of per use reads out of range.
 func testRoutesOnRandomGraphs(t *testing.T) {
@@ -155,11 +155,7 @@ func testRoutesOnRandomGraphs(t *testing.T) {
 		// only at length 7 is the forward cap deep enough for a walk
 		// that repeats an interior node to survive joinToKey.
 		for size := 2; size <= 8; size++ {
-			checkRoutesAgree(t, st, g, start, end, size-1, "unfrozen")
-		}
-		g.Freeze()
-		for size := 2; size <= 8; size++ {
-			checkRoutesAgree(t, st, g, start, end, size-1, "frozen")
+			checkRoutesAgree(t, st, g, start, end, size-1, "built")
 		}
 		b, err := kb.NewOverlayBuilder(g)
 		if err != nil {
@@ -211,18 +207,18 @@ func (c *pollCtx) Err() error {
 // context.Canceled and nil paths at that very poll, and an index left
 // clean, so the same pooled state answers the next query correctly.
 func testJoinCancelled(t *testing.T) {
-	g := kb.New()
+	gb := kb.NewBuilder()
 	const n = 24
 	for i := 0; i < n; i++ {
-		g.AddNode(string(rune('a'+i)), "t")
+		gb.AddNode(string(rune('a'+i)), "t")
 	}
-	l := g.MustLabel("u", false)
+	l := gb.MustLabel("u", false)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.MustAddEdge(kb.NodeID(i), kb.NodeID(j), l)
+			gb.MustAddEdge(kb.NodeID(i), kb.NodeID(j), l)
 		}
 	}
-	g.Freeze()
+	g := gb.Build()
 	st := newEnumState()
 	for _, maxLen := range []int{5, 6} {
 		ctx := &pollCtx{Context: context.Background(), cancelAt: 1}

@@ -58,13 +58,13 @@ func TestSizeTwoOnlyDirectEdges(t *testing.T) {
 // TestDisconnectedPair: entities with no connection within the limit
 // produce no explanations under every algorithm.
 func TestDisconnectedPair(t *testing.T) {
-	g := kb.New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	c := g.AddNode("c", "t")
-	l := g.MustLabel("r", true)
-	g.MustAddEdge(a, c, l) // b is isolated
-	g.Freeze()
+	gb := kb.NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	c := gb.AddNode("c", "t")
+	l := gb.MustLabel("r", true)
+	gb.MustAddEdge(a, c, l) // b is isolated
+	g := gb.Build()
 	for _, pa := range []PathAlgorithm{PathNaive, PathBasic, PathPrioritized} {
 		for _, ua := range []UnionAlgorithm{UnionBasic, UnionPrune} {
 			if es := Explanations(g, a, b, Config{PathAlg: pa, UnionAlg: ua}); len(es) != 0 {
@@ -79,12 +79,12 @@ func TestDisconnectedPair(t *testing.T) {
 
 // TestAdjacentOnlyPair: a pair connected by exactly one edge.
 func TestAdjacentOnlyPair(t *testing.T) {
-	g := kb.New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	l := g.MustLabel("r", true)
-	g.MustAddEdge(a, b, l)
-	g.Freeze()
+	gb := kb.NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	l := gb.MustLabel("r", true)
+	gb.MustAddEdge(a, b, l)
+	g := gb.Build()
 	es := Explanations(g, a, b, Config{})
 	if len(es) != 1 || es[0].P.NumVars() != 2 || len(es[0].Instances) != 1 {
 		t.Fatalf("single-edge pair: %d explanations", len(es))

@@ -17,16 +17,16 @@ import (
 // the search touches only ~600 nodes.
 func TestOversizedCountsFrontierPartials(t *testing.T) {
 	const fan = 300
-	g := kb.New()
-	l := g.MustLabel("r", false)
+	gb := kb.NewBuilder()
+	l := gb.MustLabel("r", false)
 	add := func(from, to kb.NodeID) {
-		if _, err := g.AddEdge(from, to, l); err != nil {
+		if _, err := gb.AddEdge(from, to, l); err != nil {
 			t.Fatal(err)
 		}
 	}
-	start, end, hub := g.AddNode("start", "t"), g.AddNode("end", "t"), g.AddNode("hub", "t")
+	start, end, hub := gb.AddNode("start", "t"), gb.AddNode("end", "t"), gb.AddNode("hub", "t")
 	for i := 0; i < fan; i++ {
-		mid, leaf := g.AddNode(fmt.Sprintf("mid%d", i), "t"), g.AddNode(fmt.Sprintf("leaf%d", i), "t")
+		mid, leaf := gb.AddNode(fmt.Sprintf("mid%d", i), "t"), gb.AddNode(fmt.Sprintf("leaf%d", i), "t")
 		add(start, mid)
 		add(mid, hub)
 		add(hub, leaf)
@@ -34,7 +34,7 @@ func TestOversizedCountsFrontierPartials(t *testing.T) {
 			add(leaf, end)
 		}
 	}
-	g.Freeze()
+	g := gb.Build()
 
 	cfg := Config{MaxPatternSize: 7, PathAlg: PathPrioritized, Budget: neverTruncates}
 	st := newEnumState()
@@ -48,7 +48,6 @@ func TestOversizedCountsFrontierPartials(t *testing.T) {
 
 	// The bound must not cost an ordinary query its pooled state.
 	sample := kbgen.Sample()
-	sample.Freeze()
 	st = newEnumState()
 	if _, _, err := st.paths(context.Background(), sample, sample.NodeByName("brad_pitt"), sample.NodeByName("angelina_jolie"), cfg); err != nil {
 		t.Fatal(err)

@@ -17,24 +17,24 @@ import (
 // undirected labels.
 func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	rng := rand.New(rand.NewSource(seed))
-	g := kb.New()
+	gb := kb.NewBuilder()
 	n := 6 + rng.Intn(7)
 	for i := 0; i < n; i++ {
-		g.AddNode(string(rune('a'+i%26))+string(rune('0'+i/26)), "t")
+		gb.AddNode(string(rune('a'+i%26))+string(rune('0'+i/26)), "t")
 	}
 	labels := []kb.LabelID{
-		g.MustLabel("d1", true),
-		g.MustLabel("d2", true),
-		g.MustLabel("u1", false),
+		gb.MustLabel("d1", true),
+		gb.MustLabel("d2", true),
+		gb.MustLabel("u1", false),
 	}
 	edges := 2*n + rng.Intn(2*n)
 	for i := 0; i < edges; i++ {
 		a, b := kb.NodeID(rng.Intn(n)), kb.NodeID(rng.Intn(n))
 		if a != b {
-			g.AddEdge(a, b, labels[rng.Intn(len(labels))])
+			gb.AddEdge(a, b, labels[rng.Intn(len(labels))])
 		}
 	}
-	g.Freeze()
+	g := gb.Build()
 	return g, 0, 1
 }
 

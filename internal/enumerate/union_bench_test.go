@@ -17,9 +17,7 @@ var benchGraph = sync.OnceValue(func() *kb.Graph {
 	if err != nil {
 		panic(err)
 	}
-	g := kbgen.Generate(opt)
-	g.Freeze()
-	return g
+	return kbgen.Generate(opt)
 })
 
 // benchPair returns that KB and the pair that sets engine_cold's

@@ -14,8 +14,8 @@ import (
 // move, and it loads a paper-scale knowledge base (hundreds of thousands
 // of entities, >10^6 edges) an order of magnitude faster than TSV.
 //
-// It serialises the frozen CSR layout directly — per-node degrees, then
-// the flat half-edge array in frozen (To, Label, Dir) span order — so
+// It serialises the CSR layout directly — per-node degrees, then the
+// flat half-edge array in (To, Label, Dir) span order — so
 // loading is one fill of the read-path arrays: no AddEdge bookkeeping, no
 // edge-set map, no re-sorting. The content fingerprint travels with the
 // XOR-combinable item hash behind it, so a loaded graph can serve as an
@@ -34,7 +34,7 @@ import (
 // Node and label references are the dense IDs assigned by declaration
 // order, so graphs round-trip with identical IDs. A reader holds the
 // header to itself: fp must be the fingerprint the three counts and xorFP
-// derive (the invariant of every frozen graph), and nothing may follow
+// derive (the invariant of every graph), and nothing may follow
 // xorFP — two transfers concatenated into one spool are not a snapshot.
 // Other versions are refused: 1 and 2 predate the journal, which only
 // ever holds what the running binary wrote.
@@ -52,13 +52,11 @@ const (
 	encodeSlack  = 1 << 10
 )
 
-// WriteBinary serialises the graph in the binary format. The graph is
-// frozen first if it is not already — the frozen spans are the wire
-// content. They are read node by node through Degree and Neighbors, so
-// an overlay generation writes the same bytes as its compaction without
-// building one.
+// WriteBinary serialises the graph in the binary format. The spans are
+// the wire content; they are read node by node through Degree and
+// Neighbors, so an overlay generation writes the same bytes as its
+// compaction without building one.
 func (g *Graph) WriteBinary(w io.Writer) (err error) {
-	g.Freeze()
 	buf := append(make([]byte, 0, encodeWindow+encodeSlack), binaryMagic...)
 	buf = appendUvarint(appendUvarint(buf, binaryVersion), uint64(len(g.labels)))
 	for i, name := range g.labels {
@@ -191,10 +189,10 @@ func (c *cursor) bytes(what string, maxLen int) ([]byte, error) {
 	return c.b[c.p-int(n) : c.p], nil
 }
 
-// ReadBinary parses a graph from the binary format and returns it
-// frozen. The input is read to its end, into a buffer sized up front when
-// the reader can say what it holds (a file, a bytes.Reader), and decoded
-// from memory; nothing of it is retained.
+// ReadBinary parses a graph from the binary format. The input is read to
+// its end, into a buffer sized up front when the reader can say what it
+// holds (a file, a bytes.Reader), and decoded from memory; nothing of it
+// is retained.
 //
 // The structure is verified in full — every reference in range, every
 // span strictly sorted, the degree sum against the edge count, the
@@ -231,11 +229,12 @@ func decodeBinary(b []byte) (*Graph, error) {
 	if version != binaryVersion {
 		return nil, fmt.Errorf("kb: unsupported binary version %d (re-export from TSV)", version)
 	}
-	g := New()
+	g := &Graph{}
 	numLabels, err := c.count("label", 2)
 	if err != nil {
 		return nil, err
 	}
+	g.labelIDs = make(map[string]LabelID, numLabels)
 	for i := 0; i < numLabels; i++ {
 		name, err := c.bytes("label name", maxNameLen)
 		if err != nil {
@@ -244,12 +243,13 @@ func decodeBinary(b []byte) (*Graph, error) {
 		if c.p == len(b) || b[c.p] > 1 {
 			return nil, fmt.Errorf("kb: binary label %d: missing or bad direction byte", i)
 		}
-		if _, err := g.Label(string(name), b[c.p] == 1); err != nil {
-			return nil, err
-		}
-		if len(g.labels) != i+1 {
+		if _, dup := g.labelIDs[string(name)]; dup {
 			return nil, fmt.Errorf("kb: binary label %d: duplicate name %q", i, name)
 		}
+		s := string(name)
+		g.labelIDs[s] = LabelID(i)
+		g.labels = append(g.labels, s)
+		g.labelDirected = append(g.labelDirected, b[c.p] == 1)
 		c.p++
 	}
 	if err := g.readNodes(c); err != nil {
@@ -278,7 +278,6 @@ func decodeBinary(b []byte) (*Graph, error) {
 	if string(fp) != g.fp {
 		return nil, fmt.Errorf("kb: binary fingerprint %q does not match the header's counts and item hash (%s)", fp, g.fp)
 	}
-	g.frozen = true
 	g.deriveLabelView()
 	g.buildTypeIndex()
 	return g, nil

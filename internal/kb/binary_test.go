@@ -22,9 +22,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGraphsEqual(t, g, g2)
-	if !g2.Frozen() {
-		t.Error("binary load must return a frozen graph")
-	}
 }
 
 func TestBinaryFileRoundTrip(t *testing.T) {
@@ -137,7 +134,6 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 // original's.
 func TestBinaryCSRRoundTripFingerprint(t *testing.T) {
 	g := randomGraph(5, 40)
-	g.Freeze()
 	var buf bytes.Buffer
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -145,9 +141,6 @@ func TestBinaryCSRRoundTripFingerprint(t *testing.T) {
 	g2, err := ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !g2.Frozen() {
-		t.Fatal("CSR load must return a frozen graph")
 	}
 	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
 		a, b := g.Neighbors(id), g2.Neighbors(id)
@@ -174,7 +167,7 @@ func TestBinaryCSRRoundTripFingerprint(t *testing.T) {
 	// The file carries the fingerprint; verify it against a from-scratch
 	// recomputation over the loaded content so a corrupted-but-parsable
 	// payload cannot masquerade as the original.
-	if got := g2.fingerprint(); got != g.Fingerprint() {
+	if got := fpString(g2.NumNodes(), g2.NumEdges(), g2.NumLabels(), g2.contentXor()); got != g.Fingerprint() {
 		t.Errorf("recomputed fingerprint %s != original %s", got, g.Fingerprint())
 	}
 	if g2.Fingerprint() != g.Fingerprint() {
@@ -186,7 +179,6 @@ func TestBinaryCSRRoundTripFingerprint(t *testing.T) {
 // the loader.
 func TestBinaryCSRRejectsCorrupt(t *testing.T) {
 	g := randomGraph(7, 12)
-	g.Freeze()
 	var buf bytes.Buffer
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -292,7 +284,7 @@ func TestBinaryHeaderCheckedAgainstItself(t *testing.T) {
 }
 
 // TestBinaryEveryPrefixFails cuts a 500-node snapshot at every offset:
-// the whole decodes to exactly the arrays a freeze builds, and no strict
+// the whole decodes to exactly the arrays a Build makes, and no strict
 // prefix decodes at all.
 func TestBinaryEveryPrefixFails(t *testing.T) {
 	g := randomBase(rand.New(rand.NewSource(22)), 500, 5, 1500)

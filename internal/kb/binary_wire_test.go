@@ -55,7 +55,7 @@ func TestBinaryWireFormatPinned(t *testing.T) {
 // TestBinaryMediumSameGraph decodes the repository benchmark's KB and
 // compares everything the engine reads from a graph with the graph that
 // was encoded: the loader builds its arrays from the bytes, the generator
-// built them with Freeze.
+// built them with a Builder.
 func TestBinaryMediumSameGraph(t *testing.T) {
 	want := preset(t, "medium")
 	got, err := kb.ReadBinary(bytes.NewReader(encode(t, want)))

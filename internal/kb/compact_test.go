@@ -13,21 +13,21 @@ import (
 // Compact copies blocks instead of rebuilding, and Stats reads a kept
 // maximum instead of scanning. Both are checked here against the code
 // they no longer run: a compaction's arrays against a from-scratch
-// Freeze of the same content, element for element, and Stats against a
+// Build of the same content, element for element, and Stats against a
 // scan of every node.
 
-// requireSameArrays compares the frozen representation of a compacted
-// graph with that of a rebuilt one: every CSR array, both indexes, the
+// requireSameArrays compares the representation of a compacted graph
+// with that of a rebuilt one: every CSR array, both indexes, the
 // fingerprint and the kept maximum degree.
 func requireSameArrays(t *testing.T, tag string, got, want *Graph) {
 	t.Helper()
-	if got.ov != nil || !got.frozen {
-		t.Fatalf("%s: compaction is not a plain frozen graph", tag)
+	if got.ov != nil {
+		t.Fatalf("%s: compaction is not a plain graph", tag)
 	}
 	check := func(what string, same bool) {
 		t.Helper()
 		if !same {
-			t.Fatalf("%s: %s differs from Clone+Freeze", tag, what)
+			t.Fatalf("%s: %s differs from a rebuild", tag, what)
 		}
 	}
 	check("nodes", slices.Equal(got.nodes, want.nodes))
@@ -55,7 +55,7 @@ func requireSameNames(t *testing.T, tag string, got, want *Graph) {
 	for i := range want.nodes {
 		name := want.nodes[i].Name
 		if g, w := got.NodeByName(name), want.NodeByName(name); g != w {
-			t.Fatalf("%s: NodeByName(%q) = %d, Clone+Freeze says %d", tag, name, g, w)
+			t.Fatalf("%s: NodeByName(%q) = %d, a rebuild says %d", tag, name, g, w)
 		}
 	}
 	for _, name := range []string{"", "absent", "n-1", "a20"} {
@@ -110,8 +110,8 @@ func offQuietPage(ops []ovOp) []ovOp {
 
 // compactScenario stacks five deltas on the base, compacts, and applies
 // one more on the compaction. visit sees every generation next to the
-// same ops replayed through Clone + mutators + Freeze, which shares no
-// code with the overlay or with Compact. The first delta is scripted:
+// same ops replayed onto a seeded Builder, which shares no code with the
+// overlay or with Compact. The first delta is scripted:
 // touched nodes at both ends of a page boundary (511, 512), at 0 and at
 // the last base node; added nodes crossing into a new page, two of them
 // with no edge; a node deleted down to degree 0; a new label; a retype
@@ -122,28 +122,28 @@ func offQuietPage(ops []ovOp) []ovOp {
 func compactScenario(t *testing.T, visit func(tag string, ov, rebuilt *Graph)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
-	base := New()
+	bb := NewBuilder()
 	types := []string{"person", "film", "studio"}
 	for i := 0; i < scenarioNodes; i++ {
-		base.AddNode(fmt.Sprintf("n%d", i), types[i%len(types)])
+		bb.AddNode(fmt.Sprintf("n%d", i), types[i%len(types)])
 	}
 	const lonely, emptied, retyped, last = NodeID(700), NodeID(100), NodeID(4), NodeID(scenarioNodes - 1)
-	if err := base.SetNodeType(lonely, "lonely"); err != nil {
+	if err := bb.SetNodeType(lonely, "lonely"); err != nil {
 		t.Fatal(err)
 	}
 	const numLabels = 4
 	for i := 0; i < numLabels; i++ {
-		base.MustLabel(fmt.Sprintf("l%d", i), i%2 == 0)
+		bb.MustLabel(fmt.Sprintf("l%d", i), i%2 == 0)
 	}
 	for i := 0; i < 6000; i++ {
 		from, to := NodeID(rng.Intn(scenarioNodes)), NodeID(rng.Intn(scenarioNodes))
 		// Quiet-page nodes only neighbour each other, so touching a node
 		// elsewhere never materialises one of them.
 		if from != to && onQuietPage(from) == onQuietPage(to) {
-			base.MustAddEdge(from, to, LabelID(rng.Intn(numLabels)))
+			bb.MustAddEdge(from, to, LabelID(rng.Intn(numLabels)))
 		}
 	}
-	base.Freeze()
+	base := bb.Build()
 
 	fresh := LabelID(numLabels)
 	first := []ovOp{
@@ -206,10 +206,8 @@ func TestCompactConcatenation(t *testing.T) {
 		requireGraphsIdentical(t, tag, ov, rebuilt)
 		c := ov.Compact()
 		requireSameArrays(t, tag, c, rebuilt)
-		// The overlay's own Clone+Freeze is the same graph again.
-		refrozen := ov.Clone()
-		refrozen.Freeze()
-		requireSameArrays(t, tag+" (refrozen)", c, refrozen)
+		// A build seeded from the overlay is the same graph again.
+		requireSameArrays(t, tag+" (seeded from the overlay)", c, NewBuilderFrom(ov).Build())
 		// Shared type lists are the base's: a compaction must not have
 		// written to them.
 		requireGraphsIdentical(t, tag+" (overlay after compaction)", ov, rebuilt)
@@ -267,67 +265,9 @@ func TestCompactSharesNameIndex(t *testing.T) {
 	}
 }
 
-// TestThawedCompactionLeavesSourceAlone: a compaction aliases its source
-// generation's node table and its base's name maps, so mutating the
-// compaction — which thaws it — must copy them first. The overlay
-// generation it came from, a sibling compaction of that generation and
-// the base keep their nodes, names and fingerprints.
-func TestThawedCompactionLeavesSourceAlone(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	base := randomBase(rng, 60, 3, 200)
-	ops := []ovOp{
-		{kind: 0, name: "added", typ: "robot"},
-		{kind: 2, from: 0, to: 60, label: 0},
-		{kind: 4, from: 5, typ: "android"},
-	}
-	ov := applyOpsOverlay(t, base, ops)
-	c := ov.Compact()
-	requireSameArrays(t, "before the thaw", c, applyOpsRebuild(t, base, ops))
-	type view struct {
-		nodes []Node
-		names map[string]NodeID
-		fp    string
-	}
-	look := func(g *Graph) view {
-		v := view{nodes: g.Nodes(), names: map[string]NodeID{}, fp: g.Fingerprint()}
-		for _, n := range v.nodes {
-			v.names[n.Name] = g.NodeByName(n.Name)
-		}
-		for _, name := range []string{"thawed", "sibling"} {
-			v.names[name] = g.NodeByName(name)
-		}
-		return v
-	}
-	sibling := ov.Compact()
-	before := map[string]view{"overlay": look(ov), "base": look(base), "sibling": look(sibling)}
-
-	if err := c.SetNodeType(0, "retyped"); err != nil {
-		t.Fatal(err)
-	}
-	c.AddNode("thawed", "robot")
-	if err := c.SetNodeType(60, "moved"); err != nil { // the overlay's added node
-		t.Fatal(err)
-	}
-	sibling.AddNode("sibling", "robot")
-	if err := sibling.SetNodeType(5, "film"); err != nil {
-		t.Fatal(err)
-	}
-	c.Freeze()
-	if c.NodeByName("thawed") != 61 || c.Node(60).Type != "moved" || c.NodeByName("sibling") != InvalidNode {
-		t.Fatal("the thawed compaction lost its own mutations or sees its sibling's")
-	}
-	for tag, g := range map[string]*Graph{"overlay": ov, "base": base} {
-		if !reflect.DeepEqual(look(g), before[tag]) {
-			t.Fatalf("%s changed under a thawed compaction (node 0 %+v, node 60 %+v)", tag, g.Node(0), g.Node(60))
-		}
-	}
-	if sibling.NodeByName("thawed") != InvalidNode || sibling.Node(0).Type == "retyped" || sibling.Node(60).Type != "robot" {
-		t.Fatal("a sibling compaction sees another compaction's mutations")
-	}
-}
-
-// TestStatsMatchesScan: the constant-time Stats of every frozen graph —
-// plain, overlay, compacted, loaded, thawed and re-frozen — equals a scan.
+// TestStatsMatchesScan: the constant-time Stats of every graph — built,
+// overlay, compacted, loaded and rebuilt from a seeded builder — equals
+// a scan.
 func TestStatsMatchesScan(t *testing.T) {
 	compactScenario(t, func(tag string, ov, rebuilt *Graph) {
 		requireStatsMatchScan(t, tag+" overlay", ov)
@@ -336,19 +276,18 @@ func TestStatsMatchesScan(t *testing.T) {
 	})
 
 	// hub and twin tie for the maximum at 6, each joined to six spokes.
-	g := New()
-	hub, twin := g.AddNode("hub", "t"), g.AddNode("twin", "t")
-	l := g.MustLabel("l", false)
+	b := NewBuilder()
+	hub, twin := b.AddNode("hub", "t"), b.AddNode("twin", "t")
+	l := b.MustLabel("l", false)
 	var spokes []NodeID
 	for i := 0; i < 6; i++ {
-		s := g.AddNode(fmt.Sprintf("s%d", i), "t")
+		s := b.AddNode(fmt.Sprintf("s%d", i), "t")
 		spokes = append(spokes, s)
-		g.MustAddEdge(hub, s, l)
-		g.MustAddEdge(twin, s, l)
+		b.MustAddEdge(hub, s, l)
+		b.MustAddEdge(twin, s, l)
 	}
-	requireStatsMatchScan(t, "unfrozen", g)
-	g.Freeze()
-	requireStatsMatchScan(t, "frozen", g)
+	g := b.Build()
+	requireStatsMatchScan(t, "built", g)
 	del := func(from, to NodeID) ovOp { return ovOp{kind: 3, from: from, to: to, label: l} }
 	add := func(from, to NodeID) ovOp { return ovOp{kind: 2, from: from, to: to, label: l} }
 	for _, step := range []struct {
@@ -370,19 +309,18 @@ func TestStatsMatchesScan(t *testing.T) {
 		}
 	}
 
-	// Thaw + re-Freeze, from an overlay generation and from a plain graph.
+	// Rebuilt from a builder seeded from an overlay generation and from a
+	// plain graph, as they are and with an edge removed.
 	for tag, src := range map[string]*Graph{"overlay": g, "plain": g.Compact()} {
-		m := src.Clone()
-		m.Freeze()
-		requireStatsMatchScan(t, tag+" clone", m)
-		if _, err := m.RemoveEdge(hub, twin, l); err != nil { // thaws
+		requireStatsMatchScan(t, tag+" rebuilt", NewBuilderFrom(src).Build())
+		m := NewBuilderFrom(src)
+		if _, err := m.RemoveEdge(hub, twin, l); err != nil {
 			t.Fatal(err)
 		}
-		requireStatsMatchScan(t, tag+" thawed", m)
-		m.Freeze()
-		requireStatsMatchScan(t, tag+" re-frozen", m)
-		if got := m.Stats().MaxDegree; got != 5 {
-			t.Fatalf("%s re-frozen: MaxDegree %d, want 5", tag, got)
+		rebuilt := m.Build()
+		requireStatsMatchScan(t, tag+" rebuilt less an edge", rebuilt)
+		if got := rebuilt.Stats().MaxDegree; got != 5 {
+			t.Fatalf("%s rebuilt less an edge: MaxDegree %d, want 5", tag, got)
 		}
 	}
 
@@ -396,5 +334,5 @@ func TestStatsMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireStatsMatchScan(t, "loaded", back)
-	requireStatsMatchScan(t, "empty", New())
+	requireStatsMatchScan(t, "empty", NewBuilder().Build())
 }

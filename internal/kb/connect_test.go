@@ -9,18 +9,18 @@ import (
 // undirected label: 2 two-hop paths and 1 one-hop path between a and d.
 func diamond(t *testing.T) (*Graph, NodeID, NodeID) {
 	t.Helper()
-	g := New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	c := g.AddNode("c", "t")
-	d := g.AddNode("d", "t")
-	l := g.MustLabel("r", false)
-	g.MustAddEdge(a, b, l)
-	g.MustAddEdge(b, d, l)
-	g.MustAddEdge(a, c, l)
-	g.MustAddEdge(c, d, l)
-	g.MustAddEdge(a, d, l)
-	g.Freeze()
+	gb := NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	c := gb.AddNode("c", "t")
+	d := gb.AddNode("d", "t")
+	l := gb.MustLabel("r", false)
+	gb.MustAddEdge(a, b, l)
+	gb.MustAddEdge(b, d, l)
+	gb.MustAddEdge(a, c, l)
+	gb.MustAddEdge(c, d, l)
+	gb.MustAddEdge(a, d, l)
+	g := gb.Build()
 	return g, a, d
 }
 
@@ -46,14 +46,14 @@ func TestConnectednessCounts(t *testing.T) {
 }
 
 func TestConnectednessParallelLabels(t *testing.T) {
-	g := New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	l1 := g.MustLabel("r1", true)
-	l2 := g.MustLabel("r2", false)
-	g.MustAddEdge(a, b, l1)
-	g.MustAddEdge(a, b, l2)
-	g.Freeze()
+	gb := NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	l1 := gb.MustLabel("r1", true)
+	l2 := gb.MustLabel("r2", false)
+	gb.MustAddEdge(a, b, l1)
+	gb.MustAddEdge(a, b, l2)
+	g := gb.Build()
 	if got := g.Connectedness(a, b, 4, -1); got != 2 {
 		t.Fatalf("parallel labels should count as 2 paths, got %d", got)
 	}
@@ -98,15 +98,15 @@ func TestBucketThresholds(t *testing.T) {
 }
 
 func TestReachable(t *testing.T) {
-	g := New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	c := g.AddNode("c", "t")
-	iso := g.AddNode("iso", "t")
-	l := g.MustLabel("r", true)
-	g.MustAddEdge(a, b, l)
-	g.MustAddEdge(b, c, l)
-	g.Freeze()
+	gb := NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	c := gb.AddNode("c", "t")
+	iso := gb.AddNode("iso", "t")
+	l := gb.MustLabel("r", true)
+	gb.MustAddEdge(a, b, l)
+	gb.MustAddEdge(b, c, l)
+	g := gb.Build()
 	if !g.Reachable(a, c, 2) {
 		t.Error("a should reach c in 2")
 	}

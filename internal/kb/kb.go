@@ -9,25 +9,25 @@
 // registered.
 //
 // The graph is an in-memory multigraph optimised for the access patterns
-// of explanation enumeration: O(1) edge-existence checks, label-interned
-// adjacency lists, and deterministic iteration order once the graph is
-// frozen.
+// of explanation enumeration: label-interned adjacency in flat CSR
+// arrays, spans sorted so every iteration order is deterministic, and
+// edge-existence checks that seek a sorted span.
 //
-// # Concurrency
+// # Construction and concurrency
 //
-// Construction (AddNode, Label, AddEdge, Freeze) is single-threaded. Once
-// frozen, every read accessor — Neighbors, NeighborsLabeled, Degree,
-// HasEdge, NodeByName, NodesOfType, Connectedness, Reachable, Stats and
-// friends — is a pure read with no lazy initialisation, so any number of
-// goroutines may query one loaded graph concurrently. Freeze also builds
-// the per-label adjacency index behind the matcher's candidate
-// generation and the entity-type index behind NodesOfType.
+// A Builder collects nodes, labels and edges (AddNode, Label, AddEdge,
+// RemoveEdge, SetNodeType) on one goroutine and turns them into a Graph
+// with Build, which empties the builder. A Graph has no mutator: every
+// accessor — Neighbors, NeighborsLabeled, Degree, HasEdge, NodeByName,
+// NodesOfType, Connectedness, Reachable, Stats and friends — is a pure
+// read with no lazy initialisation, so any number of goroutines may query
+// one graph concurrently. Change goes through an OverlayBuilder, which
+// derives the next graph from a source it never writes to; Compact folds
+// such a chain into a plain graph the same way.
 package kb
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -103,25 +103,15 @@ type HalfEdge struct {
 // SeekHalfEdge reports whether one label's span (NeighborsLabeled) holds a
 // half-edge to the given node with the given orientation.
 //
-// A frozen graph's spans are sorted by (To, Dir), with at most two
-// entries per To (In and Out). On a sorted span the seek is a cursor: it
-// gallops forward from *pos — steps of 1, 2, 4, … then a binary search of
-// the last step — and leaves *pos at the first entry with To ≥ to. A
-// caller probing one span with ascending nodes therefore merges the span
-// forward instead of searching it afresh per probe: k probes over a span
-// of d entries cost O(k·log(d/k)), never more than k binary searches.
-// Probes must not descend between rewinds (*pos = 0); equal nodes may
-// repeat. On an unsorted span (an unfrozen graph) it scans and ignores
-// *pos.
-func SeekHalfEdge(span []HalfEdge, pos *int, to NodeID, dir Dir, sorted bool) bool {
-	if !sorted {
-		for _, he := range span {
-			if he.To == to && he.Dir == dir {
-				return true
-			}
-		}
-		return false
-	}
+// Every span of a graph is sorted by (To, Dir), with at most two entries
+// per To (In and Out), so the seek is a cursor: it gallops forward from
+// *pos — steps of 1, 2, 4, … then a binary search of the last step — and
+// leaves *pos at the first entry with To ≥ to. A caller probing one span
+// with ascending nodes therefore merges the span forward instead of
+// searching it afresh per probe: k probes over a span of d entries cost
+// O(k·log(d/k)), never more than k binary searches. Probes must not
+// descend between rewinds (*pos = 0); equal nodes may repeat.
+func SeekHalfEdge(span []HalfEdge, pos *int, to NodeID, dir Dir) bool {
 	lo := *pos
 	if lo < len(span) && span[lo].To < to {
 		// span[lo].To < to ≤ span[hi].To (or hi is past the end): the
@@ -158,20 +148,17 @@ type Edge struct {
 	Label LabelID
 }
 
-// Graph is a labeled multigraph knowledge base. The zero value is an
-// empty graph ready to use.
-//
-// Graphs are built with AddNode/AddEdge and then (optionally) frozen with
-// Freeze, which sorts adjacency lists so that all iteration is
-// deterministic. Mutating a frozen graph unfreezes it. Graph is not safe
-// for concurrent mutation; concurrent reads are safe.
+// Graph is a labeled multigraph knowledge base, read-only once it exists.
+// A Builder builds one (Build), a loader decodes one (ReadBinary), and an
+// OverlayBuilder or Compact derives one from another; none of them, and
+// no method of Graph, ever writes to a Graph another caller holds, so any
+// number of goroutines may read one concurrently.
 type Graph struct {
 	// nodes, the two name maps and the three label tables are shared
-	// between the frozen generations a compaction or an overlay derives
-	// from one another, so no frozen graph writes to them: thaw gives a
-	// graph private copies before a mutator touches any. byName is the
-	// full index built when the table was last folded; addedNames holds
-	// the names added since (nil when byName is complete, see Compact).
+	// between the generations a compaction or an overlay derives from one
+	// another. byName is the full index built when the table was last
+	// folded; addedNames holds the names added since (nil when byName is
+	// complete, see Compact).
 	nodes      []Node
 	byName     map[string]NodeID
 	addedNames map[string]NodeID
@@ -188,64 +175,63 @@ type Graph struct {
 	labelIDs      map[string]LabelID
 	labelDirected []bool
 
-	// Build-time representation: per-node adjacency lists plus the
-	// edge-existence set behind AddEdge's duplicate detection. Valid
-	// whenever the graph is unfrozen; Freeze flattens both into the CSR
-	// arrays below and releases them, and thaw reconstructs them before
-	// the first post-freeze mutation.
-	adj      [][]HalfEdge
-	edgeSet  map[edgeKey]struct{}
 	numEdges int
-	frozen   bool
 
-	// CSR read path, built by Freeze: every half-edge of the graph lives
-	// in one contiguous backing array per view, with per-node offset
-	// spans. csr is the plain adjacency view — node i's half-edges are
-	// csr[csrOff[i]:csrOff[i+1]], sorted by (To, Label, Dir) — and
-	// labelCSR the per-label view, same spans re-sorted by (Label, To,
-	// Dir) with spans[spanOff[i]:spanOff[i+1]] locating each label run.
-	// Both views index into flat arrays, so a frozen graph costs two
-	// half-edge arrays plus three small offset arrays no matter how many
-	// nodes it has — no per-node slice headers, no pointer chasing.
+	// CSR read path: every half-edge of the graph lives in one contiguous
+	// backing array per view, with per-node offset spans. csr is the plain
+	// adjacency view — node i's half-edges are csr[csrOff[i]:csrOff[i+1]],
+	// sorted by (To, Label, Dir) — and labelCSR the per-label view, same
+	// spans re-sorted by (Label, To, Dir) with spans[spanOff[i]:spanOff[i+1]]
+	// locating each label run. Both views index into flat arrays, so a
+	// graph costs two half-edge arrays plus three small offset arrays no
+	// matter how many nodes it has — no per-node slice headers, no pointer
+	// chasing.
 	csrOff   []int32
 	csr      []HalfEdge
 	labelCSR []HalfEdge
 	spanOff  []int32
 	spans    []labelSpan
 
-	// Remaining read-path indexes, precomputed by Freeze so concurrent
-	// queries never mutate shared state.
+	// Remaining read-path indexes, precomputed when the graph is made so
+	// concurrent queries never mutate shared state.
 	byType    map[string][]NodeID
-	fp        string // content fingerprint, computed by Freeze
-	xorFP     uint64 // XOR-combinable content hash behind fp (see mutate.go)
-	maxDegree int    // largest Degree, kept by every pass that builds a frozen graph
+	fp        string // content fingerprint
+	xorFP     uint64 // XOR-combinable content hash behind fp (see fingerprint.go)
+	maxDegree int    // largest Degree, kept by every pass that makes a graph
 
 	// ov marks this graph as an overlay generation: the CSR arrays above
-	// are aliased from an immutable frozen base, and nodes whose
-	// adjacency changed since that base are patched through ov (see
-	// overlay.go). nil for ordinary graphs.
+	// are aliased from an immutable base, and nodes whose adjacency
+	// changed since that base are patched through ov (see overlay.go).
+	// nil for ordinary graphs.
 	ov *overlay
 }
 
-// labelSpan locates the half-edges with one label inside the flat
-// label-sorted adjacency array; off is an absolute labelCSR offset.
+// labelSpan locates the half-edges with one label inside a label-sorted
+// adjacency array.
 type labelSpan struct {
 	label LabelID
 	off   int32
 	n     int32
 }
 
-// edgeKey packs (from, to, label) into a comparable map key. Direction is
-// implied by the label's directedness; undirected edges are inserted in
-// both orientations.
-type edgeKey struct {
-	from, to NodeID
-	label    LabelID
+// labeled binary searches one node's label runs for label and returns its
+// half-edges from the label-sorted array the runs' offsets index.
+func labeled(spans []labelSpan, labelCSR []HalfEdge, label LabelID) []HalfEdge {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if spans[mid].label < label {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(spans) && spans[lo].label == label {
+		sp := spans[lo]
+		return labelCSR[sp.off : sp.off+sp.n]
+	}
+	return nil
 }
-
-// New returns an empty graph. Equivalent to new(Graph) but reads better
-// at call sites.
-func New() *Graph { return &Graph{} }
 
 // NumNodes reports the number of entities.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -255,58 +241,6 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 
 // NumLabels reports the number of distinct relationship labels.
 func (g *Graph) NumLabels() int { return len(g.labels) }
-
-// AddNode inserts an entity and returns its ID. If an entity with the
-// same name already exists its ID is returned and the type is left
-// unchanged.
-func (g *Graph) AddNode(name, typ string) NodeID {
-	if id := g.NodeByName(name); id != InvalidNode {
-		return id
-	}
-	g.thaw()
-	if g.byName == nil {
-		g.byName = make(map[string]NodeID)
-	}
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
-	g.adj = append(g.adj, nil)
-	g.byName[name] = id
-	return id
-}
-
-// Label interns a relationship label, registering whether relationships
-// with that label are directed. It returns an error if the label was
-// previously registered with the opposite directedness.
-func (g *Graph) Label(name string, directed bool) (LabelID, error) {
-	if id, ok := g.labelIDs[name]; ok {
-		if g.labelDirected[id] != directed {
-			return InvalidLabel, fmt.Errorf("kb: label %q registered as directed=%v, got directed=%v",
-				name, g.labelDirected[id], directed)
-		}
-		return id, nil
-	}
-	// Labels are part of the hashed content, so registering one must
-	// invalidate the frozen fingerprint like every other mutation.
-	g.thaw()
-	if g.labelIDs == nil {
-		g.labelIDs = make(map[string]LabelID)
-	}
-	id := LabelID(len(g.labels))
-	g.labels = append(g.labels, name)
-	g.labelDirected = append(g.labelDirected, directed)
-	g.labelIDs[name] = id
-	return id, nil
-}
-
-// MustLabel is Label but panics on directedness conflicts. Intended for
-// graph construction in tests and generators where labels are static.
-func (g *Graph) MustLabel(name string, directed bool) LabelID {
-	id, err := g.Label(name, directed)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
 
 // LabelName returns the interned name for a label ID.
 func (g *Graph) LabelName(id LabelID) string {
@@ -371,181 +305,79 @@ func (g *Graph) NodeName(id NodeID) string {
 	return g.nodes[id].Name
 }
 
-// AddEdge inserts an edge between two existing entities. The label's
-// directedness decides whether the edge is directed (from→to) or
-// undirected. Duplicate edges (same endpoints and label, respecting
-// orientation) are ignored, making the graph a set-multigraph: multiple
-// labels may connect the same pair but each (pair, label) occurs once.
-// It reports whether the edge was newly inserted.
-func (g *Graph) AddEdge(from, to NodeID, label LabelID) (bool, error) {
-	if int(from) >= len(g.nodes) || from < 0 {
-		return false, fmt.Errorf("kb: AddEdge: from node %d out of range", from)
-	}
-	if int(to) >= len(g.nodes) || to < 0 {
-		return false, fmt.Errorf("kb: AddEdge: to node %d out of range", to)
-	}
-	if int(label) >= len(g.labels) || label < 0 {
-		return false, fmt.Errorf("kb: AddEdge: label %d out of range", label)
-	}
-	if from == to {
-		return false, fmt.Errorf("kb: AddEdge: self-loop on node %d (%s) not supported", from, g.NodeName(from))
-	}
-	g.thaw()
-	if g.edgeSet == nil {
-		g.edgeSet = make(map[edgeKey]struct{})
-	}
-	directed := g.labelDirected[label]
-	key := edgeKey{from, to, label}
-	if !directed && from > to {
-		key = edgeKey{to, from, label}
-	}
-	if _, dup := g.edgeSet[key]; dup {
-		return false, nil
-	}
-	g.edgeSet[key] = struct{}{}
-	if directed {
-		g.adj[from] = append(g.adj[from], HalfEdge{To: to, Label: label, Dir: Out})
-		g.adj[to] = append(g.adj[to], HalfEdge{To: from, Label: label, Dir: In})
-	} else {
-		g.adj[from] = append(g.adj[from], HalfEdge{To: to, Label: label, Dir: Undirected})
-		g.adj[to] = append(g.adj[to], HalfEdge{To: from, Label: label, Dir: Undirected})
-	}
-	g.numEdges++
-	return true, nil
-}
-
-// MustAddEdge is AddEdge but panics on error. Intended for static graph
-// construction.
-func (g *Graph) MustAddEdge(from, to NodeID, label LabelID) {
-	if _, err := g.AddEdge(from, to, label); err != nil {
-		panic(err)
-	}
-}
-
 // HasEdge reports whether an edge with the given label connects from and
 // to. For directed labels the orientation from→to is required; for
-// undirected labels either orientation matches. On a frozen graph the
-// check is a seek from the start of the node's label-sorted CSR span — no
-// map, no hashing; on an unfrozen graph it consults the edge set.
+// undirected labels either orientation matches. The check is a seek from
+// the start of the node's label-sorted CSR span — no map, no hashing.
 func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
-	if g.frozen {
-		if from < 0 || int(from) >= len(g.nodes) {
-			return false
-		}
-		dir := Undirected
-		if g.LabelDirected(label) {
-			dir = Out // the required orientation
-		}
-		pos := 0
-		return SeekHalfEdge(g.NeighborsLabeled(from, label), &pos, to, dir, true)
-	}
-	if g.edgeSet == nil {
+	if from < 0 || int(from) >= len(g.nodes) {
 		return false
 	}
-	if int(label) < len(g.labelDirected) && !g.labelDirected[label] && from > to {
-		from, to = to, from
+	dir := Undirected
+	if g.LabelDirected(label) {
+		dir = Out // the required orientation
 	}
-	_, ok := g.edgeSet[edgeKey{from, to, label}]
-	return ok
+	pos := 0
+	return SeekHalfEdge(g.NeighborsLabeled(from, label), &pos, to, dir)
 }
 
 // Degree reports the number of half-edges at a node (each undirected or
 // directed incident edge counts once).
 func (g *Graph) Degree(id NodeID) int {
-	if g.frozen {
-		if g.ov != nil {
-			if on := g.ov.node(id); on != nil {
-				return len(on.csr)
-			}
+	if g.ov != nil {
+		if on := g.ov.node(id); on != nil {
+			return len(on.csr)
 		}
-		return int(g.csrOff[id+1] - g.csrOff[id])
 	}
-	return len(g.adj[id])
+	return int(g.csrOff[id+1] - g.csrOff[id])
 }
 
 // Neighbors returns the half-edges at a node. The returned slice is owned
-// by the graph and must not be modified. On a frozen graph it is a span
-// of the contiguous CSR array, deterministically ordered by (To, Label,
-// Dir); on an overlay generation, nodes the overlay touched answer from
-// their materialised span instead, in the identical order.
+// by the graph and must not be modified. It is a span of the contiguous
+// CSR array, deterministically ordered by (To, Label, Dir); on an overlay
+// generation, nodes the overlay touched answer from their materialised
+// span instead, in the identical order.
 func (g *Graph) Neighbors(id NodeID) []HalfEdge {
-	if g.frozen {
-		if g.ov != nil {
-			if on := g.ov.node(id); on != nil {
-				return on.csr
-			}
+	if g.ov != nil {
+		if on := g.ov.node(id); on != nil {
+			return on.csr
 		}
-		return g.csr[g.csrOff[id]:g.csrOff[id+1]]
 	}
-	return g.adj[id]
+	return g.csr[g.csrOff[id]:g.csrOff[id+1]]
 }
 
 // Edges returns every edge once, ordered by (From, To, Label). Undirected
-// edges are reported with From ≤ To. On a frozen graph the list streams
-// straight out of the CSR spans, which are already in emission order.
+// edges are reported with From ≤ To. The list streams straight out of the
+// CSR spans, which are already in emission order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.numEdges)
-	if g.frozen {
-		for i := range g.nodes {
-			from := NodeID(i)
-			for _, he := range g.Neighbors(from) {
-				if he.Dir == Out || (he.Dir == Undirected && from <= he.To) {
-					out = append(out, Edge{From: from, To: he.To, Label: he.Label})
-				}
+	for i := range g.nodes {
+		from := NodeID(i)
+		for _, he := range g.Neighbors(from) {
+			if he.Dir == Out || (he.Dir == Undirected && from <= he.To) {
+				out = append(out, Edge{From: from, To: he.To, Label: he.Label})
 			}
 		}
-		return out
 	}
-	for k := range g.edgeSet {
-		out = append(out, Edge{From: k.from, To: k.to, Label: k.label})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
-		}
-		return out[i].Label < out[j].Label
-	})
 	return out
 }
 
-// Freeze flattens the per-node adjacency lists into the contiguous CSR
-// arrays (sorted so iteration order is deterministic across runs),
-// precomputes the read-path indexes (per-label adjacency spans and
-// entity-type lists) that make the graph safe and fast to query from
-// many goroutines, computes the content fingerprint served by
-// Fingerprint, and releases the build-time adjacency lists and edge set —
-// a frozen graph is the CSR arrays. Freeze is idempotent and cheap when
-// already frozen; mutating a frozen graph reconstructs the build-time
-// state transparently (see thaw).
-func (g *Graph) Freeze() {
-	if g.frozen {
-		return
-	}
-	g.buildCSR()
-	g.adj = nil
-	g.edgeSet = nil
-	g.frozen = true
-	g.buildTypeIndex()
-	g.xorFP = g.contentXor()
-	g.fp = fpString(g.NumNodes(), g.NumEdges(), g.NumLabels(), g.xorFP)
-}
+// Freeze does nothing: every Graph is built read-only. It remains for
+// callers written when a graph was mutable until frozen.
+//
+// Deprecated: a Graph needs no freezing.
+func (g *Graph) Freeze() {}
 
 // buildCSR concatenates the adjacency lists into the flat csr array,
 // sorts each node's span by (To, Label, Dir), and derives the label view.
-// Backing arrays from a previous freeze are reused.
-func (g *Graph) buildCSR() {
+func (g *Graph) buildCSR(adj [][]HalfEdge) {
 	n := len(g.nodes)
-	g.csrOff = sized(g.csrOff, n+1)
-	g.csr = sized(g.csr, 2*g.numEdges)[:0] // two half-edges an edge: self-loops are refused
-	g.csrOff[0] = 0
-	g.maxDegree = 0
+	g.csrOff = make([]int32, n+1)
+	g.csr = make([]HalfEdge, 0, 2*g.numEdges) // two half-edges an edge: self-loops are refused
 	for i := 0; i < n; i++ {
-		g.csr = append(g.csr, g.adj[i]...)
+		g.csr = append(g.csr, adj[i]...)
 		g.csrOff[i+1] = int32(len(g.csr))
-		g.maxDegree = max(g.maxDegree, len(g.adj[i]))
+		g.maxDegree = max(g.maxDegree, len(adj[i]))
 	}
 	for i := 0; i < n; i++ {
 		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]
@@ -571,8 +403,8 @@ func (g *Graph) buildCSR() {
 // (node, label) runs, so nothing grows and nothing is copied.
 func (g *Graph) deriveLabelView() {
 	n := len(g.nodes)
-	g.labelCSR = sized(g.labelCSR, len(g.csr))
-	g.spanOff = sized(g.spanOff, n+1)
+	g.labelCSR = make([]HalfEdge, len(g.csr))
+	g.spanOff = make([]int32, n+1)
 	// slot is the one scratch, indexed by label. In the first sweep it
 	// holds the last node (plus one) seen carrying the label; in the
 	// second, per node, the label's count, then its write offset, then 0.
@@ -588,7 +420,7 @@ func (g *Graph) deriveLabelView() {
 		}
 	}
 	g.spanOff[n] = runs
-	g.spans = sized(g.spans, int(runs))
+	g.spans = make([]labelSpan, runs)
 	clear(slot)
 	for i := 0; i < n; i++ {
 		off := g.csrOff[i]
@@ -603,7 +435,7 @@ func (g *Graph) deriveLabelView() {
 		// Ascending label order for the binary search in NeighborsLabeled:
 		// an insertion sort, because a node carries a handful of labels
 		// and sort.Slice allocates twice per call — once per node of
-		// every Freeze.
+		// every build.
 		for x := 1; x < len(touched); x++ {
 			for y := x; y > 0 && touched[y].label < touched[y-1].label; y-- {
 				touched[y], touched[y-1] = touched[y-1], touched[y]
@@ -626,53 +458,6 @@ func (g *Graph) deriveLabelView() {
 	}
 }
 
-// sized returns s with length n, reusing its backing array when that is
-// large enough (a re-freeze) and allocating exactly n otherwise. The
-// contents are unspecified.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// thaw reconstructs the build-time representation (per-node adjacency
-// lists and the edge-existence set) from the CSR arrays so a frozen graph
-// can be mutated again. Every mutator calls it first; on an unfrozen
-// graph it is a no-op. The node table, the name index and the label
-// tables are copied, since other frozen generations may share them, and
-// the copy gives up the node table's claim. The CSR views are
-// truncated, keeping their backing arrays for the next Freeze. An
-// overlay generation instead detaches from its base entirely — the
-// aliased arrays belong to the base, which keeps serving other
-// generations.
-func (g *Graph) thaw() {
-	if !g.frozen {
-		return
-	}
-	adj := g.adjFromCSR() // reads through the frozen, overlay-aware path
-	g.frozen = false
-	g.adj = adj
-	g.edgeSet = edgeSetFromAdj(adj)
-	g.nodes, g.claim = append([]Node(nil), g.nodes...), nil
-	g.byName, g.addedNames = g.nameIndex(), nil
-	g.labels = slices.Clone(g.labels)
-	g.labelDirected = slices.Clone(g.labelDirected)
-	g.labelIDs = maps.Clone(g.labelIDs)
-	if g.ov != nil {
-		g.csr, g.csrOff, g.labelCSR, g.spanOff, g.spans = nil, nil, nil, nil, nil
-		g.byType = nil
-		g.ov = nil
-	} else {
-		g.csr = g.csr[:0]
-		g.csrOff = g.csrOff[:0]
-		g.labelCSR = g.labelCSR[:0]
-		g.spanOff = g.spanOff[:0]
-		g.spans = g.spans[:0]
-	}
-	g.fp = ""
-}
-
 // nameIndex builds a complete, private name index from the node table.
 func (g *Graph) nameIndex() map[string]NodeID {
 	m := make(map[string]NodeID, len(g.nodes))
@@ -680,44 +465,6 @@ func (g *Graph) nameIndex() map[string]NodeID {
 		m[g.nodes[i].Name] = g.nodes[i].ID
 	}
 	return m
-}
-
-// adjFromCSR copies the frozen spans back into per-node adjacency
-// lists. It must be called while the graph is still frozen: it reads
-// through Neighbors so overlay generations resolve correctly.
-func (g *Graph) adjFromCSR() [][]HalfEdge {
-	adj := make([][]HalfEdge, len(g.nodes))
-	for i := range adj {
-		span := g.Neighbors(NodeID(i))
-		if len(span) > 0 {
-			adj[i] = append([]HalfEdge(nil), span...)
-		}
-	}
-	return adj
-}
-
-// edgeSetFromAdj rebuilds the edge-existence set behind AddEdge's
-// duplicate detection and the unfrozen HasEdge.
-func edgeSetFromAdj(adj [][]HalfEdge) map[edgeKey]struct{} {
-	total := 0
-	for _, a := range adj {
-		total += len(a)
-	}
-	set := make(map[edgeKey]struct{}, total/2)
-	for i, a := range adj {
-		from := NodeID(i)
-		for _, he := range a {
-			switch he.Dir {
-			case Out:
-				set[edgeKey{from, he.To, he.Label}] = struct{}{}
-			case Undirected:
-				if from <= he.To {
-					set[edgeKey{from, he.To, he.Label}] = struct{}{}
-				}
-			}
-		}
-	}
-	return set
 }
 
 // buildTypeIndex materialises the entity-type → node-ID lists behind
@@ -730,45 +477,18 @@ func (g *Graph) buildTypeIndex() {
 }
 
 // NeighborsLabeled returns the half-edges at a node carrying the given
-// label. On a frozen graph this is an allocation-free slice of the
-// precomputed label index, ordered by (To, Dir) — the same relative order
-// as Neighbors filtered to the label. On an unfrozen graph it falls back
-// to a filtered copy. The returned slice is owned by the graph and must
-// not be modified.
+// label: an allocation-free slice of the precomputed label index, ordered
+// by (To, Dir) — the same relative order as Neighbors filtered to the
+// label. The returned slice is owned by the graph and must not be
+// modified.
 func (g *Graph) NeighborsLabeled(id NodeID, label LabelID) []HalfEdge {
-	if g.frozen && int(id) < len(g.nodes) {
-		if g.ov != nil {
-			if on := g.ov.node(id); on != nil {
-				return on.labeled(label)
-			}
-		}
-		spans := g.spans[g.spanOff[id]:g.spanOff[id+1]]
-		lo, hi := 0, len(spans)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if spans[mid].label < label {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(spans) && spans[lo].label == label {
-			sp := spans[lo]
-			return g.labelCSR[sp.off : sp.off+sp.n]
-		}
-		return nil
-	}
-	var out []HalfEdge
-	for _, he := range g.adj[id] {
-		if he.Label == label {
-			out = append(out, he)
+	if g.ov != nil {
+		if on := g.ov.node(id); on != nil {
+			return labeled(on.spans, on.labelCSR, label)
 		}
 	}
-	return out
+	return labeled(g.spans[g.spanOff[id]:g.spanOff[id+1]], g.labelCSR, label)
 }
-
-// Frozen reports whether adjacency iteration order is deterministic.
-func (g *Graph) Frozen() bool { return g.frozen }
 
 // Nodes returns all entity records in ID order. The slice is a copy.
 func (g *Graph) Nodes() []Node {
@@ -778,22 +498,13 @@ func (g *Graph) Nodes() []Node {
 }
 
 // NodesOfType returns the IDs of all entities with the given type, in ID
-// order. On a frozen graph the result is copied from the precomputed
-// type index instead of scanning every node. The slice is always a copy.
+// order, copied from the precomputed type index instead of scanning every
+// node. The slice is always a copy.
 func (g *Graph) NodesOfType(typ string) []NodeID {
-	if g.frozen {
-		if g.ov != nil {
-			return g.ov.nodesOfType(typ)
-		}
-		return append([]NodeID(nil), g.byType[typ]...)
+	if g.ov != nil {
+		return g.ov.nodesOfType(typ)
 	}
-	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Type == typ {
-			out = append(out, n.ID)
-		}
-	}
-	return out
+	return append([]NodeID(nil), g.byType[typ]...)
 }
 
 // Stats summarises the graph for logging and experiment reports.
@@ -805,16 +516,12 @@ type Stats struct {
 	AvgDegree float64
 }
 
-// Stats computes summary statistics over the graph. The degrees sum to
-// two half-edges per edge (self-loops are rejected), and a frozen graph
-// carries its maximum degree from whatever pass built it, so on a frozen
-// graph — overlay generations included — Stats is constant-time. An
-// unfrozen graph is scanned for the maximum.
+// Stats computes summary statistics over the graph in constant time. The
+// degrees sum to two half-edges per edge (self-loops are rejected), and
+// a graph — overlay generations included — carries its maximum degree
+// from whatever pass made it.
 func (g *Graph) Stats() Stats {
 	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges(), Labels: g.NumLabels(), MaxDegree: g.maxDegree}
-	if !g.frozen {
-		s.MaxDegree = g.scanMaxDegree()
-	}
 	if s.Nodes > 0 {
 		s.AvgDegree = float64(2*g.numEdges) / float64(s.Nodes)
 	}

@@ -4,9 +4,10 @@ import (
 	"testing"
 )
 
-func buildTiny(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) {
-	t.Helper()
-	g := New()
+// tinyBuilder holds a, b (person) and c (film), c starring a and b, and
+// a married to b.
+func tinyBuilder() (*Builder, NodeID, NodeID, NodeID, LabelID, LabelID) {
+	g := NewBuilder()
 	a := g.AddNode("a", "person")
 	b := g.AddNode("b", "person")
 	c := g.AddNode("c", "film")
@@ -15,17 +16,23 @@ func buildTiny(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) 
 	g.MustAddEdge(c, a, star)
 	g.MustAddEdge(c, b, star)
 	g.MustAddEdge(a, b, spouse)
-	g.Freeze()
 	return g, a, b, c, star, spouse
 }
 
+func buildTiny(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) {
+	t.Helper()
+	b, a, bn, c, star, spouse := tinyBuilder()
+	return b.Build(), a, bn, c, star, spouse
+}
+
 func TestAddNodeDeduplicates(t *testing.T) {
-	g := New()
-	a := g.AddNode("x", "person")
-	b := g.AddNode("x", "film") // same name: returns existing, keeps type
+	gb := NewBuilder()
+	a := gb.AddNode("x", "person")
+	b := gb.AddNode("x", "film") // same name: returns existing, keeps type
 	if a != b {
 		t.Fatalf("AddNode returned %d then %d for the same name", a, b)
 	}
+	g := gb.Build()
 	if g.NumNodes() != 1 {
 		t.Fatalf("NumNodes = %d, want 1", g.NumNodes())
 	}
@@ -35,7 +42,7 @@ func TestAddNodeDeduplicates(t *testing.T) {
 }
 
 func TestLabelDirectednessConflict(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	if _, err := g.Label("starring", true); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
@@ -48,7 +55,7 @@ func TestLabelDirectednessConflict(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := g.AddNode("a", "t")
 	b := g.AddNode("b", "t")
 	l := g.MustLabel("rel", true)
@@ -71,7 +78,7 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestAddEdgeDeduplicates(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := g.AddNode("a", "t")
 	b := g.AddNode("b", "t")
 	d := g.MustLabel("directed", true)
@@ -99,8 +106,8 @@ func TestAddEdgeDeduplicates(t *testing.T) {
 	if ins {
 		t.Fatal("reversed undirected duplicate inserted")
 	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
+	if n := g.Build().NumEdges(); n != 3 {
+		t.Fatalf("NumEdges = %d, want 3", n)
 	}
 }
 
@@ -154,55 +161,6 @@ func TestEdgesSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestFreezeDeterminism(t *testing.T) {
-	build := func() *Graph {
-		g := New()
-		names := []string{"n0", "n1", "n2", "n3", "n4"}
-		for _, n := range names {
-			g.AddNode(n, "t")
-		}
-		l := g.MustLabel("r", true)
-		// Insert in a scrambled order.
-		g.MustAddEdge(3, 1, l)
-		g.MustAddEdge(0, 4, l)
-		g.MustAddEdge(0, 2, l)
-		g.MustAddEdge(0, 1, l)
-		g.Freeze()
-		return g
-	}
-	g1, g2 := build(), build()
-	for id := NodeID(0); int(id) < g1.NumNodes(); id++ {
-		n1, n2 := g1.Neighbors(id), g2.Neighbors(id)
-		if len(n1) != len(n2) {
-			t.Fatalf("node %d: neighbor counts differ", id)
-		}
-		for i := range n1 {
-			if n1[i] != n2[i] {
-				t.Fatalf("node %d: neighbor %d differs: %v vs %v", id, i, n1[i], n2[i])
-			}
-		}
-	}
-	if !g1.Frozen() {
-		t.Error("graph not marked frozen")
-	}
-}
-
-func TestMutationUnfreezes(t *testing.T) {
-	g, _, _, _, star, _ := buildTiny(t)
-	if !g.Frozen() {
-		t.Fatal("expected frozen after buildTiny")
-	}
-	d := g.AddNode("d", "person")
-	if g.Frozen() {
-		t.Fatal("AddNode should unfreeze")
-	}
-	g.Freeze()
-	g.MustAddEdge(NodeID(2), d, star)
-	if g.Frozen() {
-		t.Fatal("AddEdge should unfreeze")
-	}
-}
-
 func TestNodesOfType(t *testing.T) {
 	g, a, b, c, _, _ := buildTiny(t)
 	persons := g.NodesOfType("person")
@@ -230,7 +188,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestLookupsOnMissing(t *testing.T) {
-	g := New()
+	g := NewBuilder().Build()
 	if g.NodeByName("ghost") != InvalidNode {
 		t.Error("NodeByName on empty graph")
 	}

@@ -9,28 +9,23 @@ import (
 	"sync/atomic"
 )
 
-// This file implements overlay generations: frozen graphs that layer a
-// small per-node patch set over an immutable frozen base, so a delta of
-// d operations produces the next queryable snapshot in O(d · degree)
-// instead of the O(graph) Clone+Freeze rebuild.
+// This file implements overlay generations: graphs that layer a small
+// per-node patch set over an immutable base, so a delta of d operations
+// produces the next queryable snapshot in O(d · degree) instead of the
+// O(graph) rebuild through a Builder.
 //
 // An overlay generation is a real *Graph — every read accessor answers
-// byte-identically to a full re-freeze of the same content (property
-// tested) — but its CSR arrays are aliased from the base. Only nodes
-// whose adjacency actually changed get materialised spans, looked up
+// byte-identically to a Build of the same content (property tested) —
+// but its CSR arrays are aliased from the base. Only nodes whose
+// adjacency actually changed get materialised spans, looked up
 // through a sparse page table. Stacked deltas produce stacked overlay
 // generations over the same base until Compact folds everything back
 // into a plain graph with fresh CSR arrays. Nothing a generation builds
 // grows with the number of generations under it: added nodes are
 // appended to the node table the source shares (appendNodes), and the
 // names and types added since the base are indexed in levels
-// (addedLevel), so a chain needs no bound on its depth.
-//
-// Overlay generations follow the same immutability rule as every frozen
-// graph: after the builder returns, the generation is never mutated and
-// is safe for unlimited concurrent readers. Mutating it through the
-// ordinary mutators detaches it from the base first (see thaw), so the
-// base keeps serving other generations undisturbed.
+// (addedLevel), so a chain needs no bound on its depth. Like every
+// graph, a generation is never written after the builder returns it.
 
 const (
 	ovPageShift = 9 // 512 nodes per page: a touched page costs 4KB
@@ -41,7 +36,7 @@ const (
 // ovNode is one materialised overlay node: its full half-edge span in
 // both CSR sort orders, replacing the base spans entirely. An empty
 // ovNode (all fields nil) represents a node with no edges — every node
-// added after the base freeze has one, so reads never index the base
+// added after the base was built has one, so reads never index the base
 // offset arrays out of range.
 type ovNode struct {
 	csr      []HalfEdge  // sorted by (To, Label, Dir), like Graph.csr spans
@@ -56,12 +51,12 @@ type ovPage []*ovNode
 // immutable after the builder returns; pages untouched by later
 // generations are shared between them.
 type overlay struct {
-	base  *Graph // plain frozen root whose CSR arrays the generation aliases
-	depth int    // stacked overlay generations since the last plain freeze
+	base  *Graph // plain root whose CSR arrays the generation aliases
+	depth int    // stacked overlay generations since the last plain graph
 
 	pages []ovPage // node directory, indexed by NodeID >> ovPageShift
 
-	// Node bookkeeping since the base freeze, immutable and shared with
+	// Node bookkeeping since the base, immutable and shared with
 	// the source generation until a delta changes it. added indexes the
 	// nodes added since the base (IDs from len(base.nodes) on), oldest
 	// level first, and complements the base's shared name maps; retyped
@@ -174,26 +169,6 @@ func (ov *overlay) node(id NodeID) *ovNode {
 	return p[uint32(id)&ovPageMask]
 }
 
-// labeled is NeighborsLabeled over a materialised node: binary search
-// the per-label runs, exactly like the base span search.
-func (on *ovNode) labeled(label LabelID) []HalfEdge {
-	spans := on.spans
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if spans[mid].label < label {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(spans) && spans[lo].label == label {
-		sp := spans[lo]
-		return on.labelCSR[sp.off : sp.off+sp.n]
-	}
-	return nil
-}
-
 // nodesOfType answers NodesOfType for an overlay generation: the base
 // type list filtered by retypes, merged in ID order with the base nodes
 // retyped into the type, then the added nodes of the type level by
@@ -227,7 +202,7 @@ func (ov *overlay) nodesOfType(typ string) []NodeID {
 	return out
 }
 
-// OverlayInfo describes the overlay state of a frozen graph, for
+// OverlayInfo describes the overlay state of a graph, for
 // compaction policy and observability. A plain graph reports the zero
 // value.
 type OverlayInfo struct {
@@ -256,24 +231,24 @@ func (g *Graph) Overlay() OverlayInfo {
 	return info
 }
 
-// Compact folds an overlay generation into a plain frozen graph with
+// Compact folds an overlay generation into a plain graph with
 // fresh CSR arrays, by copying rather than rebuilding. Every overlay node
 // already holds its span in both sort orders with its label runs
-// (buildNodeLabelView makes them byte-identical to a freeze), and every
+// (buildNodeLabelView makes them byte-identical to a Build), and every
 // other node's are sitting in the base arrays, so each maximal run of
 // untouched base nodes is three block copies with rebased offsets and
 // each overlay node appends its own slices: no per-edge work, no sort,
 // no label view derived. The type index shares the base's list for every
 // type whose membership the overlay left alone — lists are never written
-// after they are built: NodesOfType copies and Freeze rebuilds into a
-// fresh map. The node table (with its claim) and the label tables are
-// the overlay generation's own, aliased (no frozen graph writes to
-// them), and so is the base's name index, with the names added since it
-// was built in a second map (compactNames). Fingerprint and maximum
-// degree carry over unchanged. What remains proportional to the graph
+// after they are built: NodesOfType copies and Build makes a fresh map.
+// The node table (with its claim) and the label tables are the overlay
+// generation's own, aliased (no graph writes to them), and so is the
+// base's name index, with the names added since it was built in a
+// second map (compactNames). Fingerprint and maximum degree carry over
+// unchanged. What remains proportional to the graph
 // is the block copying. A plain graph is returned unchanged.
 func (g *Graph) Compact() *Graph {
-	if g.ov == nil || !g.frozen {
+	if g.ov == nil {
 		return g
 	}
 	ov, base := g.ov, g.ov.base
@@ -285,7 +260,6 @@ func (g *Graph) Compact() *Graph {
 		labelIDs:      g.labelIDs,
 		labelDirected: g.labelDirected,
 		numEdges:      g.numEdges,
-		frozen:        true,
 		xorFP:         g.xorFP,
 		fp:            g.fp,
 		maxDegree:     g.maxDegree,
@@ -326,7 +300,7 @@ func (g *Graph) Compact() *Graph {
 			if on == nil {
 				continue
 			}
-			// Every node added since the base freeze has an overlay node,
+			// Every node added since the base has an overlay node,
 			// so a run never extends past the base arrays.
 			id := pi<<ovPageShift | j
 			copyRun(run, id)
@@ -397,18 +371,18 @@ func compactNames(c, base *Graph, chain map[string]NodeID) (byName, added map[st
 	return base.byName, added
 }
 
-// OverlayBuilder accumulates one delta against a frozen graph and
+// OverlayBuilder accumulates one delta against a graph and
 // materialises it as the next overlay generation. The source graph —
 // plain or itself an overlay generation — is never modified and keeps
 // serving reads throughout.
 //
-// The builder mirrors the Graph mutators' semantics exactly: re-adding
-// an existing node or edge and removing an absent edge are no-ops, and
-// validation errors carry the same messages as the mutate path, so the
-// delta layer behaves identically whichever apply path it takes.
+// The builder mirrors Builder's semantics exactly: re-adding an existing
+// node or edge and removing an absent edge are no-ops, and validation
+// errors carry the same messages, so a delta replayed onto a Builder (the
+// tests' rebuild oracle) behaves identically.
 type OverlayBuilder struct {
-	src  *Graph // frozen source generation
-	base *Graph // plain frozen root (src, or src's overlay base)
+	src  *Graph // source generation
+	base *Graph // plain root (src, or src's overlay base)
 
 	addNodes  []Node            // nodes added by this delta, IDs from src.NumNodes()
 	addByName map[string]NodeID // name index over addNodes
@@ -427,14 +401,10 @@ type OverlayBuilder struct {
 	xor      uint64              // running content-hash delta vs. src
 }
 
-// NewOverlayBuilder starts a delta against a frozen graph. It fails on
-// an unfrozen graph: overlays patch CSR spans, which only exist frozen.
+// NewOverlayBuilder starts a delta against a graph.
 func NewOverlayBuilder(src *Graph) (*OverlayBuilder, error) {
 	if src == nil {
 		return nil, fmt.Errorf("kb: NewOverlayBuilder: nil graph")
-	}
-	if !src.frozen {
-		return nil, fmt.Errorf("kb: NewOverlayBuilder: graph is not frozen")
 	}
 	base := src
 	if src.ov != nil {
@@ -490,7 +460,7 @@ func (b *OverlayBuilder) nodeName(id NodeID) string {
 }
 
 // AddNode inserts an entity, returning the existing ID unchanged when
-// the name is already bound — the same semantics as Graph.AddNode.
+// the name is already bound — the same semantics as Builder.AddNode.
 func (b *OverlayBuilder) AddNode(name, typ string) NodeID {
 	if id := b.NodeByName(name); id != InvalidNode {
 		return id
@@ -524,13 +494,12 @@ func (b *OverlayBuilder) labelDirected(id LabelID) bool {
 	return b.src.LabelDirected(id)
 }
 
-// Label interns a relationship label with Graph.Label's semantics,
+// Label interns a relationship label with Builder.Label's semantics,
 // including the directedness-conflict error.
 func (b *OverlayBuilder) Label(name string, directed bool) (LabelID, error) {
 	if id := b.LabelByName(name); id != InvalidLabel {
 		if b.labelDirected(id) != directed {
-			return InvalidLabel, fmt.Errorf("kb: label %q registered as directed=%v, got directed=%v",
-				name, b.labelDirected(id), directed)
+			return InvalidLabel, labelConflict(name, b.labelDirected(id), directed)
 		}
 		return id, nil
 	}
@@ -542,7 +511,7 @@ func (b *OverlayBuilder) Label(name string, directed bool) (LabelID, error) {
 	return id, nil
 }
 
-// SetNodeType changes an entity's pending type, with Graph.SetNodeType's
+// SetNodeType changes an entity's pending type, with Builder.SetNodeType's
 // range validation.
 func (b *OverlayBuilder) SetNodeType(id NodeID, typ string) error {
 	if id < 0 || int(id) >= b.NumNodes() {
@@ -562,15 +531,6 @@ func (b *OverlayBuilder) SetNodeType(id NodeID, typ string) error {
 		b.retypes[id] = typ
 	}
 	return nil
-}
-
-// canonicalEdge returns the canonical storage key of an edge: directed
-// edges keep their orientation, undirected edges order from ≤ to.
-func (b *OverlayBuilder) canonicalEdge(from, to NodeID, label LabelID) edgeKey {
-	if !b.labelDirected(label) && from > to {
-		from, to = to, from
-	}
-	return edgeKey{from, to, label}
 }
 
 // srcHas reports whether the source graph contains the canonical edge.
@@ -601,23 +561,17 @@ func (b *OverlayBuilder) edgeXor(key edgeKey) uint64 {
 	return edgeHash(b.nodeName(key.from), b.nodeName(key.to), labelName)
 }
 
-// AddEdge inserts an edge with Graph.AddEdge's semantics: range and
+// AddEdge inserts an edge with Builder.AddEdge's semantics: range and
 // self-loop validation with identical messages, duplicate inserts
 // ignored. It reports whether the edge was newly inserted.
 func (b *OverlayBuilder) AddEdge(from, to NodeID, label LabelID) (bool, error) {
-	if int(from) >= b.NumNodes() || from < 0 {
-		return false, fmt.Errorf("kb: AddEdge: from node %d out of range", from)
-	}
-	if int(to) >= b.NumNodes() || to < 0 {
-		return false, fmt.Errorf("kb: AddEdge: to node %d out of range", to)
-	}
-	if int(label) >= b.numLabels() || label < 0 {
-		return false, fmt.Errorf("kb: AddEdge: label %d out of range", label)
+	if err := checkEdge("AddEdge", from, to, label, b.NumNodes(), b.numLabels()); err != nil {
+		return false, err
 	}
 	if from == to {
 		return false, fmt.Errorf("kb: AddEdge: self-loop on node %d (%s) not supported", from, b.nodeName(from))
 	}
-	key := b.canonicalEdge(from, to, label)
+	key := canonicalKey(from, to, label, b.labelDirected(label))
 	if b.hasEdge(key) {
 		return false, nil
 	}
@@ -633,19 +587,13 @@ func (b *OverlayBuilder) AddEdge(from, to NodeID, label LabelID) (bool, error) {
 	return true, nil
 }
 
-// RemoveEdge deletes an edge with Graph.RemoveEdge's semantics,
+// RemoveEdge deletes an edge with Builder.RemoveEdge's semantics,
 // reporting whether an edge was actually removed.
 func (b *OverlayBuilder) RemoveEdge(from, to NodeID, label LabelID) (bool, error) {
-	if int(from) >= b.NumNodes() || from < 0 {
-		return false, fmt.Errorf("kb: RemoveEdge: from node %d out of range", from)
+	if err := checkEdge("RemoveEdge", from, to, label, b.NumNodes(), b.numLabels()); err != nil {
+		return false, err
 	}
-	if int(to) >= b.NumNodes() || to < 0 {
-		return false, fmt.Errorf("kb: RemoveEdge: to node %d out of range", to)
-	}
-	if int(label) >= b.numLabels() || label < 0 {
-		return false, fmt.Errorf("kb: RemoveEdge: label %d out of range", label)
-	}
-	key := b.canonicalEdge(from, to, label)
+	key := canonicalKey(from, to, label, b.labelDirected(label))
 	if !b.hasEdge(key) {
 		return false, nil
 	}
@@ -681,7 +629,6 @@ func (b *OverlayBuilder) Graph() *Graph {
 
 	ng := &Graph{
 		numEdges: b.numEdges,
-		frozen:   true,
 		// Aliased base read path: untouched nodes answer straight from
 		// the base arrays.
 		csrOff:     base.csrOff,
@@ -791,11 +738,7 @@ func (b *OverlayBuilder) Graph() *Graph {
 		return d
 	}
 	for key, present := range b.edges {
-		fromHE := HalfEdge{To: key.to, Label: key.label, Dir: Undirected}
-		toHE := HalfEdge{To: key.from, Label: key.label, Dir: Undirected}
-		if ng.labelDirected[key.label] {
-			fromHE.Dir, toHE.Dir = Out, In
-		}
+		fromHE, toHE := halves(key.from, key.to, key.label, ng.labelDirected[key.label])
 		if present {
 			diffAt(key.from).add = append(diffAt(key.from).add, fromHE)
 			diffAt(key.to).add = append(diffAt(key.to).add, toHE)
@@ -866,7 +809,7 @@ func (b *OverlayBuilder) Graph() *Graph {
 // buildNodeLabelView derives one node's (Label, To, Dir)-sorted view and
 // label spans from its (To, Label, Dir)-sorted span — the single-node
 // analogue of deriveLabelView, using the same stable counting pass so
-// run order is byte-identical to a full freeze.
+// run order is byte-identical to a Build.
 func buildNodeLabelView(span []HalfEdge) ([]HalfEdge, []labelSpan) {
 	if len(span) == 0 {
 		return nil, nil

@@ -13,8 +13,8 @@ import (
 
 // The overlay property: applying any op sequence through an
 // OverlayBuilder answers every read accessor byte-identically to
-// replaying the same ops through Clone + the ordinary mutators +
-// Freeze. The helpers below drive both paths from one randomised op
+// replaying the same ops onto a Builder seeded from the source and
+// building it. The helpers below drive both paths from one randomised op
 // stream, including tombstones over base CSR spans, duplicate no-ops,
 // node additions, retypes and cancelling op pairs, then compare the
 // full read surface.
@@ -37,61 +37,53 @@ func applyOpsOverlay(t *testing.T, src *Graph, ops []ovOp) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		applyToMutator(t, op,
-			func(name, typ string) { b.AddNode(name, typ) },
-			func(name string, dir bool) error { _, err := b.Label(name, dir); return err },
-			func(f, to NodeID, l LabelID) error { _, err := b.AddEdge(f, to, l); return err },
-			func(f, to NodeID, l LabelID) error { _, err := b.RemoveEdge(f, to, l); return err },
-			func(id NodeID, typ string) error { return b.SetNodeType(id, typ) })
-	}
+	applyOps(t, b, ops)
 	return b.Graph()
 }
 
-// applyOpsRebuild runs ops through the legacy Clone + mutate + Freeze
-// path — the byte-identity oracle.
+// applyOpsRebuild runs ops onto a Builder seeded from src and builds it —
+// the byte-identity oracle.
 func applyOpsRebuild(t *testing.T, src *Graph, ops []ovOp) *Graph {
 	t.Helper()
-	g := src.Clone()
-	for _, op := range ops {
-		applyToMutator(t, op,
-			func(name, typ string) { g.AddNode(name, typ) },
-			func(name string, dir bool) error { _, err := g.Label(name, dir); return err },
-			func(f, to NodeID, l LabelID) error { _, err := g.AddEdge(f, to, l); return err },
-			func(f, to NodeID, l LabelID) error { _, err := g.RemoveEdge(f, to, l); return err },
-			func(id NodeID, typ string) error { return g.SetNodeType(id, typ) })
-	}
-	g.Freeze()
-	return g
+	b := NewBuilderFrom(src)
+	applyOps(t, b, ops)
+	return b.Build()
 }
 
-func applyToMutator(t *testing.T, op ovOp,
-	addNode func(string, string),
-	addLabel func(string, bool) error,
-	addEdge, delEdge func(NodeID, NodeID, LabelID) error,
-	setType func(NodeID, string) error) {
+// mutator is what Builder and OverlayBuilder have in common.
+type mutator interface {
+	AddNode(name, typ string) NodeID
+	Label(name string, directed bool) (LabelID, error)
+	AddEdge(from, to NodeID, label LabelID) (bool, error)
+	RemoveEdge(from, to NodeID, label LabelID) (bool, error)
+	SetNodeType(id NodeID, typ string) error
+}
+
+func applyOps(t *testing.T, m mutator, ops []ovOp) {
 	t.Helper()
-	var err error
-	switch op.kind {
-	case 0:
-		addNode(op.name, op.typ)
-	case 1:
-		err = addLabel(op.name, op.directed)
-	case 2:
-		err = addEdge(op.from, op.to, op.label)
-	case 3:
-		err = delEdge(op.from, op.to, op.label)
-	case 4:
-		err = setType(op.from, op.typ)
-	}
-	if err != nil {
-		t.Fatalf("op %+v: %v", op, err)
+	for _, op := range ops {
+		var err error
+		switch op.kind {
+		case 0:
+			m.AddNode(op.name, op.typ)
+		case 1:
+			_, err = m.Label(op.name, op.directed)
+		case 2:
+			_, err = m.AddEdge(op.from, op.to, op.label)
+		case 3:
+			_, err = m.RemoveEdge(op.from, op.to, op.label)
+		case 4:
+			err = m.SetNodeType(op.from, op.typ)
+		}
+		if err != nil {
+			t.Fatalf("op %+v: %v", op, err)
+		}
 	}
 }
 
-// randomBase builds a deterministic frozen base graph.
+// randomBase builds a deterministic base graph.
 func randomBase(rng *rand.Rand, nodes, labels, edges int) *Graph {
-	g := New()
+	g := NewBuilder()
 	types := []string{"person", "film", "studio"}
 	for i := 0; i < nodes; i++ {
 		g.AddNode(fmt.Sprintf("n%d", i), types[i%len(types)])
@@ -107,8 +99,7 @@ func randomBase(rng *rand.Rand, nodes, labels, edges int) *Graph {
 		}
 		g.AddEdge(from, to, LabelID(rng.Intn(labels)))
 	}
-	g.Freeze()
-	return g
+	return g.Build()
 }
 
 // randomOps generates one delta's op stream against the current state,
@@ -164,7 +155,7 @@ func randomOps(rng *rand.Rand, numNodes, numLabels, n int, round int) []ovOp {
 }
 
 // requireGraphsIdentical compares the complete read surface of two
-// frozen graphs byte for byte.
+// graphs byte for byte.
 func requireGraphsIdentical(t *testing.T, tag string, got, want *Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.NumLabels() != want.NumLabels() {
@@ -256,12 +247,10 @@ func TestOverlayEquivalence(t *testing.T) {
 				t.Fatalf("compacted graph still an overlay: %+v", compacted.Overlay())
 			}
 			requireGraphsIdentical(t, "compacted", compacted, rebuildG)
-			// And a from-scratch freeze of the compacted content agrees on
+			// And a from-scratch build of the compacted content agrees on
 			// the fingerprint (the XOR chain matches recomputation).
-			refreeze := compacted.Clone()
-			refreeze.Freeze()
-			if refreeze.Fingerprint() != overlayG.Fingerprint() {
-				t.Fatalf("refreeze fingerprint %s != overlay %s", refreeze.Fingerprint(), overlayG.Fingerprint())
+			if rebuilt := NewBuilderFrom(compacted).Build(); rebuilt.Fingerprint() != overlayG.Fingerprint() {
+				t.Fatalf("rebuilt fingerprint %s != overlay %s", rebuilt.Fingerprint(), overlayG.Fingerprint())
 			}
 			// Overlay generations keep compacting to the same place after
 			// further deltas on top of a compacted graph.
@@ -303,47 +292,15 @@ func TestOverlayEmptyDelta(t *testing.T) {
 	requireGraphsIdentical(t, "noop", g, base)
 }
 
-// TestOverlayThawDetaches checks the mutate-an-overlay escape hatch:
-// thawing an overlay generation detaches it from the base, so further
-// mutations never corrupt the still-serving base or siblings.
-func TestOverlayThawDetaches(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	base := randomBase(rng, 20, 4, 60)
-	baseFP := base.Fingerprint()
-	ops := randomOps(rng, 20, 4, 15, 0)
-	ovG := applyOpsOverlay(t, base, ops)
-	want := applyOpsRebuild(t, base, ops)
-
-	// Clone of an overlay generation is a full private copy.
-	cl := ovG.Clone()
-	cl.Freeze()
-	requireGraphsIdentical(t, "clone", cl, want)
-
-	// Mutating the overlay generation detaches it; the base is untouched.
-	mutated := ovG.Clone()
-	id := mutated.AddNode("detached", "robot")
-	l := mutated.MustLabel("dl", false)
-	mutated.MustAddEdge(0, id, l)
-	mutated.Freeze()
-	if base.Fingerprint() != baseFP {
-		t.Fatalf("base fingerprint changed: %s != %s", base.Fingerprint(), baseFP)
-	}
-	requireGraphsIdentical(t, "sibling overlay", ovG, want)
-	if mutated.NodeByName("detached") != id {
-		t.Fatalf("detached mutation lost")
-	}
-}
-
-// TestOverlayBuilderErrors pins that builder validation matches the
-// mutate path's messages.
+// TestOverlayBuilderErrors pins that overlay validation matches
+// Builder's messages.
 func TestOverlayBuilderErrors(t *testing.T) {
-	g := New()
-	a := g.AddNode("a", "person")
-	g.AddNode("b", "person")
-	knows := g.MustLabel("knows", false)
-	g.MustAddEdge(0, 1, knows)
-	g.Freeze()
-	b, err := NewOverlayBuilder(g)
+	gb := NewBuilder()
+	a := gb.AddNode("a", "person")
+	gb.AddNode("b", "person")
+	knows := gb.MustLabel("knows", false)
+	gb.MustAddEdge(0, 1, knows)
+	b, err := NewOverlayBuilder(gb.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +315,6 @@ func TestOverlayBuilderErrors(t *testing.T) {
 	}
 	if err := b.SetNodeType(-1, "x"); err == nil {
 		t.Error("negative SetNodeType succeeded")
-	}
-	unfrozen := New()
-	unfrozen.AddNode("x", "t")
-	if _, err := NewOverlayBuilder(unfrozen); err == nil {
-		t.Error("NewOverlayBuilder accepted an unfrozen graph")
 	}
 }
 
@@ -483,33 +435,6 @@ func countAdds(ops []ovOp) int {
 		}
 	}
 	return n
-}
-
-// TestLabelOnThawedGenerationLeavesSource: a delta that registers no
-// label shares its source's label tables, so registering one on the
-// thawed generation must copy them first. The source and a sibling
-// generation keep their labels.
-func TestLabelOnThawedGenerationLeavesSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	src := randomBase(rng, 20, 3, 40)
-	ops := []ovOp{{kind: 0, name: "x", typ: "robot"}, {kind: 2, from: 0, to: 20, label: 1}}
-	g, sibling := applyOpsOverlay(t, src, ops), applyOpsOverlay(t, src, ops)
-	if &g.labels[0] != &src.labels[0] || !sameLabelMap(g.labelIDs, src.labelIDs) {
-		t.Fatal("a delta that registers no label copied the label tables")
-	}
-	id, err := g.Label("thawed", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 3 || !g.LabelDirected(id) || g.LabelByName("thawed") != id {
-		t.Fatalf("the thawed generation registered label %d (%q)", id, g.LabelName(id))
-	}
-	for tag, other := range map[string]*Graph{"source": src, "sibling": sibling} {
-		if other.NumLabels() != 3 || other.LabelByName("thawed") != InvalidLabel || len(other.labelDirected) != 3 {
-			t.Fatalf("%s sees the thawed generation's label: %d labels", tag, other.NumLabels())
-		}
-	}
-	requireGraphsIdentical(t, "sibling", sibling, applyOpsRebuild(t, src, ops))
 }
 
 // sameLabelMap reports whether a and b are one map, not two equal ones.

@@ -56,11 +56,12 @@ func (g *Graph) SaveTSV(path string) error {
 	return f.Close()
 }
 
-// ReadTSV parses a graph from the TSV wire format.
+// ReadTSV parses a graph from the TSV wire format. A line may be up to
+// 1 MiB long; the line buffer grows to the longest line read.
 func ReadTSV(r io.Reader) (*Graph, error) {
-	g := New()
+	b := NewBuilder()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -74,7 +75,7 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("kb: line %d: node wants 2 fields, got %d", lineNo, len(fields)-1)
 			}
-			g.AddNode(fields[1], fields[2])
+			b.AddNode(fields[1], fields[2])
 		case "label":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("kb: line %d: label wants 2 fields, got %d", lineNo, len(fields)-1)
@@ -88,26 +89,26 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 			default:
 				return nil, fmt.Errorf("kb: line %d: label direction must be D or U, got %q", lineNo, fields[2])
 			}
-			if _, err := g.Label(fields[1], directed); err != nil {
+			if _, err := b.Label(fields[1], directed); err != nil {
 				return nil, fmt.Errorf("kb: line %d: %v", lineNo, err)
 			}
 		case "edge":
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("kb: line %d: edge wants 3 fields, got %d", lineNo, len(fields)-1)
 			}
-			from := g.NodeByName(fields[1])
+			from := b.NodeByName(fields[1])
 			if from == InvalidNode {
 				return nil, fmt.Errorf("kb: line %d: unknown node %q", lineNo, fields[1])
 			}
-			to := g.NodeByName(fields[2])
+			to := b.NodeByName(fields[2])
 			if to == InvalidNode {
 				return nil, fmt.Errorf("kb: line %d: unknown node %q", lineNo, fields[2])
 			}
-			label := g.LabelByName(fields[3])
+			label := b.LabelByName(fields[3])
 			if label == InvalidLabel {
 				return nil, fmt.Errorf("kb: line %d: unknown label %q", lineNo, fields[3])
 			}
-			if _, err := g.AddEdge(from, to, label); err != nil {
+			if _, err := b.AddEdge(from, to, label); err != nil {
 				return nil, fmt.Errorf("kb: line %d: %v", lineNo, err)
 			}
 		default:
@@ -117,8 +118,7 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	g.Freeze()
-	return g, nil
+	return b.Build(), nil
 }
 
 // LoadTSV reads a graph from a file in the TSV wire format.

@@ -92,24 +92,21 @@ func TestTSVCommentsAndBlankLines(t *testing.T) {
 	if g.NumNodes() != 2 || g.NumEdges() != 1 {
 		t.Fatalf("parsed %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if !g.Frozen() {
-		t.Error("ReadTSV must return a frozen graph")
-	}
 }
 
 // randomGraph builds a pseudo-random graph from a seed for property
 // tests.
 func randomGraph(seed int64, nodes int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
+	gb := NewBuilder()
 	for i := 0; i < nodes; i++ {
 		typ := "t" + string(rune('a'+i%3))
-		g.AddNode("node_"+string(rune('a'+i%26))+string(rune('0'+i/26%10)), typ)
+		gb.AddNode("node_"+string(rune('a'+i%26))+string(rune('0'+i/26%10)), typ)
 	}
 	labels := []LabelID{
-		g.MustLabel("r_dir", true),
-		g.MustLabel("r_undir", false),
-		g.MustLabel("r_dir2", true),
+		gb.MustLabel("r_dir", true),
+		gb.MustLabel("r_undir", false),
+		gb.MustLabel("r_dir2", true),
 	}
 	edges := nodes * 2
 	for i := 0; i < edges; i++ {
@@ -118,10 +115,9 @@ func randomGraph(seed int64, nodes int) *Graph {
 		if from == to {
 			continue
 		}
-		g.AddEdge(from, to, labels[rng.Intn(len(labels))])
+		gb.AddEdge(from, to, labels[rng.Intn(len(labels))])
 	}
-	g.Freeze()
-	return g
+	return gb.Build()
 }
 
 // TestQuickTSVRoundTrip property-checks that serialisation round-trips

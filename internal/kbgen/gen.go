@@ -44,7 +44,7 @@ func (o Options) normalized() Options {
 func Generate(opt Options) *kb.Graph {
 	opt = opt.normalized()
 	rng := rand.New(rand.NewSource(opt.Seed))
-	g := kb.New()
+	g := kb.NewBuilder()
 	b := builder{g: g, labels: map[string]kb.LabelID{}}
 
 	n := func(base int) int {
@@ -247,8 +247,7 @@ func Generate(opt Options) *kb.Graph {
 		b.edgeIDs(c, uniform(countries), RelLocatedIn)
 	}
 
-	g.Freeze()
-	return g
+	return g.Build()
 }
 
 // edgeIDs adds an edge between known IDs, registering the label lazily.
@@ -263,7 +262,7 @@ func (b *builder) edgeIDs(from, to kb.NodeID, rel string) {
 
 // collectCostars returns actor pairs that co-star in at least one film.
 // The list is ordered by film and cast order, hence deterministic.
-func collectCostars(g *kb.Graph, films []kb.NodeID, starring kb.LabelID) [][2]kb.NodeID {
+func collectCostars(g *kb.Builder, films []kb.NodeID, starring kb.LabelID) [][2]kb.NodeID {
 	var out [][2]kb.NodeID
 	for _, f := range films {
 		var cast []kb.NodeID

@@ -9,9 +9,6 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	g := Sample()
-	if !g.Frozen() {
-		t.Error("sample graph must be frozen")
-	}
 	for _, name := range []string{
 		"brad_pitt", "angelina_jolie", "tom_cruise", "nicole_kidman",
 		"kate_winslet", "leonardo_dicaprio", "will_smith", "james_cameron",

@@ -82,7 +82,7 @@ var relDirected = map[string]bool{
 // enough co-starring volume that the distributional examples (Example 7)
 // are non-trivial.
 func Sample() *kb.Graph {
-	g := kb.New()
+	g := kb.NewBuilder()
 	b := builder{g: g, labels: map[string]kb.LabelID{}}
 
 	// People.
@@ -210,13 +210,12 @@ func Sample() *kb.Graph {
 
 	b.edge("oceans_twelve", "oceans_eleven", RelSequelOf)
 
-	g.Freeze()
-	return g
+	return g.Build()
 }
 
 // builder keeps label registration terse during static construction.
 type builder struct {
-	g      *kb.Graph
+	g      *kb.Builder
 	labels map[string]kb.LabelID
 }
 

@@ -1,13 +1,14 @@
 // Package live manages versioned knowledge-base snapshots: a delta log
 // of graph mutations parsed from the TSV record syntax, a builder that
-// replays a delta onto a frozen snapshot to produce the next one, and
+// replays a delta onto a snapshot to produce the next one, and
 // an epoch-based Manager that atomically hot-swaps the active snapshot
 // while in-flight readers keep their pinned version lock-free.
 //
-// The lifecycle follows one rule: **served graphs are immutable**. A
-// delta is never applied in place — it is replayed onto a deep clone of
-// the current graph, the clone is frozen, and the (graph, payload) pair
-// is published with a single atomic pointer store. Readers that loaded
+// The lifecycle follows one rule: **served graphs are immutable** — a
+// kb.Graph has no mutator. A delta is replayed through a
+// kb.OverlayBuilder into a new graph that shares the current one's
+// arrays, and the (graph, payload) pair is published with a single
+// atomic pointer store. Readers that loaded
 // the previous snapshot finish on it undisturbed; the old version is
 // garbage-collected when the last pinned reader drops it.
 package live
@@ -236,9 +237,10 @@ func (s ApplyStats) Changed() bool {
 type ChangeSet struct{}
 
 // mutator is the graph surface applyOp drives. The O(delta) overlay
-// builder implements it; so can a plain clone, which lets a test replay
-// a delta with identical record semantics and error text and compare
-// the overlay against a Clone+Freeze rebuild.
+// builder implements it, and so does kb.Builder, which lets a test
+// replay a delta onto a builder seeded from the source graph, with
+// identical record semantics and error text, and compare the overlay
+// against that rebuild.
 type mutator interface {
 	NodeByName(string) kb.NodeID
 	LabelByName(string) kb.LabelID

@@ -97,7 +97,7 @@ func foldDelta(rng *rand.Rand, g, orig *kb.Graph, round int) string {
 	return sb.String()
 }
 
-// requireSameGraph compares a served generation with the Clone+Freeze
+// requireSameGraph compares a served generation with the from-scratch
 // rebuild of the same content: fingerprint, snapshot bytes, Stats, the
 // type index, every name, and the adjacency of a sample of nodes under
 // every label.
@@ -143,7 +143,7 @@ func requireSameGraph(t *testing.T, tag string, rng *rand.Rand, got, want *kb.Gr
 
 // TestFoldMatchesRebuild is the differential of the overlay chain and
 // its fold: a seeded random delta stream over kbgen's small KB through a
-// Manager, against the Clone+Freeze rebuild of every generation. In the
+// Manager, against a from-scratch rebuild of every generation. In the
 // seedN subtests the CompactRatio is low enough that a fold trips every
 // few deltas; in "chain" nothing folds for 500 generations. One delta in
 // ten is built and then refused by its commit hook, so the next one
@@ -152,9 +152,9 @@ func requireSameGraph(t *testing.T, tag string, rng *rand.Rand, got, want *kb.Gr
 // generation — folded, stacked over a fold's arrays, or deep in the
 // chain — must equal the rebuild, and so must a sample of old
 // generations once the stream has appended past them. The rebuild
-// applies each delta to one unfrozen graph with the ordinary mutators
-// and is cloned and frozen where it is compared: every generation, or
-// under -short and -race every fifth of the chain's.
+// applies each delta to one kb.Builder, which is built where it is
+// compared — every generation, or under -short and -race every fifth of
+// the chain's — and seeded again from what it built.
 func TestFoldMatchesRebuild(t *testing.T) {
 	seeds, deltas, every := 6, 300, 1
 	if testing.Short() || raceEnabled {
@@ -177,14 +177,13 @@ func TestFoldMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				orig := kbgen.Generate(opt)
-				orig.Freeze()
-				oracle := orig.Clone()
+				oracle := kb.NewBuilderFrom(orig)
 				m := newManager(t, orig, nil)
 				m.CompactRatio = mode.ratio
 				var old [][2]*kb.Graph // (served, rebuilt) of every 25th generation
 				folds, branches, maxDepth := 0, 0, 0
 				for i := range mode.deltas {
-					d := parse(t, foldDelta(rng, oracle, orig, i))
+					d := parse(t, foldDelta(rng, m.Current().Graph, orig, i))
 					if len(d.Ops) == 0 {
 						continue // every record drawn was skipped
 					}
@@ -204,13 +203,13 @@ func TestFoldMatchesRebuild(t *testing.T) {
 					}
 					var ost ApplyStats
 					for _, op := range d.Ops {
-						if err := applyOp(graphAdapter{oracle}, op, &ost); err != nil {
+						if err := applyOp(oracle, op, &ost); err != nil {
 							t.Fatal(err)
 						}
 					}
 					if i%mode.every == 0 || i%25 == 0 {
-						want := oracle.Clone()
-						want.Freeze()
+						want := oracle.Build()
+						oracle = kb.NewBuilderFrom(want)
 						requireSameGraph(t, fmt.Sprintf("delta %d", i), rng, snap.Graph, want)
 						if i%25 == 0 {
 							old = append(old, [2]*kb.Graph{snap.Graph, want})

@@ -12,14 +12,13 @@ import (
 
 func baseGraph(t testing.TB) *kb.Graph {
 	t.Helper()
-	g := kb.New()
-	a := g.AddNode("a", "person")
-	b := g.AddNode("b", "person")
-	g.AddNode("c", "person")
-	knows := g.MustLabel("knows", false)
-	g.MustAddEdge(a, b, knows)
-	g.Freeze()
-	return g
+	gb := kb.NewBuilder()
+	a := gb.AddNode("a", "person")
+	b := gb.AddNode("b", "person")
+	gb.AddNode("c", "person")
+	knows := gb.MustLabel("knows", false)
+	gb.MustAddEdge(a, b, knows)
+	return gb.Build()
 }
 
 func parse(t *testing.T, src string) *Delta {
@@ -145,14 +144,8 @@ func TestDeltaApply(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 1 {
 		t.Errorf("base mutated: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if !g.Frozen() {
-		t.Error("base unfrozen by Apply")
-	}
 
 	// The new graph reflects every mutation.
-	if !g2.Frozen() {
-		t.Error("applied graph not frozen")
-	}
 	if g2.NumNodes() != 4 || g2.NumEdges() != 1 {
 		t.Errorf("new graph: %d nodes, %d edges, want 4, 1", g2.NumNodes(), g2.NumEdges())
 	}
@@ -261,29 +254,23 @@ func TestManagerNoopDeltaPublishesNothing(t *testing.T) {
 	}
 }
 
-// graphAdapter lifts *kb.Graph to the mutator surface.
-type graphAdapter struct{ *kb.Graph }
-
-func (a graphAdapter) NodeType(id kb.NodeID) string { return a.Node(id).Type }
-
-// rebuildApply replays d onto a deep clone of base and freezes the
-// result from scratch: the O(graph) Clone+Freeze path the overlay
-// replaced, kept as its equivalence oracle. It shares applyOp with
-// Delta.Apply, so record semantics and error text are identical.
+// rebuildApply replays d onto a builder seeded from base and builds the
+// result from scratch: the O(graph) rebuild the overlay replaced, kept as
+// its equivalence oracle. It shares applyOp with Delta.Apply, so record
+// semantics and error text are identical.
 func rebuildApply(d *Delta, base *kb.Graph) (*kb.Graph, ApplyStats, error) {
-	g := base.Clone()
+	b := kb.NewBuilderFrom(base)
 	var st ApplyStats
 	for _, op := range d.Ops {
-		if err := applyOp(graphAdapter{g}, op, &st); err != nil {
+		if err := applyOp(b, op, &st); err != nil {
 			return nil, st, err
 		}
 	}
-	g.Freeze()
-	return g, st, nil
+	return b.Build(), st, nil
 }
 
 // TestApplyRebuildMatchesOverlay pins that the overlay apply and the
-// Clone+Freeze rebuild produce identical content, fingerprints and
+// seeded-builder rebuild produce identical content, fingerprints and
 // effective-change stats.
 func TestApplyRebuildMatchesOverlay(t *testing.T) {
 	src := strings.Join([]string{

@@ -18,7 +18,7 @@ import (
 // record is already covered or genuinely conflicts.
 var ErrGenerationConflict = errors.New("live: generation conflict")
 
-// Snapshot is one immutable knowledge-base version: a frozen graph, the
+// Snapshot is one immutable knowledge-base version: a graph, the
 // serving payload built for it (e.g. an explainer plus its result
 // cache), a monotonic generation and the graph's content fingerprint.
 // Snapshots are never mutated after publication — readers pin one with
@@ -31,7 +31,7 @@ type Snapshot struct {
 	Generation uint64
 	// Fingerprint is the graph's content hash (kb.Graph.Fingerprint).
 	Fingerprint string
-	// Graph is the frozen knowledge base of this version.
+	// Graph is the knowledge base of this version.
 	Graph *kb.Graph
 	// Payload is the per-snapshot serving state produced by the
 	// Manager's BuildFunc. Because every snapshot carries its own
@@ -42,7 +42,7 @@ type Snapshot struct {
 }
 
 // BuildFunc constructs the per-snapshot serving payload for a freshly
-// built frozen graph. It runs once per swap, before the snapshot is
+// built graph. It runs once per swap, before the snapshot is
 // published; an error aborts the swap and keeps the current snapshot
 // active. It sees only the new graph, so every payload starts cold.
 type BuildFunc func(g *kb.Graph) (any, error)
@@ -89,8 +89,7 @@ const DefaultCompactRatio = 0.25
 // depth is never at or past it.
 const DefaultCompactDepth = math.MaxInt
 
-// NewManager freezes g, builds its payload and installs it as
-// generation 1.
+// NewManager builds g's payload and installs it as generation 1.
 func NewManager(g *kb.Graph, build BuildFunc) (*Manager, error) {
 	return NewManagerAt(g, build, 1)
 }
@@ -110,7 +109,6 @@ func NewManagerAt(g *kb.Graph, build BuildFunc, gen uint64) (*Manager, error) {
 	if build == nil {
 		build = func(*kb.Graph) (any, error) { return nil, nil }
 	}
-	g.Freeze()
 	payload, err := build(g)
 	if err != nil {
 		return nil, fmt.Errorf("live: building initial snapshot: %w", err)
@@ -224,7 +222,7 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 }
 
 // SwapGraph publishes an independently built graph (e.g. re-read from
-// disk) as the next generation, freezing it first if needed.
+// disk) as the next generation.
 func (m *Manager) SwapGraph(g *kb.Graph) (*Snapshot, error) {
 	return m.SwapGraphCommit(g, nil)
 }
@@ -238,7 +236,7 @@ func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, er
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.swapLocked(g, m.cur.Load().Generation+1, commit)
+	return m.publishLocked(g, m.cur.Load().Generation+1, commit)
 }
 
 // SwapGraphAt publishes an independently built graph at an explicit
@@ -257,7 +255,7 @@ func (m *Manager) SwapGraphAt(g *kb.Graph, gen uint64, commit CommitFunc) (*Snap
 	if cur := m.cur.Load().Generation; gen <= cur {
 		return nil, fmt.Errorf("live: SwapGraphAt: generation %d is not above current %d", gen, cur)
 	}
-	return m.swapLocked(g, gen, commit)
+	return m.publishLocked(g, gen, commit)
 }
 
 // SwapGraphRepair publishes an independently built graph at an
@@ -280,14 +278,7 @@ func (m *Manager) SwapGraphRepair(g *kb.Graph, gen uint64, commit CommitFunc) (*
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.swapLocked(g, gen, commit)
-}
-
-// swapLocked freezes and publishes an independently built graph at
-// generation next. Callers hold m.mu.
-func (m *Manager) swapLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
-	g.Freeze()
-	return m.publishLocked(g, next, commit)
+	return m.publishLocked(g, gen, commit)
 }
 
 // publishLocked builds the payload for g, runs the durability commit

@@ -34,7 +34,7 @@ import (
 // acknowledged delta can never be lost to a crash. When the checkpoint
 // policy triggers, the commit hook seals the active segment by creating
 // the next one (one file create, nothing proportional to the graph) and
-// hands the frozen graph to the journal's checkpointer goroutine, which
+// hands the graph to the journal's checkpointer goroutine, which
 // writes it to a temp file, fsyncs, atomically renames and fsyncs the
 // directory, then deletes the segments sealed at or before its trigger
 // and every other checkpoint. Recovery loads the newest valid checkpoint
@@ -661,8 +661,8 @@ func (j *Journal) Checkpoint(g *kb.Graph, gen uint64) error {
 }
 
 // CheckpointAsync checkpoints g (generation gen) off the caller's path:
-// it seals the active WAL segment — one file create — and hands g,
-// which must be frozen, to the checkpointer, which does what Checkpoint
+// it seals the active WAL segment — one file create — and hands g to
+// the checkpointer, which does what Checkpoint
 // does. At most one checkpoint runs at a time; one still waiting when
 // another is started is superseded, never run. failed receives the
 // error of a checkpoint that fails, on the checkpointer goroutine (on

@@ -18,8 +18,9 @@ import (
 // end it belongs to is counted as exceeding a exactly once — one instance
 // at a time and by weight, where the bar is raised by the end's debt.
 func TestEndCounterSaturates(t *testing.T) {
-	g := kb.New()
-	id, w := g.AddNode("n", "t"), g.AddNode("w", "t")
+	gb := kb.NewBuilder()
+	id, w := gb.AddNode("n", "t"), gb.AddNode("w", "t")
+	g := gb.Build()
 	c := AcquireEndCounter(g, math.MaxUint32-2, -1)
 	c.AddWeighted(id, 1, 0)
 	c.n[id] = math.MaxUint32 - 2 // a instances so far: not above a yet
@@ -55,8 +56,9 @@ func TestEndCounterSaturates(t *testing.T) {
 // debts come off, an end whose sum was all debt leaves the table, and
 // the position AddWeighted kept is already the settled one.
 func TestEndCounterSettle(t *testing.T) {
-	g := kb.New()
-	x, y, z, v := g.AddNode("x", "t"), g.AddNode("y", "t"), g.AddNode("z", "t"), g.AddNode("v", "t")
+	gb := kb.NewBuilder()
+	x, y, z, v := gb.AddNode("x", "t"), gb.AddNode("y", "t"), gb.AddNode("z", "t"), gb.AddNode("v", "t")
+	g := gb.Build()
 	debt := make([]uint32, g.NumNodes())
 	debt[x], debt[y], debt[z] = 2, 4, 2
 	c := AcquireEndCounter(g, 2, -1)
@@ -82,16 +84,18 @@ func TestEndCounterSettle(t *testing.T) {
 // a pooled counter released after use on a small graph must cover every
 // node of a larger graph when it is next acquired, and come back zeroed.
 func TestEndCounterFollowsGraphGrowth(t *testing.T) {
-	g := kb.New()
-	first := g.AddNode("n0", "t")
-	c := AcquireEndCounter(g, 0, -1)
+	b := kb.NewBuilder()
+	first := b.AddNode("n0", "t")
+	small := b.Build()
+	c := AcquireEndCounter(small, 0, -1)
 	c.AddWeighted(first, 1, 0)
 	c.Release()
+	b = kb.NewBuilderFrom(small)
 	var last kb.NodeID
 	for i := 0; i < 1000; i++ {
-		last = g.AddNode(fmt.Sprintf("n%d", i+1), "t")
+		last = b.AddNode(fmt.Sprintf("n%d", i+1), "t")
 	}
-	c = AcquireEndCounter(g, 0, 1)
+	c = AcquireEndCounter(b.Build(), 0, 1)
 	defer c.Release()
 	if c.n[first] != 0 {
 		t.Fatal("released counter kept a count")
@@ -138,15 +142,13 @@ func TestCountByEndDenseMatchesMap(t *testing.T) {
 }
 
 // mediumKB is the benchmark's knowledge base (kbgen medium seed 42),
-// frozen, generated once per test binary.
+// generated once per test binary.
 var mediumKB = sync.OnceValue(func() *kb.Graph {
 	opt, err := kbgen.PresetOptions("medium", 42)
 	if err != nil {
 		panic(err)
 	}
-	g := kbgen.Generate(opt)
-	g.Freeze()
-	return g
+	return kbgen.Generate(opt)
 })
 
 // mediumStart looks a start entity up in mediumKB.

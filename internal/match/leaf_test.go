@@ -19,7 +19,7 @@ import (
 // s and e first.
 func leafGraph(t *testing.T, edges string) *kb.Graph {
 	t.Helper()
-	g := kb.New()
+	g := kb.NewBuilder()
 	g.MustLabel("d", true)
 	g.MustLabel("q", true)
 	g.MustLabel("u", false)
@@ -35,7 +35,7 @@ func leafGraph(t *testing.T, edges string) *kb.Graph {
 		f := strings.Fields(e)
 		g.MustAddEdge(node(f[0]), node(f[2]), g.LabelByName(f[1]))
 	}
-	return g
+	return g.Build()
 }
 
 // fan writes n edges from a format with one %d, for leafGraph.
@@ -66,7 +66,7 @@ func tracedDense(t *testing.T, g *kb.Graph, p *pattern.Pattern, start kb.NodeID)
 // candidate set, each kind of leaf edge, and the two orders of the last
 // two variables. Every case is counted three ways (Count per end,
 // CountByEnd, CountByEndDense), compared with the brute-force oracle and
-// with the table written out here, unfrozen and frozen; ForEach must
+// with the table written out here; ForEach must
 // still bind every instance of the same patterns.
 func TestLeafCountNamedCases(t *testing.T) {
 	const S, E = pattern.Start, pattern.End
@@ -76,7 +76,7 @@ func TestLeafCountNamedCases(t *testing.T) {
 		edges   string
 		p       []pattern.Edge
 		want    map[string]int
-		ceiling int64 // bindings, frozen; 0: not pinned
+		ceiling int64 // bindings; 0: not pinned
 	}{
 		{name: "single-edge leaf, the start inside its candidate set",
 			edges: "s d a, a d e, w d a",
@@ -129,39 +129,34 @@ func TestLeafCountNamedCases(t *testing.T) {
 		for name, n := range c.want {
 			want[g.NodeByName(name)] = n
 		}
-		for _, frozen := range []bool{false, true} {
-			if frozen {
-				g.Freeze()
+		oracle := bruteForce(g, p, s, kb.InvalidNode)
+		if got := endTable(oracle); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the case is mis-stated: brute force finds %v, want %v", c.name, got, want)
+		}
+		if got := CountByEnd(g, p, s); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CountByEnd = %v, want %v", c.name, got, want)
+		}
+		table, touched, tried := tracedDense(t, g, p, s)
+		if !reflect.DeepEqual(table, want) || touched != len(want) {
+			t.Errorf("%s: dense table %v over %d touched ends, want %v", c.name, table, touched, want)
+		}
+		if c.ceiling > 0 && (tried == 0 || tried > c.ceiling) {
+			t.Errorf("%s: %d bindings tried, want 1..%d", c.name, tried, c.ceiling)
+		}
+		for id := kb.NodeID(1); int(id) < g.NumNodes(); id++ {
+			if got := Count(g, p, s, id); got != want[id] {
+				t.Errorf("%s: Count(end=%s) = %d, want %d", c.name, g.NodeName(id), got, want[id])
 			}
-			oracle := bruteForce(g, p, s, kb.InvalidNode)
-			if got := endTable(oracle); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: the case is mis-stated: brute force finds %v, want %v", c.name, got, want)
-			}
-			if got := CountByEnd(g, p, s); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (frozen=%v): CountByEnd = %v, want %v", c.name, frozen, got, want)
-			}
-			table, touched, tried := tracedDense(t, g, p, s)
-			if !reflect.DeepEqual(table, want) || touched != len(want) {
-				t.Errorf("%s (frozen=%v): dense table %v over %d touched ends, want %v", c.name, frozen, table, touched, want)
-			}
-			if frozen && c.ceiling > 0 && (tried == 0 || tried > c.ceiling) {
-				t.Errorf("%s: %d bindings tried, want 1..%d", c.name, tried, c.ceiling)
-			}
-			for id := kb.NodeID(1); int(id) < g.NumNodes(); id++ {
-				if got := Count(g, p, s, id); got != want[id] {
-					t.Errorf("%s (frozen=%v): Count(end=%s) = %d, want %d", c.name, frozen, g.NodeName(id), got, want[id])
-				}
-			}
-			each := 0
-			seen := asKeySet(oracle)
-			ForEach(g, p, s, kb.InvalidNode, func(in pattern.Instance) bool {
-				each++
-				delete(seen, in.Key())
-				return true
-			})
-			if each != len(oracle) || len(seen) != 0 {
-				t.Errorf("%s (frozen=%v): ForEach bound %d instances and missed %d of the oracle's %d", c.name, frozen, each, len(seen), len(oracle))
-			}
+		}
+		each := 0
+		seen := asKeySet(oracle)
+		ForEach(g, p, s, kb.InvalidNode, func(in pattern.Instance) bool {
+			each++
+			delete(seen, in.Key())
+			return true
+		})
+		if each != len(oracle) || len(seen) != 0 {
+			t.Errorf("%s: ForEach bound %d instances and missed %d of the oracle's %d", c.name, each, len(seen), len(oracle))
 		}
 	}
 }
@@ -173,8 +168,6 @@ func TestLeafMemoDoesNotOutliveRun(t *testing.T) {
 	const edges = "s d a, a d e, w1 d a, w2 d s"
 	one := leafGraph(t, edges)
 	two := leafGraph(t, edges+", w2 d a")
-	one.Freeze()
-	two.Freeze()
 	es := []pattern.Edge{{U: pattern.Start, V: 2, Label: 0}, {U: 2, V: pattern.End, Label: 0}, {U: 3, V: 2, Label: 0}}
 	p1, p2 := pattern.MustNew(one, 4, es), pattern.MustNew(two, 4, es)
 	s, e := one.NodeByName("s"), one.NodeByName("e")
@@ -196,35 +189,31 @@ func TestLeafMemoDoesNotOutliveRun(t *testing.T) {
 // With v2 = z (node 0, a 4-wide q span) v3 goes first and v4 is sized: 4.
 // With v2 = y (a 1-wide q span) v4 goes first and v3 is sized: 3, not 4.
 func TestLeafMemoKeyNamesTheVariable(t *testing.T) {
-	g := kb.New()
-	d, q, r := g.MustLabel("d", true), g.MustLabel("q", true), g.MustLabel("r", true)
-	z, s, e, y := g.AddNode("z", "t"), g.AddNode("s", "t"), g.AddNode("e", "t"), g.AddNode("y", "t")
-	g.MustAddEdge(s, z, r)
-	g.MustAddEdge(s, y, r)
+	gb := kb.NewBuilder()
+	d, q, r := gb.MustLabel("d", true), gb.MustLabel("q", true), gb.MustLabel("r", true)
+	z, s, e, y := gb.AddNode("z", "t"), gb.AddNode("s", "t"), gb.AddNode("e", "t"), gb.AddNode("y", "t")
+	gb.MustAddEdge(s, z, r)
+	gb.MustAddEdge(s, y, r)
 	for i := 0; i < 5; i++ {
-		qi := g.AddNode(fmt.Sprintf("q%d", i), "t")
-		g.MustAddEdge(s, qi, q)
+		qi := gb.AddNode(fmt.Sprintf("q%d", i), "t")
+		gb.MustAddEdge(s, qi, q)
 		if i < 4 {
-			g.MustAddEdge(z, qi, q)
+			gb.MustAddEdge(z, qi, q)
 		}
 		if i < 3 {
-			g.MustAddEdge(s, g.AddNode(fmt.Sprintf("d%d", i), "t"), d)
+			gb.MustAddEdge(s, gb.AddNode(fmt.Sprintf("d%d", i), "t"), d)
 		}
 		if i == 0 {
-			g.MustAddEdge(y, qi, q)
+			gb.MustAddEdge(y, qi, q)
 		}
 	}
+	g := gb.Build()
 	p := pattern.MustNew(g, 5, []pattern.Edge{
 		{U: pattern.Start, V: 2, Label: r}, {U: pattern.Start, V: 3, Label: d},
 		{U: pattern.Start, V: 4, Label: q}, {U: 2, V: 4, Label: q},
 	})
-	for _, frozen := range []bool{false, true} {
-		if frozen {
-			g.Freeze()
-		}
-		if got, want := Count(g, p, s, e), len(bruteForce(g, p, s, e)); got != want || want != 3*4+3*1 {
-			t.Errorf("frozen=%v: Count = %d, brute force %d, want 15", frozen, got, want)
-		}
+	if got, want := Count(g, p, s, e), len(bruteForce(g, p, s, e)); got != want || want != 3*4+3*1 {
+		t.Errorf("Count = %d, brute force %d, want 15", got, want)
 	}
 }
 
@@ -234,7 +223,6 @@ func TestLeafMemoKeyNamesTheVariable(t *testing.T) {
 // is added for a leaf that was not counted to the end.
 func TestLeafScanHonoursCancellation(t *testing.T) {
 	g := leafGraph(t, "s d a, a d e, "+fan(5000, "w%d d a"))
-	g.Freeze()
 	p := pattern.MustNew(g, 4, []pattern.Edge{{U: pattern.Start, V: 2, Label: 0}, {U: 2, V: pattern.End, Label: 0}, {U: 3, V: 2, Label: 0}})
 	s := g.NodeByName("s")
 	if n := Count(g, p, s, g.NodeByName("e")); n != 5000 {

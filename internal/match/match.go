@@ -33,9 +33,9 @@
 // # Candidate checks
 //
 // A candidate for a variable is generated from one label span and
-// checked against the variable's other spans into the bound set. On a
-// frozen graph every loop that feeds one variable's checks sees its
-// candidates in ascending node order, so the checks are a forward merge:
+// checked against the variable's other spans into the bound set. Every
+// loop that feeds one variable's checks sees its candidates in ascending
+// node order, so the checks are a forward merge:
 // fits seeks each span from a per-anchor cursor (kb.SeekHalfEdge), and
 // the loop rewinds the variable's cursors before its first candidate.
 // The one probe out of order, leaf's check of the bound nodes, rewinds
@@ -188,7 +188,6 @@ type matcher struct {
 	first   [pattern.MaxVars + 1]int32
 	spans   [][]kb.HalfEdge
 	cur     []int
-	sorted  bool // g is frozen: label spans are ordered by (To, Dir)
 
 	// f receives every instance of an enumerating run. It is nil on a
 	// counting run, whose instances are added by weight to dense under
@@ -239,7 +238,6 @@ func acquireMatcher(g *kb.Graph, p *pattern.Pattern, start, end kb.NodeID) *matc
 	m.tries = 0
 	m.ctx = nil
 	m.err = nil
-	m.sorted = g.Frozen()
 
 	// For a directed label, the edge v→other appears at other as a
 	// half-edge with Dir==In, and other→v as Dir==Out.
@@ -423,8 +421,8 @@ func (m *matcher) search() bool {
 		}
 		return true
 	}
-	// On a frozen graph a label span is ordered by (To, Dir), so
-	// candidates come in node order and fits merges best's other spans
+	// A label span is ordered by (To, Dir), so candidates come in node
+	// order and fits merges best's other spans
 	// forward.
 	m.rewind(best)
 	wantDir := m.anchors[gen].wantDir
@@ -494,7 +492,7 @@ func (m *matcher) sized() pattern.VarID {
 func (m *matcher) fits(v pattern.VarID, gen int, cand kb.NodeID) bool {
 	for i := int(m.first[v]); i < int(m.first[v+1]); i++ {
 		a := &m.anchors[i]
-		if i != gen && m.assigned[a.from] && !kb.SeekHalfEdge(m.spans[i], &m.cur[i], cand, a.wantDir, m.sorted) {
+		if i != gen && m.assigned[a.from] && !kb.SeekHalfEdge(m.spans[i], &m.cur[i], cand, a.wantDir) {
 			return false
 		}
 	}

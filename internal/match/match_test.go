@@ -189,22 +189,21 @@ func TestDirectedOrientationRespected(t *testing.T) {
 // so variables with several edges into the bound set exercise the
 // per-binding choice and the in-span verification, now and then with a
 // tree edge dropped, so a component off the start falls back to the full
-// scan — with the end bound and free, before the graph is frozen
-// (unsorted spans), after (forward seeks), and on an overlay of depth 2
-// that deleted edges. Find must yield the oracle's instances; the
+// scan — with the end bound and free, on the built graph and on an
+// overlay of depth 2 that deleted edges. Find must yield the oracle's instances; the
 // counting entry points, which do not bind the last variable, its counts:
 // Count for every end, CountByEnd, CountByEndDense's table, and position
 // and pruning decision under LIMIT p.
 func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := kb.New()
+		gb := kb.NewBuilder()
 		n := 5 + rng.Intn(6)
 		for i := 0; i < n; i++ {
-			g.AddNode(string(rune('a'+i)), "t")
+			gb.AddNode(string(rune('a'+i)), "t")
 		}
 		labels := []kb.LabelID{
-			g.MustLabel("d", true), g.MustLabel("u", false),
+			gb.MustLabel("d", true), gb.MustLabel("u", false),
 		}
 		var added []kb.Edge
 		for i := 0; i < 3*n; i++ {
@@ -214,10 +213,11 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 			}
 			if a != b {
 				l := labels[rng.Intn(2)]
-				g.AddEdge(a, b, l)
+				gb.AddEdge(a, b, l)
 				added = append(added, kb.Edge{From: a, To: b, Label: l})
 			}
 		}
+		g := gb.Build()
 		start, end := kb.NodeID(0), kb.NodeID(1)
 
 		// Random small pattern, connected unless a tree edge is dropped.
@@ -293,10 +293,6 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 		if !agrees(g) {
 			return false
 		}
-		g.Freeze()
-		if !agrees(g) {
-			return false
-		}
 		for depth := 0; depth < 2; depth++ {
 			b, err := kb.NewOverlayBuilder(g)
 			if err != nil {
@@ -325,34 +321,30 @@ func TestQuickMatcherMatchesBruteForce(t *testing.T) {
 // a variable's non-generating anchors: of three nodes adjacent to both
 // targets under one directed label only the one with start→v→end
 // orientation is an instance, whichever target's span generates the
-// candidates (fillers make either side the shorter one), frozen or not.
+// candidates (fillers make either side the shorter one).
 func TestVerifiedAnchorsRespectOrientation(t *testing.T) {
 	for _, fillAt := range []string{"s", "e"} {
-		g := kb.New()
-		d := g.MustLabel("d", true)
-		s, e := g.AddNode("s", "t"), g.AddNode("e", "t")
-		x, y, z := g.AddNode("x", "t"), g.AddNode("y", "t"), g.AddNode("z", "t")
-		g.MustAddEdge(s, x, d)
-		g.MustAddEdge(x, e, d)
-		g.MustAddEdge(s, y, d)
-		g.MustAddEdge(e, y, d) // second hop reversed
-		g.MustAddEdge(z, s, d) // first hop reversed
-		g.MustAddEdge(z, e, d)
+		gb := kb.NewBuilder()
+		d := gb.MustLabel("d", true)
+		s, e := gb.AddNode("s", "t"), gb.AddNode("e", "t")
+		x, y, z := gb.AddNode("x", "t"), gb.AddNode("y", "t"), gb.AddNode("z", "t")
+		gb.MustAddEdge(s, x, d)
+		gb.MustAddEdge(x, e, d)
+		gb.MustAddEdge(s, y, d)
+		gb.MustAddEdge(e, y, d) // second hop reversed
+		gb.MustAddEdge(z, s, d) // first hop reversed
+		gb.MustAddEdge(z, e, d)
 		for i := 0; i < 4; i++ {
-			g.MustAddEdge(g.NodeByName(fillAt), g.AddNode(string(rune('f'+i)), "t"), d)
+			gb.MustAddEdge(gb.NodeByName(fillAt), gb.AddNode(string(rune('f'+i)), "t"), d)
 		}
+		g := gb.Build()
 		p := pattern.MustNew(g, 3, []pattern.Edge{
 			{U: pattern.Start, V: 2, Label: d},
 			{U: 2, V: pattern.End, Label: d},
 		})
-		for _, frozen := range []bool{false, true} {
-			if frozen {
-				g.Freeze()
-			}
-			got := Find(g, p, s, e, Options{})
-			if len(got) != 1 || got[0][2] != x {
-				t.Errorf("fillers at %s, frozen=%v: instances %v, want only v2=x", fillAt, frozen, got)
-			}
+		got := Find(g, p, s, e, Options{})
+		if len(got) != 1 || got[0][2] != x {
+			t.Errorf("fillers at %s: instances %v, want only v2=x", fillAt, got)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 func poolTestPattern(t *testing.T) (*kb.Graph, *pattern.Pattern, kb.NodeID, kb.NodeID) {
 	t.Helper()
 	g := kbgen.Sample()
-	g.Freeze()
 	star := g.LabelByName(kbgen.RelStarring)
 	dir := g.LabelByName(kbgen.RelDirectedBy)
 	p := pattern.MustNew(g, 4, []pattern.Edge{

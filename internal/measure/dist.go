@@ -105,7 +105,7 @@ func countEnds(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.N
 		return match.CountByEndDense(cctx, g, p, start, c)
 	}
 	w := pathWalkPool.Get().(*pathWalk)
-	w.ctx, w.g, w.steps, w.sorted = cctx, g, steps, g.Frozen()
+	w.ctx, w.g, w.steps = cctx, g, steps
 	w.mult, w.debt = dense(w.mult, g.NumNodes()), dense(w.debt, g.NumNodes())
 	w.nodes[0] = start
 	if w.prefixes(0) {
@@ -136,7 +136,7 @@ const walkCheckInterval = 1024
 // The debt test "n ∈ N(v)", for every prefix end v and every earlier
 // node n of its prefix, is asked from n's side: v ∈ rev(n), n's span of
 // the last label with the orientation reversed. The prefix ends below one
-// node arrive in ascending order on a frozen graph, so each rev(n) is
+// node arrive in ascending order, so each rev(n) is
 // merged forward by a seek cursor instead of searched once per end, and
 // no prefix end's own last span is fetched until scatter.
 //
@@ -144,11 +144,10 @@ const walkCheckInterval = 1024
 // resets the touched entries) and are sized to the graph at every use:
 // node IDs are append-only across hot swaps, see match.EndCounter.
 type pathWalk struct {
-	ctx    context.Context
-	g      *kb.Graph
-	steps  []pattern.PathStep
-	sorted bool                       // g is frozen: label spans are ordered by (To, Dir)
-	nodes  [pattern.MaxVars]kb.NodeID // nodes[:depth+1] is the current injective walk
+	ctx   context.Context
+	g     *kb.Graph
+	steps []pattern.PathStep
+	nodes [pattern.MaxVars]kb.NodeID // nodes[:depth+1] is the current injective walk
 
 	// rev[d] is nodes[d]'s span of the last label, fetched when the walk
 	// pushes it, and cur[d] the debt test's seek cursor into it.
@@ -246,7 +245,7 @@ nextEdge:
 		}
 		w.ends = bump(w.mult, w.ends, he.To)
 		for d, n := range w.nodes[:depth+1] {
-			if kb.SeekHalfEdge(w.rev[d], &w.cur[d], he.To, back, w.sorted) {
+			if kb.SeekHalfEdge(w.rev[d], &w.cur[d], he.To, back) {
 				w.owed = bump(w.debt, w.owed, n)
 			}
 		}

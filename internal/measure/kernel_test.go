@@ -54,7 +54,7 @@ func enumeratedCases(t *testing.T, name string, g *kb.Graph, pairs int) []kernel
 	return out
 }
 
-// overlayOf stacks two overlay generations on a frozen graph: new
+// overlayOf stacks two overlay generations on a graph: new
 // entities hung off existing ones, then edges deleted next to them.
 func overlayOf(t *testing.T, g *kb.Graph) *kb.Graph {
 	t.Helper()
@@ -93,24 +93,24 @@ func hubCase() kernelCase {
 	if testing.Short() {
 		fan = 100
 	}
-	g := kb.New()
-	r, q := g.MustLabel("r", false), g.MustLabel("q", false)
-	s := g.AddNode("s", "hub")
+	gb := kb.NewBuilder()
+	r, q := gb.MustLabel("r", false), gb.MustLabel("q", false)
+	s := gb.AddNode("s", "hub")
 	var mids, leaves []kb.NodeID
 	for i := 0; i < fan; i++ {
-		mids = append(mids, g.AddNode(fmt.Sprintf("m%d", i), "mid"))
-		leaves = append(leaves, g.AddNode(fmt.Sprintf("l%d", i), "leaf"))
+		mids = append(mids, gb.AddNode(fmt.Sprintf("m%d", i), "mid"))
+		leaves = append(leaves, gb.AddNode(fmt.Sprintf("l%d", i), "leaf"))
 	}
 	for _, m := range mids {
-		g.MustAddEdge(s, m, r)
+		gb.MustAddEdge(s, m, r)
 		for _, l := range leaves {
-			g.MustAddEdge(m, l, r)
+			gb.MustAddEdge(m, l, r)
 		}
 	}
 	for _, l := range leaves[:5] {
-		g.MustAddEdge(s, l, q)
+		gb.MustAddEdge(s, l, q)
 	}
-	g.Freeze()
+	g := gb.Build()
 	path2 := pattern.MustNew(g, 3, []pattern.Edge{{U: pattern.Start, V: 2, Label: r}, {U: 2, V: pattern.End, Label: r}})
 	triangle := pattern.MustNew(g, 3, []pattern.Edge{
 		{U: pattern.Start, V: 2, Label: r}, {U: 2, V: pattern.End, Label: r}, {U: pattern.Start, V: pattern.End, Label: q},
@@ -133,41 +133,41 @@ func hubCase() kernelCase {
 // knowledge base rejects one, which is why the kernel never discounts v.
 func debtGraph(t *testing.T) (g *kb.Graph, s kb.NodeID) {
 	t.Helper()
-	g = kb.New()
-	d, u := g.MustLabel("d", true), g.MustLabel("u", false)
-	s = g.AddNode("s", "t")
-	hub := g.AddNode("hub", "t")
+	gb := kb.NewBuilder()
+	d, u := gb.MustLabel("d", true), gb.MustLabel("u", false)
+	s = gb.AddNode("s", "t")
+	hub := gb.AddNode("hub", "t")
 	var ms, xs []kb.NodeID
 	for i := 0; i < 4; i++ {
-		ms = append(ms, g.AddNode(fmt.Sprintf("m%d", i), "t"))
-		xs = append(xs, g.AddNode(fmt.Sprintf("x%d", i), "t"))
+		ms = append(ms, gb.AddNode(fmt.Sprintf("m%d", i), "t"))
+		xs = append(xs, gb.AddNode(fmt.Sprintf("x%d", i), "t"))
 	}
 	for i, m := range ms {
-		g.MustAddEdge(s, m, d)
-		g.MustAddEdge(m, hub, d)
+		gb.MustAddEdge(s, m, d)
+		gb.MustAddEdge(m, hub, d)
 		for _, x := range xs[:i+1] {
-			g.MustAddEdge(m, x, d)
+			gb.MustAddEdge(m, x, d)
 		}
 	}
-	g.MustAddEdge(ms[0], s, d)
-	g.MustAddEdge(ms[1], s, d)
-	g.MustAddEdge(xs[0], ms[2], d)
-	g.MustAddEdge(hub, s, d)
-	g.MustAddEdge(hub, ms[1], d)
+	gb.MustAddEdge(ms[0], s, d)
+	gb.MustAddEdge(ms[1], s, d)
+	gb.MustAddEdge(xs[0], ms[2], d)
+	gb.MustAddEdge(hub, s, d)
+	gb.MustAddEdge(hub, ms[1], d)
 	for j := 0; j < 2000; j++ {
-		l := g.AddNode(fmt.Sprintf("l%d", j), "t")
-		g.MustAddEdge(hub, l, d)
+		l := gb.AddNode(fmt.Sprintf("l%d", j), "t")
+		gb.MustAddEdge(hub, l, d)
 		if j < 5 {
-			g.MustAddEdge(xs[0], l, d)
+			gb.MustAddEdge(xs[0], l, d)
 		}
 	}
 	for _, e := range [][2]kb.NodeID{{s, ms[0]}, {s, ms[1]}, {ms[0], ms[1]}, {ms[0], ms[2]}, {ms[0], xs[0]}} {
-		g.MustAddEdge(e[0], e[1], u)
+		gb.MustAddEdge(e[0], e[1], u)
 	}
-	if _, err := g.AddEdge(hub, hub, d); err == nil {
+	if _, err := gb.AddEdge(hub, hub, d); err == nil {
 		t.Fatal("the knowledge base accepted a self-loop: the path kernel assumes v ∉ N(v)")
 	}
-	return g, s
+	return gb.Build(), s
 }
 
 // debtCase positions debtGraph's path patterns on g: one step; a last
@@ -225,21 +225,17 @@ func oraclePosition(table map[kb.NodeID]int, a int) int {
 }
 
 // TestLocalDistributionDifferential checks the one counting kernel —
-// path and non-path patterns, unfrozen, frozen and overlay graphs —
-// against the naive
+// path and non-path patterns, built and overlay graphs — against the
+// naive
 // oracle: position and pruning decision for every limit, and whole
 // tables for the deviation measures.
 func TestLocalDistributionDifferential(t *testing.T) {
 	small := kbgen.Generate(kbgen.Options{Scale: 1, Seed: 11})
-	small.Freeze()
 	cases := enumeratedCases(t, "small", small, 3)
 	cases = append(cases, enumeratedCases(t, "overlay", overlayOf(t, small), 3)...)
 	cases = append(cases, hubCase())
-	loose, s := debtGraph(t)
-	frozen, _ := debtGraph(t)
-	frozen.Freeze()
-	cases = append(cases, debtCase("debts, unfrozen", loose, s),
-		debtCase("debts", frozen, s), debtCase("debts, overlay", overlayOf(t, frozen), s))
+	debts, s := debtGraph(t)
+	cases = append(cases, debtCase("debts", debts, s), debtCase("debts, overlay", overlayOf(t, debts), s))
 
 	ctx := context.Background()
 	limits := []int{-1, 0, 1, 2, 10, math.MaxInt}
@@ -354,7 +350,6 @@ func BenchmarkLocalPosition(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := kbgen.Generate(opt)
-	g.Freeze()
 	s, e := g.NodeByName("film_6255"), g.NodeByName("film_6521")
 	if s == kb.InvalidNode || e == kb.InvalidNode {
 		b.Fatal("benchmark pair missing from the medium preset")

@@ -34,7 +34,9 @@ func TestCanonicalKeyTargetsPinned(t *testing.T) {
 	g, star, _, _ := testSchema(t)
 	// start←film→end with producing on the START side vs the END side:
 	// mirror images, but targets are pinned, so NOT isomorphic.
-	prod := g.MustLabel("produced_by", true)
+	sb := kb.NewBuilderFrom(g)
+	prod := sb.MustLabel("produced_by", true)
+	g = sb.Build()
 	pStart := MustNew(g, 3, []Edge{
 		{U: 2, V: Start, Label: star},
 		{U: 2, V: End, Label: star},
@@ -128,10 +130,11 @@ func randomPattern(g *kb.Graph, labels []kb.LabelID, rng *rand.Rand) *Pattern {
 // canonicalisation guarantee: renaming free variables by any permutation
 // leaves the canonical key unchanged.
 func TestQuickCanonicalInvariantUnderRelabeling(t *testing.T) {
-	g := kb.New()
+	gb := kb.NewBuilder()
 	labels := []kb.LabelID{
-		g.MustLabel("d1", true), g.MustLabel("d2", true), g.MustLabel("u1", false),
+		gb.MustLabel("d1", true), gb.MustLabel("d2", true), gb.MustLabel("u1", false),
 	}
+	g := gb.Build()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(g, labels, rng)
@@ -165,8 +168,9 @@ func TestQuickCanonicalInvariantUnderRelabeling(t *testing.T) {
 // TestQuickCanonicalSeparatesLabels property-checks that changing one
 // edge's label changes the canonical key.
 func TestQuickCanonicalSeparatesLabels(t *testing.T) {
-	g := kb.New()
-	labels := []kb.LabelID{g.MustLabel("d1", true), g.MustLabel("d2", true)}
+	gb := kb.NewBuilder()
+	labels := []kb.LabelID{gb.MustLabel("d1", true), gb.MustLabel("d2", true)}
+	g := gb.Build()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(g, labels[:1], rng) // all edges labeled d1

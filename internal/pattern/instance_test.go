@@ -116,15 +116,15 @@ func TestMonocountDirectEdgeOverride(t *testing.T) {
 }
 
 func TestValidateCatchesViolations(t *testing.T) {
-	g := kb.New()
-	film := g.AddNode("film", "film")
-	alice := g.AddNode("alice", "actor")
-	bob := g.AddNode("bob", "actor")
-	other := g.AddNode("other", "actor")
-	star := g.MustLabel("starring", true)
-	g.MustAddEdge(film, alice, star)
-	g.MustAddEdge(film, bob, star)
-	g.Freeze()
+	gb := kb.NewBuilder()
+	film := gb.AddNode("film", "film")
+	alice := gb.AddNode("alice", "actor")
+	bob := gb.AddNode("bob", "actor")
+	other := gb.AddNode("other", "actor")
+	star := gb.MustLabel("starring", true)
+	gb.MustAddEdge(film, alice, star)
+	gb.MustAddEdge(film, bob, star)
+	g := gb.Build()
 
 	p := MustNew(g, 3, []Edge{
 		{U: 2, V: Start, Label: star}, {U: 2, V: End, Label: star},

@@ -14,10 +14,11 @@ import (
 // when the canonical strings are equal — i.e. exactly when the patterns
 // are isomorphic with targets pinned.
 func TestQuickKeyAgreesWithCanonicalString(t *testing.T) {
-	g := kb.New()
+	gb := kb.NewBuilder()
 	labels := []kb.LabelID{
-		g.MustLabel("d1", true), g.MustLabel("d2", true), g.MustLabel("u1", false),
+		gb.MustLabel("d1", true), gb.MustLabel("d2", true), gb.MustLabel("u1", false),
 	}
+	g := gb.Build()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(g, labels, rng)

@@ -219,7 +219,6 @@ func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 		t.Fatal(err)
 	}
 	g := kbgen.Generate(opt)
-	g.Freeze()
 	for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 4, Seed: 7}) {
 		all = append(all, enumerate.Explanations(g, p.Start, p.End, unionCfg))
 		paths = append(paths, enumerate.Paths(g, p.Start, p.End, unionCfg))
@@ -237,25 +236,25 @@ func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 // variable binds thousands of nodes, disjoint from the first group: the
 // case a fixed-width hash of the bindings saturates on.
 func fanGraph(n int) (g *kb.Graph, start, end kb.NodeID) {
-	g = kb.New()
-	start, end = g.AddNode("s", "t"), g.AddNode("e", "t")
-	label := func(name string) kb.LabelID { return g.MustLabel(name, true) }
+	gb := kb.NewBuilder()
+	start, end = gb.AddNode("s", "t"), gb.AddNode("e", "t")
+	label := func(name string) kb.LabelID { return gb.MustLabel(name, true) }
 	a, b, c, d, e, f := label("a"), label("b"), label("c"), label("d"), label("e"), label("f")
 	for i := 0; i < n; i++ {
-		m := g.AddNode(fmt.Sprintf("m%d", i), "t")
-		g.MustAddEdge(start, m, a)
-		g.MustAddEdge(m, end, b)
+		m := gb.AddNode(fmt.Sprintf("m%d", i), "t")
+		gb.MustAddEdge(start, m, a)
+		gb.MustAddEdge(m, end, b)
 		if i%2 == 0 {
-			g.MustAddEdge(start, m, c)
+			gb.MustAddEdge(start, m, c)
 		}
 		if i%3 == 0 {
-			g.MustAddEdge(m, end, d)
+			gb.MustAddEdge(m, end, d)
 		}
-		o := g.AddNode(fmt.Sprintf("o%d", i), "t")
-		g.MustAddEdge(start, o, e)
-		g.MustAddEdge(o, end, f)
+		o := gb.AddNode(fmt.Sprintf("o%d", i), "t")
+		gb.MustAddEdge(start, o, e)
+		gb.MustAddEdge(o, end, f)
 	}
-	g.Freeze()
+	g = gb.Build()
 	return g, start, end
 }
 

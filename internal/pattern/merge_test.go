@@ -12,24 +12,24 @@ import (
 // Jarhead, which stars DiCaprio in this test fixture.
 func winsletGraph(t *testing.T) (*kb.Graph, map[string]kb.NodeID, kb.LabelID, kb.LabelID) {
 	t.Helper()
-	g := kb.New()
+	gb := kb.NewBuilder()
 	ids := map[string]kb.NodeID{}
 	for _, n := range []struct{ name, typ string }{
 		{"kate", "actor"}, {"leo", "actor"}, {"mendes", "director"},
 		{"titanic", "film"}, {"revroad", "film"}, {"jarhead", "film"},
 	} {
-		ids[n.name] = g.AddNode(n.name, n.typ)
+		ids[n.name] = gb.AddNode(n.name, n.typ)
 	}
-	star := g.MustLabel("starring", true)
-	dir := g.MustLabel("directed_by", true)
-	g.MustAddEdge(ids["titanic"], ids["kate"], star)
-	g.MustAddEdge(ids["titanic"], ids["leo"], star)
-	g.MustAddEdge(ids["revroad"], ids["kate"], star)
-	g.MustAddEdge(ids["revroad"], ids["leo"], star)
-	g.MustAddEdge(ids["revroad"], ids["mendes"], dir)
-	g.MustAddEdge(ids["jarhead"], ids["leo"], star)
-	g.MustAddEdge(ids["jarhead"], ids["mendes"], dir)
-	g.Freeze()
+	star := gb.MustLabel("starring", true)
+	dir := gb.MustLabel("directed_by", true)
+	gb.MustAddEdge(ids["titanic"], ids["kate"], star)
+	gb.MustAddEdge(ids["titanic"], ids["leo"], star)
+	gb.MustAddEdge(ids["revroad"], ids["kate"], star)
+	gb.MustAddEdge(ids["revroad"], ids["leo"], star)
+	gb.MustAddEdge(ids["revroad"], ids["mendes"], dir)
+	gb.MustAddEdge(ids["jarhead"], ids["leo"], star)
+	gb.MustAddEdge(ids["jarhead"], ids["mendes"], dir)
+	g := gb.Build()
 	return g, ids, star, dir
 }
 
@@ -122,7 +122,9 @@ func TestMergeRespectsMaxVars(t *testing.T) {
 
 func TestMergeNeedsFreeVariables(t *testing.T) {
 	g, ids, _, _ := winsletGraph(t)
-	spouse := g.MustLabel("spouse", false)
+	sb := kb.NewBuilderFrom(g)
+	spouse := sb.MustLabel("spouse", false)
+	g = sb.Build()
 	p := MustNew(g, 2, []Edge{{U: Start, V: End, Label: spouse}})
 	re := NewExplanation(p, []Instance{{ids["kate"], ids["mendes"]}})
 	if got := Merge(re, re, 5); got != nil {

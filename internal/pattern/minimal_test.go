@@ -51,7 +51,9 @@ func TestDecomposabilityFigure5b(t *testing.T) {
 
 func TestFigure4PatternsMinimal(t *testing.T) {
 	g, star, spouse, dir := testSchema(t)
-	prod := g.MustLabel("produced_by", true)
+	sb := kb.NewBuilderFrom(g)
+	prod := sb.MustLabel("produced_by", true)
+	g = sb.Build()
 	cases := []struct {
 		name string
 		p    *Pattern
@@ -91,7 +93,9 @@ func TestFigure4PatternsMinimal(t *testing.T) {
 func TestTwoDisjointPathsDecomposable(t *testing.T) {
 	// Two vertex-disjoint co-starring wedges decompose into each wedge.
 	g, star, _, _ := testSchema(t)
-	prod := g.MustLabel("produced_by", true)
+	sb := kb.NewBuilderFrom(g)
+	prod := sb.MustLabel("produced_by", true)
+	g = sb.Build()
 	p := MustNew(g, 4, []Edge{
 		{U: 2, V: Start, Label: star},
 		{U: 2, V: End, Label: star},
@@ -109,7 +113,9 @@ func TestTwoDisjointPathsDecomposable(t *testing.T) {
 func TestSharedVariableNotDecomposable(t *testing.T) {
 	// The same two wedges sharing the film variable: non-decomposable.
 	g, star, _, _ := testSchema(t)
-	prod := g.MustLabel("produced_by", true)
+	sb := kb.NewBuilderFrom(g)
+	prod := sb.MustLabel("produced_by", true)
+	g = sb.Build()
 	p := MustNew(g, 3, []Edge{
 		{U: 2, V: Start, Label: star},
 		{U: 2, V: End, Label: star},
@@ -147,10 +153,11 @@ func TestDisconnectedEndNotEssential(t *testing.T) {
 // TestQuickPathsAreMinimal property-checks that every simple path pattern
 // between the targets is minimal.
 func TestQuickPathsAreMinimal(t *testing.T) {
-	g := kb.New()
+	gb := kb.NewBuilder()
 	labels := []kb.LabelID{
-		g.MustLabel("d1", true), g.MustLabel("d2", true), g.MustLabel("u1", false),
+		gb.MustLabel("d1", true), gb.MustLabel("d2", true), gb.MustLabel("u1", false),
 	}
+	g := gb.Build()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		length := 1 + rng.Intn(4)
@@ -185,8 +192,9 @@ func TestQuickPathsAreMinimal(t *testing.T) {
 // implication: essential patterns are connected and every variable lies
 // on a start–end path, so in particular both targets are connected.
 func TestQuickEssentialImpliesConnected(t *testing.T) {
-	g := kb.New()
-	labels := []kb.LabelID{g.MustLabel("d1", true), g.MustLabel("u1", false)}
+	gb := kb.NewBuilder()
+	labels := []kb.LabelID{gb.MustLabel("d1", true), gb.MustLabel("u1", false)}
+	g := gb.Build()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(g, labels, rng)

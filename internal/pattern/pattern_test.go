@@ -10,10 +10,11 @@ import (
 // testSchema builds a graph used only for its label metadata.
 func testSchema(t *testing.T) (*kb.Graph, kb.LabelID, kb.LabelID, kb.LabelID) {
 	t.Helper()
-	g := kb.New()
-	star := g.MustLabel("starring", true)
-	spouse := g.MustLabel("spouse", false)
-	dir := g.MustLabel("directed_by", true)
+	gb := kb.NewBuilder()
+	star := gb.MustLabel("starring", true)
+	spouse := gb.MustLabel("spouse", false)
+	dir := gb.MustLabel("directed_by", true)
+	g := gb.Build()
 	return g, star, spouse, dir
 }
 
@@ -128,11 +129,13 @@ func TestStringRendering(t *testing.T) {
 
 func TestDescribeWithInstance(t *testing.T) {
 	g, star, _, _ := testSchema(t)
-	a := g.AddNode("film1", "film")
-	b := g.AddNode("alice", "actor")
-	c := g.AddNode("bob", "actor")
-	g.MustAddEdge(a, b, star)
-	g.MustAddEdge(a, c, star)
+	sb := kb.NewBuilderFrom(g)
+	a := sb.AddNode("film1", "film")
+	b := sb.AddNode("alice", "actor")
+	c := sb.AddNode("bob", "actor")
+	sb.MustAddEdge(a, b, star)
+	sb.MustAddEdge(a, c, star)
+	g = sb.Build()
 	p := MustNew(g, 3, []Edge{
 		{U: 2, V: Start, Label: star}, {U: 2, V: End, Label: star},
 	})

@@ -12,15 +12,15 @@ import (
 )
 
 func TestFromGraphRowCounts(t *testing.T) {
-	g := kb.New()
-	a := g.AddNode("a", "t")
-	b := g.AddNode("b", "t")
-	c := g.AddNode("c", "t")
-	d := g.MustLabel("directed", true)
-	u := g.MustLabel("undirected", false)
-	g.MustAddEdge(a, b, d)
-	g.MustAddEdge(b, c, u)
-	g.Freeze()
+	gb := kb.NewBuilder()
+	a := gb.AddNode("a", "t")
+	b := gb.AddNode("b", "t")
+	c := gb.AddNode("c", "t")
+	d := gb.MustLabel("directed", true)
+	u := gb.MustLabel("undirected", false)
+	gb.MustAddEdge(a, b, d)
+	gb.MustAddEdge(b, c, u)
+	g := gb.Build()
 	st := FromGraph(g)
 	// One directed row plus a doubled undirected edge.
 	if st.NumRows() != 3 {

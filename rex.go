@@ -313,8 +313,8 @@ func (o Options) normalized() Options {
 }
 
 // Explainer answers relationship-explanation queries over one knowledge
-// base. It is safe for concurrent use: the knowledge base is frozen at
-// construction so every query path is a pure read, and the optional
+// base. It is safe for concurrent use: a knowledge base is read-only,
+// so every query path is a pure read, and the optional
 // result cache is internally synchronised.
 type Explainer struct {
 	kb    *KB
@@ -355,10 +355,6 @@ func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Freezing here (idempotent for the loaders, which already freeze)
-	// guarantees the graph's read indexes exist before the first query
-	// and that concurrent queries never mutate shared state.
-	k.g.Freeze()
 	// One enumeration pool per explainer, and so per snapshot:
 	// steady-state queries reuse frontier and merge buffers, and a hot
 	// swap releases them with the old explainer.

@@ -84,7 +84,7 @@ func TestStoreApplySwapsGeneration(t *testing.T) {
 		t.Errorf("post-swap cache = %+v, want a fresh cache (0 hits, 1 miss)", cs)
 	}
 
-	// The pinned old snapshot still serves its own frozen view.
+	// The pinned old snapshot still serves its own view.
 	res, err = s1.Explainer.Explain("carol", "dave")
 	if err != nil || len(res.Explanations) != 0 {
 		t.Fatalf("pinned old snapshot: res=%v err=%v, want empty", res, err)

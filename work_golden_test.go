@@ -26,7 +26,6 @@ func workPairs(t *testing.T, preset string) (*kb.Graph, []Pair) {
 		t.Fatal(err)
 	}
 	g := kbgen.Generate(opt)
-	g.Freeze()
 	const perBucket = 11
 	by := map[kb.ConnBucket][]kbgen.Pair{}
 	for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: perBucket, Seed: 43}) {
