@@ -82,6 +82,59 @@ func TestSeededBuilderLeavesSourceAlone(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a graph is cloned by building a builder seeded from
+// it. The clone starts with the original's counts, and mutating the
+// seeded builder leaves the original untouched.
+func TestCloneIsDeep(t *testing.T) {
+	g, a, b, c, star, spouse := buildTiny(t)
+	cb := NewBuilderFrom(g)
+	if cl := NewBuilderFrom(g).Build(); cl.NumNodes() != g.NumNodes() || cl.NumEdges() != g.NumEdges() || cl.NumLabels() != g.NumLabels() {
+		t.Fatalf("clone counts = (%d,%d,%d), want (%d,%d,%d)",
+			cl.NumNodes(), cl.NumEdges(), cl.NumLabels(),
+			g.NumNodes(), g.NumEdges(), g.NumLabels())
+	}
+
+	// Mutating the clone must leave the original untouched.
+	d := cb.AddNode("d", "person")
+	cb.MustAddEdge(a, d, spouse)
+	if _, err := cb.RemoveEdge(c, b, star); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.SetNodeType(b, "robot"); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 3 || g.NumEdges() != 3 {
+		t.Errorf("original mutated: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+	}
+	if !g.HasEdge(c, b, star) {
+		t.Error("original lost edge removed from clone")
+	}
+	if g.Node(b).Type != "person" {
+		t.Errorf("original node type = %q, want person", g.Node(b).Type)
+	}
+	if g.NodeByName("d") != InvalidNode {
+		t.Error("original sees node added to clone")
+	}
+
+	cl := cb.Build()
+	if !cl.HasEdge(a, d, spouse) || cl.HasEdge(c, b, star) {
+		t.Error("clone mutations lost")
+	}
+}
+
+// TestCloneFingerprintMatchesOriginal: an unmutated clone (a builder
+// seeded from the graph and built) hashes like the original.
+func TestCloneFingerprintMatchesOriginal(t *testing.T) {
+	g, _, _, _, _, _ := buildTiny(t)
+	cl := NewBuilderFrom(g).Build()
+	if g.Fingerprint() == "" {
+		t.Fatal("empty fingerprint")
+	}
+	if cl.Fingerprint() != g.Fingerprint() {
+		t.Errorf("unmutated clone fingerprint %s != original %s", cl.Fingerprint(), g.Fingerprint())
+	}
+}
+
 func TestRemoveEdgeDirected(t *testing.T) {
 	b, a, _, c, star, _ := tinyBuilder()
 	// Wrong orientation: directed c→a cannot be removed as a→c.
