@@ -45,9 +45,8 @@ type BatchResult struct {
 	Pair   Pair
 	Result *Result
 	Err    error
-	// Elapsed is the wall-clock time this pair's query took (including
-	// any wait on a coalesced duplicate computation); the contended
-	// benchmark derives its latency percentiles from it.
+	// Elapsed is the wall-clock time this pair's query took; the
+	// contended benchmark derives its latency percentiles from it.
 	Elapsed time.Duration
 }
 
@@ -56,9 +55,9 @@ type BatchResult struct {
 // errors (unknown entities, per-pair timeouts) are recorded in the
 // corresponding slot; cancelling ctx aborts in-flight queries and marks
 // every unfinished pair with ctx.Err(). The explainer's result cache,
-// when enabled, is consulted and populated as usual, and duplicate
-// pairs in flight at the same time are coalesced onto one computation —
-// their slots share one read-only *Result.
+// when enabled, is consulted and populated as usual: a duplicate pair
+// whose first copy has finished is a hit, and duplicates running at
+// the same time each compute an equal, independent *Result.
 func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOptions) []BatchResult {
 	out := make([]BatchResult, len(pairs))
 	if len(pairs) == 0 {

@@ -62,8 +62,13 @@ func newResultCache(capacity int) *resultCache {
 		n = cacheShardCount
 	}
 	c := &resultCache{capacity: capacity, shardMask: uint64(n - 1), shards: make([]cacheShard, n)}
-	per := (capacity + n - 1) / n
+	// The first capacity%n shards take one slot more than the rest, so
+	// the shard caps sum to the capacity exactly.
 	for i := range c.shards {
+		per := capacity / n
+		if i < capacity%n {
+			per++
+		}
 		c.shards[i] = cacheShard{cap: per, ll: list.New(), items: make(map[string]*list.Element, per)}
 	}
 	return c
@@ -145,28 +150,22 @@ type CacheStats struct {
 	// signal that Options.CacheSize is too small for the working set.
 	// Refreshing an existing key is not an eviction.
 	Evictions uint64
-	// Deduped counts queries that were coalesced into an identical
-	// in-flight computation by the single-flight layer instead of
-	// recomputing (or racing to recompute) the same result. It is
-	// tracked even when caching is disabled.
-	Deduped uint64
 	// Entries is the current entry count; Capacity the configured
 	// maximum. Both are 0 when caching is disabled.
 	Entries, Capacity int
 }
 
-// CacheStats returns a snapshot of the explainer's result-cache counters.
-// Cache fields are zero when caching is disabled; Deduped counts
-// single-flight coalescing either way.
+// CacheStats returns a snapshot of the explainer's result-cache
+// counters, all zero when caching is disabled.
 func (e *Explainer) CacheStats() CacheStats {
-	st := CacheStats{Deduped: e.flight.deduped.Load()}
 	if e.cache == nil {
-		return st
+		return CacheStats{}
 	}
-	st.Hits = e.cache.hits.Load()
-	st.Misses = e.cache.misses.Load()
-	st.Evictions = e.cache.evictions.Load()
-	st.Entries = e.cache.len()
-	st.Capacity = e.cache.capacity
-	return st
+	return CacheStats{
+		Hits:      e.cache.hits.Load(),
+		Misses:    e.cache.misses.Load(),
+		Evictions: e.cache.evictions.Load(),
+		Entries:   e.cache.len(),
+		Capacity:  e.cache.capacity,
+	}
 }

@@ -152,7 +152,7 @@ func TestExplainContextDeadline(t *testing.T) {
 }
 
 // TestBatchExplain checks input-order results, per-pair error isolation
-// and equality with serial queries.
+// and equality with serial queries, duplicate pairs included.
 func TestBatchExplain(t *testing.T) {
 	kb := SampleKB()
 	ex, err := NewExplainer(kb, Options{Measure: "size", TopK: 5})
@@ -192,6 +192,26 @@ func TestBatchExplain(t *testing.T) {
 		}
 		if !resultsEqual(out[i].Result, want) {
 			t.Errorf("pair %d: batch result differs from serial", i)
+		}
+	}
+
+	// Duplicate pairs running at the same time each compute their own
+	// answer, and every slot must equal the serial one.
+	var dups []Pair
+	for i := 0; i < 8; i++ {
+		dups = append(dups, samplePairs[0], samplePairs[1])
+	}
+	out = ex.BatchExplain(context.Background(), dups, BatchOptions{Concurrency: len(dups)})
+	for i, br := range out {
+		if br.Err != nil {
+			t.Fatalf("duplicate slot %d: %v", i, br.Err)
+		}
+		want, err := ex.Explain(br.Pair.Start, br.Pair.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsEqual(br.Result, want) {
+			t.Errorf("duplicate slot %d (%v): batch result differs from serial", i, br.Pair)
 		}
 	}
 

@@ -205,7 +205,7 @@ func (d *Delta) AppendWire(b []byte) []byte {
 // absent edge, setting a type to its current value) parse and apply
 // cleanly but are not counted, so the stats report what actually
 // changed — and a delta that changes nothing publishes nothing (see
-// Manager.ApplyDelta).
+// Manager.ApplyDeltaCommit).
 type ApplyStats struct {
 	NodesAdded   int
 	LabelsAdded  int

@@ -197,7 +197,7 @@ func TestFoldMatchesRebuild(t *testing.T) {
 						}
 						branches++
 					}
-					snap, st, err := m.ApplyDelta(d)
+					snap, st, err := m.ApplyDeltaCommit(d, nil)
 					if err != nil {
 						t.Fatalf("delta %d: %v", i, err)
 					}

@@ -209,7 +209,7 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("payload = %v", s1.Payload)
 	}
 
-	s2, st, err := m.ApplyDelta(parse(t, "node\td\tperson\nedge\ta\td\tknows"))
+	s2, st, err := m.ApplyDeltaCommit(parse(t, "node\td\tperson\nedge\ta\td\tknows"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestManagerNoopDeltaPublishesNothing(t *testing.T) {
 	m := newManager(t, baseGraph(t), nil)
 	delta := "node\ta\tperson\nedge\ta\tb\tknows\ndeledge\ta\tc\tknows\nsettype\ta\tperson\nlabel\tknows\tU"
 	before := m.Current()
-	snap, st, err := m.ApplyDelta(parse(t, delta))
+	snap, st, err := m.ApplyDeltaCommit(parse(t, delta), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestManagerCompaction(t *testing.T) {
 	var folded []int
 	for i := 0; i < 7; i++ {
 		d := parse(t, fmt.Sprintf("node\tx%d\tperson\nedge\ta\tx%d\tknows", i, i))
-		snap, st, err := m.ApplyDelta(d)
+		snap, st, err := m.ApplyDeltaCommit(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestFailedApplyPublishesNothing(t *testing.T) {
 		"edge\ta\tghost\tknows",  // fails here
 		"node\tnever\tunreached", // never replayed
 	}, "\n"))
-	_, st, err := m.ApplyDelta(d)
+	_, st, err := m.ApplyDeltaCommit(d, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("err = %v, want line-3 failure", err)
 	}
@@ -380,10 +380,10 @@ func TestFailedApplyPublishesNothing(t *testing.T) {
 func TestManagerApplyErrorKeepsSnapshot(t *testing.T) {
 	m := newManager(t, baseGraph(t), nil)
 	before := m.Current()
-	if _, _, err := m.ApplyDelta(parse(t, "edge\tghost\tb\tknows")); err == nil {
+	if _, _, err := m.ApplyDeltaCommit(parse(t, "edge\tghost\tb\tknows"), nil); err == nil {
 		t.Fatal("bad delta accepted")
 	}
-	if _, _, err := m.ApplyDelta(&Delta{}); err == nil {
+	if _, _, err := m.ApplyDeltaCommit(&Delta{}, nil); err == nil {
 		t.Fatal("empty delta accepted")
 	}
 	if m.Current() != before || m.Swaps() != 0 || m.Generation() != 1 {
@@ -401,7 +401,7 @@ func TestManagerBuildErrorKeepsSnapshot(t *testing.T) {
 		return "ok", nil
 	})
 	before := m.Current()
-	if _, _, err := m.ApplyDelta(parse(t, "node\td\tperson")); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, _, err := m.ApplyDeltaCommit(parse(t, "node\td\tperson"), nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if m.Current() != before || m.Generation() != 1 {
@@ -455,7 +455,7 @@ func TestManagerConcurrentReadersAndWriters(t *testing.T) {
 	}
 	for i := 0; i < swaps; i++ {
 		d := parse(t, fmt.Sprintf("node\tn%d\tperson\nedge\ta\tn%d\tknows", i, i))
-		if _, _, err := m.ApplyDelta(d); err != nil {
+		if _, _, err := m.ApplyDeltaCommit(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

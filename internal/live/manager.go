@@ -52,9 +52,9 @@ type BuildFunc func(g *kb.Graph) (any, error)
 // Reads are epoch-style and lock-free: Current is a single
 // atomic.Pointer load, so request handlers pin a snapshot with no
 // contention and in-flight work never observes a torn (graph, payload)
-// pair. Writers (ApplyDelta, SwapGraph) serialise on a mutex, build the
-// complete next snapshot off to the side, and publish it with one
-// atomic store.
+// pair. Writers (ApplyDeltaCommit, SwapGraphCommit and their variants)
+// serialise on a mutex, build the complete next snapshot off to the
+// side, and publish it with one atomic store.
 type Manager struct {
 	build BuildFunc
 
@@ -139,24 +139,6 @@ func (m *Manager) Swaps() uint64 { return m.swaps.Load() }
 // fresh CSR arrays published since construction.
 func (m *Manager) Compactions() uint64 { return m.compactions.Load() }
 
-// ApplyDelta replays a delta onto the current snapshot's graph as an
-// O(delta) overlay generation and atomically publishes the result as
-// the next generation, folding that generation into fresh CSR arrays
-// first when it crosses the CompactRatio policy. The current snapshot
-// keeps serving until the new one — graph and payload — is fully
-// built; on any error nothing is published and the active generation
-// is unchanged (the stats returned alongside an error are partial
-// counts, undefined for any use beyond diagnostics).
-//
-// A delta whose every record is a no-op (duplicate nodes and edges,
-// deletions of absent edges) changes nothing, so nothing is published:
-// the active snapshot — generation, fingerprint and warm result cache —
-// stays in place. This makes at-least-once delta delivery idempotent
-// instead of a cache flush.
-func (m *Manager) ApplyDelta(d *Delta) (*Snapshot, ApplyStats, error) {
-	return m.ApplyDeltaCommit(d, nil)
-}
-
 // CommitFunc is the durability hook of a swap: called with the fully
 // built next generation (graph and number) after the payload is
 // constructed and immediately before the atomic publish. A write-ahead
@@ -166,8 +148,22 @@ func (m *Manager) ApplyDelta(d *Delta) (*Snapshot, ApplyStats, error) {
 // unchanged, and the caller must not acknowledge the delta.
 type CommitFunc func(gen uint64, g *kb.Graph) error
 
-// ApplyDeltaCommit is ApplyDelta with a durability hook. A nil commit
-// degrades to the plain in-memory swap.
+// ApplyDeltaCommit replays a delta onto the current snapshot's graph
+// as an O(delta) overlay generation and atomically publishes the result
+// as the next generation, folding that generation into fresh CSR arrays
+// first when it crosses the CompactRatio policy. The current snapshot
+// keeps serving until the new one — graph and payload — is fully
+// built; on any error nothing is published and the active generation
+// is unchanged (the stats returned alongside an error are partial
+// counts, undefined for any use beyond diagnostics). commit is the
+// durability hook (see CommitFunc); a nil commit makes it a plain
+// in-memory swap.
+//
+// A delta whose every record is a no-op (duplicate nodes and edges,
+// deletions of absent edges) changes nothing, so nothing is published:
+// the active snapshot — generation, fingerprint and warm result cache —
+// stays in place. This makes at-least-once delta delivery idempotent
+// instead of a cache flush.
 func (m *Manager) ApplyDeltaCommit(d *Delta, commit CommitFunc) (*Snapshot, ApplyStats, error) {
 	return m.applyDeltaCommit(d, 0, commit)
 }
@@ -221,18 +217,13 @@ func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (
 	return snap, st, nil
 }
 
-// SwapGraph publishes an independently built graph (e.g. re-read from
-// disk) as the next generation.
-func (m *Manager) SwapGraph(g *kb.Graph) (*Snapshot, error) {
-	return m.SwapGraphCommit(g, nil)
-}
-
-// SwapGraphCommit is SwapGraph with a durability hook (see CommitFunc);
-// a durable store checkpoints the wholesale replacement there, since no
-// delta exists that a WAL could replay to reproduce it.
+// SwapGraphCommit publishes an independently built graph (e.g. re-read
+// from disk) as the next generation. commit is the durability hook (see
+// CommitFunc): a durable store checkpoints the wholesale replacement
+// there, since no delta exists that a WAL could replay to reproduce it.
 func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, error) {
 	if g == nil {
-		return nil, fmt.Errorf("live: SwapGraph: nil graph")
+		return nil, fmt.Errorf("live: SwapGraphCommit: nil graph")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

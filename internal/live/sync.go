@@ -135,42 +135,21 @@ func (j *Journal) checkpointFP() string {
 	return ""
 }
 
-// TailSince returns the WAL records above generation from, framed
-// exactly as on disk (EncodeFrame layout), along with the record count.
-// A from below the checkpoint horizon returns ErrBelowHorizon — those
-// records were garbage-collected, so the caller needs the full
-// checkpoint first. A from at or past the newest record returns an
-// empty tail. The read snapshots the acknowledged WAL under the
-// journal lock, so it never observes a half-written frame. Prefer
-// TailReaderSince for serving tails over the network: it streams from
-// the file instead of materializing the whole tail here.
-func (j *Journal) TailSince(from uint64) (data []byte, records int, err error) {
-	rc, size, records, err := j.TailReaderSince(from)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer rc.Close() //nolint:errcheck // read-only descriptor
-	if size == 0 {
-		return nil, 0, nil
-	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(rc, data); err != nil {
-		return nil, 0, fmt.Errorf("live: wal tail read: %w", err)
-	}
-	return data, records, nil
-}
-
-// TailReaderSince is the streaming form of TailSince: it returns a
-// reader positioned at the first WAL record above from, plus the
-// tail's byte size and record count. Only the scan that finds where the
-// tail starts reads here — payload bytes flow straight from the segment
-// files to the caller, so a large tail costs O(1) memory per concurrent
-// transfer instead of a full in-memory copy each. The returned reader
-// owns one descriptor per segment it covers (Close releases them); the
-// sections are computed under the journal lock against the acknowledged
-// segment sizes, so they never cover a half-written frame. A descriptor
-// keeps its file readable after a checkpoint's GC unlinks it, so a
-// checkpoint completing mid-transfer cuts nothing.
+// TailReaderSince returns a reader positioned at the first WAL record
+// above from, framed exactly as on disk (EncodeFrame layout), plus the
+// tail's byte size and record count. A from below the checkpoint
+// horizon returns ErrBelowHorizon — those records were
+// garbage-collected, so the caller needs the full checkpoint first. A
+// from at or past the newest record returns an empty tail. Only the
+// scan that finds where the tail starts reads here — payload bytes flow
+// straight from the segment files to the caller, so a large tail costs
+// O(1) memory per concurrent transfer instead of a full in-memory copy
+// each. The returned reader owns one descriptor per segment it covers
+// (Close releases them); the sections are computed under the journal
+// lock against the acknowledged segment sizes, so they never cover a
+// half-written frame. A descriptor keeps its file readable after a
+// checkpoint's GC unlinks it, so a checkpoint completing mid-transfer
+// cuts nothing.
 func (j *Journal) TailReaderSince(from uint64) (r io.ReadCloser, size int64, records int, err error) {
 	files, sizes, err := j.openSegments(from)
 	if err != nil {

@@ -23,7 +23,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.AddBindings(4)
 	tr.AddWalkSteps(4)
 	tr.MarkCacheHit()
-	tr.MarkDeduped()
 	tr.MarkPoolReused()
 	tr.Truncated(StageEnumerate, TruncExpansions)
 	if tr.StageNs(StageEnumerate) != 0 || tr.InnerNs() != 0 {

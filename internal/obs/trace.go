@@ -99,7 +99,6 @@ type Trace struct {
 
 const (
 	flagCacheHit uint32 = 1 << iota
-	flagDeduped
 	flagPoolReused
 )
 
@@ -214,15 +213,6 @@ func (t *Trace) MarkCacheHit() {
 	t.flags.Or(flagCacheHit)
 }
 
-// MarkDeduped flags the query as a single-flight follower that reused
-// a concurrent identical computation.
-func (t *Trace) MarkDeduped() {
-	if t == nil {
-		return
-	}
-	t.flags.Or(flagDeduped)
-}
-
 // MarkPoolReused flags that enumeration state came warm from the pool
 // rather than freshly allocated.
 func (t *Trace) MarkPoolReused() {
@@ -269,8 +259,9 @@ type StageReport struct {
 // Result and embedded in slow-log entries. TruncatedBy is
 // "<stage>:<cause>" (e.g. "enumerate:expansions") or empty.
 // MemoHits, MemoMisses, WalkCacheHits and WalkCacheMisses always read 0:
-// the measures keep no memo and no walk cache, and the fields stay for
-// consumers compiled against them.
+// the measures keep no memo and no walk cache. Deduped always reads
+// false: every query that misses the cache computes, none joins another.
+// These fields stay for consumers compiled against them.
 type Report struct {
 	// RequestID ties this trace to the HTTP request (and, behind a
 	// router, the hedged attempt) that ran the query. Stamped by the
@@ -312,7 +303,6 @@ func (t *Trace) Report() *Report {
 	}
 	fl := t.flags.Load()
 	rep.CacheHit = fl&flagCacheHit != 0
-	rep.Deduped = fl&flagDeduped != 0
 	rep.PoolReused = fl&flagPoolReused != 0
 	for s := Stage(0); s < numStages; s++ {
 		r := &t.stages[s]

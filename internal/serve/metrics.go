@@ -31,7 +31,6 @@ type serverMetrics struct {
 
 	cacheHits   *obs.Series
 	cacheMisses *obs.Series
-	dedup       *obs.Series
 
 	inflight atomic.Int64
 }
@@ -78,8 +77,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Queries served from the result cache.").With()
 	m.cacheMisses = reg.Counter("rex_result_cache_misses_total",
 		"Queries that missed the result cache.").With()
-	m.dedup = reg.Counter("rex_singleflight_dedup_total",
-		"Queries coalesced onto a concurrent identical computation.").With()
 
 	reg.Gauge("rex_result_cache_entries",
 		"Result-cache entries of the active snapshot.").With().
@@ -187,7 +184,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // observeTrace folds one completed query's trace into the stage
-// histograms and cache/dedup/truncation counters.
+// histograms and cache/truncation counters.
 func (m *serverMetrics) observeTrace(rep *rex.QueryTrace) {
 	if rep == nil {
 		return
@@ -199,9 +196,6 @@ func (m *serverMetrics) observeTrace(rep *rex.QueryTrace) {
 		m.cacheHits.Inc()
 	} else {
 		m.cacheMisses.Inc()
-	}
-	if rep.Deduped {
-		m.dedup.Inc()
 	}
 	if rep.TruncatedBy != "" {
 		m.truncated.With(rep.TruncatedBy).Inc()

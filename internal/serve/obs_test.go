@@ -80,7 +80,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rex_queries_inflight":              "gauge",
 		"rex_result_cache_hits_total":       "counter",
 		"rex_result_cache_misses_total":     "counter",
-		"rex_singleflight_dedup_total":      "counter",
 		"rex_result_cache_entries":          "gauge",
 		"rex_overlay_depth":                 "gauge",
 		"rex_store_swaps_total":             "counter",

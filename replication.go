@@ -11,8 +11,8 @@ import (
 )
 
 // Anti-entropy source and sink APIs: a store can serve its own state to
-// a lagging peer (SyncCheckpoint, WALTail) and install a peer's state
-// into itself (InstallSnapshot). The serving tier exposes the source
+// a lagging peer (SyncCheckpoint, WALTailReader) and install a peer's
+// state into itself (InstallSnapshot). The serving tier exposes the source
 // side over /admin/snapshot and /admin/wal; internal/sync drives the
 // sink side.
 
@@ -85,28 +85,14 @@ func (s *Store) SyncCheckpoint() (*CheckpointHandle, error) {
 	}, nil
 }
 
-// WALTail returns the store's WAL records above generation from, in the
-// on-disk frame encoding (see live.EncodeFrame), plus the record count.
-// ErrBelowWALHorizon means the records were garbage-collected by a
-// checkpoint and the peer needs SyncCheckpoint first. A store without a
-// journal has no tail to serve: it returns an empty tail when the peer
-// is current and ErrBelowWALHorizon otherwise. Prefer WALTailReader for
-// serving a tail over the network — it streams instead of holding the
-// whole tail in memory.
-func (s *Store) WALTail(from uint64) (data []byte, records int, err error) {
-	if s.journal != nil {
-		return s.journal.TailSince(from)
-	}
-	if from >= s.mgr.Generation() {
-		return nil, 0, nil
-	}
-	return nil, 0, ErrBelowWALHorizon
-}
-
-// WALTailReader is the streaming form of WALTail: it returns a reader
-// over the frames above generation from plus their total byte size and
-// record count, without materializing the tail. The caller must Close
-// the reader. Error semantics match WALTail.
+// WALTailReader returns a reader over the store's WAL records above
+// generation from, in the on-disk frame encoding (see live.EncodeFrame),
+// plus their total byte size and record count, without materializing
+// the tail. The caller must Close the reader. ErrBelowWALHorizon means
+// the records were garbage-collected by a checkpoint and the peer needs
+// SyncCheckpoint first. A store without a journal has no tail to serve:
+// it returns an empty tail when the peer is current and
+// ErrBelowWALHorizon otherwise.
 func (s *Store) WALTailReader(from uint64) (r io.ReadCloser, size int64, records int, err error) {
 	if s.journal != nil {
 		return s.journal.TailReaderSince(from)

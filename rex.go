@@ -34,7 +34,6 @@ import (
 	"rex/internal/fail"
 	"rex/internal/kb"
 	"rex/internal/kbgen"
-	"rex/internal/match"
 	"rex/internal/measure"
 	"rex/internal/obs"
 	"rex/internal/pattern"
@@ -322,11 +321,6 @@ type Explainer struct {
 	m     measure.Measure
 	cfg   enumerate.Config
 	cache *resultCache
-	// flight coalesces concurrent identical (pair, budget) queries onto
-	// one computation — duplicate pairs in a batch, or a hot pair under
-	// serving traffic, cost one execution instead of racing N times.
-	// Always on (it needs no capacity), independent of the cache.
-	flight *flightGroup
 }
 
 // NewExplainer validates the options and builds an explainer.
@@ -359,7 +353,7 @@ func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 	// steady-state queries reuse frontier and merge buffers, and a hot
 	// swap releases them with the old explainer.
 	cfg.Pool = enumerate.NewPool()
-	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg, flight: newFlightGroup()}
+	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg}
 	if opt.CacheSize > 0 {
 		e.cache = newResultCache(opt.CacheSize)
 	}
@@ -455,13 +449,13 @@ type Result struct {
 	// Trace is the per-stage execution trace when the query ran under a
 	// context from WithTrace, nil otherwise. Traced results are always
 	// private shallow copies, so the trace is per-caller even when the
-	// underlying result came from the cache or a coalesced computation.
+	// underlying result came from the cache.
 	Trace *QueryTrace `json:"trace,omitempty"`
 	// enc holds the result's wire encoding once something has asked for
 	// it (see AppendJSON). compute makes the holder, and because it is a
-	// pointer every later copy of the result — tracedResult's, the
-	// single-flight followers' and the cache's — shares the one encoding.
-	// Nil on a Result built as a literal.
+	// pointer every later copy of the result — tracedResult's and the
+	// cache's — shares the one encoding. Nil on a Result built as a
+	// literal.
 	enc *resultJSON
 }
 
@@ -534,18 +528,14 @@ func (e *Explainer) DefaultBudget() Budget { return e.opt.Budget }
 // aborts enumeration, matching and ranking mid-flight (checked at bounded
 // intervals) and returns ctx.Err(). When the explainer was built with a
 // positive Options.CacheSize, results are served from and stored into the
-// LRU cache. Concurrent identical queries are coalesced onto a single
-// computation, so results — cached or not — are shared between callers
-// and must be treated as read-only. Queries run under Options.Budget;
-// use ExplainBudgeted to override it per request.
+// LRU cache; a miss computes, so concurrent identical misses each
+// compute and the last to finish stays cached. Cached results are
+// shared between callers and every result must be treated as
+// read-only. Queries run under Options.Budget; use ExplainBudgeted to
+// override it per request.
 func (e *Explainer) ExplainContext(ctx context.Context, start, end string) (*Result, error) {
 	return e.ExplainBudgeted(ctx, start, end, e.opt.Budget)
 }
-
-// testHookComputeStart, when set by a test, is called by the
-// single-flight leader before it starts computing; tests block it to
-// pin concurrent duplicate queries in the joined state.
-var testHookComputeStart func(key string)
 
 // ExplainBudgeted is ExplainContext with a per-request work budget
 // overriding Options.Budget: when the budget expires the query returns
@@ -576,37 +566,31 @@ func (e *Explainer) ExplainBudgeted(ctx context.Context, start, end string, b Bu
 	if s == t {
 		return nil, fmt.Errorf("rex: start and end entity are both %q", start)
 	}
-	key := e.queryKey(start, end, b)
+	var key string
 	if e.cache != nil {
+		key = e.queryKey(start, end, b)
 		if res, ok := e.cache.get(key); ok {
 			tr.MarkCacheHit()
 			return tracedResult(res, tr, t0, b), nil
 		}
 	}
-	res, err := e.flight.do(ctx, key, func() (*Result, error) {
-		if h := testHookComputeStart; h != nil {
-			h(key)
-		}
-		res, err := e.compute(ctx, start, end, s, t, b)
-		// Timeout-TRUNCATED results are wall-clock-dependent and never
-		// stored: a result truncated under momentary load must not keep
-		// answering for a pair that deserves the full budget later. An
-		// untruncated result is byte-identical to the unbudgeted answer
-		// regardless of the budget, and expansion-budget truncation is
-		// deterministic — both cache fine (under the budget-suffixed
-		// key), so a wall-clock default budget does not disable the
-		// cache for the pairs that finish inside it.
-		if err == nil && e.cache != nil && !(b.Timeout > 0 && res.Truncated) {
-			e.cache.put(key, res)
-		}
-		return res, err
-	})
+	res, err := e.compute(ctx, start, end, s, t, b)
+	// Timeout-TRUNCATED results are wall-clock-dependent and never
+	// stored: a result truncated under momentary load must not keep
+	// answering for a pair that deserves the full budget later. An
+	// untruncated result is byte-identical to the unbudgeted answer
+	// regardless of the budget, and expansion-budget truncation is
+	// deterministic — both cache fine (under the budget-suffixed key), so
+	// a wall-clock default budget does not disable the cache for the
+	// pairs that finish inside it.
+	if err == nil && e.cache != nil && !(b.Timeout > 0 && res.Truncated) {
+		e.cache.put(key, res)
+	}
 	return tracedResult(res, tr, t0, b), err
 }
 
 // compute runs the full enumerate → measure → rank → render pipeline
-// for one resolved pair under a budget. Exactly one goroutine runs it
-// per in-flight (pair, budget) key.
+// for one resolved pair under a budget, on the goroutine that asked.
 func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.NodeID, b Budget) (*Result, error) {
 	g := e.kb.g
 	cfg := e.cfg
@@ -663,13 +647,12 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 	return res, nil
 }
 
-// queryKey builds the cache and single-flight key for a (pair, budget)
-// query. The cache and flight group belong to exactly one explainer
-// (and therefore one normalized option set), so the pair plus the
-// budget identifies the computation. Length-prefixing makes the key
-// unambiguous for arbitrary entity names — no separator byte needs to
-// be excluded — and unbudgeted queries keep the historical pair-only
-// key shape. An answer with SQL is a different answer, so it is a
+// queryKey builds the cache key for a (pair, budget) query. The cache
+// belongs to exactly one explainer (and therefore one normalized option
+// set), so the pair plus the budget identifies the computation.
+// Length-prefixing makes the key unambiguous for arbitrary entity
+// names — no separator byte needs to be excluded — and unbudgeted
+// queries keep the historical pair-only key shape. An answer with SQL is a different answer, so it is a
 // different entry. It runs on every lookup, so it is one
 // concatenation: no fmt, and strconv.Itoa does not allocate below 100.
 func (e *Explainer) queryKey(start, end string, b Budget) string {
@@ -740,16 +723,4 @@ func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
 		}
 	}
 	return out
-}
-
-// CountInstances recounts an explanation pattern's instances with the
-// independent subgraph matcher — exposed for verification tooling.
-func (e *Explainer) CountInstances(p *pattern.Pattern, start, end string) (int, error) {
-	g := e.kb.g
-	s := g.NodeByName(start)
-	t := g.NodeByName(end)
-	if s == kb.InvalidNode || t == kb.InvalidNode {
-		return 0, fmt.Errorf("rex: %w in pair (%q, %q)", ErrUnknownEntity, start, end)
-	}
-	return match.Count(g, p, s, t), nil
 }

@@ -10,7 +10,7 @@ import (
 // QueryTrace is the per-query execution trace attached to Result when
 // the query ran under a context from WithTrace: per-stage wall time and
 // item counts (enumerate → match → measure → rank → merge, where match
-// time nests inside measure), cache/dedup/pool-reuse flags, the merge
+// time nests inside measure), cache-hit and pool-reuse flags, the merge
 // attempts with the candidates they joined (Joins) and the variable
 // pairs the merge's emptiness mask ruled out unjoined (JoinsSkipped),
 // the work the local-distribution kernel did as counts (Bindings:
@@ -20,8 +20,9 @@ import (
 // attribution naming the stage that exhausted MaxExpansions or Timeout
 // ("enumerate:expansions", "rank:deadline", ...). MemoHits, MemoMisses,
 // WalkCacheHits and WalkCacheMisses always read 0: the measures keep no
-// memo and no walk cache, and the fields stay for consumers compiled
-// against them.
+// memo and no walk cache. Deduped always reads false: a query that
+// misses the cache computes, and none joins another's computation.
+// These fields stay for consumers compiled against them.
 type QueryTrace = obs.Report
 
 // BuildInfo identifies the running binary (Go version, VCS revision).
@@ -42,7 +43,7 @@ func WithTrace(ctx context.Context) context.Context {
 }
 
 // tracedResult attaches the rendered trace to a shallow copy of res, so
-// shared results (cache, single-flight) are never mutated. With a nil
+// a cached result, shared between callers, is never mutated. With a nil
 // trace it returns res unchanged.
 func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, b Budget) *Result {
 	if tr == nil || res == nil {

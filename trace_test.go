@@ -243,11 +243,11 @@ func TestTraceTruncationAttribution(t *testing.T) {
 }
 
 // TestBatchTraced checks BatchOptions.Traced: every pair gets its own
-// report — including followers that coalesced onto another pair's
-// computation, whose reports carry the dedup flag instead of stage
-// timings they never ran.
+// report. Without a cache every slot computes, duplicates included, so
+// each report carries the stage timings of its own computation and
+// neither the cache-hit nor the dedup flag.
 func TestBatchTraced(t *testing.T) {
-	ex, err := NewExplainer(SampleKB(), Options{Measure: "size", TopK: 5}) // no cache: dedup is flight-only
+	ex, err := NewExplainer(SampleKB(), Options{Measure: "size", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,39 +259,28 @@ func TestBatchTraced(t *testing.T) {
 		pairs = append(pairs, distinct...)
 	}
 
-	// Hold each leader until every worker has reached the flight layer,
-	// so duplicate slots provably join in-flight computations (the same
-	// choreography as TestBatchExplainSingleFlight).
-	arrived := func() uint64 { return ex.flight.computes.Load() + ex.flight.deduped.Load() }
-	testHookComputeStart = func(string) {
-		deadline := time.Now().Add(10 * time.Second)
-		for arrived() < uint64(len(pairs)) {
-			if time.Now().After(deadline) {
-				t.Error("timed out waiting for all workers to join")
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	defer func() { testHookComputeStart = nil }()
-
 	out := ex.BatchExplain(context.Background(), pairs,
 		BatchOptions{Concurrency: len(pairs), Traced: true})
 
-	deduped := 0
+	seen := map[*QueryTrace]bool{}
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("slot %d: %v", i, br.Err)
 		}
-		if br.Result.Trace == nil {
+		tr := br.Result.Trace
+		if tr == nil {
 			t.Fatalf("slot %d: traced batch entry has no trace", i)
 		}
-		if br.Result.Trace.Deduped {
-			deduped++
+		if seen[tr] {
+			t.Errorf("slot %d shares its trace with another slot", i)
 		}
-	}
-	if want := len(pairs) - len(distinct); deduped != want {
-		t.Errorf("%d traces carry the dedup flag, want %d", deduped, want)
+		seen[tr] = true
+		if tr.Deduped || tr.CacheHit {
+			t.Errorf("slot %d reports Deduped=%v CacheHit=%v, want both false", i, tr.Deduped, tr.CacheHit)
+		}
+		if len(tr.Stages) == 0 {
+			t.Errorf("slot %d carries no stage timings", i)
+		}
 	}
 
 	// Untraced batches must stay trace-free.
