@@ -8,9 +8,12 @@
 // kb.Graph has no mutator. A delta is replayed through a
 // kb.OverlayBuilder into a new graph that shares the current one's
 // arrays, and the (graph, payload) pair is published with a single
-// atomic pointer store. Readers that loaded
-// the previous snapshot finish on it undisturbed; the old version is
-// garbage-collected when the last pinned reader drops it.
+// atomic pointer store. Every generation — a delta, a graph re-read
+// from disk, a peer's checkpoint or a repair — is published by one
+// method, Manager.Commit, under one of four generation preconditions
+// (At). Readers that loaded the previous snapshot finish on it
+// undisturbed; the old version is garbage-collected when the last
+// pinned reader drops it.
 package live
 
 import (
@@ -205,7 +208,7 @@ func (d *Delta) AppendWire(b []byte) []byte {
 // absent edge, setting a type to its current value) parse and apply
 // cleanly but are not counted, so the stats report what actually
 // changed — and a delta that changes nothing publishes nothing (see
-// Manager.ApplyDeltaCommit).
+// Manager.Commit).
 type ApplyStats struct {
 	NodesAdded   int
 	LabelsAdded  int

@@ -189,7 +189,7 @@ func TestFoldMatchesRebuild(t *testing.T) {
 					}
 					if rng.Intn(10) == 0 {
 						cur := m.Current()
-						if _, _, err := m.ApplyDeltaCommit(d, func(uint64, *kb.Graph) error { return refused }); !errors.Is(err, refused) && err != nil {
+						if _, _, _, err := m.Commit(Change{Delta: d}, Next(), func(uint64, *kb.Graph) error { return refused }); !errors.Is(err, refused) && err != nil {
 							t.Fatalf("delta %d refused by its commit: %v", i, err)
 						}
 						if m.Current() != cur {
@@ -197,7 +197,7 @@ func TestFoldMatchesRebuild(t *testing.T) {
 						}
 						branches++
 					}
-					snap, st, err := m.ApplyDeltaCommit(d, nil)
+					snap, st, _, err := m.Commit(Change{Delta: d}, Next(), nil)
 					if err != nil {
 						t.Fatalf("delta %d: %v", i, err)
 					}

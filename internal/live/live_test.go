@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -209,7 +210,7 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("payload = %v", s1.Payload)
 	}
 
-	s2, st, err := m.ApplyDeltaCommit(parse(t, "node\td\tperson\nedge\ta\td\tknows"), nil)
+	s2, st, _, err := m.Commit(Change{Delta: parse(t, "node\td\tperson\nedge\ta\td\tknows")}, Next(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,22 +236,115 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestManagerNoopDeltaPublishesNothing checks delta idempotency: a
-// redelivered delta whose records are all no-ops must not bump the
-// generation or rebuild the payload (which would flush a warm cache).
-func TestManagerNoopDeltaPublishesNothing(t *testing.T) {
-	m := newManager(t, baseGraph(t), nil)
-	delta := "node\ta\tperson\nedge\ta\tb\tknows\ndeledge\ta\tc\tknows\nsettype\ta\tperson\nlabel\tknows\tU"
-	before := m.Current()
-	snap, st, err := m.ApplyDeltaCommit(parse(t, delta), nil)
-	if err != nil {
-		t.Fatal(err)
+// TestCommitPreconditions runs every generation precondition against a
+// changing delta, a no-op delta and a whole graph, on a manager at
+// generation 3 whose CompactRatio folds every changing delta. An
+// accepted change publishes at the rule's generation, calling the
+// commit hook once with it; a no-op delta that passes its rule
+// publishes nothing and calls no hook. A refused commit wraps
+// ErrGenerationConflict and leaves the snapshot, generation,
+// fingerprint, Swaps and Compactions as they were, without calling the
+// hook.
+func TestCommitPreconditions(t *testing.T) {
+	const cur = 3
+	changes := []struct {
+		name  string
+		delta string // "" for the whole graph
+	}{
+		{"delta", "node\td\tperson\nedge\ta\td\tknows"},
+		{"noop", "node\ta\tperson\nedge\ta\tb\tknows\ndeledge\ta\tc\tknows\nsettype\ta\tperson\nlabel\tknows\tU"},
+		{"graph", ""},
 	}
-	if st.Changed() {
-		t.Errorf("no-op delta reported changes: %+v", st)
+	rules := []struct {
+		name string
+		at   At
+		want uint64 // the generation published; 0 = refused
+	}{
+		{"next", Next(), cur + 1},
+		{"exactly_0", Exactly(0), 0},
+		{"exactly_below", Exactly(cur - 1), 0},
+		{"exactly_current", Exactly(cur), 0},
+		{"exactly_next", Exactly(cur + 1), cur + 1},
+		{"exactly_past_next", Exactly(cur + 2), 0},
+		{"above_0", Above(0), 0},
+		{"above_below", Above(cur - 1), 0},
+		{"above_current", Above(cur), 0},
+		{"above_next", Above(cur + 1), cur + 1},
+		{"above_jump", Above(cur + 6), cur + 6},
+		{"repair_0", RepairAt(0), 0},
+		{"repair_backwards", RepairAt(cur - 2), cur - 2},
+		{"repair_current", RepairAt(cur), cur},
+		{"repair_jump", RepairAt(cur + 6), cur + 6},
 	}
-	if snap != before || m.Generation() != 1 || m.Swaps() != 0 {
-		t.Errorf("no-op delta published a new snapshot: generation %d, swaps %d", m.Generation(), m.Swaps())
+	for _, r := range rules {
+		for _, c := range changes {
+			t.Run(r.name+"/"+c.name, func(t *testing.T) {
+				m, err := NewManagerAt(baseGraph(t), nil, cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.CompactRatio = 0
+				var change Change
+				if c.delta != "" {
+					change.Delta = parse(t, c.delta)
+				} else {
+					b := kb.NewBuilderFrom(baseGraph(t))
+					b.AddNode("g", "film")
+					change.Graph = b.Build()
+				}
+				before := m.Current()
+				var hooked []uint64
+				snap, st, published, err := m.Commit(change, r.at, func(gen uint64, g *kb.Graph) error {
+					hooked = append(hooked, gen)
+					return nil
+				})
+
+				if r.want == 0 {
+					if !errors.Is(err, ErrGenerationConflict) {
+						t.Fatalf("err = %v, want ErrGenerationConflict", err)
+					}
+					if snap != nil || published {
+						t.Errorf("refused commit returned snapshot %v, published %v", snap, published)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if r.want == 0 || c.name == "noop" {
+					if c.name == "noop" && r.want != 0 && (snap != before || published || st.Changed()) {
+						t.Errorf("no-op delta: snapshot %p (active %p), published %v, stats %+v", snap, before, published, st)
+					}
+					if len(hooked) != 0 {
+						t.Errorf("commit hook called with %v", hooked)
+					}
+					after := m.Current()
+					if after != before || after.Generation != cur || after.Fingerprint != before.Fingerprint ||
+						after.Graph.Fingerprint() != before.Fingerprint || m.Swaps() != 0 || m.Compactions() != 0 {
+						t.Errorf("nothing published, yet the manager moved: generation %d, swaps %d, compactions %d",
+							after.Generation, m.Swaps(), m.Compactions())
+					}
+					return
+				}
+
+				if !published || snap != m.Current() || snap.Generation != r.want || m.Generation() != r.want {
+					t.Fatalf("published %v at generation %d (active %d), want generation %d",
+						published, snap.Generation, m.Generation(), r.want)
+				}
+				if fmt.Sprint(hooked) != fmt.Sprint([]uint64{r.want}) {
+					t.Errorf("commit hook called with %v, want [%d]", hooked, r.want)
+				}
+				if snap.Fingerprint == before.Fingerprint || snap.Graph.Fingerprint() != snap.Fingerprint {
+					t.Errorf("published fingerprint %s (graph %s), before %s",
+						snap.Fingerprint, snap.Graph.Fingerprint(), before.Fingerprint)
+				}
+				wantFolds := uint64(0)
+				if c.name == "delta" {
+					wantFolds = 1
+				}
+				if m.Swaps() != 1 || m.Compactions() != wantFolds || st.Compacted != (wantFolds == 1) {
+					t.Errorf("swaps %d, compactions %d, stats %+v; want 1, %d", m.Swaps(), m.Compactions(), st, wantFolds)
+				}
+			})
+		}
 	}
 }
 
@@ -313,7 +407,7 @@ func TestManagerCompaction(t *testing.T) {
 	var folded []int
 	for i := 0; i < 7; i++ {
 		d := parse(t, fmt.Sprintf("node\tx%d\tperson\nedge\ta\tx%d\tknows", i, i))
-		snap, st, err := m.ApplyDeltaCommit(d, nil)
+		snap, st, _, err := m.Commit(Change{Delta: d}, Next(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +452,7 @@ func TestFailedApplyPublishesNothing(t *testing.T) {
 		"edge\ta\tghost\tknows",  // fails here
 		"node\tnever\tunreached", // never replayed
 	}, "\n"))
-	_, st, err := m.ApplyDeltaCommit(d, nil)
+	_, st, _, err := m.Commit(Change{Delta: d}, Next(), nil)
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("err = %v, want line-3 failure", err)
 	}
@@ -380,11 +474,17 @@ func TestFailedApplyPublishesNothing(t *testing.T) {
 func TestManagerApplyErrorKeepsSnapshot(t *testing.T) {
 	m := newManager(t, baseGraph(t), nil)
 	before := m.Current()
-	if _, _, err := m.ApplyDeltaCommit(parse(t, "edge\tghost\tb\tknows"), nil); err == nil {
+	if _, _, _, err := m.Commit(Change{Delta: parse(t, "edge\tghost\tb\tknows")}, Next(), nil); err == nil {
 		t.Fatal("bad delta accepted")
 	}
-	if _, _, err := m.ApplyDeltaCommit(&Delta{}, nil); err == nil {
+	if _, _, _, err := m.Commit(Change{Delta: &Delta{}}, Next(), nil); err == nil {
 		t.Fatal("empty delta accepted")
+	}
+	if _, _, _, err := m.Commit(Change{}, Next(), nil); err == nil {
+		t.Fatal("a change with neither a delta nor a graph accepted")
+	}
+	if _, _, _, err := m.Commit(Change{Delta: parse(t, "node\td\tperson"), Graph: before.Graph}, Next(), nil); err == nil {
+		t.Fatal("a change with both a delta and a graph accepted")
 	}
 	if m.Current() != before || m.Swaps() != 0 || m.Generation() != 1 {
 		t.Error("failed apply disturbed the active snapshot")
@@ -401,7 +501,7 @@ func TestManagerBuildErrorKeepsSnapshot(t *testing.T) {
 		return "ok", nil
 	})
 	before := m.Current()
-	if _, _, err := m.ApplyDeltaCommit(parse(t, "node\td\tperson"), nil); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, _, _, err := m.Commit(Change{Delta: parse(t, "node\td\tperson")}, Next(), nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if m.Current() != before || m.Generation() != 1 {
@@ -455,7 +555,7 @@ func TestManagerConcurrentReadersAndWriters(t *testing.T) {
 	}
 	for i := 0; i < swaps; i++ {
 		d := parse(t, fmt.Sprintf("node\tn%d\tperson\nedge\ta\tn%d\tknows", i, i))
-		if _, _, err := m.ApplyDeltaCommit(d, nil); err != nil {
+		if _, _, _, err := m.Commit(Change{Delta: d}, Next(), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,11 +11,10 @@ import (
 	"rex/internal/kb"
 )
 
-// ErrGenerationConflict reports that ApplyDeltaCommitAt found the
-// store at a different generation than the caller expected — a
-// concurrent writer published in between. Nothing was mutated; the
-// caller re-reads the current generation and decides whether its
-// record is already covered or genuinely conflicts.
+// ErrGenerationConflict reports that a Commit's precondition (see At)
+// did not hold — typically a concurrent writer published in between.
+// Nothing was mutated; the caller re-reads the current generation and
+// decides whether its change is already covered or genuinely conflicts.
 var ErrGenerationConflict = errors.New("live: generation conflict")
 
 // Snapshot is one immutable knowledge-base version: a graph, the
@@ -25,9 +24,9 @@ var ErrGenerationConflict = errors.New("live: generation conflict")
 // Manager.Current and may use it for the rest of their request even
 // after newer generations are swapped in.
 type Snapshot struct {
-	// Generation counts published versions, starting at 1 for the
-	// snapshot the Manager was constructed with. It increases by exactly
-	// one per swap.
+	// Generation numbers published versions, starting at 1 for the
+	// snapshot the Manager was constructed with; see At for how a
+	// commit moves it.
 	Generation uint64
 	// Fingerprint is the graph's content hash (kb.Graph.Fingerprint).
 	Fingerprint string
@@ -52,9 +51,9 @@ type BuildFunc func(g *kb.Graph) (any, error)
 // Reads are epoch-style and lock-free: Current is a single
 // atomic.Pointer load, so request handlers pin a snapshot with no
 // contention and in-flight work never observes a torn (graph, payload)
-// pair. Writers (ApplyDeltaCommit, SwapGraphCommit and their variants)
-// serialise on a mutex, build the complete next snapshot off to the
-// side, and publish it with one atomic store.
+// pair. Commit, the one writer, serialises on a mutex, checks its
+// generation precondition, builds the complete next snapshot off to the
+// side, and publishes it with one atomic store.
 type Manager struct {
 	build BuildFunc
 
@@ -139,158 +138,111 @@ func (m *Manager) Swaps() uint64 { return m.swaps.Load() }
 // fresh CSR arrays published since construction.
 func (m *Manager) Compactions() uint64 { return m.compactions.Load() }
 
-// CommitFunc is the durability hook of a swap: called with the fully
-// built next generation (graph and number) after the payload is
-// constructed and immediately before the atomic publish. A write-ahead
-// log appends and flushes the delta here, so by the time any reader can
-// observe the new generation its delta is already durable. An error
-// aborts the swap — nothing is published, the active snapshot is
-// unchanged, and the caller must not acknowledge the delta.
+// CommitFunc is the durability hook of a Commit: called under the
+// writer's lock with the fully built next generation (graph and
+// number), immediately before the atomic publish, and never for a
+// refused precondition or a no-op delta. A write-ahead log appends the
+// delta here, so by the time any reader can observe the new generation
+// it is durable. An error aborts the swap — nothing is published, and
+// the caller must not acknowledge the change.
 type CommitFunc func(gen uint64, g *kb.Graph) error
 
-// ApplyDeltaCommit replays a delta onto the current snapshot's graph
-// as an O(delta) overlay generation and atomically publishes the result
-// as the next generation, folding that generation into fresh CSR arrays
-// first when it crosses the CompactRatio policy. The current snapshot
-// keeps serving until the new one — graph and payload — is fully
-// built; on any error nothing is published and the active generation
-// is unchanged (the stats returned alongside an error are partial
-// counts, undefined for any use beyond diagnostics). commit is the
-// durability hook (see CommitFunc); a nil commit makes it a plain
-// in-memory swap.
+// Change is what a Commit publishes: set exactly one of Delta and
+// Graph. A Delta is replayed onto the current snapshot's graph as an
+// O(delta) overlay generation (see Delta.Apply); a Graph is an
+// independently built graph (re-read from disk, or a peer's checkpoint)
+// that replaces the current one wholesale.
+type Change struct {
+	Delta *Delta
+	Graph *kb.Graph
+}
+
+// At is the generation precondition of a Commit: given the current
+// generation, the generation to publish and whether that is allowed.
+// Build one with Next, Exactly, Above or RepairAt.
+type At func(cur uint64) (next uint64, ok bool)
+
+// Next publishes the current generation + 1 and never refuses.
+func Next() At { return func(cur uint64) (uint64, bool) { return cur + 1, true } }
+
+// Exactly publishes generation n if it is the current + 1: the
+// compare-and-swap a replica replays a peer's WAL record through, so a
+// concurrent writer that got there first is never applied twice.
+func Exactly(n uint64) At { return func(cur uint64) (uint64, bool) { return n, n == cur+1 } }
+
+// Above publishes generation n if it is above the current one: a
+// lagging replica jumps forward to a peer's checkpoint. An equal
+// generation with different content would fork the fleet's history.
+func Above(n uint64) At { return func(cur uint64) (uint64, bool) { return n, n > cur } }
+
+// RepairAt publishes generation n for any n ≥ 1, even at or below the
+// current generation: the divergence repair, which adopts the fleet's
+// checkpoint wholesale over a forked history. Moving backwards is safe
+// only because the caller (the sync engine) discards history it has
+// proven divergent, and the routing tier's generation floor keeps the
+// replica out of rotation until it has re-converged.
+func RepairAt(n uint64) At { return func(uint64) (uint64, bool) { return n, n >= 1 } }
+
+// Commit publishes change at the generation at names; it is the
+// Manager's only writer. The precondition is checked under the writer's
+// lock, so nothing can publish between the check and the swap; a
+// refused commit wraps ErrGenerationConflict and changes nothing.
 //
-// A delta whose every record is a no-op (duplicate nodes and edges,
-// deletions of absent edges) changes nothing, so nothing is published:
-// the active snapshot — generation, fingerprint and warm result cache —
-// stays in place. This makes at-least-once delta delivery idempotent
-// instead of a cache flush.
-func (m *Manager) ApplyDeltaCommit(d *Delta, commit CommitFunc) (*Snapshot, ApplyStats, error) {
-	return m.applyDeltaCommit(d, 0, commit)
-}
-
-// ApplyDeltaCommitAt is ApplyDeltaCommit conditioned on the current
-// generation: the delta is applied only if it would publish exactly
-// generation next. The check runs under the writer mutex, so there is
-// no window between validating the generation and mutating — a
-// concurrent writer that got there first makes this call fail with
-// ErrGenerationConflict without touching the store. This is the
-// compare-and-swap the anti-entropy engine needs to replay a peer's
-// WAL record without ever double-applying it.
-func (m *Manager) ApplyDeltaCommitAt(d *Delta, next uint64, commit CommitFunc) (*Snapshot, ApplyStats, error) {
-	if next == 0 {
-		return nil, ApplyStats{}, fmt.Errorf("live: ApplyDeltaCommitAt: generation must be positive")
-	}
-	return m.applyDeltaCommit(d, next, commit)
-}
-
-// applyDeltaCommit applies d and publishes the result; a non-zero
-// expect demands the published generation be exactly expect, failing
-// with ErrGenerationConflict (no mutation) otherwise.
-func (m *Manager) applyDeltaCommit(d *Delta, expect uint64, commit CommitFunc) (*Snapshot, ApplyStats, error) {
-	if d == nil || len(d.Ops) == 0 {
-		return nil, ApplyStats{}, fmt.Errorf("live: empty delta")
+// A delta that crosses CompactRatio is folded into fresh CSR arrays
+// first (ApplyStats.Compacted). A delta whose every record is a no-op
+// changes nothing, so nothing is published: Commit returns the active
+// snapshot, warm result cache and all, with published false — so
+// at-least-once delta delivery is idempotent, not a cache flush. A
+// Graph change always publishes, with zero stats.
+//
+// The current snapshot keeps serving until the new one — graph and
+// payload — is fully built. commit is the durability hook (see
+// CommitFunc), nil for a plain in-memory swap. On any error nothing is
+// published (stats returned alongside an error are partial counts, for
+// diagnostics only).
+func (m *Manager) Commit(change Change, at At, commit CommitFunc) (snap *Snapshot, st ApplyStats, published bool, err error) {
+	switch {
+	case (change.Delta == nil) == (change.Graph == nil):
+		return nil, st, false, fmt.Errorf("live: Commit needs exactly one of a delta and a graph")
+	case change.Delta != nil && len(change.Delta.Ops) == 0:
+		return nil, st, false, fmt.Errorf("live: empty delta")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.cur.Load()
-	if expect != 0 && cur.Generation+1 != expect {
-		return nil, ApplyStats{}, fmt.Errorf("%w: expected to publish generation %d, store is at %d",
-			ErrGenerationConflict, expect, cur.Generation)
+	next, ok := at(cur.Generation)
+	if !ok {
+		return nil, st, false, fmt.Errorf("%w: cannot publish generation %d, store is at %d",
+			ErrGenerationConflict, next, cur.Generation)
 	}
-	g, st, _, err := d.Apply(cur.Graph)
-	if err != nil {
-		return nil, st, err
+	g := change.Graph
+	if change.Delta != nil {
+		if g, st, _, err = change.Delta.Apply(cur.Graph); err != nil {
+			return nil, st, false, err
+		}
+		if !st.Changed() {
+			return cur, st, false, nil
+		}
+		if g.Overlay().Ratio > m.CompactRatio {
+			g, st.Compacted, st.OverlayDepth = g.Compact(), true, 0
+		}
 	}
-	if !st.Changed() {
-		return cur, st, nil
-	}
-	if g.Overlay().Ratio > m.CompactRatio {
-		g, st.Compacted, st.OverlayDepth = g.Compact(), true, 0
-	}
-	snap, err := m.publishLocked(g, cur.Generation+1, commit)
-	if err != nil {
-		return nil, st, err
-	}
-	if st.Compacted {
-		m.compactions.Add(1)
-	}
-	return snap, st, nil
-}
-
-// SwapGraphCommit publishes an independently built graph (e.g. re-read
-// from disk) as the next generation. commit is the durability hook (see
-// CommitFunc): a durable store checkpoints the wholesale replacement
-// there, since no delta exists that a WAL could replay to reproduce it.
-func (m *Manager) SwapGraphCommit(g *kb.Graph, commit CommitFunc) (*Snapshot, error) {
-	if g == nil {
-		return nil, fmt.Errorf("live: SwapGraphCommit: nil graph")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.publishLocked(g, m.cur.Load().Generation+1, commit)
-}
-
-// SwapGraphAt publishes an independently built graph at an explicit
-// generation — the anti-entropy entry point: a lagging replica installs
-// a peer's checkpoint of generation gen, jumping its own sequence
-// forward to match the fleet's numbering instead of incrementing by
-// one. gen must be strictly above the current generation (generations
-// never move backwards, and an equal generation with different content
-// would fork the fleet's history).
-func (m *Manager) SwapGraphAt(g *kb.Graph, gen uint64, commit CommitFunc) (*Snapshot, error) {
-	if g == nil {
-		return nil, fmt.Errorf("live: SwapGraphAt: nil graph")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur := m.cur.Load().Generation; gen <= cur {
-		return nil, fmt.Errorf("live: SwapGraphAt: generation %d is not above current %d", gen, cur)
-	}
-	return m.publishLocked(g, gen, commit)
-}
-
-// SwapGraphRepair publishes an independently built graph at an
-// explicit generation with the monotonicity requirement waived — the
-// divergence-repair entry point. A replica whose history forked (same
-// generation number, different content than the fleet) can only heal
-// by adopting the fleet's state wholesale, and the fleet's newest
-// checkpoint may sit at or below the forked local generation. The
-// local generation may therefore move backwards here; that is safe
-// only because the caller (the sync engine) is discarding local
-// history it has proven divergent, and the routing tier's generation
-// floor keeps the replica out of client-visible rotation until it has
-// re-converged at or above the fleet's floor.
-func (m *Manager) SwapGraphRepair(g *kb.Graph, gen uint64, commit CommitFunc) (*Snapshot, error) {
-	if g == nil {
-		return nil, fmt.Errorf("live: SwapGraphRepair: nil graph")
-	}
-	if gen == 0 {
-		return nil, fmt.Errorf("live: SwapGraphRepair: generation must be positive")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.publishLocked(g, gen, commit)
-}
-
-// publishLocked builds the payload for g, runs the durability commit
-// hook, and stores the snapshot as generation next. Callers hold m.mu.
-func (m *Manager) publishLocked(g *kb.Graph, next uint64, commit CommitFunc) (*Snapshot, error) {
 	payload, err := m.build(g)
 	if err != nil {
-		return nil, fmt.Errorf("live: building snapshot payload: %w", err)
+		return nil, st, false, fmt.Errorf("live: building snapshot payload: %w", err)
 	}
 	if commit != nil {
 		if err := commit(next, g); err != nil {
-			return nil, err
+			return nil, st, false, err
 		}
 	}
 	if err := fail.Hit("live.publish"); err != nil {
 		// Fault-injection point for the crash window between a durable
 		// WAL append and the in-memory publish: the delta is on disk but
 		// was never acknowledged, so recovery may legitimately replay it.
-		return nil, err
+		return nil, st, false, err
 	}
-	snap := &Snapshot{
+	snap = &Snapshot{
 		Generation:  next,
 		Fingerprint: g.Fingerprint(),
 		Graph:       g,
@@ -298,5 +250,8 @@ func (m *Manager) publishLocked(g *kb.Graph, next uint64, commit CommitFunc) (*S
 	}
 	m.cur.Store(snap)
 	m.swaps.Add(1)
-	return snap, nil
+	if st.Compacted {
+		m.compactions.Add(1)
+	}
+	return snap, st, true, nil
 }

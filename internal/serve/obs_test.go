@@ -400,8 +400,9 @@ func TestMetricsScrapeUnderIngestion(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(7))
+	var sb strings.Builder
 	for i := 0; i < numDeltas; i++ {
-		var sb strings.Builder
+		sb.Reset()
 		if i == 0 {
 			sb.WriteString("label\tsoak\tU\n")
 		}
@@ -416,6 +417,11 @@ func TestMetricsScrapeUnderIngestion(t *testing.T) {
 			t.Fatalf("delta %d: status %d, body %s", i, rec.Code, rec.Body)
 		}
 	}
+	// The last delta again is a no-op: an applied request that publishes
+	// nothing, so it observes no swap duration.
+	if rec := postBody(t, h, "/admin/delta", sb.String()); rec.Code != http.StatusOK {
+		t.Fatalf("repeated delta: status %d, body %s", rec.Code, rec.Body)
+	}
 	done.Store(true)
 	wg.Wait()
 	for i, err := range workErr {
@@ -426,9 +432,9 @@ func TestMetricsScrapeUnderIngestion(t *testing.T) {
 
 	body := scrape(t, h)
 	for _, want := range []string{
-		fmt.Sprintf("rex_deltas_applied_total %d", numDeltas),
+		fmt.Sprintf("rex_deltas_applied_total %d", numDeltas+1),
 		fmt.Sprintf("rex_store_swaps_total %d", numDeltas),
-		`rex_swap_duration_seconds_count `,
+		fmt.Sprintf("rex_swap_duration_seconds_count %d", numDeltas),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("post-soak /metrics missing %q", want)

@@ -622,21 +622,22 @@ func (e *Engine) fetchSnapshot(ctx context.Context, peer peerState, rep *Report,
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("sync: spool seek: %w", err)
 	}
-	if gen <= e.store.Generation() && !repair {
-		// The local store advanced past the peer's checkpoint while we
-		// downloaded (e.g. a broadcast landed); nothing to install, the
-		// tail path takes over from here. A repair install skips this
-		// short-circuit on purpose: the local generation is forked, so
-		// "already past it" proves nothing — the checkpoint must be
-		// adopted to rebase onto the fleet's history.
-		e.discardSpool(f, spool)
-		return nil
-	}
 	install := e.store.InstallSnapshot
 	if repair {
 		install = e.store.RepairSnapshot
 	}
 	if _, err := install(f, gen, fp); err != nil {
+		if !repair && errors.Is(err, rex.ErrGenerationConflict) {
+			// The local store reached the peer's checkpoint while we
+			// downloaded (e.g. a broadcast landed), and the install,
+			// which checks under the writer's lock, refused: nothing to
+			// install, the tail path takes over from here. A repair is
+			// never refused this way: the local generation is forked, so
+			// "already past it" proves nothing — the checkpoint must be
+			// adopted to rebase onto the fleet's history.
+			e.discardSpool(f, spool)
+			return nil
+		}
 		if strings.Contains(err.Error(), "fingerprint") {
 			// Corrupt or mixed-source spool: drop it so the retry starts
 			// a clean transfer.

@@ -201,6 +201,40 @@ func TestSyncSnapshotCutThenRangeResume(t *testing.T) {
 	assertConverged(t, local, peerStore)
 }
 
+// A write that reaches the peer's checkpoint generation while the
+// snapshot downloads overtakes the install: the store refuses it with a
+// generation conflict under its writer lock, and the engine takes that
+// as "already past it" — it drops the spool and converges in the same
+// attempt instead of failing it and backing off.
+func TestSyncInstallOvertakenByLocalWrite(t *testing.T) {
+	t.Cleanup(fail.Reset)
+	peerStore := newStore(t, 1) // every delta checkpoints; the WAL is always empty
+	advance(t, peerStore, 1)
+	_, hs := bootPeer(t, peerStore, serve.Config{})
+	local := newStore(t, 64)
+
+	// Between the download and the install, the peer's delta lands
+	// locally too, as a broadcast would.
+	fail.EnableFunc("sync.snapshot.install", func() error {
+		if local.Generation() == 1 {
+			advance(t, local, 1)
+		}
+		return nil
+	})
+	e := newEngine(t, local, hs.URL)
+	rep, err := e.Sync(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Attempts != 1 || !rep.FullSnapshot {
+		t.Fatalf("attempts = %d, full_snapshot = %v; want 1 attempt that fetched the snapshot", rep.Attempts, rep.FullSnapshot)
+	}
+	if st := e.Stats(); st.Snapshots != 0 {
+		t.Fatalf("snapshots installed = %d, want 0: the local write got there first", st.Snapshots)
+	}
+	assertConverged(t, local, peerStore)
+}
+
 // Satellite edge case: the peer starts draining mid-catch-up. Its
 // snapshot and WAL endpoints stay available through the drain, so the
 // in-flight sync completes instead of restarting elsewhere.

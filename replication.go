@@ -106,15 +106,16 @@ func (s *Store) WALTailReader(from uint64) (r io.ReadCloser, size int64, records
 // InstallSnapshot reads a binary snapshot (as served by SyncCheckpoint
 // on a peer) and publishes it at exactly generation gen, jumping the
 // store's sequence forward to the fleet's numbering. gen must be above
-// the current generation. A non-empty wantFingerprint is verified
-// against the loaded graph before anything is published — a mismatch
-// means the transfer corrupted or the peer diverged, and the active
-// snapshot stays untouched. On a durable store the installed snapshot
-// is checkpointed before it is published (a failure aborts the install,
-// like ReloadFrom), so a crash right after the install recovers into
-// the installed state, not behind it.
+// the current generation, else the error wraps ErrGenerationConflict
+// (a concurrent write got there first). A non-empty wantFingerprint is
+// verified against the loaded graph before anything is published — a
+// mismatch means the transfer corrupted or the peer diverged, and the
+// active snapshot stays untouched. On a durable store the installed
+// snapshot is checkpointed before it is published (a failure aborts
+// the install, like ReloadFrom), so a crash right after the install
+// recovers into the installed state, not behind it.
 func (s *Store) InstallSnapshot(r io.Reader, gen uint64, wantFingerprint string) (SwapInfo, error) {
-	return s.installSnapshot(r, gen, wantFingerprint, false)
+	return s.installSnapshot(r, wantFingerprint, live.Above(gen))
 }
 
 // RepairSnapshot is InstallSnapshot with the generation-monotonicity
@@ -128,10 +129,10 @@ func (s *Store) InstallSnapshot(r io.Reader, gen uint64, wantFingerprint string)
 // collects the forked WAL and any forked higher-numbered checkpoint,
 // so a later recovery cannot resurrect the divergent history.
 func (s *Store) RepairSnapshot(r io.Reader, gen uint64, wantFingerprint string) (SwapInfo, error) {
-	return s.installSnapshot(r, gen, wantFingerprint, true)
+	return s.installSnapshot(r, wantFingerprint, live.RepairAt(gen))
 }
 
-func (s *Store) installSnapshot(r io.Reader, gen uint64, wantFingerprint string, repair bool) (SwapInfo, error) {
+func (s *Store) installSnapshot(r io.Reader, wantFingerprint string, at live.At) (SwapInfo, error) {
 	t0 := time.Now()
 	g, err := kb.ReadBinary(r)
 	if err != nil {
@@ -141,23 +142,5 @@ func (s *Store) installSnapshot(r io.Reader, gen uint64, wantFingerprint string,
 		return SwapInfo{}, fmt.Errorf("rex: snapshot fingerprint %s does not match expected %s",
 			g.Fingerprint(), wantFingerprint)
 	}
-	var commit live.CommitFunc
-	if s.journal != nil {
-		commit = func(cgen uint64, cg *kb.Graph) error {
-			return s.journal.Checkpoint(cg, cgen)
-		}
-	}
-	var snap *live.Snapshot
-	if repair {
-		snap, err = s.mgr.SwapGraphRepair(g, gen, commit)
-	} else {
-		snap, err = s.mgr.SwapGraphAt(g, gen, commit)
-	}
-	if err != nil {
-		return SwapInfo{}, err
-	}
-	info := s.swapInfo(snap)
-	info.Elapsed = time.Since(t0)
-	s.notifySwap(info)
-	return info, nil
+	return s.commit(live.Change{Graph: g}, at, t0)
 }

@@ -21,8 +21,10 @@ import (
 // automatic: a stale answer computed on an old graph can never be
 // served for a new one.
 //
-// Writers are serialised internally; Apply and ReloadFrom may be called
-// concurrently with any number of readers.
+// Apply, ApplyAt, ReloadFrom, InstallSnapshot and RepairSnapshot each
+// build a change and a generation precondition and write through one
+// path (Store.commit → live.Manager.Commit). Writers are serialised
+// internally and may be called concurrently with any number of readers.
 type Store struct {
 	mgr *live.Manager
 	opt Options
@@ -36,16 +38,18 @@ type Store struct {
 	journal      *live.Journal
 	ckptFailures atomic.Uint64
 
-	// onSwap, when set via OnSwap, is invoked after every successful
-	// swap (Apply or ReloadFrom) with the completed SwapInfo.
+	// onSwap, when set via OnSwap, is invoked after every published
+	// generation with the completed SwapInfo.
 	onSwap atomic.Pointer[func(SwapInfo)]
 }
 
-// OnSwap registers fn to be called after every successful swap, with
-// the same SwapInfo the mutating call returns. One hook is kept (the
-// last registration wins); pass nil to clear it. The hook runs on the
-// mutating goroutine after the new generation is published, so it must
-// be fast and must not call back into the store's write path. The
+// OnSwap registers fn to be called once per published generation —
+// deltas, reloads, installs and repairs alike, so once per Swaps
+// increment — with the SwapInfo the mutating call returns; a call that
+// publishes nothing (a no-op delta, a refusal, an error) never calls
+// it. One hook is kept (the last registration wins); pass nil to clear
+// it. The hook runs on the mutating goroutine after the publish, so it
+// must be fast and must not call back into the store's write path. The
 // serving tier uses it to feed swap-latency metrics.
 func (s *Store) OnSwap(fn func(SwapInfo)) {
 	if fn == nil {
@@ -53,13 +57,6 @@ func (s *Store) OnSwap(fn func(SwapInfo)) {
 		return
 	}
 	s.onSwap.Store(&fn)
-}
-
-// notifySwap invokes the OnSwap hook, if any.
-func (s *Store) notifySwap(info SwapInfo) {
-	if fn := s.onSwap.Load(); fn != nil {
-		(*fn)(info)
-	}
 }
 
 // storePayload is the per-snapshot serving state the live manager
@@ -253,8 +250,8 @@ func snapshotOf(sn *live.Snapshot) StoreSnapshot {
 	}
 }
 
-// Generation returns the active snapshot's generation (1 at
-// construction, +1 per swap).
+// Generation returns the active snapshot's generation (1 for a fresh
+// store, +1 per published delta or reload; an install jumps it).
 func (s *Store) Generation() uint64 { return s.mgr.Generation() }
 
 // Swaps returns the number of completed snapshot swaps.
@@ -271,13 +268,13 @@ func (s *Store) Swaps() uint64 { return s.mgr.Swaps() }
 // cache. In-flight readers keep their pinned snapshot; only requests
 // that call Current after Apply returns see the new version.
 func (s *Store) Apply(r io.Reader) (SwapInfo, error) {
-	return s.apply(r, 0)
+	return s.applyDelta(r, live.Next())
 }
 
 // ErrGenerationConflict is the store-level alias of
 // live.ErrGenerationConflict (errors.Is works against either): an
-// ApplyAt found the store at a different generation than expected and
-// refused without mutating.
+// ApplyAt or InstallSnapshot found the store at a generation its
+// precondition rules out and refused without mutating.
 var ErrGenerationConflict = live.ErrGenerationConflict
 
 // ApplyAt is Apply conditioned on the store's current generation: the
@@ -288,60 +285,79 @@ var ErrGenerationConflict = live.ErrGenerationConflict
 // concurrently. When the store is at any generation other than gen-1,
 // nothing is mutated and the error wraps ErrGenerationConflict.
 func (s *Store) ApplyAt(r io.Reader, gen uint64) (SwapInfo, error) {
-	return s.apply(r, gen)
+	return s.applyDelta(r, live.Exactly(gen))
 }
 
-// apply parses and applies one delta; a non-zero expect demands the
-// published generation be exactly expect (see ApplyAt).
-func (s *Store) apply(r io.Reader, expect uint64) (SwapInfo, error) {
+// applyDelta parses one delta and commits it under at.
+func (s *Store) applyDelta(r io.Reader, at live.At) (SwapInfo, error) {
 	t0 := time.Now()
 	d, err := live.ParseDelta(r)
 	if err != nil {
 		return SwapInfo{}, err
 	}
-	var commit live.CommitFunc
-	if s.journal != nil {
-		commit = func(gen uint64, g *kb.Graph) error {
-			if err := s.journal.Append(gen, d.AppendWire(nil)); err != nil {
-				return err
-			}
-			if s.journal.ShouldCheckpoint() {
-				// The delta is already durable in the WAL, so a checkpoint
-				// only bounds recovery: it runs on the journal's
-				// checkpointer and the ack does not wait for it. A failed
-				// one is counted and retried by a later swap, and recovery
-				// replays the longer WAL tail in the meantime.
-				s.journal.CheckpointAsync(g, gen, s.checkpointFailed)
-			}
-			return nil
-		}
-	}
-	var snap *live.Snapshot
-	var st live.ApplyStats
-	if expect != 0 {
-		snap, st, err = s.mgr.ApplyDeltaCommitAt(d, expect, commit)
-	} else {
-		snap, st, err = s.mgr.ApplyDeltaCommit(d, commit)
-	}
+	return s.commit(live.Change{Delta: d}, at, t0)
+}
+
+// commit is the store's one write path: every mutator builds its change
+// and precondition and ends here. It picks the journal hook for the
+// change, commits through the manager, fills the SwapInfo and, only
+// when a generation was published, calls the OnSwap hook. t0 is when
+// the mutating call started.
+func (s *Store) commit(change live.Change, at live.At, t0 time.Time) (SwapInfo, error) {
+	snap, st, published, err := s.mgr.Commit(change, at, s.journalHook(change))
 	if err != nil {
 		return SwapInfo{}, err
 	}
-	info := s.swapInfo(snap)
-	info.NodesAdded = st.NodesAdded
-	info.LabelsAdded = st.LabelsAdded
-	info.EdgesAdded = st.EdgesAdded
-	info.EdgesRemoved = st.EdgesRemoved
-	info.TypesSet = st.TypesSet
-	info.Overlay = st.Overlay
-	info.Compacted = st.Compacted
-	info.OverlayDepth = st.OverlayDepth
-	info.Elapsed = time.Since(t0)
-	s.notifySwap(info)
+	ss := snapshotOf(snap)
+	info := SwapInfo{
+		Generation:   ss.Generation,
+		Fingerprint:  ss.Fingerprint,
+		KB:           ss.KB.Stats(),
+		NodesAdded:   st.NodesAdded,
+		LabelsAdded:  st.LabelsAdded,
+		EdgesAdded:   st.EdgesAdded,
+		EdgesRemoved: st.EdgesRemoved,
+		TypesSet:     st.TypesSet,
+		Overlay:      st.Overlay,
+		Compacted:    st.Compacted,
+		OverlayDepth: st.OverlayDepth,
+		Elapsed:      time.Since(t0),
+	}
+	if fn := s.onSwap.Load(); fn != nil && published {
+		(*fn)(info)
+	}
 	return info, nil
 }
 
-// checkpointFailed counts a background checkpoint that failed.
-func (s *Store) checkpointFailed(error) { s.ckptFailures.Add(1) }
+// journalHook returns the durability hook of a commit of change, nil
+// for a store without a journal. A delta is appended to the WAL and,
+// when the checkpoint policy says so, triggers an asynchronous
+// checkpoint. A whole graph has no delta a WAL replay could reproduce,
+// so it is checkpointed synchronously, and a failure aborts the
+// publish: acknowledging an unjournaled replacement would lose it on
+// the next crash.
+func (s *Store) journalHook(change live.Change) live.CommitFunc {
+	switch {
+	case s.journal == nil:
+		return nil
+	case change.Delta == nil:
+		return func(gen uint64, g *kb.Graph) error { return s.journal.Checkpoint(g, gen) }
+	}
+	return func(gen uint64, g *kb.Graph) error {
+		if err := s.journal.Append(gen, change.Delta.AppendWire(nil)); err != nil {
+			return err
+		}
+		if s.journal.ShouldCheckpoint() {
+			// The delta is already durable in the WAL, so a checkpoint
+			// only bounds recovery: it runs on the journal's
+			// checkpointer and the ack does not wait for it. A failed
+			// one is counted and retried by a later swap, and recovery
+			// replays the longer WAL tail in the meantime.
+			s.journal.CheckpointAsync(g, gen, func(error) { s.ckptFailures.Add(1) })
+		}
+		return nil
+	}
+}
 
 // LiveStats reports the write-path counters of the store, cumulative
 // since construction (except OverlayDepth, which describes the
@@ -422,32 +438,5 @@ func (s *Store) ReloadFrom(path string) (SwapInfo, error) {
 	if err != nil {
 		return SwapInfo{}, err
 	}
-	var commit live.CommitFunc
-	if s.journal != nil {
-		// A wholesale replacement has no delta a WAL replay could
-		// reproduce, so durability demands a checkpoint before the swap
-		// publishes — and unlike the Apply path, a failure here must
-		// abort the swap: acknowledging an unjournaled reload would lose
-		// it on the next crash.
-		commit = func(gen uint64, g *kb.Graph) error {
-			return s.journal.Checkpoint(g, gen)
-		}
-	}
-	snap, err := s.mgr.SwapGraphCommit(k.g, commit)
-	if err != nil {
-		return SwapInfo{}, err
-	}
-	info := s.swapInfo(snap)
-	info.Elapsed = time.Since(t0)
-	s.notifySwap(info)
-	return info, nil
-}
-
-func (s *Store) swapInfo(sn *live.Snapshot) SwapInfo {
-	ss := snapshotOf(sn)
-	return SwapInfo{
-		Generation:  ss.Generation,
-		Fingerprint: ss.Fingerprint,
-		KB:          ss.KB.Stats(),
-	}
+	return s.commit(live.Change{Graph: k.g}, live.Next(), t0)
 }

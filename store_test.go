@@ -2,6 +2,8 @@ package rex
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,5 +275,83 @@ func TestStoreApplyAtGenerationConflict(t *testing.T) {
 	}
 	if got := st.Generation(); got != 3 {
 		t.Fatalf("generation = %d, want 3", got)
+	}
+}
+
+// TestStoreApplyOnSwapOncePerPublish drives every mutator, each once
+// publishing and once publishing nothing, and holds the OnSwap hook to
+// one call per published generation: after each step the hook's calls
+// equal Swaps(). A no-op Apply or ApplyAt and an install the store is
+// already at or past publish nothing; the install's refusal wraps
+// ErrGenerationConflict.
+func TestStoreApplyOnSwapOncePerPublish(t *testing.T) {
+	st := newTestStore(t, Options{Measure: "size", CacheSize: 16})
+	var hooked []uint64
+	st.OnSwap(func(info SwapInfo) { hooked = append(hooked, info.Generation) })
+	path := filepath.Join(t.TempDir(), "kb.tsv")
+	if err := os.WriteFile(path, []byte(storeBaseTSV), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The store has no journal, so a checkpoint handle is the current
+	// graph in memory and needs no Close.
+	snapshot := func() *CheckpointHandle {
+		h, err := st.SyncCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	gen1 := snapshot() // generation 1's graph, installed below as generation 2
+
+	edge := "edge\tcarol\tdave\tknows\n"
+	steps := []struct {
+		name     string
+		do       func() (SwapInfo, error)
+		conflict bool
+		gen      uint64 // the store's generation after the step
+	}{
+		{"apply", func() (SwapInfo, error) { return st.Apply(strings.NewReader(edge)) }, false, 2},
+		{"apply no-op", func() (SwapInfo, error) { return st.Apply(strings.NewReader(edge)) }, false, 2},
+		{"apply-at no-op", func() (SwapInfo, error) { return st.ApplyAt(strings.NewReader(edge), 3) }, false, 2},
+		{"apply-at", func() (SwapInfo, error) { return st.ApplyAt(strings.NewReader("edge\tbob\tcarol\tknows\n"), 3) }, false, 3},
+		{"reload", func() (SwapInfo, error) { return st.ReloadFrom(path) }, false, 4},
+		{"install behind", func() (SwapInfo, error) { return st.InstallSnapshot(gen1.Reader, 2, gen1.Fingerprint) }, true, 4},
+		{"install at current", func() (SwapInfo, error) {
+			h := snapshot()
+			return st.InstallSnapshot(h.Reader, 4, h.Fingerprint)
+		}, true, 4},
+		{"install ahead", func() (SwapInfo, error) {
+			h := snapshot()
+			return st.InstallSnapshot(h.Reader, 7, h.Fingerprint)
+		}, false, 7},
+		{"repair backwards", func() (SwapInfo, error) {
+			if _, err := gen1.Reader.Seek(0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			return st.RepairSnapshot(gen1.Reader, 2, gen1.Fingerprint)
+		}, false, 2},
+	}
+	for _, s := range steps {
+		fp := st.Current().Fingerprint
+		info, err := s.do()
+		switch {
+		case s.conflict && !errors.Is(err, ErrGenerationConflict):
+			t.Fatalf("%s: err = %v, want ErrGenerationConflict", s.name, err)
+		case s.conflict && st.Current().Fingerprint != fp:
+			t.Fatalf("%s: a refused install changed the graph", s.name)
+		case !s.conflict && err != nil:
+			t.Fatalf("%s: %v", s.name, err)
+		case !s.conflict && info.Generation != s.gen:
+			t.Fatalf("%s: SwapInfo generation %d, want %d", s.name, info.Generation, s.gen)
+		}
+		if st.Generation() != s.gen {
+			t.Fatalf("%s: generation %d, want %d", s.name, st.Generation(), s.gen)
+		}
+		if uint64(len(hooked)) != st.Swaps() {
+			t.Fatalf("%s: OnSwap called for generations %v, but the store swapped %d times", s.name, hooked, st.Swaps())
+		}
+	}
+	if fmt.Sprint(hooked) != "[2 3 4 7 2]" {
+		t.Errorf("OnSwap saw generations %v, want [2 3 4 7 2]", hooked)
 	}
 }
