@@ -59,11 +59,7 @@ func benchSetup(b *testing.B) (*harness.Env, map[kb.ConnBucket]kbgen.Pair) {
 	return benchEnv, benchRep
 }
 
-var benchCfg = enumerate.Config{
-	MaxPatternSize: 5,
-	PathAlg:        enumerate.PathPrioritized,
-	UnionAlg:       enumerate.UnionPrune,
-}
+var benchCfg = enumerate.Config{MaxPatternSize: 5}
 
 // BenchmarkFig7Enumeration covers Figure 7: the enumeration algorithm
 // combinations per connectedness bucket. The NaiveEnum baseline runs
@@ -73,7 +69,7 @@ func BenchmarkFig7Enumeration(b *testing.B) {
 	env, rep := benchSetup(b)
 	for _, combo := range harness.Fig7Combos() {
 		for _, bucket := range harness.Buckets() {
-			if combo.Naive && bucket != kb.ConnLow {
+			if combo.Name == harness.NaiveRow && bucket != kb.ConnLow {
 				continue
 			}
 			p, ok := rep[bucket]
@@ -82,13 +78,7 @@ func BenchmarkFig7Enumeration(b *testing.B) {
 			}
 			b.Run(combo.Name+"/"+bucket.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if combo.Naive {
-						enumerate.NaiveEnum(env.G, p.Start, p.End, 5)
-					} else {
-						enumerate.Explanations(env.G, p.Start, p.End, enumerate.Config{
-							MaxPatternSize: 5, PathAlg: combo.Path, UnionAlg: combo.Union,
-						})
-					}
+					combo.Run(env.G, p.Start, p.End, 5)
 				}
 			})
 		}

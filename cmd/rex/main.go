@@ -32,23 +32,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rex", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kbPath    = fs.String("kb", "", "knowledge base TSV file (default: built-in sample)")
-		sample    = fs.Bool("sample", false, "use the built-in sample entertainment KB")
-		start     = fs.String("start", "", "start entity name (required)")
-		end       = fs.String("end", "", "end entity name (required)")
-		measureN  = fs.String("measure", "size+local-dist", "interestingness measure: "+strings.Join(rex.MeasureNames(), ", "))
-		topK      = fs.Int("k", 10, "number of explanations to return")
-		maxSize   = fs.Int("size", 5, "pattern size limit (nodes)")
-		pathAlg   = fs.String("path", "prioritized", "path enumeration: naive, basic, prioritized")
-		unionAlg  = fs.String("union", "prune", "path union: basic, prune")
-		maxInst   = fs.Int("instances", 3, "max instances to print per explanation (0 = all)")
-		showSQL   = fs.Bool("sql", false, "render the distributional SQL for each explanation (printed, and included in -json output, which leaves it out otherwise)")
-		noPruning = fs.Bool("no-pruning", false, "disable ranking-time pruning")
-		jsonOut   = fs.Bool("json", false, "emit the result as JSON")
-		decorate  = fs.Bool("decorate", false, "attach non-essential context facts to each explanation")
-		timeout   = fs.Duration("timeout", 0, "query deadline (0 = none)")
-		traceOn   = fs.Bool("trace", false, "print the per-stage query trace (included in -json output)")
-		version   = fs.Bool("version", false, "print build information and exit")
+		kbPath   = fs.String("kb", "", "knowledge base TSV file (default: built-in sample)")
+		sample   = fs.Bool("sample", false, "use the built-in sample entertainment KB")
+		start    = fs.String("start", "", "start entity name (required)")
+		end      = fs.String("end", "", "end entity name (required)")
+		measureN = fs.String("measure", "size+local-dist", "interestingness measure: "+strings.Join(rex.MeasureNames(), ", "))
+		topK     = fs.Int("k", 10, "number of explanations to return")
+		maxSize  = fs.Int("size", 5, "pattern size limit (nodes)")
+		maxInst  = fs.Int("instances", 3, "max instances to print per explanation (0 = all)")
+		showSQL  = fs.Bool("sql", false, "render the distributional SQL for each explanation (printed, and included in -json output, which leaves it out otherwise)")
+		jsonOut  = fs.Bool("json", false, "emit the result as JSON")
+		decorate = fs.Bool("decorate", false, "attach non-essential context facts to each explanation")
+		timeout  = fs.Duration("timeout", 0, "query deadline (0 = none)")
+		traceOn  = fs.Bool("trace", false, "print the per-stage query trace (included in -json output)")
+		version  = fs.Bool("version", false, "print build information and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,11 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ex, err := rex.NewExplainer(kb, rex.Options{
 		MaxPatternSize:             *maxSize,
-		PathAlgorithm:              *pathAlg,
-		UnionAlgorithm:             *unionAlg,
 		Measure:                    *measureN,
 		TopK:                       *topK,
-		DisablePruning:             *noPruning,
 		MaxInstancesPerExplanation: *maxInst,
 		Decorate:                   *decorate,
 	})

@@ -103,17 +103,14 @@ func TestExplainContextPreCancelled(t *testing.T) {
 }
 
 // TestExplainContextDeadline proves an expired deadline aborts a heavy
-// query mid-flight and promptly: the workload below takes far longer than
-// the 5ms deadline when run to completion (naive enumeration, pruning
-// disabled, global measure over 100 sampled starts).
+// query mid-flight and promptly: the workload below (a global measure
+// over 100 sampled starts) takes far longer than the 5ms deadline when
+// run to completion.
 func TestExplainContextDeadline(t *testing.T) {
 	kb := GenerateKB(GenOptions{Scale: 1, Seed: 3})
 	ex, err := NewExplainer(kb, Options{
-		Measure:        "global-dist",
-		PathAlgorithm:  "naive",
-		UnionAlgorithm: "basic",
-		DisablePruning: true,
-		GlobalSamples:  100,
+		Measure:       "global-dist",
+		GlobalSamples: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

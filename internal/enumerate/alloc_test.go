@@ -21,7 +21,7 @@ const enumerateAllocBudget = 600
 
 // TestEnumerateSteadyStateAllocBudget is the alloc-regression guard for
 // the pooled enumeration pipeline, enforced like the match pool test, on
-// both routes of PathPrioritized.
+// both path routes.
 func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
@@ -30,7 +30,7 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
 	for route, bud := range map[string]Budget{"exhaustive": {}, "frontier": neverTruncates} {
-		cfg := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune, Budget: bud}
+		cfg := Config{MaxPatternSize: 5, Budget: bud}
 
 		want := len(Explanations(g, s, e, cfg)) // warm pools, pin expected size
 		if want == 0 {
@@ -59,7 +59,7 @@ func TestPathUnionPruneAllocBound(t *testing.T) {
 	}
 	const maxBytes, maxAllocs = 73776, 333
 	g := benchGraph()
-	cfg := Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}.normalized()
+	cfg := Config{}.normalized()
 	paths := Paths(g, g.NodeByName("film_5972"), g.NodeByName("film_4871"), cfg)
 	st := newEnumState()
 	ctx := context.Background()

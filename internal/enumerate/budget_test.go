@@ -50,7 +50,7 @@ func TestBudgetedEnumerationPrefixConsistent(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	base := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune}
+	base := Config{MaxPatternSize: 5}
 	ctx := context.Background()
 
 	full, trunc, err := ExplanationsBudgeted(ctx, g, s, e, base)
@@ -109,7 +109,7 @@ func TestBudgetDeadlineTruncates(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	base := Config{MaxPatternSize: 5, PathAlg: PathPrioritized, UnionAlg: UnionPrune}
+	base := Config{MaxPatternSize: 5}
 	ctx := context.Background()
 
 	cfg := base

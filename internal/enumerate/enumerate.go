@@ -1,27 +1,25 @@
-// Package enumerate implements REX's explanation-enumeration algorithms
-// (Section 3 of the paper):
+// Package enumerate implements the explanation enumeration REX serves
+// (Section 3 of the paper): the general framework (Algorithm 2), simple
+// path enumeration between the targets (Section 3.2) followed by
+// PathUnionPrune (Algorithm 4), which combines the path explanations into
+// all minimal explanations, using composition histories to restrict
+// merge partners. It generates all and only the minimal explanations
+// with at least one instance, with pattern size (node count) bounded by
+// the configured limit.
 //
-//   - NaiveEnum: the gSpan-style graph-expansion baseline (Algorithm 1),
-//     which generates non-minimal intermediates and filters.
-//   - PathEnum{Naive,Basic,Prioritized}: simple-path explanation
-//     enumeration between the targets (Section 3.2). Basic is the
-//     bidirectional BANKS-style strategy, Prioritized the BANKS2-style
-//     activation-score strategy — whose order serves the requests a
-//     Budget can stop; the others get the same paths from a streaming
-//     meet-in-the-middle join that keeps no order (path.go).
-//   - PathUnion{Basic,Prune}: combination of path explanations into all
-//     minimal explanations (Algorithms 3 and 4).
+// Paths come from one of two routes, chosen by the request: a
+// meet-in-the-middle join that keeps no order when nothing can stop the
+// search, and the BANKS2-style activation-ordered frontier when a Budget
+// can — an order matters only to a search that can stop (path.go).
 //
-// The general framework (Algorithm 2) is PathEnum followed by PathUnion;
-// it generates all and only the minimal explanations with at least one
-// instance, with pattern size (node count) bounded by the configured
-// limit.
+// The paper's strawmen — NaiveEnum, PathEnumNaive, PathEnumBasic and
+// PathUnionBasic — live in internal/oracle, which shares no code with
+// this package; Figure 7 and the differential tests run them there.
 package enumerate
 
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
@@ -32,81 +30,50 @@ import (
 	"rex/internal/pattern"
 )
 
-// PathAlgorithm selects the simple-path enumeration strategy.
+// PathAlgorithm is the type of Config.PathAlg.
+//
+// Deprecated: ignored; set only by benchmark/engine_cold.go until ROADMAP
+// item 1(e).
 type PathAlgorithm int
 
-// Path enumeration strategies, in increasing order of sophistication.
-const (
-	// PathNaive enumerates every length-limited simple path from the
-	// start entity and keeps those ending at the end entity. It is the
-	// paper's PathEnumNaive strawman.
-	PathNaive PathAlgorithm = iota
-	// PathBasic runs the bidirectional enumeration adapted from BANKS:
-	// partial paths grow from both targets and join at a meeting node.
-	PathBasic
-	// PathPrioritized is the BANKS2 adaptation: bidirectional expansion
-	// ordered by activation scores that postpone high-degree nodes, so a
-	// Budget that stops it keeps the cheap paths. A request whose budget
-	// cannot stop it runs the same bidirectional search exhaustively and
-	// unordered; a budget that never truncates returns the same bytes.
-	PathPrioritized
-)
+// PathPrioritized names the served path search.
+//
+// Deprecated: ignored; set only by benchmark/engine_cold.go until ROADMAP
+// item 1(e).
+const PathPrioritized PathAlgorithm = 2
 
-// String names the algorithm as in the paper's figures.
-func (a PathAlgorithm) String() string {
-	switch a {
-	case PathNaive:
-		return "PathEnumNaive"
-	case PathBasic:
-		return "PathEnumBasic"
-	case PathPrioritized:
-		return "PathEnumPrioritized"
-	}
-	return fmt.Sprintf("PathAlgorithm(%d)", int(a))
-}
-
-// UnionAlgorithm selects the path-combination strategy.
+// UnionAlgorithm is the type of Config.UnionAlg.
+//
+// Deprecated: ignored; set only by benchmark/engine_cold.go until ROADMAP
+// item 1(e).
 type UnionAlgorithm int
 
-// Path union strategies.
-const (
-	// UnionBasic is Algorithm 3: every ring explanation merges with
-	// every path explanation.
-	UnionBasic UnionAlgorithm = iota
-	// UnionPrune is Algorithm 4: composition histories restrict merge
-	// partners per Theorem 3.
-	UnionPrune
-)
-
-// String names the algorithm as in the paper's figures.
-func (a UnionAlgorithm) String() string {
-	switch a {
-	case UnionBasic:
-		return "PathUnionBasic"
-	case UnionPrune:
-		return "PathUnionPrune"
-	}
-	return fmt.Sprintf("UnionAlgorithm(%d)", int(a))
-}
+// UnionPrune names the served path union.
+//
+// Deprecated: ignored; set only by benchmark/engine_cold.go until ROADMAP
+// item 1(e).
+const UnionPrune UnionAlgorithm = 1
 
 // Config parameterises enumeration. The zero value enumerates patterns of
-// up to DefaultMaxPatternSize nodes with the best algorithms.
+// up to DefaultMaxPatternSize nodes on the served pipeline, unbudgeted,
+// with the process-wide pool.
 type Config struct {
 	// MaxPatternSize bounds the number of nodes (variables) in a
 	// pattern; the paper's n. Defaults to DefaultMaxPatternSize.
 	MaxPatternSize int
-	// PathAlg selects the path enumeration strategy; the zero value is
-	// PathNaive.
+	// Deprecated: ignored; set only by benchmark/engine_cold.go until
+	// ROADMAP item 1(e).
 	PathAlg PathAlgorithm
-	// UnionAlg selects the combination strategy.
+	// Deprecated: ignored; set only by benchmark/engine_cold.go until
+	// ROADMAP item 1(e).
 	UnionAlg UnionAlgorithm
 	// Pool supplies reusable enumeration state. The facade owns one Pool
 	// per knowledge-base snapshot; nil falls back to a process-wide
 	// pool. Results never alias pooled storage, so any pool choice
 	// yields identical output.
 	Pool *Pool
-	// Budget bounds enumeration work, turning the prioritized search
-	// into an anytime algorithm. The zero value never truncates and is
+	// Budget bounds enumeration work, turning the path search into an
+	// anytime algorithm. The zero value never truncates and is
 	// byte-identical to unbudgeted enumeration.
 	Budget Budget
 }
@@ -124,8 +91,6 @@ type Budget struct {
 	// is deterministic, so the returned path set is a deterministic
 	// prefix: enumerating with budget N always yields a subset of the
 	// paths found with any budget ≥ N, and of the unbudgeted set.
-	// Only PathPrioritized honours it; the naive and basic strawmen
-	// have no frontier to bound and ignore it.
 	MaxExpansions int
 	// Deadline is the wall-clock cutoff (zero = none), polled at
 	// bounded intervals in the prioritized expansion loop and the
@@ -208,13 +173,7 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 	if err != nil {
 		return nil, false, err
 	}
-	var utrunc bool
-	switch cfg.UnionAlg {
-	case UnionPrune:
-		out, utrunc, err = st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, cfg.Budget.Deadline)
-	default:
-		out, utrunc, err = st.pathUnionBasic(ctx, paths, cfg.MaxPatternSize, cfg.Budget.Deadline)
-	}
+	out, utrunc, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, cfg.Budget.Deadline)
 	if err != nil {
 		return nil, false, err
 	}
@@ -242,8 +201,8 @@ func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg C
 	return st.paths(ctx, g, start, end, cfg)
 }
 
-// paths runs the configured path enumerator on the pooled state and
-// groups the result into explanations.
+// paths runs the path search the request calls for on the pooled state
+// and groups the result into explanations.
 func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
 	// Single chokepoint for the enumerate stage: every entry point
 	// (Explanations, Paths, and their budgeted forms) funnels path
@@ -260,19 +219,12 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 		truncated bool
 		err       error
 	)
-	switch cfg.PathAlg {
-	case PathBasic:
-		keys, err = pathEnumBasic(ctx, g, start, end, maxLen, st.out[:0])
-	case PathPrioritized:
-		// The request selects the route: only a budget that can stop
-		// the search has any use for the frontier's order.
-		if cfg.Budget.restricts() {
-			keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Budget)
-		} else {
-			keys, err = st.pathEnumExhaustive(ctx, g, start, end, maxLen)
-		}
-	default:
-		keys, err = pathEnumNaive(ctx, g, start, end, maxLen, st.out[:0])
+	// The request selects the route: only a budget that can stop the
+	// search has any use for the frontier's order.
+	if cfg.Budget.restricts() {
+		keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Budget)
+	} else {
+		keys, err = st.pathEnumExhaustive(ctx, g, start, end, maxLen)
 	}
 	if err != nil {
 		return nil, false, err

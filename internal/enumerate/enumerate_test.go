@@ -7,6 +7,7 @@ import (
 	"rex/internal/kb"
 	"rex/internal/kbgen"
 	"rex/internal/match"
+	"rex/internal/oracle"
 	"rex/internal/pattern"
 )
 
@@ -74,21 +75,47 @@ func diffSignatures(t *testing.T, name string, want, got map[string][]pattern.In
 	}
 }
 
+// oraclePathRoutes are the path enumerators the differentials compare:
+// the oracle's two strawmen, grouped by the oracle, and the served
+// search (the exhaustive join, as a plain request takes it).
+var oraclePathRoutes = []struct {
+	name  string
+	paths func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation
+}{
+	{"PathEnumNaive", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+		return oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxVars-1))
+	}},
+	{"PathEnumBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+		return oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxVars-1))
+	}},
+	{"served", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+		return Paths(g, start, end, Config{MaxPatternSize: maxVars})
+	}},
+}
+
 // TestFrameworkMatchesNaiveEnum is the central correctness test of the
 // enumeration subsystem: every path-enumeration × path-union combination
-// must produce exactly the explanations the brute-force NaiveEnum
-// baseline finds (same minimal patterns, same instance sets).
+// — each path route of oraclePathRoutes, combined by the oracle's
+// PathUnionBasic or the served PathUnionPrune — must produce exactly the
+// explanations the brute-force oracle.NaiveEnum baseline finds (same
+// minimal patterns, same instance sets).
 func TestFrameworkMatchesNaiveEnum(t *testing.T) {
 	g := kbgen.Sample()
+	unions := []struct {
+		name  string
+		union func(qpath []*pattern.Explanation, maxVars int) []*pattern.Explanation
+	}{
+		{"PathUnionBasic", oracle.PathUnionBasic},
+		{"PathUnionPrune", PathUnionPrune},
+	}
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		want := resultSignature(t, NaiveEnum(g, start, end, DefaultMaxPatternSize))
-		for _, pa := range []PathAlgorithm{PathNaive, PathBasic, PathPrioritized} {
-			for _, ua := range []UnionAlgorithm{UnionBasic, UnionPrune} {
-				cfg := Config{PathAlg: pa, UnionAlg: ua}
-				got := resultSignature(t, Explanations(g, start, end, cfg))
-				name := names[0] + "/" + names[1] + " " + pa.String() + "+" + ua.String()
-				diffSignatures(t, name, want, got)
+		want := resultSignature(t, oracle.NaiveEnum(g, start, end, DefaultMaxPatternSize))
+		for _, pr := range oraclePathRoutes {
+			for _, u := range unions {
+				paths := pr.paths(g, start, end, DefaultMaxPatternSize)
+				got := resultSignature(t, u.union(paths, DefaultMaxPatternSize))
+				diffSignatures(t, names[0]+"/"+names[1]+" "+pr.name+"+"+u.name, want, got)
 			}
 		}
 	}
@@ -101,7 +128,7 @@ func TestAllResultsMinimalWithInstances(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		for _, ex := range Explanations(g, start, end, Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}) {
+		for _, ex := range Explanations(g, start, end, Config{}) {
 			if !ex.P.Minimal() {
 				t.Errorf("%v: non-minimal pattern %v", names, ex.P)
 			}
@@ -118,14 +145,14 @@ func TestAllResultsMinimalWithInstances(t *testing.T) {
 	}
 }
 
-// TestInstancesMatchOracle verifies that instance sets propagated through
-// path joins equal what the independent subgraph matcher computes from
-// scratch.
+// TestInstancesMatchOracle verifies that the served pipeline's instance
+// sets, propagated through path joins, equal what the independent
+// subgraph matcher computes from scratch.
 func TestInstancesMatchOracle(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		for _, ex := range Explanations(g, start, end, Config{PathAlg: PathBasic, UnionAlg: UnionBasic}) {
+		for _, ex := range Explanations(g, start, end, Config{}) {
 			oracle := match.Find(g, ex.P, start, end, match.Options{})
 			if len(oracle) != len(ex.Instances) {
 				t.Errorf("%v: pattern %v: enumerated %d instances, matcher finds %d",
@@ -145,19 +172,22 @@ func TestInstancesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPathAlgorithmsAgree compares the path enumerators directly: naive
-// against basic, the exhaustive join, and the frontier reached by a
-// deadline and by an expansion budget.
+// TestPathAlgorithmsAgree compares the path enumerators directly: the
+// oracle's naive enumerator against its basic one and both served
+// routes — the exhaustive join, and the frontier reached by a deadline
+// and by an expansion budget.
 func TestPathAlgorithmsAgree(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		want := resultSignature(t, Paths(g, start, end, Config{PathAlg: PathNaive}))
+		maxLen := DefaultMaxPatternSize - 1
+		want := resultSignature(t, oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxLen)))
+		got := resultSignature(t, oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen)))
+		diffSignatures(t, names[0]+"/"+names[1]+" basic", want, got)
 		for name, cfg := range map[string]Config{
-			"basic":                  {PathAlg: PathBasic},
-			"exhaustive":             {PathAlg: PathPrioritized},
-			"frontier by deadline":   {PathAlg: PathPrioritized, Budget: neverExpires()},
-			"frontier by expansions": {PathAlg: PathPrioritized, Budget: neverTruncates},
+			"exhaustive":             {},
+			"frontier by deadline":   {Budget: neverExpires()},
+			"frontier by expansions": {Budget: neverTruncates},
 		} {
 			got := resultSignature(t, Paths(g, start, end, cfg))
 			diffSignatures(t, names[0]+"/"+names[1]+" "+name, want, got)
@@ -171,7 +201,7 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 func TestKnownExplanations(t *testing.T) {
 	g := kbgen.Sample()
 	start, end := samplePair(t, g, [2]string{"brad_pitt", "angelina_jolie"})
-	es := Explanations(g, start, end, Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune})
+	es := Explanations(g, start, end, Config{})
 
 	spouse := g.LabelByName(kbgen.RelSpouse)
 	starring := g.LabelByName(kbgen.RelStarring)
@@ -216,7 +246,7 @@ func TestKnownExplanations(t *testing.T) {
 func TestPathsAreSimple(t *testing.T) {
 	g := kbgen.Sample()
 	start, end := samplePair(t, g, [2]string{"brad_pitt", "tom_cruise"})
-	for _, ex := range Paths(g, start, end, Config{PathAlg: PathBasic}) {
+	for _, ex := range Paths(g, start, end, Config{}) {
 		if !ex.P.IsPath() {
 			t.Errorf("non-path pattern from Paths: %v", ex.P)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"rex/internal/kb"
 	"rex/internal/obs"
+	"rex/internal/oracle"
 )
 
 // joinKB builds a small random graph with the shapes the exhaustive
@@ -62,6 +63,21 @@ func sortedKeys(keys []pathKey) []pathKey {
 	return out
 }
 
+// oracleKeys packs the oracle's paths into the served search's keys, in
+// order and with every repeat.
+func oracleKeys(paths []oracle.Path) []pathKey {
+	keys := make([]pathKey, len(paths))
+	for i, p := range paths {
+		k := &keys[i]
+		k.n = int8(len(p.Nodes))
+		copy(k.nodes[:], p.Nodes)
+		for j, s := range p.Steps {
+			k.steps[j] = pathStepKey{label: s.Label, dir: s.Dir}
+		}
+	}
+	return keys
+}
+
 // assertIndexClean checks the invariant every exit of both routes owes
 // the pooled state: an all-zero index over its whole capacity.
 func assertIndexClean(t *testing.T, st *enumState, when string) {
@@ -77,18 +93,15 @@ func assertIndexClean(t *testing.T, st *enumState, when string) {
 }
 
 // checkRoutesAgree runs the exhaustive join and the frontier on st and
-// pathEnumNaive beside them and compares the raw key multisets; it also
-// holds the join to the work the caps allow — one expansion per
+// oracle.PathEnumNaive beside them and compares the raw key multisets; it
+// also holds the join to the work the caps allow — one expansion per
 // under-cap partial (the forward side's stop at end) and exactly the
-// backward partials that are simple and avoid start — which the keys
-// alone cannot show, because joinToKey rejects what a wider search adds.
+// backward partials that are simple and avoid start, as oracle.Partials
+// lists them — which the keys alone cannot show, because joinToKey
+// rejects what a wider search adds.
 func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.NodeID, maxLen int, when string) {
 	t.Helper()
-	naive, err := pathEnumNaive(context.Background(), g, start, end, maxLen, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sortedKeys(naive)
+	want := sortedKeys(oracleKeys(oracle.PathEnumNaive(g, start, end, maxLen)))
 
 	tr := obs.NewTrace()
 	got, err := st.pathEnumExhaustive(obs.NewContext(context.Background(), tr), g, start, end, maxLen)
@@ -99,17 +112,16 @@ func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.No
 		t.Fatalf("%s: exhaustive join found %d paths, naive %d, or different ones", when, len(got), len(want))
 	}
 	assertIndexClean(t, st, when+" after the join")
-	var check cancelCheck
-	fwd, _ := collectPartials(g, start, end, (maxLen+1)/2, forwardSide, &check)
-	bwd, _ := collectPartials(g, end, start, maxLen/2, backwardSide, &check)
+	fwd := oracle.Partials(g, start, end, (maxLen+1)/2, false)
+	bwd := oracle.Partials(g, end, start, maxLen/2, true)
 	expansions := 0
-	for i := range fwd {
-		if fwd[i].length() < (maxLen+1)/2 && fwd[i].last() != end {
+	for _, p := range fwd {
+		if p.Len() < (maxLen+1)/2 && p.Last() != end {
 			expansions++
 		}
 	}
-	for i := range bwd {
-		if bwd[i].length() < maxLen/2 {
+	for _, p := range bwd {
+		if p.Len() < maxLen/2 {
 			expansions++
 		}
 	}
@@ -133,7 +145,7 @@ func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.No
 }
 
 // TestExhaustiveMatchesFrontier is the differential test of the two
-// PathPrioritized routes against the naive enumerator.
+// served path routes against the oracle's naive enumerator.
 func TestExhaustiveMatchesFrontier(t *testing.T) {
 	t.Run("random graphs", testRoutesOnRandomGraphs)
 	t.Run("cancelled mid-join", testJoinCancelled)
@@ -200,15 +212,11 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// testJoinCancelled cancels the join on a complete graph of 24 nodes at
-// its first context poll — its 256th expansion, in the forward walk at
-// path length 5 (the backward side expands 23 partials) and in the
-// backward scan at length 6 (485) — and checks the contract:
-// context.Canceled and nil paths at that very poll, and an index left
-// clean, so the same pooled state answers the next query correctly.
-func testJoinCancelled(t *testing.T) {
+// completeKB builds the complete graph on n nodes under one undirected
+// label: the path searches between two of its nodes expand hundreds of
+// partials at path length 5 and up, so they reach their context polls.
+func completeKB(n int) *kb.Graph {
 	gb := kb.NewBuilder()
-	const n = 24
 	for i := 0; i < n; i++ {
 		gb.AddNode(string(rune('a'+i)), "t")
 	}
@@ -218,7 +226,17 @@ func testJoinCancelled(t *testing.T) {
 			gb.MustAddEdge(kb.NodeID(i), kb.NodeID(j), l)
 		}
 	}
-	g := gb.Build()
+	return gb.Build()
+}
+
+// testJoinCancelled cancels the join on a complete graph of 24 nodes at
+// its first context poll — its 256th expansion, in the forward walk at
+// path length 5 (the backward side expands 23 partials) and in the
+// backward scan at length 6 (485) — and checks the contract:
+// context.Canceled and nil paths at that very poll, and an index left
+// clean, so the same pooled state answers the next query correctly.
+func testJoinCancelled(t *testing.T) {
+	g := completeKB(24)
 	st := newEnumState()
 	for _, maxLen := range []int{5, 6} {
 		ctx := &pollCtx{Context: context.Background(), cancelAt: 1}

@@ -5,6 +5,7 @@ import (
 
 	"rex/internal/kb"
 	"rex/internal/kbgen"
+	"rex/internal/oracle"
 )
 
 // TestPatternSizeLimits verifies that the size limit n is respected and
@@ -56,7 +57,7 @@ func TestSizeTwoOnlyDirectEdges(t *testing.T) {
 }
 
 // TestDisconnectedPair: entities with no connection within the limit
-// produce no explanations under every algorithm.
+// produce no explanations, served or from the oracle's strawmen.
 func TestDisconnectedPair(t *testing.T) {
 	gb := kb.NewBuilder()
 	a := gb.AddNode("a", "t")
@@ -65,15 +66,16 @@ func TestDisconnectedPair(t *testing.T) {
 	l := gb.MustLabel("r", true)
 	gb.MustAddEdge(a, c, l) // b is isolated
 	g := gb.Build()
-	for _, pa := range []PathAlgorithm{PathNaive, PathBasic, PathPrioritized} {
-		for _, ua := range []UnionAlgorithm{UnionBasic, UnionPrune} {
-			if es := Explanations(g, a, b, Config{PathAlg: pa, UnionAlg: ua}); len(es) != 0 {
-				t.Errorf("%v+%v: %d explanations for a disconnected pair", pa, ua, len(es))
-			}
-		}
+	if es := Explanations(g, a, b, Config{}); len(es) != 0 {
+		t.Errorf("served: %d explanations for a disconnected pair", len(es))
 	}
-	if es := NaiveEnum(g, a, b, 5); len(es) != 0 {
+	if es := oracle.NaiveEnum(g, a, b, 5); len(es) != 0 {
 		t.Errorf("NaiveEnum: %d explanations for a disconnected pair", len(es))
+	}
+	for _, pr := range oraclePathRoutes {
+		if es := oracle.PathUnionBasic(pr.paths(g, a, b, 5), 5); len(es) != 0 {
+			t.Errorf("%s+PathUnionBasic: %d explanations for a disconnected pair", pr.name, len(es))
+		}
 	}
 }
 
@@ -132,12 +134,12 @@ func TestMinPRingStructure(t *testing.T) {
 	start := g.NodeByName("brad_pitt")
 	end := g.NodeByName("angelina_jolie")
 	paths := Paths(g, start, end, Config{})
-	all := PathUnionBasic(paths, 5)
+	all := PathUnionPrune(paths, 5)
 	if len(all) <= len(paths) {
 		t.Skip("pair has no non-path explanations at this size limit")
 	}
 	// Union with no paths is empty; union with paths contains them all.
-	if got := PathUnionBasic(nil, 5); len(got) != 0 {
+	if got := PathUnionPrune(nil, 5); len(got) != 0 {
 		t.Errorf("union of no paths produced %d explanations", len(got))
 	}
 	keyset := map[string]bool{}

@@ -9,14 +9,13 @@ import (
 	"rex/internal/pattern"
 )
 
-// Path enumeration at the instance level (Section 3.2). Every
-// algorithm returns exactly the set of simple paths between the targets
-// with length ≤ maxLen; they differ in how much of the graph they touch
-// and in what order, which is what Figure 7 measures. PathPrioritized
-// has one implementation per kind of request: the activation-ordered
-// frontier (pathEnumPrioritized) when a Budget can stop the search, the
-// streaming join (pathEnumExhaustive) when nothing can — an order only
-// matters to a search that can stop.
+// Path enumeration at the instance level (Section 3.2). The served
+// search has one implementation per kind of request: the
+// activation-ordered frontier (pathEnumPrioritized) when a Budget can
+// stop the search, the streaming join (pathEnumExhaustive) when nothing
+// can — an order only matters to a search that can stop. Both return
+// exactly the set of simple paths between the targets with length ≤
+// maxLen that the paper's strawmen (internal/oracle) list.
 //
 // Paths are represented as fixed-size values throughout — a partial path
 // is a small struct of inline arrays bounded by pattern.MaxVars, and a
@@ -25,7 +24,7 @@ import (
 // the amortised growth of the (pooled, reused) frontier and result
 // buffers.
 //
-// Every enumerator checks its context at a bounded interval — every
+// Both routes check their context at a bounded interval — every
 // ctxCheckInterval expansion steps, not per edge — so an expired deadline
 // aborts enumeration mid-flight at a cost that stays invisible on the
 // happy path.
@@ -88,64 +87,6 @@ func (p *partial) extend(he kb.HalfEdge) partial {
 	return np
 }
 
-// makePathKey packs a full start→end path into its comparable identity.
-func makePathKey(nodes []kb.NodeID, steps []kb.HalfEdge) pathKey {
-	var k pathKey
-	k.n = int8(len(nodes))
-	copy(k.nodes[:], nodes)
-	for i, s := range steps {
-		k.steps[i] = pathStepKey{label: s.Label, dir: s.Dir}
-	}
-	return k
-}
-
-// pathEnumNaive enumerates every length-limited simple path starting at
-// start by depth-first search and keeps the ones that end at end. This is
-// the strawman PathEnumNaive of Section 5.2: it explores the full
-// neighborhood of the start entity regardless of the end entity.
-func pathEnumNaive(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int, out []pathKey) ([]pathKey, error) {
-	if maxLen <= 0 || start == end {
-		return out, nil
-	}
-	cur := partial{n: 1}
-	cur.nodes[0] = start
-	onPath := make(map[kb.NodeID]bool, maxLen+1)
-	onPath[start] = true
-	check := cancelCheck{ctx: ctx}
-	var dfs func(at kb.NodeID) bool
-	dfs = func(at kb.NodeID) bool {
-		if check.step() != nil {
-			return false
-		}
-		for _, he := range g.Neighbors(at) {
-			if he.To == end {
-				full := cur.extend(he)
-				out = append(out, makePathKey(full.nodes[:full.n], full.steps[:full.n-1]))
-				continue
-			}
-			if onPath[he.To] || cur.length()+1 >= maxLen {
-				continue
-			}
-			onPath[he.To] = true
-			cur.nodes[cur.n] = he.To
-			cur.steps[cur.n-1] = he
-			cur.n++
-			ok := dfs(he.To)
-			cur.n--
-			onPath[he.To] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	dfs(start)
-	if check.err != nil {
-		return nil, check.err
-	}
-	return out, nil
-}
-
 // joinToKey stitches a forward partial path (from start) and a backward
 // partial path (from end) meeting at the same terminal node into a full
 // path key, or returns false when the two sides share an interior node.
@@ -189,53 +130,6 @@ func joinToKey(fwd, bwd *partial) (pathKey, bool) {
 // Joining only at the canonical split yields each full path exactly once.
 func canonicalSplit(a, b int) bool { return a == b || a == b+1 }
 
-// pathEnumBasic is the bidirectional enumeration adapted from BANKS
-// (Section 3.2): all simple partial paths of length ≤ ⌈l/2⌉ grow from the
-// start and ≤ ⌊l/2⌋ from the end, shorter first; opposite partial paths
-// ending at a common node join into full paths.
-func pathEnumBasic(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int, out []pathKey) ([]pathKey, error) {
-	if maxLen <= 0 || start == end {
-		return out, nil
-	}
-	capFwd := (maxLen + 1) / 2
-	capBwd := maxLen / 2
-
-	check := &cancelCheck{ctx: ctx}
-	fwd, err := collectPartials(g, start, end, capFwd, forwardSide, check)
-	if err != nil {
-		return nil, err
-	}
-	bwd, err := collectPartials(g, end, start, capBwd, backwardSide, check)
-	if err != nil {
-		return nil, err
-	}
-
-	byMeetBwd := make(map[kb.NodeID][]partial)
-	for _, p := range bwd {
-		byMeetBwd[p.last()] = append(byMeetBwd[p.last()], p)
-	}
-	for i := range fwd {
-		f := &fwd[i]
-		if err := check.step(); err != nil {
-			return nil, err
-		}
-		bs := byMeetBwd[f.last()]
-		for j := range bs {
-			b := &bs[j]
-			if !canonicalSplit(f.length(), b.length()) {
-				continue
-			}
-			if f.length()+b.length() == 0 {
-				continue
-			}
-			if k, ok := joinToKey(f, b); ok {
-				out = append(out, k)
-			}
-		}
-	}
-	return out, nil
-}
-
 // side distinguishes expansion rules for the two targets.
 type side int
 
@@ -244,44 +138,7 @@ const (
 	backwardSide side = 1 // grows from end; never touches start
 )
 
-// collectPartials breadth-first enumerates the simple partial paths of
-// length ≤ cap from origin. other is the opposite target: the forward
-// side records paths that reach it but never expands beyond; the backward
-// side skips it entirely (a path suffix never contains the start).
-func collectPartials(g *kb.Graph, origin, other kb.NodeID, cap int, s side, check *cancelCheck) ([]partial, error) {
-	seed := partial{n: 1}
-	seed.nodes[0] = origin
-	out := []partial{seed}
-	frontier := []partial{seed}
-	for depth := 0; depth < cap && len(frontier) > 0; depth++ {
-		var next []partial
-		for i := range frontier {
-			p := &frontier[i]
-			if err := check.step(); err != nil {
-				return nil, err
-			}
-			if p.last() == other {
-				continue // terminal: never expand beyond the opposite target
-			}
-			for _, he := range g.Neighbors(p.last()) {
-				if he.To == origin || p.contains(he.To) {
-					continue
-				}
-				if s == backwardSide && he.To == other {
-					continue
-				}
-				np := p.extend(he)
-				out = append(out, np)
-				next = append(next, np)
-			}
-		}
-		frontier = next
-	}
-	return out, nil
-}
-
-// pathEnumExhaustive answers the PathPrioritized request no budget can
-// stop. The caps are fixed at (⌈l/2⌉, ⌊l/2⌋) and paths join only at the
+// pathEnumExhaustive answers the request no budget can stop. The caps are fixed at (⌈l/2⌉, ⌊l/2⌋) and paths join only at the
 // canonical split, so an exhaustive search expands every under-cap
 // partial whatever the order; activation order decides which paths come
 // first, and groupPaths sorts them anyway. So there is no order: the
@@ -414,7 +271,7 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 	}
 
 	// The cancellation check steps once per popped entry — the same
-	// expansion-step granularity as the other enumerators.
+	// expansion-step granularity as the exhaustive join.
 	check := cancelCheck{ctx: ctx}
 	for st.pq.Len() > 0 {
 		if bud.MaxExpansions > 0 && expansions >= bud.MaxExpansions {

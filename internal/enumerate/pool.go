@@ -59,7 +59,7 @@ const retainedCap = 1 << 16
 // reference to any graph, context or returned explanation after a query
 // completes.
 type enumState struct {
-	// Dense terminal index of both PathPrioritized routes (path.go):
+	// Dense terminal index of both path routes (path.go):
 	// head[id] is 0 or 1 + an index into states (frontier) or bwd
 	// (exhaustive join). All-zero between queries — every exit resets
 	// the touched entries — and sized to the graph at every use, because

@@ -36,7 +36,7 @@ func TestOversizedCountsFrontierPartials(t *testing.T) {
 	}
 	g := gb.Build()
 
-	cfg := Config{MaxPatternSize: 7, PathAlg: PathPrioritized, Budget: neverTruncates}
+	cfg := Config{MaxPatternSize: 7, Budget: neverTruncates}
 	st := newEnumState()
 	paths, truncated, err := st.paths(context.Background(), g, start, end, cfg)
 	if err != nil || truncated || len(paths) != 1 {

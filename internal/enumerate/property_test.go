@@ -10,6 +10,7 @@ import (
 
 	"rex/internal/kb"
 	"rex/internal/match"
+	"rex/internal/oracle"
 	"rex/internal/pattern"
 )
 
@@ -38,16 +39,16 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	return g, 0, 1
 }
 
-// Plain PathPrioritized requests take the exhaustive join; these two
-// budgets reach the activation-ordered frontier the way a caller does,
-// without ever truncating it.
+// Plain requests take the exhaustive join; these two budgets reach the
+// activation-ordered frontier the way a caller does, without ever
+// truncating it.
 func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} }
 
 var neverTruncates = Budget{MaxExpansions: math.MaxInt}
 
 // TestQuickFrameworkEqualsNaiveOnRandomGraphs is the randomized
 // counterpart of TestFrameworkMatchesNaiveEnum: on arbitrary small
-// graphs, the path-union framework and the brute-force baseline must
+// graphs, the served pipeline and the brute-force oracle.NaiveEnum must
 // produce identical explanation sets (patterns and canonicalised
 // instance sets), with pattern size limit 4 to keep NaiveEnum tractable
 // inside a property test.
@@ -55,12 +56,8 @@ func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
 		const maxVars = 4
-		want := NaiveEnum(g, start, end, maxVars)
-		got := Explanations(g, start, end, Config{
-			MaxPatternSize: maxVars,
-			PathAlg:        PathPrioritized,
-			UnionAlg:       UnionPrune,
-		})
+		want := oracle.NaiveEnum(g, start, end, maxVars)
+		got := Explanations(g, start, end, Config{MaxPatternSize: maxVars})
 		if len(want) != len(got) {
 			return false
 		}
@@ -91,8 +88,8 @@ func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestQuickEnumerationInvariants property-checks the framework's output
-// invariants on random graphs at the full size limit: minimality,
+// TestQuickEnumerationInvariants property-checks the served pipeline's
+// output invariants on random graphs at the full size limit: minimality,
 // instance validity, and agreement of every instance set with the
 // independent matcher. This is by far the slowest test of the package
 // (tens of seconds at full count), so -short trims the iteration count.
@@ -103,9 +100,7 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
-		es := Explanations(g, start, end, Config{
-			PathAlg: PathBasic, UnionAlg: UnionBasic,
-		})
+		es := Explanations(g, start, end, Config{})
 		for _, ex := range es {
 			if !ex.P.Minimal() || len(ex.Instances) == 0 {
 				return false
@@ -124,28 +119,29 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that naive, basic,
-// the exhaustive join and the frontier — reached by a deadline and by an
-// expansion budget — produce identical path sets on random graphs.
+// TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that the oracle's
+// naive and basic enumerators and both served routes — the exhaustive
+// join and the frontier, reached by a deadline and by an expansion
+// budget — produce identical path sets on random graphs.
 func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
-		sig := func(cfg Config) map[string]int {
+		sig := func(es []*pattern.Explanation) map[string]int {
 			m := map[string]int{}
-			for _, ex := range Paths(g, start, end, cfg) {
+			for _, ex := range es {
 				m[ex.P.CanonicalKey()] = len(ex.Instances)
 			}
 			return m
 		}
-		a := sig(Config{PathAlg: PathNaive})
-		others := []Config{
-			{PathAlg: PathBasic},
-			{PathAlg: PathPrioritized},
-			{PathAlg: PathPrioritized, Budget: neverExpires()},
-			{PathAlg: PathPrioritized, Budget: neverTruncates},
+		maxLen := DefaultMaxPatternSize - 1
+		a := sig(oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxLen)))
+		others := []map[string]int{
+			sig(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen))),
+			sig(Paths(g, start, end, Config{})),
+			sig(Paths(g, start, end, Config{Budget: neverExpires()})),
+			sig(Paths(g, start, end, Config{Budget: neverTruncates})),
 		}
-		for _, cfg := range others {
-			b := sig(cfg)
+		for _, b := range others {
 			if len(a) != len(b) {
 				return false
 			}
@@ -162,27 +158,23 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestPathsContextCancelled checks cancellation propagates out of every
-// enumeration algorithm.
+// TestPathsContextCancelled checks cancellation propagates out of both
+// served routes: the exhaustive join, and the frontier reached by a
+// deadline and by an expansion budget. The graph is large enough for
+// every route to reach its first context poll, so each must report
+// context.Canceled and no paths.
 func TestPathsContextCancelled(t *testing.T) {
-	g, start, end := randomKB(1)
+	g := completeKB(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []PathAlgorithm{PathNaive, PathBasic, PathPrioritized} {
-		// The interval check may let tiny graphs finish before the first
-		// poll; the explicit batch-0 check in each algorithm makes a
-		// pre-cancelled context deterministic for prioritized, and the
-		// others tolerate either outcome on graphs this small only if
-		// enumeration is trivial — so only assert "no wrong error".
-		es, _, err := PathsBudgeted(ctx, g, start, end, Config{PathAlg: alg})
-		if err == nil {
-			continue // finished under the check interval: acceptable
-		}
-		if err != context.Canceled {
-			t.Errorf("%v: err = %v, want context.Canceled", alg, err)
-		}
-		if es != nil {
-			t.Errorf("%v: partial results returned alongside error", alg)
+	for name, cfg := range map[string]Config{
+		"exhaustive":             {MaxPatternSize: 7},
+		"frontier by deadline":   {MaxPatternSize: 7, Budget: neverExpires()},
+		"frontier by expansions": {MaxPatternSize: 7, Budget: neverTruncates},
+	} {
+		es, _, err := PathsBudgeted(ctx, g, 0, 1, cfg)
+		if err != context.Canceled || es != nil {
+			t.Errorf("%s: %d path explanations, err = %v; want none and context.Canceled", name, len(es), err)
 		}
 	}
 }

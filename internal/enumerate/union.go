@@ -16,7 +16,7 @@ import (
 // minimal pattern surfaces exactly once — at the ring equal to its
 // minimal covering cardinality minus one.
 //
-// Both algorithms drive the pattern.Merger, which takes each merge
+// The union drives the pattern.Merger, which takes each merge
 // candidate in order of cost: the mask of variable pairs with a shared
 // binding rules out empty candidates before they are enumerated, a
 // semi-join stops at the first merged instance, only a non-empty
@@ -47,66 +47,6 @@ func (m *mergeStage) end(explanations int) {
 	m.tr.AddMerges(m.merges)
 	m.tr.AddJoins(j.Run, j.Skipped)
 	m.tr.End(obs.StageMerge, m.t0, int64(explanations))
-}
-
-// PathUnionBasic is Algorithm 3: every explanation of the previous ring
-// merges with every path explanation.
-func PathUnionBasic(qpath []*pattern.Explanation, maxVars int) []*pattern.Explanation {
-	st := defaultPool.get()
-	defer defaultPool.put(st)
-	out, _, _ := st.pathUnionBasic(context.Background(), qpath, maxVars, time.Time{})
-	return out
-}
-
-// pathUnionBasic implements PathUnionBasic with cancellation, checked
-// once per merge pair, and an optional anytime deadline: on expiry the
-// explanations committed so far (each complete, with its instances) are
-// returned with truncated = true.
-func (st *enumState) pathUnionBasic(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
-	tr := obs.FromContext(ctx)
-	rec := beginMergeStage(tr, st.merger)
-	defer st.merger.Reset()
-	q := append([]*pattern.Explanation{}, qpath...)
-	seen := st.unionSeen
-	clear(seen)
-	for _, re := range qpath {
-		seen[re.P.Key()] = struct{}{}
-	}
-	check := cancelCheck{ctx: ctx}
-	clock := budgetClock{deadline: deadline}
-	decide := func(k pattern.Key) pattern.MergeAction {
-		if _, dup := seen[k]; dup {
-			return pattern.MergeSkip
-		}
-		return pattern.MergeTake
-	}
-	expand := qpath
-	for len(expand) > 0 {
-		var qnew []*pattern.Explanation
-		take := func(k pattern.Key, re *pattern.Explanation) {
-			seen[k] = struct{}{}
-			qnew = append(qnew, re)
-		}
-		for _, re1 := range expand {
-			for _, re2 := range qpath {
-				if err := check.step(); err != nil {
-					return nil, false, err
-				}
-				if clock.hit() {
-					q = append(q, qnew...)
-					tr.Truncated(obs.StageMerge, obs.TruncDeadline)
-					rec.end(len(q))
-					return q, true, nil
-				}
-				rec.merges++
-				st.merger.Merge(re1, re2, maxVars, decide, take)
-			}
-		}
-		q = append(q, qnew...)
-		expand = qnew
-	}
-	rec.end(len(q))
-	return q, false, nil
 }
 
 // PathUnionPrune is Algorithm 4: composition histories restrict which

@@ -32,15 +32,14 @@ func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
 }
 
 // BenchmarkPathEnum times path search and grouping alone on that pair
-// (52 path explanations), on warm pooled state, once per route of
-// PathPrioritized: exhaustive is the streaming join a plain request
-// takes, anytime the activation-ordered frontier under a deadline that
-// never expires.
+// (52 path explanations), on warm pooled state, once per path route:
+// exhaustive is the streaming join a plain request takes, anytime the
+// activation-ordered frontier under a deadline that never expires.
 func BenchmarkPathEnum(b *testing.B) {
 	g, s, e := benchPair(b)
 	for _, route := range []string{"exhaustive", "anytime"} {
 		b.Run(route, func(b *testing.B) {
-			cfg := Config{PathAlg: PathPrioritized, Pool: NewPool()}
+			cfg := Config{Pool: NewPool()}
 			if route == "anytime" {
 				cfg.Budget.Deadline = time.Now().Add(time.Hour)
 			}
@@ -71,7 +70,7 @@ func BenchmarkPathEnum(b *testing.B) {
 // counts of candidates joined and variable pairs its mask ruled out.
 func BenchmarkPathUnionPrune(b *testing.B) {
 	g, s, e := benchPair(b)
-	cfg := Config{PathAlg: PathPrioritized, UnionAlg: UnionPrune}.normalized()
+	cfg := Config{}.normalized()
 	paths := Paths(g, s, e, cfg)
 	st := newEnumState()
 	ctx := context.Background()

@@ -28,11 +28,7 @@ func (e *Env) Ablation() Table {
 		Title:   "Ablation: duplicate-check strategy and distribution engine (avg seconds per pair)",
 		Headers: []string{"study", "variant", "low", "medium", "high"},
 	}
-	cfg := enumerate.Config{
-		MaxPatternSize: e.Opt.MaxPatternSize,
-		PathAlg:        enumerate.PathPrioritized,
-		UnionAlg:       enumerate.UnionPrune,
-	}
+	cfg := enumerate.Config{MaxPatternSize: e.Opt.MaxPatternSize}
 
 	// Collect per-bucket explanation streams once.
 	type pairData struct {

@@ -6,42 +6,42 @@ import (
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
-	"rex/internal/kbgen"
 	"rex/internal/measure"
+	"rex/internal/oracle"
 	"rex/internal/pattern"
 	"rex/internal/rank"
 )
 
-// Combo is one algorithm combination of Figure 7.
+// Combo is one algorithm combination of Figure 7: its name in the paper
+// and how it enumerates a pair's explanations under a pattern size limit.
+// All but the last combine the paper's strawmen (internal/oracle); the
+// last is the served pipeline.
 type Combo struct {
-	Name  string
-	Naive bool // NaiveEnum instead of the path framework
-	Path  enumerate.PathAlgorithm
-	Union enumerate.UnionAlgorithm
+	Name string
+	Run  func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation
 }
+
+// NaiveRow names Figure 7's NaiveEnum row, which a quick run skips.
+const NaiveRow = "NaiveEnum"
 
 // Fig7Combos returns the five combinations compared in Figure 7, in the
 // paper's order.
 func Fig7Combos() []Combo {
 	return []Combo{
-		{Name: "NaiveEnum", Naive: true},
-		{Name: "PathEnumNaive+PathUnionBasic", Path: enumerate.PathNaive, Union: enumerate.UnionBasic},
-		{Name: "PathEnumBasic+PathUnionBasic", Path: enumerate.PathBasic, Union: enumerate.UnionBasic},
-		{Name: "PathEnumPrioritized+PathUnionBasic", Path: enumerate.PathPrioritized, Union: enumerate.UnionBasic},
-		{Name: "PathEnumPrioritized+PathUnionPrune", Path: enumerate.PathPrioritized, Union: enumerate.UnionPrune},
+		{NaiveRow, oracle.NaiveEnum},
+		{"PathEnumNaive+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+			return oracle.PathUnionBasic(oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxVars-1)), maxVars)
+		}},
+		{"PathEnumBasic+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+			return oracle.PathUnionBasic(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxVars-1)), maxVars)
+		}},
+		{"PathEnumPrioritized+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+			return oracle.PathUnionBasic(enumerate.Paths(g, start, end, enumerate.Config{MaxPatternSize: maxVars}), maxVars)
+		}},
+		{"PathEnumPrioritized+PathUnionPrune", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+			return enumerate.Explanations(g, start, end, enumerate.Config{MaxPatternSize: maxVars})
+		}},
 	}
-}
-
-// runCombo enumerates explanations for a pair with the given combination.
-func (e *Env) runCombo(c Combo, p kbgen.Pair) []*pattern.Explanation {
-	if c.Naive {
-		return enumerate.NaiveEnum(e.G, p.Start, p.End, e.Opt.MaxPatternSize)
-	}
-	return enumerate.Explanations(e.G, p.Start, p.End, enumerate.Config{
-		MaxPatternSize: e.Opt.MaxPatternSize,
-		PathAlg:        c.Path,
-		UnionAlg:       c.Union,
-	})
 }
 
 // Fig7 measures average explanation-enumeration time per algorithm
@@ -53,7 +53,7 @@ func (e *Env) Fig7(skipNaive bool) Table {
 		Headers: []string{"algorithm", "low", "medium", "high"},
 	}
 	for _, c := range Fig7Combos() {
-		if c.Naive && skipNaive {
+		if c.Name == NaiveRow && skipNaive {
 			continue
 		}
 		row := []string{c.Name}
@@ -66,7 +66,7 @@ func (e *Env) Fig7(skipNaive bool) Table {
 			total := 0.0
 			for _, p := range pairs {
 				p := p
-				total += Time(func() { e.runCombo(c, p) })
+				total += Time(func() { c.Run(e.G, p.Start, p.End, e.Opt.MaxPatternSize) })
 			}
 			row = append(row, Seconds(total/float64(len(pairs))))
 		}
@@ -82,7 +82,7 @@ func (e *Env) Fig8() Table {
 		Title:   "Figure 8: enumeration time vs number of explanation instances (best algorithms)",
 		Headers: []string{"pair", "bucket", "instances", "seconds"},
 	}
-	best := Combo{Path: enumerate.PathPrioritized, Union: enumerate.UnionPrune}
+	cfg := enumerate.Config{MaxPatternSize: e.Opt.MaxPatternSize}
 	type point struct {
 		name      string
 		bucket    string
@@ -93,7 +93,7 @@ func (e *Env) Fig8() Table {
 	for _, p := range e.Pairs {
 		p := p
 		var es []*pattern.Explanation
-		secs := Time(func() { es = e.runCombo(best, p) })
+		secs := Time(func() { es = enumerate.Explanations(e.G, p.Start, p.End, cfg) })
 		instances := 0
 		for _, ex := range es {
 			instances += len(ex.Instances)
@@ -137,11 +137,7 @@ func (e *Env) rankTimes(b kb.ConnBucket, k int) (full, pruned float64) {
 	if len(pairs) == 0 {
 		return 0, 0
 	}
-	cfg := enumerate.Config{
-		MaxPatternSize: e.Opt.MaxPatternSize,
-		PathAlg:        enumerate.PathPrioritized,
-		UnionAlg:       enumerate.UnionPrune,
-	}
+	cfg := enumerate.Config{MaxPatternSize: e.Opt.MaxPatternSize}
 	m := measure.Monocount{}
 	for _, p := range pairs {
 		p := p
@@ -185,11 +181,7 @@ func (e *Env) Fig11() Table {
 		Title:   "Figure 11: top-10 ranking cost with distributional measures (avg seconds per pair)",
 		Headers: []string{"group", "local", "local+prune", "global", "global+prune"},
 	}
-	cfg := enumerate.Config{
-		MaxPatternSize: e.Opt.MaxPatternSize,
-		PathAlg:        enumerate.PathPrioritized,
-		UnionAlg:       enumerate.UnionPrune,
-	}
+	cfg := enumerate.Config{MaxPatternSize: e.Opt.MaxPatternSize}
 	local := measure.LocalPosition{}
 	global := measure.GlobalPosition{}
 	for _, b := range Buckets() {

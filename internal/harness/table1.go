@@ -106,11 +106,7 @@ func buildStudy(opt StudyOptions) []*studyData {
 			}
 		}
 	}
-	cfg := enumerate.Config{
-		MaxPatternSize: enumerate.DefaultMaxPatternSize,
-		PathAlg:        enumerate.PathPrioritized,
-		UnionAlg:       enumerate.UnionPrune,
-	}
+	cfg := enumerate.Config{MaxPatternSize: enumerate.DefaultMaxPatternSize}
 	var out []*studyData
 	for _, p := range pairs {
 		all := enumerate.Explanations(g, p.Start, p.End, cfg)

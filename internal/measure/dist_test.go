@@ -202,9 +202,7 @@ func TestGlobalMeasuresEvaluateRepeatedStartsOnce(t *testing.T) {
 				}
 			}
 		}
-		es := enumerate.Explanations(g, s, e, enumerate.Config{
-			PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
-		})
+		es := enumerate.Explanations(g, s, e, enumerate.Config{})
 		if len(es) == 0 {
 			t.Fatalf("%s: no explanations for %s-%s", typ, g.NodeName(s), g.NodeName(e))
 		}

@@ -19,9 +19,7 @@ func sampleCtx(t *testing.T, start, end string) (*Context, []*pattern.Explanatio
 	if s == kb.InvalidNode || e == kb.InvalidNode {
 		t.Fatalf("missing entities %s/%s", start, end)
 	}
-	es := enumerate.Explanations(g, s, e, enumerate.Config{
-		PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
-	})
+	es := enumerate.Explanations(g, s, e, enumerate.Config{})
 	return &Context{G: g, Start: s, End: e}, es
 }
 

@@ -1,6 +1,8 @@
-package enumerate
+package oracle
 
 import (
+	"slices"
+
 	"rex/internal/kb"
 	"rex/internal/pattern"
 )
@@ -19,11 +21,9 @@ import (
 //
 // The seed is the two target variables with no edges (a single trivially
 // satisfied instance), which is equivalent to the paper's single-start-
-// node seed given that every instance pins both targets anyway.
+// node seed given that every instance pins both targets anyway. maxVars
+// bounds the pattern size in nodes.
 func NaiveEnum(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
-	if maxVars <= 0 {
-		maxVars = DefaultMaxPatternSize
-	}
 	seedP := pattern.MustNew(g, 2, nil)
 	seed := &pattern.Explanation{
 		P:         seedP,
@@ -99,7 +99,7 @@ func expandNaive(g *kb.Graph, re *pattern.Explanation, start, end kb.NodeID, max
 	}
 	for k := range closeCands {
 		newEdge := pattern.Edge{U: k.u, V: k.v, Label: k.label}
-		if hasEdge(p, newEdge, g) {
+		if hasEdge(p, newEdge) {
 			continue
 		}
 		np, err := pattern.New(g, n, append(append([]pattern.Edge{}, p.Edges()...), newEdge))
@@ -188,11 +188,6 @@ func expandNaive(g *kb.Graph, re *pattern.Explanation, start, end kb.NodeID, max
 // (same endpoints and label, orientation-insensitive for undirected
 // labels — New normalises those to U ≤ V, and e is pre-normalised by the
 // candidate construction).
-func hasEdge(p *pattern.Pattern, e pattern.Edge, sch pattern.Schema) bool {
-	for _, pe := range p.Edges() {
-		if pe == e {
-			return true
-		}
-	}
-	return false
+func hasEdge(p *pattern.Pattern, e pattern.Edge) bool {
+	return slices.Contains(p.Edges(), e)
 }

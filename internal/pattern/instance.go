@@ -87,8 +87,8 @@ func (e *Explanation) Monocount() int {
 }
 
 // Validate checks every instance against the pattern's edge constraints
-// and target conventions; it is used by tests and the NaiveEnum baseline
-// to assert correctness of instance propagation.
+// and target conventions; tests use it to assert correctness of
+// instance propagation.
 func (e *Explanation) Validate(g *kb.Graph, start, end kb.NodeID) error {
 	for idx, in := range e.Instances {
 		if len(in) != e.P.NumVars() {

@@ -207,7 +207,7 @@ func mergeDiff(t *testing.T, m *pattern.Merger, re1, re2 *pattern.Explanation, m
 	return nil
 }
 
-var unionCfg = enumerate.Config{PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune}
+var unionCfg = enumerate.Config{}
 
 // smallCorpus returns, per sampled pair of the kbgen small preset, every
 // minimal explanation and the path explanations among them — the two

@@ -3,7 +3,7 @@ package pattern
 // Structural properties of explanation patterns (Section 2.3 of the
 // paper): essentiality, decomposability, and their conjunction,
 // minimality. REX only enumerates minimal patterns; these predicates are
-// used by the NaiveEnum baseline (which must filter) and by tests that
+// used by the oracle.NaiveEnum baseline (which must filter) and by tests that
 // verify the path-union framework generates exactly the minimal set.
 
 // Essential reports whether every node and edge of the pattern lies on a

@@ -9,10 +9,7 @@ import (
 	"rex/internal/measure"
 )
 
-var rankCfg = enumerate.Config{
-	PathAlg:  enumerate.PathPrioritized,
-	UnionAlg: enumerate.UnionPrune,
-}
+var rankCfg = enumerate.Config{}
 
 func setup(t *testing.T, start, end string) (*kb.Graph, kb.NodeID, kb.NodeID, *measure.Context) {
 	t.Helper()

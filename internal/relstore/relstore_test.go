@@ -54,9 +54,7 @@ func TestGroupCountsMatchGraphMatcher(t *testing.T) {
 	for _, names := range pairs {
 		start := g.NodeByName(names[0])
 		end := g.NodeByName(names[1])
-		es := enumerate.Explanations(g, start, end, enumerate.Config{
-			PathAlg: enumerate.PathPrioritized, UnionAlg: enumerate.UnionPrune,
-		})
+		es := enumerate.Explanations(g, start, end, enumerate.Config{})
 		for _, ex := range es {
 			q := Compile(g, ex.P, start)
 			got := st.GroupCounts(q)

@@ -167,16 +167,16 @@ func (k *KB) Connectedness(start, end string, maxLen int) (int, error) {
 }
 
 // Options configures an Explainer. The zero value uses the paper's
-// experimental defaults: pattern size limit 5, prioritized path
-// enumeration, pruned path union, the size+local-dist combined measure
-// that won the paper's user study, top-10 results, and pruned ranking.
+// experimental defaults: pattern size limit 5, the size+local-dist
+// combined measure that won the paper's user study, and top-10 results.
+// Every explainer runs the same pipeline: bidirectional path
+// enumeration, the pruned path union (Algorithm 4), and the ranking
+// pruning the measure allows — the interleaved top-k search for an
+// anti-monotone measure, the "LIMIT p" cut-off (Section 5.3.2) for a
+// distributional one — whose answers equal unpruned ranking's.
 type Options struct {
 	// MaxPatternSize bounds explanation pattern size in nodes (paper: 5).
 	MaxPatternSize int
-	// PathAlgorithm is one of "naive", "basic", "prioritized".
-	PathAlgorithm string
-	// UnionAlgorithm is one of "basic", "prune".
-	UnionAlgorithm string
 	// Measure names the interestingness measure: size, random-walk,
 	// count, monocount, local-dist, global-dist, size+monocount,
 	// size+local-dist.
@@ -188,10 +188,6 @@ type Options struct {
 	GlobalSamples int
 	// Seed drives the deterministic sampling used by global-dist.
 	Seed int64
-	// DisablePruning forces the general enumerate-then-rank pipeline
-	// even when measure-specific pruning is available; used by the
-	// benchmarks to quantify pruning gains.
-	DisablePruning bool
 	// MaxInstancesPerExplanation truncates the instance lists included
 	// in results (0 keeps everything). Enumeration itself is unaffected.
 	MaxInstancesPerExplanation int
@@ -256,9 +252,7 @@ type Budget struct {
 	// MaxExpansions bounds the node expansions of the prioritized path
 	// search (0 = unlimited). Expansion-budgeted enumeration is
 	// deterministic: the result is a prefix-consistent subset of the
-	// unbudgeted explanation set, identical across runs. Requires
-	// PathAlgorithm "prioritized" (the default); the naive and basic
-	// strawmen ignore it.
+	// unbudgeted explanation set, identical across runs.
 	MaxExpansions int
 	// Timeout bounds the query's wall-clock time (0 = none), polled at
 	// bounded intervals in enumeration, union and ranking. Unlike a
@@ -293,12 +287,6 @@ func (o Options) normalized() Options {
 	if o.MaxPatternSize <= 0 {
 		o.MaxPatternSize = 5
 	}
-	if o.PathAlgorithm == "" {
-		o.PathAlgorithm = "prioritized"
-	}
-	if o.UnionAlgorithm == "" {
-		o.UnionAlgorithm = "prune"
-	}
 	if o.Measure == "" {
 		o.Measure = "size+local-dist"
 	}
@@ -326,25 +314,6 @@ type Explainer struct {
 // NewExplainer validates the options and builds an explainer.
 func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 	opt = opt.normalized()
-	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize}
-	switch opt.PathAlgorithm {
-	case "naive":
-		cfg.PathAlg = enumerate.PathNaive
-	case "basic":
-		cfg.PathAlg = enumerate.PathBasic
-	case "prioritized":
-		cfg.PathAlg = enumerate.PathPrioritized
-	default:
-		return nil, fmt.Errorf("rex: unknown path algorithm %q", opt.PathAlgorithm)
-	}
-	switch opt.UnionAlgorithm {
-	case "basic":
-		cfg.UnionAlg = enumerate.UnionBasic
-	case "prune":
-		cfg.UnionAlg = enumerate.UnionPrune
-	default:
-		return nil, fmt.Errorf("rex: unknown union algorithm %q", opt.UnionAlgorithm)
-	}
 	m, err := MeasureByName(opt.Measure)
 	if err != nil {
 		return nil, err
@@ -352,7 +321,7 @@ func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 	// One enumeration pool per explainer, and so per snapshot:
 	// steady-state queries reuse frontier and merge buffers, and a hot
 	// swap releases them with the old explainer.
-	cfg.Pool = enumerate.NewPool()
+	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize, Pool: enumerate.NewPool()}
 	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg}
 	if opt.CacheSize > 0 {
 		e.cache = newResultCache(opt.CacheSize)
@@ -611,9 +580,9 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 		err       error
 	)
 	switch {
-	case !e.opt.DisablePruning && e.m.AntiMonotonic():
+	case e.m.AntiMonotonic():
 		ranked, truncated, err = rank.TopKAntiMonotoneBudgeted(ctx, g, s, t, cfg, mctx, e.m, e.opt.TopK)
-	case !e.opt.DisablePruning && isLimited(e.m):
+	case isLimited(e.m):
 		var es []*pattern.Explanation
 		var etrunc, rtrunc bool
 		es, etrunc, err = enumerate.ExplanationsBudgeted(ctx, g, s, t, cfg)

@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rex/internal/enumerate"
+	"rex/internal/measure"
+	"rex/internal/rank"
 )
 
 func TestSampleKBStats(t *testing.T) {
@@ -105,15 +109,8 @@ func TestGenerateKBPublic(t *testing.T) {
 
 func TestNewExplainerValidation(t *testing.T) {
 	kb := SampleKB()
-	cases := []Options{
-		{PathAlgorithm: "bogus"},
-		{UnionAlgorithm: "bogus"},
-		{Measure: "bogus"},
-	}
-	for i, opt := range cases {
-		if _, err := NewExplainer(kb, opt); err == nil {
-			t.Errorf("case %d: invalid options accepted", i)
-		}
+	if _, err := NewExplainer(kb, Options{Measure: "bogus"}); err == nil {
+		t.Error("unknown measure accepted")
 	}
 	if _, err := NewExplainer(kb, Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
@@ -196,10 +193,15 @@ func TestExplainBasics(t *testing.T) {
 	}
 }
 
-// TestExplainPruningEquivalence checks that pruned and unpruned ranking
-// return the same explanations for every measure on a real pair.
+// TestExplainPruningEquivalence checks that the explainer's pruned
+// ranking returns the same explanations as unpruned ranking —
+// rank.General over the full enumeration — for every measure on a real
+// pair.
 func TestExplainPruningEquivalence(t *testing.T) {
 	kb := SampleKB()
+	g := kb.g
+	s, e := g.NodeByName("kate_winslet"), g.NodeByName("leonardo_dicaprio")
+	all := enumerate.Explanations(g, s, e, enumerate.Config{})
 	for _, name := range MeasureNames() {
 		if name == "global-dist" {
 			continue // exercised separately; slow with 100 samples
@@ -208,26 +210,26 @@ func TestExplainPruningEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := NewExplainer(kb, Options{Measure: name, TopK: 5, DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		a, err := pruned.Explain("kate_winslet", "leonardo_dicaprio")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := full.Explain("kate_winslet", "leonardo_dicaprio")
+		m, err := MeasureByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Explanations) != len(b.Explanations) {
-			t.Errorf("%s: pruned %d vs full %d", name, len(a.Explanations), len(b.Explanations))
+		mctx := &measure.Context{G: g, Start: s, End: e}
+		if needsGlobalSamples(m) {
+			mctx.SampleStarts = measure.SampleStartsOfType(g, g.Node(s).Type, 100, 0) // the Options defaults
+		}
+		b := rank.General(mctx, all, m, 5)
+		if len(a.Explanations) != len(b) {
+			t.Errorf("%s: pruned %d vs full %d", name, len(a.Explanations), len(b))
 			continue
 		}
 		for i := range a.Explanations {
-			if a.Explanations[i].Pattern != b.Explanations[i].Pattern {
-				t.Errorf("%s: rank %d differs: %s vs %s",
-					name, i, a.Explanations[i].Pattern, b.Explanations[i].Pattern)
+			if want := b[i].Ex.P.String(); a.Explanations[i].Pattern != want {
+				t.Errorf("%s: rank %d differs: %s vs %s", name, i, a.Explanations[i].Pattern, want)
 				break
 			}
 		}

@@ -40,11 +40,7 @@ func TestTracingOffAllocBudgets(t *testing.T) {
 		g := kbgen.Sample()
 		s := g.NodeByName("brad_pitt")
 		e := g.NodeByName("angelina_jolie")
-		es := enumerate.Explanations(g, s, e, enumerate.Config{
-			MaxPatternSize: 5,
-			PathAlg:        enumerate.PathPrioritized,
-			UnionAlg:       enumerate.UnionPrune,
-		})
+		es := enumerate.Explanations(g, s, e, enumerate.Config{MaxPatternSize: 5})
 		p := es[len(es)-1].P
 		ctx := context.Background()
 		if _, err := match.CountContext(ctx, g, p, s, e); err != nil {
