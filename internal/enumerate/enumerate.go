@@ -178,6 +178,13 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 		return nil, false, err
 	}
 	sortExplanations(out)
+	if tr := obs.FromContext(ctx); tr != nil {
+		n := 0
+		for _, ex := range out {
+			n += ex.Count()
+		}
+		tr.AddInstances(int64(n))
+	}
 	return out, truncated || utrunc, nil
 }
 

@@ -94,6 +94,15 @@ func (c *EndCounter) Settle(debt []uint32) {
 // Exceeded is the position so far: ends whose count strictly exceeds a.
 func (c *EndCounter) Exceeded() int { return c.exceeded }
 
+// Total is Σ count[e] over every end: the instances counted so far.
+func (c *EndCounter) Total() int64 {
+	var n int64
+	for _, id := range c.touched {
+		n += int64(c.n[id])
+	}
+	return n
+}
+
 // Pruned reports whether the position provably exceeds the limit.
 func (c *EndCounter) Pruned() bool { return c.limit >= 0 && c.exceeded > c.limit }
 

@@ -90,7 +90,8 @@ func localTable(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.
 // countEnds is the one local-distribution kernel: it adds up in c the
 // instances of p from start per end and stops as soon as c reports the
 // position pruned. No instance set and no table is ever built — the only
-// state is dense counters.
+// state is dense counters. A traced count that runs to completion adds
+// its total to the trace.
 //
 // Path patterns (the bulk of every explanation set) are aggregated, not
 // enumerated: for a simple-path pattern the injective walks from the
@@ -100,20 +101,25 @@ func localTable(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.
 // level one walk at a time. Everything else goes through the pooled
 // backtracking matcher.
 func countEnds(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.NodeID, c *match.EndCounter) error {
-	steps, isPath := p.PathSteps()
-	if !isPath {
-		return match.CountByEndDense(cctx, g, p, start, c)
+	tr := obs.FromContext(cctx)
+	var err error
+	if steps, isPath := p.PathSteps(); isPath {
+		w := pathWalkPool.Get().(*pathWalk)
+		w.ctx, w.g, w.steps = cctx, g, steps
+		w.mult, w.debt = dense(w.mult, g.NumNodes()), dense(w.debt, g.NumNodes())
+		w.nodes[0] = start
+		if w.prefixes(0) {
+			w.scatter(c)
+		}
+		err = w.err
+		tr.AddWalkSteps(int64(w.work))
+		w.release()
+	} else {
+		err = match.CountByEndDense(cctx, g, p, start, c)
 	}
-	w := pathWalkPool.Get().(*pathWalk)
-	w.ctx, w.g, w.steps = cctx, g, steps
-	w.mult, w.debt = dense(w.mult, g.NumNodes()), dense(w.debt, g.NumNodes())
-	w.nodes[0] = start
-	if w.prefixes(0) {
-		w.scatter(c)
+	if tr != nil && err == nil && !c.Pruned() {
+		tr.AddCounted(c.Total())
 	}
-	err := w.err
-	obs.FromContext(cctx).AddWalkSteps(int64(w.work))
-	w.release()
 	return err
 }
 

@@ -89,6 +89,8 @@ type Trace struct {
 	joinsSkip  atomic.Int64
 	bindings   atomic.Int64
 	walkSteps  atomic.Int64
+	instances  atomic.Int64
+	counted    atomic.Int64
 
 	flags atomic.Uint32
 	// trunc packs the first budget-truncation event as
@@ -205,6 +207,25 @@ func (t *Trace) AddWalkSteps(n int64) {
 	t.walkSteps.Add(n)
 }
 
+// AddInstances adds instances of an enumerated explanation set: the
+// whole set, before ranking keeps its top-k.
+func (t *Trace) AddInstances(n int64) {
+	if t == nil {
+		return
+	}
+	t.instances.Add(n)
+}
+
+// AddCounted adds instances a local-distribution count found: Σ count[e]
+// of one count that ran to completion, neither LIMIT-pruned nor
+// cancelled.
+func (t *Trace) AddCounted(n int64) {
+	if t == nil {
+		return
+	}
+	t.counted.Add(n)
+}
+
 // MarkCacheHit flags the query as served from the result cache.
 func (t *Trace) MarkCacheHit() {
 	if t == nil {
@@ -280,6 +301,8 @@ type Report struct {
 	JoinsSkipped     int64         `json:"joins_skipped,omitempty"`
 	Bindings         int64         `json:"bindings,omitempty"`
 	WalkSteps        int64         `json:"walk_steps,omitempty"`
+	Instances        int64         `json:"instances,omitempty"`
+	Counted          int64         `json:"counted,omitempty"`
 	MemoHits         int64         `json:"memo_hits,omitempty"`
 	MemoMisses       int64         `json:"memo_misses,omitempty"`
 	WalkCacheHits    int64         `json:"walk_cache_hits,omitempty"`
@@ -300,6 +323,8 @@ func (t *Trace) Report() *Report {
 		JoinsSkipped: t.joinsSkip.Load(),
 		Bindings:     t.bindings.Load(),
 		WalkSteps:    t.walkSteps.Load(),
+		Instances:    t.instances.Load(),
+		Counted:      t.counted.Load(),
 	}
 	fl := t.flags.Load()
 	rep.CacheHit = fl&flagCacheHit != 0

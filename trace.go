@@ -16,7 +16,10 @@ import (
 // the work the local-distribution kernel did as counts (Bindings:
 // candidates the matcher examined — bindings tried, and the nodes a
 // counting run's leaf scans looked at; WalkSteps: half-edges the path
-// route visited, prefix plus scatter), and budget
+// route visited, prefix plus scatter; Counted: the instances counted by
+// local-distribution counts that ran to completion), the instances of
+// the whole enumerated explanation set before ranking (Instances; 0 for
+// an anti-monotone measure, whose ranker merges as it goes), and budget
 // attribution naming the stage that exhausted MaxExpansions or Timeout
 // ("enumerate:expansions", "rank:deadline", ...). MemoHits, MemoMisses,
 // WalkCacheHits and WalkCacheMisses always read 0: the measures keep no

@@ -63,6 +63,8 @@ func digestWork(p Pair, res *Result) workDigest {
 	d.Counts["joins_skipped"] = tr.JoinsSkipped
 	d.Counts["bindings"] = tr.Bindings
 	d.Counts["walk_steps"] = tr.WalkSteps
+	d.Counts["instances"] = tr.Instances
+	d.Counts["counted"] = tr.Counted
 	for _, s := range tr.Stages {
 		d.Counts[s.Stage+".calls"] = s.Calls
 		d.Counts[s.Stage+".items"] = s.Items
@@ -73,8 +75,8 @@ func digestWork(p Pair, res *Result) workDigest {
 // TestWorkGoldens pins, per pair of the benchmark's pair set, what every
 // uncached query answers and how much work it does: the answers must
 // never change, and a change to any work count (expansions, merges,
-// joins, joins proven empty, bindings, walk steps, per-stage calls and
-// items) is deliberate, regenerated with -update and declared. medium
+// joins, joins proven empty, bindings, walk steps, enumerated and
+// counted instances, per-stage calls and items) is deliberate, regenerated with -update and declared. medium
 // always runs; million runs with -work-million. Each pair's uncached
 // time is logged, never gated.
 func TestWorkGoldens(t *testing.T) {
