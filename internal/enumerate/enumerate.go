@@ -150,7 +150,8 @@ func (cfg Config) normalized() Config {
 // Explanations runs the general enumeration framework (Algorithm 2):
 // enumerate path explanations with length limit MaxPatternSize-1, then
 // combine them into all minimal explanations of bounded size. The result
-// is sorted deterministically by (pattern size, canonical key).
+// is sorted deterministically by (pattern size, edge count, canonical
+// key). Each explanation's instances are distinct, in no specified order.
 func Explanations(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
 	out, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, cfg)
 	return out
@@ -190,7 +191,8 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 
 // Paths enumerates all simple-path explanations between the targets with
 // path length up to MaxPatternSize-1 (Section 3.2), grouped into
-// explanations (pattern + instance set) and deterministically sorted.
+// explanations (pattern + instance set) and sorted as Explanations sorts
+// them. Each explanation's instances are distinct, in no specified order.
 func Paths(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
 	out, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
 	return out
@@ -399,35 +401,11 @@ func (st *enumState) pathOf(k *pathKey) ([]kb.NodeID, []kb.HalfEdge) {
 	return nodes, steps
 }
 
-// dedupInstances sorts an explanation's instances by key and removes
-// adjacent duplicates in place — no map, no comparator allocation.
-func dedupInstances(ex *pattern.Explanation) {
-	slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int {
-		ka, kb := a.Key(), b.Key()
-		if ka.Less(kb) {
-			return -1
-		}
-		if kb.Less(ka) {
-			return 1
-		}
-		return 0
-	})
-	out := ex.Instances[:0]
-	for i, in := range ex.Instances {
-		if i > 0 && in.Key() == ex.Instances[i-1].Key() {
-			continue
-		}
-		out = append(out, in)
-	}
-	ex.Instances = out
-}
-
 // sortExplanations orders explanations by (pattern size, edge count,
-// canonical key) for reproducible output, and sorts each instance list.
+// canonical key) for reproducible output. It leaves each instance list
+// as it is: only the facade renders instances, and it orders the ones it
+// renders.
 func sortExplanations(es []*pattern.Explanation) {
-	for _, ex := range es {
-		dedupInstances(ex)
-	}
 	slices.SortFunc(es, func(a, b *pattern.Explanation) int {
 		pa, pb := a.P, b.P
 		if pa.NumVars() != pb.NumVars() {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -396,7 +397,8 @@ type Explanation struct {
 	// Score is the measure's lexicographic score (greater = more
 	// interesting).
 	Score []float64
-	// Instances lists (possibly truncated) concrete instances.
+	// Instances lists concrete instances in instance-key order (node IDs
+	// per variable), truncated to Options.MaxInstancesPerExplanation.
 	Instances []Instance
 	// Decorations lists rendered non-essential context facts when
 	// Options.Decorate is set ("v2 --directed_by--> doug_liman").
@@ -670,6 +672,20 @@ func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
 	if sql {
 		out.SQL = relstore.SQL(g, ex.P, ex.Count(), -1)
 	}
+	// Enumeration leaves instance order unspecified; a rendered answer
+	// lists them in key order, so only the TopK lists a query renders are
+	// ever sorted. Sorting in place is safe: a query's explanations are
+	// private to it, and the cache holds rendered results.
+	slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int {
+		x, y := a.Key(), b.Key()
+		switch {
+		case x.Less(y):
+			return -1
+		case y.Less(x):
+			return 1
+		}
+		return 0
+	})
 	if len(ex.Instances) > 0 {
 		out.Description = ex.P.Describe(g, ex.Instances[0])
 	} else {
