@@ -287,8 +287,12 @@ type Report struct {
 	// RequestID ties this trace to the HTTP request (and, behind a
 	// router, the hedged attempt) that ran the query. Stamped by the
 	// serving layer, not the engine.
-	RequestID        string        `json:"request_id,omitempty"`
-	TotalMS          float64       `json:"total_ms"`
+	RequestID string  `json:"request_id,omitempty"`
+	TotalMS   float64 `json:"total_ms"`
+	// UnattributedMS is TotalMS minus the top-level stages (enumerate,
+	// merge, measure, rank; match nests in measure): the facade's own
+	// time, resolving the pair, the cache and rendering.
+	UnattributedMS   float64       `json:"unattributed_ms"`
 	BudgetMS         int64         `json:"budget_ms,omitempty"`
 	BudgetExpansions int           `json:"budget_expansions,omitempty"`
 	CacheHit         bool          `json:"cache_hit,omitempty"`

@@ -21,7 +21,8 @@ import (
 // the whole enumerated explanation set before ranking (Instances; 0 for
 // an anti-monotone measure, whose ranker merges as it goes), and budget
 // attribution naming the stage that exhausted MaxExpansions or Timeout
-// ("enumerate:expansions", "rank:deadline", ...). MemoHits, MemoMisses,
+// ("enumerate:expansions", "rank:deadline", ...). UnattributedMS is the
+// part of TotalMS that no top-level stage holds. MemoHits, MemoMisses,
 // WalkCacheHits and WalkCacheMisses always read 0: the measures keep no
 // memo and no walk cache. Deduped always reads false: a query that
 // misses the cache computes, and none joins another's computation.
@@ -54,6 +55,7 @@ func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, b Budget) *Result {
 	}
 	rep := tr.Report()
 	rep.TotalMS = float64(time.Since(t0)) / 1e6
+	rep.UnattributedMS = rep.TotalMS - float64(tr.InnerNs()+tr.StageNs(obs.StageRank))/1e6
 	rep.BudgetMS = int64(b.Timeout / time.Millisecond)
 	rep.BudgetExpansions = b.MaxExpansions
 	cp := *res
