@@ -7,7 +7,9 @@ package pattern_test
 // through what every caller sees: Merge's callbacks and JoinStats.
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -214,19 +216,27 @@ var unionCfg = enumerate.Config{}
 // sides of every merge the union stage performs.
 func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 	t.Helper()
+	g, pairs := smallPairs(t)
+	for _, p := range pairs {
+		all = append(all, enumerate.Explanations(g, p.Start, p.End, unionCfg))
+		paths = append(paths, enumerate.Paths(g, p.Start, p.End, unionCfg))
+	}
+	return all, paths
+}
+
+// smallPairs returns the kbgen small preset and smallCorpus's pairs.
+func smallPairs(t *testing.T) (*kb.Graph, []kbgen.Pair) {
+	t.Helper()
 	opt, err := kbgen.PresetOptions("small", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := kbgen.Generate(opt)
-	for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 4, Seed: 7}) {
-		all = append(all, enumerate.Explanations(g, p.Start, p.End, unionCfg))
-		paths = append(paths, enumerate.Paths(g, p.Start, p.End, unionCfg))
-	}
-	if len(all) == 0 {
+	pairs := kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 4, Seed: 7})
+	if len(pairs) == 0 {
 		t.Fatal("no pairs sampled from the small preset")
 	}
-	return all, paths
+	return g, pairs
 }
 
 // fanGraph is the hand-built case for wide variables: start and end
@@ -444,24 +454,57 @@ func TestMergeSharedExplanations(t *testing.T) {
 }
 
 // TestMergedInstancesNeverDuplicate pins what the join's seen-set used
-// to guard: a merged instance carries both of its inputs whole, so
-// duplicate-free inputs cannot produce one twice.
+// to guard, and what lets enumeration return instance lists without a
+// de-duplicating pass: a merged instance carries both of its inputs
+// whole, so duplicate-free inputs cannot produce one twice, and every
+// list enumeration returns — the path explanations of the exhaustive
+// join and of the budgeted frontier, and the unions over each — holds
+// each instance once.
 func TestMergedInstancesNeverDuplicate(t *testing.T) {
-	check := func(re1, re2 *pattern.Explanation) {
-		for _, ex := range pattern.Merge(re1, re2, 5) {
-			seen := make(map[pattern.InstanceKey]struct{}, len(ex.Instances))
-			for _, in := range ex.Instances {
-				if _, dup := seen[in.Key()]; dup {
-					t.Fatalf("%v ∪ %v → %v holds instance %v twice", re1.P, re2.P, ex.P, in)
-				}
-				seen[in.Key()] = struct{}{}
+	distinct := func(what string, ex *pattern.Explanation) {
+		t.Helper()
+		seen := make(map[pattern.InstanceKey]struct{}, len(ex.Instances))
+		for _, in := range ex.Instances {
+			if _, dup := seen[in.Key()]; dup {
+				t.Fatalf("%s %v holds instance %v twice", what, ex.P, in)
 			}
+			seen[in.Key()] = struct{}{}
 		}
 	}
-	all, paths := smallCorpus(t)
-	for i := range all {
-		for _, re1 := range all[i] {
-			for _, re2 := range paths[i] {
+	check := func(re1, re2 *pattern.Explanation) {
+		t.Helper()
+		for _, ex := range pattern.Merge(re1, re2, 5) {
+			distinct(fmt.Sprintf("%v ∪ %v →", re1.P, re2.P), ex)
+		}
+	}
+	g, pairs := smallPairs(t)
+	frontier := unionCfg
+	frontier.Budget.MaxExpansions = math.MaxInt // the frontier route, never truncated
+	ctx := context.Background()
+	for _, p := range pairs {
+		all := enumerate.Explanations(g, p.Start, p.End, unionCfg)
+		paths := enumerate.Paths(g, p.Start, p.End, unionCfg)
+		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, frontier)
+		if err != nil || ptrunc {
+			t.Fatalf("frontier paths: truncated=%v err=%v", ptrunc, err)
+		}
+		fall, etrunc, err := enumerate.ExplanationsBudgeted(ctx, g, p.Start, p.End, frontier)
+		if err != nil || etrunc {
+			t.Fatalf("frontier explanations: truncated=%v err=%v", etrunc, err)
+		}
+		if len(fpaths) != len(paths) || len(fall) != len(all) {
+			t.Fatalf("frontier: %d paths and %d explanations, join: %d and %d", len(fpaths), len(fall), len(paths), len(all))
+		}
+		for _, list := range []struct {
+			what string
+			es   []*pattern.Explanation
+		}{{"join path", paths}, {"frontier path", fpaths}, {"join union", all}, {"frontier union", fall}} {
+			for _, ex := range list.es {
+				distinct(list.what, ex)
+			}
+		}
+		for _, re1 := range all {
+			for _, re2 := range paths {
 				check(re1, re2)
 			}
 		}
