@@ -36,7 +36,7 @@ func samplePair(t *testing.T, g *kb.Graph, names [2]string) (kb.NodeID, kb.NodeI
 
 // resultSignature flattens an explanation list into a canonical
 // comparable form: pattern canonical key → sorted instance keys.
-func resultSignature(t *testing.T, es []*pattern.Explanation) map[string][]pattern.InstanceKey {
+func resultSignature(t testing.TB, es []*pattern.Explanation) map[string][]pattern.InstanceKey {
 	t.Helper()
 	sig := make(map[string][]pattern.InstanceKey, len(es))
 	for _, ex := range es {
@@ -49,7 +49,7 @@ func resultSignature(t *testing.T, es []*pattern.Explanation) map[string][]patte
 	return sig
 }
 
-func diffSignatures(t *testing.T, name string, want, got map[string][]pattern.InstanceKey) {
+func diffSignatures(t testing.TB, name string, want, got map[string][]pattern.InstanceKey) {
 	t.Helper()
 	for k, wi := range want {
 		gi, ok := got[k]

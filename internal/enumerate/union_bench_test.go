@@ -2,13 +2,18 @@ package enumerate
 
 import (
 	"context"
+	"flag"
 	"sync"
 	"testing"
 	"time"
 
 	"rex/internal/kb"
 	"rex/internal/kbgen"
+	"rex/internal/oracle"
+	"rex/internal/pattern"
 )
+
+var unionMillion = flag.Bool("union-million", false, "also run BenchmarkPathUnionPruneVsBasic on the million preset (≈ 5 s to generate and sample)")
 
 // benchGraph is the benchmark's KB (kbgen medium, seed 42), generated
 // once per process.
@@ -94,4 +99,57 @@ func BenchmarkPathUnionPrune(b *testing.B) {
 	b.ReportMetric(float64(j.Run)/float64(b.N), "joins/op")
 	b.ReportMetric(float64(j.Skipped)/float64(b.N), "skipped/op")
 	b.ReportMetric(float64(want), "explanations")
+}
+
+// BenchmarkPathUnionPruneVsBasic times the served union (Algorithm 4,
+// PathUnionPrune) against the paper's Algorithm 3 (oracle.PathUnionBasic)
+// on the same path explanations: those of the benchmark's 33 pairs (11
+// per connectedness bucket at pair seed 43, as the work goldens draw
+// them). One op is one pass over every pair; slowest-ms is the slowest
+// pair's share of it. Before timing, both unions must give the same
+// explanation set, by canonical pattern key and canonical instance keys.
+// medium always runs; million runs with -union-million.
+func BenchmarkPathUnionPruneVsBasic(b *testing.B) {
+	presets := []string{"medium"}
+	if *unionMillion {
+		presets = append(presets, "million")
+	}
+	cfg := Config{}.normalized()
+	for _, preset := range presets {
+		g := benchGraph()
+		if preset != "medium" {
+			opt, err := kbgen.PresetOptions(preset, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g = kbgen.Generate(opt)
+		}
+		var paths [][]*pattern.Explanation
+		for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43}) {
+			paths = append(paths, Paths(g, p.Start, p.End, cfg))
+		}
+		for _, qpath := range paths {
+			served := PathUnionPrune(qpath, cfg.MaxPatternSize)
+			basic := oracle.PathUnionBasic(qpath, cfg.MaxPatternSize)
+			diffSignatures(b, preset, resultSignature(b, basic), resultSignature(b, served))
+		}
+		for _, union := range []struct {
+			name string
+			run  func([]*pattern.Explanation, int) []*pattern.Explanation
+		}{{"prune", PathUnionPrune}, {"basic", oracle.PathUnionBasic}} {
+			b.Run(preset+"/"+union.name, func(b *testing.B) {
+				var slowest time.Duration
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, qpath := range paths {
+						t0 := time.Now()
+						union.run(qpath, cfg.MaxPatternSize)
+						slowest = max(slowest, time.Since(t0))
+					}
+				}
+				b.ReportMetric(float64(slowest)/1e6, "slowest-ms")
+				b.ReportMetric(float64(len(paths)), "pairs")
+			})
+		}
+	}
 }
