@@ -184,7 +184,7 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 		for _, ex := range out {
 			n += ex.Count()
 		}
-		tr.AddInstances(int64(n))
+		tr.Add(obs.Instances, int64(n))
 	}
 	return out, truncated || utrunc, nil
 }

@@ -181,7 +181,7 @@ func (st *enumState) pathEnumExhaustive(ctx context.Context, g *kb.Graph, start,
 	if err := st.joinForward(g, end, (maxLen+1)/2, &check); err != nil {
 		return nil, err
 	}
-	obs.FromContext(ctx).AddExpansions(int64(check.n))
+	obs.FromContext(ctx).Add(obs.Expansions, int64(check.n))
 	return st.out, nil
 }
 
@@ -327,7 +327,7 @@ func (st *enumState) pathEnumPrioritized(ctx context.Context, g *kb.Graph, start
 			st.pq.push(actEntry{node: he.To, s: e.s, act: ns.act[e.s]})
 		}
 	}
-	tr.AddExpansions(int64(expansions))
+	tr.Add(obs.Expansions, int64(expansions))
 	return st.out, truncated, nil
 }
 

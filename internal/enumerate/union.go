@@ -44,8 +44,9 @@ func beginMergeStage(tr *obs.Trace, merger *pattern.Merger) mergeStage {
 
 func (m *mergeStage) end(explanations int) {
 	j := m.merger.JoinStats().Sub(m.joins0)
-	m.tr.AddMerges(m.merges)
-	m.tr.AddJoins(j.Run, j.Skipped)
+	m.tr.Add(obs.Merges, m.merges)
+	m.tr.Add(obs.Joins, j.Run)
+	m.tr.Add(obs.JoinsSkipped, j.Skipped)
 	m.tr.End(obs.StageMerge, m.t0, int64(explanations))
 }
 

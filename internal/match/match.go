@@ -293,7 +293,7 @@ func releaseMatcher(m *matcher) {
 // run's error.
 func (m *matcher) finish(tr *obs.Trace, t0 time.Time, items int64) error {
 	err := m.err
-	tr.AddBindings(int64(m.tries))
+	tr.Add(obs.Bindings, int64(m.tries))
 	releaseMatcher(m)
 	tr.End(obs.StageMatch, t0, items)
 	return err

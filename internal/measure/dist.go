@@ -112,13 +112,13 @@ func countEnds(cctx context.Context, g *kb.Graph, p *pattern.Pattern, start kb.N
 			w.scatter(c)
 		}
 		err = w.err
-		tr.AddWalkSteps(int64(w.work))
+		tr.Add(obs.WalkSteps, int64(w.work))
 		w.release()
 	} else {
 		err = match.CountByEndDense(cctx, g, p, start, c)
 	}
 	if tr != nil && err == nil && !c.Pruned() {
-		tr.AddCounted(c.Total())
+		tr.Add(obs.Counted, c.Total())
 	}
 	return err
 }

@@ -17,11 +17,12 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 	tr.End(StageEnumerate, t0, 5)
 	tr.AddStage(StageRank, time.Second, 1, 1)
-	tr.AddExpansions(3)
-	tr.AddMerges(3)
-	tr.AddJoins(2, 1)
-	tr.AddBindings(4)
-	tr.AddWalkSteps(4)
+	tr.Add(Expansions, 3)
+	tr.Add(Merges, 3)
+	tr.Add(Joins, 2)
+	tr.Add(JoinsSkipped, 1)
+	tr.Add(Bindings, 4)
+	tr.Add(WalkSteps, 4)
 	tr.MarkCacheHit()
 	tr.MarkPoolReused()
 	tr.Truncated(StageEnumerate, TruncExpansions)
@@ -48,10 +49,11 @@ func TestTraceReport(t *testing.T) {
 	tr := NewTrace()
 	tr.AddStage(StageEnumerate, 2*time.Millisecond, 1, 10)
 	tr.AddStage(StageMeasure, 3*time.Millisecond, 4, 4)
-	tr.AddExpansions(42)
-	tr.AddJoins(7, 90)
-	tr.AddBindings(11)
-	tr.AddWalkSteps(13)
+	tr.Add(Expansions, 42)
+	tr.Add(Joins, 7)
+	tr.Add(JoinsSkipped, 90)
+	tr.Add(Bindings, 11)
+	tr.Add(WalkSteps, 13)
 	tr.MarkPoolReused()
 	tr.Truncated(StageEnumerate, TruncExpansions)
 	tr.Truncated(StageRank, TruncDeadline) // later attribution must not overwrite

@@ -83,14 +83,7 @@ type stageRec struct {
 type Trace struct {
 	stages [numStages]stageRec
 
-	expansions atomic.Int64
-	merges     atomic.Int64
-	joins      atomic.Int64
-	joinsSkip  atomic.Int64
-	bindings   atomic.Int64
-	walkSteps  atomic.Int64
-	instances  atomic.Int64
-	counted    atomic.Int64
+	counts [numCounters]atomic.Int64
 
 	flags atomic.Uint32
 	// trunc packs the first budget-truncation event as
@@ -159,71 +152,43 @@ func (t *Trace) InnerNs() int64 {
 		t.stages[StageMerge].ns.Load()
 }
 
-// AddExpansions adds path-search expansions: entries the budgeted
-// frontier popped, or partials the exhaustive join expanded — one
-// adjacency scan each.
-func (t *Trace) AddExpansions(n int64) {
-	if t == nil {
-		return
-	}
-	t.expansions.Add(n)
-}
+// Counter names one of a trace's work counts.
+type Counter uint8
 
-// AddMerges adds pattern-merge attempts.
-func (t *Trace) AddMerges(n int64) {
-	if t == nil {
-		return
-	}
-	t.merges.Add(n)
-}
+const (
+	// Expansions are path-search adjacency scans: entries the budgeted
+	// frontier popped, or partials the exhaustive join expanded.
+	Expansions Counter = iota
+	// Merges are pattern-merge attempts.
+	Merges
+	// Joins are merge candidates joined, to their first merged instance
+	// at least.
+	Joins
+	// JoinsSkipped are variable pairs the merger's emptiness mask ruled
+	// out because no node is bound to both; each removes every mapping
+	// through it, unjoined.
+	JoinsSkipped
+	// Bindings are candidates the backtracking matcher examined:
+	// bindings tried, and the nodes a counting run's leaf scans looked at.
+	Bindings
+	// WalkSteps are half-edges the path route of the local-distribution
+	// kernel visited: prefix extensions plus scattered last-step entries.
+	WalkSteps
+	// Instances are the instances of an enumerated explanation set: the
+	// whole set, before ranking keeps its top-k.
+	Instances
+	// Counted is Σ count[e] over every local-distribution count that ran
+	// to completion, neither LIMIT-pruned nor cancelled.
+	Counted
+	numCounters
+)
 
-// AddJoins adds what the merge attempts cost at the instance stage:
-// candidates joined (to their first merged instance at least), and
-// variable pairs the merger's emptiness mask ruled out because no node
-// is bound to both — each removes every mapping through it, unjoined.
-func (t *Trace) AddJoins(run, skipped int64) {
+// Add adds n to a work count.
+func (t *Trace) Add(c Counter, n int64) {
 	if t == nil {
 		return
 	}
-	t.joins.Add(run)
-	t.joinsSkip.Add(skipped)
-}
-
-// AddBindings adds candidates the backtracking matcher examined: bindings
-// tried, and the nodes a counting run's leaf scans looked at.
-func (t *Trace) AddBindings(n int64) {
-	if t == nil {
-		return
-	}
-	t.bindings.Add(n)
-}
-
-// AddWalkSteps adds half-edges the path route of the local-distribution
-// kernel visited: prefix extensions plus scattered last-step entries.
-func (t *Trace) AddWalkSteps(n int64) {
-	if t == nil {
-		return
-	}
-	t.walkSteps.Add(n)
-}
-
-// AddInstances adds instances of an enumerated explanation set: the
-// whole set, before ranking keeps its top-k.
-func (t *Trace) AddInstances(n int64) {
-	if t == nil {
-		return
-	}
-	t.instances.Add(n)
-}
-
-// AddCounted adds instances a local-distribution count found: Σ count[e]
-// of one count that ran to completion, neither LIMIT-pruned nor
-// cancelled.
-func (t *Trace) AddCounted(n int64) {
-	if t == nil {
-		return
-	}
-	t.counted.Add(n)
+	t.counts[c].Add(n)
 }
 
 // MarkCacheHit flags the query as served from the result cache.
@@ -321,14 +286,14 @@ func (t *Trace) Report() *Report {
 		return nil
 	}
 	rep := &Report{
-		Expansions:   t.expansions.Load(),
-		Merges:       t.merges.Load(),
-		Joins:        t.joins.Load(),
-		JoinsSkipped: t.joinsSkip.Load(),
-		Bindings:     t.bindings.Load(),
-		WalkSteps:    t.walkSteps.Load(),
-		Instances:    t.instances.Load(),
-		Counted:      t.counted.Load(),
+		Expansions:   t.counts[Expansions].Load(),
+		Merges:       t.counts[Merges].Load(),
+		Joins:        t.counts[Joins].Load(),
+		JoinsSkipped: t.counts[JoinsSkipped].Load(),
+		Bindings:     t.counts[Bindings].Load(),
+		WalkSteps:    t.counts[WalkSteps].Load(),
+		Instances:    t.counts[Instances].Load(),
+		Counted:      t.counts[Counted].Load(),
 	}
 	fl := t.flags.Load()
 	rep.CacheHit = fl&flagCacheHit != 0

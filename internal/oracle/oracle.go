@@ -78,16 +78,7 @@ func Group(g *kb.Graph, paths []Path) []*pattern.Explanation {
 func sortExplanations(es []*pattern.Explanation) {
 	for _, ex := range es {
 		ex.Instances = pattern.NewExplanation(ex.P, ex.Instances).Instances
-		slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int {
-			ka, kb := a.Key(), b.Key()
-			switch {
-			case ka.Less(kb):
-				return -1
-			case kb.Less(ka):
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int { return a.Key().Compare(b.Key()) })
 	}
 	slices.SortFunc(es, byPattern)
 }

@@ -2,7 +2,7 @@ package pattern
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -133,7 +133,7 @@ func (e *Explanation) CanonicalInstanceKeys() []InstanceKey {
 		}
 		keys[i] = remapped.Key()
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, InstanceKey.Compare)
 	return keys
 }
 

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -124,25 +125,15 @@ func (in Instance) Key() InstanceKey {
 	return k
 }
 
-// Less orders keys exactly as the legacy byte-packed string keys did
-// (per-ID little-endian byte order, shorter prefix first), so instance
-// ordering inside explanations — and therefore rendered output — is
-// byte-identical to the string era.
-func (k InstanceKey) Less(o InstanceKey) bool {
-	n := k.n
-	if o.n < n {
-		n = o.n
-	}
-	for i := int8(0); i < n; i++ {
+// Compare orders keys exactly as the legacy byte-packed string keys did
+// (per-ID little-endian byte order, shorter prefix first), so rendered
+// instance order is byte-identical to the string era. It returns -1, 0
+// or +1, as slices.SortFunc expects.
+func (k InstanceKey) Compare(o InstanceKey) int {
+	for i := range min(k.n, o.n) {
 		if k.ids[i] != o.ids[i] {
-			return leLess32(uint32(k.ids[i]), uint32(o.ids[i]))
+			return cmp.Compare(bits.ReverseBytes32(uint32(k.ids[i])), bits.ReverseBytes32(uint32(o.ids[i])))
 		}
 	}
-	return k.n < o.n
-}
-
-// leLess32 compares two 32-bit values by their little-endian byte
-// encoding, the comparison the legacy string keys performed byte by byte.
-func leLess32(a, b uint32) bool {
-	return bits.ReverseBytes32(a) < bits.ReverseBytes32(b)
+	return cmp.Compare(k.n, o.n)
 }

@@ -119,13 +119,13 @@ func TestInstanceKeyLegacyOrder(t *testing.T) {
 	// string order put 256 first.
 	lo := Instance{256}.Key()
 	hi := Instance{1}.Key()
-	if !lo.Less(hi) || hi.Less(lo) {
+	if lo.Compare(hi) >= 0 || hi.Compare(lo) <= 0 || lo.Compare(lo) != 0 {
 		t.Error("InstanceKey order diverges from the legacy little-endian byte order")
 	}
 	// Prefix rule: a shorter key that is a prefix sorts first.
 	short := Instance{7}.Key()
 	long := Instance{7, 0}.Key()
-	if !short.Less(long) || long.Less(short) {
+	if short.Compare(long) >= 0 || long.Compare(short) <= 0 {
 		t.Error("prefix ordering broken")
 	}
 }

@@ -235,8 +235,9 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	joins0 := merger.JoinStats()
 	traceMerges := func() {
 		j := merger.JoinStats().Sub(joins0)
-		tr.AddMerges(mergeCount)
-		tr.AddJoins(j.Run, j.Skipped)
+		tr.Add(obs.Merges, mergeCount)
+		tr.Add(obs.Joins, j.Run)
+		tr.Add(obs.JoinsSkipped, j.Skipped)
 	}
 	// Candidates duplicating an already-seen pattern are dropped after
 	// their semi-join, before the full join and materialisation, so the

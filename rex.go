@@ -676,16 +676,7 @@ func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
 	// lists them in key order, so only the TopK lists a query renders are
 	// ever sorted. Sorting in place is safe: a query's explanations are
 	// private to it, and the cache holds rendered results.
-	slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int {
-		x, y := a.Key(), b.Key()
-		switch {
-		case x.Less(y):
-			return -1
-		case y.Less(x):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int { return a.Key().Compare(b.Key()) })
 	if len(ex.Instances) > 0 {
 		out.Description = ex.P.Describe(g, ex.Instances[0])
 	} else {
