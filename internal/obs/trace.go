@@ -244,6 +244,9 @@ type StageReport struct {
 // Report is the rendered, serializable form of a Trace, attached to
 // Result and embedded in slow-log entries. TruncatedBy is
 // "<stage>:<cause>" (e.g. "enumerate:expansions") or empty.
+// UnattributedMS is TotalMS minus the top-level stages (enumerate, merge,
+// measure, rank; match nests in measure): the facade's own time,
+// resolving the pair, the cache and rendering.
 // MemoHits, MemoMisses, WalkCacheHits and WalkCacheMisses always read 0:
 // the measures keep no memo and no walk cache. Deduped always reads
 // false: every query that misses the cache computes, none joins another.
@@ -252,11 +255,8 @@ type Report struct {
 	// RequestID ties this trace to the HTTP request (and, behind a
 	// router, the hedged attempt) that ran the query. Stamped by the
 	// serving layer, not the engine.
-	RequestID string  `json:"request_id,omitempty"`
-	TotalMS   float64 `json:"total_ms"`
-	// UnattributedMS is TotalMS minus the top-level stages (enumerate,
-	// merge, measure, rank; match nests in measure): the facade's own
-	// time, resolving the pair, the cache and rendering.
+	RequestID        string        `json:"request_id,omitempty"`
+	TotalMS          float64       `json:"total_ms"`
 	UnattributedMS   float64       `json:"unattributed_ms"`
 	BudgetMS         int64         `json:"budget_ms,omitempty"`
 	BudgetExpansions int           `json:"budget_expansions,omitempty"`
