@@ -54,6 +54,9 @@ func TestTraceReport(t *testing.T) {
 	tr.Add(JoinsSkipped, 90)
 	tr.Add(Bindings, 11)
 	tr.Add(WalkSteps, 13)
+	tr.Add(Merges, 3)
+	tr.Add(Instances, 17)
+	tr.Add(Counted, 19)
 	tr.MarkPoolReused()
 	tr.Truncated(StageEnumerate, TruncExpansions)
 	tr.Truncated(StageRank, TruncDeadline) // later attribution must not overwrite
@@ -65,7 +68,8 @@ func TestTraceReport(t *testing.T) {
 	if !rep.PoolReused || rep.CacheHit || rep.Deduped {
 		t.Fatalf("flags wrong: %+v", rep)
 	}
-	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.Bindings != 11 || rep.WalkSteps != 13 {
+	if rep.Expansions != 42 || rep.Joins != 7 || rep.JoinsSkipped != 90 || rep.Bindings != 11 || rep.WalkSteps != 13 ||
+		rep.Merges != 3 || rep.Instances != 17 || rep.Counted != 19 {
 		t.Fatalf("counters wrong: %+v", rep)
 	}
 	if len(rep.Stages) != 2 {
