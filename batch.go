@@ -8,12 +8,6 @@ import (
 	"time"
 )
 
-// Pair names one entity pair to explain.
-type Pair struct {
-	Start string `json:"start"`
-	End   string `json:"end"`
-}
-
 // BatchOptions configures a BatchExplain fan-out.
 type BatchOptions struct {
 	// Concurrency is the number of worker goroutines explaining pairs;
@@ -22,14 +16,9 @@ type BatchOptions struct {
 	// PerPairTimeout, when positive, bounds each pair's query with its
 	// own deadline (derived from the batch context), so one pathological
 	// pair cannot consume the whole batch budget. Exceeding it is an
-	// error on that pair; prefer Budget for a graceful best-so-far
-	// answer instead.
+	// error on that pair; prefer a Request's Budget for a graceful
+	// best-so-far answer instead.
 	PerPairTimeout time.Duration
-	// Budget bounds each pair's work, returning truncated best-so-far
-	// results instead of errors when it expires (see Budget). A budget
-	// that bounds nothing inherits the explainer's Options.Budget bounds;
-	// its SQL flag is always its own.
-	Budget Budget
 	// Traced attaches a fresh per-pair trace context (see WithTrace) to
 	// every pair, so each BatchResult.Result carries its own
 	// Result.Trace. A trace on the batch context itself would aggregate
@@ -50,32 +39,26 @@ type BatchResult struct {
 	Elapsed time.Duration
 }
 
-// BatchExplain explains many pairs concurrently over a worker pool,
-// returning one BatchResult per input pair in input order. Per-pair
-// errors (unknown entities, per-pair timeouts) are recorded in the
-// corresponding slot; cancelling ctx aborts in-flight queries and marks
-// every unfinished pair with ctx.Err(). The explainer's result cache,
-// when enabled, is consulted and populated as usual: a duplicate pair
-// whose first copy has finished is a hit, and duplicates running at
-// the same time each compute an equal, independent *Result.
-func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOptions) []BatchResult {
-	out := make([]BatchResult, len(pairs))
-	if len(pairs) == 0 {
+// BatchExplain runs many requests concurrently over a worker pool, each
+// as Query runs it, returning one BatchResult per request in input
+// order. Per-pair errors (unknown entities, per-pair timeouts) are
+// recorded in the corresponding slot; cancelling ctx aborts in-flight
+// queries and marks every unfinished pair with ctx.Err(). The
+// explainer's result cache, when enabled, is consulted and populated as
+// usual: a duplicate request whose first copy has finished is a hit, and
+// duplicates running at the same time each compute an equal,
+// independent *Result.
+func (e *Explainer) BatchExplain(ctx context.Context, reqs []Request, opts BatchOptions) []BatchResult {
+	out := make([]BatchResult, len(reqs))
+	if len(reqs) == 0 {
 		return out
 	}
 	workers := opts.Concurrency
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-
-	bud := opts.Budget
-	if !bud.active() {
-		sql := bud.SQL
-		bud = e.opt.Budget
-		bud.SQL = sql
+	if workers > len(reqs) {
+		workers = len(reqs)
 	}
 
 	var next sync.Mutex
@@ -90,10 +73,10 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 				i := idx
 				idx++
 				next.Unlock()
-				if i >= len(pairs) {
+				if i >= len(reqs) {
 					return
 				}
-				p := pairs[i]
+				req := reqs[i]
 				pctx := ctx
 				var cancel context.CancelFunc
 				if opts.PerPairTimeout > 0 {
@@ -103,12 +86,12 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 					pctx = WithTrace(pctx)
 				}
 				t0 := time.Now()
-				res, err := e.explainContained(pctx, p, bud)
+				res, err := e.explainContained(pctx, req)
 				elapsed := time.Since(t0)
 				if cancel != nil {
 					cancel()
 				}
-				out[i] = BatchResult{Pair: p, Result: res, Err: err, Elapsed: elapsed}
+				out[i] = BatchResult{Pair: req.Pair, Result: res, Err: err, Elapsed: elapsed}
 			}
 		}()
 	}
@@ -122,11 +105,11 @@ func (e *Explainer) BatchExplain(ctx context.Context, pairs []Pair, opts BatchOp
 // unwinding a worker goroutine and crashing the whole process. A
 // panicking worker would otherwise also strand BatchExplain's wg.Wait
 // forever, hanging every other pair of the batch.
-func (e *Explainer) explainContained(ctx context.Context, p Pair, bud Budget) (res *Result, err error) {
+func (e *Explainer) explainContained(ctx context.Context, req Request) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("rex: internal panic explaining (%s, %s): %v", p.Start, p.End, r)
+			res, err = nil, fmt.Errorf("rex: internal panic explaining (%s, %s): %v", req.Start, req.End, r)
 		}
 	}()
-	return e.ExplainBudgeted(ctx, p.Start, p.End, bud)
+	return e.Query(ctx, req)
 }

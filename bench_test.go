@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/harness"
@@ -94,14 +95,15 @@ func BenchmarkFig8Scaling(b *testing.B) {
 	if !ok {
 		b.Skip("no high-connectedness pair at bench scale")
 	}
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg)
 	instances := 0
-	for _, ex := range enumerate.Explanations(env.G, p.Start, p.End, benchCfg) {
+	for _, ex := range es {
 		instances += len(ex.Instances)
 	}
 	b.ReportMetric(float64(instances), "instances")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enumerate.Explanations(env.G, p.Start, p.End, benchCfg)
+		enumerate.ExplanationsBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg)
 	}
 }
 
@@ -117,13 +119,13 @@ func BenchmarkFig9TopK(b *testing.B) {
 	m := measure.Monocount{}
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			es := enumerate.Explanations(env.G, p.Start, p.End, benchCfg)
-			rank.General(ctx, es, m, 10)
+			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg)
+			rank.GeneralBudgeted(context.Background(), ctx, es, m, 10, time.Time{})
 		}
 	})
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.TopKAntiMonotone(env.G, p.Start, p.End, benchCfg, ctx, m, 10)
+			rank.TopKAntiMonotoneBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg, ctx, m, 10)
 		}
 	})
 }
@@ -140,7 +142,7 @@ func BenchmarkFig10KSweep(b *testing.B) {
 	for _, k := range []int{1, 10, 100} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rank.TopKAntiMonotone(env.G, p.Start, p.End, benchCfg, ctx, m, k)
+				rank.TopKAntiMonotoneBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg, ctx, m, k)
 			}
 		})
 	}
@@ -154,7 +156,7 @@ func BenchmarkFig11Distributional(b *testing.B) {
 	if !ok {
 		b.Skip("no medium pair at bench scale")
 	}
-	es := enumerate.Explanations(env.G, p.Start, p.End, benchCfg)
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg)
 	ctx := &measure.Context{
 		G: env.G, Start: p.Start, End: p.End,
 		SampleStarts: measure.SampleStartsOfType(
@@ -164,22 +166,22 @@ func BenchmarkFig11Distributional(b *testing.B) {
 	global := measure.GlobalPosition{}
 	b.Run("local", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.General(ctx, es, local, 10)
+			rank.GeneralBudgeted(context.Background(), ctx, es, local, 10, time.Time{})
 		}
 	})
 	b.Run("local-prune", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.TopKDistributional(ctx, es, local, 10)
+			rank.TopKDistributionalBudgeted(context.Background(), ctx, es, local, 10, time.Time{})
 		}
 	})
 	b.Run("global", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.General(ctx, es, global, 10)
+			rank.GeneralBudgeted(context.Background(), ctx, es, global, 10, time.Time{})
 		}
 	})
 	b.Run("global-prune", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.TopKDistributional(ctx, es, global, 10)
+			rank.TopKDistributionalBudgeted(context.Background(), ctx, es, global, 10, time.Time{})
 		}
 	})
 }
@@ -190,13 +192,13 @@ func BenchmarkTable1Effectiveness(b *testing.B) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	es := enumerate.Explanations(g, s, e, benchCfg)
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, benchCfg)
 	ctx := &measure.Context{G: g, Start: s, End: e}
 	panel := study.NewPanel(g, s, e, es, 10, 42)
 	m := measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranked := rank.General(ctx, es, m, 10)
+		ranked, _, _ := rank.GeneralBudgeted(context.Background(), ctx, es, m, 10, time.Time{})
 		judged := make([]study.Judged, len(ranked))
 		for j, r := range ranked {
 			judged[j] = panel.Judge(r.Ex)
@@ -212,7 +214,8 @@ func samplePatterns(b *testing.B) (*kb.Graph, []*pattern.Explanation, kb.NodeID,
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	return g, enumerate.Explanations(g, s, e, benchCfg), s, e
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, benchCfg)
+	return g, es, s, e
 }
 
 func BenchmarkCanonicalKey(b *testing.B) {
@@ -331,17 +334,17 @@ func BenchmarkKBGeneration(b *testing.B) {
 
 // --- Concurrency and caching benchmarks for the serving-layer path. ---
 
-// benchBatchPairs draws the bucketed workload as name pairs for the
-// batch benchmarks.
-func benchBatchPairs(b *testing.B, env *harness.Env) []Pair {
+// benchBatchPairs draws the bucketed workload as requests for the batch
+// benchmarks.
+func benchBatchPairs(b *testing.B, env *harness.Env) []Request {
 	b.Helper()
-	var pairs []Pair
+	var pairs []Request
 	for _, bu := range harness.Buckets() {
 		for _, p := range env.PairsIn(bu) {
-			pairs = append(pairs, Pair{
+			pairs = append(pairs, Request{Pair: Pair{
 				Start: env.G.NodeName(p.Start),
 				End:   env.G.NodeName(p.End),
-			})
+			}})
 		}
 	}
 	if len(pairs) == 0 {

@@ -163,21 +163,21 @@ func TestExplainBudgetTimeout(t *testing.T) {
 	}
 }
 
-// TestOptionsBudgetSQLIgnored: SQL is asked for per request only, so an
-// Options.Budget with SQL set puts SQL in no answer.
+// TestOptionsBudgetSQLIgnored: SQL is asked for per request only
+// (Request.SQL), so Explain and BatchExplain put SQL in no answer whose
+// request did not ask for it, and in every answer whose request did.
 func TestOptionsBudgetSQLIgnored(t *testing.T) {
-	ex, err := NewExplainer(SampleKB(), Options{TopK: 10, Budget: Budget{SQL: true}})
+	ex, err := NewExplainer(SampleKB(), Options{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ex.DefaultBudget().SQL {
-		t.Error("DefaultBudget kept Options.Budget.SQL")
 	}
 	res, err := ex.Explain("brad_pitt", "angelina_jolie")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{})
+	reqs := requests(samplePairs)
+	reqs[0].SQL = true
+	out := ex.BatchExplain(context.Background(), reqs, BatchOptions{})
 	results := []*Result{res}
 	for i, br := range out {
 		if br.Err != nil {
@@ -189,33 +189,40 @@ func TestOptionsBudgetSQLIgnored(t *testing.T) {
 		if len(r.Explanations) == 0 {
 			t.Fatalf("result %d: no explanations", i)
 		}
+		wantSQL := i == 1 // the batch's first request asked
 		for _, e := range r.Explanations {
-			if e.SQL != "" {
-				t.Errorf("result %d: SQL %q without a request for it", i, e.SQL)
+			if (e.SQL != "") != wantSQL {
+				t.Errorf("result %d: SQL %q, want SQL %v", i, e.SQL, wantSQL)
 			}
 		}
 	}
 }
 
 // TestBatchExplainBudget checks budget plumbing through BatchExplain:
-// the per-batch budget truncates every heavy pair and per-pair Elapsed
-// is populated. A batch budget that only asks for SQL bounds nothing,
-// so it runs under the explainer's default budget, with SQL.
+// a request's own bounds truncate every heavy pair and per-pair Elapsed
+// is populated. A request that only asks for SQL bounds nothing, so it
+// runs under the explainer's default budget, with SQL.
 func TestBatchExplainBudget(t *testing.T) {
 	kb := SampleKB()
 	for _, tc := range []struct {
-		name       string
-		def, batch Budget
-		wantSQL    bool
+		name    string
+		def     Budget
+		req     Request
+		wantSQL bool
 	}{
-		{"batch budget", Budget{}, Budget{MaxExpansions: 1}, false},
-		{"default budget, sql", Budget{MaxExpansions: 2}, Budget{SQL: true}, true},
+		{"request budget", Budget{}, Request{Budget: Budget{MaxExpansions: 1}}, false},
+		{"default budget, sql", Budget{MaxExpansions: 2}, Request{SQL: true}, true},
 	} {
 		ex, err := NewExplainer(kb, Options{TopK: 10, Budget: tc.def})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{Budget: tc.batch})
+		reqs := make([]Request, len(samplePairs))
+		for i, p := range samplePairs {
+			reqs[i] = tc.req
+			reqs[i].Pair = p
+		}
+		out := ex.BatchExplain(context.Background(), reqs, BatchOptions{})
 		for i, br := range out {
 			if br.Err != nil {
 				t.Fatalf("%s, pair %d: %v", tc.name, i, br.Err)
@@ -235,5 +242,77 @@ func TestBatchExplainBudget(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRequestResolution holds every facade entrypoint to one rule: a
+// request that bounds nothing runs under Options.Budget, one that sets
+// a bound runs under its own, and the cache keys on the bounds the
+// query ran under, not on how the request spelled them.
+func TestRequestResolution(t *testing.T) {
+	def := Budget{MaxExpansions: 2}
+	ex, err := NewExplainer(SampleKB(), Options{TopK: 10, Budget: def, CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := samplePairs[0]
+	ctx := context.Background()
+	truncatedWithSQL := func(how string, res *Result) {
+		t.Helper()
+		if !res.Truncated {
+			t.Errorf("%s: a zero-bound request did not run under the default budget", how)
+		}
+		if len(res.Explanations) == 0 || res.Explanations[0].SQL == "" {
+			t.Errorf("%s: no SQL on a request that asked for it", how)
+		}
+	}
+
+	res, err := ex.Query(ctx, Request{Pair: p, SQL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncatedWithSQL("Query", res)
+	out := ex.BatchExplain(ctx, []Request{{Pair: p, SQL: true}}, BatchOptions{})
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+	truncatedWithSQL("BatchExplain", out[0].Result)
+	res, err = ex.ExplainBudgeted(ctx, p.Start, p.End, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated {
+		t.Error("ExplainBudgeted: a zero budget did not run under the default budget")
+	}
+
+	// A request's own bound overrides the default.
+	own, err := ex.Query(ctx, Request{Pair: p, Budget: Budget{MaxExpansions: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded, err := NewExplainer(SampleKB(), Options{TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := unbounded.Explain(p.Start, p.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Truncated || !resultsEqual(own, full) {
+		t.Error("a request's own bound did not override the default budget")
+	}
+
+	// The default spelled out is the same query as the default implied.
+	implied, err := ex.Query(ctx, Request{Pair: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ex.CacheStats()
+	spelled, err := ex.Query(ctx, Request{Pair: p, Budget: def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ex.CacheStats(); spelled != implied || st.Hits != before.Hits+1 || st.Entries != before.Entries {
+		t.Errorf("the default bounds spelled out missed the implied default's entry: before %+v, after %+v", before, st)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // resultCache is a synchronised LRU cache of rendered explanation
 // results. Each cache belongs to exactly one Explainer, so entries are
-// keyed by (entity pair, query budget) alone (see Explainer.queryKey);
+// keyed by (entity pair, query budget) alone (see queryKey);
 // the options dimension is the cache identity itself. Hit, miss and
 // eviction counts are tracked for the /stats endpoint of cmd/rexserve
 // and for capacity tuning.

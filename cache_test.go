@@ -42,7 +42,6 @@ func TestCacheHitAllocBound(t *testing.T) {
 // cache keys on them, and the length prefixes are what keeps names
 // holding the separators apart.
 func TestQueryKeyFormat(t *testing.T) {
-	var e Explainer
 	names := []string{"a", "brad_pitt", "1:a", "a|x1|t2", "x:y|z", strings.Repeat("n", 100), ""}
 	budgets := []Budget{{}, {MaxExpansions: 7}, {Timeout: 1500 * time.Millisecond}, {MaxExpansions: 400, Timeout: time.Nanosecond}}
 	seen := map[string]string{}
@@ -53,7 +52,7 @@ func TestQueryKeyFormat(t *testing.T) {
 				if b.active() {
 					want += fmt.Sprintf("|x%d|t%d", b.MaxExpansions, int64(b.Timeout))
 				}
-				got := e.queryKey(start, end, b)
+				got := queryKey(Request{Pair: Pair{Start: start, End: end}, Budget: b})
 				if got != want {
 					t.Errorf("queryKey(%q, %q, %+v) = %q, want %q", start, end, b, got, want)
 				}

@@ -101,9 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOn {
 		ctx = rex.WithTrace(ctx)
 	}
-	bud := ex.DefaultBudget()
-	bud.SQL = *showSQL
-	res, err := ex.ExplainBudgeted(ctx, *start, *end, bud)
+	res, err := ex.Query(ctx, rex.Request{Pair: rex.Pair{Start: *start, End: *end}, SQL: *showSQL})
 	if err != nil {
 		fmt.Fprintln(stderr, "rex:", err)
 		return 1

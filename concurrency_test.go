@@ -24,6 +24,15 @@ var samplePairs = []Pair{
 	{Start: "brad_pitt", End: "george_clooney"},
 }
 
+// requests wraps each pair in a Request that bounds nothing.
+func requests(pairs []Pair) []Request {
+	out := make([]Request, len(pairs))
+	for i, p := range pairs {
+		out[i] = Request{Pair: p}
+	}
+	return out
+}
+
 // resultsEqual compares the rendered explanation lists of two results.
 func resultsEqual(a, b *Result) bool {
 	if len(a.Explanations) != len(b.Explanations) {
@@ -163,7 +172,7 @@ func TestBatchExplain(t *testing.T) {
 		{Start: "brad_pitt", End: "brad_pitt"}, // isolated failure
 		samplePairs[2],
 	}
-	out := ex.BatchExplain(context.Background(), pairs, BatchOptions{Concurrency: 3})
+	out := ex.BatchExplain(context.Background(), requests(pairs), BatchOptions{Concurrency: 3})
 	if len(out) != len(pairs) {
 		t.Fatalf("got %d results, want %d", len(out), len(pairs))
 	}
@@ -198,7 +207,7 @@ func TestBatchExplain(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		dups = append(dups, samplePairs[0], samplePairs[1])
 	}
-	out = ex.BatchExplain(context.Background(), dups, BatchOptions{Concurrency: len(dups)})
+	out = ex.BatchExplain(context.Background(), requests(dups), BatchOptions{Concurrency: len(dups)})
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("duplicate slot %d: %v", i, br.Err)
@@ -215,7 +224,7 @@ func TestBatchExplain(t *testing.T) {
 	// A cancelled batch context marks every pair with the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out = ex.BatchExplain(ctx, pairs[:2], BatchOptions{})
+	out = ex.BatchExplain(ctx, requests(pairs[:2]), BatchOptions{})
 	for i, br := range out {
 		if !errors.Is(br.Err, context.Canceled) {
 			t.Errorf("cancelled batch pair %d: err = %v", i, br.Err)
@@ -307,7 +316,7 @@ func TestPooledEnumerationDeterminismUnderBatch(t *testing.T) {
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
-		res := ex.BatchExplain(context.Background(), samplePairs, BatchOptions{Concurrency: 4})
+		res := ex.BatchExplain(context.Background(), requests(samplePairs), BatchOptions{Concurrency: 4})
 		if len(res) != len(samplePairs) {
 			t.Fatalf("round %d: %d results for %d pairs", round, len(res), len(samplePairs))
 		}

@@ -82,12 +82,12 @@ func main() {
 }
 
 // samplePairs draws a small bucketed workload and resolves names.
-func samplePairs(k *rex.KB) []rex.Pair {
+func samplePairs(k *rex.KB) []rex.Request {
 	g := kbgen.Generate(kbgen.Options{Scale: 0.5, Seed: 7}) // same seed: same graph
 	pairs := kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 4, Seed: 8})
-	out := make([]rex.Pair, 0, len(pairs))
+	out := make([]rex.Request, 0, len(pairs))
 	for _, p := range pairs {
-		out = append(out, rex.Pair{Start: g.NodeName(p.Start), End: g.NodeName(p.End)})
+		out = append(out, rex.Request{Pair: rex.Pair{Start: g.NodeName(p.Start), End: g.NodeName(p.End)}})
 	}
 	return out
 }

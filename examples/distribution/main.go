@@ -31,7 +31,10 @@ func main() {
 		log.Fatal(err)
 	}
 	// Explanation.SQL is rendered only for a query that asks for it.
-	res, err := explainer.ExplainBudgeted(context.Background(), "brad_pitt", "angelina_jolie", rex.Budget{SQL: true})
+	res, err := explainer.Query(context.Background(), rex.Request{
+		Pair: rex.Pair{Start: "brad_pitt", End: "angelina_jolie"},
+		SQL:  true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,17 +32,18 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	for route, bud := range map[string]Budget{"exhaustive": {}, "frontier": neverTruncates} {
 		cfg := Config{MaxPatternSize: 5, Budget: bud}
 
-		want := len(Explanations(g, s, e, cfg)) // warm pools, pin expected size
+		es, _, _ := ExplanationsBudgeted(context.Background(), g, s, e, cfg) // warm pools, pin expected size
+		want := len(es)
 		if want == 0 {
 			t.Fatalf("%s: sample enumeration returned nothing", route)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if got := len(Explanations(g, s, e, cfg)); got != want {
-				t.Fatalf("%s: enumeration size changed under pooling: %d != %d", route, got, want)
+			if es, _, _ := ExplanationsBudgeted(context.Background(), g, s, e, cfg); len(es) != want {
+				t.Fatalf("%s: enumeration size changed under pooling: %d != %d", route, len(es), want)
 			}
 		})
 		if allocs > enumerateAllocBudget {
-			t.Errorf("%s: steady-state Explanations allocates %.0f times per op; budget %d", route, allocs, enumerateAllocBudget)
+			t.Errorf("%s: steady-state ExplanationsBudgeted allocates %.0f times per op; budget %d", route, allocs, enumerateAllocBudget)
 		}
 	}
 }
@@ -60,7 +61,7 @@ func TestPathUnionPruneAllocBound(t *testing.T) {
 	const maxBytes, maxAllocs = 73776, 333
 	g := benchGraph()
 	cfg := Config{}.normalized()
-	paths := Paths(g, g.NodeByName("film_5972"), g.NodeByName("film_4871"), cfg)
+	paths, _, _ := PathsBudgeted(context.Background(), g, g.NodeByName("film_5972"), g.NodeByName("film_4871"), cfg)
 	st := newEnumState()
 	ctx := context.Background()
 	union := func() {

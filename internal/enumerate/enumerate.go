@@ -147,24 +147,18 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// Explanations runs the general enumeration framework (Algorithm 2):
-// enumerate path explanations with length limit MaxPatternSize-1, then
-// combine them into all minimal explanations of bounded size. The result
-// is sorted deterministically by (pattern size, edge count, canonical
-// key). Each explanation's instances are distinct, in no specified order.
-func Explanations(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
-	out, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, cfg)
-	return out
-}
-
-// ExplanationsBudgeted is Explanations with cancellation and the anytime
-// contract. Enumeration and combination check ctx at bounded intervals
-// and abort mid-flight, returning ctx.Err() and no explanations. When
-// cfg.Budget truncates the search, truncated is true and the returned
-// explanations are the complete minimal explanations built from every
-// path the budget admitted — a valid (deterministic, for an expansion
-// budget) subset of the unbudgeted result, never an error. With a zero
-// budget truncated is always false.
+// ExplanationsBudgeted runs the general enumeration framework
+// (Algorithm 2): enumerate path explanations with length limit
+// MaxPatternSize-1, then combine them into all minimal explanations of
+// bounded size. The result is sorted deterministically by (pattern size,
+// edge count, canonical key). Each explanation's instances are distinct,
+// in no specified order. Enumeration and combination check ctx at
+// bounded intervals and abort mid-flight, returning ctx.Err() and no
+// explanations. When cfg.Budget truncates the search, truncated is true
+// and the returned explanations are the complete minimal explanations
+// built from every path the budget admitted — a valid (deterministic,
+// for an expansion budget) subset of the unbudgeted result, never an
+// error. With a zero budget truncated is always false.
 func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) (out []*pattern.Explanation, truncated bool, err error) {
 	cfg = cfg.normalized()
 	pl := cfg.pool()
@@ -189,19 +183,14 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 	return out, truncated || utrunc, nil
 }
 
-// Paths enumerates all simple-path explanations between the targets with
-// path length up to MaxPatternSize-1 (Section 3.2), grouped into
-// explanations (pattern + instance set) and sorted as Explanations sorts
-// them. Each explanation's instances are distinct, in no specified order.
-func Paths(g *kb.Graph, start, end kb.NodeID, cfg Config) []*pattern.Explanation {
-	out, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
-	return out
-}
-
-// PathsBudgeted is Paths with cancellation, checked at bounded intervals
-// inside the enumeration loops, and the anytime contract (see
-// ExplanationsBudgeted): a truncating budget yields the path
-// explanations completed so far with truncated = true.
+// PathsBudgeted enumerates all simple-path explanations between the
+// targets with path length up to MaxPatternSize-1 (Section 3.2), grouped
+// into explanations (pattern + instance set) and sorted as
+// ExplanationsBudgeted sorts them. Each explanation's instances are
+// distinct, in no specified order. Cancellation is checked at bounded
+// intervals inside the enumeration loops, under the anytime contract of
+// ExplanationsBudgeted: a truncating budget yields the path explanations
+// completed so far with truncated = true.
 func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
 	cfg = cfg.normalized()
 	pl := cfg.pool()
@@ -213,8 +202,8 @@ func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg C
 // paths runs the path search the request calls for on the pooled state
 // and groups the result into explanations.
 func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
-	// Single chokepoint for the enumerate stage: every entry point
-	// (Explanations, Paths, and their budgeted forms) funnels path
+	// Single chokepoint for the enumerate stage: both entry points
+	// (ExplanationsBudgeted and PathsBudgeted) funnel path
 	// enumeration through here, so one Begin/End pair covers them all.
 	tr := obs.FromContext(ctx)
 	if !st.fresh {

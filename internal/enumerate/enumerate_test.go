@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -89,7 +90,8 @@ var oraclePathRoutes = []struct {
 		return oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxVars-1))
 	}},
 	{"served", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
-		return Paths(g, start, end, Config{MaxPatternSize: maxVars})
+		es, _, _ := PathsBudgeted(context.Background(), g, start, end, Config{MaxPatternSize: maxVars})
+		return es
 	}},
 }
 
@@ -128,7 +130,8 @@ func TestAllResultsMinimalWithInstances(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		for _, ex := range Explanations(g, start, end, Config{}) {
+		es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{})
+		for _, ex := range es {
 			if !ex.P.Minimal() {
 				t.Errorf("%v: non-minimal pattern %v", names, ex.P)
 			}
@@ -152,7 +155,8 @@ func TestInstancesMatchOracle(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
 		start, end := samplePair(t, g, names)
-		for _, ex := range Explanations(g, start, end, Config{}) {
+		es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{})
+		for _, ex := range es {
 			oracle := match.Find(g, ex.P, start, end, match.Options{})
 			if len(oracle) != len(ex.Instances) {
 				t.Errorf("%v: pattern %v: enumerated %d instances, matcher finds %d",
@@ -189,7 +193,8 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 			"frontier by deadline":   {Budget: neverExpires()},
 			"frontier by expansions": {Budget: neverTruncates},
 		} {
-			got := resultSignature(t, Paths(g, start, end, cfg))
+			paths, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
+			got := resultSignature(t, paths)
 			diffSignatures(t, names[0]+"/"+names[1]+" "+name, want, got)
 		}
 	}
@@ -201,7 +206,7 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 func TestKnownExplanations(t *testing.T) {
 	g := kbgen.Sample()
 	start, end := samplePair(t, g, [2]string{"brad_pitt", "angelina_jolie"})
-	es := Explanations(g, start, end, Config{})
+	es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{})
 
 	spouse := g.LabelByName(kbgen.RelSpouse)
 	starring := g.LabelByName(kbgen.RelStarring)
@@ -246,9 +251,10 @@ func TestKnownExplanations(t *testing.T) {
 func TestPathsAreSimple(t *testing.T) {
 	g := kbgen.Sample()
 	start, end := samplePair(t, g, [2]string{"brad_pitt", "tom_cruise"})
-	for _, ex := range Paths(g, start, end, Config{}) {
+	paths, _, _ := PathsBudgeted(context.Background(), g, start, end, Config{})
+	for _, ex := range paths {
 		if !ex.P.IsPath() {
-			t.Errorf("non-path pattern from Paths: %v", ex.P)
+			t.Errorf("non-path pattern from PathsBudgeted: %v", ex.P)
 		}
 		for _, in := range ex.Instances {
 			seen := map[kb.NodeID]bool{}

@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"context"
 	"testing"
 
 	"rex/internal/kb"
@@ -18,7 +19,7 @@ func TestPatternSizeLimits(t *testing.T) {
 	var prevKeys map[string]struct{}
 	prevCount := 0
 	for _, n := range []int{2, 3, 4, 5} {
-		es := Explanations(g, start, end, Config{MaxPatternSize: n})
+		es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{MaxPatternSize: n})
 		keys := make(map[string]struct{}, len(es))
 		for _, ex := range es {
 			if ex.P.NumVars() > n {
@@ -47,7 +48,7 @@ func TestSizeTwoOnlyDirectEdges(t *testing.T) {
 	g := kbgen.Sample()
 	start := g.NodeByName("brad_pitt")
 	end := g.NodeByName("angelina_jolie")
-	es := Explanations(g, start, end, Config{MaxPatternSize: 2})
+	es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{MaxPatternSize: 2})
 	if len(es) != 1 {
 		t.Fatalf("expected exactly the spouse edge, got %d explanations", len(es))
 	}
@@ -66,7 +67,7 @@ func TestDisconnectedPair(t *testing.T) {
 	l := gb.MustLabel("r", true)
 	gb.MustAddEdge(a, c, l) // b is isolated
 	g := gb.Build()
-	if es := Explanations(g, a, b, Config{}); len(es) != 0 {
+	if es, _, _ := ExplanationsBudgeted(context.Background(), g, a, b, Config{}); len(es) != 0 {
 		t.Errorf("served: %d explanations for a disconnected pair", len(es))
 	}
 	if es := oracle.NaiveEnum(g, a, b, 5); len(es) != 0 {
@@ -87,14 +88,14 @@ func TestAdjacentOnlyPair(t *testing.T) {
 	l := gb.MustLabel("r", true)
 	gb.MustAddEdge(a, b, l)
 	g := gb.Build()
-	es := Explanations(g, a, b, Config{})
+	es, _, _ := ExplanationsBudgeted(context.Background(), g, a, b, Config{})
 	if len(es) != 1 || es[0].P.NumVars() != 2 || len(es[0].Instances) != 1 {
 		t.Fatalf("single-edge pair: %d explanations", len(es))
 	}
 	// Reverse direction: directed edge a→b does not explain (b, a)
 	// as a start→end edge, but the path through it does exist (the
 	// pattern has the edge oriented end→start).
-	esRev := Explanations(g, b, a, Config{})
+	esRev, _, _ := ExplanationsBudgeted(context.Background(), g, b, a, Config{})
 	if len(esRev) != 1 {
 		t.Fatalf("reverse pair: %d explanations", len(esRev))
 	}
@@ -110,8 +111,8 @@ func TestSymmetricPairResults(t *testing.T) {
 	g := kbgen.Sample()
 	a := g.NodeByName("kate_winslet")
 	b := g.NodeByName("leonardo_dicaprio")
-	fwd := Explanations(g, a, b, Config{})
-	rev := Explanations(g, b, a, Config{})
+	fwd, _, _ := ExplanationsBudgeted(context.Background(), g, a, b, Config{})
+	rev, _, _ := ExplanationsBudgeted(context.Background(), g, b, a, Config{})
 	if len(fwd) != len(rev) {
 		t.Fatalf("asymmetric explanation counts: %d vs %d", len(fwd), len(rev))
 	}
@@ -133,7 +134,7 @@ func TestMinPRingStructure(t *testing.T) {
 	g := kbgen.Sample()
 	start := g.NodeByName("brad_pitt")
 	end := g.NodeByName("angelina_jolie")
-	paths := Paths(g, start, end, Config{})
+	paths, _, _ := PathsBudgeted(context.Background(), g, start, end, Config{})
 	all := PathUnionPrune(paths, 5)
 	if len(all) <= len(paths) {
 		t.Skip("pair has no non-path explanations at this size limit")

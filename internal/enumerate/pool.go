@@ -14,9 +14,9 @@ import (
 // A Pool is safe for concurrent use: each query checks out a private
 // state, so concurrent queries never share scratch.
 //
-// The package-level entry points (Explanations, Paths, ...) fall back to
-// a process-wide Pool, keeping the zero-configuration API allocation-
-// friendly too.
+// The package-level entry points (ExplanationsBudgeted, PathsBudgeted)
+// fall back to a process-wide Pool, keeping the zero-configuration API
+// allocation-friendly too.
 type Pool struct {
 	p sync.Pool
 }

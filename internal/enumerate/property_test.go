@@ -57,7 +57,7 @@ func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 		g, start, end := randomKB(seed)
 		const maxVars = 4
 		want := oracle.NaiveEnum(g, start, end, maxVars)
-		got := Explanations(g, start, end, Config{MaxPatternSize: maxVars})
+		got, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{MaxPatternSize: maxVars})
 		if len(want) != len(got) {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
-		es := Explanations(g, start, end, Config{})
+		es, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{})
 		for _, ex := range es {
 			if !ex.P.Minimal() || len(ex.Instances) == 0 {
 				return false
@@ -133,13 +133,17 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 			}
 			return m
 		}
+		paths := func(cfg Config) []*pattern.Explanation {
+			es, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
+			return es
+		}
 		maxLen := DefaultMaxPatternSize - 1
 		a := sig(oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxLen)))
 		others := []map[string]int{
 			sig(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen))),
-			sig(Paths(g, start, end, Config{})),
-			sig(Paths(g, start, end, Config{Budget: neverExpires()})),
-			sig(Paths(g, start, end, Config{Budget: neverTruncates})),
+			sig(paths(Config{})),
+			sig(paths(Config{Budget: neverExpires()})),
+			sig(paths(Config{Budget: neverTruncates})),
 		}
 		for _, b := range others {
 			if len(a) != len(b) {

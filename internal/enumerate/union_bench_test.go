@@ -76,7 +76,7 @@ func BenchmarkPathEnum(b *testing.B) {
 func BenchmarkPathUnionPrune(b *testing.B) {
 	g, s, e := benchPair(b)
 	cfg := Config{}.normalized()
-	paths := Paths(g, s, e, cfg)
+	paths, _, _ := PathsBudgeted(context.Background(), g, s, e, cfg)
 	st := newEnumState()
 	ctx := context.Background()
 	union := func() int {
@@ -126,7 +126,8 @@ func BenchmarkPathUnionPruneVsBasic(b *testing.B) {
 		}
 		var paths [][]*pattern.Explanation
 		for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43}) {
-			paths = append(paths, Paths(g, p.Start, p.End, cfg))
+			ps, _, _ := PathsBudgeted(context.Background(), g, p.Start, p.End, cfg)
+			paths = append(paths, ps)
 		}
 		for _, qpath := range paths {
 			served := PathUnionPrune(qpath, cfg.MaxPatternSize)

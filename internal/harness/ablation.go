@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"rex/internal/enumerate"
 	"rex/internal/kb"
 	"rex/internal/match"
@@ -38,7 +39,7 @@ func (e *Env) Ablation() Table {
 	streams := map[string][]pairData{}
 	for _, b := range Buckets() {
 		for _, p := range e.PairsIn(b) {
-			es := enumerate.Explanations(e.G, p.Start, p.End, cfg)
+			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), e.G, p.Start, p.End, cfg)
 			streams[b.String()] = append(streams[b.String()], pairData{es: es, start: int(p.Start)})
 		}
 	}

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
@@ -36,10 +38,12 @@ func Fig7Combos() []Combo {
 			return oracle.PathUnionBasic(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxVars-1)), maxVars)
 		}},
 		{"PathEnumPrioritized+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
-			return oracle.PathUnionBasic(enumerate.Paths(g, start, end, enumerate.Config{MaxPatternSize: maxVars}), maxVars)
+			paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, start, end, enumerate.Config{MaxPatternSize: maxVars})
+			return oracle.PathUnionBasic(paths, maxVars)
 		}},
 		{"PathEnumPrioritized+PathUnionPrune", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
-			return enumerate.Explanations(g, start, end, enumerate.Config{MaxPatternSize: maxVars})
+			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, start, end, enumerate.Config{MaxPatternSize: maxVars})
+			return es
 		}},
 	}
 }
@@ -93,7 +97,7 @@ func (e *Env) Fig8() Table {
 	for _, p := range e.Pairs {
 		p := p
 		var es []*pattern.Explanation
-		secs := Time(func() { es = enumerate.Explanations(e.G, p.Start, p.End, cfg) })
+		secs := Time(func() { es, _, _ = enumerate.ExplanationsBudgeted(context.Background(), e.G, p.Start, p.End, cfg) })
 		instances := 0
 		for _, ex := range es {
 			instances += len(ex.Instances)
@@ -143,11 +147,11 @@ func (e *Env) rankTimes(b kb.ConnBucket, k int) (full, pruned float64) {
 		p := p
 		ctx := &measure.Context{G: e.G, Start: p.Start, End: p.End}
 		full += Time(func() {
-			es := enumerate.Explanations(e.G, p.Start, p.End, cfg)
-			rank.General(ctx, es, m, k)
+			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), e.G, p.Start, p.End, cfg)
+			rank.GeneralBudgeted(context.Background(), ctx, es, m, k, time.Time{})
 		})
 		pruned += Time(func() {
-			rank.TopKAntiMonotone(e.G, p.Start, p.End, cfg, ctx, m, k)
+			rank.TopKAntiMonotoneBudgeted(context.Background(), e.G, p.Start, p.End, cfg, ctx, m, k)
 		})
 	}
 	n := float64(len(pairs))
@@ -193,16 +197,17 @@ func (e *Env) Fig11() Table {
 		var tl, tlp, tg, tgp float64
 		for _, p := range pairs {
 			p := p
-			es := enumerate.Explanations(e.G, p.Start, p.End, cfg)
+			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), e.G, p.Start, p.End, cfg)
 			ctx := &measure.Context{
 				G: e.G, Start: p.Start, End: p.End,
 				SampleStarts: measure.SampleStartsOfType(
 					e.G, e.G.Node(p.Start).Type, e.Opt.GlobalSamples, e.Opt.Seed),
 			}
-			tl += Time(func() { rank.General(ctx, es, local, 10) })
-			tlp += Time(func() { rank.TopKDistributional(ctx, es, local, 10) })
-			tg += Time(func() { rank.General(ctx, es, global, 10) })
-			tgp += Time(func() { rank.TopKDistributional(ctx, es, global, 10) })
+			bg, never := context.Background(), time.Time{}
+			tl += Time(func() { rank.GeneralBudgeted(bg, ctx, es, local, 10, never) })
+			tlp += Time(func() { rank.TopKDistributionalBudgeted(bg, ctx, es, local, 10, never) })
+			tg += Time(func() { rank.GeneralBudgeted(bg, ctx, es, global, 10, never) })
+			tgp += Time(func() { rank.TopKDistributionalBudgeted(bg, ctx, es, global, 10, never) })
 		}
 		n := float64(len(pairs))
 		t.Rows = append(t.Rows, []string{

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"rex/internal/learn"
 	"rex/internal/measure"
@@ -45,7 +47,7 @@ func Learned(opt StudyOptions) Table {
 		measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}},
 	}
 	evalMeasure := func(m measure.Measure, sd *studyData) float64 {
-		ranked := rank.General(sd.ctx, sd.all, m, 10)
+		ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10, time.Time{})
 		judged := make([]study.Judged, len(ranked))
 		for i, r := range ranked {
 			judged[i] = sd.labels[r.Ex.P.CanonicalKey()]

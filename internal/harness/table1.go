@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
@@ -109,7 +111,7 @@ func buildStudy(opt StudyOptions) []*studyData {
 	cfg := enumerate.Config{MaxPatternSize: enumerate.DefaultMaxPatternSize}
 	var out []*studyData
 	for _, p := range pairs {
-		all := enumerate.Explanations(g, p.Start, p.End, cfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, p.Start, p.End, cfg)
 		// Start samples for the global distribution match the query
 		// entity's type (see measure.SampleStartsOfType). The rater
 		// model's global-rarity component uses its own smaller,
@@ -152,7 +154,7 @@ func Table1(opt StudyOptions) Table {
 		row := []string{m.Name()}
 		total := 0.0
 		for _, sd := range data {
-			ranked := rank.General(sd.ctx, sd.all, m, 10)
+			ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10, time.Time{})
 			judged := make([]study.Judged, len(ranked))
 			for i, r := range ranked {
 				judged[i] = sd.labels[r.Ex.P.CanonicalKey()]

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"context"
 	"testing"
 
 	"rex/internal/enumerate"
@@ -15,7 +16,7 @@ func learnSetup(t *testing.T, start, end string) (*measure.Context, []*pattern.E
 	g := kbgen.Sample()
 	s := g.NodeByName(start)
 	e := g.NodeByName(end)
-	es := enumerate.Explanations(g, s, e, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	return &measure.Context{G: g, Start: s, End: e}, es
 }
 
@@ -102,7 +103,7 @@ func TestTrainImprovesOverUniform(t *testing.T) {
 	} {
 		s := g.NodeByName(names[0])
 		e := g.NodeByName(names[1])
-		es := enumerate.Explanations(g, s, e, enumerate.Config{})
+		es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 		ctx := &measure.Context{G: g, Start: s, End: e}
 		panel := study.NewPanel(g, s, e, es, 5, 17)
 		rel := make(map[string]float64, len(es))

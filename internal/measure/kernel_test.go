@@ -35,7 +35,7 @@ func enumeratedCases(t *testing.T, name string, g *kb.Graph, pairs int) []kernel
 	}
 	sampled := kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: pairs, Seed: 5})
 	for _, pr := range sampled {
-		es := enumerate.Explanations(g, pr.Start, pr.End, enumerate.Config{})
+		es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, pr.Start, pr.End, enumerate.Config{})
 		if testing.Short() && len(es) > 60 {
 			es = es[:60]
 		}
@@ -352,7 +352,7 @@ func BenchmarkLocalPosition(b *testing.B) {
 	if s == kb.InvalidNode || e == kb.InvalidNode {
 		b.Fatal("benchmark pair missing from the medium preset")
 	}
-	es := enumerate.Explanations(g, s, e, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	ctx := context.Background()
 	for _, limit := range []int{-1, 0} {
 		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func sampleCtx(t *testing.T, start, end string) (*Context, []*pattern.Explanatio
 	if s == kb.InvalidNode || e == kb.InvalidNode {
 		t.Fatalf("missing entities %s/%s", start, end)
 	}
-	es := enumerate.Explanations(g, s, e, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	return &Context{G: g, Start: s, End: e}, es
 }
 

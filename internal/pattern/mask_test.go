@@ -218,8 +218,9 @@ func smallCorpus(t *testing.T) (all, paths [][]*pattern.Explanation) {
 	t.Helper()
 	g, pairs := smallPairs(t)
 	for _, p := range pairs {
-		all = append(all, enumerate.Explanations(g, p.Start, p.End, unionCfg))
-		paths = append(paths, enumerate.Paths(g, p.Start, p.End, unionCfg))
+		es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
+		ps, _, _ := enumerate.PathsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
+		all, paths = append(all, es), append(paths, ps)
 	}
 	return all, paths
 }
@@ -296,8 +297,8 @@ func TestMergeSignatureDifferential(t *testing.T) {
 
 	t.Run("saturated", func(t *testing.T) {
 		g, s, e := fanGraph(2000)
-		all := enumerate.Explanations(g, s, e, unionCfg)
-		paths := enumerate.Paths(g, s, e, unionCfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, unionCfg)
+		paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, s, e, unionCfg)
 		if len(paths) != 5 || len(all) <= len(paths) {
 			t.Fatalf("fan graph gave %d paths, %d explanations; want 5 paths and merged ones", len(paths), len(all))
 		}
@@ -326,7 +327,7 @@ func TestMergeSignatureDifferential(t *testing.T) {
 
 	t.Run("collision", func(t *testing.T) {
 		g, s, e := fanGraph(1)
-		paths := enumerate.Paths(g, s, e, unionCfg)
+		paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, s, e, unionCfg)
 		p1, p2 := paths[0].P, paths[1].P
 		x := kb.NodeID(1000)
 		re1 := pattern.NewExplanation(p1, []pattern.Instance{{s, e, x}})
@@ -482,8 +483,8 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 	frontier.Budget.MaxExpansions = math.MaxInt // the frontier route, never truncated
 	ctx := context.Background()
 	for _, p := range pairs {
-		all := enumerate.Explanations(g, p.Start, p.End, unionCfg)
-		paths := enumerate.Paths(g, p.Start, p.End, unionCfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
+		paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
 		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, frontier)
 		if err != nil || ptrunc {
 			t.Fatalf("frontier paths: truncated=%v err=%v", ptrunc, err)
@@ -512,7 +513,7 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 	// Instances that agree on every matched variable and differ only in
 	// private ones: the cross product is the worst case for duplicates.
 	g, s, e := fanGraph(1)
-	paths1 := enumerate.Paths(g, s, e, unionCfg)
+	paths1, _, _ := enumerate.PathsBudgeted(context.Background(), g, s, e, unionCfg)
 	long := pattern.MustNew(g, 4, []pattern.Edge{
 		{U: pattern.Start, V: 2, Label: g.LabelByName("a")},
 		{U: 2, V: 3, Label: g.LabelByName("c")},
@@ -533,7 +534,7 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 // both explanations.
 func TestMergeRejectedCandidateAllocFree(t *testing.T) {
 	g, s, e := fanGraph(1)
-	paths := enumerate.Paths(g, s, e, unionCfg)
+	paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, s, e, unionCfg)
 	bind := func(p *pattern.Pattern, first kb.NodeID) *pattern.Explanation {
 		var insts []pattern.Instance
 		for id := first; id < first+8; id++ {

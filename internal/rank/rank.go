@@ -1,13 +1,13 @@
 // Package rank turns enumerated explanations into ranked explanation
 // lists (Section 4.4):
 //
-//   - General: Algorithm 5 — enumerate everything, score everything,
+//   - GeneralBudgeted: Algorithm 5 — enumerate everything, score everything,
 //     sort, cut at k.
-//   - TopKAntiMonotone: the interleaved algorithm for anti-monotonic
+//   - TopKAntiMonotoneBudgeted: the interleaved algorithm for anti-monotonic
 //     measures — only explanations currently in the top-k list are
 //     expanded further, justified by Theorem 4 (any expansion can only
 //     lower an anti-monotonic score).
-//   - TopKDistributional: full enumeration, but the per-explanation
+//   - TopKDistributionalBudgeted: full enumeration, but the per-explanation
 //     distributional position computation is bounded by the current
 //     k-th best position (the SQL "LIMIT p" trick of Section 5.3.2).
 package rank
@@ -123,14 +123,8 @@ func sortRanked(rs []Ranked) {
 	})
 }
 
-// General implements Algorithm 5 over an already-enumerated explanation
-// list: score, sort, return the top k (all, when k ≤ 0).
-func General(ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int) []Ranked {
-	rs, _, _ := GeneralBudgeted(context.Background(), ctx, es, m, k, time.Time{})
-	return rs
-}
-
-// GeneralBudgeted is General with cancellation and an anytime deadline.
+// GeneralBudgeted implements Algorithm 5 over an already-enumerated
+// explanation list: score, sort, return the top k (all, when k ≤ 0).
 // The context is checked before each (potentially expensive) measure
 // evaluation, and a done context aborts ranking mid-flight with
 // ctx.Err(); scores computed while the context expires are discarded,
@@ -174,25 +168,18 @@ func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.E
 	return rs, clock.expired, nil
 }
 
-// TopKAntiMonotone interleaves enumeration, scoring and ranking for an
-// anti-monotonic measure: path explanations seed a candidate pool, and
-// expansion (merging with path explanations) proceeds only from
-// explanations currently in the top-k list, per Theorem 4. The final list
-// equals General's on the full enumeration, usually at a fraction of the
-// cost.
-func TopKAntiMonotone(g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) []Ranked {
-	rs, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, start, end, cfg, ctx, m, k)
-	return rs
-}
-
-// TopKAntiMonotoneBudgeted is TopKAntiMonotone with cancellation — path
-// enumeration aborts via the enumerate layer, and the interleaved
-// expansion checks the context once per frontier explanation — and the
-// anytime contract of cfg.Budget: path enumeration truncates per the
-// enumerate layer, and when the budget deadline passes mid-expansion the
-// current top-k list (complete explanations, correctly ranked among
-// everything scored so far) is returned with truncated = true. A zero
-// budget never truncates.
+// TopKAntiMonotoneBudgeted interleaves enumeration, scoring and ranking
+// for an anti-monotonic measure: path explanations seed a candidate
+// pool, and expansion (merging with path explanations) proceeds only
+// from explanations currently in the top-k list, per Theorem 4. The
+// final list equals GeneralBudgeted's on the full enumeration, usually
+// at a fraction of the cost. Path enumeration aborts on cancellation via
+// the enumerate layer, and the interleaved expansion checks the context
+// once per frontier explanation. Under the anytime contract of
+// cfg.Budget, path enumeration truncates per the enumerate layer, and
+// when the budget deadline passes mid-expansion the current top-k list
+// (complete explanations, correctly ranked among everything scored so
+// far) is returned with truncated = true. A zero budget never truncates.
 func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10
@@ -337,20 +324,13 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	}
 }
 
-// TopKDistributional ranks with a prunable (Limited) measure: the current
-// k-th best score bounds each subsequent evaluation, so hopeless
-// position computations abort early. The result equals General's ranking
-// under the same measure.
-func TopKDistributional(ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int) []Ranked {
-	rs, _, _ := TopKDistributionalBudgeted(context.Background(), ctx, es, m, k, time.Time{})
-	return rs
-}
-
-// TopKDistributionalBudgeted is TopKDistributional with cancellation,
-// checked before each bounded evaluation, and an anytime deadline: when
-// it passes, evaluation stops and the top-k over the explanations scored
-// so far is returned with truncated = true. A zero deadline never
-// truncates.
+// TopKDistributionalBudgeted ranks with a prunable (Limited) measure:
+// the current k-th best score bounds each subsequent evaluation, so
+// hopeless position computations abort early. The result equals
+// GeneralBudgeted's ranking under the same measure. Cancellation is
+// checked before each bounded evaluation; when the deadline passes,
+// evaluation stops and the top-k over the explanations scored so far is
+// returned with truncated = true. A zero deadline never truncates.
 func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int, deadline time.Time) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10

@@ -1,7 +1,9 @@
 package rank
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
@@ -54,15 +56,15 @@ func assertSameRanking(t *testing.T, name string, want, got []Ranked) {
 func TestTopKAntiMonotoneEqualsGeneral(t *testing.T) {
 	for _, pairNames := range rankPairs {
 		g, s, e, ctx := setup(t, pairNames[0], pairNames[1])
-		all := enumerate.Explanations(g, s, e, rankCfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
 		for _, m := range []measure.Measure{
 			measure.Monocount{},
 			measure.Size{},
 			measure.Combined{Primary: measure.Size{}, Secondary: measure.Monocount{}},
 		} {
 			for _, k := range []int{1, 3, 10, 100} {
-				want := General(ctx, all, m, k)
-				got := TopKAntiMonotone(g, s, e, rankCfg, ctx, m, k)
+				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k, time.Time{})
+				got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, ctx, m, k)
 				assertSameRanking(t, pairNames[0]+"/"+pairNames[1]+" "+m.Name(), want, got)
 			}
 		}
@@ -75,15 +77,15 @@ func TestTopKDistributionalEqualsGeneral(t *testing.T) {
 	for _, pairNames := range rankPairs {
 		g, s, e, ctx := setup(t, pairNames[0], pairNames[1])
 		ctx.SampleStarts = measure.SampleStarts(g, 15, 3)
-		all := enumerate.Explanations(g, s, e, rankCfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
 		for _, m := range []measure.Limited{
 			measure.LocalPosition{},
 			measure.GlobalPosition{},
 			measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}},
 		} {
 			for _, k := range []int{1, 5, 10} {
-				want := General(ctx, all, m, k)
-				got := TopKDistributional(ctx, all, m, k)
+				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k, time.Time{})
+				got, _, _ := TopKDistributionalBudgeted(context.Background(), ctx, all, m, k, time.Time{})
 				assertSameRanking(t, pairNames[0]+"/"+pairNames[1]+" "+m.Name(), want, got)
 			}
 		}
@@ -93,9 +95,9 @@ func TestTopKDistributionalEqualsGeneral(t *testing.T) {
 // TestGeneralDeterministic checks stable ordering under ties.
 func TestGeneralDeterministic(t *testing.T) {
 	g, s, e, ctx := setup(t, "brad_pitt", "angelina_jolie")
-	all := enumerate.Explanations(g, s, e, rankCfg)
-	a := General(ctx, all, measure.Size{}, 0)
-	b := General(ctx, all, measure.Size{}, 0)
+	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
+	a, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0, time.Time{})
+	b, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0, time.Time{})
 	assertSameRanking(t, "determinism", a, b)
 	// Scores must be non-increasing.
 	for i := 1; i < len(a); i++ {
@@ -108,17 +110,21 @@ func TestGeneralDeterministic(t *testing.T) {
 // TestGeneralCutsAtK checks the k boundary behaviour.
 func TestGeneralCutsAtK(t *testing.T) {
 	g, s, e, ctx := setup(t, "brad_pitt", "angelina_jolie")
-	all := enumerate.Explanations(g, s, e, rankCfg)
+	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
 	if len(all) < 4 {
 		t.Fatalf("want several explanations, got %d", len(all))
 	}
-	if got := General(ctx, all, measure.Size{}, 3); len(got) != 3 {
+	general := func(k int) []Ranked {
+		rs, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, k, time.Time{})
+		return rs
+	}
+	if got := general(3); len(got) != 3 {
 		t.Fatalf("k=3 returned %d", len(got))
 	}
-	if got := General(ctx, all, measure.Size{}, 0); len(got) != len(all) {
+	if got := general(0); len(got) != len(all) {
 		t.Fatalf("k=0 should return all, got %d/%d", len(got), len(all))
 	}
-	if got := General(ctx, all, measure.Size{}, len(all)+10); len(got) != len(all) {
+	if got := general(len(all) + 10); len(got) != len(all) {
 		t.Fatalf("k beyond size returned %d", len(got))
 	}
 }
@@ -127,9 +133,9 @@ func TestGeneralCutsAtK(t *testing.T) {
 // very few explanations.
 func TestTopKAntiMonotoneSparsePair(t *testing.T) {
 	g, s, e, ctx := setup(t, "will_smith", "jada_pinkett_smith")
-	got := TopKAntiMonotone(g, s, e, rankCfg, ctx, measure.Monocount{}, 10)
-	all := enumerate.Explanations(g, s, e, rankCfg)
-	want := General(ctx, all, measure.Monocount{}, 10)
+	got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, ctx, measure.Monocount{}, 10)
+	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
+	want, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Monocount{}, 10, time.Time{})
 	assertSameRanking(t, "sparse pair", want, got)
 }
 
@@ -142,17 +148,17 @@ func TestRankingUnchangedByEvaluator(t *testing.T) {
 		g, s, e, ctx := setup(t, pairNames[0], pairNames[1])
 		ctx.SampleStarts = measure.SampleStarts(g, 15, 3)
 		evCtx := &measure.Context{G: g, Start: s, End: e, SampleStarts: ctx.SampleStarts, Eval: measure.NewEvaluator(g)}
-		all := enumerate.Explanations(g, s, e, rankCfg)
+		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
 		am := measure.Combined{Primary: measure.Size{}, Secondary: measure.Monocount{}}
 		for _, k := range []int{1, 3, 10} {
-			want := General(ctx, all, am, k)
-			got := TopKAntiMonotone(g, s, e, rankCfg, evCtx, am, k)
+			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, am, k, time.Time{})
+			got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, evCtx, am, k)
 			assertSameRanking(t, "eval anti-monotone k="+am.Name(), want, got)
 		}
 		dm := measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}}
 		for _, k := range []int{1, 5, 10} {
-			want := General(ctx, all, dm, k)
-			got := TopKDistributional(evCtx, all, dm, k)
+			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, dm, k, time.Time{})
+			got, _, _ := TopKDistributionalBudgeted(context.Background(), evCtx, all, dm, k, time.Time{})
 			assertSameRanking(t, "eval distributional "+dm.Name(), want, got)
 		}
 	}

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestGroupCountsMatchGraphMatcher(t *testing.T) {
 	for _, names := range pairs {
 		start := g.NodeByName(names[0])
 		end := g.NodeByName(names[1])
-		es := enumerate.Explanations(g, start, end, enumerate.Config{})
+		es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, start, end, enumerate.Config{})
 		for _, ex := range es {
 			q := Compile(g, ex.P, start)
 			got := st.GroupCounts(q)
@@ -86,7 +87,7 @@ func TestPositionHavingMatchesDefinition(t *testing.T) {
 	st := FromGraph(g)
 	start := g.NodeByName("brad_pitt")
 	end := g.NodeByName("angelina_jolie")
-	es := enumerate.Explanations(g, start, end, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, start, end, enumerate.Config{})
 	for _, ex := range es {
 		q := Compile(g, ex.P, start)
 		counts := st.GroupCounts(q)

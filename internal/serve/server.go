@@ -305,9 +305,9 @@ func appendJSONString(b []byte, s string) []byte {
 
 // budgetRequest carries the per-request work budget accepted by
 // /explain (query parameters or JSON body fields) and /batch (top-level
-// body fields, applied to every pair), and the sql flag, which the
-// facade carries in the same rex.Budget. Zero bounds fall back to the
-// server's default budget flags.
+// body fields, applied to every pair), and the sql flag. Zero bounds
+// fall back to the server's default budget flags, as the facade
+// resolves every rex.Request.
 type budgetRequest struct {
 	// BudgetMS bounds the query's wall-clock milliseconds; on expiry
 	// the best-so-far explanations are returned with truncated=true.
@@ -320,26 +320,16 @@ type budgetRequest struct {
 	SQL bool `json:"sql"`
 }
 
-// budget is the request's own budget, SQL flag included. BatchExplain
-// resolves a budget that bounds nothing against the default itself;
-// ExplainBudgeted does not, so /explain resolves it with explainBudget.
-func (b budgetRequest) budget() rex.Budget {
-	return rex.Budget{
-		MaxExpansions: b.BudgetExpansions,
-		Timeout:       time.Duration(b.BudgetMS) * time.Millisecond,
-		SQL:           b.SQL,
+// request is the query for pair p under this budget and sql flag.
+func (b budgetRequest) request(p rex.Pair) rex.Request {
+	return rex.Request{
+		Pair: p,
+		Budget: rex.Budget{
+			MaxExpansions: b.BudgetExpansions,
+			Timeout:       time.Duration(b.BudgetMS) * time.Millisecond,
+		},
+		SQL: b.SQL,
 	}
-}
-
-// explainBudget is the request's budget, or ex's default bounds when
-// the request bounds nothing.
-func (b budgetRequest) explainBudget(ex *rex.Explainer) rex.Budget {
-	if b.BudgetExpansions == 0 && b.BudgetMS == 0 {
-		bud := ex.DefaultBudget()
-		bud.SQL = b.SQL
-		return bud
-	}
-	return b.budget()
 }
 
 // validate rejects nonsensical budgets so a client typo (a negative
@@ -559,7 +549,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx = rex.WithTrace(ctx)
 	snap := s.store.Current() // pin one KB version for the whole request
 	t0 := time.Now()
-	res, err := snap.Explainer.ExplainBudgeted(ctx, p.Start, p.End, bud.explainBudget(snap.Explainer))
+	res, err := snap.Explainer.Query(ctx, bud.request(p))
 	s.note(err)
 	if res != nil && res.Trace != nil {
 		res.Trace.RequestID = reqID // the trace is a private per-query report
@@ -610,7 +600,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// log); the request's trace flag decides whether reports reach the
 	// response.
 	bud := req.budgetRequest
-	results := snap.Explainer.BatchExplain(ctx, req.Pairs, rex.BatchOptions{Budget: bud.budget(), Traced: true})
+	reqs := make([]rex.Request, len(req.Pairs))
+	for i, p := range req.Pairs {
+		reqs[i] = bud.request(p)
+	}
+	results := snap.Explainer.BatchExplain(ctx, reqs, rex.BatchOptions{Traced: true})
 	for _, br := range results {
 		s.note(br.Err)
 		// Per-pair wall time comes from the trace; the request-level

@@ -60,9 +60,10 @@ func reflected(v any) []byte {
 func TestWriteExplainMatchesEncoder(t *testing.T) {
 	s := liveServer(t, "")
 	ex := s.store.Current().Explainer
-	query := func(start, end string, b rex.Budget) *rex.Result {
+	query := func(start, end string, r rex.Request) *rex.Result {
 		t.Helper()
-		res, err := ex.ExplainBudgeted(rex.WithTrace(context.Background()), start, end, b)
+		r.Pair = rex.Pair{Start: start, End: end}
+		res, err := ex.Query(rex.WithTrace(context.Background()), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,20 +74,20 @@ func TestWriteExplainMatchesEncoder(t *testing.T) {
 		cp.Trace = nil
 		return &cp
 	}
-	miss := query("a", "b", rex.Budget{})
-	hit := query("a", "b", rex.Budget{})
+	miss := query("a", "b", rex.Request{})
+	hit := query("a", "b", rex.Request{})
 	if miss.Trace.CacheHit || !hit.Trace.CacheHit {
 		t.Fatalf("cache_hit on first and second query = %v, %v", miss.Trace.CacheHit, hit.Trace.CacheHit)
 	}
-	empty := query("c", "d", rex.Budget{})
+	empty := query("c", "d", rex.Request{})
 	if empty.Explanations != nil {
 		t.Fatalf("(c, d) has explanations: %+v", empty.Explanations)
 	}
-	withSQL := query("a", "b", rex.Budget{SQL: true})
+	withSQL := query("a", "b", rex.Request{SQL: true})
 	if len(withSQL.Explanations) == 0 || withSQL.Explanations[0].SQL == "" {
 		t.Fatalf("(a, b) with sql=1 has no SQL: %+v", withSQL.Explanations)
 	}
-	truncated := query("a", "b", rex.Budget{MaxExpansions: 1})
+	truncated := query("a", "b", rex.Request{Budget: rex.Budget{MaxExpansions: 1}})
 	if !truncated.Truncated {
 		t.Fatal("a one-expansion budget did not truncate")
 	}
@@ -244,9 +245,10 @@ func TestFirstHitsShareOneEncoding(t *testing.T) {
 func TestWriteBatchMatchesEncoder(t *testing.T) {
 	s := liveServer(t, "")
 	ex := s.store.Current().Explainer
-	traced := func(start, end string, b rex.Budget) rex.BatchResult {
+	traced := func(start, end string, r rex.Request) rex.BatchResult {
 		t.Helper()
-		res, err := ex.ExplainBudgeted(rex.WithTrace(context.Background()), start, end, b)
+		r.Pair = rex.Pair{Start: start, End: end}
+		res, err := ex.Query(rex.WithTrace(context.Background()), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,14 +261,14 @@ func TestWriteBatchMatchesEncoder(t *testing.T) {
 		return br
 	}
 	const hostile = "q\"\\ <&> \u2028\xff\x01é"
-	miss := traced("a", "b", rex.Budget{})
-	hit := traced("a", "b", rex.Budget{})
+	miss := traced("a", "b", rex.Request{})
+	hit := traced("a", "b", rex.Request{})
 	results := []rex.BatchResult{
 		untraced(miss),
 		hit,
-		untraced(traced("c", "d", rex.Budget{})),
-		untraced(traced("a", "b", rex.Budget{SQL: true})),
-		traced("b", "a", rex.Budget{MaxExpansions: 1}),
+		untraced(traced("c", "d", rex.Request{})),
+		untraced(traced("a", "b", rex.Request{SQL: true})),
+		traced("b", "a", rex.Request{Budget: rex.Budget{MaxExpansions: 1}}),
 		{Pair: rex.Pair{Start: hostile, End: "b"}, Err: fmt.Errorf("rex: %w %q", rex.ErrUnknownEntity, hostile)},
 		{Pair: rex.Pair{Start: "a", End: "a"}, Err: errors.New("rex: start and end entity are both \"a\"")},
 	}
@@ -342,13 +344,13 @@ func TestSQLOnRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		rec  *httptest.ResponseRecorder
-		b    rex.Budget
+		sql  bool
 	}{
-		{"GET plain", get(t, h, "/explain?start=a&end=b"), rex.Budget{}},
-		{"GET sql=1", get(t, h, "/explain?start=a&end=b&sql=1"), rex.Budget{SQL: true}},
-		{"POST sql", post(t, h, "/explain", `{"start":"a","end":"b","sql":true}`), rex.Budget{SQL: true}},
+		{"GET plain", get(t, h, "/explain?start=a&end=b"), false},
+		{"GET sql=1", get(t, h, "/explain?start=a&end=b&sql=1"), true},
+		{"POST sql", post(t, h, "/explain", `{"start":"a","end":"b","sql":true}`), true},
 	} {
-		cached, err := s.store.Current().Explainer.ExplainBudgeted(context.Background(), "a", "b", tc.b)
+		cached, err := s.store.Current().Explainer.Query(context.Background(), rex.Request{Pair: rex.Pair{Start: "a", End: "b"}, SQL: tc.sql})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func studySetup(t *testing.T) (*Panel, []*pattern.Explanation) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	es := enumerate.Explanations(g, s, e, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	return NewPanel(g, s, e, es, 10, 99), es
 }
 
@@ -130,7 +131,7 @@ func TestPathShareCountsOnlyQualifying(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	es := enumerate.Explanations(g, s, e, enumerate.Config{})
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	var path, nonpath *pattern.Explanation
 	for _, ex := range es {
 		if ex.P.IsPath() && path == nil {
@@ -157,7 +158,8 @@ func TestOracleAgreesWithEnumeration(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("kate_winslet")
 	e := g.NodeByName("leonardo_dicaprio")
-	for _, ex := range enumerate.Explanations(g, s, e, enumerate.Config{}) {
+	es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
+	for _, ex := range es {
 		if got := Oracle(g, ex, s, e); got != ex.Count() {
 			t.Errorf("oracle %d != enumerated %d for %v", got, ex.Count(), ex.P)
 		}

@@ -29,7 +29,7 @@ func TestBatchExplainContainsPanics(t *testing.T) {
 		}
 		return nil
 	})
-	out := ex.BatchExplain(context.Background(), pairs, BatchOptions{Concurrency: 1})
+	out := ex.BatchExplain(context.Background(), requests(pairs), BatchOptions{Concurrency: 1})
 	if len(out) != 3 {
 		t.Fatalf("got %d results, want 3", len(out))
 	}

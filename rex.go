@@ -205,7 +205,8 @@ type Options struct {
 	// making heavy pairs anytime: when the budget expires the best
 	// explanations found so far are returned with Result.Truncated set
 	// instead of running to exhaustion. The zero value never truncates.
-	// ExplainBudgeted and BatchOptions.Budget override it per request.
+	// A Request that sets a bound of its own runs under its own bounds
+	// instead.
 	Budget Budget
 	// Durability, when its Dir is set, makes a Store built with these
 	// options crash-safe: accepted deltas are written to a write-ahead
@@ -247,8 +248,9 @@ type DurabilityOptions struct {
 // was designed for (Section 5): cheap, high-value explanations are
 // found first, so stopping early keeps the best ones. An exhausted
 // budget is not an error — the query returns its best-so-far
-// explanations with Result.Truncated set. The zero value never
-// truncates and is byte-identical to an unbudgeted query.
+// explanations with Result.Truncated set. A zero Budget bounds
+// nothing: as Options.Budget it never truncates, and in a Request it
+// means Options.Budget (see Request).
 type Budget struct {
 	// MaxExpansions bounds the node expansions of the prioritized path
 	// search (0 = unlimited). Expansion-budgeted enumeration is
@@ -261,11 +263,6 @@ type Budget struct {
 	// timeout returns the truncated best-so-far result. Timeout
 	// truncation is timing-dependent, so such results are never cached.
 	Timeout time.Duration
-	// SQL renders Explanation.SQL for this request only: it bounds no
-	// work, is part of the query key, and is cleared in Options.Budget.
-	// A budget with only SQL set runs unbounded in ExplainBudgeted; for
-	// the default bounds plus SQL use b := ex.DefaultBudget(); b.SQL = true.
-	SQL bool
 }
 
 // active reports whether the budget can truncate at all.
@@ -283,8 +280,6 @@ func (b Budget) normalized() Budget {
 }
 
 func (o Options) normalized() Options {
-	o.Budget = o.Budget.normalized()
-	o.Budget.SQL = false // SQL is asked for per request, never by default
 	if o.MaxPatternSize <= 0 {
 		o.MaxPatternSize = 5
 	}
@@ -383,8 +378,8 @@ type Explanation struct {
 	Description string
 	// SQL is the paper-style SQL query whose groups compute the local
 	// count distribution of this pattern (Section 5.3.2), rendered only
-	// for a query whose Budget asks for it (Budget.SQL) and empty and
-	// left out of the JSON encoding otherwise.
+	// for a Request that asks for it (Request.SQL) and empty and left out
+	// of the JSON encoding otherwise.
 	SQL string `json:",omitempty"`
 	// IsPath reports whether the pattern is a simple path.
 	IsPath bool
@@ -445,9 +440,8 @@ type resultJSON struct {
 // every later one, from any copy of the result and on any goroutine; a
 // Trace is per caller, so it is encoded per call and spliced in as the
 // last field. Callers that never ask pay nothing. The bytes are of the
-// result as computed: results are shared and read-only (see
-// ExplainContext), and a copy modified anyway still appends what was
-// computed.
+// result as computed: results are shared and read-only (see Query),
+// and a copy modified anyway still appends what was computed.
 func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	body, err := r.bareJSON()
 	if err != nil {
@@ -484,38 +478,66 @@ func (r *Result) marshalBare() ([]byte, error) {
 	return json.Marshal(&bare)
 }
 
+// Pair names one entity pair to explain.
+type Pair struct {
+	Start string `json:"start"`
+	End   string `json:"end"`
+}
+
+// Request is one query: an entity pair, the work bounds it runs under
+// and whether its answer carries SQL. A request that bounds nothing runs
+// under Options.Budget; one that sets either bound runs under its own
+// bounds only.
+type Request struct {
+	Pair
+	Budget
+	// SQL renders Explanation.SQL for this request. It bounds no work;
+	// an answer with SQL is cached apart from the one without.
+	SQL bool
+}
+
+// resolve is the one place a request's bounds meet Options.Budget: it
+// returns r with the bounds the query runs under, negative ones clamped
+// to unlimited. The cache key, the pipeline and the trace all read the
+// resolved request.
+func (e *Explainer) resolve(r Request) Request {
+	r.Budget = r.Budget.normalized()
+	if !r.Budget.active() {
+		r.Budget = e.opt.Budget.normalized()
+	}
+	return r
+}
+
 // Explain enumerates and ranks relationship explanations between two
-// named entities. It is ExplainContext without a deadline.
+// named entities. It is Query without a deadline, under Options.Budget.
 func (e *Explainer) Explain(start, end string) (*Result, error) {
-	return e.ExplainContext(context.Background(), start, end)
+	return e.Query(context.Background(), Request{Pair: Pair{Start: start, End: end}})
 }
 
-// DefaultBudget returns the budget ExplainContext runs under:
-// Options.Budget, normalized.
-func (e *Explainer) DefaultBudget() Budget { return e.opt.Budget }
-
-// ExplainContext enumerates and ranks relationship explanations between
-// two named entities under a context: cancellation or an expired deadline
-// aborts enumeration, matching and ranking mid-flight (checked at bounded
-// intervals) and returns ctx.Err(). When the explainer was built with a
-// positive Options.CacheSize, results are served from and stored into the
-// LRU cache; a miss computes, so concurrent identical misses each
-// compute and the last to finish stays cached. Cached results are
-// shared between callers and every result must be treated as
-// read-only. Queries run under Options.Budget; use ExplainBudgeted to
-// override it per request.
+// ExplainContext is Query for a pair under Options.Budget.
 func (e *Explainer) ExplainContext(ctx context.Context, start, end string) (*Result, error) {
-	return e.ExplainBudgeted(ctx, start, end, e.opt.Budget)
+	return e.Query(ctx, Request{Pair: Pair{Start: start, End: end}})
 }
 
-// ExplainBudgeted is ExplainContext with a per-request work budget
-// overriding Options.Budget: when the budget expires the query returns
-// the best explanations found so far with Result.Truncated set (see
-// Budget). A zero budget runs to exhaustion and is byte-identical to an
-// unbudgeted query, and so does one that only sets SQL: b does not
-// inherit Options.Budget's bounds (start from DefaultBudget for that).
+// ExplainBudgeted is Query for a pair under b, resolved as a Request's
+// bounds are: a zero b runs under Options.Budget.
 func (e *Explainer) ExplainBudgeted(ctx context.Context, start, end string, b Budget) (*Result, error) {
-	b = b.normalized()
+	return e.Query(ctx, Request{Pair: Pair{Start: start, End: end}, Budget: b})
+}
+
+// Query enumerates and ranks relationship explanations between the
+// request's two named entities under a context: cancellation or an
+// expired deadline aborts enumeration, matching and ranking mid-flight
+// (checked at bounded intervals) and returns ctx.Err(). An exhausted
+// work budget is not an error: the query returns the best explanations
+// found so far with Result.Truncated set (see Budget). When the
+// explainer was built with a positive Options.CacheSize, results are
+// served from and stored into the LRU cache; a miss computes, so
+// concurrent identical misses each compute and the last to finish stays
+// cached. Cached results are shared between callers and every result
+// must be treated as read-only.
+func (e *Explainer) Query(ctx context.Context, r Request) (*Result, error) {
+	q := e.resolve(r)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -526,26 +548,26 @@ func (e *Explainer) ExplainBudgeted(ctx context.Context, start, end string, b Bu
 	tr := obs.FromContext(ctx)
 	t0 := tr.Begin()
 	g := e.kb.g
-	s := g.NodeByName(start)
+	s := g.NodeByName(q.Start)
 	if s == kb.InvalidNode {
-		return nil, fmt.Errorf("rex: %w %q", ErrUnknownEntity, start)
+		return nil, fmt.Errorf("rex: %w %q", ErrUnknownEntity, q.Start)
 	}
-	t := g.NodeByName(end)
+	t := g.NodeByName(q.End)
 	if t == kb.InvalidNode {
-		return nil, fmt.Errorf("rex: %w %q", ErrUnknownEntity, end)
+		return nil, fmt.Errorf("rex: %w %q", ErrUnknownEntity, q.End)
 	}
 	if s == t {
-		return nil, fmt.Errorf("rex: start and end entity are both %q", start)
+		return nil, fmt.Errorf("rex: start and end entity are both %q", q.Start)
 	}
 	var key string
 	if e.cache != nil {
-		key = e.queryKey(start, end, b)
+		key = queryKey(q)
 		if res, ok := e.cache.get(key); ok {
 			tr.MarkCacheHit()
-			return tracedResult(res, tr, t0, b), nil
+			return tracedResult(res, tr, t0, q), nil
 		}
 	}
-	res, err := e.compute(ctx, start, end, s, t, b)
+	res, err := e.compute(ctx, q, s, t)
 	// Timeout-TRUNCATED results are wall-clock-dependent and never
 	// stored: a result truncated under momentary load must not keep
 	// answering for a pair that deserves the full budget later. An
@@ -554,21 +576,22 @@ func (e *Explainer) ExplainBudgeted(ctx context.Context, start, end string, b Bu
 	// deterministic — both cache fine (under the budget-suffixed key), so
 	// a wall-clock default budget does not disable the cache for the
 	// pairs that finish inside it.
-	if err == nil && e.cache != nil && !(b.Timeout > 0 && res.Truncated) {
+	if err == nil && e.cache != nil && !(q.Timeout > 0 && res.Truncated) {
 		e.cache.put(key, res)
 	}
-	return tracedResult(res, tr, t0, b), err
+	return tracedResult(res, tr, t0, q), err
 }
 
 // compute runs the full enumerate → measure → rank → render pipeline
-// for one resolved pair under a budget, on the goroutine that asked.
-func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.NodeID, b Budget) (*Result, error) {
+// for a resolved request whose entities are s and t, on the goroutine
+// that asked.
+func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Result, error) {
 	g := e.kb.g
 	cfg := e.cfg
-	if b.active() {
-		cfg.Budget.MaxExpansions = b.MaxExpansions
-		if b.Timeout > 0 {
-			cfg.Budget.Deadline = time.Now().Add(b.Timeout)
+	if q.active() {
+		cfg.Budget.MaxExpansions = q.MaxExpansions
+		if q.Timeout > 0 {
+			cfg.Budget.Deadline = time.Now().Add(q.Timeout)
 		}
 	}
 	mctx := &measure.Context{G: g, Start: s, End: t, Ctx: ctx}
@@ -611,31 +634,32 @@ func (e *Explainer) compute(ctx context.Context, start, end string, s, t kb.Node
 		return nil, err
 	}
 
-	res := &Result{Start: start, End: end, Measure: e.m.Name(), Truncated: truncated, enc: new(resultJSON)}
+	res := &Result{Start: q.Start, End: q.End, Measure: e.m.Name(), Truncated: truncated, enc: new(resultJSON)}
 	for _, r := range ranked {
-		res.Explanations = append(res.Explanations, e.render(r, b.SQL))
+		res.Explanations = append(res.Explanations, e.render(r, q.SQL))
 	}
 	return res, nil
 }
 
-// queryKey builds the cache key for a (pair, budget) query. The cache
+// queryKey builds the cache key for a resolved request. The cache
 // belongs to exactly one explainer (and therefore one normalized option
-// set), so the pair plus the budget identifies the computation.
-// Length-prefixing makes the key unambiguous for arbitrary entity
-// names — no separator byte needs to be excluded — and unbudgeted
-// queries keep the historical pair-only key shape. An answer with SQL is a different answer, so it is a
-// different entry. It runs on every lookup, so it is one
-// concatenation: no fmt, and strconv.Itoa does not allocate below 100.
-func (e *Explainer) queryKey(start, end string, b Budget) string {
+// set), so the pair plus the bounds it runs under identifies the
+// computation. Length-prefixing makes the key unambiguous for arbitrary
+// entity names — no separator byte needs to be excluded — and
+// unbudgeted queries keep the historical pair-only key shape. An answer
+// with SQL is a different answer, so it is a different entry. It runs
+// on every lookup, so it is one concatenation: no fmt, and strconv.Itoa
+// does not allocate below 100.
+func queryKey(q Request) string {
 	budget := ""
-	if b.active() {
-		budget = "|x" + strconv.Itoa(b.MaxExpansions) + "|t" + strconv.FormatInt(int64(b.Timeout), 10)
+	if q.active() {
+		budget = "|x" + strconv.Itoa(q.MaxExpansions) + "|t" + strconv.FormatInt(int64(q.Timeout), 10)
 	}
 	sql := ""
-	if b.SQL {
+	if q.SQL {
 		sql = "|sql"
 	}
-	return strconv.Itoa(len(start)) + ":" + start + strconv.Itoa(len(end)) + ":" + end + budget + sql
+	return strconv.Itoa(len(q.Start)) + ":" + q.Start + strconv.Itoa(len(q.End)) + ":" + q.End + budget + sql
 }
 
 func isLimited(m measure.Measure) bool {

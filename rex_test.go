@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/measure"
@@ -184,7 +185,7 @@ func TestExplainBasics(t *testing.T) {
 			t.Errorf("instance truncation ignored: %d", len(e.Instances))
 		}
 	}
-	withSQL, err := ex.ExplainBudgeted(context.Background(), "brad_pitt", "angelina_jolie", Budget{SQL: true})
+	withSQL, err := ex.Query(context.Background(), Request{Pair: Pair{Start: "brad_pitt", End: "angelina_jolie"}, SQL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +196,13 @@ func TestExplainBasics(t *testing.T) {
 
 // TestExplainPruningEquivalence checks that the explainer's pruned
 // ranking returns the same explanations as unpruned ranking —
-// rank.General over the full enumeration — for every measure on a real
+// rank.GeneralBudgeted over the full enumeration — for every measure on a real
 // pair.
 func TestExplainPruningEquivalence(t *testing.T) {
 	kb := SampleKB()
 	g := kb.g
 	s, e := g.NodeByName("kate_winslet"), g.NodeByName("leonardo_dicaprio")
-	all := enumerate.Explanations(g, s, e, enumerate.Config{})
+	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{})
 	for _, name := range MeasureNames() {
 		if name == "global-dist" {
 			continue // exercised separately; slow with 100 samples
@@ -222,7 +223,7 @@ func TestExplainPruningEquivalence(t *testing.T) {
 		if needsGlobalSamples(m) {
 			mctx.SampleStarts = measure.SampleStartsOfType(g, g.Node(s).Type, 100, 0) // the Options defaults
 		}
-		b := rank.General(mctx, all, m, 5)
+		b, _, _ := rank.GeneralBudgeted(context.Background(), mctx, all, m, 5, time.Time{})
 		if len(a.Explanations) != len(b) {
 			t.Errorf("%s: pruned %d vs full %d", name, len(a.Explanations), len(b))
 			continue

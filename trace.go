@@ -46,18 +46,19 @@ func WithTrace(ctx context.Context) context.Context {
 	return obs.NewContext(ctx, obs.NewTrace())
 }
 
-// tracedResult attaches the rendered trace to a shallow copy of res, so
-// a cached result, shared between callers, is never mutated. With a nil
-// trace it returns res unchanged.
-func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, b Budget) *Result {
+// tracedResult attaches the rendered trace, with the bounds the
+// resolved request q ran under, to a shallow copy of res, so a cached
+// result, shared between callers, is never mutated. With a nil trace it
+// returns res unchanged.
+func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, q Request) *Result {
 	if tr == nil || res == nil {
 		return res
 	}
 	rep := tr.Report()
 	rep.TotalMS = float64(time.Since(t0)) / 1e6
 	rep.UnattributedMS = rep.TotalMS - float64(tr.InnerNs()+tr.StageNs(obs.StageRank))/1e6
-	rep.BudgetMS = int64(b.Timeout / time.Millisecond)
-	rep.BudgetExpansions = b.MaxExpansions
+	rep.BudgetMS = int64(q.Timeout / time.Millisecond)
+	rep.BudgetExpansions = q.MaxExpansions
 	cp := *res
 	cp.Trace = rep
 	return &cp

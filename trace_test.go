@@ -40,7 +40,7 @@ func TestTracingOffAllocBudgets(t *testing.T) {
 		g := kbgen.Sample()
 		s := g.NodeByName("brad_pitt")
 		e := g.NodeByName("angelina_jolie")
-		es := enumerate.Explanations(g, s, e, enumerate.Config{MaxPatternSize: 5})
+		es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, enumerate.Config{MaxPatternSize: 5})
 		p := es[len(es)-1].P
 		ctx := context.Background()
 		if _, err := match.CountContext(ctx, g, p, s, e); err != nil {
@@ -255,7 +255,7 @@ func TestBatchTraced(t *testing.T) {
 		pairs = append(pairs, distinct...)
 	}
 
-	out := ex.BatchExplain(context.Background(), pairs,
+	out := ex.BatchExplain(context.Background(), requests(pairs),
 		BatchOptions{Concurrency: len(pairs), Traced: true})
 
 	seen := map[*QueryTrace]bool{}
@@ -280,7 +280,7 @@ func TestBatchTraced(t *testing.T) {
 	}
 
 	// Untraced batches must stay trace-free.
-	out = ex.BatchExplain(context.Background(), distinct, BatchOptions{})
+	out = ex.BatchExplain(context.Background(), requests(distinct), BatchOptions{})
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("untraced slot %d: %v", i, br.Err)

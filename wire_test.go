@@ -30,7 +30,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	if traced.Trace == nil || !traced.Trace.CacheHit {
 		t.Fatalf("second query was not a traced cache hit: %+v", traced.Trace)
 	}
-	withSQL, err := ex.ExplainBudgeted(WithTrace(context.Background()), "brad_pitt", "angelina_jolie", Budget{SQL: true})
+	withSQL, err := ex.Query(WithTrace(context.Background()), Request{Pair: Pair{Start: "brad_pitt", End: "angelina_jolie"}, SQL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestSQLOnRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSQL, err := ex.ExplainBudgeted(context.Background(), start, end, Budget{SQL: true})
+	withSQL, err := ex.Query(context.Background(), Request{Pair: Pair{Start: start, End: end}, SQL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := ex.CacheStats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
 		t.Fatalf("plain then sql: cache %+v, want two misses and two entries", st)
 	}
-	again, err := ex.ExplainBudgeted(context.Background(), start, end, Budget{SQL: true})
+	again, err := ex.Query(context.Background(), Request{Pair: Pair{Start: start, End: end}, SQL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
