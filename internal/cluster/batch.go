@@ -65,8 +65,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpjson.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	reqID := requestID(r)
-	w.Header().Set("X-Request-Id", reqID)
+	reqID := httpjson.RequestID(r)
+	w.Header().Set(httpjson.RequestIDHeader, reqID)
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
 	if err != nil {
 		httpjson.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"io"
 	"net/http"
 	"strconv"
@@ -18,38 +16,15 @@ import (
 // Handler builds the router's route table.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/explain", rt.instrument("/explain", rt.handleExplain))
-	mux.HandleFunc("/batch", rt.instrument("/batch", rt.handleBatch))
-	mux.HandleFunc("/admin/delta", rt.instrument("/admin/delta", rt.handleDelta))
+	instrument := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+		return httpjson.Instrument(endpoint, rt.m.requests, rt.m.duration, h)
+	}
+	mux.HandleFunc("/explain", instrument("/explain", rt.handleExplain))
+	mux.HandleFunc("/batch", instrument("/batch", rt.handleBatch))
+	mux.HandleFunc("/admin/delta", instrument("/admin/delta", rt.handleDelta))
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	return mux
-}
-
-// requestID adopts the inbound X-Request-Id or mints one; the same ID
-// is stamped on every replica attempt of the request — a hedged
-// duplicate is the same logical query and must be attributable as such.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= 64 {
-		return id
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// instrument wraps a handler with the per-endpoint request counter and
-// latency histogram.
-func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		rec := &httpjson.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
-		h(rec, r)
-		rt.m.requests.With(endpoint, strconv.Itoa(rec.Status)).Inc()
-		rt.m.duration.With(endpoint).Observe(time.Since(t0).Seconds())
-	}
 }
 
 // forward writes a replica's buffered answer to the client, unmodified
@@ -65,15 +40,17 @@ func forward(w http.ResponseWriter, reqID string, res *proxyResult) {
 		w.Header().Set(generationHeader, strconv.FormatUint(res.generation, 10))
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
-	w.Header().Set("X-Request-Id", reqID)
+	w.Header().Set(httpjson.RequestIDHeader, reqID)
 	w.Header().Set("X-Rex-Replica", res.replica.name)
 	w.WriteHeader(res.status)
 	w.Write(res.body) //nolint:errcheck // response already committed
 }
 
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	reqID := requestID(r)
-	w.Header().Set("X-Request-Id", reqID)
+	// The same ID is stamped on every replica attempt of the request: a
+	// hedged duplicate is the same logical query.
+	reqID := httpjson.RequestID(r)
+	w.Header().Set(httpjson.RequestIDHeader, reqID)
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rex/internal/httpjson"
 )
 
 // Config parameterises one Router.
@@ -271,7 +273,7 @@ func (rt *Router) attempt(ctx context.Context, rp *replica, method, path, rawQue
 	if err != nil {
 		return nil, false, err
 	}
-	req.Header.Set("X-Request-Id", reqID)
+	req.Header.Set(httpjson.RequestIDHeader, reqID)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -202,17 +201,14 @@ func (m *serverMetrics) observeTrace(rep *rex.QueryTrace) {
 	}
 }
 
-// instrument wraps a handler with the per-endpoint request counter,
-// latency histogram and in-flight gauge.
+// instrument wraps a handler with the in-flight gauge around the
+// shared per-endpoint request counter and latency histogram.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	counted := httpjson.Instrument(endpoint, s.metrics.httpRequests, s.metrics.httpDuration, h)
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inflight.Add(1)
-		t0 := time.Now()
-		rec := &httpjson.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
-		h(rec, r)
+		counted(w, r)
 		s.metrics.inflight.Add(-1)
-		s.metrics.httpRequests.With(endpoint, strconv.Itoa(rec.Status)).Inc()
-		s.metrics.httpDuration.With(endpoint).Observe(time.Since(t0).Seconds())
 	}
 }
 

@@ -2,52 +2,22 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"net/http"
+
+	"rex/internal/httpjson"
 )
-
-// Request identity: every request gets an X-Request-Id, minted here
-// unless the caller (a client, or the router tier duplicating a hedged
-// attempt) already supplied one. The ID rides the request context into
-// the handlers, is echoed on the response, and is stamped into the
-// query trace and the slow-query log — so a hedged duplicate is
-// attributable across tiers: both attempts of one logical query carry
-// the same ID, and the router's logs line up with each replica's
-// forensics.
-
-// RequestIDHeader is the wire header carrying the request ID.
-const RequestIDHeader = "X-Request-Id"
 
 type requestIDKey struct{}
 
-// maxRequestIDLen caps an attacker-supplied ID before it enters logs
-// and traces; overlong IDs are replaced, not truncated, so a spoofed
-// prefix cannot impersonate another request.
-const maxRequestIDLen = 64
-
-// newRequestID mints a 16-hex-char random ID. crypto/rand never fails
-// on the supported platforms; on the impossible error path the constant
-// fallback still yields a well-formed (if non-unique) ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // withRequestID is the outermost-but-one middleware: it adopts a
 // well-formed incoming X-Request-Id (trusting the router tier to mint
-// them), mints one otherwise, echoes it on the response, and threads it
-// through the context for handlers and forensics.
+// them), mints one otherwise (see httpjson.RequestID), echoes it on the
+// response, and threads it through the context for handlers and
+// forensics: the query trace and the slow-query log carry it.
 func (s *Server) withRequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" || len(id) > maxRequestIDLen {
-			id = newRequestID()
-		}
-		w.Header().Set(RequestIDHeader, id)
+		id := httpjson.RequestID(r)
+		w.Header().Set(httpjson.RequestIDHeader, id)
 		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 	})
 }

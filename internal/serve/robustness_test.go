@@ -11,6 +11,7 @@ import (
 
 	"rex"
 	"rex/internal/fail"
+	"rex/internal/httpjson"
 )
 
 // namedServer is liveServer plus an instance name, for the per-replica
@@ -69,7 +70,7 @@ func TestRequestIDMintedAndEchoed(t *testing.T) {
 
 	// No inbound ID: the server mints one and echoes it.
 	rec := get(t, h, "/explain?start=a&end=b&trace=1")
-	minted := rec.Header().Get(RequestIDHeader)
+	minted := rec.Header().Get(httpjson.RequestIDHeader)
 	if minted == "" {
 		t.Fatal("response without X-Request-Id")
 	}
@@ -87,10 +88,10 @@ func TestRequestIDMintedAndEchoed(t *testing.T) {
 	// An inbound ID (the router tier labelling a hedged attempt) is
 	// adopted verbatim, so both tiers log the same identity.
 	req := httptest.NewRequest(http.MethodGet, "/explain?start=a&end=b&trace=1", nil)
-	req.Header.Set(RequestIDHeader, "hedge-attempt-2")
+	req.Header.Set(httpjson.RequestIDHeader, "hedge-attempt-2")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(RequestIDHeader); got != "hedge-attempt-2" {
+	if got := rec.Header().Get(httpjson.RequestIDHeader); got != "hedge-attempt-2" {
 		t.Errorf("echoed id = %q, want the inbound one", got)
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -102,10 +103,10 @@ func TestRequestIDMintedAndEchoed(t *testing.T) {
 
 	// An overlong (attacker-shaped) ID is replaced, not propagated.
 	req = httptest.NewRequest(http.MethodGet, "/explain?start=a&end=b", nil)
-	req.Header.Set(RequestIDHeader, strings.Repeat("x", 200))
+	req.Header.Set(httpjson.RequestIDHeader, strings.Repeat("x", 200))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(RequestIDHeader); len(got) > maxRequestIDLen || strings.Contains(got, "xxx") {
+	if got := rec.Header().Get(httpjson.RequestIDHeader); len(got) > 64 || strings.Contains(got, "xxx") {
 		t.Errorf("overlong inbound id propagated: %q", got)
 	}
 }
@@ -116,7 +117,7 @@ func TestRequestIDReachesSlowLog(t *testing.T) {
 	h := srv.Handler()
 
 	req := httptest.NewRequest(http.MethodGet, "/explain?start=a&end=b", nil)
-	req.Header.Set(RequestIDHeader, "slow-forensics-1")
+	req.Header.Set(httpjson.RequestIDHeader, "slow-forensics-1")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 
 	entries := srv.slow.Entries()
@@ -129,7 +130,7 @@ func TestRequestIDReachesSlowLog(t *testing.T) {
 	// Batch pairs inherit the request's ID too.
 	req = httptest.NewRequest(http.MethodPost, "/batch",
 		strings.NewReader(`{"pairs":[{"start":"a","end":"b"}]}`))
-	req.Header.Set(RequestIDHeader, "batch-forensics-1")
+	req.Header.Set(httpjson.RequestIDHeader, "batch-forensics-1")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	if entries := srv.slow.Entries(); entries[0].RequestID != "batch-forensics-1" {
 		t.Errorf("batch slow entry request_id = %q", entries[0].RequestID)
