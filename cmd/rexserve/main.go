@@ -30,9 +30,11 @@
 // budget_expansions (deterministic enumeration bound) as /explain query
 // parameters or body fields, and as top-level /batch fields applying to
 // every pair. A query that exhausts its budget answers with its best
-// explanations found so far and "truncated": true instead of a 504;
-// the -budget and -budget-expansions flags set the default for
-// requests that don't specify one. Unbudgeted queries are exhaustive.
+// explanations found so far and "truncated": true instead of a 504.
+// The -budget and -budget-expansions flags set the default budget: a
+// request that sets neither bound runs under both flags (sql=1 sets no
+// bound), and one that sets either runs under its own bounds only.
+// With neither flag nor a request bound, queries are exhaustive.
 //
 // Admin endpoints (JSON responses):
 //
