@@ -314,15 +314,43 @@ func BenchmarkRelstoreGroupCounts(b *testing.B) {
 	}
 }
 
+// BenchmarkConnectedness times one connectedness count of a low and a
+// high pair at the paper's length limit 4, exact (cap -1) and capped at
+// 101, the form kbgen.SamplePairs buckets with.
 func BenchmarkConnectedness(b *testing.B) {
 	env, rep := benchSetup(b)
-	p, ok := rep[kb.ConnHigh]
-	if !ok {
-		b.Skip("no high pair")
+	for _, bucket := range []kb.ConnBucket{kb.ConnLow, kb.ConnHigh} {
+		p, ok := rep[bucket]
+		for _, c := range []int{-1, 101} {
+			b.Run(fmt.Sprintf("%v/cap=%d", bucket, c), func(b *testing.B) {
+				if !ok {
+					b.Skipf("no %v pair", bucket)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					env.G.Connectedness(p.Start, p.End, 4, c)
+				}
+			})
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.G.Connectedness(p.Start, p.End, 4, -1)
+}
+
+// BenchmarkSamplePairs times drawing the repository benchmark's 33 pairs
+// (11 per bucket, pair seed 43) from a kbgen preset at seed 42: on
+// medium, and on million unless -short.
+func BenchmarkSamplePairs(b *testing.B) {
+	for _, preset := range []string{"medium", "million"} {
+		b.Run(preset, func(b *testing.B) {
+			if preset == "million" && testing.Short() {
+				b.Skip("million takes about 2 s to generate; skipped under -short")
+			}
+			g := benchGraph(b, preset)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43})
+			}
+		})
 	}
 }
 

@@ -97,33 +97,6 @@ func TestBucketThresholds(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	gb := NewBuilder()
-	a := gb.AddNode("a", "t")
-	b := gb.AddNode("b", "t")
-	c := gb.AddNode("c", "t")
-	iso := gb.AddNode("iso", "t")
-	l := gb.MustLabel("r", true)
-	gb.MustAddEdge(a, b, l)
-	gb.MustAddEdge(b, c, l)
-	g := gb.Build()
-	if !g.Reachable(a, c, 2) {
-		t.Error("a should reach c in 2")
-	}
-	if g.Reachable(a, c, 1) {
-		t.Error("a should not reach c in 1")
-	}
-	if !g.Reachable(c, a, 2) {
-		t.Error("reachability ignores direction")
-	}
-	if g.Reachable(a, iso, 10) {
-		t.Error("isolated node reachable")
-	}
-	if !g.Reachable(a, a, 0) {
-		t.Error("node must reach itself")
-	}
-}
-
 // TestQuickConnectednessSymmetric property-checks that the simple-path
 // count is symmetric in its endpoints (edges are treated undirected).
 func TestQuickConnectednessSymmetric(t *testing.T) {

@@ -19,9 +19,9 @@
 // RemoveEdge, SetNodeType) on one goroutine and turns them into a Graph
 // with Build, which empties the builder. A Graph has no mutator: every
 // accessor — Neighbors, NeighborsLabeled, Degree, HasEdge, NodeByName,
-// NodesOfType, Connectedness, Reachable, Stats and friends — is a pure
-// read with no lazy initialisation, so any number of goroutines may query
-// one graph concurrently. Change goes through an OverlayBuilder, which
+// NodesOfType, Connectedness, Stats and friends — is a pure read with
+// no lazy initialisation, so any number of goroutines may query one
+// graph concurrently. Change goes through an OverlayBuilder, which
 // derives the next graph from a source it never writes to; Compact folds
 // such a chain into a plain graph the same way.
 package kb

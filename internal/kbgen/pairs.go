@@ -13,7 +13,9 @@ import (
 // in practice — and bucket them with the paper's own connectedness
 // thresholds.
 type Pair struct {
-	Start, End    kb.NodeID
+	Start, End kb.NodeID
+	// Connectedness is the pair's simple-path count within
+	// PairOptions.MaxLen, capped at 101: one past the high threshold.
 	Connectedness int
 	Bucket        kb.ConnBucket
 }
@@ -88,8 +90,8 @@ func SamplePairs(g *kb.Graph, opt PairOptions) []Pair {
 		seen[key] = struct{}{}
 		// Cap the count just above the high threshold: bucketing only
 		// needs to know which side of 100 the pair falls on, and the cap
-		// keeps sampling on dense graphs cheap. The precise count (used
-		// by Figure 8's x-axis) is recomputed for selected pairs.
+		// keeps sampling on dense graphs cheap. Pair.Connectedness is
+		// therefore min(count, 101), and cmd/kbgen prints it as is.
 		conn := g.Connectedness(start, end, opt.MaxLen, 101)
 		bucket := kb.Bucket(conn)
 		if len(buckets[bucket]) >= opt.PerBucket {
