@@ -7,10 +7,11 @@
 // with at least one instance, with pattern size (node count) bounded by
 // the configured limit.
 //
-// Paths come from one of two routes, chosen by the request: a
-// meet-in-the-middle join that keeps no order when nothing can stop the
-// search, and the BANKS2-style activation-ordered frontier when a Budget
-// can — an order matters only to a search that can stop (path.go).
+// Paths come from one of two routes, chosen by the request: kb's
+// meet-in-the-middle join (kb.PathJoin, the one Connectedness counts
+// with), which keeps no order, when nothing can stop the search, and the
+// BANKS2-style activation-ordered frontier when a Budget can — an order
+// matters only to a search that can stop (path.go).
 //
 // The paper's strawmen — NaiveEnum, PathEnumNaive, PathEnumBasic and
 // PathUnionBasic — live in internal/oracle, which shares no code with

@@ -12,22 +12,21 @@ import (
 // Path enumeration at the instance level (Section 3.2). The served
 // search has one implementation per kind of request: the
 // activation-ordered frontier (pathEnumPrioritized) when a Budget can
-// stop the search, the streaming join (pathEnumExhaustive) when nothing
-// can — an order only matters to a search that can stop. Both return
-// exactly the set of simple paths between the targets with length ≤
-// maxLen that the paper's strawmen (internal/oracle) list.
+// stop the search, kb's meet-in-the-middle join (kb.PathJoin, through
+// pathEnumExhaustive) when nothing can — an order only matters to a
+// search that can stop. Both return exactly the set of simple paths
+// between the targets with length ≤ maxLen that the paper's strawmen
+// (internal/oracle) list.
 //
-// Paths are represented as fixed-size values throughout — a partial path
-// is a small struct of inline arrays bounded by pattern.MaxVars, and a
-// finished path is its comparable pathKey — so growing, copying and
-// joining paths never touches the allocator; the only allocations are
-// the amortised growth of the (pooled, reused) frontier and result
-// buffers.
+// A finished path is its comparable pathKey, and the frontier's partial
+// path a small struct of inline arrays bounded by pattern.MaxVars, so
+// growing, copying and joining paths never touches the allocator; the
+// only allocations are the amortised growth of the (pooled, reused)
+// frontier, join and result buffers.
 //
-// Both routes check their context at a bounded interval — every
-// ctxCheckInterval expansion steps, not per edge — so an expired deadline
-// aborts enumeration mid-flight at a cost that stays invisible on the
-// happy path.
+// Both routes check their context every 256 expansions, not per edge, so
+// an expired deadline aborts enumeration mid-flight at a cost that stays
+// invisible on the happy path.
 
 // ctxCheckInterval bounds the number of expansion steps between context
 // checks in the enumeration loops.
@@ -55,8 +54,8 @@ func (c *cancelCheck) step() error {
 	return c.err
 }
 
-// partial is a simple path grown from one target during enumeration:
-// nodes[0] is the owning target. It is a fixed-size value — extending a
+// partial is a simple path the frontier grows from one target: nodes[0]
+// is the owning target. It is a fixed-size value — extending a
 // path is a struct copy, not an allocation; lengths are bounded by the
 // pattern size limit, which the Config normalisation caps at
 // pattern.MaxVars nodes.
@@ -138,85 +137,29 @@ const (
 	backwardSide side = 1 // grows from end; never touches start
 )
 
-// pathEnumExhaustive answers the request no budget can stop. The caps are fixed at (⌈l/2⌉, ⌊l/2⌋) and paths join only at the
-// canonical split, so an exhaustive search expands every under-cap
-// partial whatever the order; activation order decides which paths come
-// first, and groupPaths sorts them anyway. So there is no order: the
-// backward side is materialised breadth-first into st.bwd, each partial
-// chained to the others at its terminal through the dense index
-// (st.head, st.next), and the forward side is walked depth-first on one
-// partial used as a stack (joinForward), joining at every step and
-// storing nothing — a leaf under a hub costs one array read.
-// Expansions count expanded partials, one adjacency scan each.
+// pathEnumExhaustive answers the request no budget can stop with kb's
+// simple-path join (kb.PathJoin), whose buffers the pooled state keeps,
+// packing each path it visits into a key: with no order to keep, it
+// stores the cheaper endpoint's side and walks the other, and groupPaths
+// sorts the keys anyway. Expansions are the join's: one adjacency scan
+// per partial path grown.
 func (st *enumState) pathEnumExhaustive(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int) ([]pathKey, error) {
 	st.out = st.out[:0]
-	if maxLen <= 0 || start == end {
-		return st.out, nil
-	}
-	st.sizeIndex(g.NumNodes())
-	defer st.resetIndex()
-	check := cancelCheck{ctx: ctx}
-
-	// Backward: never through start, so nothing is chained there.
-	seed := partial{n: 1}
-	seed.nodes[0] = end
-	st.bwd, st.next = append(st.bwd[:0], seed), append(st.next[:0], 0)
-	st.setHead(end, 1)
-	for i := 0; i < len(st.bwd) && st.bwd[i].length() < maxLen/2; i++ {
-		if err := check.step(); err != nil {
-			return nil, err
+	n, err := st.join.Paths(ctx, g, start, end, maxLen, func(steps []kb.HalfEdge) bool {
+		st.out = append(st.out, pathKey{n: int8(len(steps) + 1)})
+		k := &st.out[len(st.out)-1]
+		k.nodes[0] = start
+		for i, he := range steps {
+			k.nodes[i+1] = he.To
+			k.steps[i] = pathStepKey{label: he.Label, dir: he.Dir}
 		}
-		p := st.bwd[i] // a copy: the appends below may move the array
-		for _, he := range g.Neighbors(p.last()) {
-			if he.To == start || p.contains(he.To) {
-				continue
-			}
-			st.bwd, st.next = append(st.bwd, p.extend(he)), append(st.next, st.head[he.To])
-			st.setHead(he.To, int32(len(st.bwd)))
-		}
-	}
-
-	st.fwd = partial{n: 1}
-	st.fwd.nodes[0] = start
-	if err := st.joinForward(g, end, (maxLen+1)/2, &check); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
-	obs.FromContext(ctx).Add(obs.Expansions, int64(check.n))
+	obs.FromContext(ctx).Add(obs.Expansions, int64(n))
 	return st.out, nil
-}
-
-// joinForward scans the neighbours of st.fwd's terminal: each simple
-// extension is pushed, joined with the backward partials chained at its
-// terminal that canonicalSplit admits, expanded in turn when under the
-// cap and not at end (the forward side never goes past it), and popped.
-func (st *enumState) joinForward(g *kb.Graph, end kb.NodeID, capFwd int, check *cancelCheck) error {
-	if err := check.step(); err != nil {
-		return err
-	}
-	f := &st.fwd
-	leaf := f.length()+1 == capFwd
-	for _, he := range g.Neighbors(f.last()) {
-		h := st.head[he.To]
-		if h == 0 && leaf || f.contains(he.To) {
-			continue
-		}
-		f.nodes[f.n], f.steps[f.n-1] = he.To, he
-		f.n++
-		for ; h != 0; h = st.next[h-1] {
-			if b := &st.bwd[h-1]; canonicalSplit(f.length(), b.length()) {
-				if k, ok := joinToKey(f, b); ok {
-					st.out = append(st.out, k)
-				}
-			}
-		}
-		if !leaf && he.To != end {
-			if err := st.joinForward(g, end, capFwd, check); err != nil {
-				return err
-			}
-		}
-		f.n--
-	}
-	return nil
 }
 
 // pathEnumPrioritized is the BANKS2 adaptation, which serves the requests

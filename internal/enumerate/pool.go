@@ -59,22 +59,17 @@ const retainedCap = 1 << 16
 // reference to any graph, context or returned explanation after a query
 // completes.
 type enumState struct {
-	// Dense terminal index of both path routes (path.go):
-	// head[id] is 0 or 1 + an index into states (frontier) or bwd
-	// (exhaustive join). All-zero between queries — every exit resets
-	// the touched entries — and sized to the graph at every use, because
-	// overlay generations add nodes. Its size is the graph's, not the
-	// query's (4 B a node), so it is exempt from retainedCap.
+	// The frontier's dense terminal index (path.go): head[id] is 0 or
+	// 1 + an index into states. All-zero between queries — every exit
+	// resets the touched entries — and sized to the graph at every use,
+	// because overlay generations add nodes. Its size is the graph's, not
+	// the query's (4 B a node), so it is exempt from retainedCap.
 	head    []int32
 	touched []kb.NodeID
 	out     []pathKey
 
-	// Exhaustive join: the backward partials, next[i] chaining bwd[i] to
-	// the previous one at its terminal (1-based, 0 ends), and the
-	// forward stack.
-	bwd  []partial
-	next []int32
-	fwd  partial
+	// Exhaustive route: the simple-path join's records and buffers.
+	join kb.PathJoin
 
 	// Activation-ordered frontier, for budgeted requests.
 	states []nodeState
@@ -114,7 +109,7 @@ func newEnumState() *enumState {
 // footprint for the snapshot's lifetime.
 func (s *enumState) oversized() bool {
 	if cap(s.out) > retainedCap ||
-		cap(s.bwd) > retainedCap ||
+		s.join.Oversized(retainedCap) ||
 		cap(s.states) > retainedCap ||
 		cap(s.pq) > retainedCap ||
 		len(s.groups) > retainedCap ||

@@ -15,38 +15,59 @@ import (
 
 var unionMillion = flag.Bool("union-million", false, "also run BenchmarkPathUnionPruneVsBasic on the million preset (≈ 5 s to generate and sample)")
 
-// benchGraph is the benchmark's KB (kbgen medium, seed 42), generated
-// once per process.
-var benchGraph = sync.OnceValue(func() *kb.Graph {
-	opt, err := kbgen.PresetOptions("medium", 42)
+// benchGraphs are the benchmark's KB (kbgen medium, seed 42) and the
+// paper-scale one (kbgen million, seed 42, ≈ 2 s to generate), each
+// generated once per process.
+var (
+	benchGraph   = sync.OnceValue(func() *kb.Graph { return presetGraph("medium") })
+	millionGraph = sync.OnceValue(func() *kb.Graph { return presetGraph("million") })
+)
+
+func presetGraph(preset string) *kb.Graph {
+	opt, err := kbgen.PresetOptions(preset, 42)
 	if err != nil {
 		panic(err)
 	}
 	return kbgen.Generate(opt)
-})
+}
 
-// benchPair returns that KB and the pair that sets engine_cold's
+// namedPair looks a pair up by entity names.
+func namedPair(b *testing.B, g *kb.Graph, start, end string) (kb.NodeID, kb.NodeID) {
+	s, e := g.NodeByName(start), g.NodeByName(end)
+	if s == kb.InvalidNode || e == kb.InvalidNode {
+		b.Fatalf("benchmark pair %s->%s missing from the preset", start, end)
+	}
+	return s, e
+}
+
+// benchPair returns the medium KB and the pair that sets engine_cold's
 // query_p95_ms.
 func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	g := benchGraph()
-	s, e := g.NodeByName("film_5972"), g.NodeByName("film_4871")
-	if s == kb.InvalidNode || e == kb.InvalidNode {
-		b.Fatal("benchmark pair missing from the medium preset")
-	}
+	s, e := namedPair(b, g, "film_5972", "film_4871")
 	return g, s, e
 }
 
-// BenchmarkPathEnum times path search and grouping alone on that pair
-// (52 path explanations), on warm pooled state, once per path route:
-// exhaustive is the streaming join a plain request takes, anytime the
-// activation-ordered frontier under a deadline that never expires.
+// BenchmarkPathEnum times path search and grouping alone, on warm pooled
+// state: on benchPair's pair (52 path explanations) once per path route
+// — exhaustive is the join a plain request takes, anytime the
+// activation-ordered frontier under a deadline that never expires — and
+// the join on million's hub pair film_52640→actor_0000 (29 432 paths),
+// skipped under -short.
 func BenchmarkPathEnum(b *testing.B) {
-	g, s, e := benchPair(b)
-	for _, route := range []string{"exhaustive", "anytime"} {
+	for _, route := range []string{"exhaustive", "anytime", "million-hub"} {
 		b.Run(route, func(b *testing.B) {
+			g, s, e := benchPair(b)
 			cfg := Config{Pool: NewPool()}
-			if route == "anytime" {
+			switch route {
+			case "anytime":
 				cfg.Budget.Deadline = time.Now().Add(time.Hour)
+			case "million-hub":
+				if testing.Short() {
+					b.Skip("million takes about 2 s to generate; skipped under -short")
+				}
+				g = millionGraph()
+				s, e = namedPair(b, g, "film_52640", "actor_0000")
 			}
 			enum := func() int {
 				paths, truncated, err := PathsBudgeted(context.Background(), g, s, e, cfg)
@@ -118,11 +139,7 @@ func BenchmarkPathUnionPruneVsBasic(b *testing.B) {
 	for _, preset := range presets {
 		g := benchGraph()
 		if preset != "medium" {
-			opt, err := kbgen.PresetOptions(preset, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g = kbgen.Generate(opt)
+			g = millionGraph()
 		}
 		var paths [][]*pattern.Explanation
 		for _, p := range kbgen.SamplePairs(g, kbgen.PairOptions{PerBucket: 11, Seed: 43}) {

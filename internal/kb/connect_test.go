@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"context"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +134,61 @@ func TestQuickConnectednessMonotoneInLength(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pollCounter reports cancellation from its cancelAt-th Err poll on.
+type pollCounter struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCounter) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPathJoinPolls holds the join to one context poll every 256
+// expansions on the complete graph of 24 nodes: cancelled at its first
+// poll, a join stops at its 256th expansion (in the walk at length 5, in
+// the store at length 6) with context.Canceled; uncancelled, the same
+// PathJoin then polls once per 256 expansions and visits every simple
+// path, Σ 22!/(22−k)! over k < maxLen of them.
+func TestPathJoinPolls(t *testing.T) {
+	gb := NewBuilder()
+	for i := 0; i < 24; i++ {
+		gb.AddNode(string(rune('a'+i)), "t")
+	}
+	l := gb.MustLabel("u", false)
+	for i := NodeID(0); i < 24; i++ {
+		for j := i + 1; j < 24; j++ {
+			gb.MustAddEdge(i, j, l)
+		}
+	}
+	g := gb.Build()
+	var j PathJoin
+	for _, maxLen := range []int{5, 6} {
+		ctx := &pollCounter{Context: context.Background(), cancelAt: 1}
+		n, err := j.Paths(ctx, g, 0, 1, maxLen, func([]HalfEdge) bool { return true })
+		if err != context.Canceled || n != 256 || ctx.polls != 1 {
+			t.Fatalf("maxLen %d: cancelled join made %d expansions in %d polls, err %v", maxLen, n, ctx.polls, err)
+		}
+		ctx = &pollCounter{Context: context.Background(), cancelAt: math.MaxInt}
+		paths := 0
+		n, err = j.Paths(ctx, g, 0, 1, maxLen, func([]HalfEdge) bool { paths++; return true })
+		if err != nil || ctx.polls != n/256 {
+			t.Fatalf("maxLen %d: join polled %d times in %d expansions, err %v", maxLen, ctx.polls, n, err)
+		}
+		want, perm := 0, 1
+		for k := 0; k < maxLen; k++ {
+			want += perm
+			perm *= 22 - k
+		}
+		if paths != want {
+			t.Fatalf("maxLen %d: join visited %d paths, want %d", maxLen, paths, want)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"rex/internal/kb"
@@ -97,5 +100,75 @@ func TestConnectednessMatchesPathEnumNaive(t *testing.T) {
 	// The shapes the graphs are built for must have been reached.
 	if parallel == 0 || largerStart == 0 || overCap == 0 {
 		t.Fatal("a shape the graphs are built for was not reached")
+	}
+}
+
+// pathString spells a path from its first node as node, label and
+// direction sequences.
+func pathString(start kb.NodeID, steps []kb.HalfEdge) string {
+	b := strconv.AppendInt(nil, int64(start), 10)
+	for _, he := range steps {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(he.Label), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(he.Dir), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(he.To), 10)
+	}
+	return string(b)
+}
+
+// TestPathJoinMatchesPathEnumNaive holds the paths kb.PathJoin visits to
+// the strawman walk's: on the graphs above, for every ordered pair (so
+// both argument orders) and every length limit from 1 to 7 (odd limits
+// give the walk a deeper cap than the store), the join's paths, read
+// from the first argument, are PathEnumNaive's, each once. One PathJoin
+// serves every call, as a pooled one does. Both endpoints must have been
+// the stored side.
+func TestPathJoinMatchesPathEnumNaive(t *testing.T) {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 3
+	}
+	var j kb.PathJoin
+	var storedA, storedB int
+	for seed := int64(1); seed <= seeds; seed++ {
+		g := connGraph(seed, 11)
+		n := kb.NodeID(g.NumNodes())
+		for a := kb.NodeID(0); a < n; a++ {
+			for b := kb.NodeID(0); b < n; b++ {
+				all := PathEnumNaive(g, a, b, 7)
+				if a != b {
+					if frontier(g, b) < frontier(g, a) {
+						storedB++
+					} else {
+						storedA++
+					}
+				}
+				for maxLen := 1; maxLen <= 7; maxLen++ {
+					var want, got []string
+					for _, p := range all {
+						if p.Len() <= maxLen {
+							want = append(want, pathString(a, p.Steps))
+						}
+					}
+					if _, err := j.Paths(context.Background(), g, a, b, maxLen, func(steps []kb.HalfEdge) bool {
+						got = append(got, pathString(a, steps))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					slices.Sort(want)
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d: PathJoin(%d, %d, %d) visits %d paths, PathEnumNaive lists %d, or different ones", seed, a, b, maxLen, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("the join stored the first endpoint for %d ordered pairs and the second for %d", storedA, storedB)
+	if storedA == 0 || storedB == 0 {
+		t.Fatal("one endpoint was never the stored side")
 	}
 }

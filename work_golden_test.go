@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,6 +73,17 @@ func digestWork(p Pair, res *Result) workDigest {
 	return d
 }
 
+// Bounds on the bytes million's uncached queries allocate, each the
+// value measured when it was set plus 5 %: the 33 pairs together, and
+// the hub pair whose union sets the preset's slowest query. Allocation
+// is counted, not timed, so the bounds can be tight; a change that moves
+// it re-measures them and says so.
+const (
+	maxMillionAllocBytes = 307_340_000
+	maxHubAllocBytes     = 230_720_000
+	hubPair              = "film_52640->actor_0000"
+)
+
 // maxUnattributedShare bounds the part of million's 33-pair traced time
 // that falls in no top-level stage. medium's share is logged only: its
 // smallest pairs take a few milliseconds, of which the facade's fixed
@@ -84,8 +96,10 @@ const maxUnattributedShare = 0.05
 // joins, joins proven empty, bindings, walk steps, enumerated and
 // counted instances, per-stage calls and items) is deliberate,
 // regenerated with -update and declared. medium always runs; million
-// runs with -work-million. Each pair's uncached time and the part of it
-// no stage holds are logged; only million's unattributed share is gated.
+// runs with -work-million. Each pair's uncached time, the part of it no
+// stage holds and the bytes it allocated are logged; million's
+// unattributed share, its 33-pair allocation and the hub pair's are
+// gated (not under the race detector, which allocates for itself).
 func TestWorkGoldens(t *testing.T) {
 	presets := []string{"medium"}
 	if *workMillion {
@@ -107,27 +121,46 @@ func TestWorkGoldens(t *testing.T) {
 			var got []workDigest
 			var total time.Duration
 			var traced, unattributed float64
+			var allocated, hub uint64
+			var ms runtime.MemStats
 			for _, p := range pairs {
 				ex, err := NewExplainer(k, Options{CacheSize: 0})
 				if err != nil {
 					t.Fatal(err)
 				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
 				t0 := time.Now()
 				res, err := ex.ExplainContext(WithTrace(context.Background()), p.Start, p.End)
 				took := time.Since(t0)
+				runtime.ReadMemStats(&ms)
+				bytes := ms.TotalAlloc - before
 				if err != nil {
 					t.Fatalf("%s->%s: %v", p.Start, p.End, err)
 				}
 				total += took
 				traced += res.Trace.TotalMS
 				unattributed += res.Trace.UnattributedMS
-				t.Logf("%s->%s: %.2f ms, %.2f ms unattributed", p.Start, p.End, float64(took)/1e6, res.Trace.UnattributedMS)
-				got = append(got, digestWork(p, res))
+				allocated += bytes
+				d := digestWork(p, res)
+				if d.Pair == hubPair {
+					hub = bytes
+				}
+				t.Logf("%s: %.2f ms, %.2f ms unattributed, %d B", d.Pair, float64(took)/1e6, res.Trace.UnattributedMS, bytes)
+				got = append(got, d)
 			}
 			share := unattributed / traced
-			t.Logf("%d pairs: %.1f ms; %.1f of %.1f traced ms (%.1f %%) unattributed", len(pairs), float64(total)/1e6, unattributed, traced, 100*share)
+			t.Logf("%d pairs: %.1f ms; %.1f of %.1f traced ms (%.1f %%) unattributed; %d B allocated", len(pairs), float64(total)/1e6, unattributed, traced, 100*share, allocated)
 			if preset == "million" && share > maxUnattributedShare {
 				t.Errorf("%.1f %% of the traced time falls in no stage, above %.0f %%", 100*share, 100*maxUnattributedShare)
+			}
+			if preset == "million" && !raceEnabled {
+				if allocated > maxMillionAllocBytes {
+					t.Errorf("the %d pairs allocated %d B, above the bound of %d B", len(pairs), allocated, maxMillionAllocBytes)
+				}
+				if hub > maxHubAllocBytes {
+					t.Errorf("%s allocated %d B, above the bound of %d B", hubPair, hub, maxHubAllocBytes)
+				}
 			}
 			if *updateGoldens {
 				want[preset] = got
