@@ -342,7 +342,7 @@ func BenchmarkSamplePairs(b *testing.B) {
 	for _, preset := range []string{"medium", "million"} {
 		b.Run(preset, func(b *testing.B) {
 			if preset == "million" && testing.Short() {
-				b.Skip("million takes about 2 s to generate; skipped under -short")
+				b.Skip("million takes about 1.2 s to generate; skipped under -short")
 			}
 			g := benchGraph(b, preset)
 			b.ReportAllocs()
@@ -354,9 +354,24 @@ func BenchmarkSamplePairs(b *testing.B) {
 	}
 }
 
+// BenchmarkKBGeneration times generating the repository benchmark's KB,
+// kbgen preset medium at seed 42, and million unless -short: the part of
+// every workload's setup_s that is building the graph.
 func BenchmarkKBGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		kbgen.Generate(kbgen.Options{Scale: 0.25, Seed: int64(i)})
+	for _, preset := range []string{"medium", "million"} {
+		b.Run(preset, func(b *testing.B) {
+			if preset == "million" && testing.Short() {
+				b.Skip("million takes about 1.2 s to generate; skipped under -short")
+			}
+			opt, err := kbgen.PresetOptions(preset, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kbgen.Generate(opt)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 var unionMillion = flag.Bool("union-million", false, "also run BenchmarkPathUnionPruneVsBasic on the million preset (≈ 5 s to generate and sample)")
 
 // benchGraphs are the benchmark's KB (kbgen medium, seed 42) and the
-// paper-scale one (kbgen million, seed 42, ≈ 2 s to generate), each
+// paper-scale one (kbgen million, seed 42, ≈ 1.2 s to generate), each
 // generated once per process.
 var (
 	benchGraph   = sync.OnceValue(func() *kb.Graph { return presetGraph("medium") })
@@ -64,7 +64,7 @@ func BenchmarkPathEnum(b *testing.B) {
 				cfg.Budget.Deadline = time.Now().Add(time.Hour)
 			case "million-hub":
 				if testing.Short() {
-					b.Skip("million takes about 2 s to generate; skipped under -short")
+					b.Skip("million takes about 1.2 s to generate; skipped under -short")
 				}
 				g = millionGraph()
 				s, e = namedPair(b, g, "film_52640", "actor_0000")

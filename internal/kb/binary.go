@@ -16,8 +16,8 @@ import (
 //
 // It serialises the CSR layout directly — per-node degrees, then the
 // flat half-edge array in (To, Label, Dir) span order — so
-// loading is one fill of the read-path arrays: no AddEdge bookkeeping, no
-// edge-set map, no re-sorting. The content fingerprint travels with the
+// loading is one fill of the read-path arrays: no AddEdge duplicate
+// scans, no adjacency lists, no re-sorting. The content fingerprint travels with the
 // XOR-combinable item hash behind it, so a loaded graph can serve as an
 // overlay base with O(delta) incremental fingerprints. Layout, all
 // integers unsigned varints:

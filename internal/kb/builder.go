@@ -12,17 +12,14 @@ type Builder struct {
 	labelIDs      map[string]LabelID
 	labelDirected []bool
 
-	// adj holds every node's half-edges in insertion order, and edgeSet
-	// every edge once under its canonical key, behind AddEdge's duplicate
-	// detection.
+	// adj holds every node's half-edges in insertion order; has searches it.
 	adj      [][]HalfEdge
-	edgeSet  map[edgeKey]struct{}
 	numEdges int
 }
 
-// edgeKey packs (from, to, label) into a comparable map key. Direction is
-// implied by the label's directedness; an undirected edge is keyed with
-// from ≤ to (see canonicalKey).
+// edgeKey packs (from, to, label) into OverlayBuilder's map key. Direction
+// is implied by the label's directedness; an undirected edge is keyed
+// with from ≤ to (see canonicalKey).
 type edgeKey struct {
 	from, to NodeID
 	label    LabelID
@@ -169,7 +166,9 @@ func (b *Builder) LabelByName(name string) LabelID {
 // undirected. Duplicate edges (same endpoints and label, respecting
 // orientation) are ignored, making the graph a set-multigraph: multiple
 // labels may connect the same pair but each (pair, label) occurs once.
-// It reports whether the edge was newly inserted.
+// It reports whether the edge was newly inserted. Its duplicate check
+// scans the lower-degree endpoint (has): O(min(deg(from), deg(to))) a
+// call, at most 2·a(G)·|E| a graph of arboricity a(G) (Chiba & Nishizeki).
 func (b *Builder) AddEdge(from, to NodeID, label LabelID) (bool, error) {
 	if err := checkEdge("AddEdge", from, to, label, len(b.nodes), len(b.labels)); err != nil {
 		return false, err
@@ -177,16 +176,10 @@ func (b *Builder) AddEdge(from, to NodeID, label LabelID) (bool, error) {
 	if from == to {
 		return false, fmt.Errorf("kb: AddEdge: self-loop on node %d (%s) not supported", from, b.nodes[from].Name)
 	}
-	directed := b.labelDirected[label]
-	key := canonicalKey(from, to, label, directed)
-	if _, dup := b.edgeSet[key]; dup {
+	atFrom, atTo := halves(from, to, label, b.labelDirected[label])
+	if b.has(from, to, atFrom, atTo) {
 		return false, nil
 	}
-	if b.edgeSet == nil {
-		b.edgeSet = make(map[edgeKey]struct{})
-	}
-	b.edgeSet[key] = struct{}{}
-	atFrom, atTo := halves(from, to, label, directed)
 	b.adj[from] = append(b.adj[from], atFrom)
 	b.adj[to] = append(b.adj[to], atTo)
 	b.numEdges++
@@ -209,17 +202,33 @@ func (b *Builder) RemoveEdge(from, to NodeID, label LabelID) (bool, error) {
 	if err := checkEdge("RemoveEdge", from, to, label, len(b.nodes), len(b.labels)); err != nil {
 		return false, err
 	}
-	directed := b.labelDirected[label]
-	key := canonicalKey(from, to, label, directed)
-	if _, ok := b.edgeSet[key]; !ok {
+	atFrom, atTo := halves(from, to, label, b.labelDirected[label])
+	if !b.has(from, to, atFrom, atTo) {
 		return false, nil
 	}
-	delete(b.edgeSet, key)
-	atFrom, atTo := halves(from, to, label, directed)
 	b.adj[from] = removeHalf(b.adj[from], atFrom)
 	b.adj[to] = removeHalf(b.adj[to], atTo)
 	b.numEdges--
 	return true, nil
+}
+
+// has reports whether the edge with halves atFrom (at from) and atTo (at
+// to) is stored: one list holds its half iff both do, so it scans the shorter.
+func (b *Builder) has(from, to NodeID, atFrom, atTo HalfEdge) bool {
+	if len(b.adj[from]) <= len(b.adj[to]) {
+		return holds(b.adj[from], atFrom)
+	}
+	return holds(b.adj[to], atTo)
+}
+
+// holds scans list for he from the tail, the end a repeated edge is near.
+func holds(list []HalfEdge, he HalfEdge) bool {
+	for i := len(list) - 1; i >= 0; i-- {
+		if x := &list[i]; x.To == he.To && x.Label == he.Label && x.Dir == he.Dir {
+			return true
+		}
+	}
+	return false
 }
 
 // removeHalf deletes the first occurrence of he from list, preserving

@@ -27,8 +27,9 @@
 package kb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -371,24 +372,14 @@ func (g *Graph) Freeze() {}
 // buildCSR concatenates the adjacency lists into the flat csr array,
 // sorts each node's span by (To, Label, Dir), and derives the label view.
 func (g *Graph) buildCSR(adj [][]HalfEdge) {
-	n := len(g.nodes)
-	g.csrOff = make([]int32, n+1)
+	g.csrOff = make([]int32, len(g.nodes)+1)
 	g.csr = make([]HalfEdge, 0, 2*g.numEdges) // two half-edges an edge: self-loops are refused
-	for i := 0; i < n; i++ {
+	for i := range g.nodes {
 		g.csr = append(g.csr, adj[i]...)
 		g.csrOff[i+1] = int32(len(g.csr))
 		g.maxDegree = max(g.maxDegree, len(adj[i]))
-	}
-	for i := 0; i < n; i++ {
-		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]
-		sort.Slice(span, func(x, y int) bool {
-			if span[x].To != span[y].To {
-				return span[x].To < span[y].To
-			}
-			if span[x].Label != span[y].Label {
-				return span[x].Label < span[y].Label
-			}
-			return span[x].Dir < span[y].Dir
+		slices.SortFunc(g.csr[g.csrOff[i]:], func(x, y HalfEdge) int {
+			return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.Label, y.Label), cmp.Compare(x.Dir, y.Dir))
 		})
 	}
 	g.deriveLabelView()

@@ -212,6 +212,21 @@ func TestGenerateReproducible(t *testing.T) {
 	}
 }
 
+// TestMediumFingerprint pins the repository benchmark's KB, preset medium
+// at seed 42, to the fingerprint benchmark/expected/ records: a change to
+// the generator or the builder that moves the dataset fails here, not
+// only when the benchmark runs. TestWorkGoldens -work-million pins
+// million the same way.
+func TestMediumFingerprint(t *testing.T) {
+	opt, err := PresetOptions("medium", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := Generate(opt).Fingerprint(); fp != "58edac2f14cc95e1" {
+		t.Fatalf("medium seed 42 fingerprint %s, want 58edac2f14cc95e1", fp)
+	}
+}
+
 // TestPresetOptions covers the preset table and its error path.
 func TestPresetOptions(t *testing.T) {
 	for _, name := range PresetNames() {

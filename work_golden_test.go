@@ -15,7 +15,7 @@ import (
 	"rex/internal/kbgen"
 )
 
-var workMillion = flag.Bool("work-million", false, "also check the million preset's work goldens (≈ 2 s to generate, a few seconds of queries)")
+var workMillion = flag.Bool("work-million", false, "also check the million preset's work goldens (≈ 1.2 s to generate, a few seconds of queries)")
 
 // workPairs draws the benchmark's pair set from a kbgen preset at seed
 // 42: 11 pairs per connectedness bucket at pair seed 43, interleaved
@@ -78,11 +78,25 @@ func digestWork(p Pair, res *Result) workDigest {
 // the hub pair whose union sets the preset's slowest query. Allocation
 // is counted, not timed, so the bounds can be tight; a change that moves
 // it re-measures them and says so.
+//
+// maxHubWarmAllocBytes bounds the hub pair asked once more on the
+// Explainer that just answered it, whose enumerate.Pool is warm: the
+// only query here that could reuse pooled state. It measured 217.3–219.7
+// MB, as much as a fresh query, because the hub's union grows the merger
+// past retainedCap and the pool drops the state.
 const (
 	maxMillionAllocBytes = 307_340_000
 	maxHubAllocBytes     = 230_720_000
+	maxHubWarmAllocBytes = 230_650_000
 	hubPair              = "film_52640->actor_0000"
 )
+
+// presetFingerprints pins the datasets the work goldens are drawn from,
+// so a change to the generator or to kb.Builder cannot move them unseen.
+var presetFingerprints = map[string]string{
+	"medium":  "58edac2f14cc95e1",
+	"million": "a02a278ab9e9f77d",
+}
 
 // maxUnattributedShare bounds the part of million's 33-pair traced time
 // that falls in no top-level stage. medium's share is logged only: its
@@ -117,36 +131,46 @@ func TestWorkGoldens(t *testing.T) {
 	for _, preset := range presets {
 		t.Run(preset, func(t *testing.T) {
 			g, pairs := workPairs(t, preset)
+			if fp := g.Fingerprint(); fp != presetFingerprints[preset] {
+				t.Fatalf("%s seed 42 fingerprint %s, want %s", preset, fp, presetFingerprints[preset])
+			}
 			k := &KB{g: g}
 			var got []workDigest
 			var total time.Duration
 			var traced, unattributed float64
-			var allocated, hub uint64
+			var allocated, hub, hubWarm uint64
 			var ms runtime.MemStats
-			for _, p := range pairs {
-				ex, err := NewExplainer(k, Options{CacheSize: 0})
-				if err != nil {
-					t.Fatal(err)
-				}
+			ask := func(ex *Explainer, p Pair) (*Result, time.Duration, uint64) {
 				runtime.ReadMemStats(&ms)
 				before := ms.TotalAlloc
 				t0 := time.Now()
 				res, err := ex.ExplainContext(WithTrace(context.Background()), p.Start, p.End)
 				took := time.Since(t0)
 				runtime.ReadMemStats(&ms)
-				bytes := ms.TotalAlloc - before
 				if err != nil {
 					t.Fatalf("%s->%s: %v", p.Start, p.End, err)
 				}
+				return res, took, ms.TotalAlloc - before
+			}
+			for _, p := range pairs {
+				ex, err := NewExplainer(k, Options{CacheSize: 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, took, bytes := ask(ex, p)
 				total += took
 				traced += res.Trace.TotalMS
 				unattributed += res.Trace.UnattributedMS
 				allocated += bytes
 				d := digestWork(p, res)
+				t.Logf("%s: %.2f ms, %.2f ms unattributed, %d B", d.Pair, float64(took)/1e6, res.Trace.UnattributedMS, bytes)
 				if d.Pair == hubPair {
 					hub = bytes
+					// Once more at once, before a collection can empty the
+					// pools the first answer filled.
+					_, _, hubWarm = ask(ex, p)
+					t.Logf("%s on its warm Explainer: %d B", d.Pair, hubWarm)
 				}
-				t.Logf("%s: %.2f ms, %.2f ms unattributed, %d B", d.Pair, float64(took)/1e6, res.Trace.UnattributedMS, bytes)
 				got = append(got, d)
 			}
 			share := unattributed / traced
@@ -160,6 +184,9 @@ func TestWorkGoldens(t *testing.T) {
 				}
 				if hub > maxHubAllocBytes {
 					t.Errorf("%s allocated %d B, above the bound of %d B", hubPair, hub, maxHubAllocBytes)
+				}
+				if hubWarm > maxHubWarmAllocBytes {
+					t.Errorf("%s allocated %d B on its warm Explainer, above the bound of %d B", hubPair, hubWarm, maxHubWarmAllocBytes)
 				}
 			}
 			if *updateGoldens {
