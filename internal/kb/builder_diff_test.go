@@ -3,7 +3,6 @@ package kb
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -67,7 +66,7 @@ func (r *refBuilder) remove(from, to NodeID, label LabelID) bool {
 func (r *refBuilder) check(t *testing.T, tag string, g *Graph) {
 	t.Helper()
 	var want []Edge
-	for _, k := range slices.Collect(maps.Keys(r.edges)) {
+	for k := range r.edges {
 		want = append(want, Edge{From: NodeID(k[0]), To: NodeID(k[1]), Label: LabelID(k[2])})
 	}
 	slices.SortFunc(want, func(x, y Edge) int {
