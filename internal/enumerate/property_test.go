@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -46,28 +47,62 @@ func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} 
 
 var neverTruncates = Budget{MaxExpansions: math.MaxInt}
 
+// twins returns g made the two other ways a served graph is: an overlay
+// generation whose delta adds the last quarter of g's edges to a base
+// built with the rest, and g round-tripped through the snapshot codec.
+func twins(g *kb.Graph) ([]*kb.Graph, error) {
+	edges := g.Edges()
+	cut := len(edges) - len(edges)/4
+	b := kb.NewBuilder()
+	for _, n := range g.Nodes() {
+		b.AddNode(n.Name, n.Type)
+	}
+	for _, l := range g.Labels() {
+		b.MustLabel(g.LabelName(l), g.LabelDirected(l))
+	}
+	for _, e := range edges[:cut] {
+		b.MustAddEdge(e.From, e.To, e.Label)
+	}
+	ob, err := kb.NewOverlayBuilder(b.Build())
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range edges[cut:] {
+		if _, err := ob.AddEdge(e.From, e.To, e.Label); err != nil {
+			return nil, err
+		}
+	}
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		return nil, err
+	}
+	snap, err := kb.ReadBinary(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return []*kb.Graph{ob.Graph(), snap}, nil
+}
+
 // TestQuickFrameworkEqualsNaiveOnRandomGraphs is the randomized
 // counterpart of TestFrameworkMatchesNaiveEnum: on arbitrary small
 // graphs, the served pipeline and the brute-force oracle.NaiveEnum must
 // produce identical explanation sets (patterns and canonicalised
 // instance sets), with pattern size limit 4 to keep NaiveEnum tractable
-// inside a property test.
+// inside a property test. The pipeline answers on the graph and on its
+// twins (an overlay generation and a snapshot load of the same content),
+// by the exhaustive join and by the frontier.
 func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
-	f := func(seed int64) bool {
-		g, start, end := randomKB(seed)
-		const maxVars = 4
-		want := oracle.NaiveEnum(g, start, end, maxVars)
-		got, _, _ := ExplanationsBudgeted(context.Background(), g, start, end, Config{MaxPatternSize: maxVars})
+	type entry struct{ insts []pattern.InstanceKey }
+	sig := func(es []*pattern.Explanation) map[string]entry {
+		m := make(map[string]entry, len(es))
+		for _, ex := range es {
+			m[ex.P.CanonicalKey()] = entry{insts: ex.CanonicalInstanceKeys()}
+		}
+		return m
+	}
+	same := func(want, got []*pattern.Explanation) bool {
 		if len(want) != len(got) {
 			return false
-		}
-		type entry struct{ insts []pattern.InstanceKey }
-		sig := func(es []*pattern.Explanation) map[string]entry {
-			m := make(map[string]entry, len(es))
-			for _, ex := range es {
-				m[ex.P.CanonicalKey()] = entry{insts: ex.CanonicalInstanceKeys()}
-			}
-			return m
 		}
 		ws, gs := sig(want), sig(got)
 		for k, we := range ws {
@@ -77,6 +112,28 @@ func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 			}
 			for i := range we.insts {
 				if we.insts[i] != ge.insts[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		g, start, end := randomKB(seed)
+		const maxVars = 4
+		want := oracle.NaiveEnum(g, start, end, maxVars)
+		tw, err := twins(g)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for _, h := range append([]*kb.Graph{g}, tw...) {
+			if h.Fingerprint() != g.Fingerprint() {
+				return false
+			}
+			for _, bud := range []Budget{{}, neverTruncates} {
+				got, _, _ := ExplanationsBudgeted(context.Background(), h, start, end, Config{MaxPatternSize: maxVars, Budget: bud})
+				if !same(want, got) {
 					return false
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Binary serialisation. The TSV format is the interchange format; the
@@ -15,14 +16,14 @@ import (
 // of entities, >10^6 edges) an order of magnitude faster than TSV.
 //
 // It serialises the CSR layout directly — per-node degrees, then the
-// flat half-edge array in (To, Label, Dir) span order — so
-// loading is one fill of the read-path arrays: no AddEdge duplicate
-// scans, no adjacency lists, no re-sorting. The content fingerprint travels with the
-// XOR-combinable item hash behind it, so a loaded graph can serve as an
-// overlay base with O(delta) incremental fingerprints. Layout, all
-// integers unsigned varints:
+// flat half-edge array in (Label, To, Dir) span order — so loading is
+// one fill of the read-path array and an index of its label runs: no
+// AddEdge duplicate scans, no adjacency lists, no re-sorting. The content
+// fingerprint travels with the XOR-combinable item hash behind it, so a
+// loaded graph can serve as an overlay base with O(delta) incremental
+// fingerprints. Layout, all integers unsigned varints:
 //
-//	magic "REXKB" version(3)
+//	magic "REXKB" version(4)
 //	numLabels { nameLen name directed(1 byte, 0 or 1) } ...
 //	numNodes  { nameLen name typeLen type } ...
 //	numEdges
@@ -36,13 +37,20 @@ import (
 // header to itself: fp must be the fingerprint the three counts and xorFP
 // derive (the invariant of every graph), and nothing may follow
 // xorFP — two transfers concatenated into one spool are not a snapshot.
-// Other versions are refused: 1 and 2 predate the journal, which only
-// ever holds what the running binary wrote.
+//
+// Version 3 is the same layout with each span in (To, Label, Dir) order.
+// A journal may still hold a version 3 checkpoint, so the reader takes
+// it: it checks a version 3 span in that order and sorts it. Other
+// versions are refused: 1 and 2 predate the journal, and a build that
+// knows only version 3 refuses version 4 by its version number.
 
 const (
 	binaryMagic   = "REXKB"
-	binaryVersion = 3
-	maxNameLen    = 1 << 20
+	binaryVersion = 4
+	// binaryVersionToOrder is the last version whose spans are in (To,
+	// Label, Dir) order.
+	binaryVersionToOrder = 3
+	maxNameLen           = 1 << 20
 
 	// The encoder writes whenever it has gathered encodeWindow bytes, so
 	// encoding a snapshot never holds a snapshot-sized slice (a checkpoint
@@ -226,7 +234,7 @@ func decodeBinary(b []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion {
+	if version != binaryVersion && version != binaryVersionToOrder {
 		return nil, fmt.Errorf("kb: unsupported binary version %d (re-export from TSV)", version)
 	}
 	g := &Graph{}
@@ -259,7 +267,7 @@ func decodeBinary(b []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.readCSR(c, numEdges); err != nil {
+	if err := g.readCSR(c, numEdges, version == binaryVersionToOrder); err != nil {
 		return nil, err
 	}
 	fp, err := c.bytes("fingerprint", 64)
@@ -278,7 +286,7 @@ func decodeBinary(b []byte) (*Graph, error) {
 	if string(fp) != g.fp {
 		return nil, fmt.Errorf("kb: binary fingerprint %q does not match the header's counts and item hash (%s)", fp, g.fp)
 	}
-	g.deriveLabelView()
+	g.indexRuns()
 	g.buildTypeIndex()
 	return g, nil
 }
@@ -328,10 +336,11 @@ func (g *Graph) readNodes(c *cursor) error {
 
 // readCSR fills the CSR arrays from the degree and half-edge sections in
 // one pass, validating as it goes — references, orientation values,
-// strict (To, Label, Dir) order within a span, no self-loop, and the
+// strict (Label, To, Dir) order within a span, no self-loop, and the
 // half-edge/edge-count invariant — so a corrupt file cannot produce a
-// structurally inconsistent graph.
-func (g *Graph) readCSR(c *cursor, numEdges uint64) error {
+// structurally inconsistent graph. toOrder reads a version 3 snapshot:
+// each span is checked in strict (To, Label, Dir) order and then sorted.
+func (g *Graph) readCSR(c *cursor, numEdges uint64, toOrder bool) error {
 	n := len(g.nodes) // backed by the node section's bytes, so safe to size from
 	b := c.b
 	g.csrOff = make([]int32, n+1)
@@ -357,10 +366,15 @@ func (g *Graph) readCSR(c *cursor, numEdges uint64) error {
 	}
 	g.csr = make([]HalfEdge, total)
 	numLabels := uint64(len(g.labels))
+	order := "(Label, To, Dir)"
+	if toOrder {
+		order = "(To, Label, Dir)"
+	}
 	for i := 0; i < n; i++ {
 		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]
-		// (To, Label, Dir) packed 31+31+2 bits, plus one: strictly
-		// ascending keys are a strictly sorted span, and 0 is below all.
+		// (Label, To, Dir) — (To, Label, Dir) for version 3 — packed
+		// 31+31+2 bits, plus one: strictly ascending keys are a strictly
+		// sorted span, and 0 is below all.
 		prev := uint64(0)
 		for j := range span {
 			to, q := uvarint(b, p)
@@ -379,15 +393,21 @@ func (g *Graph) readCSR(c *cursor, numEdges uint64) error {
 			if d > byte(Undirected) {
 				return fmt.Errorf("kb: binary half-edge %d: bad orientation %d", int(g.csrOff[i])+j, d)
 			}
-			key := (to<<33 | label<<2 | uint64(d)) + 1
+			key := (label<<33 | to<<2 | uint64(d)) + 1
+			if toOrder {
+				key = (to<<33 | label<<2 | uint64(d)) + 1
+			}
 			if key <= prev {
-				return fmt.Errorf("kb: binary node %d: half-edge span not strictly (To, Label, Dir)-sorted", i)
+				return fmt.Errorf("kb: binary node %d: half-edge span not strictly %s-sorted", i, order)
 			}
 			if to == uint64(i) {
 				return fmt.Errorf("kb: binary node %d: self-loop", i)
 			}
 			prev = key
 			span[j] = HalfEdge{To: NodeID(to), Label: LabelID(label), Dir: Dir(d)}
+		}
+		if toOrder {
+			slices.SortFunc(span, compareHalfEdges)
 		}
 	}
 	c.p = p

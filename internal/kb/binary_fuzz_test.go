@@ -3,6 +3,7 @@ package kb_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -55,6 +56,13 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(sample[:cut])
 	}
 	f.Add([]byte("REXKB\x03\x00\x80\x80\x80\x80\x80\x80\x80\x80\x01")) // 2^56 nodes
+	f.Add([]byte("REXKB\x04\x00\x80\x80\x80\x80\x80\x80\x80\x80\x01"))
+	// A version 3 checkpoint, as a journal of an earlier build holds.
+	v3, err := os.ReadFile(version3Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

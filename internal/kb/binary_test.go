@@ -2,10 +2,12 @@ package kb
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +90,64 @@ func TestBinaryRejectsWrongVersion(t *testing.T) {
 	data[len(binaryMagic)] = 99 // version byte
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// encodeVersion3 writes g as a version 3 snapshot: the version 4 layout
+// with every span in (To, Label, Dir) order, what a checkpoint written
+// before version 4 holds.
+func encodeVersion3(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	old := *g
+	old.csr = slices.Clone(g.csr)
+	for i := range old.nodes {
+		slices.SortFunc(old.csr[old.csrOff[i]:old.csrOff[i+1]], func(x, y HalfEdge) int {
+			return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.Label, y.Label), cmp.Compare(x.Dir, y.Dir))
+		})
+	}
+	var buf bytes.Buffer
+	if err := old.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(binaryMagic)] = binaryVersionToOrder
+	return data
+}
+
+// TestBinaryReadsVersion3 loads a version 3 snapshot of a graph whose
+// nodes carry several labels, so the two span orders differ: the loaded
+// arrays must be those of the graph, and its re-encoding version 4's.
+// Each version's order under the other's number is refused.
+func TestBinaryReadsVersion3(t *testing.T) {
+	g := randomGraph(5, 40)
+	v3 := encodeVersion3(t, g)
+	got, err := ReadBinary(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameArrays(t, "version 3", got, g)
+	var v4 bytes.Buffer
+	if err := got.WriteBinary(&v4); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := g.WriteBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v4.Bytes(), want.Bytes()) {
+		t.Fatal("a loaded version 3 snapshot re-encodes to other bytes than its graph")
+	}
+	if bytes.Equal(v3[len(binaryMagic)+1:], want.Bytes()[len(binaryMagic)+1:]) {
+		t.Fatal("the two span orders coincide: the graph tests nothing")
+	}
+	v3[len(binaryMagic)] = binaryVersion
+	if _, err := ReadBinary(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), "(Label, To, Dir)") {
+		t.Errorf("version 3 spans under version 4: %v", err)
+	}
+	mislabeled := want.Bytes()
+	mislabeled[len(binaryMagic)] = binaryVersionToOrder
+	if _, err := ReadBinary(bytes.NewReader(mislabeled)); err == nil || !strings.Contains(err.Error(), "(To, Label, Dir)") {
+		t.Errorf("version 4 spans under version 3: %v", err)
 	}
 }
 

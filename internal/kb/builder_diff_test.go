@@ -61,7 +61,7 @@ func (r *refBuilder) remove(from, to NodeID, label LabelID) bool {
 }
 
 // check requires g, built from the same stream, to hold the model's
-// edges: Edges in (From, To, Label) order, every node's per-label span in
+// edges: Edges in (From, Label, To) order, every node's per-label span in
 // (To, Dir) order, and the fingerprint of the model's content.
 func (r *refBuilder) check(t *testing.T, tag string, g *Graph) {
 	t.Helper()
@@ -70,7 +70,7 @@ func (r *refBuilder) check(t *testing.T, tag string, g *Graph) {
 		want = append(want, Edge{From: NodeID(k[0]), To: NodeID(k[1]), Label: LabelID(k[2])})
 	}
 	slices.SortFunc(want, func(x, y Edge) int {
-		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To), cmp.Compare(x.Label, y.Label))
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.Label, y.Label), cmp.Compare(x.To, y.To))
 	})
 	if got := g.Edges(); !slices.Equal(got, want) {
 		t.Fatalf("%s: Edges differ from the model: %d edges, want %d", tag, len(got), len(want))

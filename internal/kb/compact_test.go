@@ -36,7 +36,6 @@ func requireSameArrays(t *testing.T, tag string, got, want *Graph) {
 	check("labelIDs", maps.Equal(got.labelIDs, want.labelIDs))
 	check("csrOff", slices.Equal(got.csrOff, want.csrOff))
 	check("csr", slices.Equal(got.csr, want.csr))
-	check("labelCSR", slices.Equal(got.labelCSR, want.labelCSR))
 	check("spanOff", slices.Equal(got.spanOff, want.spanOff))
 	check("spans", slices.Equal(got.spans, want.spans))
 	check("byType", maps.EqualFunc(got.byType, want.byType, slices.Equal[[]NodeID]))

@@ -26,7 +26,8 @@ func (g *Graph) Fingerprint() string { return g.fp }
 // contentXor folds every content item of the graph into the
 // XOR-combinable hash. Items are unique — node names are unique, labels
 // are interned once, and the edge set holds each (pair, label) once per
-// orientation — so the fold is a well-defined set hash.
+// orientation — so the fold is a well-defined set hash. The edges fold
+// straight from the spans, with no edge list in between.
 func (g *Graph) contentXor() uint64 {
 	var x uint64
 	for i := range g.nodes {
@@ -35,8 +36,8 @@ func (g *Graph) contentXor() uint64 {
 	for i, name := range g.labels {
 		x ^= labelHash(name, g.labelDirected[i])
 	}
-	for _, e := range g.Edges() {
-		x ^= edgeHash(g.NodeName(e.From), g.NodeName(e.To), g.LabelName(e.Label))
+	for e := range g.allEdges() {
+		x ^= edgeHash(g.nodes[e.From].Name, g.nodes[e.To].Name, g.labels[e.Label])
 	}
 	return x
 }
@@ -80,7 +81,7 @@ func labelHash(name string, directed bool) uint64 {
 
 // edgeHash digests one edge by endpoint names in canonical orientation:
 // directed edges as stored, undirected edges with the lower node ID
-// first — the order Graph.Edges reports.
+// first — the orientation Graph.Edges reports.
 func edgeHash(fromName, toName, labelName string) uint64 {
 	return itemHash('e', fromName, toName, labelName)
 }

@@ -9,9 +9,10 @@
 // registered.
 //
 // The graph is an in-memory multigraph optimised for the access patterns
-// of explanation enumeration: label-interned adjacency in flat CSR
-// arrays, spans sorted so every iteration order is deterministic, and
-// edge-existence checks that seek a sorted span.
+// of explanation enumeration: label-interned adjacency in one flat CSR
+// array whose per-node spans are sorted by (Label, To, Dir), so every
+// iteration order is deterministic, a label's half-edges are one run of
+// the span, and an edge-existence check seeks that run.
 //
 // # Construction and concurrency
 //
@@ -29,6 +30,7 @@ package kb
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"sync/atomic"
 )
@@ -104,10 +106,10 @@ type HalfEdge struct {
 // SeekHalfEdge reports whether one label's span (NeighborsLabeled) holds a
 // half-edge to the given node with the given orientation.
 //
-// Every span of a graph is sorted by (To, Dir), with at most two entries
-// per To (In and Out), so the seek is a cursor: it gallops forward from
-// *pos — steps of 1, 2, 4, … then a binary search of the last step — and
-// leaves *pos at the first entry with To ≥ to. A caller probing one span
+// Every label's span of a graph is sorted by (To, Dir), with at most two
+// entries per To (In and Out), so the seek is a cursor: it gallops
+// forward from *pos — steps of 1, 2, 4, … then a binary search of the
+// last step — and leaves *pos at the first entry with To ≥ to. A caller probing one span
 // with ascending nodes therefore merges the span forward instead of
 // searching it afresh per probe: k probes over a span of d entries cost
 // O(k·log(d/k)), never more than k binary searches. Probes must not
@@ -179,19 +181,15 @@ type Graph struct {
 	numEdges int
 
 	// CSR read path: every half-edge of the graph lives in one contiguous
-	// backing array per view, with per-node offset spans. csr is the plain
-	// adjacency view — node i's half-edges are csr[csrOff[i]:csrOff[i+1]],
-	// sorted by (To, Label, Dir) — and labelCSR the per-label view, same
-	// spans re-sorted by (Label, To, Dir) with spans[spanOff[i]:spanOff[i+1]]
-	// locating each label run. Both views index into flat arrays, so a
-	// graph costs two half-edge arrays plus three small offset arrays no
-	// matter how many nodes it has — no per-node slice headers, no pointer
-	// chasing.
-	csrOff   []int32
-	csr      []HalfEdge
-	labelCSR []HalfEdge
-	spanOff  []int32
-	spans    []labelSpan
+	// array. Node i's half-edges are csr[csrOff[i]:csrOff[i+1]], sorted by
+	// (Label, To, Dir), and spans[spanOff[i]:spanOff[i+1]] locate that
+	// span's label runs in ascending label order. A graph costs one
+	// half-edge array, one run array and two offset arrays no matter how
+	// many nodes it has — no per-node slice headers, no pointer chasing.
+	csrOff  []int32
+	csr     []HalfEdge
+	spanOff []int32
+	spans   []labelSpan
 
 	// Remaining read-path indexes, precomputed when the graph is made so
 	// concurrent queries never mutate shared state.
@@ -215,9 +213,29 @@ type labelSpan struct {
 	n     int32
 }
 
+// compareHalfEdges is the order of every span: (Label, To, Dir).
+func compareHalfEdges(x, y HalfEdge) int {
+	return cmp.Or(cmp.Compare(x.Label, y.Label), cmp.Compare(x.To, y.To), cmp.Compare(x.Dir, y.Dir))
+}
+
+// appendRuns appends the label runs of a (Label, To, Dir)-sorted span to
+// runs, with offsets shifted by off, the span's position in the array
+// the runs index.
+func appendRuns(runs []labelSpan, span []HalfEdge, off int32) []labelSpan {
+	for i := 0; i < len(span); {
+		j := i + 1
+		for j < len(span) && span[j].Label == span[i].Label {
+			j++
+		}
+		runs = append(runs, labelSpan{label: span[i].Label, off: off + int32(i), n: int32(j - i)})
+		i = j
+	}
+	return runs
+}
+
 // labeled binary searches one node's label runs for label and returns its
-// half-edges from the label-sorted array the runs' offsets index.
-func labeled(spans []labelSpan, labelCSR []HalfEdge, label LabelID) []HalfEdge {
+// half-edges from the array the runs' offsets index.
+func labeled(spans []labelSpan, csr []HalfEdge, label LabelID) []HalfEdge {
 	lo, hi := 0, len(spans)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -229,7 +247,7 @@ func labeled(spans []labelSpan, labelCSR []HalfEdge, label LabelID) []HalfEdge {
 	}
 	if lo < len(spans) && spans[lo].label == label {
 		sp := spans[lo]
-		return labelCSR[sp.off : sp.off+sp.n]
+		return csr[sp.off : sp.off+sp.n]
 	}
 	return nil
 }
@@ -309,7 +327,7 @@ func (g *Graph) NodeName(id NodeID) string {
 // HasEdge reports whether an edge with the given label connects from and
 // to. For directed labels the orientation from→to is required; for
 // undirected labels either orientation matches. The check is a seek from
-// the start of the node's label-sorted CSR span — no map, no hashing.
+// the start of the label's run of the node's span — no map, no hashing.
 func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
 	if from < 0 || int(from) >= len(g.nodes) {
 		return false
@@ -335,7 +353,7 @@ func (g *Graph) Degree(id NodeID) int {
 
 // Neighbors returns the half-edges at a node. The returned slice is owned
 // by the graph and must not be modified. It is a span of the contiguous
-// CSR array, deterministically ordered by (To, Label, Dir); on an overlay
+// CSR array, deterministically ordered by (Label, To, Dir); on an overlay
 // generation, nodes the overlay touched answer from their materialised
 // span instead, in the identical order.
 func (g *Graph) Neighbors(id NodeID) []HalfEdge {
@@ -347,20 +365,28 @@ func (g *Graph) Neighbors(id NodeID) []HalfEdge {
 	return g.csr[g.csrOff[id]:g.csrOff[id+1]]
 }
 
-// Edges returns every edge once, ordered by (From, To, Label). Undirected
+// Edges returns every edge once, ordered by (From, Label, To). Undirected
 // edges are reported with From ≤ To. The list streams straight out of the
 // CSR spans, which are already in emission order.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.numEdges)
-	for i := range g.nodes {
-		from := NodeID(i)
-		for _, he := range g.Neighbors(from) {
-			if he.Dir == Out || (he.Dir == Undirected && from <= he.To) {
-				out = append(out, Edge{From: from, To: he.To, Label: he.Label})
+	return slices.AppendSeq(make([]Edge, 0, g.numEdges), g.allEdges())
+}
+
+// allEdges yields every edge once, in Edges order: each node's Out
+// half-edges and its Undirected ones toward a node not below it.
+func (g *Graph) allEdges() iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		for i := range g.nodes {
+			from := NodeID(i)
+			for _, he := range g.Neighbors(from) {
+				if he.Dir == Out || (he.Dir == Undirected && from <= he.To) {
+					if !yield(Edge{From: from, To: he.To, Label: he.Label}) {
+						return
+					}
+				}
 			}
 		}
 	}
-	return out
 }
 
 // Freeze does nothing: every Graph is built read-only. It remains for
@@ -370,7 +396,7 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) Freeze() {}
 
 // buildCSR concatenates the adjacency lists into the flat csr array,
-// sorts each node's span by (To, Label, Dir), and derives the label view.
+// sorts each node's span by (Label, To, Dir) and indexes its label runs.
 func (g *Graph) buildCSR(adj [][]HalfEdge) {
 	g.csrOff = make([]int32, len(g.nodes)+1)
 	g.csr = make([]HalfEdge, 0, 2*g.numEdges) // two half-edges an edge: self-loops are refused
@@ -378,74 +404,27 @@ func (g *Graph) buildCSR(adj [][]HalfEdge) {
 		g.csr = append(g.csr, adj[i]...)
 		g.csrOff[i+1] = int32(len(g.csr))
 		g.maxDegree = max(g.maxDegree, len(adj[i]))
-		slices.SortFunc(g.csr[g.csrOff[i]:], func(x, y HalfEdge) int {
-			return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.Label, y.Label), cmp.Compare(x.Dir, y.Dir))
-		})
+		slices.SortFunc(g.csr[g.csrOff[i]:], compareHalfEdges)
 	}
-	g.deriveLabelView()
+	g.indexRuns()
 }
 
-// deriveLabelView builds labelCSR (each node's span re-sorted by (Label,
-// To, Dir)) and the flat per-label span index from the sorted csr array.
-// Because a node's csr span is already sorted by (To, Dir) within each
-// label, a stable counting pass per node — group sizes, then placement in
-// traversal order — produces the label view without a comparison sort.
-// Every array is sized before it is written: a first sweep counts the
-// (node, label) runs, so nothing grows and nothing is copied.
-func (g *Graph) deriveLabelView() {
-	n := len(g.nodes)
-	g.labelCSR = make([]HalfEdge, len(g.csr))
-	g.spanOff = make([]int32, n+1)
-	// slot is the one scratch, indexed by label. In the first sweep it
-	// holds the last node (plus one) seen carrying the label; in the
-	// second, per node, the label's count, then its write offset, then 0.
-	slot := make([]int32, len(g.labels))
-	runs := int32(0)
-	for i := 0; i < n; i++ {
-		g.spanOff[i] = runs
-		for _, he := range g.csr[g.csrOff[i]:g.csrOff[i+1]] {
-			if slot[he.Label] != int32(i)+1 {
-				slot[he.Label] = int32(i) + 1
+// indexRuns builds spanOff and spans from the sorted csr spans. A first
+// sweep counts the runs, so the run array is allocated at its size.
+func (g *Graph) indexRuns() {
+	runs := 0
+	for i := range g.nodes {
+		for j := g.csrOff[i]; j < g.csrOff[i+1]; j++ {
+			if j == g.csrOff[i] || g.csr[j].Label != g.csr[j-1].Label {
 				runs++
 			}
 		}
 	}
-	g.spanOff[n] = runs
-	g.spans = make([]labelSpan, runs)
-	clear(slot)
-	for i := 0; i < n; i++ {
-		off := g.csrOff[i]
-		span := g.csr[off:g.csrOff[i+1]]
-		touched := g.spans[g.spanOff[i]:g.spanOff[i]]
-		for _, he := range span {
-			if slot[he.Label] == 0 {
-				touched = append(touched, labelSpan{label: he.Label})
-			}
-			slot[he.Label]++
-		}
-		// Ascending label order for the binary search in NeighborsLabeled:
-		// an insertion sort, because a node carries a handful of labels
-		// and sort.Slice allocates twice per call — once per node of
-		// every build.
-		for x := 1; x < len(touched); x++ {
-			for y := x; y > 0 && touched[y].label < touched[y-1].label; y-- {
-				touched[y], touched[y-1] = touched[y-1], touched[y]
-			}
-		}
-		for t := range touched {
-			sp := &touched[t]
-			sp.off, sp.n = off, slot[sp.label]
-			slot[sp.label] = off
-			off += sp.n
-		}
-		// Stable placement: traversal order within a label is (To, Dir).
-		for _, he := range span {
-			g.labelCSR[slot[he.Label]] = he
-			slot[he.Label]++
-		}
-		for _, sp := range touched {
-			slot[sp.label] = 0
-		}
+	g.spanOff = make([]int32, len(g.nodes)+1)
+	g.spans = make([]labelSpan, 0, runs)
+	for i := range g.nodes {
+		g.spans = appendRuns(g.spans, g.csr[g.csrOff[i]:g.csrOff[i+1]], g.csrOff[i])
+		g.spanOff[i+1] = int32(len(g.spans))
 	}
 }
 
@@ -468,17 +447,16 @@ func (g *Graph) buildTypeIndex() {
 }
 
 // NeighborsLabeled returns the half-edges at a node carrying the given
-// label: an allocation-free slice of the precomputed label index, ordered
-// by (To, Dir) — the same relative order as Neighbors filtered to the
-// label. The returned slice is owned by the graph and must not be
-// modified.
+// label, ordered by (To, Dir): the label's run of the Neighbors span,
+// found by a binary search of the node's label runs, with no allocation.
+// The returned slice is owned by the graph and must not be modified.
 func (g *Graph) NeighborsLabeled(id NodeID, label LabelID) []HalfEdge {
 	if g.ov != nil {
 		if on := g.ov.node(id); on != nil {
-			return labeled(on.spans, on.labelCSR, label)
+			return labeled(on.spans, on.csr, label)
 		}
 	}
-	return labeled(g.spans[g.spanOff[id]:g.spanOff[id+1]], g.labelCSR, label)
+	return labeled(g.spans[g.spanOff[id]:g.spanOff[id+1]], g.csr, label)
 }
 
 // Nodes returns all entity records in ID order. The slice is a copy.

@@ -155,7 +155,7 @@ func TestEdgesSortedAndComplete(t *testing.T) {
 	}
 	for i := 1; i < len(es); i++ {
 		a, b := es[i-1], es[i]
-		if a.From > b.From || (a.From == b.From && a.To > b.To) {
+		if a.From > b.From || (a.From == b.From && (a.Label > b.Label || a.Label == b.Label && a.To > b.To)) {
 			t.Fatalf("edges not sorted at %d: %v then %v", i, a, b)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -33,15 +32,14 @@ const (
 	ovPageMask  = ovPageSize - 1
 )
 
-// ovNode is one materialised overlay node: its full half-edge span in
-// both CSR sort orders, replacing the base spans entirely. An empty
-// ovNode (all fields nil) represents a node with no edges — every node
-// added after the base was built has one, so reads never index the base
-// offset arrays out of range.
+// ovNode is one materialised overlay node: its full half-edge span and
+// label runs, replacing the base's entirely. An empty ovNode (all fields
+// nil) represents a node with no edges — every node added after the base
+// was built has one, so reads never index the base offset arrays out of
+// range.
 type ovNode struct {
-	csr      []HalfEdge  // sorted by (To, Label, Dir), like Graph.csr spans
-	labelCSR []HalfEdge  // sorted by (Label, To, Dir), like Graph.labelCSR spans
-	spans    []labelSpan // per-label runs; offsets relative to labelCSR
+	csr   []HalfEdge  // sorted by (Label, To, Dir), like Graph.csr spans
+	spans []labelSpan // per-label runs; offsets relative to csr
 }
 
 // ovPage is one fixed-size page of the overlay node directory.
@@ -233,12 +231,11 @@ func (g *Graph) Overlay() OverlayInfo {
 
 // Compact folds an overlay generation into a plain graph with
 // fresh CSR arrays, by copying rather than rebuilding. Every overlay node
-// already holds its span in both sort orders with its label runs
-// (buildNodeLabelView makes them byte-identical to a Build), and every
-// other node's are sitting in the base arrays, so each maximal run of
-// untouched base nodes is three block copies with rebased offsets and
-// each overlay node appends its own slices: no per-edge work, no sort,
-// no label view derived. The type index shares the base's list for every
+// already holds its sorted span with its label runs, byte-identical to a
+// Build's, and every other node's are sitting in the base arrays, so
+// each maximal run of untouched base nodes is two block copies with
+// rebased offsets and each overlay node appends its own slices: no
+// per-edge work, no sort. The type index shares the base's list for every
 // type whose membership the overlay left alone — lists are never written
 // after they are built: NodesOfType copies and Build makes a fresh map.
 // The node table (with its claim) and the label tables are the overlay
@@ -265,7 +262,6 @@ func (g *Graph) Compact() *Graph {
 		maxDegree:     g.maxDegree,
 		csrOff:        make([]int32, n+1),
 		csr:           make([]HalfEdge, 0, 2*g.numEdges),
-		labelCSR:      make([]HalfEdge, 0, 2*g.numEdges),
 		spanOff:       make([]int32, n+1),
 		spans:         make([]labelSpan, 0, len(base.spans)+len(base.spans)/16),
 	}
@@ -282,7 +278,6 @@ func (g *Graph) Compact() *Graph {
 			spanAt := len(c.spans)
 			shift, spanShift := int32(len(c.csr))-lo, int32(spanAt)-slo
 			c.csr = append(c.csr, base.csr[lo:hi]...)
-			c.labelCSR = append(c.labelCSR, base.labelCSR[lo:hi]...)
 			c.spans = append(c.spans, base.spans[slo:shi]...)
 			for i := spanAt; i < len(c.spans); i++ {
 				c.spans[i].off += shift
@@ -307,7 +302,6 @@ func (g *Graph) Compact() *Graph {
 			run = id + 1
 			off := int32(len(c.csr))
 			c.csr = append(c.csr, on.csr...)
-			c.labelCSR = append(c.labelCSR, on.labelCSR...)
 			for _, sp := range on.spans {
 				sp.off += off
 				c.spans = append(c.spans, sp)
@@ -633,7 +627,6 @@ func (b *OverlayBuilder) Graph() *Graph {
 		// the base arrays.
 		csrOff:     base.csrOff,
 		csr:        base.csr,
-		labelCSR:   base.labelCSR,
 		spanOff:    base.spanOff,
 		spans:      base.spans,
 		byType:     base.byType,
@@ -775,17 +768,8 @@ func (b *OverlayBuilder) Graph() *Graph {
 			}
 		}
 		merged = append(merged, d.add...)
-		sort.Slice(merged, func(x, y int) bool {
-			if merged[x].To != merged[y].To {
-				return merged[x].To < merged[y].To
-			}
-			if merged[x].Label != merged[y].Label {
-				return merged[x].Label < merged[y].Label
-			}
-			return merged[x].Dir < merged[y].Dir
-		})
-		labelCSR, spans := buildNodeLabelView(merged)
-		setNode(id, &ovNode{csr: merged, labelCSR: labelCSR, spans: spans})
+		slices.SortFunc(merged, compareHalfEdges)
+		setNode(id, &ovNode{csr: merged, spans: appendRuns(nil, merged, 0)})
 		ov.halfEdges += len(merged) - replaced
 		ng.maxDegree = max(ng.maxDegree, len(merged))
 		maxShrunk = maxShrunk || (len(cur) == src.maxDegree && len(merged) < len(cur))
@@ -804,52 +788,4 @@ func (b *OverlayBuilder) Graph() *Graph {
 		ng.maxDegree = ng.scanMaxDegree() // another node may still tie it
 	}
 	return ng
-}
-
-// buildNodeLabelView derives one node's (Label, To, Dir)-sorted view and
-// label spans from its (To, Label, Dir)-sorted span — the single-node
-// analogue of deriveLabelView, using the same stable counting pass so
-// run order is byte-identical to a Build.
-func buildNodeLabelView(span []HalfEdge) ([]HalfEdge, []labelSpan) {
-	if len(span) == 0 {
-		return nil, nil
-	}
-	type labelCount struct {
-		label LabelID
-		count int32
-		off   int32
-	}
-	var touched []labelCount
-	for _, he := range span {
-		found := false
-		for t := range touched {
-			if touched[t].label == he.Label {
-				touched[t].count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			touched = append(touched, labelCount{label: he.Label, count: 1})
-		}
-	}
-	sort.Slice(touched, func(x, y int) bool { return touched[x].label < touched[y].label })
-	labelCSR := make([]HalfEdge, len(span))
-	spans := make([]labelSpan, 0, len(touched))
-	var off int32
-	for t := range touched {
-		touched[t].off = off
-		spans = append(spans, labelSpan{label: touched[t].label, off: off, n: touched[t].count})
-		off += touched[t].count
-	}
-	for _, he := range span {
-		for t := range touched {
-			if touched[t].label == he.Label {
-				labelCSR[touched[t].off] = he
-				touched[t].off++
-				break
-			}
-		}
-	}
-	return labelCSR, spans
 }

@@ -2,6 +2,7 @@ package kbgen
 
 import (
 	"math/rand"
+	"slices"
 
 	"rex/internal/kb"
 )
@@ -64,6 +65,10 @@ func SamplePairs(g *kb.Graph, opt PairOptions) []Pair {
 			len(buckets[kb.ConnMedium]) >= opt.PerBucket &&
 			len(buckets[kb.ConnHigh]) >= opt.PerBucket
 	}
+	// A hop picks the k-th neighbour in (To, Label, Dir) order, the order
+	// spans were stored in when the benchmark's pair sets were drawn:
+	// Neighbors lists (Label, To, Dir), so the hop sorts the targets.
+	var tos []kb.NodeID
 	for attempt := 0; attempt < opt.MaxAttempts && !full(); attempt++ {
 		start := kb.NodeID(rng.Intn(g.NumNodes()))
 		if g.Degree(start) == 0 {
@@ -77,7 +82,12 @@ func SamplePairs(g *kb.Graph, opt PairOptions) []Pair {
 			if len(nbrs) == 0 {
 				break
 			}
-			cur = nbrs[rng.Intn(len(nbrs))].To
+			tos = tos[:0]
+			for _, he := range nbrs {
+				tos = append(tos, he.To)
+			}
+			slices.Sort(tos)
+			cur = tos[rng.Intn(len(tos))]
 		}
 		end := cur
 		if end == start {
