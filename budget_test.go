@@ -201,7 +201,9 @@ func TestOptionsBudgetSQLIgnored(t *testing.T) {
 // TestBatchExplainBudget checks budget plumbing through BatchExplain:
 // a request's own bounds truncate every heavy pair and per-pair Elapsed
 // is populated. A request that only asks for SQL bounds nothing, so it
-// runs under the explainer's default budget, with SQL.
+// runs under the explainer's default budget, with SQL. Six expansions is
+// the smallest cap that truncates every sample pair and leaves each an
+// explanation to carry it.
 func TestBatchExplainBudget(t *testing.T) {
 	kb := SampleKB()
 	for _, tc := range []struct {
@@ -211,7 +213,7 @@ func TestBatchExplainBudget(t *testing.T) {
 		wantSQL bool
 	}{
 		{"request budget", Budget{}, Request{Budget: Budget{MaxExpansions: 1}}, false},
-		{"default budget, sql", Budget{MaxExpansions: 2}, Request{SQL: true}, true},
+		{"default budget, sql", Budget{MaxExpansions: 6}, Request{SQL: true}, true},
 	} {
 		ex, err := NewExplainer(kb, Options{TopK: 10, Budget: tc.def})
 		if err != nil {
@@ -248,9 +250,10 @@ func TestBatchExplainBudget(t *testing.T) {
 // TestRequestResolution holds every facade entrypoint to one rule: a
 // request that bounds nothing runs under Options.Budget, one that sets
 // a bound runs under its own, and the cache keys on the bounds the
-// query ran under, not on how the request spelled them.
+// query ran under, not on how the request spelled them. The default is
+// the smallest cap that truncates the pair and leaves an explanation.
 func TestRequestResolution(t *testing.T) {
-	def := Budget{MaxExpansions: 2}
+	def := Budget{MaxExpansions: 6}
 	ex, err := NewExplainer(SampleKB(), Options{TopK: 10, Budget: def, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)

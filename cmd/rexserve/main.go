@@ -27,10 +27,12 @@
 // to a -slow-log JSONL file.
 //
 // Queries accept per-request work budgets — budget_ms (wall clock) and
-// budget_expansions (deterministic enumeration bound) as /explain query
-// parameters or body fields, and as top-level /batch fields applying to
-// every pair. A query that exhausts its budget answers with its best
-// explanations found so far and "truncated": true instead of a 504.
+// budget_expansions (a deterministic cap on the path search's
+// expansions, which bounds the path search, not the query) as /explain
+// query parameters or body fields, and as top-level /batch fields
+// applying to every pair. A query that exhausts its budget answers with
+// the explanations built from the paths found so far and
+// "truncated": true instead of a 504.
 // The -budget and -budget-expansions flags set the default budget: a
 // request that sets neither bound runs under both flags (sql=1 sets no
 // bound), and one that sets either runs under its own bounds only.

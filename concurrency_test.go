@@ -294,8 +294,8 @@ func TestResultCache(t *testing.T) {
 // BatchExplain traffic over one explainer — every query checking out
 // private enumeration state from the per-snapshot pool — and requires
 // each pair's result to be byte-identical to its serial reference on
-// every round. With -race this also proves pooled frontier, grouping
-// and merge buffers are never shared between in-flight queries.
+// every round. With -race this also proves pooled join, grouping and
+// merge buffers are never shared between in-flight queries.
 func TestPooledEnumerationDeterminismUnderBatch(t *testing.T) {
 	kb := SampleKB()
 	ex, err := NewExplainer(kb, Options{TopK: 10})

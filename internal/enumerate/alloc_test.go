@@ -10,8 +10,8 @@ import (
 )
 
 // enumerateAllocBudget bounds the steady-state allocations of one full
-// sample-KB enumeration (prioritized paths + pruned union). The pooled
-// state makes frontier growth, grouping and merge candidates free; what
+// sample-KB enumeration (path join + pruned union). The pooled state
+// makes the join's records, grouping and merge candidates free; what
 // remains is the returned explanation set itself (patterns, instance
 // blocks, result slices) plus amortised map growth. The pooling's
 // acceptance line was ≤ 880 allocs/op (10× under the 8,834 the unpooled
@@ -20,8 +20,8 @@ import (
 const enumerateAllocBudget = 600
 
 // TestEnumerateSteadyStateAllocBudget is the alloc-regression guard for
-// the pooled enumeration pipeline, enforced like the match pool test, on
-// both path routes.
+// the pooled enumeration pipeline, enforced like the match pool test,
+// plain and under an expansion budget that never binds.
 func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
@@ -29,7 +29,7 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	for route, bud := range map[string]Budget{"exhaustive": {}, "frontier": neverTruncates} {
+	for route, bud := range map[string]Budget{"plain": {}, "budgeted": neverTruncates} {
 		cfg := Config{MaxPatternSize: 5, Budget: bud}
 
 		es, _, _ := ExplanationsBudgeted(context.Background(), g, s, e, cfg) // warm pools, pin expected size

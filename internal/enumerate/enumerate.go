@@ -7,11 +7,9 @@
 // with at least one instance, with pattern size (node count) bounded by
 // the configured limit.
 //
-// Paths come from one of two routes, chosen by the request: kb's
-// meet-in-the-middle join (kb.PathJoin, the one Connectedness counts
-// with), which keeps no order, when nothing can stop the search, and the
-// BANKS2-style activation-ordered frontier when a Budget can — an order
-// matters only to a search that can stop (path.go).
+// Paths come from kb's meet-in-the-middle join (kb.PathJoin, the one
+// Connectedness counts with) on every request; a Budget caps the join's
+// expansions or ends it at a deadline (path.go).
 //
 // The paper's strawmen — NaiveEnum, PathEnumNaive, PathEnumBasic and
 // PathUnionBasic — live in internal/oracle, which shares no code with
@@ -73,36 +71,32 @@ type Config struct {
 	// pool. Results never alias pooled storage, so any pool choice
 	// yields identical output.
 	Pool *Pool
-	// Budget bounds enumeration work, turning the path search into an
-	// anytime algorithm. The zero value never truncates and is
-	// byte-identical to unbudgeted enumeration.
+	// Budget bounds the path search and the union, making enumeration
+	// anytime. The zero value never truncates and is byte-identical to
+	// unbudgeted enumeration.
 	Budget Budget
 }
 
-// Budget bounds the work of one enumeration, making the prioritized
-// search a true anytime algorithm (the activation scores of Section 3.2
-// postpone high-degree hubs, so the paths found first are exactly the
-// ones early termination should keep). When the budget expires the
-// enumerator stops expanding and returns the explanations built from
-// every path completed so far, reporting truncation instead of an
-// error. The zero value never truncates.
+// Budget bounds the work of one enumeration. When the budget expires the
+// enumerator stops and returns the explanations built from every path
+// completed so far, reporting truncation instead of an error. The zero
+// value never truncates.
 type Budget struct {
-	// MaxExpansions bounds the number of frontier node expansions of
-	// the prioritized path search (0 = unlimited). The expansion order
-	// is deterministic, so the returned path set is a deterministic
-	// prefix: enumerating with budget N always yields a subset of the
-	// paths found with any budget ≥ N, and of the unbudgeted set.
+	// MaxExpansions caps the path search's expansions (0 = unlimited):
+	// the adjacency scans kb.PathJoin counts, one per partial path grown
+	// on either side, which the query trace reports as expansions. The
+	// join's visit order is deterministic, so the returned path set is a
+	// deterministic prefix: enumerating with budget N always yields a
+	// subset of the paths found with any budget ≥ N, and of the
+	// unbudgeted set. It bounds the path search only: the union, and the
+	// ranking after it, run on whatever paths it admitted.
 	MaxExpansions int
-	// Deadline is the wall-clock cutoff (zero = none), polled at
-	// bounded intervals in the prioritized expansion loop and the
-	// union merge loop. Deadline truncation is inherently timing-
-	// dependent and therefore not deterministic.
+	// Deadline is the wall-clock cutoff (zero = none): the path search
+	// runs under a context that ends at it, polled every 256 expansions,
+	// and the union merge loop polls it at bounded intervals. Deadline
+	// truncation is inherently timing-dependent and therefore not
+	// deterministic.
 	Deadline time.Time
-}
-
-// restricts reports whether the budget can truncate at all.
-func (b Budget) restricts() bool {
-	return b.MaxExpansions > 0 || !b.Deadline.IsZero()
 }
 
 // budgetClock polls a deadline at a bounded interval; the zero value
@@ -200,8 +194,8 @@ func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg C
 	return st.paths(ctx, g, start, end, cfg)
 }
 
-// paths runs the path search the request calls for on the pooled state
-// and groups the result into explanations.
+// paths runs the path search under the request's budget on the pooled
+// state and groups the result into explanations.
 func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
 	// Single chokepoint for the enumerate stage: both entry points
 	// (ExplanationsBudgeted and PathsBudgeted) funnel path
@@ -212,21 +206,23 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	}
 	st.fresh = false
 	t0 := tr.Begin()
-	maxLen := cfg.MaxPatternSize - 1
-	var (
-		keys      []pathKey
-		truncated bool
-		err       error
-	)
-	// The request selects the route: only a budget that can stop the
-	// search has any use for the frontier's order.
-	if cfg.Budget.restricts() {
-		keys, truncated, err = st.pathEnumPrioritized(ctx, g, start, end, maxLen, cfg.Budget)
-	} else {
-		keys, err = st.pathEnumExhaustive(ctx, g, start, end, maxLen)
+	// A deadline ends the join through a context of its own, so its end
+	// can be told from the caller's.
+	sctx := ctx
+	if !cfg.Budget.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithDeadline(ctx, cfg.Budget.Deadline)
+		defer cancel()
 	}
-	if err != nil {
+	keys, truncated, err := st.pathSearch(sctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
+	switch {
+	case err != nil && (sctx == ctx || ctx.Err() != nil):
 		return nil, false, err
+	case err != nil:
+		truncated = true
+		tr.Truncated(obs.StageEnumerate, obs.TruncDeadline)
+	case truncated:
+		tr.Truncated(obs.StageEnumerate, obs.TruncExpansions)
 	}
 	out := st.groupPaths(g, keys)
 	st.out = keys[:0] // retain the (possibly regrown) buffer for reuse

@@ -2,7 +2,6 @@ package enumerate
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"rex/internal/kb"
@@ -177,9 +176,8 @@ func TestInstancesMatchOracle(t *testing.T) {
 }
 
 // TestPathAlgorithmsAgree compares the path enumerators directly: the
-// oracle's naive enumerator against its basic one and both served
-// routes — the exhaustive join, and the frontier reached by a deadline
-// and by an expansion budget.
+// oracle's naive enumerator against its basic one and the served join,
+// plain, under a deadline and under an expansion cap that never binds.
 func TestPathAlgorithmsAgree(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
@@ -189,9 +187,9 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 		got := resultSignature(t, oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen)))
 		diffSignatures(t, names[0]+"/"+names[1]+" basic", want, got)
 		for name, cfg := range map[string]Config{
-			"exhaustive":             {},
-			"frontier by deadline":   {Budget: neverExpires()},
-			"frontier by expansions": {Budget: neverTruncates},
+			"plain":            {},
+			"under a deadline": {Budget: neverExpires()},
+			"under expansions": {Budget: neverTruncates},
 		} {
 			paths, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
 			got := resultSignature(t, paths)
@@ -265,41 +263,5 @@ func TestPathsAreSimple(t *testing.T) {
 				seen[id] = true
 			}
 		}
-	}
-}
-
-// TestActQueuePopOrder pins the typed heap to the order the prioritized
-// search depends on: highest activation first, ties by (node, side),
-// under interleaved pushes and pops with many equal activations.
-func TestActQueuePopOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var q actQueue
-	var model []actEntry
-	popBoth := func() {
-		best := 0
-		for i := range model {
-			if actQueue(model).less(i, best) {
-				best = i
-			}
-		}
-		want := model[best]
-		model = append(model[:best], model[best+1:]...)
-		if got := q.pop(); got != want {
-			t.Fatalf("pop = %+v, want %+v", got, want)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		e := actEntry{node: kb.NodeID(rng.Intn(50)), s: side(rng.Intn(2)), act: float64(rng.Intn(8))}
-		q.push(e)
-		model = append(model, e)
-		if rng.Intn(3) == 0 {
-			popBoth()
-		}
-	}
-	for q.Len() > 0 {
-		popBoth()
-	}
-	if len(model) != 0 {
-		t.Fatalf("%d entries never popped", len(model))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"rex/internal/kb"
 	"rex/internal/obs"
@@ -54,8 +55,8 @@ func joinKB(seed int64) (g *kb.Graph, start, end kb.NodeID, edges []kb.Edge) {
 	return gb.Build(), start, end, edges
 }
 
-// sortedKeys copies and sorts a raw key list, so two routes compare as
-// multisets: a path joined at a second split shows as a duplicate here,
+// sortedKeys copies and sorts a raw key list, so the join and the oracle
+// compare as multisets: a path joined at a second split shows as a duplicate here,
 // where groupPaths would drop it.
 func sortedKeys(keys []pathKey) []pathKey {
 	out := slices.Clone(keys)
@@ -78,43 +79,28 @@ func oracleKeys(paths []oracle.Path) []pathKey {
 	return keys
 }
 
-// assertIndexClean checks the invariant every exit of the frontier owes
-// the pooled state, and the join, which never touches the index, keeps:
-// an all-zero index over its whole capacity.
-func assertIndexClean(t *testing.T, st *enumState, when string) {
-	t.Helper()
-	if len(st.touched) != 0 {
-		t.Fatalf("%s: %d touched entries left", when, len(st.touched))
-	}
-	for id, h := range st.head[:cap(st.head)] {
-		if h != 0 {
-			t.Fatalf("%s: head[%d] = %d left behind", when, id, h)
-		}
-	}
-}
-
-// checkRoutesAgree runs the exhaustive join and the frontier on st and
-// oracle.PathEnumNaive beside them and compares the raw key multisets; it
+// checkPathSearch runs the path search on st and oracle.PathEnumNaive
+// beside it and compares the raw key multisets; it
 // also holds the join to the work the caps allow — one expansion per
 // under-cap partial of the side it stores (the endpoint with the smaller
 // two-hop frontier, start on a tie), which never touches the other
 // endpoint, and of the side it walks, which stops at the stored one, as
 // oracle.Partials lists them — which the keys alone cannot show, because
-// the join rejects what a wider search adds. It reports whether the join
-// stored start.
-func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.NodeID, maxLen int, when string) bool {
+// the join rejects what a wider search adds. An expansion cap of exactly
+// that count must change nothing, and one below it must stop the join.
+// It reports whether the join stored start.
+func checkPathSearch(t *testing.T, st *enumState, g *kb.Graph, start, end kb.NodeID, maxLen int, when string) bool {
 	t.Helper()
 	want := sortedKeys(oracleKeys(oracle.PathEnumNaive(g, start, end, maxLen)))
 
 	tr := obs.NewTrace()
-	got, err := st.pathEnumExhaustive(obs.NewContext(context.Background(), tr), g, start, end, maxLen)
-	if err != nil {
-		t.Fatalf("%s: exhaustive: %v", when, err)
+	got, capped, err := st.pathSearch(obs.NewContext(context.Background(), tr), g, start, end, maxLen, 0)
+	if err != nil || capped {
+		t.Fatalf("%s: join: capped=%v err=%v", when, capped, err)
 	}
 	if !slices.Equal(sortedKeys(got), want) {
-		t.Fatalf("%s: exhaustive join found %d paths, naive %d, or different ones", when, len(got), len(want))
+		t.Fatalf("%s: join found %d paths, naive %d, or different ones", when, len(got), len(want))
 	}
-	assertIndexClean(t, st, when+" after the join")
 	stored, walked := start, end
 	if frontier(g, end) < frontier(g, start) {
 		stored, walked = end, start
@@ -134,15 +120,14 @@ func checkRoutesAgree(t *testing.T, st *enumState, g *kb.Graph, start, end kb.No
 		t.Fatalf("%s: join counted %d expansions, want %d", when, n, expansions)
 	}
 
-	for name, bud := range map[string]Budget{"deadline": neverExpires(), "expansions": neverTruncates} {
-		got, truncated, err := st.pathEnumPrioritized(context.Background(), g, start, end, maxLen, bud)
-		if err != nil || truncated {
-			t.Fatalf("%s: frontier by %s: truncated=%v err=%v", when, name, truncated, err)
+	got, capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions)
+	if err != nil || capped || !slices.Equal(sortedKeys(got), want) {
+		t.Fatalf("%s: join capped at its own %d expansions: %d paths, naive %d, capped=%v err=%v", when, expansions, len(got), len(want), capped, err)
+	}
+	if expansions > 1 { // a cap of 0 is no cap
+		if _, capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions-1); err != nil || !capped {
+			t.Fatalf("%s: join capped one short of its %d expansions: capped=%v err=%v", when, expansions, capped, err)
 		}
-		if !slices.Equal(sortedKeys(got), want) {
-			t.Fatalf("%s: frontier by %s found %d paths, naive %d, or different ones", when, name, len(got), len(want))
-		}
-		assertIndexClean(t, st, when+" after the frontier")
 	}
 	return stored == start
 }
@@ -157,19 +142,18 @@ func frontier(g *kb.Graph, id kb.NodeID) int {
 	return n
 }
 
-// TestExhaustiveMatchesFrontier is the differential test of the two
-// served path routes against the oracle's naive enumerator.
-func TestExhaustiveMatchesFrontier(t *testing.T) {
-	t.Run("random graphs", testRoutesOnRandomGraphs)
+// TestPathSearchMatchesNaive is the differential test of the served
+// path search against the oracle's naive enumerator.
+func TestPathSearchMatchesNaive(t *testing.T) {
+	t.Run("random graphs", testPathSearchOnRandomGraphs)
 	t.Run("cancelled mid-join", testJoinCancelled)
 }
 
-// testRoutesOnRandomGraphs has one pooled state serve a graph, and then
-// the same graph as an overlay of depth 2 that added a node — on a path
-// between the targets — and then deleted an edge, so a frontier index
-// sized once instead of per use reads out of range. The join must have
-// stored each endpoint in some case.
-func testRoutesOnRandomGraphs(t *testing.T) {
+// testPathSearchOnRandomGraphs has one pooled state serve a graph, and
+// then the same graph as an overlay of depth 2 that added a node — on a
+// path between the targets — and then deleted an edge. The join must
+// have stored each endpoint in some case.
+func testPathSearchOnRandomGraphs(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
 		seeds = 10
@@ -185,11 +169,10 @@ func testRoutesOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		st := newEnumState()
 		g, start, end, edges := joinKB(seed)
-		// MaxPatternSize 2..8: odd path lengths have unequal caps, and
-		// only at length 7 is the frontier's forward cap deep enough for
-		// a walk that repeats an interior node to survive joinToKey.
+		// MaxPatternSize 2..8: odd path lengths give the walk a deeper
+		// cap than the store.
 		for size := 2; size <= 8; size++ {
-			count(checkRoutesAgree(t, st, g, start, end, size-1, "built"))
+			count(checkPathSearch(t, st, g, start, end, size-1, "built"))
 		}
 		b, err := kb.NewOverlayBuilder(g)
 		if err != nil {
@@ -210,11 +193,11 @@ func testRoutesOnRandomGraphs(t *testing.T) {
 			t.Fatalf("seed %d: deledge %v: removed=%v err=%v", seed, e, ok, err)
 		}
 		g = b.Graph()
-		if g.Overlay().Depth != 2 || g.NumNodes() <= len(st.head) {
-			t.Fatalf("seed %d: overlay depth %d, %d nodes against an index of %d", seed, g.Overlay().Depth, g.NumNodes(), len(st.head))
+		if g.Overlay().Depth != 2 {
+			t.Fatalf("seed %d: overlay depth %d", seed, g.Overlay().Depth)
 		}
 		for size := 2; size <= 8; size++ {
-			count(checkRoutesAgree(t, st, g, start, end, size-1, "overlay"))
+			count(checkPathSearch(t, st, g, start, end, size-1, "overlay"))
 		}
 	}
 	t.Logf("the join stored start in %d cases and end in %d", storedStart, storedEnd)
@@ -260,20 +243,37 @@ func completeKB(n int) *kb.Graph {
 // pins that), in the walk at path length 5 (the stored side expands 23
 // partials) and in the store at length 6 (485) — and checks the
 // contract: context.Canceled and nil paths at that very poll, and a
-// pooled state left clean, so it answers the next query correctly.
+// pooled state that answers the next query correctly. A deadline budget
+// that ends the join instead truncates it, attributed to the deadline,
+// and the caller's cancellation under such a budget is still an error.
 func testJoinCancelled(t *testing.T) {
 	g := completeKB(24)
 	st := newEnumState()
 	for _, maxLen := range []int{5, 6} {
+		cfg := Config{MaxPatternSize: maxLen + 1}
 		ctx := &pollCtx{Context: context.Background(), cancelAt: 1}
-		keys, err := st.pathEnumExhaustive(ctx, g, 0, 1, maxLen)
-		if err != context.Canceled || keys != nil {
-			t.Fatalf("maxLen %d: cancelled join returned %d keys, err %v", maxLen, len(keys), err)
+		es, truncated, err := st.paths(ctx, g, 0, 1, cfg)
+		if err != context.Canceled || es != nil || truncated {
+			t.Fatalf("maxLen %d: cancelled join returned %d explanations, truncated=%v err %v", maxLen, len(es), truncated, err)
 		}
 		if ctx.polls != 1 {
 			t.Fatalf("maxLen %d: join polled the context %d times, want it to stop at the first", maxLen, ctx.polls)
 		}
-		assertIndexClean(t, st, "after a cancelled join")
-		checkRoutesAgree(t, st, g, 0, 1, 3, "after a cancelled join")
+		checkPathSearch(t, st, g, 0, 1, 3, "after a cancelled join")
+
+		cfg.Budget = Budget{Deadline: time.Now().Add(-time.Second)}
+		tr := obs.NewTrace()
+		if es, truncated, err = st.paths(obs.NewContext(context.Background(), tr), g, 0, 1, cfg); err != nil || !truncated {
+			t.Fatalf("maxLen %d: expired deadline budget: %d explanations, truncated=%v err %v", maxLen, len(es), truncated, err)
+		}
+		if by := tr.Report().TruncatedBy; by != "enumerate:deadline" {
+			t.Fatalf("maxLen %d: expired deadline budget attributed to %q", maxLen, by)
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		cfg.Budget = neverExpires()
+		if es, truncated, err = st.paths(cancelled, g, 0, 1, cfg); err != context.Canceled || es != nil || truncated {
+			t.Fatalf("maxLen %d: cancelled under a deadline budget: %d explanations, truncated=%v err %v", maxLen, len(es), truncated, err)
+		}
 	}
 }

@@ -59,21 +59,10 @@ const retainedCap = 1 << 16
 // reference to any graph, context or returned explanation after a query
 // completes.
 type enumState struct {
-	// The frontier's dense terminal index (path.go): head[id] is 0 or
-	// 1 + an index into states. All-zero between queries — every exit
-	// resets the touched entries — and sized to the graph at every use,
-	// because overlay generations add nodes. Its size is the graph's, not
-	// the query's (4 B a node), so it is exempt from retainedCap.
-	head    []int32
-	touched []kb.NodeID
-	out     []pathKey
-
-	// Exhaustive route: the simple-path join's records and buffers.
+	// The path search: the simple-path join's records and buffers, and
+	// the keys of the paths it visited.
 	join kb.PathJoin
-
-	// Activation-ordered frontier, for budgeted requests.
-	states []nodeState
-	pq     actQueue
+	out  []pathKey
 
 	// Path grouping (enumerate.go).
 	refs     []pathRef
@@ -108,80 +97,12 @@ func newEnumState() *enumState {
 // re-pooling a state after one pathological query would pin its
 // footprint for the snapshot's lifetime.
 func (s *enumState) oversized() bool {
-	if cap(s.out) > retainedCap ||
+	return cap(s.out) > retainedCap ||
 		s.join.Oversized(retainedCap) ||
-		cap(s.states) > retainedCap ||
-		cap(s.pq) > retainedCap ||
 		len(s.groups) > retainedCap ||
 		cap(s.gcounts) > retainedCap ||
 		cap(s.refs) > retainedCap ||
 		len(s.unionSeen) > retainedCap ||
 		len(s.newIndex) > retainedCap ||
-		s.merger.Oversized(retainedCap) {
-		return true
-	}
-	// The frontier's partials are spread over the per-node lists that
-	// stateFor recycles, used or not by the last query.
-	kept := 0
-	all := s.states[:cap(s.states)]
-	for i := range all {
-		kept += cap(all[i].partial[0]) + cap(all[i].partial[1])
-		if kept > retainedCap {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeState is the per-node frontier bookkeeping of the prioritized
-// search; see pathEnumPrioritized.
-type nodeState struct {
-	partial  [2][]partial
-	expanded [2]int32 // partial[s][:expanded[s]] have been expanded
-	act      [2]float64
-}
-
-// sizeIndex sizes the all-zero index to a graph of n nodes; the caller
-// defers resetIndex, which zeroes what setHead touched since.
-func (s *enumState) sizeIndex(n int) {
-	if cap(s.head) < n {
-		s.head = make([]int32, n)
-	}
-	s.head = s.head[:n]
-}
-
-func (s *enumState) setHead(id kb.NodeID, v int32) {
-	if s.head[id] == 0 {
-		s.touched = append(s.touched, id)
-	}
-	s.head[id] = v
-}
-
-func (s *enumState) resetIndex() {
-	for _, id := range s.touched {
-		s.head[id] = 0
-	}
-	s.touched = s.touched[:0]
-}
-
-// stateFor returns the index of id's nodeState, creating one (with
-// recycled buffers) on first touch. Callers must index s.states fresh
-// after any call that can create states — the backing array may move.
-func (s *enumState) stateFor(id kb.NodeID) int32 {
-	if i := s.head[id]; i != 0 {
-		return i - 1
-	}
-	i := int32(len(s.states))
-	if len(s.states) < cap(s.states) {
-		s.states = s.states[:i+1]
-		ns := &s.states[i]
-		ns.partial[0] = ns.partial[0][:0]
-		ns.partial[1] = ns.partial[1][:0]
-		ns.expanded = [2]int32{}
-		ns.act = [2]float64{}
-	} else {
-		s.states = append(s.states, nodeState{})
-	}
-	s.setHead(id, i+1)
-	return i
+		s.merger.Oversized(retainedCap)
 }

@@ -40,9 +40,9 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	return g, 0, 1
 }
 
-// Plain requests take the exhaustive join; these two budgets reach the
-// activation-ordered frontier the way a caller does, without ever
-// truncating it.
+// These two budgets run the join the way a budgeted caller does — under
+// a context derived from the deadline, and under an expansion cap —
+// without ever truncating it.
 func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} }
 
 var neverTruncates = Budget{MaxExpansions: math.MaxInt}
@@ -90,7 +90,7 @@ func twins(g *kb.Graph) ([]*kb.Graph, error) {
 // instance sets), with pattern size limit 4 to keep NaiveEnum tractable
 // inside a property test. The pipeline answers on the graph and on its
 // twins (an overlay generation and a snapshot load of the same content),
-// by the exhaustive join and by the frontier.
+// plain and under an expansion budget that never binds.
 func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 	type entry struct{ insts []pattern.InstanceKey }
 	sig := func(es []*pattern.Explanation) map[string]entry {
@@ -177,9 +177,9 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 }
 
 // TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that the oracle's
-// naive and basic enumerators and both served routes — the exhaustive
-// join and the frontier, reached by a deadline and by an expansion
-// budget — produce identical path sets on random graphs.
+// naive and basic enumerators and the served join — plain, under a
+// deadline and under an expansion budget — produce identical path sets
+// on random graphs.
 func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, start, end := randomKB(seed)
@@ -219,19 +219,18 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestPathsContextCancelled checks cancellation propagates out of both
-// served routes: the exhaustive join, and the frontier reached by a
-// deadline and by an expansion budget. The graph is large enough for
-// every route to reach its first context poll, so each must report
-// context.Canceled and no paths.
+// TestPathsContextCancelled checks cancellation propagates out of the
+// served join, plain, under a deadline budget and under an expansion
+// budget. The graph is large enough for the join to reach its first
+// context poll, so each must report context.Canceled and no paths.
 func TestPathsContextCancelled(t *testing.T) {
 	g := completeKB(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, cfg := range map[string]Config{
-		"exhaustive":             {MaxPatternSize: 7},
-		"frontier by deadline":   {MaxPatternSize: 7, Budget: neverExpires()},
-		"frontier by expansions": {MaxPatternSize: 7, Budget: neverTruncates},
+		"plain":            {MaxPatternSize: 7},
+		"under a deadline": {MaxPatternSize: 7, Budget: neverExpires()},
+		"under expansions": {MaxPatternSize: 7, Budget: neverTruncates},
 	} {
 		es, _, err := PathsBudgeted(ctx, g, 0, 1, cfg)
 		if err != context.Canceled || es != nil {

@@ -63,6 +63,32 @@ func PathUnionPrune(qpath []*pattern.Explanation, maxVars int) []*pattern.Explan
 	return out
 }
 
+// ctxCheckInterval bounds the number of steps between context checks in
+// the union's merge loop.
+const ctxCheckInterval = 256
+
+// cancelCheck counts steps (n) and polls the context once per
+// ctxCheckInterval steps. The zero value with a nil ctx never cancels.
+type cancelCheck struct {
+	ctx context.Context
+	n   int
+	err error
+}
+
+// step advances the counter and reports a sticky cancellation error on
+// interval boundaries.
+func (c *cancelCheck) step() error {
+	if c.err != nil {
+		return c.err
+	}
+	c.n++
+	if c.ctx == nil || c.n%ctxCheckInterval != 0 {
+		return nil
+	}
+	c.err = c.ctx.Err()
+	return c.err
+}
+
 // pathUnionPrune implements PathUnionPrune with cancellation, checked
 // once per merge pair. Candidates that duplicate an older ring are
 // skipped after their semi-join; candidates that duplicate the current

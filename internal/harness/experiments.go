@@ -27,7 +27,9 @@ type Combo struct {
 const NaiveRow = "NaiveEnum"
 
 // Fig7Combos returns the five combinations compared in Figure 7, in the
-// paper's order.
+// paper's order. The last two rows run the served path search, kb's
+// simple-path join, where the paper has PathEnumPrioritized, and are
+// labelled by what they run; the fifth is the served enumerator.
 func Fig7Combos() []Combo {
 	return []Combo{
 		{NaiveRow, oracle.NaiveEnum},
@@ -37,11 +39,11 @@ func Fig7Combos() []Combo {
 		{"PathEnumBasic+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
 			return oracle.PathUnionBasic(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxVars-1)), maxVars)
 		}},
-		{"PathEnumPrioritized+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+		{"PathJoin+PathUnionBasic", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
 			paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, start, end, enumerate.Config{MaxPatternSize: maxVars})
 			return oracle.PathUnionBasic(paths, maxVars)
 		}},
-		{"PathEnumPrioritized+PathUnionPrune", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
+		{"PathJoin+PathUnionPrune", func(g *kb.Graph, start, end kb.NodeID, maxVars int) []*pattern.Explanation {
 			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, start, end, enumerate.Config{MaxPatternSize: maxVars})
 			return es
 		}},

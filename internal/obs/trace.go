@@ -156,8 +156,8 @@ func (t *Trace) InnerNs() int64 {
 type Counter uint8
 
 const (
-	// Expansions are path-search adjacency scans: entries the budgeted
-	// frontier popped, or partials the exhaustive join expanded.
+	// Expansions are path-search adjacency scans: partials the join
+	// expanded, on either side. Budget.MaxExpansions caps this count.
 	Expansions Counter = iota
 	// Merges are pattern-merge attempts.
 	Merges

@@ -152,7 +152,7 @@ func TestPathJoinMatchesPathEnumNaive(t *testing.T) {
 							want = append(want, pathString(a, p.Steps))
 						}
 					}
-					if _, err := j.Paths(context.Background(), g, a, b, maxLen, func(steps []kb.HalfEdge) bool {
+					if _, _, err := j.Paths(context.Background(), g, a, b, maxLen, 0, func(steps []kb.HalfEdge) bool {
 						got = append(got, pathString(a, steps))
 						return true
 					}); err != nil {
@@ -170,5 +170,86 @@ func TestPathJoinMatchesPathEnumNaive(t *testing.T) {
 	t.Logf("the join stored the first endpoint for %d ordered pairs and the second for %d", storedA, storedB)
 	if storedA == 0 || storedB == 0 {
 		t.Fatal("one endpoint was never the stored side")
+	}
+}
+
+// randomGraph is a graph of uniformly random edges, each of a directed or
+// an undirected label, with no hub.
+func randomGraph(seed int64, nodes int) *kb.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	gb := kb.NewBuilder()
+	for i := 0; i < nodes; i++ {
+		gb.AddNode(fmt.Sprintf("n%d", i), "t")
+	}
+	labels := []kb.LabelID{gb.MustLabel("d", true), gb.MustLabel("u", false)}
+	for i := 0; i < 3*nodes; i++ {
+		if from, to := kb.NodeID(rng.Intn(nodes)), kb.NodeID(rng.Intn(nodes)); from != to {
+			gb.AddEdge(from, to, labels[rng.Intn(len(labels))])
+		}
+	}
+	return gb.Build()
+}
+
+// TestPathJoinCapIsPrefix holds kb.PathJoin's expansion cap to its
+// contract, on the eight graphs above and on eight random ones: for every
+// ordered pair at length limits 3 and 4, the uncapped join visits
+// PathEnumNaive's paths, and for every cap from 1 to the uncapped
+// expansion count the capped join visits a prefix of the uncapped visit
+// sequence, reports at most cap expansions, and reports that the cap
+// stopped it iff the cap is below the uncapped count.
+func TestPathJoinCapIsPrefix(t *testing.T) {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 3
+	}
+	var j kb.PathJoin
+	var strict int // capped joins that visited some paths but not all
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, g := range []*kb.Graph{connGraph(seed, 11), randomGraph(seed, 6+int(seed))} {
+			n := kb.NodeID(g.NumNodes())
+			for a := kb.NodeID(0); a < n; a++ {
+				for b := kb.NodeID(0); b < n; b++ {
+					all := PathEnumNaive(g, a, b, 4)
+					for _, maxLen := range []int{3, 4} {
+						var want, seq []string
+						for _, p := range all {
+							if p.Len() <= maxLen {
+								want = append(want, pathString(a, p.Steps))
+							}
+						}
+						full, capped, err := j.Paths(context.Background(), g, a, b, maxLen, 0, func(steps []kb.HalfEdge) bool {
+							seq = append(seq, pathString(a, steps))
+							return true
+						})
+						if err != nil || capped {
+							t.Fatalf("seed %d: uncapped PathJoin(%d, %d, %d): capped=%v err=%v", seed, a, b, maxLen, capped, err)
+						}
+						slices.Sort(want)
+						if got := slices.Sorted(slices.Values(seq)); !slices.Equal(got, want) {
+							t.Fatalf("seed %d: PathJoin(%d, %d, %d) visits %d paths, PathEnumNaive lists %d, or different ones", seed, a, b, maxLen, len(got), len(want))
+						}
+						for limit := 1; limit <= full; limit++ {
+							var got []string
+							made, capped, err := j.Paths(context.Background(), g, a, b, maxLen, limit, func(steps []kb.HalfEdge) bool {
+								got = append(got, pathString(a, steps))
+								return true
+							})
+							switch {
+							case err != nil || made > limit || capped != (limit < full):
+								t.Fatalf("seed %d: PathJoin(%d, %d, %d) capped at %d of %d: %d expansions, capped=%v err=%v", seed, a, b, maxLen, limit, full, made, capped, err)
+							case len(got) > len(seq) || !slices.Equal(got, seq[:len(got)]) || !capped && len(got) != len(seq):
+								t.Fatalf("seed %d: PathJoin(%d, %d, %d) capped at %d visits %d paths, not a prefix of the uncapped %d", seed, a, b, maxLen, limit, len(got), len(seq))
+							case len(got) > 0 && len(got) < len(seq):
+								strict++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d capped joins visited a proper, non-empty prefix", strict)
+	if strict == 0 {
+		t.Fatal("no cap stopped a join between its first and last path")
 	}
 }

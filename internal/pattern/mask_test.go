@@ -458,9 +458,9 @@ func TestMergeSharedExplanations(t *testing.T) {
 // to guard, and what lets enumeration return instance lists without a
 // de-duplicating pass: a merged instance carries both of its inputs
 // whole, so duplicate-free inputs cannot produce one twice, and every
-// list enumeration returns — the path explanations of the exhaustive
-// join and of the budgeted frontier, and the unions over each — holds
-// each instance once.
+// list enumeration returns — the path explanations of the join, plain
+// and under an expansion budget that never binds, and the unions over
+// each — holds each instance once.
 func TestMergedInstancesNeverDuplicate(t *testing.T) {
 	distinct := func(what string, ex *pattern.Explanation) {
 		t.Helper()
@@ -479,27 +479,27 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 		}
 	}
 	g, pairs := smallPairs(t)
-	frontier := unionCfg
-	frontier.Budget.MaxExpansions = math.MaxInt // the frontier route, never truncated
+	budgeted := unionCfg
+	budgeted.Budget.MaxExpansions = math.MaxInt // capped, never truncated
 	ctx := context.Background()
 	for _, p := range pairs {
 		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
 		paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
-		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, frontier)
+		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, budgeted)
 		if err != nil || ptrunc {
-			t.Fatalf("frontier paths: truncated=%v err=%v", ptrunc, err)
+			t.Fatalf("budgeted paths: truncated=%v err=%v", ptrunc, err)
 		}
-		fall, etrunc, err := enumerate.ExplanationsBudgeted(ctx, g, p.Start, p.End, frontier)
+		fall, etrunc, err := enumerate.ExplanationsBudgeted(ctx, g, p.Start, p.End, budgeted)
 		if err != nil || etrunc {
-			t.Fatalf("frontier explanations: truncated=%v err=%v", etrunc, err)
+			t.Fatalf("budgeted explanations: truncated=%v err=%v", etrunc, err)
 		}
 		if len(fpaths) != len(paths) || len(fall) != len(all) {
-			t.Fatalf("frontier: %d paths and %d explanations, join: %d and %d", len(fpaths), len(fall), len(paths), len(all))
+			t.Fatalf("budgeted: %d paths and %d explanations, plain: %d and %d", len(fpaths), len(fall), len(paths), len(all))
 		}
 		for _, list := range []struct {
 			what string
 			es   []*pattern.Explanation
-		}{{"join path", paths}, {"frontier path", fpaths}, {"join union", all}, {"frontier union", fall}} {
+		}{{"plain path", paths}, {"budgeted path", fpaths}, {"plain union", all}, {"budgeted union", fall}} {
 			for _, ex := range list.es {
 				distinct(list.what, ex)
 			}

@@ -243,19 +243,19 @@ type DurabilityOptions struct {
 	CheckpointBytes int64
 }
 
-// Budget bounds the work of one query, turning the prioritized
-// enumeration into the anytime search the paper's activation ordering
-// was designed for (Section 5): cheap, high-value explanations are
-// found first, so stopping early keeps the best ones. An exhausted
-// budget is not an error — the query returns its best-so-far
-// explanations with Result.Truncated set. A zero Budget bounds
-// nothing: as Options.Budget it never truncates, and in a Request it
-// means Options.Budget (see Request).
+// Budget bounds the work of one query. An exhausted budget is not an
+// error — the query returns the explanations built from the paths found
+// so far with Result.Truncated set. A zero Budget bounds nothing: as
+// Options.Budget it never truncates, and in a Request it means
+// Options.Budget (see Request).
 type Budget struct {
-	// MaxExpansions bounds the node expansions of the prioritized path
-	// search (0 = unlimited). Expansion-budgeted enumeration is
-	// deterministic: the result is a prefix-consistent subset of the
-	// unbudgeted explanation set, identical across runs.
+	// MaxExpansions caps the path search (0 = unlimited): the adjacency
+	// scans of the simple-path join, one per partial path grown, which a
+	// traced query reports as expansions. It bounds the path search, not
+	// the query: the union, measure and ranking then run on every path it
+	// admitted. Expansion-budgeted enumeration is deterministic: the
+	// result is a prefix-consistent subset of the unbudgeted explanation
+	// set, identical across runs.
 	MaxExpansions int
 	// Timeout bounds the query's wall-clock time (0 = none), polled at
 	// bounded intervals in enumeration, union and ranking. Unlike a
@@ -315,7 +315,7 @@ func NewExplainer(k *KB, opt Options) (*Explainer, error) {
 		return nil, err
 	}
 	// One enumeration pool per explainer, and so per snapshot:
-	// steady-state queries reuse frontier and merge buffers, and a hot
+	// steady-state queries reuse path-join and merge buffers, and a hot
 	// swap releases them with the old explainer.
 	cfg := enumerate.Config{MaxPatternSize: opt.MaxPatternSize, Pool: enumerate.NewPool()}
 	e := &Explainer{kb: k, opt: opt, m: m, cfg: cfg}

@@ -246,20 +246,22 @@ func compareWork(t *testing.T, want, got []workDigest) {
 	}
 }
 
-// budgetLadder is the expansion budgets TestBudgetedPathsPinned asks the
-// path search for, from a single expansion to beyond what most of the
-// 33 pairs need.
+// budgetLadder is the expansion budgets TestBudgetedPathsPinned and
+// TestBudgetRecallLadder ask for, from a single expansion to beyond what
+// most of the 33 pairs need.
 var budgetLadder = []int{1, 7, 50, 400, 2000}
 
 // budgetedPathsDigest pins enumerate.PathsBudgeted on medium's 33 work
 // pairs at every rung of budgetLadder: each answer's pattern keys,
 // instances (canonical, sorted) and counts, and whether the budget cut
 // it short. An expansion budget is deterministic, so a change that moves
-// this digest changed which paths a budgeted query keeps.
-const budgetedPathsDigest = "24bc8cdbbdaa4e41"
+// this digest changed which paths a budgeted query keeps. It was
+// 24bc8cdbbdaa4e41 while budgeted requests ran the activation-ordered
+// frontier; the join under an expansion cap answers 065194c0002dc88a.
+const budgetedPathsDigest = "065194c0002dc88a"
 
 // TestBudgetedPathsPinned holds the budgeted path search to the answers
-// budgetedPathsDigest records: the frontier's expansion order, hence
+// budgetedPathsDigest records: the join's visit order under a cap, hence
 // what a truncated answer keeps, must not depend on how a graph stores
 // its adjacency.
 func TestBudgetedPathsPinned(t *testing.T) {
