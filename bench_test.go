@@ -120,7 +120,7 @@ func BenchmarkFig9TopK(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), env.G, p.Start, p.End, benchCfg)
-			rank.GeneralBudgeted(context.Background(), ctx, es, m, 10, time.Time{})
+			rank.GeneralBudgeted(context.Background(), ctx, es, m, 10)
 		}
 	})
 	b.Run("pruned", func(b *testing.B) {
@@ -166,7 +166,7 @@ func BenchmarkFig11Distributional(b *testing.B) {
 	global := measure.GlobalPosition{}
 	b.Run("local", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.GeneralBudgeted(context.Background(), ctx, es, local, 10, time.Time{})
+			rank.GeneralBudgeted(context.Background(), ctx, es, local, 10)
 		}
 	})
 	b.Run("local-prune", func(b *testing.B) {
@@ -176,7 +176,7 @@ func BenchmarkFig11Distributional(b *testing.B) {
 	})
 	b.Run("global", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rank.GeneralBudgeted(context.Background(), ctx, es, global, 10, time.Time{})
+			rank.GeneralBudgeted(context.Background(), ctx, es, global, 10)
 		}
 	})
 	b.Run("global-prune", func(b *testing.B) {
@@ -198,7 +198,7 @@ func BenchmarkTable1Effectiveness(b *testing.B) {
 	m := measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranked, _, _ := rank.GeneralBudgeted(context.Background(), ctx, es, m, 10, time.Time{})
+		ranked, _, _ := rank.GeneralBudgeted(context.Background(), ctx, es, m, 10)
 		judged := make([]study.Judged, len(ranked))
 		for j, r := range ranked {
 			judged[j] = panel.Judge(r.Ex)

@@ -163,6 +163,33 @@ func TestExplainBudgetTimeout(t *testing.T) {
 	}
 }
 
+// TestExpiredTimeoutTruncatesPathSearch: a Timeout that has ended before
+// the path search starts stops the query there, on every ranking route
+// (anti-monotone, Limited and general): no expansion, no merge, the
+// truncation attributed to the path search, and no error. The join's
+// own first poll comes only at its 256th expansion, past the end of
+// every sample pair's search, so only the check before the join makes
+// this hold.
+func TestExpiredTimeoutTruncatesPathSearch(t *testing.T) {
+	for _, m := range []string{"size", "local-dist", "size+local-dist", "count"} {
+		ex, err := NewExplainer(SampleKB(), Options{Measure: m, TopK: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range samplePairs {
+			res, err := ex.ExplainBudgeted(WithTrace(context.Background()), p.Start, p.End, Budget{Timeout: time.Nanosecond})
+			if err != nil {
+				t.Fatalf("%s %s/%s: %v", m, p.Start, p.End, err)
+			}
+			tr := res.Trace
+			if !res.Truncated || tr.TruncatedBy != "enumerate:deadline" || tr.Expansions != 0 || tr.Merges != 0 {
+				t.Errorf("%s %s/%s: truncated=%v by %q after %d expansions and %d merges; want enumerate:deadline, 0 and 0",
+					m, p.Start, p.End, res.Truncated, tr.TruncatedBy, tr.Expansions, tr.Merges)
+			}
+		}
+	}
+}
+
 // TestOptionsBudgetSQLIgnored: SQL is asked for per request only
 // (Request.SQL), so Explain and BatchExplain put SQL in no answer whose
 // request did not ask for it, and in every answer whose request did.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"rex/internal/kbgen"
 )
@@ -65,7 +64,7 @@ func TestPathUnionPruneAllocBound(t *testing.T) {
 	st := newEnumState()
 	ctx := context.Background()
 	union := func() {
-		if _, _, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, time.Time{}); err != nil {
+		if _, _, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -103,18 +103,19 @@ func TestBudgetedEnumerationPrefixConsistent(t *testing.T) {
 
 // TestBudgetDeadlineTruncates checks the wall-clock budget: an already-
 // expired deadline truncates immediately (returning the cheap early
-// paths, possibly none) without error, and a generous deadline changes
-// nothing.
+// paths, possibly none) without error, a generous deadline changes
+// nothing, and the caller's own expired deadline under a generous budget
+// is the caller's error, not a truncation.
 func TestBudgetDeadlineTruncates(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	base := Config{MaxPatternSize: 5}
+	cfg := Config{MaxPatternSize: 5}
 	ctx := context.Background()
 
-	cfg := base
-	cfg.Budget = Budget{Deadline: time.Now().Add(-time.Second)}
-	es, truncated, err := ExplanationsBudgeted(ctx, g, s, e, cfg)
+	expired, cancel := WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	es, truncated, err := ExplanationsBudgeted(expired, g, s, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,13 @@ func TestBudgetDeadlineTruncates(t *testing.T) {
 		t.Fatal("expired deadline did not truncate")
 	}
 
-	full, _, err := ExplanationsBudgeted(ctx, g, s, e, base)
+	full, _, err := ExplanationsBudgeted(ctx, g, s, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSubset(t, "expired deadline", es, full)
 
-	cfg.Budget = Budget{Deadline: time.Now().Add(time.Hour)}
-	es, truncated, err = ExplanationsBudgeted(ctx, g, s, e, cfg)
+	es, truncated, err = ExplanationsBudgeted(neverExpires(t, ctx), g, s, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,5 +138,12 @@ func TestBudgetDeadlineTruncates(t *testing.T) {
 	}
 	if len(es) != len(full) {
 		t.Fatalf("generous deadline: %d explanations, unbudgeted %d", len(es), len(full))
+	}
+
+	late, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	es, truncated, err = ExplanationsBudgeted(neverExpires(t, late), g, s, e, cfg)
+	if err != context.DeadlineExceeded || es != nil || truncated {
+		t.Fatalf("caller's expired deadline under a budget: %d explanations, truncated=%v err %v; want none and context.DeadlineExceeded", len(es), truncated, err)
 	}
 }

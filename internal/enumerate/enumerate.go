@@ -9,7 +9,7 @@
 //
 // Paths come from kb's meet-in-the-middle join (kb.PathJoin, the one
 // Connectedness counts with) on every request; a Budget caps the join's
-// expansions or ends it at a deadline (path.go).
+// expansions, and a WithDeadline context ends it and the union (path.go).
 //
 // The paper's strawmen — NaiveEnum, PathEnumNaive, PathEnumBasic and
 // PathUnionBasic — live in internal/oracle, which shares no code with
@@ -19,6 +19,7 @@ package enumerate
 import (
 	"cmp"
 	"context"
+	"errors"
 	"math/bits"
 	"slices"
 	"strings"
@@ -80,7 +81,8 @@ type Config struct {
 // Budget bounds the work of one enumeration. When the budget expires the
 // enumerator stops and returns the explanations built from every path
 // completed so far, reporting truncation instead of an error. The zero
-// value never truncates.
+// value never truncates. A wall-clock bound is not a Budget field: it is
+// the context's, set by WithDeadline.
 type Budget struct {
 	// MaxExpansions caps the path search's expansions (0 = unlimited):
 	// the adjacency scans kb.PathJoin counts, one per partial path grown
@@ -91,40 +93,28 @@ type Budget struct {
 	// unbudgeted set. It bounds the path search only: the union, and the
 	// ranking after it, run on whatever paths it admitted.
 	MaxExpansions int
-	// Deadline is the wall-clock cutoff (zero = none): the path search
-	// runs under a context that ends at it, polled every 256 expansions,
-	// and the union merge loop polls it at bounded intervals. Deadline
-	// truncation is inherently timing-dependent and therefore not
-	// deterministic.
-	Deadline time.Time
 }
 
-// budgetClock polls a deadline at a bounded interval; the zero value
-// (no deadline) never expires. Expiry is sticky.
-type budgetClock struct {
-	deadline time.Time
-	n        int
-	expired  bool
+// errDeadline is the cause of a context that WithDeadline's deadline
+// ended; BudgetEnded tells it from every other end.
+var errDeadline = errors.New("enumerate: budget deadline")
+
+// WithDeadline returns ctx bounded by a wall-clock budget that ends at d.
+// Every stage that runs under the returned context polls it as it polls
+// cancellation; a stage that finds it ended asks BudgetEnded whether to
+// truncate or to fail. Deadline truncation is timing-dependent and
+// therefore not deterministic.
+func WithDeadline(ctx context.Context, d time.Time) (context.Context, context.CancelFunc) {
+	return context.WithDeadlineCause(ctx, d, errDeadline)
 }
 
-// budgetCheckInterval bounds the work between deadline polls in the
-// union merge loop (merges are heavyweight relative to time.Now, so a
-// small interval keeps truncation prompt without measurable cost).
-const budgetCheckInterval = 32
-
-func (b *budgetClock) hit() bool {
-	if b.expired {
-		return true
-	}
-	if b.deadline.IsZero() {
-		return false
-	}
-	b.n++
-	if b.n%budgetCheckInterval != 0 {
-		return false
-	}
-	b.expired = time.Now().After(b.deadline)
-	return b.expired
+// BudgetEnded reports whether err, the error ctx ended with, is the end
+// of a WithDeadline budget — a truncation, answered with the work done
+// so far — rather than the caller's cancellation or the caller's own
+// deadline, which stay errors. It looks at the cause only for a
+// deadline, so a plain cancellation costs no further poll of ctx.
+func BudgetEnded(ctx context.Context, err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) && errors.Is(context.Cause(ctx), errDeadline)
 }
 
 // DefaultMaxPatternSize matches the paper's experimental pattern size
@@ -149,11 +139,12 @@ func (cfg Config) normalized() Config {
 // edge count, canonical key). Each explanation's instances are distinct,
 // in no specified order. Enumeration and combination check ctx at
 // bounded intervals and abort mid-flight, returning ctx.Err() and no
-// explanations. When cfg.Budget truncates the search, truncated is true
-// and the returned explanations are the complete minimal explanations
-// built from every path the budget admitted — a valid (deterministic,
-// for an expansion budget) subset of the unbudgeted result, never an
-// error. With a zero budget truncated is always false.
+// explanations. When cfg.Budget or a WithDeadline budget on ctx
+// truncates the search, truncated is true and the returned explanations
+// are the complete minimal explanations built from every path the
+// budget admitted — a valid (deterministic, for an expansion budget)
+// subset of the unbudgeted result, never an error. With neither budget
+// truncated is always false.
 func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) (out []*pattern.Explanation, truncated bool, err error) {
 	cfg = cfg.normalized()
 	pl := cfg.pool()
@@ -163,7 +154,7 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 	if err != nil {
 		return nil, false, err
 	}
-	out, utrunc, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, cfg.Budget.Deadline)
+	out, utrunc, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize)
 	if err != nil {
 		return nil, false, err
 	}
@@ -206,17 +197,22 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	}
 	st.fresh = false
 	t0 := tr.Begin()
-	// A deadline ends the join through a context of its own, so its end
-	// can be told from the caller's.
-	sctx := ctx
-	if !cfg.Budget.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithDeadline(ctx, cfg.Budget.Deadline)
-		defer cancel()
+	// A context that has already ended never reaches the join, whose
+	// first poll comes only at its 256th expansion. The check reads Done,
+	// so the join's polls remain the only calls to Err.
+	var (
+		keys      []pathKey
+		truncated bool
+		err       error
+	)
+	select {
+	case <-ctx.Done():
+		keys, err = st.out[:0], ctx.Err()
+	default:
+		keys, truncated, err = st.pathSearch(ctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
 	}
-	keys, truncated, err := st.pathSearch(sctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
 	switch {
-	case err != nil && (sctx == ctx || ctx.Err() != nil):
+	case err != nil && !BudgetEnded(ctx, err):
 		return nil, false, err
 	case err != nil:
 		truncated = true

@@ -186,12 +186,16 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 		want := resultSignature(t, oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxLen)))
 		got := resultSignature(t, oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen)))
 		diffSignatures(t, names[0]+"/"+names[1]+" basic", want, got)
-		for name, cfg := range map[string]Config{
-			"plain":            {},
-			"under a deadline": {Budget: neverExpires()},
-			"under expansions": {Budget: neverTruncates},
+		bg := context.Background()
+		for name, tc := range map[string]struct {
+			ctx context.Context
+			cfg Config
+		}{
+			"plain":            {bg, Config{}},
+			"under a deadline": {neverExpires(t, bg), Config{}},
+			"under expansions": {bg, Config{Budget: neverTruncates}},
 		} {
-			paths, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
+			paths, _, _ := PathsBudgeted(tc.ctx, g, start, end, tc.cfg)
 			got := resultSignature(t, paths)
 			diffSignatures(t, names[0]+"/"+names[1]+" "+name, want, got)
 		}

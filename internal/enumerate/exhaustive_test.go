@@ -261,18 +261,18 @@ func testJoinCancelled(t *testing.T) {
 		}
 		checkPathSearch(t, st, g, 0, 1, 3, "after a cancelled join")
 
-		cfg.Budget = Budget{Deadline: time.Now().Add(-time.Second)}
 		tr := obs.NewTrace()
-		if es, truncated, err = st.paths(obs.NewContext(context.Background(), tr), g, 0, 1, cfg); err != nil || !truncated {
+		expired, stop := WithDeadline(obs.NewContext(context.Background(), tr), time.Now().Add(-time.Second))
+		if es, truncated, err = st.paths(expired, g, 0, 1, cfg); err != nil || !truncated {
 			t.Fatalf("maxLen %d: expired deadline budget: %d explanations, truncated=%v err %v", maxLen, len(es), truncated, err)
 		}
 		if by := tr.Report().TruncatedBy; by != "enumerate:deadline" {
 			t.Fatalf("maxLen %d: expired deadline budget attributed to %q", maxLen, by)
 		}
+		stop()
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		cfg.Budget = neverExpires()
-		if es, truncated, err = st.paths(cancelled, g, 0, 1, cfg); err != context.Canceled || es != nil || truncated {
+		if es, truncated, err = st.paths(neverExpires(t, cancelled), g, 0, 1, cfg); err != context.Canceled || es != nil || truncated {
 			t.Fatalf("maxLen %d: cancelled under a deadline budget: %d explanations, truncated=%v err %v", maxLen, len(es), truncated, err)
 		}
 	}

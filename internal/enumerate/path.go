@@ -12,18 +12,18 @@ import (
 // counts with), which returns exactly the set of simple paths between
 // the targets with length ≤ maxLen that the paper's strawmen
 // (internal/oracle) list. A Budget bounds the join itself: MaxExpansions
-// caps the expansions it counts, and a Deadline ends it through a
-// context derived in enumState.paths. The join's visit order is fixed,
-// so an expansion cap keeps a prefix of the uncapped visit sequence.
+// caps the expansions it counts, and a WithDeadline context ends it like
+// any other. The join's visit order is fixed, so an expansion cap keeps
+// a prefix of the uncapped visit sequence.
 //
 // A finished path is its comparable pathKey, a small struct of inline
 // arrays bounded by pattern.MaxVars, so storing paths never touches the
 // allocator beyond the amortised growth of the pooled result buffer.
 //
 // The join checks its context every 256 expansions, and the union every
-// 256 merge pairs, not per edge, so an expired deadline aborts
-// enumeration mid-flight at a cost that stays invisible on the happy
-// path.
+// 32 merge pairs, not per edge, so an ended context aborts enumeration
+// mid-flight at a cost that stays invisible on the happy path;
+// enumState.paths checks it once more before the join starts.
 
 // pathSearch runs kb's simple-path join (kb.PathJoin), whose buffers the
 // pooled state keeps, packing each path it visits into a key: with no

@@ -41,9 +41,13 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 }
 
 // These two budgets run the join the way a budgeted caller does — under
-// a context derived from the deadline, and under an expansion cap —
-// without ever truncating it.
-func neverExpires() Budget { return Budget{Deadline: time.Now().Add(time.Hour)} }
+// a WithDeadline context, and under an expansion cap — without ever
+// truncating it.
+func neverExpires(t testing.TB, ctx context.Context) context.Context {
+	bctx, cancel := WithDeadline(ctx, time.Now().Add(time.Hour))
+	t.Cleanup(cancel)
+	return bctx
+}
 
 var neverTruncates = Budget{MaxExpansions: math.MaxInt}
 
@@ -190,17 +194,18 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 			}
 			return m
 		}
-		paths := func(cfg Config) []*pattern.Explanation {
-			es, _, _ := PathsBudgeted(context.Background(), g, start, end, cfg)
+		paths := func(ctx context.Context, cfg Config) []*pattern.Explanation {
+			es, _, _ := PathsBudgeted(ctx, g, start, end, cfg)
 			return es
 		}
 		maxLen := DefaultMaxPatternSize - 1
 		a := sig(oracle.Group(g, oracle.PathEnumNaive(g, start, end, maxLen)))
+		bg := context.Background()
 		others := []map[string]int{
 			sig(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen))),
-			sig(paths(Config{})),
-			sig(paths(Config{Budget: neverExpires()})),
-			sig(paths(Config{Budget: neverTruncates})),
+			sig(paths(bg, Config{})),
+			sig(paths(neverExpires(t, bg), Config{})),
+			sig(paths(bg, Config{Budget: neverTruncates})),
 		}
 		for _, b := range others {
 			if len(a) != len(b) {
@@ -227,12 +232,15 @@ func TestPathsContextCancelled(t *testing.T) {
 	g := completeKB(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, cfg := range map[string]Config{
-		"plain":            {MaxPatternSize: 7},
-		"under a deadline": {MaxPatternSize: 7, Budget: neverExpires()},
-		"under expansions": {MaxPatternSize: 7, Budget: neverTruncates},
+	for name, tc := range map[string]struct {
+		ctx context.Context
+		cfg Config
+	}{
+		"plain":            {ctx, Config{MaxPatternSize: 7}},
+		"under a deadline": {neverExpires(t, ctx), Config{MaxPatternSize: 7}},
+		"under expansions": {ctx, Config{MaxPatternSize: 7, Budget: neverTruncates}},
 	} {
-		es, _, err := PathsBudgeted(ctx, g, 0, 1, cfg)
+		es, _, err := PathsBudgeted(tc.ctx, g, 0, 1, tc.cfg)
 		if err != context.Canceled || es != nil {
 			t.Errorf("%s: %d path explanations, err = %v; want none and context.Canceled", name, len(es), err)
 		}

@@ -59,13 +59,15 @@ func (m *mergeStage) end(explanations int) {
 func PathUnionPrune(qpath []*pattern.Explanation, maxVars int) []*pattern.Explanation {
 	st := defaultPool.get()
 	defer defaultPool.put(st)
-	out, _, _ := st.pathUnionPrune(context.Background(), qpath, maxVars, time.Time{})
+	out, _, _ := st.pathUnionPrune(context.Background(), qpath, maxVars)
 	return out
 }
 
 // ctxCheckInterval bounds the number of steps between context checks in
-// the union's merge loop.
-const ctxCheckInterval = 256
+// the union's merge loop (merges are heavyweight relative to a poll, so
+// a small interval keeps a budget's truncation prompt at no measurable
+// cost).
+const ctxCheckInterval = 32
 
 // cancelCheck counts steps (n) and polls the context once per
 // ctxCheckInterval steps. The zero value with a nil ctx never cancels.
@@ -93,10 +95,10 @@ func (c *cancelCheck) step() error {
 // once per merge pair. Candidates that duplicate an older ring are
 // skipped after their semi-join; candidates that duplicate the current
 // ring need only that semi-join to decide whether a composition history
-// entry is due (MergeProbe); only new patterns are joined in full. An
-// anytime deadline returns the explanations committed so far (each
-// complete) with truncated = true.
-func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explanation, maxVars int, deadline time.Time) ([]*pattern.Explanation, bool, error) {
+// entry is due (MergeProbe); only new patterns are joined in full. A
+// context ended by its WithDeadline budget returns the explanations
+// committed so far (each complete) with truncated = true.
+func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explanation, maxVars int) ([]*pattern.Explanation, bool, error) {
 	tr := obs.FromContext(ctx)
 	rec := beginMergeStage(tr, st.merger)
 	defer st.merger.Reset()
@@ -107,7 +109,6 @@ func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explan
 		seen[re.P.Key()] = struct{}{}
 	}
 	check := cancelCheck{ctx: ctx}
-	clock := budgetClock{deadline: deadline}
 
 	type histPair struct{ parent, path int }
 	expand := qpath
@@ -182,9 +183,9 @@ func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explan
 			}
 			for _, i2 := range candidates {
 				if err := check.step(); err != nil {
-					return nil, false, err
-				}
-				if clock.hit() {
+					if !BudgetEnded(ctx, err) {
+						return nil, false, err
+					}
 					q = append(q, qnew...)
 					tr.Truncated(obs.StageMerge, obs.TruncDeadline)
 					rec.end(len(q))

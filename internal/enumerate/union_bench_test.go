@@ -100,7 +100,7 @@ func BenchmarkPathUnionPrune(b *testing.B) {
 	st := newEnumState()
 	ctx := context.Background()
 	union := func() int {
-		out, _, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize, time.Time{})
+		out, _, err := st.pathUnionPrune(ctx, paths, cfg.MaxPatternSize)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func (e *Env) rankTimes(b kb.ConnBucket, k int) (full, pruned float64) {
 		ctx := &measure.Context{G: e.G, Start: p.Start, End: p.End}
 		full += Time(func() {
 			es, _, _ := enumerate.ExplanationsBudgeted(context.Background(), e.G, p.Start, p.End, cfg)
-			rank.GeneralBudgeted(context.Background(), ctx, es, m, k, time.Time{})
+			rank.GeneralBudgeted(context.Background(), ctx, es, m, k)
 		})
 		pruned += Time(func() {
 			rank.TopKAntiMonotoneBudgeted(context.Background(), e.G, p.Start, p.End, cfg, ctx, m, k)
@@ -206,9 +206,9 @@ func (e *Env) Fig11() Table {
 					e.G, e.G.Node(p.Start).Type, e.Opt.GlobalSamples, e.Opt.Seed),
 			}
 			bg, never := context.Background(), time.Time{}
-			tl += Time(func() { rank.GeneralBudgeted(bg, ctx, es, local, 10, never) })
+			tl += Time(func() { rank.GeneralBudgeted(bg, ctx, es, local, 10) })
 			tlp += Time(func() { rank.TopKDistributionalBudgeted(bg, ctx, es, local, 10, never) })
-			tg += Time(func() { rank.GeneralBudgeted(bg, ctx, es, global, 10, never) })
+			tg += Time(func() { rank.GeneralBudgeted(bg, ctx, es, global, 10) })
 			tgp += Time(func() { rank.TopKDistributionalBudgeted(bg, ctx, es, global, 10, never) })
 		}
 		n := float64(len(pairs))

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"rex/internal/learn"
 	"rex/internal/measure"
@@ -47,7 +46,7 @@ func Learned(opt StudyOptions) Table {
 		measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}},
 	}
 	evalMeasure := func(m measure.Measure, sd *studyData) float64 {
-		ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10, time.Time{})
+		ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10)
 		judged := make([]study.Judged, len(ranked))
 		for i, r := range ranked {
 			judged[i] = sd.labels[r.Ex.P.CanonicalKey()]

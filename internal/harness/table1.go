@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
@@ -154,7 +153,7 @@ func Table1(opt StudyOptions) Table {
 		row := []string{m.Name()}
 		total := 0.0
 		for _, sd := range data {
-			ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10, time.Time{})
+			ranked, _, _ := rank.GeneralBudgeted(context.Background(), sd.ctx, sd.all, m, 10)
 			judged := make([]study.Judged, len(ranked))
 			for i, r := range ranked {
 				judged[i] = sd.labels[r.Ex.P.CanonicalKey()]

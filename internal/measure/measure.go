@@ -70,8 +70,9 @@ type Context struct {
 	// measure evaluations (the distributional measures walk large
 	// neighbourhoods). Nil means no cancellation. When the context is
 	// cancelled mid-evaluation a measure returns an incomplete score;
-	// callers observing a done context must discard results and surface
-	// ctx.Err() — the rank layer does exactly that.
+	// callers observing a done context must discard results — the rank
+	// layer does exactly that, then truncates on a budget's end
+	// (enumerate.BudgetEnded) and surfaces ctx.Err() on any other.
 	Ctx context.Context
 	// Eval is ignored: measures count with the kernel on every call and
 	// memoise nothing across calls. It stays, with Evaluator, for callers

@@ -10,6 +10,13 @@
 //   - TopKDistributionalBudgeted: full enumeration, but the per-explanation
 //     distributional position computation is bounded by the current
 //     k-th best position (the SQL "LIMIT p" trick of Section 5.3.2).
+//
+// Every ranker is anytime under one context: the one it is given, which
+// is also the measure.Context's Ctx. When that context ends, the
+// evaluation it cut short is discarded, and enumerate.BudgetEnded decides
+// the rest: the end of a WithDeadline budget returns the ranking of
+// everything scored so far with truncated = true; any other end (the
+// caller's cancellation or deadline) returns ctx.Err() and no ranking.
 package rank
 
 import (
@@ -49,42 +56,14 @@ func rankDone(tr *obs.Trace, t0 time.Time, preInner int64, items int) {
 	tr.AddStage(obs.StageRank, excl, 1, int64(items))
 }
 
-// rankClock reports expiry of the anytime budget context (nil = never
-// expires); expiry is sticky so one observation truncates the rest of
-// the ranking.
-type rankClock struct {
-	bctx    context.Context
-	expired bool
-}
-
-func (c *rankClock) hit() bool {
-	if c.expired {
-		return true
+// ended reports whether ctx has ended and, when its end is not a
+// budget's (enumerate.BudgetEnded), the error to fail the ranking with.
+func ended(ctx context.Context) (bool, error) {
+	err := ctx.Err()
+	if err == nil || enumerate.BudgetEnded(ctx, err) {
+		return err != nil, nil
 	}
-	if c.bctx == nil {
-		return false
-	}
-	c.expired = c.bctx.Err() != nil
-	return c.expired
-}
-
-// budgetedMeasureCtx prepares anytime scoring for a deadline: measure
-// evaluations run under a context that expires at the deadline (derived
-// from cctx, so real cancellation still flows through), which the
-// engine's bounded-interval checks — matcher bindings, path walks,
-// streaming positions — already poll. A heavy evaluation therefore
-// aborts within the budget instead of overshooting it by its own full
-// cost; the rank loops observe the expiry via rankClock, discard the
-// aborted (incomplete) evaluation, and return the ranking built so far.
-// With a zero deadline everything is returned unchanged.
-func budgetedMeasureCtx(cctx context.Context, mctx *measure.Context, deadline time.Time) (*measure.Context, *rankClock, context.CancelFunc) {
-	if deadline.IsZero() {
-		return mctx, &rankClock{}, func() {}
-	}
-	bctx, cancel := context.WithDeadline(cctx, deadline)
-	bm := *mctx
-	bm.Ctx = bctx
-	return &bm, &rankClock{bctx: bctx}, cancel
+	return true, err
 }
 
 // Ranked pairs an explanation with its interestingness score.
@@ -125,47 +104,40 @@ func sortRanked(rs []Ranked) {
 
 // GeneralBudgeted implements Algorithm 5 over an already-enumerated
 // explanation list: score, sort, return the top k (all, when k ≤ 0).
-// The context is checked before each (potentially expensive) measure
-// evaluation, and a done context aborts ranking mid-flight with
-// ctx.Err(); scores computed while the context expires are discarded,
-// never partially returned. Scoring stops when the deadline passes and
-// the explanations scored so far are ranked and returned with
-// truncated = true. A zero deadline never truncates.
-func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int, deadline time.Time) ([]Ranked, bool, error) {
+// The context is checked before and after each (potentially expensive)
+// measure evaluation; a score computed while it ends is discarded, never
+// returned. Under the package's anytime contract, the end of a budget
+// ranks the explanations scored so far with truncated = true, and any
+// other end returns ctx.Err().
+func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int) ([]Ranked, bool, error) {
 	tr := obs.FromContext(cctx)
 	rt0, rinner := rankTimer(tr)
-	bm, clock, cancel := budgetedMeasureCtx(cctx, ctx, deadline)
-	defer cancel()
 	rs := make([]Ranked, 0, len(es))
+	var err error
 	for _, ex := range es {
-		if err := cctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
+		if err = cctx.Err(); err != nil {
 			break
 		}
 		mt0 := tr.Begin()
-		s := m.Score(bm, ex)
+		s := m.Score(ctx, ex)
 		tr.End(obs.StageMeasure, mt0, 1)
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
-			break // the budget cut this evaluation short: discard it
+		if err = cctx.Err(); err != nil {
+			break // the context cut this evaluation short: discard it
 		}
 		rs = append(rs, Ranked{Ex: ex, Score: s})
 	}
-	// A context that expired during the final Score call would otherwise
-	// slip a partial score into the result: measures abort with
-	// incomplete values on cancellation and rely on this post-loop check.
-	if err := cctx.Err(); err != nil {
-		return nil, false, err
+	if err != nil {
+		if !enumerate.BudgetEnded(cctx, err) {
+			return nil, false, err
+		}
+		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
 	}
 	sortRanked(rs)
 	if k > 0 && len(rs) > k {
 		rs = rs[:k]
 	}
 	rankDone(tr, rt0, rinner, len(rs))
-	return rs, clock.expired, nil
+	return rs, err != nil, nil
 }
 
 // TopKAntiMonotoneBudgeted interleaves enumeration, scoring and ranking
@@ -173,13 +145,13 @@ func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.E
 // pool, and expansion (merging with path explanations) proceeds only
 // from explanations currently in the top-k list, per Theorem 4. The
 // final list equals GeneralBudgeted's on the full enumeration, usually
-// at a fraction of the cost. Path enumeration aborts on cancellation via
-// the enumerate layer, and the interleaved expansion checks the context
-// once per frontier explanation. Under the anytime contract of
-// cfg.Budget, path enumeration truncates per the enumerate layer, and
-// when the budget deadline passes mid-expansion the current top-k list
+// at a fraction of the cost. Path enumeration runs under cctx and
+// cfg.Budget and truncates per the enumerate layer; the interleaved
+// expansion checks the context once per frontier explanation and once
+// per round. When a budget ends mid-expansion the current top-k list
 // (complete explanations, correctly ranked among everything scored so
-// far) is returned with truncated = true. A zero budget never truncates.
+// far) is returned with truncated = true; any other end returns
+// ctx.Err().
 func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg enumerate.Config, ctx *measure.Context, m measure.Measure, k int) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10
@@ -187,8 +159,6 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	tr := obs.FromContext(cctx)
 	rt0, rinner := rankTimer(tr)
 	var mergeCount int64
-	bm, clock, cancel := budgetedMeasureCtx(cctx, ctx, cfg.Budget.Deadline)
-	defer cancel()
 	paths, truncated, err := enumerate.PathsBudgeted(cctx, g, start, end, cfg)
 	if err != nil {
 		return nil, false, err
@@ -202,19 +172,20 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	seen := make(map[pattern.Key]struct{}, len(paths))
 	expanded := make(map[pattern.Key]struct{})
 	for _, ex := range paths {
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
+		if cctx.Err() != nil {
 			break // remaining paths stay unscored; the first round exits
 		}
 		mt0 := tr.Begin()
-		s := m.Score(bm, ex)
+		s := m.Score(ctx, ex)
 		tr.End(obs.StageMeasure, mt0, 1)
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
-			break // the budget cut this evaluation short: discard it
+		if cctx.Err() != nil {
+			break // the context cut this evaluation short: discard it
 		}
 		pool = append(pool, Ranked{Ex: ex, Score: s})
 		seen[ex.P.Key()] = struct{}{}
+	}
+	if cut, err := ended(cctx); cut && err == nil {
+		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
 	}
 	lim, isLimited := m.(measure.Limited)
 	merger := pattern.AcquireMerger()
@@ -238,7 +209,8 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 	}
 
 	for {
-		if err := cctx.Err(); err != nil {
+		cut, err := ended(cctx)
+		if err != nil {
 			return nil, false, err
 		}
 		sortRanked(pool)
@@ -248,7 +220,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		}
 		// Anytime exit: the pool holds every explanation scored so far,
 		// so the current top-k is the best answer the budget bought.
-		if clock.hit() {
+		if cut {
 			out := make([]Ranked, len(top))
 			copy(out, top)
 			tr.Truncated(obs.StageRank, obs.TruncDeadline)
@@ -275,12 +247,6 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 			}
 		}
 		if len(frontier) == 0 {
-			// Guard against a context that expired during the last
-			// Score call of the previous expansion round (see
-			// GeneralBudgeted).
-			if err := cctx.Err(); err != nil {
-				return nil, false, err
-			}
 			out := make([]Ranked, len(top))
 			copy(out, top)
 			traceMerges()
@@ -290,30 +256,24 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		take := func(key pattern.Key, re *pattern.Explanation) {
 			seen[key] = struct{}{}
 			mt0 := tr.Begin()
+			var s measure.Score
+			ok := true
 			if threshold != nil {
-				s, ok := lim.ScoreWithLimit(bm, re, threshold)
-				tr.End(obs.StageMeasure, mt0, 1)
-				if !ok || clock.hit() {
-					return // provably below the k-th best, or budget-cut
-				}
-				pool = append(pool, Ranked{Ex: re, Score: s})
-				return
+				s, ok = lim.ScoreWithLimit(ctx, re, threshold)
+			} else {
+				s = m.Score(ctx, re)
 			}
-			s := m.Score(bm, re)
 			tr.End(obs.StageMeasure, mt0, 1)
-			if clock.hit() {
-				return // the budget cut this evaluation short: discard it
+			if !ok || cctx.Err() != nil {
+				return // provably below the k-th best, or cut short
 			}
 			pool = append(pool, Ranked{Ex: re, Score: s})
 		}
 		for _, re1 := range frontier {
-			if err := cctx.Err(); err != nil {
-				return nil, false, err
-			}
-			if clock.hit() {
+			if cctx.Err() != nil {
 				// Candidates merged so far are already scored into the
-				// pool; the next round's top-of-loop exit returns them
-				// ranked.
+				// pool; the next round's top-of-loop check returns them
+				// ranked, or fails the ranking.
 				break
 			}
 			for _, re2 := range paths {
@@ -327,25 +287,25 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 // TopKDistributionalBudgeted ranks with a prunable (Limited) measure:
 // the current k-th best score bounds each subsequent evaluation, so
 // hopeless position computations abort early. The result equals
-// GeneralBudgeted's ranking under the same measure. Cancellation is
-// checked before each bounded evaluation; when the deadline passes,
-// evaluation stops and the top-k over the explanations scored so far is
-// returned with truncated = true. A zero deadline never truncates.
+// GeneralBudgeted's ranking under the same measure, and it is anytime as
+// GeneralBudgeted is: the context is checked before and after each
+// bounded evaluation, the end of a budget returns the top-k over the
+// explanations scored so far with truncated = true, and any other end
+// returns ctx.Err().
+//
+// The deadline parameter is deprecated and ignored: a wall-clock budget
+// is the context's (enumerate.WithDeadline). It stays only because
+// benchmark/engine_cold.go passes it, until ROADMAP item 1(e).
 func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Limited, k int, deadline time.Time) ([]Ranked, bool, error) {
 	if k <= 0 {
 		k = 10
 	}
 	tr := obs.FromContext(cctx)
 	rt0, rinner := rankTimer(tr)
-	bm, clock, cancel := budgetedMeasureCtx(cctx, ctx, deadline)
-	defer cancel()
 	var top []Ranked
+	var err error
 	for _, ex := range es {
-		if err := cctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
+		if err = cctx.Err(); err != nil {
 			break
 		}
 		var threshold measure.Score
@@ -353,11 +313,12 @@ func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es [
 			threshold = top[len(top)-1].Score
 		}
 		mt0 := tr.Begin()
-		s, ok := m.ScoreWithLimit(bm, ex, threshold)
+		s, ok := m.ScoreWithLimit(ctx, ex, threshold)
 		tr.End(obs.StageMeasure, mt0, 1)
-		if clock.hit() {
-			tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
-			break // the budget cut this evaluation short: discard it
+		// Cancellation mid-evaluation surfaces as ok=false or as an
+		// incomplete score, so the context decides first.
+		if err = cctx.Err(); err != nil {
+			break // the context cut this evaluation short: discard it
 		}
 		if !ok {
 			continue // cannot beat the current k-th best
@@ -368,13 +329,12 @@ func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es [
 			top = top[:k]
 		}
 	}
-	// Cancellation mid-evaluation surfaces as ok=false (indistinguishable
-	// from "cannot beat the k-th best"), so a context that expired during
-	// the final ScoreWithLimit call must fail the ranking here rather
-	// than return a silently truncated top-k.
-	if err := cctx.Err(); err != nil {
-		return nil, false, err
+	if err != nil {
+		if !enumerate.BudgetEnded(cctx, err) {
+			return nil, false, err
+		}
+		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
 	}
 	rankDone(tr, rt0, rinner, len(top))
-	return top, clock.expired, nil
+	return top, err != nil, nil
 }

@@ -63,7 +63,7 @@ func TestTopKAntiMonotoneEqualsGeneral(t *testing.T) {
 			measure.Combined{Primary: measure.Size{}, Secondary: measure.Monocount{}},
 		} {
 			for _, k := range []int{1, 3, 10, 100} {
-				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k, time.Time{})
+				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k)
 				got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, ctx, m, k)
 				assertSameRanking(t, pairNames[0]+"/"+pairNames[1]+" "+m.Name(), want, got)
 			}
@@ -84,7 +84,7 @@ func TestTopKDistributionalEqualsGeneral(t *testing.T) {
 			measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}},
 		} {
 			for _, k := range []int{1, 5, 10} {
-				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k, time.Time{})
+				want, _, _ := GeneralBudgeted(context.Background(), ctx, all, m, k)
 				got, _, _ := TopKDistributionalBudgeted(context.Background(), ctx, all, m, k, time.Time{})
 				assertSameRanking(t, pairNames[0]+"/"+pairNames[1]+" "+m.Name(), want, got)
 			}
@@ -96,8 +96,8 @@ func TestTopKDistributionalEqualsGeneral(t *testing.T) {
 func TestGeneralDeterministic(t *testing.T) {
 	g, s, e, ctx := setup(t, "brad_pitt", "angelina_jolie")
 	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
-	a, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0, time.Time{})
-	b, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0, time.Time{})
+	a, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0)
+	b, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, 0)
 	assertSameRanking(t, "determinism", a, b)
 	// Scores must be non-increasing.
 	for i := 1; i < len(a); i++ {
@@ -115,7 +115,7 @@ func TestGeneralCutsAtK(t *testing.T) {
 		t.Fatalf("want several explanations, got %d", len(all))
 	}
 	general := func(k int) []Ranked {
-		rs, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, k, time.Time{})
+		rs, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Size{}, k)
 		return rs
 	}
 	if got := general(3); len(got) != 3 {
@@ -135,7 +135,7 @@ func TestTopKAntiMonotoneSparsePair(t *testing.T) {
 	g, s, e, ctx := setup(t, "will_smith", "jada_pinkett_smith")
 	got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, ctx, measure.Monocount{}, 10)
 	all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
-	want, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Monocount{}, 10, time.Time{})
+	want, _, _ := GeneralBudgeted(context.Background(), ctx, all, measure.Monocount{}, 10)
 	assertSameRanking(t, "sparse pair", want, got)
 }
 
@@ -151,13 +151,13 @@ func TestRankingUnchangedByEvaluator(t *testing.T) {
 		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, s, e, rankCfg)
 		am := measure.Combined{Primary: measure.Size{}, Secondary: measure.Monocount{}}
 		for _, k := range []int{1, 3, 10} {
-			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, am, k, time.Time{})
+			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, am, k)
 			got, _, _ := TopKAntiMonotoneBudgeted(context.Background(), g, s, e, rankCfg, evCtx, am, k)
 			assertSameRanking(t, "eval anti-monotone k="+am.Name(), want, got)
 		}
 		dm := measure.Combined{Primary: measure.Size{}, Secondary: measure.LocalPosition{}}
 		for _, k := range []int{1, 5, 10} {
-			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, dm, k, time.Time{})
+			want, _, _ := GeneralBudgeted(context.Background(), ctx, all, dm, k)
 			got, _, _ := TopKDistributionalBudgeted(context.Background(), evCtx, all, dm, k, time.Time{})
 			assertSameRanking(t, "eval distributional "+dm.Name(), want, got)
 		}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -332,12 +333,20 @@ func (b budgetRequest) request(p rex.Pair) rex.Request {
 	}
 }
 
-// validate rejects nonsensical budgets so a client typo (a negative
-// value would silently mean "unbudgeted") gets a 400, not an unbounded
-// query.
+// maxBudgetMS is the largest budget_ms whose time.Duration does not
+// overflow.
+const maxBudgetMS = int64(math.MaxInt64 / time.Millisecond)
+
+// validate rejects nonsensical budgets so a client typo gets a 400, not
+// an unbounded query: a negative value would silently mean
+// "unbudgeted", and one past maxBudgetMS would wrap to a tiny or a
+// negative timeout.
 func (b budgetRequest) validate() error {
 	if b.BudgetMS < 0 {
 		return fmt.Errorf("budget_ms must be non-negative, got %d", b.BudgetMS)
+	}
+	if b.BudgetMS > maxBudgetMS {
+		return fmt.Errorf("budget_ms must be at most %d, got %d", maxBudgetMS, b.BudgetMS)
 	}
 	if b.BudgetExpansions < 0 {
 		return fmt.Errorf("budget_expansions must be non-negative, got %d", b.BudgetExpansions)

@@ -275,3 +275,34 @@ func TestBudgetKnobsRejectNegative(t *testing.T) {
 		t.Errorf("negative budget_expansions batch: status = %d, want 400", rec.Code)
 	}
 }
+
+// TestBudgetMSRejectsOverflow: a budget_ms whose time.Duration would
+// overflow is refused on every route, not wrapped — 18446744073710 ms
+// would become a 448.384 µs budget and 9223372036855 ms a negative one,
+// which the facade reads as unbudgeted. The largest that fits is
+// accepted.
+func TestBudgetMSRejectsOverflow(t *testing.T) {
+	h := testServer(t, time.Minute).Handler()
+	for _, ms := range []string{"18446744073710", "9223372036855"} {
+		if rec := get(t, h, "/explain?start=brad_pitt&end=angelina_jolie&budget_ms="+ms); rec.Code != http.StatusBadRequest {
+			t.Errorf("budget_ms=%s GET: status = %d, want 400", ms, rec.Code)
+		}
+		if rec := post(t, h, "/explain", `{"start":"brad_pitt","end":"angelina_jolie","budget_ms":`+ms+`}`); rec.Code != http.StatusBadRequest {
+			t.Errorf("budget_ms=%s POST: status = %d, want 400", ms, rec.Code)
+		}
+		if rec := post(t, h, "/batch", `{"pairs":[{"start":"brad_pitt","end":"angelina_jolie"}],"budget_ms":`+ms+`}`); rec.Code != http.StatusBadRequest {
+			t.Errorf("budget_ms=%s batch: status = %d, want 400", ms, rec.Code)
+		}
+	}
+	rec := get(t, h, "/explain?start=brad_pitt&end=angelina_jolie&budget_ms=9223372036854")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("budget_ms=9223372036854: status = %d, want 200: %s", rec.Code, rec.Body)
+	}
+	var resp explainResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Truncated {
+		t.Errorf("budget_ms=9223372036854 truncated a sample-KB query")
+	}
+}

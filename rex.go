@@ -257,11 +257,14 @@ type Budget struct {
 	// result is a prefix-consistent subset of the unbudgeted explanation
 	// set, identical across runs.
 	MaxExpansions int
-	// Timeout bounds the query's wall-clock time (0 = none), polled at
-	// bounded intervals in enumeration, union and ranking. Unlike a
-	// context deadline — which aborts with an error — an expired budget
-	// timeout returns the truncated best-so-far result. Timeout
-	// truncation is timing-dependent, so such results are never cached.
+	// Timeout bounds the query's wall-clock time (0 = none). The query
+	// runs under one context that ends Timeout after it starts
+	// (enumerate.WithDeadline), which enumeration, union, measures and
+	// ranking poll at bounded intervals as they poll cancellation. Unlike
+	// the caller's own context deadline — which aborts with an error — an
+	// expired budget timeout returns the truncated best-so-far result.
+	// Timeout truncation is timing-dependent, so such results are never
+	// cached.
 	Timeout time.Duration
 }
 
@@ -584,17 +587,19 @@ func (e *Explainer) Query(ctx context.Context, r Request) (*Result, error) {
 
 // compute runs the full enumerate → measure → rank → render pipeline
 // for a resolved request whose entities are s and t, on the goroutine
-// that asked.
+// that asked. Every stage runs under bctx: ctx, bounded by q's Timeout
+// when it has one.
 func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Result, error) {
 	g := e.kb.g
 	cfg := e.cfg
-	if q.active() {
-		cfg.Budget.MaxExpansions = q.MaxExpansions
-		if q.Timeout > 0 {
-			cfg.Budget.Deadline = time.Now().Add(q.Timeout)
-		}
+	cfg.Budget.MaxExpansions = q.MaxExpansions
+	bctx := ctx
+	if q.Timeout > 0 {
+		var cancel context.CancelFunc
+		bctx, cancel = enumerate.WithDeadline(ctx, time.Now().Add(q.Timeout))
+		defer cancel()
 	}
-	mctx := &measure.Context{G: g, Start: s, End: t, Ctx: ctx}
+	mctx := &measure.Context{G: g, Start: s, End: t, Ctx: bctx}
 	if needsGlobalSamples(e.m) {
 		mctx.SampleStarts = measure.SampleStartsOfType(g, g.Node(s).Type, e.opt.GlobalSamples, e.opt.Seed)
 	}
@@ -606,21 +611,21 @@ func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Re
 	)
 	switch {
 	case e.m.AntiMonotonic():
-		ranked, truncated, err = rank.TopKAntiMonotoneBudgeted(ctx, g, s, t, cfg, mctx, e.m, e.opt.TopK)
+		ranked, truncated, err = rank.TopKAntiMonotoneBudgeted(bctx, g, s, t, cfg, mctx, e.m, e.opt.TopK)
 	case isLimited(e.m):
 		var es []*pattern.Explanation
 		var etrunc, rtrunc bool
-		es, etrunc, err = enumerate.ExplanationsBudgeted(ctx, g, s, t, cfg)
+		es, etrunc, err = enumerate.ExplanationsBudgeted(bctx, g, s, t, cfg)
 		if err == nil {
-			ranked, rtrunc, err = rank.TopKDistributionalBudgeted(ctx, mctx, es, e.m.(measure.Limited), e.opt.TopK, cfg.Budget.Deadline)
+			ranked, rtrunc, err = rank.TopKDistributionalBudgeted(bctx, mctx, es, e.m.(measure.Limited), e.opt.TopK, time.Time{})
 		}
 		truncated = etrunc || rtrunc
 	default:
 		var es []*pattern.Explanation
 		var etrunc, rtrunc bool
-		es, etrunc, err = enumerate.ExplanationsBudgeted(ctx, g, s, t, cfg)
+		es, etrunc, err = enumerate.ExplanationsBudgeted(bctx, g, s, t, cfg)
 		if err == nil {
-			ranked, rtrunc, err = rank.GeneralBudgeted(ctx, mctx, es, e.m, e.opt.TopK, cfg.Budget.Deadline)
+			ranked, rtrunc, err = rank.GeneralBudgeted(bctx, mctx, es, e.m, e.opt.TopK)
 		}
 		truncated = etrunc || rtrunc
 	}

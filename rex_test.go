@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/measure"
@@ -223,7 +222,7 @@ func TestExplainPruningEquivalence(t *testing.T) {
 		if needsGlobalSamples(m) {
 			mctx.SampleStarts = measure.SampleStartsOfType(g, g.Node(s).Type, 100, 0) // the Options defaults
 		}
-		b, _, _ := rank.GeneralBudgeted(context.Background(), mctx, all, m, 5, time.Time{})
+		b, _, _ := rank.GeneralBudgeted(context.Background(), mctx, all, m, 5)
 		if len(a.Explanations) != len(b) {
 			t.Errorf("%s: pruned %d vs full %d", name, len(a.Explanations), len(b))
 			continue
