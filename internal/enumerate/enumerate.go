@@ -17,10 +17,8 @@
 package enumerate
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -137,9 +135,10 @@ func (cfg Config) normalized() Config {
 // MaxPatternSize-1, then combine them into all minimal explanations of
 // bounded size. The result is sorted deterministically by (pattern size,
 // edge count, canonical key). Each explanation's instances are distinct,
-// in no specified order. Enumeration and combination check ctx at
-// bounded intervals and abort mid-flight, returning ctx.Err() and no
-// explanations. When cfg.Budget or a WithDeadline budget on ctx
+// in no specified order (deterministic for a graph: the path search's
+// visit order, then the union's merge order). Enumeration and
+// combination check ctx at bounded intervals and abort mid-flight,
+// returning ctx.Err() and no explanations. When cfg.Budget or a WithDeadline budget on ctx
 // truncates the search, truncated is true and the returned explanations
 // are the complete minimal explanations built from every path the
 // budget admitted — a valid (deterministic, for an expansion budget)
@@ -173,8 +172,9 @@ func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID
 // targets with path length up to MaxPatternSize-1 (Section 3.2), grouped
 // into explanations (pattern + instance set) and sorted as
 // ExplanationsBudgeted sorts them. Each explanation's instances are
-// distinct, in no specified order. Cancellation is checked at bounded
-// intervals inside the enumeration loops, under the anytime contract of
+// distinct, in no specified order (deterministic for a graph: the path
+// search's visit order). Cancellation is checked at bounded intervals
+// inside the enumeration loops, under the anytime contract of
 // ExplanationsBudgeted: a truncating budget yields the path explanations
 // completed so far with truncated = true.
 func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
@@ -197,20 +197,7 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	}
 	st.fresh = false
 	t0 := tr.Begin()
-	// A context that has already ended never reaches the join, whose
-	// first poll comes only at its 256th expansion. The check reads Done,
-	// so the join's polls remain the only calls to Err.
-	var (
-		keys      []pathKey
-		truncated bool
-		err       error
-	)
-	select {
-	case <-ctx.Done():
-		keys, err = st.out[:0], ctx.Err()
-	default:
-		keys, truncated, err = st.pathSearch(ctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
-	}
+	truncated, err := st.pathSearch(ctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
 	switch {
 	case err != nil && !BudgetEnded(ctx, err):
 		return nil, false, err
@@ -220,29 +207,9 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	case truncated:
 		tr.Truncated(obs.StageEnumerate, obs.TruncExpansions)
 	}
-	out := st.groupPaths(g, keys)
-	st.out = keys[:0] // retain the (possibly regrown) buffer for reuse
+	out := st.groupPaths(g)
 	tr.End(obs.StageEnumerate, t0, int64(len(out)))
 	return out, truncated, nil
-}
-
-// pathKey is the comparable identity of a path instance: the node
-// sequence plus per-step label and orientation, packed into a fixed-size
-// struct so de-duplication maps hash it — and result buffers store it —
-// without allocating. Path length is bounded by the pattern size limit,
-// which New caps at pattern.MaxVars nodes. The key is the path: the full
-// half-edge sequence reconstructs from nodes and steps (each step's
-// target is the next node).
-type pathKey struct {
-	n     int8 // number of nodes; steps are n-1
-	nodes [pattern.MaxVars]kb.NodeID
-	steps [pattern.MaxVars - 1]pathStepKey
-}
-
-// pathRef names one key of groupPaths' input by index, and the group of
-// its step sequence once pass 1 has assigned it.
-type pathRef struct {
-	key, group int32
 }
 
 type pathStepKey struct {
@@ -257,130 +224,49 @@ type pathStepKey struct {
 // distinct targets). It is the grouping key that turns path instances
 // into path explanations without building a pattern per instance.
 type stepSeqKey struct {
-	n     int8
+	n     int8 // number of nodes; steps are n-1
 	steps [pattern.MaxVars - 1]pathStepKey
 }
 
-func (k *pathKey) stepSeq() stepSeqKey {
-	return stepSeqKey{n: k.n, steps: k.steps}
-}
-
-// compare orders path keys exactly as the legacy byte-string keys did
-// (interleaved node/label little-endian bytes, prefix first), so the
-// representative-pattern choice in groupPaths — and with it the rendered
-// output — is unchanged from the string era. Pointers: a key is 140 B.
-func (a *pathKey) compare(b *pathKey) int {
-	for i := 0; ; i++ {
-		if i >= int(a.n) || i >= int(b.n) {
-			return cmp.Compare(a.n, b.n)
-		}
-		if a.nodes[i] != b.nodes[i] {
-			return leCompare32(uint32(a.nodes[i]), uint32(b.nodes[i]))
-		}
-		if i >= int(a.n)-1 || i >= int(b.n)-1 {
-			return cmp.Compare(a.n, b.n)
-		}
-		if a.steps[i] != b.steps[i] {
-			if a.steps[i].label != b.steps[i].label {
-				return leCompare32(uint32(a.steps[i].label), uint32(b.steps[i].label))
-			}
-			return cmp.Compare(a.steps[i].dir, b.steps[i].dir)
-		}
-	}
-}
-
-// leCompare32 compares two 32-bit values by their little-endian byte
-// encoding — the comparison the legacy string keys performed.
-func leCompare32(a, b uint32) int {
-	return cmp.Compare(bits.ReverseBytes32(a), bits.ReverseBytes32(b))
-}
-
-// groupPaths converts path instances into path explanations: instances
-// sharing an isomorphic pattern are grouped under one explanation. Two
-// start→end paths are pattern-isomorphic exactly when their step
-// sequences agree (see stepSeqKey), so grouping needs no pattern
-// construction per instance: the keys are sorted (which also puts each
-// group's smallest-keyed instance — the representative, whatever order
-// the enumerator found the paths in — first), de-duplicated by adjacent
-// equality, counted per group, and materialised with one pattern and one
-// block-allocated instance set per group. What is sorted is a reference
-// to each key: a key is 140 B, which a comparison by value would copy
-// twice.
-func (st *enumState) groupPaths(g *kb.Graph, keys []pathKey) []*pattern.Explanation {
-	if len(keys) == 0 {
+// groupPaths converts the paths pathSearch filed into path explanations,
+// one per step sequence: it fills one exact-size ID block per group, in
+// visit order, so a group costs one pattern, one header slice and one ID
+// block however many paths it holds. The pattern is built from the
+// group's first path; it depends only on the step sequence, so every
+// member would give the same one.
+func (st *enumState) groupPaths(g *kb.Graph) []*pattern.Explanation {
+	if len(st.pathGroups) == 0 {
 		return nil
 	}
-	refs := slices.Grow(st.refs[:0], len(keys))
-	for i := range keys {
-		refs = append(refs, pathRef{key: int32(i)})
-	}
-	st.refs = refs
-	slices.SortFunc(refs, func(a, b pathRef) int { return keys[a.key].compare(&keys[b.key]) })
-	// Pass 1: drop duplicates, give each unique path its group, and count
-	// unique paths per group.
-	clear(st.groups)
-	st.gcounts = st.gcounts[:0]
-	uniq := refs[:0]
-	for _, r := range refs {
-		if len(uniq) > 0 && keys[r.key] == keys[uniq[len(uniq)-1].key] {
-			continue
-		}
-		ssk := keys[r.key].stepSeq()
-		gid, ok := st.groups[ssk]
-		if !ok {
-			gid = int32(len(st.gcounts))
-			st.groups[ssk] = gid
-			st.gcounts = append(st.gcounts, 0)
-		}
-		st.gcounts[gid]++
-		uniq = append(uniq, pathRef{key: r.key, group: gid})
-	}
-	// Pass 2: materialise. The representative pattern is built from the
-	// group's first (smallest) key; every member shares its step
-	// sequence, so instance numbering is positional for all of them:
-	// [start, end, interior...]. Each group's instances share one flat
-	// backing array sized exactly in pass 1, so a group costs one
-	// pattern, one header slice and one ID block — regardless of how
-	// many paths it contains.
-	out := make([]*pattern.Explanation, len(st.gcounts))
-	backs := make([][]kb.NodeID, len(st.gcounts))
-	for _, r := range uniq {
-		k, gid := &keys[r.key], r.group
-		total := int(k.n)
-		ex := out[gid]
-		if ex == nil {
-			nodes, steps := st.pathOf(k)
+	out := make([]*pattern.Explanation, len(st.gseqs))
+	backs := make([][]kb.NodeID, len(st.gseqs))
+	off := 0
+	for _, gid := range st.pathGroups {
+		seq := &st.gseqs[gid]
+		n := int(seq.n)
+		inst := st.pathNodes[off : off+n]
+		off += n
+		if out[gid] == nil {
+			// Back from [start, end, interior...] to path order.
+			nodes := append(append(append(st.nodesBuf[:0], inst[0]), inst[2:]...), inst[1])
+			steps := st.stepsBuf[:n-1]
+			for i := range steps {
+				steps[i] = kb.HalfEdge{To: nodes[i+1], Label: seq.steps[i].label, Dir: seq.steps[i].dir}
+			}
 			p, _, err := pattern.FromPathInstance(g, nodes, steps)
 			if err != nil {
 				// Unreachable by construction; fail loudly in development.
 				panic(err)
 			}
-			ex = &pattern.Explanation{P: p, Instances: make([]pattern.Instance, 0, st.gcounts[gid])}
-			out[gid] = ex
-			backs[gid] = make([]kb.NodeID, 0, int(st.gcounts[gid])*total)
+			out[gid] = &pattern.Explanation{P: p, Instances: make([]pattern.Instance, 0, st.gcounts[gid])}
+			backs[gid] = make([]kb.NodeID, 0, int(st.gcounts[gid])*n)
 		}
-		b := backs[gid]
-		off := len(b)
-		b = append(b, k.nodes[0], k.nodes[k.n-1])
-		b = append(b, k.nodes[1:int(k.n)-1]...)
+		b := append(backs[gid], inst...)
 		backs[gid] = b
-		ex.Instances = append(ex.Instances, pattern.Instance(b[off:len(b):len(b)]))
+		out[gid].Instances = append(out[gid].Instances, pattern.Instance(b[len(b)-n:len(b):len(b)]))
 	}
 	sortExplanations(out)
 	return out
-}
-
-// pathOf reconstructs a key's node and half-edge sequences into the
-// state's scratch buffers (valid until the next call).
-func (st *enumState) pathOf(k *pathKey) ([]kb.NodeID, []kb.HalfEdge) {
-	n := int(k.n)
-	nodes := st.nodesBuf[:n]
-	steps := st.stepsBuf[:n-1]
-	copy(nodes, k.nodes[:n])
-	for i := 0; i < n-1; i++ {
-		steps[i] = kb.HalfEdge{To: k.nodes[i+1], Label: k.steps[i].label, Dir: k.steps[i].dir}
-	}
-	return nodes, steps
 }
 
 // sortExplanations orders explanations by (pattern size, edge count,

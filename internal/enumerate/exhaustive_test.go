@@ -2,8 +2,10 @@ package enumerate
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,50 +57,71 @@ func joinKB(seed int64) (g *kb.Graph, start, end kb.NodeID, edges []kb.Edge) {
 	return gb.Build(), start, end, edges
 }
 
-// sortedKeys copies and sorts a raw key list, so the join and the oracle
-// compare as multisets: a path joined at a second split shows as a duplicate here,
-// where groupPaths would drop it.
-func sortedKeys(keys []pathKey) []pathKey {
-	out := slices.Clone(keys)
-	slices.SortFunc(out, func(a, b pathKey) int { return a.compare(&b) })
+// pathString encodes one path in path order — node, then label and
+// orientation of each step — as a comparable string.
+func pathString(nodes []kb.NodeID, steps []pathStepKey) string {
+	var b strings.Builder
+	for i, v := range nodes {
+		fmt.Fprintf(&b, "%d", v)
+		if i < len(steps) {
+			fmt.Fprintf(&b, " %d/%d ", steps[i].label, steps[i].dir)
+		}
+	}
+	return b.String()
+}
+
+// visited encodes the paths the last pathSearch on st filed, sorted, so
+// the join and the oracle compare as multisets: a path joined at a
+// second split shows as a duplicate here.
+func visited(st *enumState) []string {
+	var out []string
+	off := 0
+	for _, gid := range st.pathGroups {
+		seq := st.gseqs[gid]
+		inst := st.pathNodes[off : off+int(seq.n)]
+		off += int(seq.n)
+		nodes := append(append([]kb.NodeID{inst[0]}, inst[2:]...), inst[1])
+		out = append(out, pathString(nodes, seq.steps[:seq.n-1]))
+	}
+	slices.Sort(out)
 	return out
 }
 
-// oracleKeys packs the oracle's paths into the served search's keys, in
-// order and with every repeat.
-func oracleKeys(paths []oracle.Path) []pathKey {
-	keys := make([]pathKey, len(paths))
+// oraclePaths encodes the oracle's paths as visited does, sorted and with
+// every repeat.
+func oraclePaths(paths []oracle.Path) []string {
+	out := make([]string, len(paths))
 	for i, p := range paths {
-		k := &keys[i]
-		k.n = int8(len(p.Nodes))
-		copy(k.nodes[:], p.Nodes)
+		steps := make([]pathStepKey, len(p.Steps))
 		for j, s := range p.Steps {
-			k.steps[j] = pathStepKey{label: s.Label, dir: s.Dir}
+			steps[j] = pathStepKey{label: s.Label, dir: s.Dir}
 		}
+		out[i] = pathString(p.Nodes, steps)
 	}
-	return keys
+	slices.Sort(out)
+	return out
 }
 
 // checkPathSearch runs the path search on st and oracle.PathEnumNaive
-// beside it and compares the raw key multisets; it
+// beside it and compares the path multisets; it
 // also holds the join to the work the caps allow — one expansion per
 // under-cap partial of the side it stores (the endpoint with the smaller
 // two-hop frontier, start on a tie), which never touches the other
 // endpoint, and of the side it walks, which stops at the stored one, as
-// oracle.Partials lists them — which the keys alone cannot show, because
+// oracle.Partials lists them — which the paths alone cannot show, because
 // the join rejects what a wider search adds. An expansion cap of exactly
 // that count must change nothing, and one below it must stop the join.
 // It reports whether the join stored start.
 func checkPathSearch(t *testing.T, st *enumState, g *kb.Graph, start, end kb.NodeID, maxLen int, when string) bool {
 	t.Helper()
-	want := sortedKeys(oracleKeys(oracle.PathEnumNaive(g, start, end, maxLen)))
+	want := oraclePaths(oracle.PathEnumNaive(g, start, end, maxLen))
 
 	tr := obs.NewTrace()
-	got, capped, err := st.pathSearch(obs.NewContext(context.Background(), tr), g, start, end, maxLen, 0)
+	capped, err := st.pathSearch(obs.NewContext(context.Background(), tr), g, start, end, maxLen, 0)
 	if err != nil || capped {
 		t.Fatalf("%s: join: capped=%v err=%v", when, capped, err)
 	}
-	if !slices.Equal(sortedKeys(got), want) {
+	if got := visited(st); !slices.Equal(got, want) {
 		t.Fatalf("%s: join found %d paths, naive %d, or different ones", when, len(got), len(want))
 	}
 	stored, walked := start, end
@@ -120,12 +143,12 @@ func checkPathSearch(t *testing.T, st *enumState, g *kb.Graph, start, end kb.Nod
 		t.Fatalf("%s: join counted %d expansions, want %d", when, n, expansions)
 	}
 
-	got, capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions)
-	if err != nil || capped || !slices.Equal(sortedKeys(got), want) {
+	capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions)
+	if got := visited(st); err != nil || capped || !slices.Equal(got, want) {
 		t.Fatalf("%s: join capped at its own %d expansions: %d paths, naive %d, capped=%v err=%v", when, expansions, len(got), len(want), capped, err)
 	}
 	if expansions > 1 { // a cap of 0 is no cap
-		if _, capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions-1); err != nil || !capped {
+		if capped, err = st.pathSearch(context.Background(), g, start, end, maxLen, expansions-1); err != nil || !capped {
 			t.Fatalf("%s: join capped one short of its %d expansions: capped=%v err=%v", when, expansions, capped, err)
 		}
 	}

@@ -16,34 +16,58 @@ import (
 // any other. The join's visit order is fixed, so an expansion cap keeps
 // a prefix of the uncapped visit sequence.
 //
-// A finished path is its comparable pathKey, a small struct of inline
-// arrays bounded by pattern.MaxVars, so storing paths never touches the
-// allocator beyond the amortised growth of the pooled result buffer.
+// Each finished path is filed at once under its step sequence
+// (stepSeqKey): the visit appends its group and its nodes, in instance
+// layout, to two pooled flat buffers, so storing paths never touches the
+// allocator beyond the amortised growth of those buffers, and nothing is
+// sorted. The join visits each simple path exactly once, so nothing is
+// de-duplicated either.
 //
 // The join checks its context every 256 expansions, and the union every
 // 32 merge pairs, not per edge, so an ended context aborts enumeration
 // mid-flight at a cost that stays invisible on the happy path;
-// enumState.paths checks it once more before the join starts.
+// pathSearch checks it once more before the join starts.
 
 // pathSearch runs kb's simple-path join (kb.PathJoin), whose buffers the
-// pooled state keeps, packing each path it visits into a key: with no
-// order to keep, the join stores the cheaper endpoint's side and walks
-// the other, and groupPaths sorts the keys anyway. Expansions are the
+// pooled state keeps, and files each path it visits: its group id in
+// st.pathGroups (a new step sequence opens a group in st.gseqs, and
+// st.gcounts counts its paths), its nodes as [start, end, interior...]
+// in st.pathNodes. Expansions are the
 // join's: one adjacency scan per partial path grown, at most limit of
 // them when limit > 0 (capped reports that the limit stopped it). On a
-// context error the keys visited so far are returned beside it.
-func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen, limit int) (keys []pathKey, capped bool, err error) {
-	st.out = st.out[:0]
+// context error the paths visited so far stay filed beside it.
+func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen, limit int) (capped bool, err error) {
+	clear(st.groups)
+	st.gseqs, st.gcounts = st.gseqs[:0], st.gcounts[:0]
+	st.pathGroups, st.pathNodes = st.pathGroups[:0], st.pathNodes[:0]
+	// A context that has already ended never reaches the join, whose
+	// first poll comes only at its 256th expansion. The check reads Done,
+	// so the join's polls remain the only calls to Err.
+	select {
+	case <-ctx.Done():
+		return false, ctx.Err()
+	default:
+	}
 	n, capped, err := st.join.Paths(ctx, g, start, end, maxLen, limit, func(steps []kb.HalfEdge) bool {
-		st.out = append(st.out, pathKey{n: int8(len(steps) + 1)})
-		k := &st.out[len(st.out)-1]
-		k.nodes[0] = start
+		key := stepSeqKey{n: int8(len(steps) + 1)}
 		for i, he := range steps {
-			k.nodes[i+1] = he.To
-			k.steps[i] = pathStepKey{label: he.Label, dir: he.Dir}
+			key.steps[i] = pathStepKey{label: he.Label, dir: he.Dir}
+		}
+		gid, ok := st.groups[key]
+		if !ok {
+			gid = int32(len(st.gseqs))
+			st.groups[key] = gid
+			st.gseqs = append(st.gseqs, key)
+			st.gcounts = append(st.gcounts, 0)
+		}
+		st.gcounts[gid]++
+		st.pathGroups = append(st.pathGroups, gid)
+		st.pathNodes = append(st.pathNodes, start, end)
+		for _, he := range steps[:len(steps)-1] {
+			st.pathNodes = append(st.pathNodes, he.To)
 		}
 		return true
 	})
 	obs.FromContext(ctx).Add(obs.Expansions, int64(n))
-	return st.out, capped, err
+	return capped, err
 }

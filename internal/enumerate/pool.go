@@ -59,15 +59,17 @@ const retainedCap = 1 << 16
 // reference to any graph, context or returned explanation after a query
 // completes.
 type enumState struct {
-	// The path search: the simple-path join's records and buffers, and
-	// the keys of the paths it visited.
-	join kb.PathJoin
-	out  []pathKey
+	// The path search (path.go): the simple-path join's records and
+	// buffers, and the paths it visited, filed by step sequence — each
+	// group's key and path count, and per path its group and its nodes.
+	join       kb.PathJoin
+	groups     map[stepSeqKey]int32
+	gseqs      []stepSeqKey
+	gcounts    []int32
+	pathGroups []int32
+	pathNodes  []kb.NodeID
 
 	// Path grouping (enumerate.go).
-	refs     []pathRef
-	groups   map[stepSeqKey]int32
-	gcounts  []int32
 	nodesBuf [pattern.MaxVars]kb.NodeID
 	stepsBuf [pattern.MaxVars - 1]kb.HalfEdge
 
@@ -95,13 +97,15 @@ func newEnumState() *enumState {
 // oversized reports whether the state grew past what is worth
 // retaining. Every reusable buffer counts — maps never shrink, so
 // re-pooling a state after one pathological query would pin its
-// footprint for the snapshot's lifetime.
+// footprint for the snapshot's lifetime. The path buffers are bounded by
+// paths, not IDs: retainedCap paths of up to pattern.MaxVars nodes each.
 func (s *enumState) oversized() bool {
-	return cap(s.out) > retainedCap ||
-		s.join.Oversized(retainedCap) ||
+	return s.join.Oversized(retainedCap) ||
 		len(s.groups) > retainedCap ||
+		cap(s.gseqs) > retainedCap ||
+		cap(s.pathGroups) > retainedCap ||
+		cap(s.pathNodes) > retainedCap*pattern.MaxVars ||
 		cap(s.gcounts) > retainedCap ||
-		cap(s.refs) > retainedCap ||
 		len(s.unionSeen) > retainedCap ||
 		len(s.newIndex) > retainedCap ||
 		s.merger.Oversized(retainedCap)

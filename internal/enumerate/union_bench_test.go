@@ -49,10 +49,12 @@ func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
 }
 
 // BenchmarkPathEnum times path search and grouping alone, on warm pooled
-// state: on benchPair's pair (52 path explanations), the join a plain
-// request takes (exhaustive) and the same join capped at 20 expansions,
-// which stops it at 35 of them (anytime); and the join on million's hub
-// pair film_52640→actor_0000 (29 432 paths), skipped under -short.
+// state — the join's visit filing each path under its step sequence,
+// then one instance block filled per group: on benchPair's pair (52
+// path explanations), the join a plain request takes (exhaustive) and
+// the same join capped at 20 expansions, which stops it at 35 of them
+// (anytime); and the join on million's hub pair film_52640→actor_0000
+// (29 432 paths in 82 path explanations), skipped under -short.
 func BenchmarkPathEnum(b *testing.B) {
 	for _, route := range []string{"exhaustive", "anytime", "million-hub"} {
 		b.Run(route, func(b *testing.B) {

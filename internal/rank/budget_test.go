@@ -55,8 +55,9 @@ func (m *stall) ScoreWithLimit(ctx *measure.Context, ex *pattern.Explanation, th
 // contract with a measure whose n-th evaluation is cut short, early and
 // midway (for the anti-monotone ranker, midway is in the expansion
 // rounds). When a WithDeadline budget ends during that evaluation the
-// ranking is truncated without error, the cut score is discarded, and
-// every returned score is the explanation's unbudgeted score. When the
+// ranking is truncated without error, no evaluation starts after it, the
+// cut score is discarded, and every returned score is the explanation's
+// unbudgeted score. When the
 // caller cancels during it, or the caller's own deadline has passed
 // under a generous budget, the ranking fails with ctx.Err().
 func TestRankersTruncateAtBudget(t *testing.T) {
@@ -113,6 +114,9 @@ func TestRankersTruncateAtBudget(t *testing.T) {
 				}
 				if err != nil || !truncated {
 					t.Fatalf("%s, budget ends in evaluation %d: truncated=%v err %v; want a truncated ranking", tc.name, n, truncated, err)
+				}
+				if m.calls != n {
+					t.Fatalf("%s, budget ends in evaluation %d: %d evaluations started after it", tc.name, n, m.calls-n)
 				}
 				for i, r := range got {
 					if r.Score.Cmp(cutScore) == 0 {

@@ -255,6 +255,9 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		}
 		take := func(key pattern.Key, re *pattern.Explanation) {
 			seen[key] = struct{}{}
+			if cctx.Err() != nil {
+				return // ended: start no evaluation
+			}
 			mt0 := tr.Begin()
 			var s measure.Score
 			ok := true
@@ -269,14 +272,15 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 			}
 			pool = append(pool, Ranked{Ex: re, Score: s})
 		}
+	merge:
 		for _, re1 := range frontier {
-			if cctx.Err() != nil {
-				// Candidates merged so far are already scored into the
-				// pool; the next round's top-of-loop check returns them
-				// ranked, or fails the ranking.
-				break
-			}
 			for _, re2 := range paths {
+				if cctx.Err() != nil {
+					// Candidates merged so far are already scored into
+					// the pool; the next round's top-of-loop check
+					// returns them ranked, or fails the ranking.
+					break merge
+				}
 				mergeCount++
 				merger.Merge(re1, re2, maxVars, decide, take)
 			}

@@ -24,7 +24,7 @@ type serverMetrics struct {
 	httpRequests  *obs.Family // counter{endpoint,code}
 	httpDuration  *obs.Family // histogram{endpoint}
 	stageDuration *obs.Family // histogram{stage}
-	queries       *obs.Family // counter{outcome}
+	queries       *obs.Family // counter{outcome}: ok, error, timeout
 	truncated     *obs.Family // counter{by}
 	swapDuration  *obs.Family // histogram
 
@@ -69,6 +69,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.queries = reg.Counter("rex_queries_total",
 		"Completed queries by outcome (ok, error, timeout).", "outcome")
+	for _, outcome := range []string{"ok", "error", "timeout"} {
+		m.queries.With(outcome)
+	}
 	m.truncated = reg.Counter("rex_query_truncated_total",
 		"Budget-truncated queries by attribution (stage:cause).", "by")
 
@@ -239,8 +242,17 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// isTimeout mirrors note's timeout classification for the outcome
-// label.
+// queryStats derives /stats' query counters from rex_queries_total, so
+// /stats and /metrics count from one source: every completed query is
+// an explain, and a timeout is also an error.
+func (m *serverMetrics) queryStats() queryStats {
+	n := func(outcome string) uint64 { return uint64(m.queries.With(outcome).Value()) }
+	ok, errs, timeouts := n("ok"), n("error"), n("timeout")
+	return queryStats{Explains: ok + errs + timeouts, Errors: errs + timeouts, Timeouts: timeouts}
+}
+
+// isTimeout classifies a query's error for the outcome label: a
+// deadline or a cancellation.
 func isTimeout(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }

@@ -122,6 +122,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsQueriesMatchMetrics asks ok, unknown-entity and timed-out
+// queries, alone and as batch pairs, and requires /stats' query
+// counters to be what rex_queries_total{outcome} counts: explains are
+// every outcome, errors are error and timeout, timeouts are timeout.
+func TestStatsQueriesMatchMetrics(t *testing.T) {
+	s := testServer(t, time.Minute)
+	h := s.Handler()
+	ask := func(path string, code int) {
+		t.Helper()
+		if rec := get(t, h, path); rec.Code != code {
+			t.Fatalf("%s: status %d, want %d", path, rec.Code, code)
+		}
+	}
+	batch := func(body string) {
+		t.Helper()
+		if rec := post(t, h, "/batch", body); rec.Code != http.StatusOK {
+			t.Fatalf("/batch: status %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	ask("/explain?start=brad_pitt&end=angelina_jolie", http.StatusOK)
+	ask("/explain?start=brad_pitt&end=angelina_jolie", http.StatusOK) // a cache hit
+	ask("/explain?start=nobody&end=brad_pitt", http.StatusNotFound)
+	batch(`{"pairs":[{"start":"kate_winslet","end":"leonardo_dicaprio"},{"start":"ghost","end":"brad_pitt"}]}`)
+	s.timeout = time.Nanosecond
+	ask("/explain?start=tom_cruise&end=nicole_kidman", http.StatusGatewayTimeout)
+	batch(`{"pairs":[{"start":"george_clooney","end":"brad_pitt"},{"start":"kate_winslet","end":"tom_cruise"}]}`)
+
+	rec := get(t, h, "/stats")
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := map[string]uint64{}
+	for _, line := range strings.Split(scrape(t, h), "\n") {
+		var outcome string
+		var v uint64
+		if n, _ := fmt.Sscanf(line, "rex_queries_total{outcome=%q} %d", &outcome, &v); n == 2 {
+			outcomes[outcome] = v
+		}
+	}
+	want := queryStats{
+		Explains: outcomes["ok"] + outcomes["error"] + outcomes["timeout"],
+		Errors:   outcomes["error"] + outcomes["timeout"],
+		Timeouts: outcomes["timeout"],
+	}
+	if st.Queries != want || want.Explains != 8 || outcomes["ok"] != 3 || outcomes["error"] != 2 || outcomes["timeout"] != 3 {
+		t.Errorf("/stats queries %+v, /metrics outcomes %v; want them to agree on 3 ok, 2 error and 3 timeout", st.Queries, outcomes)
+	}
+}
+
 func TestExplainTraceBlock(t *testing.T) {
 	h := testServer(t, time.Minute).Handler()
 

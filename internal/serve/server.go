@@ -45,12 +45,9 @@ type Server struct {
 	name       string        // instance name scoping this replica's failpoints
 	started    time.Time
 
-	explains atomic.Uint64 // completed /explain queries (incl. batch pairs)
-	errors   atomic.Uint64 // queries that returned an error
-	timeouts atomic.Uint64 // queries aborted by deadline or cancellation
-	deltas   atomic.Uint64 // successfully applied /admin/delta requests
-	reloads  atomic.Uint64 // successful /admin/reload requests
-	panics   atomic.Uint64 // handler panics contained by the recovery middleware
+	deltas  atomic.Uint64 // successfully applied /admin/delta requests
+	reloads atomic.Uint64 // successful /admin/reload requests
+	panics  atomic.Uint64 // handler panics contained by the recovery middleware
 
 	// draining flips /healthz to 503 ahead of a graceful shutdown so
 	// load balancers stop routing before the listener closes.
@@ -486,18 +483,6 @@ func errStatus(err error) int {
 	}
 }
 
-// note updates the per-query counters.
-func (s *Server) note(err error) {
-	s.explains.Add(1)
-	if err == nil {
-		return
-	}
-	s.errors.Add(1)
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.timeouts.Add(1)
-	}
-}
-
 // requestCtx derives the per-request deadline context.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.timeout <= 0 {
@@ -559,7 +544,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Current() // pin one KB version for the whole request
 	t0 := time.Now()
 	res, err := snap.Explainer.Query(ctx, bud.request(p))
-	s.note(err)
 	if res != nil && res.Trace != nil {
 		res.Trace.RequestID = reqID // the trace is a private per-query report
 	}
@@ -615,7 +599,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := snap.Explainer.BatchExplain(ctx, reqs, rex.BatchOptions{Traced: true})
 	for _, br := range results {
-		s.note(br.Err)
 		// Per-pair wall time comes from the trace; the request-level
 		// elapsed would blame every pair for the whole batch.
 		var pairElapsed time.Duration
@@ -752,15 +735,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Deltas:      s.deltas.Load(),
 			Reloads:     s.reloads.Load(),
 		},
-		KB:    snap.KB.Stats(),
-		Cache: snap.Explainer.CacheStats(),
-		Queries: queryStats{
-			Explains: s.explains.Load(),
-			Errors:   s.errors.Load(),
-			Timeouts: s.timeouts.Load(),
-		},
-		Live: liveStatsOf(s.store.LiveStats()),
-		Sync: syncStatsOf(s.syncEngine()),
+		KB:      snap.KB.Stats(),
+		Cache:   snap.Explainer.CacheStats(),
+		Queries: s.metrics.queryStats(),
+		Live:    liveStatsOf(s.store.LiveStats()),
+		Sync:    syncStatsOf(s.syncEngine()),
 	})
 }
 

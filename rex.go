@@ -19,11 +19,13 @@
 package rex
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 	"strconv"
@@ -685,6 +687,20 @@ func needsGlobalSamples(m measure.Measure) bool {
 	return false
 }
 
+// compareInstances orders instances as pattern.InstanceKey.Compare
+// orders their keys (per-ID little-endian byte order, shorter prefix
+// first) without building the keys: a rendered explanation can hold tens
+// of thousands of instances in the path search's visit order, and a key
+// is 52 B.
+func compareInstances(a, b pattern.Instance) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
 // render converts an internal ranked explanation to the public shape,
 // with its distributional SQL when the query asked for it.
 func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
@@ -705,7 +721,7 @@ func (e *Explainer) render(r rank.Ranked, sql bool) Explanation {
 	// lists them in key order, so only the TopK lists a query renders are
 	// ever sorted. Sorting in place is safe: a query's explanations are
 	// private to it, and the cache holds rendered results.
-	slices.SortFunc(ex.Instances, func(a, b pattern.Instance) int { return a.Key().Compare(b.Key()) })
+	slices.SortFunc(ex.Instances, compareInstances)
 	if len(ex.Instances) > 0 {
 		out.Description = ex.P.Describe(g, ex.Instances[0])
 	} else {

@@ -3,13 +3,16 @@ package rex
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rex/internal/enumerate"
+	"rex/internal/kb"
 	"rex/internal/measure"
+	"rex/internal/pattern"
 	"rex/internal/rank"
 )
 
@@ -274,5 +277,24 @@ func TestResultMetadata(t *testing.T) {
 	}
 	if res.Start != "tom_cruise" || res.End != "nicole_kidman" || res.Measure != "monocount" {
 		t.Errorf("result metadata: %+v", res)
+	}
+}
+
+// TestCompareInstancesMatchesKeyOrder holds render's instance order to
+// pattern.InstanceKey.Compare's, on IDs that differ in low and high
+// bytes and on instances of different lengths.
+func TestCompareInstancesMatchesKeyOrder(t *testing.T) {
+	ids := []kb.NodeID{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<24 + 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		a, b := make(pattern.Instance, 2+rng.Intn(3)), make(pattern.Instance, 2+rng.Intn(3))
+		for _, in := range []pattern.Instance{a, b} {
+			for v := range in {
+				in[v] = ids[rng.Intn(len(ids))]
+			}
+		}
+		if got, want := compareInstances(a, b), a.Key().Compare(b.Key()); got != want {
+			t.Fatalf("compareInstances(%v, %v) = %d, InstanceKey.Compare %d", a, b, got, want)
+		}
 	}
 }

@@ -94,6 +94,45 @@ const (
 	hubPair              = "film_52640->actor_0000"
 )
 
+// maxHubPathSearchColdBytes bounds what the path search alone allocates
+// on million's hub pair (film_52640→actor_0000, 29 432 paths in 82 path
+// explanations) on a fresh enumerate.Pool: the join's records, the
+// paths filed by step sequence and the explanations they become. It is
+// the value measured when it was set plus 5 %. A 140-B record per path
+// allocates about 23 MB here.
+const maxHubPathSearchColdBytes = 6_222_240
+
+// TestHubPathSearchColdAlloc holds the hub pair's path search, cold, to
+// maxHubPathSearchColdBytes; it runs with -work-million, not under the
+// race detector.
+func TestHubPathSearchColdAlloc(t *testing.T) {
+	if !*workMillion {
+		t.Skip("million takes about 1.2 s to generate; run with -work-million")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself")
+	}
+	opt, err := kbgen.PresetOptions("million", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := kbgen.Generate(opt)
+	s, e := g.NodeByName("film_52640"), g.NodeByName("actor_0000")
+	cfg := enumerate.Config{Pool: enumerate.NewPool()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	paths, _, err := enumerate.PathsBudgeted(context.Background(), g, s, e, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(paths) != 82 {
+		t.Fatalf("hub path search: %d path explanations, err %v; want 82", len(paths), err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("hub path search, cold: %d B", bytes)
+	if bytes > maxHubPathSearchColdBytes {
+		t.Errorf("the hub pair's cold path search allocated %d B, above the bound of %d B", bytes, maxHubPathSearchColdBytes)
+	}
+}
+
 // presetFingerprints pins the datasets the work goldens are drawn from,
 // so a change to the generator or to kb.Builder cannot move them unseen.
 var presetFingerprints = map[string]string{
