@@ -11,6 +11,7 @@ package learn
 
 import (
 	"fmt"
+	"sync"
 
 	"rex/internal/measure"
 	"rex/internal/pattern"
@@ -96,9 +97,11 @@ func (m *Model) String() string {
 // Measure adapts the model to the measure.Measure interface. Feature
 // vectors are memoised per pattern because ranking evaluates the measure
 // once per explanation but training evaluates it once per candidate per
-// weight probe.
+// weight probe. A ranking scores from two lanes at once, so the memo is
+// under mu.
 type Measure struct {
 	Model *Model
+	mu    sync.Mutex
 	cache map[string][]float64
 }
 
@@ -117,10 +120,14 @@ func (lm *Measure) AntiMonotonic() bool { return false }
 // Score implements measure.Measure.
 func (lm *Measure) Score(ctx *measure.Context, ex *pattern.Explanation) measure.Score {
 	key := ex.P.CanonicalKey()
+	lm.mu.Lock()
 	f, ok := lm.cache[key]
+	lm.mu.Unlock()
 	if !ok {
 		f = Vector(ctx, ex)
+		lm.mu.Lock()
 		lm.cache[key] = f
+		lm.mu.Unlock()
 	}
 	return measure.Score{lm.Model.Score(f)}
 }

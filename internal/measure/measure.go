@@ -96,7 +96,9 @@ func (c *Context) Context() context.Context {
 }
 
 // Measure scores explanations. Implementations must be pure functions of
-// (Context, Explanation) so ranking can reorder evaluations freely.
+// (Context, Explanation) so ranking can reorder evaluations freely, and
+// safe to call from two goroutines at once: a list ranking scores in two
+// lanes while the process has a core spare.
 type Measure interface {
 	// Name is the identifier used in experiment tables (Table 1).
 	Name() string

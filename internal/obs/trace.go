@@ -21,10 +21,13 @@ import (
 
 // Stage identifies one pipeline stage of a query. Stages nest: match
 // runs inside measure (the measures call the matcher), so match time is
-// informational and not disjoint from measure time.
-// The rank stage is recorded as the ranker's wall time minus the
-// enumerate/measure/merge time it drove, keeping the top-level stages
-// additive.
+// informational and not disjoint from measure time. A ranking that
+// scores in two lanes records measure once, as the lanes' wall time,
+// while match is the CPU time of both lanes summed, so it can exceed
+// measure. The rank stage is recorded as the ranker's wall time minus
+// the enumerate/measure/merge time it drove, and render is the facade's
+// conversion of the ranked list to its answer, keeping the top-level
+// stages (enumerate, measure, rank, merge, render) additive.
 type Stage uint8
 
 const (
@@ -33,10 +36,11 @@ const (
 	StageMeasure
 	StageRank
 	StageMerge
+	StageRender
 	numStages
 )
 
-var stageNames = [numStages]string{"enumerate", "match", "measure", "rank", "merge"}
+var stageNames = [numStages]string{"enumerate", "match", "measure", "rank", "merge", "render"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -47,7 +51,7 @@ func (s Stage) String() string {
 
 // Stages lists every stage in pipeline order, for metric registration.
 func Stages() []Stage {
-	return []Stage{StageEnumerate, StageMatch, StageMeasure, StageRank, StageMerge}
+	return []Stage{StageEnumerate, StageMatch, StageMeasure, StageRank, StageMerge, StageRender}
 }
 
 // TruncCause says which budget dimension cut a query short.
@@ -245,8 +249,8 @@ type StageReport struct {
 // Result and embedded in slow-log entries. TruncatedBy is
 // "<stage>:<cause>" (e.g. "enumerate:expansions") or empty.
 // UnattributedMS is TotalMS minus the top-level stages (enumerate, merge,
-// measure, rank; match nests in measure): the facade's own time,
-// resolving the pair, the cache and rendering.
+// measure, rank, render; match nests in measure): the facade's own time,
+// resolving the pair and the cache.
 // MemoHits, MemoMisses, WalkCacheHits and WalkCacheMisses always read 0:
 // the measures keep no memo and no walk cache. Deduped always reads
 // false: every query that misses the cache computes, none joins another.

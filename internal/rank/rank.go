@@ -8,8 +8,11 @@
 //     expanded further, justified by Theorem 4 (any expansion can only
 //     lower an anti-monotonic score).
 //   - TopKDistributionalBudgeted: full enumeration, but the per-explanation
-//     distributional position computation is bounded by the current
-//     k-th best position (the SQL "LIMIT p" trick of Section 5.3.2).
+//     distributional position computation is bounded by a k-th best
+//     position (the SQL "LIMIT p" trick of Section 5.3.2).
+//
+// GeneralBudgeted and TopKDistributionalBudgeted score their list in one
+// loop (lanes.go), in two lanes while the process has a core spare.
 //
 // Every ranker is anytime under one context: the one it is given, which
 // is also the measure.Context's Ctx. When that context ends, the
@@ -104,40 +107,16 @@ func sortRanked(rs []Ranked) {
 
 // GeneralBudgeted implements Algorithm 5 over an already-enumerated
 // explanation list: score, sort, return the top k (all, when k ≤ 0).
-// The context is checked before and after each (potentially expensive)
-// measure evaluation; a score computed while it ends is discarded, never
+// The scores come from the same lanes as TopKDistributionalBudgeted's,
+// with no threshold: while the process has a core spare, a helper
+// goroutine scores explanations beside the caller. The context is
+// checked before and after each (potentially expensive) measure
+// evaluation; a score computed while it ends is discarded, never
 // returned. Under the package's anytime contract, the end of a budget
-// ranks the explanations scored so far with truncated = true, and any
-// other end returns ctx.Err().
+// ranks the scores of the longest index-order prefix of es that was
+// scored with truncated = true, and any other end returns ctx.Err().
 func GeneralBudgeted(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, k int) ([]Ranked, bool, error) {
-	tr := obs.FromContext(cctx)
-	rt0, rinner := rankTimer(tr)
-	rs := make([]Ranked, 0, len(es))
-	var err error
-	for _, ex := range es {
-		if err = cctx.Err(); err != nil {
-			break
-		}
-		mt0 := tr.Begin()
-		s := m.Score(ctx, ex)
-		tr.End(obs.StageMeasure, mt0, 1)
-		if err = cctx.Err(); err != nil {
-			break // the context cut this evaluation short: discard it
-		}
-		rs = append(rs, Ranked{Ex: ex, Score: s})
-	}
-	if err != nil {
-		if !enumerate.BudgetEnded(cctx, err) {
-			return nil, false, err
-		}
-		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
-	}
-	sortRanked(rs)
-	if k > 0 && len(rs) > k {
-		rs = rs[:k]
-	}
-	rankDone(tr, rt0, rinner, len(rs))
-	return rs, err != nil, nil
+	return rankScored(cctx, ctx, es, m, nil, k)
 }
 
 // TopKAntiMonotoneBudgeted interleaves enumeration, scoring and ranking
@@ -289,13 +268,25 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 }
 
 // TopKDistributionalBudgeted ranks with a prunable (Limited) measure:
-// the current k-th best score bounds each subsequent evaluation, so
-// hopeless position computations abort early. The result equals
-// GeneralBudgeted's ranking under the same measure, and it is anytime as
-// GeneralBudgeted is: the context is checked before and after each
-// bounded evaluation, the end of a budget returns the top-k over the
-// explanations scored so far with truncated = true, and any other end
-// returns ctx.Err().
+// a k-th best score bounds each evaluation, so hopeless position
+// computations abort early (the SQL "LIMIT p" of Section 5.3.2). The
+// result equals GeneralBudgeted's ranking under the same measure.
+//
+// While the process has a core spare (spareCore), the explanations are
+// scored in two lanes, the caller and one helper goroutine, and
+// explanation i is pruned against the k-th best of results 0..i−k, not
+// 0..i−1: the lanes then rarely wait for each other, and which lane
+// scores an explanation never changes its threshold, so the work done
+// depends only on es and the lane count. With one lane the loop is the
+// serial one, each evaluation pruned against the k-th best of all the
+// results before it. Pruning is strict against a threshold that only
+// rises and sortRanked is a total order, so both rank the same list.
+//
+// It is anytime as GeneralBudgeted is: the context is checked before
+// and after each bounded evaluation, the end of a budget returns the
+// top k of the longest index-order prefix of es that was scored, with
+// truncated = true, and any other end returns ctx.Err(). A panic in the
+// helper lane is re-raised on the caller once both lanes have stopped.
 //
 // The deadline parameter is deprecated and ignored: a wall-clock budget
 // is the context's (enumerate.WithDeadline). It stays only because
@@ -304,41 +295,29 @@ func TopKDistributionalBudgeted(cctx context.Context, ctx *measure.Context, es [
 	if k <= 0 {
 		k = 10
 	}
+	return rankScored(cctx, ctx, es, m, m, k)
+}
+
+// rankScored is GeneralBudgeted (lim nil) and TopKDistributionalBudgeted:
+// it picks the lane count, scores es and attributes the ranking to the
+// trace.
+func rankScored(cctx context.Context, ctx *measure.Context, es []*pattern.Explanation, m measure.Measure, lim measure.Limited, k int) ([]Ranked, bool, error) {
 	tr := obs.FromContext(cctx)
 	rt0, rinner := rankTimer(tr)
-	var top []Ranked
-	var err error
-	for _, ex := range es {
-		if err = cctx.Err(); err != nil {
-			break
-		}
-		var threshold measure.Score
-		if len(top) >= k {
-			threshold = top[len(top)-1].Score
-		}
-		mt0 := tr.Begin()
-		s, ok := m.ScoreWithLimit(ctx, ex, threshold)
-		tr.End(obs.StageMeasure, mt0, 1)
-		// Cancellation mid-evaluation surfaces as ok=false or as an
-		// incomplete score, so the context decides first.
-		if err = cctx.Err(); err != nil {
-			break // the context cut this evaluation short: discard it
-		}
-		if !ok {
-			continue // cannot beat the current k-th best
-		}
-		top = append(top, Ranked{Ex: ex, Score: s})
-		sortRanked(top)
-		if len(top) > k {
-			top = top[:k]
-		}
+	// A second lane pays when there is a second explanation to score
+	// and, under a threshold, when k > 1: at k = 1 explanation i needs
+	// result i−1, so the lanes would take turns.
+	lanes := 1
+	if len(es) > 1 && (lim == nil || k > 1) && spareCore() {
+		lanes = 2
 	}
+	rs, err := score(cctx, ctx, es, m, lim, k, lanes)
 	if err != nil {
 		if !enumerate.BudgetEnded(cctx, err) {
 			return nil, false, err
 		}
 		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
 	}
-	rankDone(tr, rt0, rinner, len(top))
-	return top, err != nil, nil
+	rankDone(tr, rt0, rinner, len(rs))
+	return rs, err != nil, nil
 }

@@ -589,9 +589,12 @@ func (e *Explainer) Query(ctx context.Context, r Request) (*Result, error) {
 
 // compute runs the full enumerate → measure → rank → render pipeline
 // for a resolved request whose entities are s and t, on the goroutine
-// that asked. Every stage runs under bctx: ctx, bounded by q's Timeout
-// when it has one.
+// that asked; only the rankers' second lane runs beside it, while the
+// process has a core spare (rank.Occupy counts this query meanwhile).
+// Every stage runs under bctx: ctx, bounded by q's Timeout when it has
+// one.
 func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Result, error) {
+	defer rank.Occupy()()
 	g := e.kb.g
 	cfg := e.cfg
 	cfg.Budget.MaxExpansions = q.MaxExpansions
@@ -642,8 +645,16 @@ func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Re
 	}
 
 	res := &Result{Start: q.Start, End: q.End, Measure: e.m.Name(), Truncated: truncated, enc: new(resultJSON)}
+	tr := obs.FromContext(ctx)
+	rt0 := tr.Begin()
+	var rendered int64
 	for _, r := range ranked {
-		res.Explanations = append(res.Explanations, e.render(r, q.SQL))
+		x := e.render(r, q.SQL)
+		rendered += int64(len(x.Instances))
+		res.Explanations = append(res.Explanations, x)
+	}
+	if tr != nil {
+		tr.AddStage(obs.StageRender, time.Since(rt0), int64(len(ranked)), rendered)
 	}
 	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"rex/internal/kb"
 	"rex/internal/live"
+	"rex/internal/rank"
 )
 
 // Store is a live knowledge base: it owns a sequence of versioned,
@@ -304,6 +305,7 @@ func (s *Store) applyDelta(r io.Reader, at live.At) (SwapInfo, error) {
 // when a generation was published, calls the OnSwap hook. t0 is when
 // the mutating call started.
 func (s *Store) commit(change live.Change, at live.At, t0 time.Time) (SwapInfo, error) {
+	defer rank.Occupy()()
 	snap, st, published, err := s.mgr.Commit(change, at, s.journalHook(change))
 	if err != nil {
 		return SwapInfo{}, err

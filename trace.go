@@ -9,8 +9,10 @@ import (
 
 // QueryTrace is the per-query execution trace attached to Result when
 // the query ran under a context from WithTrace: per-stage wall time and
-// item counts (enumerate → match → measure → rank → merge, where match
-// time nests inside measure), cache-hit and pool-reuse flags, the merge
+// item counts (enumerate → match → measure → rank → merge → render,
+// where match time nests inside measure and is summed over a ranking's
+// two lanes when it ran two; render's calls are the explanations
+// rendered and its items the instances listed), cache-hit and pool-reuse flags, the merge
 // attempts with the candidates they joined (Joins) and the variable
 // pairs the merge's emptiness mask ruled out unjoined (JoinsSkipped),
 // the work the local-distribution kernel did as counts (Bindings:
@@ -56,7 +58,7 @@ func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, q Request) *Result {
 	}
 	rep := tr.Report()
 	rep.TotalMS = float64(time.Since(t0)) / 1e6
-	rep.UnattributedMS = rep.TotalMS - float64(tr.InnerNs()+tr.StageNs(obs.StageRank))/1e6
+	rep.UnattributedMS = rep.TotalMS - float64(tr.InnerNs()+tr.StageNs(obs.StageRank)+tr.StageNs(obs.StageRender))/1e6
 	rep.BudgetMS = int64(q.Timeout / time.Millisecond)
 	rep.BudgetExpansions = q.MaxExpansions
 	cp := *res

@@ -155,8 +155,15 @@ const maxUnattributedShare = 0.05
 // runs with -work-million. Each pair's uncached time, the part of it no
 // stage holds and the bytes it allocated are logged; million's
 // unattributed share, its 33-pair allocation and the hub pair's are
-// gated (not under the race detector, which allocates for itself).
+// gated (not under the race detector, which allocates for itself). It
+// runs on at least two cores: a lone query's ranking then scores in two
+// lanes, and its pruning thresholds, hence its counts, are the
+// two-lane ones on every runner.
 func TestWorkGoldens(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); n < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(n)
+	}
 	presets := []string{"medium"}
 	if *workMillion {
 		presets = append(presets, "million")
