@@ -1,93 +1,25 @@
 package rex
 
-// Tests for the anytime query budget at the facade: truncated results
-// are honest prefixes of the exhaustive answer, unbudgeted queries are
-// unaffected, and budgeted results interact safely with the cache.
+// Tests for the anytime query budget at the facade: a Timeout truncates
+// without error, a request's bound resolves against Options.Budget, and
+// budgeted queries share the unbudgeted query's cache entry while a
+// truncated answer is never stored.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"sync"
 	"testing"
 	"time"
+
+	"rex/internal/measure"
+	"rex/internal/pattern"
 )
-
-// TestExplainBudgetedSubset checks the facade budget contract on the
-// default measure: a generous expansion budget reproduces the
-// unbudgeted result exactly (Truncated false), and a tight one returns
-// Truncated=true with every explanation drawn from the exhaustive
-// explanation set, deterministically across repeated runs.
-func TestExplainBudgetedSubset(t *testing.T) {
-	kb := SampleKB()
-	ex, err := NewExplainer(kb, Options{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := samplePairs[0]
-	full, err := ex.Explain(p.Start, p.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Truncated {
-		t.Fatal("unbudgeted result is marked truncated")
-	}
-
-	// Generous budget: must match the exhaustive result byte for byte.
-	res, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, Budget{MaxExpansions: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Fatal("generous budget truncated")
-	}
-	if !resultsEqual(res, full) {
-		t.Fatal("generous budget changed the result")
-	}
-
-	// The exhaustive pattern universe: everything the unbudgeted query
-	// could rank, not just its top-k.
-	exAll, err := NewExplainer(kb, Options{TopK: 1_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAll, err := exAll.Explain(p.Start, p.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	universe := map[string]bool{}
-	for _, e := range fullAll.Explanations {
-		universe[e.Pattern] = true
-	}
-
-	sawTruncated := false
-	for budget := 1; budget <= 64; budget *= 4 {
-		b := Budget{MaxExpansions: budget}
-		res1, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res2, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(res1, res2) || res1.Truncated != res2.Truncated {
-			t.Fatalf("budget %d: repeated budgeted queries disagree", budget)
-		}
-		if res1.Truncated {
-			sawTruncated = true
-		}
-		for _, e := range res1.Explanations {
-			if !universe[e.Pattern] {
-				t.Fatalf("budget %d: pattern %q not in the exhaustive explanation set", budget, e.Pattern)
-			}
-		}
-	}
-	if !sawTruncated {
-		t.Fatal("budget sweep never truncated; the test exercised nothing")
-	}
-}
 
 // TestExplainBudgetTimeout checks the wall-clock budget: an effectively
 // zero timeout returns a truncated result promptly without error, and
-// timeout-budgeted results bypass the cache (they are wall-clock
+// timeout-truncated results bypass the cache (they are wall-clock
 // dependent) while leaving unbudgeted entries untouched.
 func TestExplainBudgetTimeout(t *testing.T) {
 	kb := SampleKB()
@@ -120,46 +52,18 @@ func TestExplainBudgetTimeout(t *testing.T) {
 		t.Fatalf("unbudgeted result not cached: %+v", st)
 	}
 
-	// An expansion budget is deterministic and caches under its own key:
-	// it must never serve for (or be served from) the unbudgeted entry.
-	bres, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, Budget{MaxExpansions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bres.Truncated {
-		t.Fatal("one-expansion budget did not truncate")
-	}
-	if st := ex.CacheStats(); st.Entries != 2 {
-		t.Fatalf("expansion-budgeted result not cached separately: %+v", st)
-	}
-	again, err := ex.Explain(p.Start, p.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != full {
-		t.Fatal("unbudgeted cache entry was displaced by the budgeted one")
-	}
-
-	// A timeout-budgeted query that finishes untruncated is identical to
-	// the unbudgeted answer and must cache (under its own key): a server
-	// default wall-clock budget must not turn the cache into dead weight
-	// for the pairs that finish inside it.
+	// A timeout-budgeted query is answered from the pair's one entry: a
+	// server default wall-clock budget must not turn the cache into
+	// dead weight for the pairs that finish inside it.
 	tres, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, Budget{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tres.Truncated {
-		t.Fatal("one-minute budget truncated a sample-KB query")
+	if tres != full {
+		t.Fatal("timeout-budgeted query not served from the unbudgeted entry")
 	}
-	if st := ex.CacheStats(); st.Entries != 3 {
-		t.Fatalf("untruncated timeout-budgeted result not cached: %+v", st)
-	}
-	tagain, err := ex.ExplainBudgeted(context.Background(), p.Start, p.End, Budget{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagain != tres {
-		t.Fatal("untruncated timeout-budgeted result not served from cache")
+	if st := ex.CacheStats(); st.Entries != 1 {
+		t.Fatalf("timeout-budgeted query added an entry: %+v", st)
 	}
 }
 
@@ -226,28 +130,33 @@ func TestOptionsBudgetSQLIgnored(t *testing.T) {
 }
 
 // TestBatchExplainBudget checks budget plumbing through BatchExplain:
-// a request's own bounds truncate every heavy pair and per-pair Elapsed
-// is populated. A request that only asks for SQL bounds nothing, so it
-// runs under the explainer's default budget, with SQL. Six expansions is
-// the smallest cap that truncates every sample pair and leaves each an
-// explanation to carry it.
+// a request's own Timeout truncates every pair and per-pair Elapsed is
+// populated. A request that only asks for SQL bounds nothing, so it
+// runs under the explainer's default budget, with SQL. The measure
+// stalls at each query's stallEval-th evaluation until the Timeout
+// ends, so every pair is cut with the explanations scored before it;
+// tom_cruise→nicole_kidman is left out, as it has only two explanations
+// to score.
 func TestBatchExplainBudget(t *testing.T) {
 	kb := SampleKB()
+	pairs := []Pair{samplePairs[0], samplePairs[1], samplePairs[3]}
+	bound := Budget{Timeout: stallTimeout}
 	for _, tc := range []struct {
 		name    string
 		def     Budget
 		req     Request
 		wantSQL bool
 	}{
-		{"request budget", Budget{}, Request{Budget: Budget{MaxExpansions: 1}}, false},
-		{"default budget, sql", Budget{MaxExpansions: 6}, Request{SQL: true}, true},
+		{"request budget", Budget{}, Request{Budget: bound}, false},
+		{"default budget, sql", bound, Request{SQL: true}, true},
 	} {
 		ex, err := NewExplainer(kb, Options{TopK: 10, Budget: tc.def})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs := make([]Request, len(samplePairs))
-		for i, p := range samplePairs {
+		stallAt(ex, stallEval)
+		reqs := make([]Request, len(pairs))
+		for i, p := range pairs {
 			reqs[i] = tc.req
 			reqs[i].Pair = p
 		}
@@ -262,8 +171,8 @@ func TestBatchExplainBudget(t *testing.T) {
 			if br.Elapsed <= 0 {
 				t.Errorf("%s, pair %d: Elapsed not populated", tc.name, i)
 			}
-			if tc.wantSQL && len(br.Result.Explanations) == 0 {
-				t.Errorf("%s, pair %d: no explanations to carry SQL", tc.name, i)
+			if len(br.Result.Explanations) == 0 {
+				t.Errorf("%s, pair %d: no explanations scored before the cut", tc.name, i)
 			}
 			for _, e := range br.Result.Explanations {
 				if (e.SQL != "") != tc.wantSQL {
@@ -275,74 +184,171 @@ func TestBatchExplainBudget(t *testing.T) {
 }
 
 // TestRequestResolution holds every facade entrypoint to one rule: a
-// request that bounds nothing runs under Options.Budget, one that sets
-// a bound runs under its own, and the cache keys on the bounds the
-// query ran under, not on how the request spelled them. The default is
-// the smallest cap that truncates the pair and leaves an explanation.
+// request that sets no Timeout runs under Options.Budget, and one that
+// sets a Timeout runs under its own. The default's cut comes in the
+// measure stage, where the measure stalls (stallAt); a request's own
+// Timeout that has already ended cuts the path search instead, so the
+// trace tells the two bounds apart. No truncated answer is cached.
 func TestRequestResolution(t *testing.T) {
-	def := Budget{MaxExpansions: 6}
+	def := Budget{Timeout: stallTimeout}
 	ex, err := NewExplainer(SampleKB(), Options{TopK: 10, Budget: def, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stallAt(ex, stallEval)
 	p := samplePairs[0]
 	ctx := context.Background()
-	truncatedWithSQL := func(how string, res *Result) {
+	underDefault := func(how string, res *Result, sql bool) {
 		t.Helper()
-		if !res.Truncated {
-			t.Errorf("%s: a zero-bound request did not run under the default budget", how)
+		if !res.Truncated || res.Trace != nil && res.Trace.TruncatedBy != "measure:deadline" {
+			t.Errorf("%s: a request without a Timeout did not run under the default budget", how)
 		}
-		if len(res.Explanations) == 0 || res.Explanations[0].SQL == "" {
-			t.Errorf("%s: no SQL on a request that asked for it", how)
+		if len(res.Explanations) == 0 {
+			t.Fatalf("%s: no explanations scored before the cut", how)
+		}
+		if (res.Explanations[0].SQL != "") != sql {
+			t.Errorf("%s: SQL %q on a request that asked for SQL %v", how, res.Explanations[0].SQL, sql)
 		}
 	}
 
-	res, err := ex.Query(ctx, Request{Pair: p, SQL: true})
+	res, err := ex.Query(WithTrace(ctx), Request{Pair: p, SQL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	truncatedWithSQL("Query", res)
+	underDefault("Query", res, true)
+	if res.Trace.BudgetMS != int64(def.Timeout/time.Millisecond) {
+		t.Errorf("Query: trace budget %d ms, want the default's %d", res.Trace.BudgetMS, def.Timeout/time.Millisecond)
+	}
 	out := ex.BatchExplain(ctx, []Request{{Pair: p, SQL: true}}, BatchOptions{})
 	if out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
-	truncatedWithSQL("BatchExplain", out[0].Result)
-	res, err = ex.ExplainBudgeted(ctx, p.Start, p.End, Budget{})
+	underDefault("BatchExplain", out[0].Result, true)
+	res, err = ex.ExplainBudgeted(ctx, p.Start, p.End, Budget{Timeout: -time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Truncated {
-		t.Error("ExplainBudgeted: a zero budget did not run under the default budget")
-	}
+	underDefault("ExplainBudgeted, negative Timeout", res, false)
 
 	// A request's own bound overrides the default.
-	own, err := ex.Query(ctx, Request{Pair: p, Budget: Budget{MaxExpansions: 1 << 20}})
+	own, err := ex.Query(WithTrace(ctx), Request{Pair: p, Budget: Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded, err := NewExplainer(SampleKB(), Options{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
+	if !own.Truncated || own.Trace.TruncatedBy != "enumerate:deadline" || own.Trace.BudgetMS != 0 {
+		t.Errorf("a request's own Timeout did not override the default: truncated=%v by %q under %d ms",
+			own.Truncated, own.Trace.TruncatedBy, own.Trace.BudgetMS)
 	}
-	full, err := unbounded.Explain(p.Start, p.End)
-	if err != nil {
-		t.Fatal(err)
+	if st := ex.CacheStats(); st.Entries != 0 {
+		t.Errorf("a truncated answer was cached: %+v", st)
 	}
-	if own.Truncated || !resultsEqual(own, full) {
-		t.Error("a request's own bound did not override the default budget")
-	}
+}
 
-	// The default spelled out is the same query as the default implied.
-	implied, err := ex.Query(ctx, Request{Pair: p})
-	if err != nil {
-		t.Fatal(err)
+// TestBudgetedQueriesShareCacheEntry: a pair has one cache entry (and
+// one with SQL) whatever budget its queries run under, because only an
+// untruncated answer is stored and it is the unbudgeted answer. A
+// Timeout-budgeted query after an unbudgeted one is a hit on the same
+// result, and so is an unbudgeted query after a budgeted one that
+// finished; a Timeout-truncated answer is never stored and never
+// displaces the entry.
+func TestBudgetedQueriesShareCacheEntry(t *testing.T) {
+	ctx := context.Background()
+	plain := Request{Pair: samplePairs[0]}
+	budgeted := Request{Pair: samplePairs[0], Budget: Budget{Timeout: time.Minute}}
+	expired := Request{Pair: samplePairs[0], Budget: Budget{Timeout: time.Nanosecond}}
+	for _, order := range [][2]Request{{plain, budgeted}, {budgeted, plain}} {
+		ex, err := NewExplainer(SampleKB(), Options{TopK: 10, CacheSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := ex.Query(ctx, expired); err != nil || !res.Truncated {
+			t.Fatalf("expired budget: truncated=%v err=%v", res != nil && res.Truncated, err)
+		}
+		if st := ex.CacheStats(); st.Entries != 0 {
+			t.Fatalf("a truncated answer was cached: %+v", st)
+		}
+		first, err := ex.Query(ctx, order[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ex.CacheStats()
+		second, err := ex.Query(ctx, order[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ex.CacheStats()
+		if first.Truncated || second != first || st.Hits != before.Hits+1 || st.Entries != 1 {
+			t.Errorf("Timeout %v then %v: not one entry served twice: before %+v, after %+v",
+				order[0].Timeout, order[1].Timeout, before, st)
+		}
+		a, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := json.Marshal(second); err != nil || !bytes.Equal(a, b) {
+			t.Errorf("Timeout %v then %v: the hit's bytes differ", order[0].Timeout, order[1].Timeout)
+		}
+		if res, err := ex.Query(ctx, expired); err != nil || res != first {
+			t.Errorf("an expired budget after the entry was stored did not hit it: err=%v", err)
+		}
+		if st := ex.CacheStats(); st.Entries != 1 {
+			t.Errorf("entries after the queries: %+v, want 1", st)
+		}
 	}
-	before := ex.CacheStats()
-	spelled, err := ex.Query(ctx, Request{Pair: p, Budget: def})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// stallTimeout is the Timeout the stalled queries run under, and
+// stallEval the evaluation they stall at: long and late enough that a
+// loaded host under the race detector enumerates and scores stallEval−1
+// explanations of a sample pair before the Timeout ends.
+const (
+	stallTimeout = 250 * time.Millisecond
+	stallEval    = 4
+)
+
+// stallMeasure wraps an explainer's measure so that the n-th evaluation
+// of each query waits for the query's context to end: under a Timeout
+// the query is cut in its measure stage, whatever the host's speed,
+// with the explanations scored before it. It counts per query (one
+// measure.Context each) and is safe on both ranking lanes. Installed
+// without a Timeout, the n-th evaluation waits for good.
+type stallMeasure struct {
+	measure.Measure
+	n     int
+	mu    sync.Mutex
+	evals map[*measure.Context]int
+}
+
+func (s *stallMeasure) Score(ctx *measure.Context, ex *pattern.Explanation) measure.Score {
+	s.wait(ctx)
+	return s.Measure.Score(ctx, ex)
+}
+
+func (s *stallMeasure) wait(ctx *measure.Context) {
+	s.mu.Lock()
+	s.evals[ctx]++
+	stall := s.evals[ctx] == s.n
+	s.mu.Unlock()
+	if stall {
+		<-ctx.Context().Done()
 	}
-	if st := ex.CacheStats(); spelled != implied || st.Hits != before.Hits+1 || st.Entries != before.Entries {
-		t.Errorf("the default bounds spelled out missed the implied default's entry: before %+v, after %+v", before, st)
+}
+
+// stallLimited is stallMeasure over a measure.Limited, which stays one,
+// so the explainer keeps its pruned ranking route.
+type stallLimited struct{ *stallMeasure }
+
+func (s stallLimited) ScoreWithLimit(ctx *measure.Context, ex *pattern.Explanation, threshold measure.Score) (measure.Score, bool) {
+	s.wait(ctx)
+	return s.Measure.(measure.Limited).ScoreWithLimit(ctx, ex, threshold)
+}
+
+// stallAt makes the n-th evaluation of each of ex's queries stall.
+func stallAt(ex *Explainer, n int) {
+	s := &stallMeasure{Measure: ex.m, n: n, evals: map[*measure.Context]int{}}
+	if _, ok := ex.m.(measure.Limited); ok {
+		ex.m = stallLimited{s}
+	} else {
+		ex.m = s
 	}
 }

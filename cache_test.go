@@ -38,29 +38,31 @@ func TestCacheHitAllocBound(t *testing.T) {
 	}
 }
 
-// TestQueryKeyFormat holds the key to the bytes fmt used to build: the
-// cache keys on them, and the length prefixes are what keeps names
-// holding the separators apart.
+// TestQueryKeyFormat holds the key to the bytes fmt used to build, the
+// same under every budget: only an untruncated answer is stored, and it
+// is the unbudgeted one. The length prefixes are what keeps names
+// holding the separators apart, and SQL is the one other dimension.
 func TestQueryKeyFormat(t *testing.T) {
-	names := []string{"a", "brad_pitt", "1:a", "a|x1|t2", "x:y|z", strings.Repeat("n", 100), ""}
-	budgets := []Budget{{}, {MaxExpansions: 7}, {Timeout: 1500 * time.Millisecond}, {MaxExpansions: 400, Timeout: time.Nanosecond}}
+	names := []string{"a", "brad_pitt", "1:a", "a|sql", "x:y|z", strings.Repeat("n", 100), ""}
+	budgets := []Budget{{}, {Timeout: 1500 * time.Millisecond}, {Timeout: time.Nanosecond}, {Timeout: -time.Second}}
 	seen := map[string]string{}
 	for _, start := range names {
 		for _, end := range names {
-			for _, b := range budgets {
+			for _, sql := range []bool{false, true} {
 				want := fmt.Sprintf("%d:%s%d:%s", len(start), start, len(end), end)
-				if b.active() {
-					want += fmt.Sprintf("|x%d|t%d", b.MaxExpansions, int64(b.Timeout))
+				if sql {
+					want += "|sql"
 				}
-				got := queryKey(Request{Pair: Pair{Start: start, End: end}, Budget: b})
-				if got != want {
-					t.Errorf("queryKey(%q, %q, %+v) = %q, want %q", start, end, b, got, want)
+				for _, b := range budgets {
+					if got := queryKey(Request{Pair: Pair{Start: start, End: end}, Budget: b, SQL: sql}); got != want {
+						t.Errorf("queryKey(%q, %q, %+v, sql %v) = %q, want %q", start, end, b, sql, got, want)
+					}
 				}
-				q := fmt.Sprintf("(%q, %q, %+v)", start, end, b)
-				if prev, dup := seen[got]; dup {
-					t.Errorf("queries %s and %s share the key %q", prev, q, got)
+				q := fmt.Sprintf("(%q, %q, sql %v)", start, end, sql)
+				if prev, dup := seen[want]; dup {
+					t.Errorf("queries %s and %s share the key %q", prev, q, want)
 				}
-				seen[got] = q
+				seen[want] = q
 			}
 		}
 	}

@@ -26,17 +26,15 @@
 // ring served at GET /admin/slow (newest first), and optionally append
 // to a -slow-log JSONL file.
 //
-// Queries accept per-request work budgets — budget_ms (wall clock) and
-// budget_expansions (a deterministic cap on the path search's
-// expansions, which bounds the path search, not the query) as /explain
-// query parameters or body fields, and as top-level /batch fields
-// applying to every pair. A query that exhausts its budget answers with
-// the explanations built from the paths found so far and
-// "truncated": true instead of a 504.
-// The -budget and -budget-expansions flags set the default budget: a
-// request that sets neither bound runs under both flags (sql=1 sets no
-// bound), and one that sets either runs under its own bounds only.
-// With neither flag nor a request bound, queries are exhaustive.
+// Queries accept a per-request wall-clock budget, budget_ms, as an
+// /explain query parameter or body field, and as a top-level /batch
+// field applying to every pair. A query that exhausts its budget answers
+// with the best explanations found so far and "truncated": true instead
+// of a 504. The -budget flag sets the default budget: a request without
+// budget_ms runs under it (sql=1 sets no bound). With neither the flag
+// nor a request bound, queries are exhaustive. A request that sends
+// budget_expansions, the path-search cap this server no longer has, is
+// refused with a 400.
 //
 // Admin endpoints (JSON responses):
 //
@@ -131,7 +129,6 @@ func main() {
 		maxInst  = flag.Int("instances", 3, "max instances per explanation (0 = all)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 		budgetT  = flag.Duration("budget", 0, "default per-query work budget; on expiry the best-so-far explanations are returned as truncated instead of erroring (0 = none; requests override with budget_ms)")
-		budgetX  = flag.Int("budget-expansions", 0, "default per-query enumeration expansion budget, deterministic truncation (0 = none; requests override with budget_expansions)")
 		cacheSz  = flag.Int("cache", 1024, "result cache entries per KB snapshot (0 = disable caching)")
 		maxBatch = flag.Int("max-batch", 1024, "largest accepted /batch pair count")
 		adminTok = flag.String("admin-token", "", "bearer token required by /admin/* (empty = open; only safe on a trusted listener)")
@@ -170,7 +167,7 @@ func main() {
 		TopK:                       *topK,
 		MaxInstancesPerExplanation: *maxInst,
 		CacheSize:                  *cacheSz,
-		Budget:                     rex.Budget{Timeout: *budgetT, MaxExpansions: *budgetX},
+		Budget:                     rex.Budget{Timeout: *budgetT},
 		Durability: rex.DurabilityOptions{
 			Dir:             *dataDir,
 			Fsync:           *fsyncPol,

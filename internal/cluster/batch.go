@@ -27,11 +27,14 @@ type batchPair struct {
 }
 
 type batchRequest struct {
-	Pairs            []batchPair `json:"pairs"`
-	BudgetMS         int64       `json:"budget_ms,omitempty"`
-	BudgetExpansions int         `json:"budget_expansions,omitempty"`
-	Trace            bool        `json:"trace,omitempty"`
-	SQL              bool        `json:"sql,omitempty"`
+	Pairs    []batchPair `json:"pairs"`
+	BudgetMS int64       `json:"budget_ms,omitempty"`
+	// Expansions holds budget_expansions only so that the router
+	// refuses it, as a replica does: re-marshalled sub-batches would
+	// drop it.
+	Expansions json.RawMessage `json:"budget_expansions,omitempty"`
+	Trace      bool            `json:"trace,omitempty"`
+	SQL        bool            `json:"sql,omitempty"`
 }
 
 // batchWire is the replica /batch response with each entry kept as raw
@@ -81,6 +84,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpjson.WriteError(w, http.StatusBadRequest, "pairs must be non-empty")
 		return
 	}
+	if req.Expansions != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, httpjson.ErrExpansionCap.Error())
+		return
+	}
 	t0 := time.Now()
 
 	// Scatter by ring owner. Pairs whose chains start at the same
@@ -93,7 +100,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := map[string]*group{}
 	for i, p := range req.Pairs {
-		chain := rt.candidates(queryKey(p.Start, p.End, req.BudgetMS, req.BudgetExpansions))
+		chain := rt.candidates(queryKey(p.Start, p.End))
 		if len(chain) == 0 {
 			httpjson.WriteError(w, http.StatusServiceUnavailable, errNoReplica.Error())
 			return
@@ -115,10 +122,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	out := make(chan subOut, len(groups))
 	for _, g := range groups {
 		go func(g *group) {
-			sb, _ := json.Marshal(batchRequest{
-				Pairs: g.pairs, BudgetMS: req.BudgetMS,
-				BudgetExpansions: req.BudgetExpansions, Trace: req.Trace, SQL: req.SQL,
-			})
+			sb, _ := json.Marshal(batchRequest{Pairs: g.pairs, BudgetMS: req.BudgetMS, Trace: req.Trace, SQL: req.SQL})
 			res, err := rt.trySequence(r.Context(), g.chain, http.MethodPost, "/batch", "", sb, reqID)
 			out <- subOut{subResult{indices: g.indices, res: res}, err}
 		}(g)

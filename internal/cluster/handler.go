@@ -64,7 +64,7 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		httpjson.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := queryKey(pq.start, pq.end, pq.budgetMS, pq.budgetExp)
+	key := queryKey(pq.start, pq.end)
 	t0 := time.Now()
 	res, err := rt.routeQuery(r.Context(), rt.candidates(key), r.Method, "/explain", r.URL.RawQuery, body, reqID, pq.budgeted())
 	if err != nil {

@@ -89,10 +89,10 @@ func (r *ring) order(key string) []int {
 	return out
 }
 
-// queryKey is the routing key of one (pair, budget) query. The budget
-// is part of the key because the replicas' result caches key on
-// (pair, options): pinning each budget variant to one owner keeps its
-// cache hit rate intact instead of smearing variants across the fleet.
-func queryKey(start, end string, budgetMS int64, budgetExp int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%d", start, end, budgetMS, budgetExp)
+// queryKey is the routing key of one pair's queries. The budget is not
+// part of it because the replicas' result caches key on the pair alone:
+// a budgeted query is answered from, and stores, the unbudgeted entry,
+// so every budget of a pair belongs with one owner.
+func queryKey(start, end string) string {
+	return start + "\x00" + end
 }

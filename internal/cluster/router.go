@@ -522,10 +522,9 @@ func (l *latencyRing) p95() time.Duration {
 type parsedQuery struct {
 	start, end string
 	budgetMS   int64
-	budgetExp  int
 }
 
-func (p parsedQuery) budgeted() bool { return p.budgetMS > 0 || p.budgetExp > 0 }
+func (p parsedQuery) budgeted() bool { return p.budgetMS > 0 }
 
 // parseExplain extracts the pair and budget from a GET query string or
 // a POST body without validating further — the replica owns request
@@ -539,20 +538,16 @@ func parseExplain(r *http.Request, body []byte) (parsedQuery, error) {
 		if v := q.Get("budget_ms"); v != "" {
 			p.budgetMS, _ = strconv.ParseInt(v, 10, 64)
 		}
-		if v := q.Get("budget_expansions"); v != "" {
-			p.budgetExp, _ = strconv.Atoi(v)
-		}
 	case http.MethodPost:
 		var req struct {
-			Start            string `json:"start"`
-			End              string `json:"end"`
-			BudgetMS         int64  `json:"budget_ms"`
-			BudgetExpansions int    `json:"budget_expansions"`
+			Start    string `json:"start"`
+			End      string `json:"end"`
+			BudgetMS int64  `json:"budget_ms"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			return p, fmt.Errorf("invalid JSON body: %w", err)
 		}
-		p = parsedQuery{req.Start, req.End, req.BudgetMS, req.BudgetExpansions}
+		p = parsedQuery{req.Start, req.End, req.BudgetMS}
 	default:
 		return p, errors.New("use GET or POST")
 	}

@@ -277,6 +277,26 @@ func TestRouterCarriesSQL(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesBudgetExpansions: budget_expansions, the deleted
+// path-search cap, is refused with a 400 naming budget_ms on both query
+// endpoints through the router — /explain by the replica it is
+// forwarded to, /batch by the router itself, whose scatter re-encodes
+// sub-batches and would otherwise drop the field.
+func TestRouterRefusesBudgetExpansions(t *testing.T) {
+	rt, _ := bootCluster(t, 2, nil)
+	h := rt.Handler()
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/explain?start=a&end=b&budget_expansions=1", ""},
+		{http.MethodPost, "/explain", `{"start":"a","end":"b","budget_expansions":1}`},
+		{http.MethodPost, "/batch", `{"pairs":[{"start":"a","end":"b"},{"start":"c","end":"d"}],"budget_expansions":1}`},
+	} {
+		rec := routerDo(h, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "budget_ms") {
+			t.Errorf("%s %s %s = %d %s; want 400 naming budget_ms", tc.method, tc.target, tc.body, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestRouterDeltaBroadcastLiftsFloor(t *testing.T) {
 	rt, reps := bootCluster(t, 3, nil)
 	h := rt.Handler()
@@ -494,7 +514,7 @@ search:
 			if s == e {
 				continue
 			}
-			k := queryKey(s, e, 0, 0)
+			k := queryKey(s, e)
 			if rt.ring.order(k)[0] == 1 {
 				key, pair = k, [2]string{s, e}
 				break search
@@ -546,7 +566,7 @@ func TestRouterBatchRepinsMixedGenerations(t *testing.T) {
 				continue
 			}
 			pairs = append(pairs, fmt.Sprintf(`{"start":%q,"end":%q}`, s, e))
-			owners[rt.ring.order(queryKey(s, e, 0, 0))[0]] = true
+			owners[rt.ring.order(queryKey(s, e))[0]] = true
 		}
 	}
 	if !owners[0] || !owners[1] {

@@ -20,7 +20,7 @@ const enumerateAllocBudget = 600
 
 // TestEnumerateSteadyStateAllocBudget is the alloc-regression guard for
 // the pooled enumeration pipeline, enforced like the match pool test,
-// plain and under an expansion budget that never binds.
+// plain and under a deadline budget that never binds.
 func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc counts are not meaningful")
@@ -28,16 +28,17 @@ func TestEnumerateSteadyStateAllocBudget(t *testing.T) {
 	g := kbgen.Sample()
 	s := g.NodeByName("brad_pitt")
 	e := g.NodeByName("angelina_jolie")
-	for route, bud := range map[string]Budget{"plain": {}, "budgeted": neverTruncates} {
-		cfg := Config{MaxPatternSize: 5, Budget: bud}
+	bg := context.Background()
+	for route, ctx := range map[string]context.Context{"plain": bg, "budgeted": neverExpires(t, bg)} {
+		cfg := Config{MaxPatternSize: 5}
 
-		es, _, _ := ExplanationsBudgeted(context.Background(), g, s, e, cfg) // warm pools, pin expected size
+		es, _, _ := ExplanationsBudgeted(ctx, g, s, e, cfg) // warm pools, pin expected size
 		want := len(es)
 		if want == 0 {
 			t.Fatalf("%s: sample enumeration returned nothing", route)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if es, _, _ := ExplanationsBudgeted(context.Background(), g, s, e, cfg); len(es) != want {
+			if es, _, _ := ExplanationsBudgeted(ctx, g, s, e, cfg); len(es) != want {
 				t.Fatalf("%s: enumeration size changed under pooling: %d != %d", route, len(es), want)
 			}
 		})

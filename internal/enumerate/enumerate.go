@@ -70,27 +70,6 @@ type Config struct {
 	// pool. Results never alias pooled storage, so any pool choice
 	// yields identical output.
 	Pool *Pool
-	// Budget bounds the path search and the union, making enumeration
-	// anytime. The zero value never truncates and is byte-identical to
-	// unbudgeted enumeration.
-	Budget Budget
-}
-
-// Budget bounds the work of one enumeration. When the budget expires the
-// enumerator stops and returns the explanations built from every path
-// completed so far, reporting truncation instead of an error. The zero
-// value never truncates. A wall-clock bound is not a Budget field: it is
-// the context's, set by WithDeadline.
-type Budget struct {
-	// MaxExpansions caps the path search's expansions (0 = unlimited):
-	// the adjacency scans kb.PathJoin counts, one per partial path grown
-	// on either side, which the query trace reports as expansions. The
-	// join's visit order is deterministic, so the returned path set is a
-	// deterministic prefix: enumerating with budget N always yields a
-	// subset of the paths found with any budget ≥ N, and of the
-	// unbudgeted set. It bounds the path search only: the union, and the
-	// ranking after it, run on whatever paths it admitted.
-	MaxExpansions int
 }
 
 // errDeadline is the cause of a context that WithDeadline's deadline
@@ -138,12 +117,11 @@ func (cfg Config) normalized() Config {
 // in no specified order (deterministic for a graph: the path search's
 // visit order, then the union's merge order). Enumeration and
 // combination check ctx at bounded intervals and abort mid-flight,
-// returning ctx.Err() and no explanations. When cfg.Budget or a WithDeadline budget on ctx
-// truncates the search, truncated is true and the returned explanations
-// are the complete minimal explanations built from every path the
-// budget admitted — a valid (deterministic, for an expansion budget)
-// subset of the unbudgeted result, never an error. With neither budget
-// truncated is always false.
+// returning ctx.Err() and no explanations. When a WithDeadline budget on
+// ctx truncates the search, truncated is true and the returned
+// explanations are the complete minimal explanations built from every
+// path the budget admitted — a subset of the unbudgeted result, never an
+// error. Without one truncated is always false.
 func ExplanationsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) (out []*pattern.Explanation, truncated bool, err error) {
 	cfg = cfg.normalized()
 	pl := cfg.pool()
@@ -185,8 +163,8 @@ func PathsBudgeted(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg C
 	return st.paths(ctx, g, start, end, cfg)
 }
 
-// paths runs the path search under the request's budget on the pooled
-// state and groups the result into explanations.
+// paths runs the path search on the pooled state and groups the result
+// into explanations.
 func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeID, cfg Config) ([]*pattern.Explanation, bool, error) {
 	// Single chokepoint for the enumerate stage: both entry points
 	// (ExplanationsBudgeted and PathsBudgeted) funnel path
@@ -197,15 +175,13 @@ func (st *enumState) paths(ctx context.Context, g *kb.Graph, start, end kb.NodeI
 	}
 	st.fresh = false
 	t0 := tr.Begin()
-	truncated, err := st.pathSearch(ctx, g, start, end, cfg.MaxPatternSize-1, cfg.Budget.MaxExpansions)
-	switch {
-	case err != nil && !BudgetEnded(ctx, err):
-		return nil, false, err
-	case err != nil:
-		truncated = true
-		tr.Truncated(obs.StageEnumerate, obs.TruncDeadline)
-	case truncated:
-		tr.Truncated(obs.StageEnumerate, obs.TruncExpansions)
+	err := st.pathSearch(ctx, g, start, end, cfg.MaxPatternSize-1)
+	truncated := err != nil
+	if truncated {
+		if !BudgetEnded(ctx, err) {
+			return nil, false, err
+		}
+		tr.Truncated(obs.StageEnumerate)
 	}
 	out := st.groupPaths(g)
 	tr.End(obs.StageEnumerate, t0, int64(len(out)))

@@ -177,7 +177,7 @@ func TestInstancesMatchOracle(t *testing.T) {
 
 // TestPathAlgorithmsAgree compares the path enumerators directly: the
 // oracle's naive enumerator against its basic one and the served join,
-// plain, under a deadline and under an expansion cap that never binds.
+// plain and under a deadline that never binds.
 func TestPathAlgorithmsAgree(t *testing.T) {
 	g := kbgen.Sample()
 	for _, names := range pairNames {
@@ -193,7 +193,6 @@ func TestPathAlgorithmsAgree(t *testing.T) {
 		}{
 			"plain":            {bg, Config{}},
 			"under a deadline": {neverExpires(t, bg), Config{}},
-			"under expansions": {bg, Config{Budget: neverTruncates}},
 		} {
 			paths, _, _ := PathsBudgeted(tc.ctx, g, start, end, tc.cfg)
 			got := resultSignature(t, paths)

@@ -11,10 +11,8 @@ import (
 // runs kb's meet-in-the-middle join (kb.PathJoin, the one Connectedness
 // counts with), which returns exactly the set of simple paths between
 // the targets with length ≤ maxLen that the paper's strawmen
-// (internal/oracle) list. A Budget bounds the join itself: MaxExpansions
-// caps the expansions it counts, and a WithDeadline context ends it like
-// any other. The join's visit order is fixed, so an expansion cap keeps
-// a prefix of the uncapped visit sequence.
+// (internal/oracle) list. A WithDeadline context ends the join like any
+// other.
 //
 // Each finished path is filed at once under its step sequence
 // (stepSeqKey): the visit appends its group and its nodes, in instance
@@ -33,10 +31,9 @@ import (
 // st.pathGroups (a new step sequence opens a group in st.gseqs, and
 // st.gcounts counts its paths), its nodes as [start, end, interior...]
 // in st.pathNodes. Expansions are the
-// join's: one adjacency scan per partial path grown, at most limit of
-// them when limit > 0 (capped reports that the limit stopped it). On a
-// context error the paths visited so far stay filed beside it.
-func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen, limit int) (capped bool, err error) {
+// join's: one adjacency scan per partial path grown. On a context error
+// the paths visited so far stay filed beside it.
+func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.NodeID, maxLen int) error {
 	clear(st.groups)
 	st.gseqs, st.gcounts = st.gseqs[:0], st.gcounts[:0]
 	st.pathGroups, st.pathNodes = st.pathGroups[:0], st.pathNodes[:0]
@@ -45,10 +42,10 @@ func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.
 	// so the join's polls remain the only calls to Err.
 	select {
 	case <-ctx.Done():
-		return false, ctx.Err()
+		return ctx.Err()
 	default:
 	}
-	n, capped, err := st.join.Paths(ctx, g, start, end, maxLen, limit, func(steps []kb.HalfEdge) bool {
+	n, err := st.join.Paths(ctx, g, start, end, maxLen, func(steps []kb.HalfEdge) bool {
 		key := stepSeqKey{n: int8(len(steps) + 1)}
 		for i, he := range steps {
 			key.steps[i] = pathStepKey{label: he.Label, dir: he.Dir}
@@ -69,5 +66,5 @@ func (st *enumState) pathSearch(ctx context.Context, g *kb.Graph, start, end kb.
 		return true
 	})
 	obs.FromContext(ctx).Add(obs.Expansions, int64(n))
-	return capped, err
+	return err
 }

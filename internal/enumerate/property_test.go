@@ -3,7 +3,6 @@ package enumerate
 import (
 	"bytes"
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,16 +39,13 @@ func randomKB(seed int64) (*kb.Graph, kb.NodeID, kb.NodeID) {
 	return g, 0, 1
 }
 
-// These two budgets run the join the way a budgeted caller does — under
-// a WithDeadline context, and under an expansion cap — without ever
-// truncating it.
+// neverExpires runs the join the way a budgeted caller does — under a
+// WithDeadline context — without ever truncating it.
 func neverExpires(t testing.TB, ctx context.Context) context.Context {
 	bctx, cancel := WithDeadline(ctx, time.Now().Add(time.Hour))
 	t.Cleanup(cancel)
 	return bctx
 }
-
-var neverTruncates = Budget{MaxExpansions: math.MaxInt}
 
 // twins returns g made the two other ways a served graph is: an overlay
 // generation whose delta adds the last quarter of g's edges to a base
@@ -94,7 +90,7 @@ func twins(g *kb.Graph) ([]*kb.Graph, error) {
 // instance sets), with pattern size limit 4 to keep NaiveEnum tractable
 // inside a property test. The pipeline answers on the graph and on its
 // twins (an overlay generation and a snapshot load of the same content),
-// plain and under an expansion budget that never binds.
+// plain and under a deadline budget that never binds.
 func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 	type entry struct{ insts []pattern.InstanceKey }
 	sig := func(es []*pattern.Explanation) map[string]entry {
@@ -135,8 +131,9 @@ func TestQuickFrameworkEqualsNaiveOnRandomGraphs(t *testing.T) {
 			if h.Fingerprint() != g.Fingerprint() {
 				return false
 			}
-			for _, bud := range []Budget{{}, neverTruncates} {
-				got, _, _ := ExplanationsBudgeted(context.Background(), h, start, end, Config{MaxPatternSize: maxVars, Budget: bud})
+			bg := context.Background()
+			for _, ctx := range []context.Context{bg, neverExpires(t, bg)} {
+				got, _, _ := ExplanationsBudgeted(ctx, h, start, end, Config{MaxPatternSize: maxVars})
 				if !same(want, got) {
 					return false
 				}
@@ -181,8 +178,8 @@ func TestQuickEnumerationInvariants(t *testing.T) {
 }
 
 // TestQuickPathAlgorithmsAgreeOnRandomGraphs checks that the oracle's
-// naive and basic enumerators and the served join — plain, under a
-// deadline and under an expansion budget — produce identical path sets
+// naive and basic enumerators and the served join — plain and under a
+// deadline — produce identical path sets
 // on random graphs.
 func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
@@ -205,7 +202,6 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 			sig(oracle.Group(g, oracle.PathEnumBasic(g, start, end, maxLen))),
 			sig(paths(bg, Config{})),
 			sig(paths(neverExpires(t, bg), Config{})),
-			sig(paths(bg, Config{Budget: neverTruncates})),
 		}
 		for _, b := range others {
 			if len(a) != len(b) {
@@ -225,8 +221,7 @@ func TestQuickPathAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 }
 
 // TestPathsContextCancelled checks cancellation propagates out of the
-// served join, plain, under a deadline budget and under an expansion
-// budget. The graph is large enough for the join to reach its first
+// served join, plain and under a deadline budget. The graph is large enough for the join to reach its first
 // context poll, so each must report context.Canceled and no paths.
 func TestPathsContextCancelled(t *testing.T) {
 	g := completeKB(24)
@@ -238,7 +233,6 @@ func TestPathsContextCancelled(t *testing.T) {
 	}{
 		"plain":            {ctx, Config{MaxPatternSize: 7}},
 		"under a deadline": {neverExpires(t, ctx), Config{MaxPatternSize: 7}},
-		"under expansions": {ctx, Config{MaxPatternSize: 7, Budget: neverTruncates}},
 	} {
 		es, _, err := PathsBudgeted(tc.ctx, g, 0, 1, tc.cfg)
 		if err != context.Canceled || es != nil {

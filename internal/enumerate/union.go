@@ -187,7 +187,7 @@ func (st *enumState) pathUnionPrune(ctx context.Context, qpath []*pattern.Explan
 						return nil, false, err
 					}
 					q = append(q, qnew...)
-					tr.Truncated(obs.StageMerge, obs.TruncDeadline)
+					tr.Truncated(obs.StageMerge)
 					rec.end(len(q))
 					return q, true, nil
 				}

@@ -51,19 +51,15 @@ func benchPair(b *testing.B) (*kb.Graph, kb.NodeID, kb.NodeID) {
 // BenchmarkPathEnum times path search and grouping alone, on warm pooled
 // state — the join's visit filing each path under its step sequence,
 // then one instance block filled per group: on benchPair's pair (52
-// path explanations), the join a plain request takes (exhaustive) and
-// the same join capped at 20 expansions, which stops it at 35 of them
-// (anytime); and the join on million's hub pair film_52640→actor_0000
-// (29 432 paths in 82 path explanations), skipped under -short.
+// path explanations), the join every request takes (exhaustive); and the
+// join on million's hub pair film_52640→actor_0000 (29 432 paths in 82
+// path explanations), skipped under -short.
 func BenchmarkPathEnum(b *testing.B) {
-	for _, route := range []string{"exhaustive", "anytime", "million-hub"} {
+	for _, route := range []string{"exhaustive", "million-hub"} {
 		b.Run(route, func(b *testing.B) {
 			g, s, e := benchPair(b)
 			cfg := Config{Pool: NewPool()}
-			switch route {
-			case "anytime":
-				cfg.Budget.MaxExpansions = 20
-			case "million-hub":
+			if route == "million-hub" {
 				if testing.Short() {
 					b.Skip("million takes about 1.2 s to generate; skipped under -short")
 				}
@@ -72,7 +68,7 @@ func BenchmarkPathEnum(b *testing.B) {
 			}
 			enum := func() int {
 				paths, truncated, err := PathsBudgeted(context.Background(), g, s, e, cfg)
-				if err != nil || truncated != (route == "anytime") {
+				if err != nil || truncated {
 					b.Fatalf("truncated=%v err=%v", truncated, err)
 				}
 				return len(paths)

@@ -1,7 +1,8 @@
 // Package httpjson holds what the replica (serve) and the router
 // (cluster) share at the HTTP edge, so the two tiers write one JSON
 // style — compact, one object per body, a newline after it — count and
-// time their endpoints one way, and agree on request IDs.
+// time their endpoints one way, agree on request IDs and refuse the
+// same retired request fields.
 package httpjson
 
 import (
@@ -9,6 +10,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"strconv"
@@ -35,6 +37,11 @@ type ErrorResponse struct {
 func WriteError(w http.ResponseWriter, status int, msg string) {
 	Write(w, status, ErrorResponse{Error: msg})
 }
+
+// ErrExpansionCap is the 400 both tiers answer a request carrying
+// budget_expansions with: the path-search cap it set is gone, and a
+// query's only bound is its wall-clock budget.
+var ErrExpansionCap = errors.New("budget_expansions is not supported: bound the query with budget_ms")
 
 // Instrument wraps h so every request it answers ticks requests, a
 // counter family labelled (endpoint, status code), and observes its

@@ -41,10 +41,8 @@ type PathJoin struct {
 	// steps, the path handed to visit.
 	walked []HalfEdge
 	steps  []HalfEdge
-	depth  int  // the walk's length limit, ⌈maxLen/2⌉
-	n      int  // expansions so far
-	limit  int  // the cap on n, 0 for none
-	capped bool // the cap stopped the join
+	depth  int // the walk's length limit, ⌈maxLen/2⌉
+	n      int // expansions so far
 	err    error
 }
 
@@ -64,13 +62,10 @@ type pathRec struct {
 // steps is reused once visit returns, and visit returning false stops
 // the join. Paths reports the expansions it made — adjacency scans, one
 // per partial path grown on either side — and polls ctx once every 256
-// of them, returning ctx's error if it ended. A positive limit caps the
-// expansions: the join stops before the one past limit and reports capped.
-// The visit order is fixed, so a capped join visits a prefix of the
-// paths an uncapped one visits.
-func (j *PathJoin) Paths(ctx context.Context, g *Graph, a, b NodeID, maxLen, limit int, visit func(steps []HalfEdge) bool) (n int, capped bool, err error) {
+// of them, returning ctx's error if it ended.
+func (j *PathJoin) Paths(ctx context.Context, g *Graph, a, b NodeID, maxLen int, visit func(steps []HalfEdge) bool) (n int, err error) {
 	if a == b || maxLen <= 0 {
-		return 0, false, nil
+		return 0, nil
 	}
 	stored, walked := a, b
 	fs, fw := g.frontier(a), g.frontier(b)
@@ -78,7 +73,7 @@ func (j *PathJoin) Paths(ctx context.Context, g *Graph, a, b NodeID, maxLen, lim
 		stored, walked, fs = b, a, fw
 	}
 	j.g, j.ctx = g, ctx
-	j.root, j.first, j.depth, j.n, j.limit, j.capped = stored, stored == a, (maxLen+1)/2, 0, limit, false
+	j.root, j.first, j.depth, j.n = stored, stored == a, (maxLen+1)/2, 0
 	if j.store(walked, maxLen/2, fs) {
 		// One array holds both paths: the visited one's maxLen steps,
 		// then the walked one's endpoint and ⌈maxLen/2⌉ steps.
@@ -86,9 +81,9 @@ func (j *PathJoin) Paths(ctx context.Context, g *Graph, a, b NodeID, maxLen, lim
 		j.walked = append(j.steps[maxLen:maxLen:maxLen+j.depth+1], HalfEdge{To: walked})
 		j.walk(walked, visit)
 	}
-	n, capped, err = j.n, j.capped, j.err
+	n, err = j.n, j.err
 	j.g, j.ctx, j.err = nil, nil, nil
-	return n, capped, err
+	return n, err
 }
 
 // Oversized reports whether the join keeps more than limit records (the
@@ -107,7 +102,7 @@ func (g *Graph) Connectedness(start, end NodeID, maxLen int, cap int) int {
 	}
 	count := 0
 	j := countJoins.Get().(*PathJoin)
-	j.Paths(context.Background(), g, start, end, maxLen, 0, func([]HalfEdge) bool {
+	j.Paths(context.Background(), g, start, end, maxLen, func([]HalfEdge) bool {
 		count++
 		return count != cap
 	})
@@ -132,12 +127,8 @@ func (g *Graph) frontier(id NodeID) int {
 }
 
 // expand counts one expansion and polls the context at every 256th; it
-// reports false once the cap is reached or the context has ended.
+// reports false once the context has ended.
 func (j *PathJoin) expand() bool {
-	if j.limit > 0 && j.n >= j.limit {
-		j.capped = true
-		return false
-	}
 	if j.n++; j.n%256 == 0 {
 		j.err = j.ctx.Err()
 	}

@@ -172,14 +172,14 @@ func TestPathJoinPolls(t *testing.T) {
 	var j PathJoin
 	for _, maxLen := range []int{5, 6} {
 		ctx := &pollCounter{Context: context.Background(), cancelAt: 1}
-		n, capped, err := j.Paths(ctx, g, 0, 1, maxLen, 0, func([]HalfEdge) bool { return true })
-		if err != context.Canceled || capped || n != 256 || ctx.polls != 1 {
+		n, err := j.Paths(ctx, g, 0, 1, maxLen, func([]HalfEdge) bool { return true })
+		if err != context.Canceled || n != 256 || ctx.polls != 1 {
 			t.Fatalf("maxLen %d: cancelled join made %d expansions in %d polls, err %v", maxLen, n, ctx.polls, err)
 		}
 		ctx = &pollCounter{Context: context.Background(), cancelAt: math.MaxInt}
 		paths := 0
-		n, capped, err = j.Paths(ctx, g, 0, 1, maxLen, 0, func([]HalfEdge) bool { paths++; return true })
-		if err != nil || capped || ctx.polls != n/256 {
+		n, err = j.Paths(ctx, g, 0, 1, maxLen, func([]HalfEdge) bool { paths++; return true })
+		if err != nil || ctx.polls != n/256 {
 			t.Fatalf("maxLen %d: join polled %d times in %d expansions, err %v", maxLen, ctx.polls, n, err)
 		}
 		want, perm := 0, 1

@@ -25,7 +25,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.Add(WalkSteps, 4)
 	tr.MarkCacheHit()
 	tr.MarkPoolReused()
-	tr.Truncated(StageEnumerate, TruncExpansions)
+	tr.Truncated(StageEnumerate)
 	if tr.StageNs(StageEnumerate) != 0 || tr.InnerNs() != 0 {
 		t.Fatal("nil trace should read zero")
 	}
@@ -58,12 +58,12 @@ func TestTraceReport(t *testing.T) {
 	tr.Add(Instances, 17)
 	tr.Add(Counted, 19)
 	tr.MarkPoolReused()
-	tr.Truncated(StageEnumerate, TruncExpansions)
-	tr.Truncated(StageRank, TruncDeadline) // later attribution must not overwrite
+	tr.Truncated(StageEnumerate)
+	tr.Truncated(StageRank) // later attribution must not overwrite
 
 	rep := tr.Report()
-	if rep.TruncatedBy != "enumerate:expansions" {
-		t.Fatalf("TruncatedBy = %q, want enumerate:expansions", rep.TruncatedBy)
+	if rep.TruncatedBy != "enumerate:deadline" {
+		t.Fatalf("TruncatedBy = %q, want enumerate:deadline", rep.TruncatedBy)
 	}
 	if !rep.PoolReused || rep.CacheHit || rep.Deduped {
 		t.Fatalf("flags wrong: %+v", rep)

@@ -10,18 +10,17 @@ import (
 // SlowEntry is one slow-query record: the forensics needed to answer
 // "what was this query and where did its time go" after the fact.
 type SlowEntry struct {
-	Time             string  `json:"time"`
-	RequestID        string  `json:"request_id,omitempty"`
-	Endpoint         string  `json:"endpoint"`
-	Start            string  `json:"start"`
-	End              string  `json:"end"`
-	ElapsedMS        float64 `json:"elapsed_ms"`
-	BudgetMS         int64   `json:"budget_ms,omitempty"`
-	BudgetExpansions int     `json:"budget_expansions,omitempty"`
-	Generation       uint64  `json:"generation"`
-	Truncated        bool    `json:"truncated,omitempty"`
-	Error            string  `json:"error,omitempty"`
-	Trace            *Report `json:"trace,omitempty"`
+	Time       string  `json:"time"`
+	RequestID  string  `json:"request_id,omitempty"`
+	Endpoint   string  `json:"endpoint"`
+	Start      string  `json:"start"`
+	End        string  `json:"end"`
+	ElapsedMS  float64 `json:"elapsed_ms"`
+	BudgetMS   int64   `json:"budget_ms,omitempty"`
+	Generation uint64  `json:"generation"`
+	Truncated  bool    `json:"truncated,omitempty"`
+	Error      string  `json:"error,omitempty"`
+	Trace      *Report `json:"trace,omitempty"`
 }
 
 // SlowLog keeps the most recent slow queries in a ring buffer and

@@ -54,25 +54,6 @@ func Stages() []Stage {
 	return []Stage{StageEnumerate, StageMatch, StageMeasure, StageRank, StageMerge, StageRender}
 }
 
-// TruncCause says which budget dimension cut a query short.
-type TruncCause uint8
-
-const (
-	TruncNone TruncCause = iota
-	TruncExpansions
-	TruncDeadline
-)
-
-func (c TruncCause) String() string {
-	switch c {
-	case TruncExpansions:
-		return "expansions"
-	case TruncDeadline:
-		return "deadline"
-	}
-	return "none"
-}
-
 // stageRec accumulates one stage's timings. All fields are atomic
 // because a trace on a BatchExplain context is recorded into by every
 // worker of the batch.
@@ -90,9 +71,9 @@ type Trace struct {
 	counts [numCounters]atomic.Int64
 
 	flags atomic.Uint32
-	// trunc packs the first budget-truncation event as
-	// 1<<16 | stage<<8 | cause; first writer wins, so attribution
-	// names the stage where the budget actually ran out.
+	// trunc packs the first budget-truncation event as 1<<8 | stage;
+	// first writer wins, so attribution names the stage where the
+	// budget actually ran out.
 	trunc atomic.Uint32
 }
 
@@ -161,7 +142,7 @@ type Counter uint8
 
 const (
 	// Expansions are path-search adjacency scans: partials the join
-	// expanded, on either side. Budget.MaxExpansions caps this count.
+	// expanded, on either side.
 	Expansions Counter = iota
 	// Merges are pattern-merge attempts.
 	Merges
@@ -212,14 +193,14 @@ func (t *Trace) MarkPoolReused() {
 	t.flags.Or(flagPoolReused)
 }
 
-// Truncated records which stage exhausted which budget dimension. The
-// first recording wins; later stages observing the already-tripped
-// budget do not overwrite the attribution.
-func (t *Trace) Truncated(s Stage, c TruncCause) {
-	if t == nil || c == TruncNone {
+// Truncated records the stage that found the query's Timeout budget
+// ended. The first recording wins; later stages observing the
+// already-tripped budget do not overwrite the attribution.
+func (t *Trace) Truncated(s Stage) {
+	if t == nil {
 		return
 	}
-	t.trunc.CompareAndSwap(0, 1<<16|uint32(s)<<8|uint32(c))
+	t.trunc.CompareAndSwap(0, 1<<8|uint32(s))
 }
 
 // ctxKey is the zero-size context key: FromContext on a traceless
@@ -247,7 +228,7 @@ type StageReport struct {
 
 // Report is the rendered, serializable form of a Trace, attached to
 // Result and embedded in slow-log entries. TruncatedBy is
-// "<stage>:<cause>" (e.g. "enumerate:expansions") or empty.
+// "<stage>:deadline" (e.g. "rank:deadline") or empty.
 // UnattributedMS is TotalMS minus the top-level stages (enumerate, merge,
 // measure, rank, render; match nests in measure): the facade's own time,
 // resolving the pair and the cache.
@@ -259,28 +240,27 @@ type Report struct {
 	// RequestID ties this trace to the HTTP request (and, behind a
 	// router, the hedged attempt) that ran the query. Stamped by the
 	// serving layer, not the engine.
-	RequestID        string        `json:"request_id,omitempty"`
-	TotalMS          float64       `json:"total_ms"`
-	UnattributedMS   float64       `json:"unattributed_ms"`
-	BudgetMS         int64         `json:"budget_ms,omitempty"`
-	BudgetExpansions int           `json:"budget_expansions,omitempty"`
-	CacheHit         bool          `json:"cache_hit,omitempty"`
-	Deduped          bool          `json:"deduped,omitempty"`
-	PoolReused       bool          `json:"pool_reused,omitempty"`
-	Stages           []StageReport `json:"stages,omitempty"`
-	Expansions       int64         `json:"expansions,omitempty"`
-	Merges           int64         `json:"merges,omitempty"`
-	Joins            int64         `json:"joins,omitempty"`
-	JoinsSkipped     int64         `json:"joins_skipped,omitempty"`
-	Bindings         int64         `json:"bindings,omitempty"`
-	WalkSteps        int64         `json:"walk_steps,omitempty"`
-	Instances        int64         `json:"instances,omitempty"`
-	Counted          int64         `json:"counted,omitempty"`
-	MemoHits         int64         `json:"memo_hits,omitempty"`
-	MemoMisses       int64         `json:"memo_misses,omitempty"`
-	WalkCacheHits    int64         `json:"walk_cache_hits,omitempty"`
-	WalkCacheMisses  int64         `json:"walk_cache_misses,omitempty"`
-	TruncatedBy      string        `json:"truncated_by,omitempty"`
+	RequestID       string        `json:"request_id,omitempty"`
+	TotalMS         float64       `json:"total_ms"`
+	UnattributedMS  float64       `json:"unattributed_ms"`
+	BudgetMS        int64         `json:"budget_ms,omitempty"`
+	CacheHit        bool          `json:"cache_hit,omitempty"`
+	Deduped         bool          `json:"deduped,omitempty"`
+	PoolReused      bool          `json:"pool_reused,omitempty"`
+	Stages          []StageReport `json:"stages,omitempty"`
+	Expansions      int64         `json:"expansions,omitempty"`
+	Merges          int64         `json:"merges,omitempty"`
+	Joins           int64         `json:"joins,omitempty"`
+	JoinsSkipped    int64         `json:"joins_skipped,omitempty"`
+	Bindings        int64         `json:"bindings,omitempty"`
+	WalkSteps       int64         `json:"walk_steps,omitempty"`
+	Instances       int64         `json:"instances,omitempty"`
+	Counted         int64         `json:"counted,omitempty"`
+	MemoHits        int64         `json:"memo_hits,omitempty"`
+	MemoMisses      int64         `json:"memo_misses,omitempty"`
+	WalkCacheHits   int64         `json:"walk_cache_hits,omitempty"`
+	WalkCacheMisses int64         `json:"walk_cache_misses,omitempty"`
+	TruncatedBy     string        `json:"truncated_by,omitempty"`
 }
 
 // Report renders the trace. The cost is O(stages): one Report and one
@@ -316,7 +296,7 @@ func (t *Trace) Report() *Report {
 		})
 	}
 	if v := t.trunc.Load(); v != 0 {
-		rep.TruncatedBy = Stage(v>>8&0xff).String() + ":" + TruncCause(v&0xff).String()
+		rep.TruncatedBy = Stage(v&0xff).String() + ":deadline"
 	}
 	return rep
 }

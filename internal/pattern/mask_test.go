@@ -9,9 +9,9 @@ package pattern_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"rex/internal/enumerate"
 	"rex/internal/kb"
@@ -459,7 +459,7 @@ func TestMergeSharedExplanations(t *testing.T) {
 // de-duplicating pass: a merged instance carries both of its inputs
 // whole, so duplicate-free inputs cannot produce one twice, and every
 // list enumeration returns — the path explanations of the join, plain
-// and under an expansion budget that never binds, and the unions over
+// and under a deadline budget that never binds, and the unions over
 // each — holds each instance once.
 func TestMergedInstancesNeverDuplicate(t *testing.T) {
 	distinct := func(what string, ex *pattern.Explanation) {
@@ -479,17 +479,16 @@ func TestMergedInstancesNeverDuplicate(t *testing.T) {
 		}
 	}
 	g, pairs := smallPairs(t)
-	budgeted := unionCfg
-	budgeted.Budget.MaxExpansions = math.MaxInt // capped, never truncated
-	ctx := context.Background()
+	ctx, cancel := enumerate.WithDeadline(context.Background(), time.Now().Add(time.Hour)) // budgeted, never truncated
+	defer cancel()
 	for _, p := range pairs {
 		all, _, _ := enumerate.ExplanationsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
 		paths, _, _ := enumerate.PathsBudgeted(context.Background(), g, p.Start, p.End, unionCfg)
-		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, budgeted)
+		fpaths, ptrunc, err := enumerate.PathsBudgeted(ctx, g, p.Start, p.End, unionCfg)
 		if err != nil || ptrunc {
 			t.Fatalf("budgeted paths: truncated=%v err=%v", ptrunc, err)
 		}
-		fall, etrunc, err := enumerate.ExplanationsBudgeted(ctx, g, p.Start, p.End, budgeted)
+		fall, etrunc, err := enumerate.ExplanationsBudgeted(ctx, g, p.Start, p.End, unionCfg)
 		if err != nil || etrunc {
 			t.Fatalf("budgeted explanations: truncated=%v err=%v", etrunc, err)
 		}

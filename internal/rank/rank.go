@@ -164,7 +164,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		seen[ex.P.Key()] = struct{}{}
 	}
 	if cut, err := ended(cctx); cut && err == nil {
-		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
+		tr.Truncated(obs.StageMeasure)
 	}
 	lim, isLimited := m.(measure.Limited)
 	merger := pattern.AcquireMerger()
@@ -202,7 +202,7 @@ func TopKAntiMonotoneBudgeted(cctx context.Context, g *kb.Graph, start, end kb.N
 		if cut {
 			out := make([]Ranked, len(top))
 			copy(out, top)
-			tr.Truncated(obs.StageRank, obs.TruncDeadline)
+			tr.Truncated(obs.StageRank)
 			traceMerges()
 			rankDone(tr, rt0, rinner, len(out))
 			return out, true, nil
@@ -316,7 +316,7 @@ func rankScored(cctx context.Context, ctx *measure.Context, es []*pattern.Explan
 		if !enumerate.BudgetEnded(cctx, err) {
 			return nil, false, err
 		}
-		tr.Truncated(obs.StageMeasure, obs.TruncDeadline)
+		tr.Truncated(obs.StageMeasure)
 	}
 	rankDone(tr, rt0, rinner, len(rs))
 	return rs, err != nil, nil

@@ -276,15 +276,14 @@ func (s *Server) noteQuery(endpoint, reqID string, p rex.Pair, bud budgetRequest
 		s.metrics.queries.With("error").Inc()
 	}
 	entry := obs.SlowEntry{
-		RequestID:        reqID,
-		Endpoint:         endpoint,
-		Start:            p.Start,
-		End:              p.End,
-		BudgetMS:         bud.BudgetMS,
-		BudgetExpansions: bud.BudgetExpansions,
-		Generation:       generation,
-		Truncated:        truncated,
-		Trace:            rep,
+		RequestID:  reqID,
+		Endpoint:   endpoint,
+		Start:      p.Start,
+		End:        p.End,
+		BudgetMS:   bud.BudgetMS,
+		Generation: generation,
+		Truncated:  truncated,
+		Trace:      rep,
 	}
 	if err != nil {
 		entry.Error = err.Error()

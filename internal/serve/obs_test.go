@@ -219,17 +219,17 @@ func TestExplainTraceBlock(t *testing.T) {
 }
 
 // TestBatchBudgetTruncation is the satellite coverage for budgeted
-// /batch responses: a deterministic expansion budget truncates every
-// pair with well-formed partial results, and a wall-clock budget that
-// may expire mid-batch still yields a well-formed entry per pair with
-// the truncated flag mirroring the result.
+// /batch responses: a default budget that has already expired truncates
+// every pair at the path search with well-formed partial results, and a
+// wall-clock budget that may expire mid-batch still yields a well-formed
+// entry per pair with the truncated flag mirroring the result.
 func TestBatchBudgetTruncation(t *testing.T) {
-	h := testServer(t, time.Minute).Handler()
+	h := expiredBudgetServer(t).Handler()
 	pairsJSON := `[{"start":"brad_pitt","end":"angelina_jolie"},` +
 		`{"start":"kate_winslet","end":"leonardo_dicaprio"},` +
 		`{"start":"tom_cruise","end":"nicole_kidman"}]`
 
-	rec := post(t, h, "/batch", `{"pairs":`+pairsJSON+`,"budget_expansions":1,"trace":true}`)
+	rec := post(t, h, "/batch", `{"pairs":`+pairsJSON+`,"trace":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status = %d: %s", rec.Code, rec.Body)
 	}
@@ -248,7 +248,7 @@ func TestBatchBudgetTruncation(t *testing.T) {
 			t.Fatalf("entry %d: no result", i)
 		}
 		if !e.Truncated || !e.Result.Truncated {
-			t.Errorf("entry %d: truncated = (%v, %v), want true under a 1-expansion budget",
+			t.Errorf("entry %d: truncated = (%v, %v), want true under an expired budget",
 				i, e.Truncated, e.Result.Truncated)
 		}
 		if e.Result.Start == "" || e.Result.End == "" {
@@ -257,8 +257,8 @@ func TestBatchBudgetTruncation(t *testing.T) {
 		if e.Result.Trace == nil {
 			t.Fatalf("entry %d: traced batch has no trace block", i)
 		}
-		if got := e.Result.Trace.TruncatedBy; got != "enumerate:expansions" {
-			t.Errorf("entry %d: TruncatedBy = %q, want enumerate:expansions", i, got)
+		if got := e.Result.Trace.TruncatedBy; got != "enumerate:deadline" {
+			t.Errorf("entry %d: TruncatedBy = %q, want enumerate:deadline", i, got)
 		}
 	}
 
@@ -293,7 +293,7 @@ func TestBatchBudgetTruncation(t *testing.T) {
 }
 
 func TestSlowQueryLog(t *testing.T) {
-	s := testServer(t, time.Minute)
+	s := expiredBudgetServer(t)
 	s.adminToken = "hush"
 	s.SetSlowLog(0, 16, nil) // threshold 0: record every query
 	h := s.Handler()
@@ -302,7 +302,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("unauthenticated /admin/slow status = %d", rec.Code)
 	}
 
-	if rec := get(t, h, "/explain?start=brad_pitt&end=angelina_jolie&budget_expansions=1"); rec.Code != http.StatusOK {
+	if rec := get(t, h, "/explain?start=brad_pitt&end=angelina_jolie"); rec.Code != http.StatusOK {
 		t.Fatalf("explain status = %d", rec.Code)
 	}
 	if rec := get(t, h, "/explain?start=nobody&end=brad_pitt"); rec.Code != http.StatusNotFound {
@@ -331,11 +331,11 @@ func TestSlowQueryLog(t *testing.T) {
 	if good.Start != "brad_pitt" || good.End != "angelina_jolie" {
 		t.Errorf("older entry = %+v, want the brad_pitt query", good)
 	}
-	if !good.Truncated || good.BudgetExpansions != 1 {
-		t.Errorf("budgeted entry = %+v, want truncated with budget_expansions=1", good)
+	if !good.Truncated {
+		t.Errorf("budgeted entry = %+v, want truncated", good)
 	}
-	if good.Trace == nil || good.Trace.TruncatedBy != "enumerate:expansions" {
-		t.Errorf("budgeted entry trace = %+v, want enumerate:expansions attribution", good.Trace)
+	if good.Trace == nil || good.Trace.TruncatedBy != "enumerate:deadline" {
+		t.Errorf("budgeted entry trace = %+v, want enumerate:deadline attribution", good.Trace)
 	}
 	if good.ElapsedMS < 0 || good.Time == "" {
 		t.Errorf("entry missing timing: %+v", good)

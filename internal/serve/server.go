@@ -303,16 +303,17 @@ func appendJSONString(b []byte, s string) []byte {
 
 // budgetRequest carries the per-request work budget accepted by
 // /explain (query parameters or JSON body fields) and /batch (top-level
-// body fields, applied to every pair), and the sql flag. Zero bounds
-// fall back to the server's default budget flags, as the facade
+// body fields, applied to every pair), and the sql flag. A zero bound
+// falls back to the server's default budget flag, as the facade
 // resolves every rex.Request.
 type budgetRequest struct {
 	// BudgetMS bounds the query's wall-clock milliseconds; on expiry
 	// the best-so-far explanations are returned with truncated=true.
 	BudgetMS int64 `json:"budget_ms"`
-	// BudgetExpansions bounds enumeration node expansions —
-	// deterministic truncation, unlike the wall-clock budget.
-	BudgetExpansions int `json:"budget_expansions"`
+	// Expansions holds budget_expansions, the path-search cap the
+	// server no longer has, only so that validate refuses a request
+	// that still sends it rather than answering it unbounded.
+	Expansions json.RawMessage `json:"budget_expansions,omitempty"`
 	// SQL asks for each explanation's distributional SQL (sql=1, or
 	// "sql": true in a body); answers leave it out otherwise.
 	SQL bool `json:"sql"`
@@ -321,12 +322,9 @@ type budgetRequest struct {
 // request is the query for pair p under this budget and sql flag.
 func (b budgetRequest) request(p rex.Pair) rex.Request {
 	return rex.Request{
-		Pair: p,
-		Budget: rex.Budget{
-			MaxExpansions: b.BudgetExpansions,
-			Timeout:       time.Duration(b.BudgetMS) * time.Millisecond,
-		},
-		SQL: b.SQL,
+		Pair:   p,
+		Budget: rex.Budget{Timeout: time.Duration(b.BudgetMS) * time.Millisecond},
+		SQL:    b.SQL,
 	}
 }
 
@@ -339,14 +337,14 @@ const maxBudgetMS = int64(math.MaxInt64 / time.Millisecond)
 // "unbudgeted", and one past maxBudgetMS would wrap to a tiny or a
 // negative timeout.
 func (b budgetRequest) validate() error {
+	if b.Expansions != nil {
+		return httpjson.ErrExpansionCap
+	}
 	if b.BudgetMS < 0 {
 		return fmt.Errorf("budget_ms must be non-negative, got %d", b.BudgetMS)
 	}
 	if b.BudgetMS > maxBudgetMS {
 		return fmt.Errorf("budget_ms must be at most %d, got %d", maxBudgetMS, b.BudgetMS)
-	}
-	if b.BudgetExpansions < 0 {
-		return fmt.Errorf("budget_expansions must be non-negative, got %d", b.BudgetExpansions)
 	}
 	return nil
 }
@@ -362,12 +360,8 @@ func parseBudgetQuery(q url.Values) (budgetRequest, error) {
 		}
 		b.BudgetMS = ms
 	}
-	if v := q.Get("budget_expansions"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return b, fmt.Errorf("invalid budget_expansions %q", v)
-		}
-		b.BudgetExpansions = n
+	if q.Has("budget_expansions") {
+		return b, httpjson.ErrExpansionCap
 	}
 	return b, b.validate()
 }
@@ -493,9 +487,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 // handleExplain answers GET /explain?start=a&end=b and the equivalent
 // POST with a JSON {"start","end"} body. Both forms accept the
-// per-request budget knobs budget_ms and budget_expansions (requests
-// without them run under the server's default budget flags) and the
-// trace and sql flags.
+// per-request budget knob budget_ms (requests without it run under the
+// server's default budget flag) and the trace and sql flags; one that
+// sends budget_expansions is refused.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req explainRequest
 	switch r.Method {

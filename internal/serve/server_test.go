@@ -20,6 +20,18 @@ func testServer(t *testing.T, timeout time.Duration) *Server {
 	return New(store, Config{Timeout: timeout, MaxBatch: 8})
 }
 
+// expiredBudgetServer is testServer with a default budget that has
+// ended before any query starts: a request without budget_ms is cut at
+// the path search, deterministically, and answers truncated.
+func expiredBudgetServer(t *testing.T) *Server {
+	t.Helper()
+	store, err := rex.NewStore(rex.SampleKB(), rex.Options{Measure: "size", TopK: 5, CacheSize: 64, Budget: rex.Budget{Timeout: time.Nanosecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(store, Config{Timeout: time.Minute, MaxBatch: 8})
+}
+
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -195,65 +207,89 @@ func TestPprofEndpointsGated(t *testing.T) {
 	}
 }
 
-// TestExplainBudgetKnobs drives the per-request anytime budget through
-// both /explain forms and /batch: a deterministic one-expansion budget
-// must answer 200 with truncated=true (never a 504), an invalid knob is
-// a 400, and unbudgeted requests stay exhaustive.
+// TestExplainBudgetKnobs drives the per-request budget through both
+// /explain forms and /batch on a server whose default budget has already
+// expired: a request without budget_ms runs under it and answers 200
+// with truncated=true (never a 504), one with budget_ms runs under its
+// own and stays exhaustive, and an invalid knob is a 400. A pair's
+// whole answer, once cached, serves its budgeted queries too, so each
+// pair is asked under the expired default before it is asked whole.
 func TestExplainBudgetKnobs(t *testing.T) {
-	h := testServer(t, time.Minute).Handler()
-
-	rec := get(t, h, "/explain?start=brad_pitt&end=angelina_jolie&budget_expansions=1")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("budgeted GET status = %d, body %s", rec.Code, rec.Body)
-	}
-	var resp explainResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Truncated || resp.Result == nil || !resp.Result.Truncated {
-		t.Fatalf("one-expansion budget not reported truncated: %s", rec.Body)
-	}
-
-	rec = post(t, h, "/explain", `{"start":"brad_pitt","end":"angelina_jolie","budget_expansions":1,"budget_ms":60000}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("budgeted POST status = %d, body %s", rec.Code, rec.Body)
-	}
-	resp = explainResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Truncated {
-		t.Fatalf("budgeted POST not reported truncated: %s", rec.Body)
-	}
-
-	// Unbudgeted requests remain exhaustive.
-	rec = get(t, h, "/explain?start=brad_pitt&end=angelina_jolie")
-	resp = explainResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Truncated {
-		t.Fatalf("unbudgeted request reported truncated: %s", rec.Body)
+	h := expiredBudgetServer(t).Handler()
+	for _, tc := range []struct {
+		method, target, body string
+		truncated            bool
+	}{
+		{http.MethodGet, "/explain?start=brad_pitt&end=angelina_jolie", "", true},
+		{http.MethodPost, "/explain", `{"start":"brad_pitt","end":"angelina_jolie"}`, true},
+		{http.MethodGet, "/explain?start=brad_pitt&end=angelina_jolie&budget_ms=60000", "", false},
+		{http.MethodPost, "/explain", `{"start":"brad_pitt","end":"angelina_jolie","budget_ms":60000}`, false},
+	} {
+		var rec *httptest.ResponseRecorder
+		if tc.method == http.MethodGet {
+			rec = get(t, h, tc.target)
+		} else {
+			rec = post(t, h, tc.target, tc.body)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s %s: status = %d, body %s", tc.method, tc.target, tc.body, rec.Code, rec.Body)
+		}
+		var resp explainResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result == nil || resp.Truncated != tc.truncated || resp.Result.Truncated != tc.truncated {
+			t.Errorf("%s %s %s: truncated = %v, want %v: %s", tc.method, tc.target, tc.body, resp.Truncated, tc.truncated, rec.Body)
+		}
 	}
 
 	if rec := get(t, h, "/explain?start=a&end=b&budget_ms=nope"); rec.Code != http.StatusBadRequest {
 		t.Errorf("invalid budget_ms: status = %d, want 400", rec.Code)
 	}
 
-	rec = post(t, h, "/batch", `{"pairs":[{"start":"brad_pitt","end":"angelina_jolie"},{"start":"tom_cruise","end":"nicole_kidman"}],"budget_expansions":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("budgeted batch status = %d, body %s", rec.Code, rec.Body)
-	}
-	var bresp batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &bresp); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range bresp.Results {
-		if e.Error != "" {
-			t.Fatalf("batch entry %d: %s", i, e.Error)
+	for _, ms := range []string{"", `,"budget_ms":60000`} {
+		rec := post(t, h, "/batch", `{"pairs":[{"start":"kate_winslet","end":"leonardo_dicaprio"},{"start":"tom_cruise","end":"nicole_kidman"}]`+ms+`}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch%s status = %d, body %s", ms, rec.Code, rec.Body)
 		}
-		if !e.Truncated {
-			t.Errorf("batch entry %d not truncated under a one-expansion budget", i)
+		var bresp batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &bresp); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range bresp.Results {
+			if e.Error != "" {
+				t.Fatalf("batch%s entry %d: %s", ms, i, e.Error)
+			}
+			if e.Truncated != (ms == "") {
+				t.Errorf("batch%s entry %d: truncated = %v", ms, i, e.Truncated)
+			}
+		}
+	}
+}
+
+// TestBudgetExpansionsRefused: budget_expansions set the path-search
+// cap, which is gone. A request that still sends it — in a GET query, a
+// POST /explain body or a /batch body, with any value — is refused with
+// a 400 that names budget_ms, never answered without the bound it asked
+// for.
+func TestBudgetExpansionsRefused(t *testing.T) {
+	h := testServer(t, time.Minute).Handler()
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/explain?start=brad_pitt&end=angelina_jolie&budget_expansions=1", ""},
+		{http.MethodGet, "/explain?start=brad_pitt&end=angelina_jolie&budget_expansions=", ""},
+		{http.MethodPost, "/explain", `{"start":"brad_pitt","end":"angelina_jolie","budget_expansions":1,"budget_ms":60000}`},
+		{http.MethodPost, "/explain", `{"start":"brad_pitt","end":"angelina_jolie","budget_expansions":0}`},
+		{http.MethodPost, "/batch", `{"pairs":[{"start":"brad_pitt","end":"angelina_jolie"}],"budget_expansions":1}`},
+		{http.MethodPost, "/batch", `{"pairs":[{"start":"a","end":"b"}],"budget_expansions":-2}`},
+	} {
+		var rec *httptest.ResponseRecorder
+		if tc.method == http.MethodGet {
+			rec = get(t, h, tc.target)
+		} else {
+			rec = post(t, h, tc.target, tc.body)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "budget_ms") {
+			t.Errorf("%s %s %s = %d %s; want 400 naming budget_ms", tc.method, tc.target, tc.body, rec.Code, rec.Body)
 		}
 	}
 }
@@ -265,14 +301,11 @@ func TestBudgetKnobsRejectNegative(t *testing.T) {
 	if rec := get(t, h, "/explain?start=a&end=b&budget_ms=-50"); rec.Code != http.StatusBadRequest {
 		t.Errorf("negative budget_ms GET: status = %d, want 400", rec.Code)
 	}
-	if rec := get(t, h, "/explain?start=a&end=b&budget_expansions=-1"); rec.Code != http.StatusBadRequest {
-		t.Errorf("negative budget_expansions GET: status = %d, want 400", rec.Code)
-	}
 	if rec := post(t, h, "/explain", `{"start":"a","end":"b","budget_ms":-50}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("negative budget_ms POST: status = %d, want 400", rec.Code)
 	}
-	if rec := post(t, h, "/batch", `{"pairs":[{"start":"a","end":"b"}],"budget_expansions":-2}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("negative budget_expansions batch: status = %d, want 400", rec.Code)
+	if rec := post(t, h, "/batch", `{"pairs":[{"start":"a","end":"b"}],"budget_ms":-2}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("negative budget_ms batch: status = %d, want 400", rec.Code)
 	}
 }
 

@@ -87,9 +87,11 @@ func TestWriteExplainMatchesEncoder(t *testing.T) {
 	if len(withSQL.Explanations) == 0 || withSQL.Explanations[0].SQL == "" {
 		t.Fatalf("(a, b) with sql=1 has no SQL: %+v", withSQL.Explanations)
 	}
-	truncated := query("a", "b", rex.Request{Budget: rex.Budget{MaxExpansions: 1}})
+	// (b, a) has not been asked: (a, b)'s cached answer would serve a
+	// budgeted query of the pair too.
+	truncated := query("b", "a", rex.Request{Budget: rex.Budget{Timeout: time.Nanosecond}})
 	if !truncated.Truncated {
-		t.Fatal("a one-expansion budget did not truncate")
+		t.Fatal("an expired budget did not truncate")
 	}
 	const hostile = "q\"\\ <&> \u2028\xff\x01é"
 	escaped := &rex.Result{Start: hostile, End: hostile, Measure: hostile, Explanations: []rex.Explanation{{
@@ -141,7 +143,7 @@ func TestWriteExplainMatchesEncoder(t *testing.T) {
 	for _, tc := range []struct{ method, target, body string }{
 		{http.MethodGet, "/explain?start=a&end=b", ""},
 		{http.MethodGet, "/explain?start=a&end=b&trace=1", ""},
-		{http.MethodGet, "/explain?start=a&end=b&budget_expansions=1&trace=1", ""},
+		{http.MethodGet, "/explain?start=a&end=b&budget_ms=1&trace=1", ""},
 		{http.MethodGet, "/explain?start=c&end=d", ""},
 		{http.MethodGet, "/explain?start=a&end=b&sql=1", ""},
 		{http.MethodGet, "/explain?start=a&end=b&sql=1&trace=1", ""},
@@ -268,12 +270,12 @@ func TestWriteBatchMatchesEncoder(t *testing.T) {
 		hit,
 		untraced(traced("c", "d", rex.Request{})),
 		untraced(traced("a", "b", rex.Request{SQL: true})),
-		traced("b", "a", rex.Request{Budget: rex.Budget{MaxExpansions: 1}}),
+		traced("b", "a", rex.Request{Budget: rex.Budget{Timeout: time.Nanosecond}}),
 		{Pair: rex.Pair{Start: hostile, End: "b"}, Err: fmt.Errorf("rex: %w %q", rex.ErrUnknownEntity, hostile)},
 		{Pair: rex.Pair{Start: "a", End: "a"}, Err: errors.New("rex: start and end entity are both \"a\"")},
 	}
 	if !results[4].Result.Truncated {
-		t.Fatal("a one-expansion budget did not truncate")
+		t.Fatal("an expired budget did not truncate")
 	}
 	want := batchResponse{Generation: 9, Fingerprint: "00f1e2d3c4b5a697", ElapsedMS: 1.234}
 	for _, br := range results {
@@ -304,7 +306,7 @@ func TestWriteBatchMatchesEncoder(t *testing.T) {
 	for _, body := range []string{
 		`{"pairs":[{"start":"a","end":"b"},{"start":"c","end":"d"},{"start":"x","end":"b"}]}`,
 		`{"pairs":[{"start":"a","end":"b"},{"start":"b","end":"a"}],"trace":true}`,
-		`{"pairs":[{"start":"a","end":"b"}],"sql":true,"budget_expansions":1}`,
+		`{"pairs":[{"start":"a","end":"b"}],"sql":true,"budget_ms":1}`,
 	} {
 		rec := post(t, h, "/batch", body)
 		if rec.Code != http.StatusOK {
@@ -377,17 +379,18 @@ func TestSQLOnRequest(t *testing.T) {
 
 // TestSQLKeepsDefaultBudget: asking for SQL bounds nothing, so a sql=1
 // request runs under the server's default budget like any other. The
-// path search on a→b under a pattern size of 3 is always two expansions,
-// the pair's one path coming with the second, so no cap both truncates
-// it and leaves an explanation: the KB adds b–c and the size is 4, where
-// two expansions find a–b and stop before the walk goes on through c.
+// default here has ended before any query starts, so a request under it
+// is cut at the path search and answers truncated (with no explanation
+// to carry SQL: the facade's TestRequestResolution holds SQL on a
+// truncated answer that has some), while one that sets budget_ms runs
+// under its own bound, whole, with SQL.
 func TestSQLKeepsDefaultBudget(t *testing.T) {
-	k, err := rex.ReadKB(strings.NewReader(liveBaseTSV + "edge\tb\tc\tknows\n"))
+	k, err := rex.ReadKB(strings.NewReader(liveBaseTSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rex.NewStore(k, rex.Options{Measure: "size", TopK: 100, MaxPatternSize: 4, CacheSize: 64,
-		Budget: rex.Budget{MaxExpansions: 2}})
+	store, err := rex.NewStore(k, rex.Options{Measure: "size", TopK: 100, MaxPatternSize: 3, CacheSize: 64,
+		Budget: rex.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +402,7 @@ func TestSQLKeepsDefaultBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !resp.Truncated {
-			t.Errorf("%s ran past the default two-expansion budget", target)
+			t.Errorf("%s ran past the expired default budget", target)
 		}
 	}
 	rec := post(t, h, "/batch", `{"pairs":[{"start":"a","end":"b"}],"sql":true}`)
@@ -407,7 +410,15 @@ func TestSQLKeepsDefaultBudget(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 1 || !resp.Results[0].Truncated || resp.Results[0].Result.Explanations[0].SQL == "" {
+	if len(resp.Results) != 1 || !resp.Results[0].Truncated {
 		t.Errorf("/batch with sql: %s", rec.Body)
+	}
+	rec = post(t, h, "/batch", `{"pairs":[{"start":"a","end":"b"}],"sql":true,"budget_ms":60000}`)
+	resp = batchResponse{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Truncated || resp.Results[0].Result.Explanations[0].SQL == "" {
+		t.Errorf("/batch with sql and its own budget: %s", rec.Body)
 	}
 }

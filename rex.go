@@ -207,8 +207,7 @@ type Options struct {
 	// making heavy pairs anytime: when the budget expires the best
 	// explanations found so far are returned with Result.Truncated set
 	// instead of running to exhaustion. The zero value never truncates.
-	// A Request that sets a bound of its own runs under its own bounds
-	// instead.
+	// A Request that sets a Timeout of its own runs under it instead.
 	Budget Budget
 	// Durability, when its Dir is set, makes a Store built with these
 	// options crash-safe: accepted deltas are written to a write-ahead
@@ -246,19 +245,11 @@ type DurabilityOptions struct {
 }
 
 // Budget bounds the work of one query. An exhausted budget is not an
-// error — the query returns the explanations built from the paths found
-// so far with Result.Truncated set. A zero Budget bounds nothing: as
-// Options.Budget it never truncates, and in a Request it means
-// Options.Budget (see Request).
+// error — the query returns the best explanations found so far with
+// Result.Truncated set. A zero Budget bounds nothing: as Options.Budget
+// it never truncates, and in a Request it means Options.Budget (see
+// Request).
 type Budget struct {
-	// MaxExpansions caps the path search (0 = unlimited): the adjacency
-	// scans of the simple-path join, one per partial path grown, which a
-	// traced query reports as expansions. It bounds the path search, not
-	// the query: the union, measure and ranking then run on every path it
-	// admitted. Expansion-budgeted enumeration is deterministic: the
-	// result is a prefix-consistent subset of the unbudgeted explanation
-	// set, identical across runs.
-	MaxExpansions int
 	// Timeout bounds the query's wall-clock time (0 = none). The query
 	// runs under one context that ends Timeout after it starts
 	// (enumerate.WithDeadline), which enumeration, union, measures and
@@ -266,22 +257,8 @@ type Budget struct {
 	// the caller's own context deadline — which aborts with an error — an
 	// expired budget timeout returns the truncated best-so-far result.
 	// Timeout truncation is timing-dependent, so such results are never
-	// cached.
+	// cached. A negative Timeout is none.
 	Timeout time.Duration
-}
-
-// active reports whether the budget can truncate at all.
-func (b Budget) active() bool { return b.MaxExpansions > 0 || b.Timeout > 0 }
-
-// normalized clamps nonsensical negative fields to "unlimited".
-func (b Budget) normalized() Budget {
-	if b.MaxExpansions < 0 {
-		b.MaxExpansions = 0
-	}
-	if b.Timeout < 0 {
-		b.Timeout = 0
-	}
-	return b
 }
 
 func (o Options) normalized() Options {
@@ -489,10 +466,9 @@ type Pair struct {
 	End   string `json:"end"`
 }
 
-// Request is one query: an entity pair, the work bounds it runs under
-// and whether its answer carries SQL. A request that bounds nothing runs
-// under Options.Budget; one that sets either bound runs under its own
-// bounds only.
+// Request is one query: an entity pair, the work bound it runs under
+// and whether its answer carries SQL. A request that sets no Timeout runs
+// under Options.Budget; one that sets a Timeout runs under its own.
 type Request struct {
 	Pair
 	Budget
@@ -501,14 +477,12 @@ type Request struct {
 	SQL bool
 }
 
-// resolve is the one place a request's bounds meet Options.Budget: it
-// returns r with the bounds the query runs under, negative ones clamped
-// to unlimited. The cache key, the pipeline and the trace all read the
-// resolved request.
+// resolve is the one place a request's bound meets Options.Budget: it
+// returns r with the Timeout the query runs under, a negative one
+// clamped to none. The pipeline and the trace read the resolved request.
 func (e *Explainer) resolve(r Request) Request {
-	r.Budget = r.Budget.normalized()
-	if !r.Budget.active() {
-		r.Budget = e.opt.Budget.normalized()
+	if r.Timeout <= 0 {
+		r.Timeout = max(e.opt.Budget.Timeout, 0)
 	}
 	return r
 }
@@ -573,15 +547,14 @@ func (e *Explainer) Query(ctx context.Context, r Request) (*Result, error) {
 		}
 	}
 	res, err := e.compute(ctx, q, s, t)
-	// Timeout-TRUNCATED results are wall-clock-dependent and never
-	// stored: a result truncated under momentary load must not keep
-	// answering for a pair that deserves the full budget later. An
-	// untruncated result is byte-identical to the unbudgeted answer
-	// regardless of the budget, and expansion-budget truncation is
-	// deterministic — both cache fine (under the budget-suffixed key), so
-	// a wall-clock default budget does not disable the cache for the
-	// pairs that finish inside it.
-	if err == nil && e.cache != nil && !(q.Timeout > 0 && res.Truncated) {
+	// Truncated results are wall-clock-dependent and never stored: a
+	// result truncated under momentary load must not keep answering for
+	// a pair that deserves the full budget later. An untruncated result
+	// is byte-identical to the unbudgeted answer whatever the budget, so
+	// it is stored under the pair's one key, and a wall-clock default
+	// budget does not disable the cache for the pairs that finish inside
+	// it.
+	if err == nil && e.cache != nil && !res.Truncated {
 		e.cache.put(key, res)
 	}
 	return tracedResult(res, tr, t0, q), err
@@ -597,7 +570,6 @@ func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Re
 	defer rank.Occupy()()
 	g := e.kb.g
 	cfg := e.cfg
-	cfg.Budget.MaxExpansions = q.MaxExpansions
 	bctx := ctx
 	if q.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -659,25 +631,21 @@ func (e *Explainer) compute(ctx context.Context, q Request, s, t kb.NodeID) (*Re
 	return res, nil
 }
 
-// queryKey builds the cache key for a resolved request. The cache
-// belongs to exactly one explainer (and therefore one normalized option
-// set), so the pair plus the bounds it runs under identifies the
-// computation. Length-prefixing makes the key unambiguous for arbitrary
-// entity names — no separator byte needs to be excluded — and
-// unbudgeted queries keep the historical pair-only key shape. An answer
-// with SQL is a different answer, so it is a different entry. It runs
-// on every lookup, so it is one concatenation: no fmt, and strconv.Itoa
-// does not allocate below 100.
+// queryKey builds the cache key for a request. The cache belongs to
+// exactly one explainer (and therefore one normalized option set), so
+// the pair identifies the computation: the budget does not, because only
+// an untruncated answer is stored and it is the unbudgeted one.
+// Length-prefixing makes the key unambiguous for arbitrary entity names
+// — no separator byte needs to be excluded. An answer with SQL is a
+// different answer, so it is a different entry. It runs on every
+// lookup, so it is one concatenation: no fmt, and strconv.Itoa does not
+// allocate below 100.
 func queryKey(q Request) string {
-	budget := ""
-	if q.active() {
-		budget = "|x" + strconv.Itoa(q.MaxExpansions) + "|t" + strconv.FormatInt(int64(q.Timeout), 10)
-	}
 	sql := ""
 	if q.SQL {
 		sql = "|sql"
 	}
-	return strconv.Itoa(len(q.Start)) + ":" + q.Start + strconv.Itoa(len(q.End)) + ":" + q.End + budget + sql
+	return strconv.Itoa(len(q.Start)) + ":" + q.Start + strconv.Itoa(len(q.End)) + ":" + q.End + sql
 }
 
 func isLimited(m measure.Measure) bool {

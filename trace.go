@@ -22,8 +22,8 @@ import (
 // local-distribution counts that ran to completion), the instances of
 // the whole enumerated explanation set before ranking (Instances; 0 for
 // an anti-monotone measure, whose ranker merges as it goes), and budget
-// attribution naming the stage that exhausted MaxExpansions or Timeout
-// ("enumerate:expansions", "rank:deadline", ...). UnattributedMS is the
+// attribution naming the stage that found the Timeout ended
+// ("enumerate:deadline", "rank:deadline", ...). UnattributedMS is the
 // part of TotalMS that no top-level stage holds. MemoHits, MemoMisses,
 // WalkCacheHits and WalkCacheMisses always read 0: the measures keep no
 // memo and no walk cache. Deduped always reads false: a query that
@@ -48,7 +48,7 @@ func WithTrace(ctx context.Context) context.Context {
 	return obs.NewContext(ctx, obs.NewTrace())
 }
 
-// tracedResult attaches the rendered trace, with the bounds the
+// tracedResult attaches the rendered trace, with the Timeout the
 // resolved request q ran under, to a shallow copy of res, so a cached
 // result, shared between callers, is never mutated. With a nil trace it
 // returns res unchanged.
@@ -60,7 +60,6 @@ func tracedResult(res *Result, tr *obs.Trace, t0 time.Time, q Request) *Result {
 	rep.TotalMS = float64(time.Since(t0)) / 1e6
 	rep.UnattributedMS = rep.TotalMS - float64(tr.InnerNs()+tr.StageNs(obs.StageRank)+tr.StageNs(obs.StageRender))/1e6
 	rep.BudgetMS = int64(q.Timeout / time.Millisecond)
-	rep.BudgetExpansions = q.MaxExpansions
 	cp := *res
 	cp.Trace = rep
 	return &cp

@@ -120,7 +120,7 @@ func TestTraceReportContents(t *testing.T) {
 	}
 
 	ctx := WithTrace(context.Background())
-	b := Budget{Timeout: time.Minute, MaxExpansions: 1 << 20}
+	b := Budget{Timeout: time.Minute}
 	res, err = ex.ExplainBudgeted(ctx, "kate_winslet", "leonardo_dicaprio", b)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +132,8 @@ func TestTraceReportContents(t *testing.T) {
 	if tr.TotalMS <= 0 {
 		t.Errorf("TotalMS = %v, want > 0", tr.TotalMS)
 	}
-	if tr.BudgetMS != int64(b.Timeout/time.Millisecond) || tr.BudgetExpansions != b.MaxExpansions {
-		t.Errorf("budget echo = (%d ms, %d exp), want (%d, %d)",
-			tr.BudgetMS, tr.BudgetExpansions, int64(b.Timeout/time.Millisecond), b.MaxExpansions)
+	if tr.BudgetMS != int64(b.Timeout/time.Millisecond) {
+		t.Errorf("budget echo = %d ms, want %d", tr.BudgetMS, int64(b.Timeout/time.Millisecond))
 	}
 	stages := map[string]bool{}
 	for _, st := range tr.Stages {
@@ -217,24 +216,43 @@ func TestTraceCacheHitFlag(t *testing.T) {
 	}
 }
 
-// TestTraceTruncationAttribution pins budget attribution: a query
-// strangled by a one-expansion budget must blame the enumerate stage's
-// expansion budget, first-wins.
+// TestTraceTruncationAttribution pins budget attribution, first-wins:
+// the stage that finds a query's Timeout ended first is blamed, and the
+// stages after it, which see the same ended context, do not overwrite
+// it. Under the anti-monotone size measure the path search, the scoring
+// of its paths and the ranking round all observe the end: a Timeout
+// that has ended before the query starts is the path search's, and one
+// that ends while the first path is scored (stallAt) is the measure's.
+// Under size+local-dist the cut comes in the scoring lanes.
 func TestTraceTruncationAttribution(t *testing.T) {
-	ex := traceBenchExplainer(t)
-	res, err := ex.ExplainBudgeted(WithTrace(context.Background()),
-		"kate_winslet", "leonardo_dicaprio", Budget{MaxExpansions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Truncated {
-		t.Fatal("one-expansion budget did not truncate")
-	}
-	if res.Trace == nil {
-		t.Fatal("traced query returned no trace")
-	}
-	if got := res.Trace.TruncatedBy; got != "enumerate:expansions" {
-		t.Errorf("TruncatedBy = %q, want %q", got, "enumerate:expansions")
+	for _, tc := range []struct {
+		measure string
+		stall   int // the evaluation that waits for the Timeout; 0 for none
+		timeout time.Duration
+		want    string
+	}{
+		{"size", 0, time.Nanosecond, "enumerate:deadline"},
+		{"size", 1, stallTimeout, "measure:deadline"},
+		{"size+local-dist", stallEval, stallTimeout, "measure:deadline"},
+	} {
+		ex, err := NewExplainer(SampleKB(), Options{Measure: tc.measure, TopK: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.stall > 0 {
+			stallAt(ex, tc.stall)
+		}
+		res, err := ex.ExplainBudgeted(WithTrace(context.Background()),
+			"kate_winslet", "leonardo_dicaprio", Budget{Timeout: tc.timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Truncated {
+			t.Fatalf("%s, stall at %d: the Timeout did not truncate", tc.measure, tc.stall)
+		}
+		if got := res.Trace.TruncatedBy; got != tc.want {
+			t.Errorf("%s, stall at %d: TruncatedBy = %q, want %q", tc.measure, tc.stall, got, tc.want)
+		}
 	}
 }
 
